@@ -436,7 +436,7 @@ let wearlevel () =
       let balanced = Pipeline.compile (Pipeline.with_cap 10 Pipeline.endurance_full) g in
       let naive_counts = Program.static_write_counts naive.Pipeline.program in
       let rotated =
-        Plim_rram.Start_gap.replay ~psi:100 ~executions naive_counts
+        Plim_rram.Leveling.(replay ~psi:100 Start_gap ~executions naive_counts)
       in
       let s0 = stats_of (scale naive_counts) in
       let s1 = stats_of rotated in
@@ -501,7 +501,8 @@ let lifetime_bench () =
               .Plim_machine.Campaign.executions_completed
           in
           let rotated =
-            (Plim_machine.Campaign.run_with_start_gap ~psi:100 ~endurance
+            (Plim_machine.Campaign.run_until_failure
+               ~strategy:Plim_rram.Leveling.Start_gap ~psi:100 ~endurance
                ~max_executions:100_000 p)
               .Plim_machine.Campaign.executions_completed
           in

@@ -16,6 +16,7 @@ module Stats = Plim_stats.Stats
 module Lifetime = Plim_stats.Lifetime
 module Controller = Plim_machine.Plim_controller
 module Campaign = Plim_machine.Campaign
+module Leveling = Plim_rram.Leveling
 module Fault_model = Plim_fault.Fault_model
 module Analyze = Plim_analyze
 module Metrics = Plim_obs.Metrics
@@ -936,6 +937,148 @@ let report_cmd =
     Term.(const report_run $ current $ against $ threshold $ min_abs $ json $ verbose)
 
 (* ---------------------------------------------------------------- *)
+(* Request-mix commands: serve, horizon and certify take the programs of
+   their mix as BENCH names; horizon and certify also share the whole
+   wear model (strategy grid, fleet shape, levelling parameters). *)
+
+let mix_sources_arg =
+  Arg.(value & pos_all string []
+       & info [] ~docv:"BENCH"
+           ~doc:"Benchmarks forming the program mix, most popular first \
+                 (default: the small suite).")
+
+let mix_specs ~cmd = function
+  | [] -> Suite.small_suite
+  | names ->
+    List.map
+      (fun name ->
+        match Suite.find name with
+        | spec -> spec
+        | exception Not_found ->
+          Printf.eprintf "plimc %s: %S is not a known benchmark (try 'plimc list')\n"
+            cmd name;
+          exit 1)
+      names
+
+(* Everything but the mix programs: [wm_config.mix] is still the default
+   and each command builds its own from the other [wm_] fields. *)
+type wear_model = {
+  wm_sources : string list;
+  wm_strategies : Leveling.t list;
+  wm_rates : float list;
+  wm_zipf : float;
+  wm_compile_ratio : float;
+  wm_config : Plim_serve.Horizon.config;
+}
+
+(* [compile_ratio_note] extends the --compile-ratio help of one command *)
+let wear_model_term ?(compile_ratio_note = "") () =
+  let strategy_conv =
+    Arg.conv
+      ( (fun s -> Result.map_error (fun e -> `Msg e) (Leveling.of_string s)),
+        fun ppf st -> Format.pp_print_string ppf (Leveling.name st) )
+  in
+  (* levelling periods are divisors in the wear model: 0 or less is a
+     usage error, not a campaign *)
+  let positive_int =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n > 0 -> Ok n
+          | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))),
+        Format.pp_print_int )
+  in
+  let strategies =
+    Arg.(value & opt_all strategy_conv []
+         & info [ "strategy" ] ~docv:"S"
+             ~doc:"Endurance strategy: $(b,none), $(b,start_gap), \
+                   $(b,wolfram_remap) or $(b,start_gap+wolfram) (repeatable; \
+                   default: all four).")
+  in
+  let rates =
+    Arg.(value & opt_all float []
+         & info [ "rate" ] ~docv:"R"
+             ~doc:"Permanent-fault rate of the wear model (repeatable; \
+                   default: 0).")
+  in
+  let endurance =
+    Arg.(value & opt float 2e5
+         & info [ "endurance" ] ~docv:"E" ~doc:"Per-cell write budget.")
+  in
+  let epoch_requests =
+    Arg.(value & opt int 80
+         & info [ "epoch-requests" ] ~docv:"N"
+             ~doc:"Requests per epoch of simulated traffic.")
+  in
+  let psi =
+    Arg.(value & opt positive_int 100
+         & info [ "psi" ] ~docv:"N" ~doc:"Start-Gap rotation period.")
+  in
+  let rekey_period =
+    Arg.(value & opt positive_int 50_000
+         & info [ "rekey-period" ] ~docv:"N"
+             ~doc:"Writes between WoLFRaM re-keys.")
+  in
+  let model_spares =
+    Arg.(value & opt int 8
+         & info [ "model-spares" ] ~docv:"N"
+             ~doc:"Spare lines per shard in the wear model.")
+  in
+  let shards =
+    Arg.(value & opt int 4
+         & info [ "shards" ] ~docv:"N" ~doc:"Initially active crossbar shards.")
+  in
+  let spare_shards =
+    Arg.(value & opt int 1
+         & info [ "spare-shards" ] ~docv:"N"
+             ~doc:"Spare shards activated when an active shard dies.")
+  in
+  let cell_spares =
+    Arg.(value & opt int 8
+         & info [ "cell-spares" ] ~docv:"N"
+             ~doc:"Spare lines per live server shard (sets the measured cell \
+                   range).")
+  in
+  let lines =
+    Arg.(value & opt int 0
+         & info [ "lines" ] ~docv:"N"
+             ~doc:"Logical lines per shard; 0 sizes to the largest compiled \
+                   program at first use.")
+  in
+  let zipf =
+    Arg.(value & opt float 1.0
+         & info [ "zipf" ] ~docv:"S"
+             ~doc:"Zipf exponent of program popularity (0 = uniform).")
+  in
+  let compile_ratio =
+    Arg.(value & opt float 0.05
+         & info [ "compile-ratio" ] ~docv:"P"
+             ~doc:("Probability a sampled request is a (redundant) compile."
+                   ^ compile_ratio_note))
+  in
+  let make wm_sources strategies rates endurance epoch_requests psi
+      wolfram_period model_spares shards spare_shards cell_spares lines wm_zipf
+      wm_compile_ratio =
+    let module H = Plim_serve.Horizon in
+    let base = H.default_config in
+    { wm_sources;
+      wm_strategies = (match strategies with [] -> Leveling.all | ss -> ss);
+      wm_rates = (match rates with [] -> [ 0.0 ] | rs -> rs);
+      wm_zipf;
+      wm_compile_ratio;
+      wm_config =
+        { base with
+          H.server =
+            { base.H.server with
+              Plim_serve.Server.shards; spare_shards; cell_spares; lines };
+          endurance; epoch_requests; psi; wolfram_period; model_spares } }
+  in
+  Term.(
+    const make $ mix_sources_arg $ strategies $ rates $ endurance
+    $ epoch_requests $ psi $ rekey_period $ model_spares $ shards $ spare_shards
+    $ cell_spares $ lines $ zipf $ compile_ratio)
+
+(* ---------------------------------------------------------------- *)
 (* serve: the long-lived compile-and-execute service core replaying a
    seeded request mix against a fleet of persistent crossbar shards. *)
 
@@ -947,20 +1090,7 @@ let serve_run sources requests seed shards spare_shards cell_spares lines batch
   let config = override config rewriting selection allocation in
   let config = { config with Pipeline.effort } in
   let config = match cap with Some w -> Pipeline.with_cap w config | None -> config in
-  let specs =
-    match sources with
-    | [] -> Suite.small_suite
-    | names ->
-      List.map
-        (fun name ->
-          match Suite.find name with
-          | spec -> spec
-          | exception Not_found ->
-            Printf.eprintf
-              "plimc serve: %S is not a known benchmark (try 'plimc list')\n" name;
-            exit 1)
-        names
-  in
+  let specs = mix_specs ~cmd:"serve" sources in
   let mix =
     Plim_serve.Workload.mix_of_suite ~zipf ~hot_fraction:hot ~hot_pool
       ~compile_ratio specs
@@ -1057,12 +1187,6 @@ let serve_run sources requests seed shards spare_shards cell_spares lines batch
   if s.Plim_serve.Server.incorrect > 0 then exit 1
 
 let serve_cmd =
-  let sources =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"BENCH"
-             ~doc:"Benchmarks forming the program mix, most popular first \
-                   (default: the small suite).")
-  in
   let requests =
     Arg.(value & opt int 200
          & info [ "requests" ] ~docv:"N" ~doc:"Sampled requests after warm-up.")
@@ -1174,70 +1298,37 @@ let serve_cmd =
            `P "0 on success; 1 if any execution produced incorrect outputs; 2 \
                on usage errors." ])
     Term.(
-      const serve_run $ sources $ requests $ seed $ shards $ spare_shards
+      const serve_run $ mix_sources_arg $ requests $ seed $ shards $ spare_shards
       $ cell_spares $ lines $ batch $ zipf $ hot $ hot_pool $ compile_ratio
       $ config_arg $ cap_arg $ effort_arg $ rewriting_arg $ selection_arg
       $ allocation_arg $ geometry_arg $ inject $ endurance $ no_verify $ no_check
       $ retire $ jobs $ wear_json $ json $ trace_arg $ metrics_arg
       $ profile_flag_arg)
 
-let horizon_run sources strategies rates endurance epoch_requests sample_every
-    max_epochs capacity_floor psi rekey_period model_spares epoch_seconds
-    project shards spare_shards cell_spares lines seed zipf hot hot_pool
-    compile_ratio jobs json trace metrics profile =
+let horizon_run wm sample_every max_epochs capacity_floor epoch_seconds project
+    seed hot hot_pool jobs json trace metrics profile =
   with_obs ~trace ~metrics ~profile @@ fun () ->
   let module H = Plim_serve.Horizon in
-  let specs =
-    match sources with
-    | [] -> Suite.small_suite
-    | names ->
-      List.map
-        (fun name ->
-          match Suite.find name with
-          | spec -> spec
-          | exception Not_found ->
-            Printf.eprintf
-              "plimc horizon: %S is not a known benchmark (try 'plimc list')\n"
-              name;
-            exit 1)
-        names
-  in
   let mix =
-    Plim_serve.Workload.mix_of_suite ~zipf ~hot_fraction:hot ~hot_pool
-      ~compile_ratio specs
+    Plim_serve.Workload.mix_of_suite ~zipf:wm.wm_zipf ~hot_fraction:hot ~hot_pool
+      ~compile_ratio:wm.wm_compile_ratio
+      (mix_specs ~cmd:"horizon" wm.wm_sources)
   in
-  let strategies =
-    match strategies with [] -> H.all_strategies | ss -> ss
-  in
-  let rates = match rates with [] -> [ 0.0 ] | rs -> rs in
-  let base = H.default_config in
-  let server =
-    { base.H.server with
-      Plim_serve.Server.shards;
-      spare_shards;
-      cell_spares;
-      lines;
-      seed }
-  in
+  let base = wm.wm_config in
   let cfg =
     { base with
-      H.server;
+      H.server = { base.H.server with Plim_serve.Server.seed };
       mix;
-      endurance;
-      epoch_requests;
       sample_every;
       max_epochs;
       capacity_floor;
-      psi;
-      wolfram_period = rekey_period;
-      model_spares;
       epoch_seconds;
       project_endurance = project }
   in
   let cells =
     Plim_par.with_pool ~jobs (fun pool ->
         let pool = if Plim_par.jobs pool > 1 then Some pool else None in
-        H.grid ?pool cfg ~strategies ~fault_rates:rates)
+        H.grid ?pool cfg ~strategies:wm.wm_strategies ~fault_rates:wm.wm_rates)
   in
   if json then
     List.iter (fun (_, _, r) -> print_endline (H.row_json r)) cells
@@ -1245,7 +1336,7 @@ let horizon_run sources strategies rates endurance epoch_requests sample_every
     Printf.printf
       "horizon: endurance %.3g writes/cell, epochs of %d requests, sampled \
        every %g, projecting to %.0e\n"
-      endurance epoch_requests sample_every project;
+      cfg.H.endurance cfg.H.epoch_requests sample_every project;
     Printf.printf "%-18s %6s %10s %10s %11s %11s %9s %5s\n" "strategy" "rate"
       "ttff" "half-life" "proj-ttff" "proj-half" "capacity" "dead";
     let fmt_opt = function Some e -> Printf.sprintf "%.5g" e | None -> "-" in
@@ -1265,44 +1356,6 @@ let horizon_run sources strategies rates endurance epoch_requests sample_every
   end
 
 let horizon_cmd =
-  let sources =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"BENCH"
-             ~doc:"Benchmarks forming the program mix, most popular first \
-                   (default: the small suite).")
-  in
-  let strategy_conv =
-    Arg.conv
-      ( (fun s ->
-          match Plim_serve.Horizon.strategy_of_string s with
-          | Ok st -> Ok st
-          | Error e -> Error (`Msg e)),
-        fun ppf st ->
-          Format.pp_print_string ppf (Plim_serve.Horizon.strategy_name st) )
-  in
-  let strategies =
-    Arg.(value & opt_all strategy_conv []
-         & info [ "strategy" ] ~docv:"S"
-             ~doc:"Endurance strategy: $(b,none), $(b,start_gap), \
-                   $(b,wolfram_remap) or $(b,start_gap+wolfram) (repeatable; \
-                   default: all four).")
-  in
-  let rates =
-    Arg.(value & opt_all float []
-         & info [ "rate" ] ~docv:"R"
-             ~doc:"Permanent-fault rate of the wear model (repeatable; \
-                   default: 0).")
-  in
-  let endurance =
-    Arg.(value & opt float 2e5
-         & info [ "endurance" ] ~docv:"E"
-             ~doc:"Per-cell write budget of the campaign.")
-  in
-  let epoch_requests =
-    Arg.(value & opt int 80
-         & info [ "epoch-requests" ] ~docv:"N"
-             ~doc:"Requests per epoch of simulated traffic.")
-  in
   let sample_every =
     Arg.(value & opt float 2500.0
          & info [ "sample-every" ] ~docv:"N"
@@ -1317,20 +1370,6 @@ let horizon_cmd =
          & info [ "capacity-floor" ] ~docv:"F"
              ~doc:"Stop when the alive-shard fraction drops below $(docv).")
   in
-  let psi =
-    Arg.(value & opt int 100
-         & info [ "psi" ] ~docv:"N" ~doc:"Start-Gap rotation period.")
-  in
-  let rekey_period =
-    Arg.(value & opt int 50_000
-         & info [ "rekey-period" ] ~docv:"N"
-             ~doc:"Writes between WoLFRaM re-keys.")
-  in
-  let model_spares =
-    Arg.(value & opt int 8
-         & info [ "model-spares" ] ~docv:"N"
-             ~doc:"Spare lines per shard in the wear model.")
-  in
   let epoch_seconds =
     Arg.(value & opt float 60.0
          & info [ "epoch-seconds" ] ~docv:"S"
@@ -1342,37 +1381,11 @@ let horizon_cmd =
              ~doc:"Real device endurance the projected-years columns rescale \
                    to.")
   in
-  let shards =
-    Arg.(value & opt int 4
-         & info [ "shards" ] ~docv:"N" ~doc:"Initially active crossbar shards.")
-  in
-  let spare_shards =
-    Arg.(value & opt int 1
-         & info [ "spare-shards" ] ~docv:"N"
-             ~doc:"Spare shards activated when an active shard dies.")
-  in
-  let cell_spares =
-    Arg.(value & opt int 8
-         & info [ "cell-spares" ] ~docv:"N"
-             ~doc:"Spare lines per live server shard (sets the measured cell \
-                   range).")
-  in
-  let lines =
-    Arg.(value & opt int 0
-         & info [ "lines" ] ~docv:"N"
-             ~doc:"Logical lines per shard; 0 sizes to the largest compiled \
-                   program at first use.")
-  in
   let seed =
     Arg.(value & opt int 1
          & info [ "seed" ] ~docv:"S"
              ~doc:"Campaign seed; every number in the output is a pure \
                    function of it.")
-  in
-  let zipf =
-    Arg.(value & opt float 1.0
-         & info [ "zipf" ] ~docv:"S"
-             ~doc:"Zipf exponent of program popularity (0 = uniform).")
   in
   let hot =
     Arg.(value & opt float 0.8
@@ -1383,11 +1396,6 @@ let horizon_cmd =
     Arg.(value & opt int 4
          & info [ "hot-pool" ] ~docv:"N"
              ~doc:"Recurring input vectors per program.")
-  in
-  let compile_ratio =
-    Arg.(value & opt float 0.05
-         & info [ "compile-ratio" ] ~docv:"P"
-             ~doc:"Probability a sampled request is a (redundant) compile.")
   in
   let jobs =
     Arg.(value & opt int 1
@@ -1413,58 +1421,23 @@ let horizon_cmd =
          [ `S Manpage.s_exit_status;
            `P "0 on success; 2 on usage errors." ])
     Term.(
-      const horizon_run $ sources $ strategies $ rates $ endurance
-      $ epoch_requests $ sample_every $ max_epochs $ capacity_floor $ psi
-      $ rekey_period $ model_spares $ epoch_seconds $ project $ shards
-      $ spare_shards $ cell_spares $ lines $ seed $ zipf $ hot $ hot_pool
-      $ compile_ratio $ jobs $ json $ trace_arg $ metrics_arg
-      $ profile_flag_arg)
+      const horizon_run $ wear_model_term () $ sample_every $ max_epochs
+      $ capacity_floor $ epoch_seconds $ project $ seed $ hot $ hot_pool $ jobs
+      $ json $ trace_arg $ metrics_arg $ profile_flag_arg)
 
-let certify_run sources strategies rates endurance epoch_requests psi
-    rekey_period model_spares shards spare_shards cell_spares lines zipf
-    compile_ratio fault_seed json check_file =
+let certify_run wm fault_seed json check_file =
   let module H = Plim_serve.Horizon in
   let module C = Plim_certify in
   let module Json = Plim_telemetry.Json in
-  let specs =
-    match sources with
-    | [] -> Suite.small_suite
-    | names ->
-      List.map
-        (fun name ->
-          match Suite.find name with
-          | spec -> spec
-          | exception Not_found ->
-            Printf.eprintf
-              "plimc certify: %S is not a known benchmark (try 'plimc list')\n"
-              name;
-            exit 1)
-        names
+  let mix =
+    Plim_serve.Workload.mix_of_suite ~zipf:wm.wm_zipf
+      ~compile_ratio:wm.wm_compile_ratio
+      (mix_specs ~cmd:"certify" wm.wm_sources)
   in
-  let mix = Plim_serve.Workload.mix_of_suite ~zipf ~compile_ratio specs in
-  let strategies =
-    match strategies with [] -> H.all_strategies | ss -> ss
+  let cfg = { wm.wm_config with H.mix } in
+  let cells =
+    C.grid ~fault_seed cfg ~strategies:wm.wm_strategies ~fault_rates:wm.wm_rates
   in
-  let rates = match rates with [] -> [ 0.0 ] | rs -> rs in
-  let base = H.default_config in
-  let server =
-    { base.H.server with
-      Plim_serve.Server.shards;
-      spare_shards;
-      cell_spares;
-      lines }
-  in
-  let cfg =
-    { base with
-      H.server;
-      mix;
-      endurance;
-      epoch_requests;
-      psi;
-      wolfram_period = rekey_period;
-      model_spares }
-  in
-  let cells = C.grid ~fault_seed cfg ~strategies ~fault_rates:rates in
   (match check_file with
   | None ->
     if json then
@@ -1473,7 +1446,7 @@ let certify_run sources strategies rates endurance epoch_requests psi
       Printf.printf
         "certify: endurance %.3g writes/cell, epochs of %d requests, \
          compile-ratio %g\n"
-        endurance epoch_requests compile_ratio;
+        cfg.H.endurance cfg.H.epoch_requests wm.wm_compile_ratio;
       Printf.printf "%-18s %6s %8s %9s %21s %21s %9s\n" "strategy" "rate"
         "writes" "rate-ub" "ttff [lo,hi]" "half-life [lo,hi]" "capacity0";
       List.iter
@@ -1534,91 +1507,6 @@ let certify_run sources strategies rates endurance epoch_requests psi
     end)
 
 let certify_cmd =
-  let sources =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"BENCH"
-             ~doc:"Benchmarks forming the program mix, most popular first \
-                   (default: the small suite).")
-  in
-  let strategy_conv =
-    Arg.conv
-      ( (fun s ->
-          match Plim_serve.Horizon.strategy_of_string s with
-          | Ok st -> Ok st
-          | Error e -> Error (`Msg e)),
-        fun ppf st ->
-          Format.pp_print_string ppf (Plim_serve.Horizon.strategy_name st) )
-  in
-  let strategies =
-    Arg.(value & opt_all strategy_conv []
-         & info [ "strategy" ] ~docv:"S"
-             ~doc:"Endurance strategy: $(b,none), $(b,start_gap), \
-                   $(b,wolfram_remap) or $(b,start_gap+wolfram) (repeatable; \
-                   default: all four).")
-  in
-  let rates =
-    Arg.(value & opt_all float []
-         & info [ "rate" ] ~docv:"R"
-             ~doc:"Permanent-fault rate of the wear model (repeatable; \
-                   default: 0).")
-  in
-  let endurance =
-    Arg.(value & opt float 2e5
-         & info [ "endurance" ] ~docv:"E"
-             ~doc:"Per-cell write budget being certified.")
-  in
-  let epoch_requests =
-    Arg.(value & opt int 80
-         & info [ "epoch-requests" ] ~docv:"N"
-             ~doc:"Requests per epoch of simulated traffic.")
-  in
-  let psi =
-    Arg.(value & opt int 100
-         & info [ "psi" ] ~docv:"N" ~doc:"Start-Gap rotation period.")
-  in
-  let rekey_period =
-    Arg.(value & opt int 50_000
-         & info [ "rekey-period" ] ~docv:"N"
-             ~doc:"Writes between WoLFRaM re-keys.")
-  in
-  let model_spares =
-    Arg.(value & opt int 8
-         & info [ "model-spares" ] ~docv:"N"
-             ~doc:"Spare lines per shard in the wear model.")
-  in
-  let shards =
-    Arg.(value & opt int 4
-         & info [ "shards" ] ~docv:"N" ~doc:"Initially active crossbar shards.")
-  in
-  let spare_shards =
-    Arg.(value & opt int 1
-         & info [ "spare-shards" ] ~docv:"N"
-             ~doc:"Spare shards activated when an active shard dies.")
-  in
-  let cell_spares =
-    Arg.(value & opt int 8
-         & info [ "cell-spares" ] ~docv:"N"
-             ~doc:"Spare lines per live server shard (sets the measured cell \
-                   range).")
-  in
-  let lines =
-    Arg.(value & opt int 0
-         & info [ "lines" ] ~docv:"N"
-             ~doc:"Logical lines per shard; 0 sizes to the largest compiled \
-                   program, exactly like the simulator.")
-  in
-  let zipf =
-    Arg.(value & opt float 1.0
-         & info [ "zipf" ] ~docv:"S"
-             ~doc:"Zipf exponent of program popularity (0 = uniform).")
-  in
-  let compile_ratio =
-    Arg.(value & opt float 0.05
-         & info [ "compile-ratio" ] ~docv:"P"
-             ~doc:"Probability a sampled request is a (redundant) compile. \
-                   Any positive value makes zero-wear epochs possible, so \
-                   upper lifetime bounds become unbounded (-1).")
-  in
   let fault_seed =
     Arg.(value & opt int 0xFA17
          & info [ "fault-seed" ] ~docv:"S"
@@ -1651,10 +1539,13 @@ let certify_cmd =
            `P "0 on success; 1 when $(b,--check) finds a row outside its \
                bracket (or an unknown benchmark); 2 on usage errors." ])
     Term.(
-      const certify_run $ sources $ strategies $ rates $ endurance
-      $ epoch_requests $ psi $ rekey_period $ model_spares $ shards
-      $ spare_shards $ cell_spares $ lines $ zipf $ compile_ratio $ fault_seed
-      $ json $ check_file)
+      const certify_run
+      $ wear_model_term
+          ~compile_ratio_note:
+            " Any positive value makes zero-wear epochs possible, so upper \
+             lifetime bounds become unbounded (-1)."
+          ()
+      $ fault_seed $ json $ check_file)
 
 let selftest_run () =
   let failures = ref 0 in

@@ -7,8 +7,7 @@ module Program = Plim_isa.Program
 module Pipeline = Plim_core.Pipeline
 module Fault_model = Plim_fault.Fault_model
 module Remap = Plim_fault.Remap
-module Lifetime = Plim_stats.Lifetime
-module Wolfram = Plim_rram.Wolfram
+module Leveling = Plim_rram.Leveling
 module Splitmix = Plim_util.Splitmix
 module Workload = Plim_serve.Workload
 module Server = Plim_serve.Server
@@ -178,14 +177,6 @@ type t = {
   c_programs : program_profile list;
 }
 
-let uses_start_gap = function
-  | Horizon.Start_gap | Horizon.Start_gap_wolfram -> true
-  | Horizon.No_leveling | Horizon.Wolfram_remap -> false
-
-let uses_wolfram = function
-  | Horizon.Wolfram_remap | Horizon.Start_gap_wolfram -> true
-  | Horizon.No_leveling | Horizon.Start_gap -> false
-
 (* Exact replay of one model shard's power-on scrub (Horizon.init_model):
    sample the permanent-fault population under the derived per-shard seed,
    remap every logical line off dead physicals.  Returns whether the shard
@@ -247,13 +238,14 @@ let profile_mix pipeline ~lines (mix : Workload.mix) =
         p_fits = cells <= lines })
     mix.Workload.programs
 
-let certify ?fault_seed:_ (cfg : Horizon.config) =
+let certify (cfg : Horizon.config) =
   if cfg.Horizon.endurance <= 0.0 then
     invalid_arg "Plim_certify.certify: endurance must be positive";
   if cfg.Horizon.epoch_requests <= 0 then
     invalid_arg "Plim_certify.certify: epoch_requests must be positive";
   if cfg.Horizon.mix.Workload.programs = [] then
     invalid_arg "Plim_certify.certify: empty mix";
+  Leveling.validate ~psi:cfg.Horizon.psi ~period:cfg.Horizon.wolfram_period;
   let server = cfg.Horizon.server in
   let strategy = cfg.Horizon.strategy in
   let endurance = cfg.Horizon.endurance in
@@ -268,7 +260,7 @@ let certify ?fault_seed:_ (cfg : Horizon.config) =
   in
   let programs = List.map (fun p -> { p with p_fits = p.p_cells <= lines }) probe in
   let meas = lines + server.Server.cell_spares in
-  let cells = meas + if uses_start_gap strategy then 1 else 0 in
+  let cells = Leveling.lines strategy meas in
   let physical = cells + cfg.Horizon.model_spares in
   let total_shards = server.Server.shards + server.Server.spare_shards in
   let shard0s =
@@ -295,23 +287,17 @@ let certify ?fault_seed:_ (cfg : Horizon.config) =
     if cfg.Horizon.mix.Workload.compile_ratio > 0.0 || not all_fit then 0.0
     else requests *. float_of_int len_min
   in
-  (* leveling transform of the strategy, composed exactly like
-     Horizon.set_rates *)
-  let sg = if uses_start_gap strategy then 1.0 /. float_of_int cfg.Horizon.psi else 0.0 in
-  let wf =
-    if uses_wolfram strategy then
-      Wolfram.migration_overhead ~period:cfg.Horizon.wolfram_period ~lines:meas
-    else 0.0
+  (* leveling transform of the strategy, exactly as Horizon.set_rates *)
+  let overhead =
+    Leveling.overhead strategy ~psi:cfg.Horizon.psi
+      ~period:cfg.Horizon.wolfram_period ~lines:meas
   in
-  let overhead = ((1.0 +. sg) *. (1.0 +. wf)) -. 1.0 in
   (* per-cell rate upper bound: unmanaged wear concentrates an epoch's
-     executes on one shard's hottest cell; leveled wear is uniform over
-     the model lines with the overhead factored in *)
+     executes on one shard's hottest cell *)
   let wmax = List.fold_left (fun acc p -> max acc p.p_wmax) 0 fitting in
   let rate_cell_upper =
-    match strategy with
-    | Horizon.No_leveling -> requests *. float_of_int wmax
-    | _ -> Lifetime.leveled_rate ~overhead ~cells ~total:writes_upper ()
+    Leveling.cell_rate_bound strategy ~overhead ~cells ~total:writes_upper
+      ~hottest:(requests *. float_of_int wmax)
   in
   let ttff_lower =
     if rate_cell_upper <= 0.0 then infinity else endurance /. rate_cell_upper
@@ -326,12 +312,12 @@ let certify ?fault_seed:_ (cfg : Horizon.config) =
       float_of_int alive0 *. float_of_int cells *. endurance /. wear_rate_lower
   in
   (* capacity half-life: shard deaths needed to reach <= 1/2, and the
-     minimum line deaths that can cause them.  Under classic Start-Gap a
-     single wear death kills the whole shard (no wear-time retirement);
-     every other strategy must drain the shard's healthy spares first. *)
+     minimum line deaths that can cause them.  Without wear-time
+     retirement a single wear death kills the whole shard; otherwise it
+     must drain the shard's healthy spares first. *)
   let deaths_to_half = alive0 - (total_shards / 2) in
   let wear_deaths_to_kill s0 =
-    if strategy = Horizon.Start_gap then 1 else s0.s0_min_wear_deaths
+    if Leveling.retires_worn_lines strategy then s0.s0_min_wear_deaths else 1
   in
   let line_deaths_lower =
     if deaths_to_half <= 0 then 0
@@ -366,29 +352,16 @@ let certify ?fault_seed:_ (cfg : Horizon.config) =
     if alive0 = 0 then infinity
     else begin
       let k0 = float_of_int alive0 in
+      let mass_weighted f =
+        List.fold_left
+          (fun acc p -> if p.p_fits then acc +. (p.p_mass *. float_of_int (f p)) else acc)
+          0.0 programs
+      in
+      let per_shard f = requests *. exec_share *. mass_weighted f /. k0 in
       let exp_rate =
-        match strategy with
-        | Horizon.No_leveling ->
-          let weighted =
-            List.fold_left
-              (fun acc p ->
-                if p.p_fits then acc +. (p.p_mass *. float_of_int p.p_wmax)
-                else acc)
-              0.0 programs
-          in
-          requests *. exec_share *. weighted /. k0
-        | _ ->
-          let total =
-            List.fold_left
-              (fun acc p ->
-                if p.p_fits then
-                  acc +. (p.p_mass *. float_of_int p.p_instructions)
-                else acc)
-              0.0 programs
-          in
-          Lifetime.leveled_rate ~overhead ~cells
-            ~total:(requests *. exec_share *. total /. k0)
-            ()
+        Leveling.cell_rate_bound strategy ~overhead ~cells
+          ~total:(per_shard (fun p -> p.p_instructions))
+          ~hottest:(per_shard (fun p -> p.p_wmax))
       in
       if exp_rate <= 0.0 then infinity else endurance /. exp_rate
     end

@@ -29,10 +29,10 @@
     - {e placement} is abstracted away on the pessimistic side: the
       least-worn invariant lets a whole epoch concentrate on one shard,
       so the per-cell rate upper bound assumes it does;
-    - {e leveling} applies each strategy's stationary transform
-      ({!Plim_stats.Lifetime.leveled_rate} with the Start-Gap [1/psi]
-      and WoLFRaM [lines/period] overheads composed), exactly as the
-      simulator does;
+    - {e leveling} bounds the per-cell rate with each strategy's
+      {!Plim_rram.Leveling.cell_rate_bound} and its composed
+      {!Plim_rram.Leveling.overhead}, the same module the simulator's
+      closed form comes from;
     - the {e power-on fault population} and spare-pool scrub are pure
       functions of the per-shard derived seeds and are replayed
       verbatim, giving the exact starting capacity and the minimum
@@ -123,7 +123,7 @@ type t = {
   c_spare_shards : int;
   c_lines : int;           (** logical lines per server shard *)
   c_meas : int;            (** measured cells: lines + cell spares *)
-  c_cells : int;           (** model logical lines (meas, +1 under Start-Gap) *)
+  c_cells : int;           (** model logical lines ({!Plim_rram.Leveling.lines} of meas) *)
   c_physical : int;        (** model physical lines: cells + model spares *)
   c_alive0 : int;          (** shards alive after the power-on scrub *)
   c_capacity0 : float;     (** alive0 / total shards *)
@@ -140,13 +140,13 @@ type t = {
   c_programs : program_profile list;
 }
 
-val certify : ?fault_seed:int -> Horizon.config -> t
+val certify : Horizon.config -> t
 (** The certificate of one grid cell, from the config alone.  The
     [strategy] and [fault_spec] of the config are read exactly like
-    {!Horizon.run} reads them; [fault_seed] is unused here (the config
-    carries the spec) and exists for symmetry with {!grid}.
-    @raise Invalid_argument on an empty mix or a non-positive
-    endurance/epoch_requests, mirroring [Horizon.run]. *)
+    {!Horizon.run} reads them.
+    @raise Invalid_argument on an empty mix, a non-positive
+    endurance/epoch_requests or invalid levelling parameters
+    ({!Plim_rram.Leveling.validate}), mirroring [Horizon.run]. *)
 
 val grid :
   ?fault_seed:int ->

@@ -1,8 +1,7 @@
 module Program = Plim_isa.Program
 module I = Plim_isa.Instruction
 module Crossbar = Plim_rram.Crossbar
-module Start_gap = Plim_rram.Start_gap
-module Wolfram = Plim_rram.Wolfram
+module Leveling = Plim_rram.Leveling
 module Splitmix = Plim_util.Splitmix
 module Obs = Plim_obs.Obs
 module Metrics = Plim_obs.Metrics
@@ -128,12 +127,16 @@ let execute_mapped (p : Program.t) xbar rng ~map ~on_write =
 
 let total_writes xbar = Array.fold_left ( + ) 0 (Crossbar.write_counts xbar)
 
-let campaign ?(seed = 0xCAFE) ?(max_executions = 100_000) ?sample_every ?geometry
-    ~physical_cells ~map ~on_write ~endurance p =
+let run_until_failure ?(seed = 0xCAFE) ?(max_executions = 100_000) ?sample_every
+    ?geometry ?(strategy = Leveling.No_leveling) ?psi ?period ?wolfram_seed ~endurance
+    p =
   Obs.span "campaign" @@ fun () ->
   Metrics.incr m_campaigns;
   let group_latency = group_latency_of geometry p in
-  let xbar = Crossbar.create ~endurance physical_cells in
+  let stack = Leveling.stack ?psi ?period ?seed:wolfram_seed strategy p.Program.num_cells in
+  let xbar = Crossbar.create ~endurance (Leveling.num_physical stack) in
+  (* levelling copies (gap moves, re-key migrations) are real writes *)
+  let on_copy dst = Crossbar.write xbar dst false in
   let sm =
     make_sampler ~sample_every ~max_executions ~counts:(fun () ->
         Crossbar.write_counts xbar)
@@ -152,7 +155,10 @@ let campaign ?(seed = 0xCAFE) ?(max_executions = 100_000) ?sample_every ?geometr
   let rec go completed =
     if completed >= max_executions then finish completed false
     else
-      match execute_mapped p xbar rng ~map:(map xbar) ~on_write:(on_write xbar) with
+      match
+        execute_mapped p xbar rng ~map:(Leveling.physical stack)
+          ~on_write:(Leveling.write stack ~on_copy)
+      with
       | () ->
         Metrics.incr m_executions;
         let completed = completed + 1 in
@@ -161,13 +167,6 @@ let campaign ?(seed = 0xCAFE) ?(max_executions = 100_000) ?sample_every ?geometr
       | exception Crossbar.Cell_failed _ -> finish completed true
   in
   go 0
-
-let run_until_failure ?seed ?max_executions ?sample_every ?geometry ~endurance p =
-  campaign ?seed ?max_executions ?sample_every ?geometry
-    ~physical_cells:p.Program.num_cells
-    ~map:(fun _ cell -> cell)
-    ~on_write:(fun _ _ -> ())
-    ~endurance p
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation: instead of dying at the first worn-out cell, the
@@ -317,61 +316,3 @@ let sweep_degraded ?pool ?seed ?max_executions ?endurance ?(verify = true) ?orac
   match pool with
   | Some p' -> Plim_par.map p' ~f:eval grid
   | None -> List.map eval grid
-
-let run_with_start_gap ?seed ?max_executions ?sample_every ?psi ~endurance p =
-  let n = p.Program.num_cells in
-  let sg = Start_gap.create ?psi n in
-  (* a gap move copies a line: one physical write, wear-accurate *)
-  let map xbar cell =
-    ignore xbar;
-    Start_gap.physical sg cell
-  in
-  let on_write xbar cell =
-    let before = Start_gap.total_moves sg in
-    let gap_target = Start_gap.gap_line sg in
-    Start_gap.write sg cell;
-    (* a move with the gap at 0 is a wrap (start advance), not a copy *)
-    if Start_gap.total_moves sg > before && gap_target > 0 then
-      Crossbar.write xbar gap_target false
-  in
-  campaign ?seed ?max_executions ?sample_every ~physical_cells:(n + 1) ~map ~on_write
-    ~endurance p
-
-let run_with_wolfram ?seed ?max_executions ?sample_every ?period ?(wolfram_seed = 0x901F)
-    ~endurance p =
-  let n = p.Program.num_cells in
-  let wf = Wolfram.create ?period ~seed:wolfram_seed n in
-  let map xbar cell =
-    ignore xbar;
-    Wolfram.physical wf cell
-  in
-  (* a re-key copies every moved line to its new home: real writes *)
-  let on_write xbar cell =
-    Wolfram.write ~on_migrate:(fun dst -> Crossbar.write xbar dst false) wf cell
-  in
-  campaign ?seed ?max_executions ?sample_every ~physical_cells:n ~map ~on_write
-    ~endurance p
-
-let run_with_start_gap_wolfram ?seed ?max_executions ?sample_every ?psi ?period
-    ?(wolfram_seed = 0x901F) ~endurance p =
-  let n = p.Program.num_cells in
-  let wf = Wolfram.create ?period ~seed:wolfram_seed n in
-  let sg = Start_gap.create ?psi n in
-  (* WoLFRaM permutes logical addresses, Start-Gap rotates the result:
-     logical -> Wolfram -> Start-Gap -> physical (n + 1 lines) *)
-  let map xbar cell =
-    ignore xbar;
-    Start_gap.physical sg (Wolfram.physical wf cell)
-  in
-  let on_write xbar cell =
-    let before = Start_gap.total_moves sg in
-    let gap_target = Start_gap.gap_line sg in
-    Start_gap.write sg (Wolfram.physical wf cell);
-    if Start_gap.total_moves sg > before && gap_target > 0 then
-      Crossbar.write xbar gap_target false;
-    Wolfram.write
-      ~on_migrate:(fun dst -> Crossbar.write xbar (Start_gap.physical sg dst) false)
-      wf cell
-  in
-  campaign ?seed ?max_executions ?sample_every ~physical_cells:(n + 1) ~map ~on_write
-    ~endurance p

@@ -4,8 +4,8 @@
     This closes the loop on the paper's motivation — the static
     {!Plim_stats.Lifetime} estimate (endurance / max writes per
     execution) is validated against an actual simulated wear-out, and
-    architectural wear levelling (Start-Gap) can be layered between
-    executions for comparison. *)
+    architectural wear levelling ({!Plim_rram.Leveling}) can be layered
+    underneath for comparison. *)
 
 module Program = Plim_isa.Program
 
@@ -49,6 +49,10 @@ val run_until_failure :
   ?max_executions:int ->
   ?sample_every:int ->
   ?geometry:Plim_geometry.grid ->
+  ?strategy:Plim_rram.Leveling.t ->
+  ?psi:int ->
+  ?period:int ->
+  ?wolfram_seed:int ->
   endurance:int ->
   Program.t ->
   outcome
@@ -57,49 +61,14 @@ val run_until_failure :
     first failure or after [max_executions] (default 100_000).
     [sample_every] sets the wear-sampling period in executions (default
     [max_executions / 64], at least 1).
+
+    [strategy] (default [No_leveling]) places a {!Plim_rram.Leveling.stack}
+    between the program's cells and the crossbar — Start-Gap period [psi],
+    WoLFRaM re-key [period] and permutation [wolfram_seed], with the
+    stack's defaults — so hot logical cells spread across the array over
+    time.  Every levelling copy is charged to the crossbar as a real
+    write, so the wear ledger stays exact.
     @raise Invalid_argument when [sample_every < 1]. *)
-
-val run_with_start_gap :
-  ?seed:int ->
-  ?max_executions:int ->
-  ?sample_every:int ->
-  ?psi:int ->
-  endurance:int ->
-  Program.t ->
-  outcome
-(** Same campaign with a Start-Gap remapping layer rotating the
-    program's device addresses between executions: logical cell [l] of
-    execution [k] lands on a rotating physical line, so hot logical cells
-    spread across the array over time. *)
-
-val run_with_wolfram :
-  ?seed:int ->
-  ?max_executions:int ->
-  ?sample_every:int ->
-  ?period:int ->
-  ?wolfram_seed:int ->
-  endurance:int ->
-  Program.t ->
-  outcome
-(** Same campaign behind a {!Plim_rram.Wolfram} programmable remap: a
-    seeded permutation maps logical to physical addresses and is re-keyed
-    every [period] writes; each re-key's migration copies are charged to
-    the crossbar as real writes. *)
-
-val run_with_start_gap_wolfram :
-  ?seed:int ->
-  ?max_executions:int ->
-  ?sample_every:int ->
-  ?psi:int ->
-  ?period:int ->
-  ?wolfram_seed:int ->
-  endurance:int ->
-  Program.t ->
-  outcome
-(** The composed WoLFRaM-under-Start-Gap stack over [n + 1] physical
-    lines: logical → Wolfram permutation → Start-Gap rotation → physical.
-    Gap copies and re-key migrations both land on the crossbar through
-    the current composed map, so the wear ledger stays exact. *)
 
 (** {1 Graceful degradation}
 

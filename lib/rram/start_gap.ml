@@ -4,14 +4,12 @@ type t = {
   mutable start : int;
   mutable gap : int;             (* physical index of the spare line *)
   mutable since_move : int;
-  mutable moves : int;
-  counts : int array;            (* per physical line *)
 }
 
 let create ?(psi = 100) n =
   if n <= 0 then invalid_arg "Start_gap.create: need at least one line";
   if psi <= 0 then invalid_arg "Start_gap.create: psi must be positive";
-  { n; psi; start = 0; gap = n; since_move = 0; moves = 0; counts = Array.make (n + 1) 0 }
+  { n; psi; start = 0; gap = n; since_move = 0 }
 
 let num_physical t = t.n + 1
 
@@ -20,8 +18,7 @@ let physical t la =
   let pa = (la + t.start) mod t.n in
   if pa >= t.gap then pa + 1 else pa
 
-let move_gap t =
-  t.moves <- t.moves + 1;
+let move_gap ?on_copy t =
   if t.gap = 0 then begin
     (* the gap wraps to the top and the rotation advances *)
     t.gap <- t.n;
@@ -29,42 +26,14 @@ let move_gap t =
   end
   else begin
     (* the line just above the gap is copied into the gap: one write *)
-    t.counts.(t.gap) <- t.counts.(t.gap) + 1;
+    Option.iter (fun f -> f t.gap) on_copy;
     t.gap <- t.gap - 1
   end
 
-let write t la =
-  let pa = physical t la in
-  t.counts.(pa) <- t.counts.(pa) + 1;
+let write ?on_copy t la =
+  ignore (physical t la);
   t.since_move <- t.since_move + 1;
   if t.since_move >= t.psi then begin
     t.since_move <- 0;
-    move_gap t
+    move_gap ?on_copy t
   end
-
-let physical_write_counts t = Array.copy t.counts
-
-let total_moves t = t.moves
-
-let gap_line t = t.gap
-
-let replay ?psi ~executions per_exec_writes =
-  let n = Array.length per_exec_writes in
-  let t = create ?psi n in
-  (* round-robin interleaving of each execution's writes *)
-  let remaining = Array.make n 0 in
-  for _ = 1 to executions do
-    Array.blit per_exec_writes 0 remaining 0 n;
-    let live = ref true in
-    while !live do
-      live := false;
-      for la = 0 to n - 1 do
-        if remaining.(la) > 0 then begin
-          remaining.(la) <- remaining.(la) - 1;
-          write t la;
-          live := true
-        end
-      done
-    done
-  done;
-  physical_write_counts t

@@ -25,20 +25,7 @@ val num_physical : t -> int
 val physical : t -> int -> int
 (** Current physical line of a logical address. *)
 
-val write : t -> int -> unit
-(** Record one write to a logical address (moves the gap when due). *)
-
-val physical_write_counts : t -> int array
-(** Per-physical-line write counts, including gap-movement copies. *)
-
-val total_moves : t -> int
-(** Number of gap movements performed so far. *)
-
-val gap_line : t -> int
-(** Current physical position of the spare line. *)
-
-val replay : ?psi:int -> executions:int -> int array -> int array
-(** [replay ~executions per_exec_writes] simulates [executions] runs of a
-    program whose per-logical-cell write counts are [per_exec_writes]
-    (writes within one execution are interleaved round-robin, which is the
-    favourable case for rotation) and returns per-physical-line counts. *)
+val write : ?on_copy:(int -> unit) -> t -> int -> unit
+(** Record one write to a logical address (moves the gap when due).
+    [on_copy] is called with the physical line that receives the gap-move
+    copy, if this write triggers one; a wrap of the gap copies nothing. *)

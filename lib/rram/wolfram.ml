@@ -5,8 +5,6 @@ type t = {
   mutable rekeys : int;
   mutable since : int;
   mutable map : int array;       (* logical -> physical, a permutation of [0, n) *)
-  counts : int array;            (* per physical line, incl. migration copies *)
-  mutable migrations : int;
 }
 
 (* Seeded Fisher–Yates permutation of [0, n).  [Splitmix.int] is
@@ -27,8 +25,7 @@ let create ?(period = 50_000) ~seed n =
   if n <= 0 then invalid_arg "Wolfram.create: need at least one line";
   if period <= 0 then invalid_arg "Wolfram.create: period must be positive";
   { n; seed; period; rekeys = 0; since = 0;
-    map = permutation ~seed ~generation:0 n;
-    counts = Array.make n 0; migrations = 0 }
+    map = permutation ~seed ~generation:0 n }
 
 let num_lines t = t.n
 
@@ -40,18 +37,13 @@ let rekey ?on_migrate t =
   t.rekeys <- t.rekeys + 1;
   let next = permutation ~seed:t.seed ~generation:t.rekeys t.n in
   for la = 0 to t.n - 1 do
-    if next.(la) <> t.map.(la) then begin
-      (* the line's data is copied to its new physical home: one write *)
-      t.counts.(next.(la)) <- t.counts.(next.(la)) + 1;
-      t.migrations <- t.migrations + 1;
-      match on_migrate with Some f -> f next.(la) | None -> ()
-    end
+    (* a moved line's data is copied to its new physical home: one write *)
+    if next.(la) <> t.map.(la) then Option.iter (fun f -> f next.(la)) on_migrate
   done;
   t.map <- next
 
 let write ?on_migrate t la =
-  let pa = physical t la in
-  t.counts.(pa) <- t.counts.(pa) + 1;
+  ignore (physical t la);
   t.since <- t.since + 1;
   if t.since >= t.period then begin
     t.since <- 0;
@@ -59,31 +51,3 @@ let write ?on_migrate t la =
   end
 
 let rekeys t = t.rekeys
-
-let migration_writes t = t.migrations
-
-let physical_write_counts t = Array.copy t.counts
-
-let migration_overhead ~period ~lines =
-  if period <= 0 then invalid_arg "Wolfram.migration_overhead: period must be positive";
-  float_of_int lines /. float_of_int period
-
-let replay ?period ~seed ~executions per_exec_writes =
-  let n = Array.length per_exec_writes in
-  let t = create ?period ~seed n in
-  let remaining = Array.make n 0 in
-  for _ = 1 to executions do
-    Array.blit per_exec_writes 0 remaining 0 n;
-    let live = ref true in
-    while !live do
-      live := false;
-      for la = 0 to n - 1 do
-        if remaining.(la) > 0 then begin
-          remaining.(la) <- remaining.(la) - 1;
-          write t la;
-          live := true
-        end
-      done
-    done
-  done;
-  physical_write_counts t

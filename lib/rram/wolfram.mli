@@ -9,14 +9,14 @@
     even for pathologically skewed write streams — the property Start-Gap
     alone cannot provide when a single line is written in a tight loop.
 
-    The layer composes with the rest of the address stack:
-    {!Start_gap} rotation applies {e after} this permutation
-    (logical → Wolfram → Start-Gap → {!Plim_fault.Remap} spare
-    patching), and every layer stays a bijection onto its own range.
+    The layer composes with the rest of the address stack
+    ({!Leveling.stack}): {!Start_gap} rotation applies {e after} this
+    permutation (logical → Wolfram → Start-Gap → {!Plim_fault.Remap}
+    spare patching), and every layer stays a bijection onto its own range.
 
     Migration cost: a re-key moves at most [n] lines every [period]
     writes, an amortised overhead of [n / period] extra writes per logical
-    write ({!migration_overhead}). *)
+    write ({!Leveling.overhead}). *)
 
 type t
 
@@ -33,28 +33,10 @@ val physical : t -> int -> int
     @raise Invalid_argument out of range. *)
 
 val write : ?on_migrate:(int -> unit) -> t -> int -> unit
-(** Record one logical write; counts the write against the current
-    physical line and re-keys when the period elapses.  [on_migrate] is
+(** Record one logical write; re-keys when the period elapses.  [on_migrate] is
     called with each physical line that receives a migration copy during
     a re-key triggered by this write, letting a wear substrate (e.g. a
     {!Crossbar}) charge the copies. *)
 
 val rekeys : t -> int
 (** Re-key generations performed so far. *)
-
-val migration_writes : t -> int
-(** Total migration copies charged across all re-keys. *)
-
-val physical_write_counts : t -> int array
-(** Per-physical-line write counts, including migration copies. *)
-
-val migration_overhead : period:int -> lines:int -> float
-(** Amortised extra writes per logical write, [lines /. period] — the
-    closed-form stationary overhead used by {!Plim_serve.Horizon}. *)
-
-val replay : ?period:int -> seed:int -> executions:int -> int array -> int array
-(** [replay ~seed ~executions per_exec_writes] replays [executions] runs
-    of a program that writes logical line [i] [per_exec_writes.(i)] times
-    (round-robin interleaved) through a fresh map and returns the physical
-    write counts — the empirical counterpart of the closed-form uniform
-    rate. *)

@@ -3,32 +3,13 @@ module Fault_model = Plim_fault.Fault_model
 module Remap = Plim_fault.Remap
 module Lifetime = Plim_stats.Lifetime
 module Wear = Plim_telemetry.Wear
-module Wolfram = Plim_rram.Wolfram
+module Leveling = Plim_rram.Leveling
 
-type strategy = No_leveling | Start_gap | Wolfram_remap | Start_gap_wolfram
+type strategy = Leveling.t = No_leveling | Start_gap | Wolfram_remap | Start_gap_wolfram
 
-let all_strategies = [ No_leveling; Start_gap; Wolfram_remap; Start_gap_wolfram ]
-
-let strategy_name = function
-  | No_leveling -> "none"
-  | Start_gap -> "start_gap"
-  | Wolfram_remap -> "wolfram_remap"
-  | Start_gap_wolfram -> "start_gap+wolfram"
-
-let strategy_of_string = function
-  | "none" -> Ok No_leveling
-  | "start_gap" -> Ok Start_gap
-  | "wolfram_remap" | "wolfram" -> Ok Wolfram_remap
-  | "start_gap+wolfram" | "both" -> Ok Start_gap_wolfram
-  | s ->
-    Error
-      (Printf.sprintf
-         "unknown endurance strategy %S (expected none|start_gap|wolfram_remap|start_gap+wolfram)"
-         s)
-
-let uses_start_gap = function
-  | Start_gap | Start_gap_wolfram -> true
-  | No_leveling | Wolfram_remap -> false
+let all_strategies = Leveling.all
+let strategy_name = Leveling.name
+let strategy_of_string = Leveling.of_string
 
 type config = {
   server : Server.config;
@@ -125,12 +106,6 @@ type shard_model = {
   sm_lrate : float array;          (* writes per epoch, per logical line *)
   sm_inverse : int array;          (* physical -> logical, -1 = unmapped *)
   sm_dead : bool array;            (* worn out or permanently faulty *)
-  sm_wear_retire : bool;
-  (* Whether wear-time line retirement is possible.  Classic Start-Gap
-     rotates over a contiguous physical range — the gap copy would march
-     straight into a retired line — so without a programmable remap layer
-     underneath, the first wear-out death takes the whole shard.  Factory
-     (power-on) defects are still patched for every strategy. *)
   mutable sm_alive : bool;
   mutable sm_first_death : float option;
   mutable sm_dead_epoch : float option;
@@ -161,7 +136,7 @@ let scrub_line sm ~epoch l =
   done
 
 let init_model cfg ~id ~meas =
-  let cells = meas + if uses_start_gap cfg.strategy then 1 else 0 in
+  let cells = Leveling.lines cfg.strategy meas in
   let rm = Remap.create ~spares:cfg.model_spares ~lines:cells () in
   let np = Remap.num_physical rm in
   let sm =
@@ -174,7 +149,6 @@ let init_model cfg ~id ~meas =
       sm_lrate = Array.make cells 0.0;
       sm_inverse = Array.init np (fun p -> if p < cells then p else -1);
       sm_dead = Array.make np false;
-      sm_wear_retire = cfg.strategy <> Start_gap;
       sm_alive = true;
       sm_first_death = None;
       sm_dead_epoch = None }
@@ -195,24 +169,12 @@ let init_model cfg ~id ~meas =
 
 let set_rates cfg sm (delta : int array) =
   if sm.sm_alive then begin
-    let total = Array.fold_left (fun acc d -> acc +. float_of_int d) 0.0 delta in
-    (match cfg.strategy with
-    | No_leveling ->
-      for l = 0 to sm.sm_cells - 1 do
-        sm.sm_lrate.(l) <-
-          (if l < Array.length delta then float_of_int delta.(l) else 0.0)
-      done
-    | _ ->
-      let sg = if uses_start_gap cfg.strategy then 1.0 /. float_of_int cfg.psi else 0.0 in
-      let wf =
-        match cfg.strategy with
-        | Wolfram_remap | Start_gap_wolfram ->
-          Wolfram.migration_overhead ~period:cfg.wolfram_period ~lines:sm.sm_meas
-        | _ -> 0.0
-      in
-      let overhead = ((1.0 +. sg) *. (1.0 +. wf)) -. 1.0 in
-      let uniform = Lifetime.leveled_rate ~overhead ~cells:sm.sm_cells ~total () in
-      Array.fill sm.sm_lrate 0 sm.sm_cells uniform);
+    let overhead =
+      Leveling.overhead cfg.strategy ~psi:cfg.psi ~period:cfg.wolfram_period
+        ~lines:sm.sm_meas
+    in
+    let rates = Leveling.line_rates cfg.strategy ~overhead ~cells:sm.sm_cells delta in
+    Array.blit rates 0 sm.sm_lrate 0 sm.sm_cells;
     refresh_prate sm
   end
 
@@ -240,8 +202,7 @@ let validate cfg =
   if cfg.max_epochs <= 0.0 then invalid_arg "Horizon.run: max_epochs must be positive";
   if cfg.capacity_floor < 0.0 || cfg.capacity_floor > 1.0 then
     invalid_arg "Horizon.run: capacity_floor must be in [0,1]";
-  if cfg.psi <= 0 then invalid_arg "Horizon.run: psi must be positive";
-  if cfg.wolfram_period <= 0 then invalid_arg "Horizon.run: wolfram_period must be positive";
+  Leveling.validate ~psi:cfg.psi ~period:cfg.wolfram_period;
   if cfg.model_spares < 0 then invalid_arg "Horizon.run: model_spares must be non-negative";
   if cfg.project_endurance <= 0.0 then
     invalid_arg "Horizon.run: project_endurance must be positive"
@@ -332,7 +293,11 @@ let run ?pool cfg =
                 sm.sm_wear.(p) <- 0.0;
                 let l = sm.sm_inverse.(p) in
                 sm.sm_inverse.(p) <- -1;
-                if sm.sm_wear_retire then scrub_line sm ~epoch:!now l
+                (* without wear-time retirement the first wear-out
+                   death takes the whole shard; factory defects were
+                   still patched at power-on for every strategy *)
+                if Leveling.retires_worn_lines cfg.strategy then
+                  scrub_line sm ~epoch:!now l
                 else begin
                   sm.sm_alive <- false;
                   sm.sm_dead_epoch <- Some !now

@@ -11,23 +11,10 @@
     death, the next sample boundary, or the epoch horizon — so runtime
     scales with {e events}, not with endurance.
 
-    The endurance strategy is a first-class axis.  Per strategy the
-    stationary per-cell rate distribution is:
-
-    - [none] — the measured per-cell deltas verbatim (exact: linear
-      extrapolation of an unmanaged array is lossless while placement is
-      stable);
-    - [start_gap] — uniform over [n+1] lines with [1/psi] gap-copy
-      overhead ({!Plim_rram.Start_gap});
-    - [wolfram_remap] — uniform over [n] lines with [n/period] re-key
-      migration overhead ({!Plim_rram.Wolfram});
-    - [start_gap+wolfram] — uniform over [n+1] with both overheads
-      compounded, the WoLFRaM result (arXiv 2010.02825) of programmable
-      remapping {e under} rotation.
-
-    Uniformity is the stationary distribution of each levelling layer; its
-    mixing time (at most [n * psi] writes) is negligible against device
-    lifetime, which is what makes the closed form sound.
+    The endurance strategy is a first-class axis: between samples each
+    shard's measured deltas become the stationary per-line rates of its
+    {!Plim_rram.Leveling} strategy (see there for the per-strategy closed
+    forms and why they are sound).
 
     Faults: the model layer owns the permanent-fault population and a
     per-shard {!Plim_fault.Remap} spare pool; worn-out or faulty lines
@@ -37,25 +24,26 @@
     fault-rate axis therefore only consumes spare budget, which keeps
     time-to-first-failure and capacity half-life monotone in the rate.
 
-    One asymmetry in the matrix is deliberate: under [start_gap] {e alone}
-    a wear-out death takes the whole shard, because the rotation marches
-    over a contiguous physical range and would copy straight into a
-    retired line — classic Start-Gap composes with factory defect maps
-    (power-on scrub still patches those) but not with wear-time spare
-    retirement.  The programmable remap of [wolfram_remap] and
-    [start_gap+wolfram] is exactly what restores graceful degradation, so
-    the combined strategy matches Start-Gap's time-to-first-failure while
-    keeping WoLFRaM's capacity half-life. *)
+    Under [start_gap] alone a wear-out death takes the whole shard
+    ({!Plim_rram.Leveling.retires_worn_lines}); the programmable remap of
+    [start_gap+wolfram] restores graceful degradation, so it matches
+    Start-Gap's time-to-first-failure while keeping WoLFRaM's capacity
+    half-life. *)
 
-type strategy = No_leveling | Start_gap | Wolfram_remap | Start_gap_wolfram
+type strategy = Plim_rram.Leveling.t =
+  | No_leveling
+  | Start_gap
+  | Wolfram_remap
+  | Start_gap_wolfram
 
 val all_strategies : strategy list
-(** In canonical grid order: none, start_gap, wolfram_remap,
-    start_gap+wolfram. *)
+(** {!Plim_rram.Leveling.all}. *)
 
 val strategy_name : strategy -> string
+(** {!Plim_rram.Leveling.name}. *)
 
 val strategy_of_string : string -> (strategy, string) result
+(** {!Plim_rram.Leveling.of_string}. *)
 
 type config = {
   server : Server.config;

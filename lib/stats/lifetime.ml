@@ -54,11 +54,6 @@ let epochs_to_threshold ~threshold ~wear ~rate =
   done;
   !best
 
-let leveled_rate ?(overhead = 0.0) ~cells ~total () =
-  if cells <= 0 then invalid_arg "Lifetime.leveled_rate: cells must be positive";
-  if overhead < 0.0 then invalid_arg "Lifetime.leveled_rate: negative overhead";
-  total *. (1.0 +. overhead) /. float_of_int cells
-
 let half_life ~initial trajectory =
   if initial <= 0.0 then invalid_arg "Lifetime.half_life: initial must be positive";
   let target = initial /. 2.0 in

@@ -55,14 +55,6 @@ val epochs_to_threshold : threshold:float -> wear:float array -> rate:float arra
     themselves — {!Plim_serve.Horizon.sentinel_epochs} is the canonical
     mapping to the [-1] JSON sentinel. *)
 
-val leveled_rate : ?overhead:float -> cells:int -> total:float -> unit -> float
-(** Stationary per-cell write rate of an ideal levelling layer spreading
-    [total] writes per epoch uniformly over [cells] physical lines, plus a
-    fractional bookkeeping [overhead] (default 0): Start-Gap pays
-    [1/psi] gap copies per write, WoLFRaM re-keying pays
-    [lines/period] migration copies per write
-    ({!Plim_rram.Wolfram.migration_overhead}). *)
-
 val half_life : initial:float -> (float * float) list -> float option
 (** [half_life ~initial trajectory] is the first epoch in the ascending
     [(epoch, capacity)] step curve where capacity has dropped to half of

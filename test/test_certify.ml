@@ -255,6 +255,22 @@ let test_check_row_json_round_trip () =
         (Helpers.contains ~needle:"endurance" e))
   | _ -> Alcotest.fail "expected one grid cell"
 
+(* bad levelling parameters are refused up front by both sides of the
+   gate, never certified into an inf/nan bracket *)
+let test_rejects_bad_leveling_params () =
+  let cfg = cert_config ~compile_ratio:0.05 in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (what, bad) ->
+      check_bool ("Horizon.run rejects " ^ what) true
+        (raises (fun () -> ignore (H.run bad)));
+      check_bool ("certify rejects " ^ what) true
+        (raises (fun () -> ignore (C.certify bad))))
+    [ ("psi = 0", { cfg with H.strategy = H.Start_gap; psi = 0 });
+      ("rekey period = 0", { cfg with H.wolfram_period = 0 }) ]
+
 let () =
   Alcotest.run "certify"
     [ ( "race-detector",
@@ -275,4 +291,6 @@ let () =
           Alcotest.test_case "plim-cert/v1 row shape" `Quick
             test_row_json_shape;
           Alcotest.test_case "check_row_json round trip" `Quick
-            test_check_row_json_round_trip ] ) ]
+            test_check_row_json_round_trip;
+          Alcotest.test_case "bad levelling parameters rejected" `Quick
+            test_rejects_bad_leveling_params ] ) ]

@@ -9,8 +9,7 @@
 module Lifetime = Plim_stats.Lifetime
 module Horizon = Plim_serve.Horizon
 module Campaign = Plim_machine.Campaign
-module Start_gap = Plim_rram.Start_gap
-module Wolfram = Plim_rram.Wolfram
+module Leveling = Plim_rram.Leveling
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -107,12 +106,31 @@ let test_sentinel_epochs () =
 
 let test_leveled_rate () =
   Alcotest.(check (float 1e-12)) "uniform split" 25.0
-    (Lifetime.leveled_rate ~cells:4 ~total:100.0 ());
+    (Leveling.leveled_rate ~cells:4 ~total:100.0 ());
   Alcotest.(check (float 1e-12)) "overhead scales" 27.5
-    (Lifetime.leveled_rate ~overhead:0.1 ~cells:4 ~total:100.0 ());
+    (Leveling.leveled_rate ~overhead:0.1 ~cells:4 ~total:100.0 ());
   Alcotest.check_raises "zero cells refused"
-    (Invalid_argument "Lifetime.leveled_rate: cells must be positive")
-    (fun () -> ignore (Lifetime.leveled_rate ~cells:0 ~total:1.0 ()))
+    (Invalid_argument "Leveling.leveled_rate: cells must be positive")
+    (fun () -> ignore (Leveling.leveled_rate ~cells:0 ~total:1.0 ()))
+
+let test_overhead () =
+  (* the composed form, bit for bit: pinned rows depend on its rounding *)
+  Alcotest.(check (float 0.0)) "start-gap" 0.010000000000000009
+    (Leveling.overhead Leveling.Start_gap ~psi:100 ~period:1 ~lines:7);
+  Alcotest.(check (float 0.0)) "none" 0.0
+    (Leveling.overhead Leveling.No_leveling ~psi:100 ~period:1 ~lines:7);
+  Alcotest.(check (float 0.0)) "both compound"
+    ((1.01 *. 1.5) -. 1.0)
+    (Leveling.overhead Leveling.Start_gap_wolfram ~psi:100 ~period:10 ~lines:5);
+  List.iter
+    (fun s ->
+      Alcotest.check_raises (Leveling.name s ^ " psi 0")
+        (Invalid_argument "Leveling: psi must be positive") (fun () ->
+          ignore (Leveling.overhead s ~psi:0 ~period:1 ~lines:1));
+      Alcotest.check_raises (Leveling.name s ^ " period 0")
+        (Invalid_argument "Leveling: re-key period must be positive") (fun () ->
+          ignore (Leveling.overhead s ~psi:1 ~period:0 ~lines:1)))
+    Leveling.all
 
 let test_half_life () =
   let traj = [ (0.0, 1.0); (10.0, 0.8); (20.0, 0.5); (30.0, 0.2) ] in
@@ -124,91 +142,78 @@ let test_half_life () =
 
 (* --- closed-form stationary rates vs actual replay ---------------------- *)
 
-(* the horizon model treats a levelled layer as uniform-with-overhead; the
-   replayed physical counts of the real layers must match that closed form
-   on the mean and stay near-uniform on the max *)
-let test_start_gap_matches_closed_form () =
-  let per_exec = [| 5; 3; 0; 1; 0; 0; 2; 0 |] in
+(* the horizon model treats a levelled layer as uniform-with-overhead
+   (Leveling.line_rates); replaying the real layers must match that
+   closed form on the mean and stay near-uniform on the max.  Columns:
+   strategy, per-execution writes, psi, re-key period, executions, mean
+   tolerance, max/mean bound. *)
+let closed_form_cases =
+  [ ("start-gap", Leveling.Start_gap, [| 5; 3; 0; 1; 0; 0; 2; 0 |], 10, 50_000,
+     2_000, 0.02, 1.15);
+    ("wolfram", Leveling.Wolfram_remap, [| 50; 1; 1; 1 |], 100, 200, 800, 0.05, 1.5);
+    ("start_gap+wolfram", Leveling.Start_gap_wolfram, [| 50; 1; 1; 1 |], 10, 200,
+     800, 0.05, 1.5) ]
+
+let test_replay_matches_closed_form
+    (_, strategy, per_exec, psi, period, executions, tolerance, max_mean) () =
   let n = Array.length per_exec in
-  let psi = 10 and executions = 2_000 in
-  let counts = Start_gap.replay ~psi ~executions per_exec in
-  check_int "n + 1 physical lines" (n + 1) (Array.length counts);
-  let logical = float_of_int (executions * Array.fold_left ( + ) 0 per_exec) in
+  let counts = Leveling.replay ~psi ~period ~seed:7 strategy ~executions per_exec in
+  let cells = Leveling.lines strategy n in
+  check_int "physical lines" cells (Array.length counts);
+  let overhead = Leveling.overhead strategy ~psi ~period ~lines:n in
   let predicted =
-    Lifetime.leveled_rate ~overhead:(1.0 /. float_of_int psi)
-      ~cells:(n + 1) ~total:logical ()
+    (Leveling.line_rates strategy ~overhead ~cells
+       (Array.map (( * ) executions) per_exec)).(0)
   in
-  let total = float_of_int (Array.fold_left ( + ) 0 counts) in
-  let mean = total /. float_of_int (n + 1) in
+  let mean = float_of_int (Array.fold_left ( + ) 0 counts) /. float_of_int cells in
   check_bool
-    (Printf.sprintf "mean %.1f within 2%% of closed form %.1f" mean predicted)
+    (Printf.sprintf "mean %.1f within %g%% of closed form %.1f" mean
+       (100.0 *. tolerance) predicted)
     true
-    (abs_float (mean -. predicted) /. predicted < 0.02);
+    (abs_float (mean -. predicted) /. predicted < tolerance);
   let mx = float_of_int (Array.fold_left max 0 counts) in
-  check_bool
-    (Printf.sprintf "near-uniform: max/mean %.3f" (mx /. mean))
-    true (mx /. mean < 1.15)
+  check_bool (Printf.sprintf "near-uniform: max/mean %.3f" (mx /. mean)) true
+    (mx /. mean < max_mean)
 
-let test_wolfram_matches_closed_form () =
-  let per_exec = [| 50; 1; 1; 1 |] in
-  let n = Array.length per_exec in
-  let period = 200 and executions = 800 in
-  let counts = Wolfram.replay ~period ~seed:7 ~executions per_exec in
-  check_int "n physical lines" n (Array.length counts);
-  let logical = float_of_int (executions * Array.fold_left ( + ) 0 per_exec) in
-  let predicted =
-    Lifetime.leveled_rate
-      ~overhead:(Wolfram.migration_overhead ~period ~lines:n)
-      ~cells:n ~total:logical ()
-  in
-  let total = float_of_int (Array.fold_left ( + ) 0 counts) in
-  let mean = total /. float_of_int n in
-  check_bool
-    (Printf.sprintf "mean %.1f within 5%% of closed form %.1f" mean predicted)
-    true
-    (abs_float (mean -. predicted) /. predicted < 0.05);
-  let mx = float_of_int (Array.fold_left max 0 counts) in
-  check_bool
-    (Printf.sprintf "re-keying levels the hot line: max/mean %.3f" (mx /. mean))
-    true (mx /. mean < 1.5)
+(* the certificate's per-cell bound must dominate every per-line rate the
+   simulator can apply, for any measured delta *)
+let line_rates_within_cell_bound =
+  QCheck.Test.make ~count:300 ~name:"line rates within the certificate bound"
+    QCheck.(triple (int_range 0 3) (int_range 1 200)
+              (list_of_size Gen.(int_range 1 12) (int_range 0 1000)))
+    (fun (k, psi, delta) ->
+      let strategy = List.nth Leveling.all k in
+      let delta = Array.of_list delta in
+      let cells = Leveling.lines strategy (Array.length delta) in
+      let overhead =
+        Leveling.overhead strategy ~psi ~period:500 ~lines:(Array.length delta)
+      in
+      let rates = Leveling.line_rates strategy ~overhead ~cells delta in
+      let total = Array.fold_left (fun acc d -> acc +. float_of_int d) 0.0 delta in
+      let hottest = float_of_int (Array.fold_left max 0 delta) in
+      Array.fold_left Float.max 0.0 rates
+      <= Leveling.cell_rate_bound strategy ~overhead ~cells ~total ~hottest)
 
-(* --- endurance campaigns through the new layers ------------------------- *)
+(* --- endurance campaigns through the levelling stack -------------------- *)
 
-let campaign_program =
-  lazy
-    (let g = Plim_benchgen.Arith.multiplier ~width:4 in
-     (Plim_core.Pipeline.compile Plim_core.Pipeline.naive g).Plim_core.Pipeline.program)
-
-let test_campaign_wolfram_extends_lifetime () =
-  let p = Lazy.force campaign_program in
+let test_campaign_extends_lifetime strategy () =
+  let g = Plim_benchgen.Arith.multiplier ~width:4 in
+  let p = (Plim_core.Pipeline.compile Plim_core.Pipeline.naive g).Plim_core.Pipeline.program in
   let endurance = 2000 in
   let plain = Campaign.run_until_failure ~endurance ~max_executions:5000 p in
-  let remapped =
-    Campaign.run_with_wolfram ~period:500 ~endurance ~max_executions:5000 p
-  in
-  check_bool
-    (Printf.sprintf "wolfram %d >= plain %d executions"
-       remapped.Campaign.executions_completed plain.Campaign.executions_completed)
-    true
-    (remapped.Campaign.executions_completed >= plain.Campaign.executions_completed);
-  (* migrations are charged as real writes *)
-  check_bool "migration traffic counted" true
-    (remapped.Campaign.write_total > plain.Campaign.write_total
-     || not remapped.Campaign.failed)
-
-let test_campaign_combined_extends_lifetime () =
-  let p = Lazy.force campaign_program in
-  let endurance = 2000 in
-  let plain = Campaign.run_until_failure ~endurance ~max_executions:5000 p in
-  let combined =
-    Campaign.run_with_start_gap_wolfram ~psi:50 ~period:500 ~endurance
+  let levelled =
+    Campaign.run_until_failure ~strategy ~psi:50 ~period:500 ~endurance
       ~max_executions:5000 p
   in
   check_bool
-    (Printf.sprintf "start_gap+wolfram %d >= plain %d executions"
-       combined.Campaign.executions_completed plain.Campaign.executions_completed)
+    (Printf.sprintf "%s %d >= plain %d executions" (Leveling.name strategy)
+       levelled.Campaign.executions_completed plain.Campaign.executions_completed)
     true
-    (combined.Campaign.executions_completed >= plain.Campaign.executions_completed)
+    (levelled.Campaign.executions_completed >= plain.Campaign.executions_completed);
+  (* levelling copies are charged as real writes *)
+  check_bool "copy traffic counted" true
+    (levelled.Campaign.write_total > plain.Campaign.write_total
+     || not levelled.Campaign.failed)
 
 (* --- horizon campaigns -------------------------------------------------- *)
 
@@ -325,17 +330,22 @@ let () =
           Alcotest.test_case "sentinel_epochs encoding" `Quick
             test_sentinel_epochs;
           Alcotest.test_case "leveled_rate" `Quick test_leveled_rate;
+          Alcotest.test_case "overhead composition" `Quick test_overhead;
           Alcotest.test_case "half_life" `Quick test_half_life ] );
       ( "closed-form-vs-replay",
-        [ Alcotest.test_case "start-gap replay matches closed form" `Quick
-            test_start_gap_matches_closed_form;
-          Alcotest.test_case "wolfram replay matches closed form" `Quick
-            test_wolfram_matches_closed_form ] );
+        List.map
+          (fun ((label, _, _, _, _, _, _, _) as case) ->
+            Alcotest.test_case (label ^ " replay matches closed form") `Quick
+              (test_replay_matches_closed_form case))
+          closed_form_cases
+        @ [ qc line_rates_within_cell_bound ] );
       ( "campaign",
-        [ Alcotest.test_case "wolfram extends lifetime" `Slow
-            test_campaign_wolfram_extends_lifetime;
-          Alcotest.test_case "start_gap+wolfram extends lifetime" `Slow
-            test_campaign_combined_extends_lifetime ] );
+        List.map
+          (fun (label, strategy) ->
+            Alcotest.test_case (label ^ " extends lifetime") `Slow
+              (test_campaign_extends_lifetime strategy))
+          [ ("start-gap", Leveling.Start_gap); ("wolfram", Leveling.Wolfram_remap);
+            ("start_gap+wolfram", Leveling.Start_gap_wolfram) ] );
       ( "horizon",
         [ Alcotest.test_case "strategy names round-trip" `Quick
             test_strategy_names_round_trip;

@@ -1,6 +1,7 @@
 module Crossbar = Plim_rram.Crossbar
 module Start_gap = Plim_rram.Start_gap
 module Wolfram = Plim_rram.Wolfram
+module Leveling = Plim_rram.Leveling
 module Remap = Plim_fault.Remap
 module Stats = Plim_stats.Stats
 
@@ -102,27 +103,32 @@ let test_start_gap_mapping () =
     seen.(pa) <- true
   done
 
+(* the physical lines receiving gap-move copies, in order *)
+let gap_copies t writes =
+  let copies = ref [] in
+  List.iter (fun la -> Start_gap.write ~on_copy:(fun p -> copies := p :: !copies) t la)
+    writes;
+  List.rev !copies
+
 let test_start_gap_moves () =
   let t = Start_gap.create ~psi:5 4 in
-  for _ = 1 to 25 do
-    Start_gap.write t 0
-  done;
-  check_int "one move per psi writes" 5 (Start_gap.total_moves t)
+  let writes k = List.init k (fun _ -> 0) in
+  check_bool "no move before psi writes" true (gap_copies t (writes 4) = []);
+  check_bool "a move at the psi-th write" true (gap_copies t (writes 1) = [ 4 ]);
+  (* one move per psi writes walks the gap down; the fifth move is the
+     wrap, which copies nothing *)
+  check_bool "one move per psi writes" true (gap_copies t (writes 20) = [ 3; 2; 1 ])
 
 let test_start_gap_wraparound () =
   (* psi = 1: every write moves the gap; after n + 1 moves the gap has
      walked the whole array, wrapped back to the top, and advanced the
      start register — the address space is rotated by one line *)
   let t = Start_gap.create ~psi:1 4 in
-  for _ = 1 to 4 do
-    Start_gap.write t 0
-  done;
-  check_int "gap reached the bottom" 0 (Start_gap.gap_line t);
-  Start_gap.write t 0;
-  check_int "gap wrapped to the top" 4 (Start_gap.gap_line t);
-  check_int "five moves" 5 (Start_gap.total_moves t);
+  check_bool "gap reached the bottom" true (gap_copies t [ 0; 0; 0; 0 ] = [ 4; 3; 2; 1 ]);
+  check_bool "the wrap copies nothing" true (gap_copies t [ 0 ] = []);
   check_int "logical 0 rotated down" 1 (Start_gap.physical t 0);
   check_int "logical 3 wrapped around" 0 (Start_gap.physical t 3);
+  check_bool "next copy lands at the top again" true (gap_copies t [ 0 ] = [ 4 ]);
   let seen = Array.make 5 false in
   for la = 0 to 3 do
     let pa = Start_gap.physical t la in
@@ -134,7 +140,7 @@ let test_start_gap_rotation_levels_hot_line () =
   (* one scorching logical line; rotation spreads it over all physical
      lines given enough executions *)
   let per_exec = [| 100; 1; 1; 1 |] in
-  let counts = Start_gap.replay ~psi:10 ~executions:50 per_exec in
+  let counts = Leveling.replay ~psi:10 Leveling.Start_gap ~executions:50 per_exec in
   let s = Stats.summarize counts in
   let unlevelled = Stats.summarize (Array.map (( * ) 50) per_exec) in
   check_bool
@@ -146,7 +152,7 @@ let test_start_gap_rotation_levels_hot_line () =
 let test_start_gap_write_conservation () =
   let per_exec = [| 3; 0; 7; 2 |] in
   let executions = 9 in
-  let counts = Start_gap.replay ~psi:4 ~executions per_exec in
+  let counts = Leveling.replay ~psi:4 Leveling.Start_gap ~executions per_exec in
   let logical_total = executions * Array.fold_left ( + ) 0 per_exec in
   let physical_total = Array.fold_left ( + ) 0 counts in
   (* extra writes are exactly the gap-copy moves *)
@@ -164,8 +170,8 @@ let test_start_gap_validation () =
     (Invalid_argument "Start_gap.physical: address out of range") (fun () ->
       ignore (Start_gap.physical t 4))
 
-(* property: whatever the write sequence, the logical->physical map stays a
-   bijection onto the physical lines minus the gap *)
+(* property: whatever the write sequence, the logical->physical map stays
+   injective into the n + 1 physical lines, leaving exactly the gap free *)
 let start_gap_bijective =
   QCheck.Test.make ~count:200
     ~name:"start-gap map is a bijection under arbitrary writes"
@@ -179,8 +185,7 @@ let start_gap_bijective =
         let pa = Start_gap.physical t la in
         if pa < 0 || pa > n || seen.(pa) then ok := false else seen.(pa) <- true
       done;
-      (* the one physical line left unmapped is exactly the gap *)
-      !ok && not seen.(Start_gap.gap_line t))
+      !ok)
 
 (* --- WoLFRaM programmable remapping ------------------------------------- *)
 
@@ -205,33 +210,42 @@ let test_wolfram_permutation () =
 
 let test_wolfram_rekey_cadence () =
   let wf = Wolfram.create ~period:10 ~seed:5 4 in
+  let migrations = ref 0 in
+  let write la = Wolfram.write ~on_migrate:(fun _ -> incr migrations) wf la in
   for _ = 1 to 9 do
-    Wolfram.write wf 0
+    write 0
   done;
   check_int "no re-key before the period" 0 (Wolfram.rekeys wf);
-  Wolfram.write wf 0;
+  write 0;
   check_int "re-key at the period" 1 (Wolfram.rekeys wf);
   for _ = 1 to 20 do
-    Wolfram.write wf 1
+    write 1
   done;
   check_int "one re-key per period" 3 (Wolfram.rekeys wf);
-  check_bool "re-keys migrated lines" true (Wolfram.migration_writes wf > 0)
+  check_bool "re-keys migrated lines" true (!migrations > 0)
 
 let test_wolfram_write_accounting () =
+  (* migrations depend only on the re-key generations, not on which
+     lines were written, so the replay ledger must hold exactly the 40
+     logical writes plus the copies a directly driven map reports *)
   let wf = Wolfram.create ~period:7 ~seed:9 5 in
   let migrations = ref 0 in
   for i = 1 to 40 do
     Wolfram.write ~on_migrate:(fun _ -> incr migrations) wf (i mod 5)
   done;
-  check_int "callback sees every migration" (Wolfram.migration_writes wf) !migrations;
-  let counts = Wolfram.physical_write_counts wf in
-  check_int "counts = logical writes + migration copies"
-    (40 + Wolfram.migration_writes wf)
+  check_bool "re-keys migrated lines" true (!migrations > 0);
+  let counts =
+    Leveling.replay ~period:7 ~seed:9 Leveling.Wolfram_remap ~executions:8
+      [| 1; 1; 1; 1; 1 |]
+  in
+  check_int "counts = logical writes + migration copies" (40 + !migrations)
     (Array.fold_left ( + ) 0 counts)
 
 let test_wolfram_replay_levels_hot_line () =
   let per_exec = [| 100; 1; 1; 1 |] in
-  let counts = Wolfram.replay ~period:50 ~seed:2 ~executions:50 per_exec in
+  let counts =
+    Leveling.replay ~period:50 ~seed:2 Leveling.Wolfram_remap ~executions:50 per_exec
+  in
   let s = Stats.summarize counts in
   let unlevelled = Stats.summarize (Array.map (( * ) 50) per_exec) in
   check_bool
@@ -240,33 +254,29 @@ let test_wolfram_replay_levels_hot_line () =
     true
     (s.Stats.stdev < unlevelled.Stats.stdev)
 
+(* drive the composed stack through a write sequence, copies ignored *)
+let levelled_stack ~psi ~period ~seed n writes =
+  let s = Leveling.stack ~psi ~period ~seed Leveling.Start_gap_wolfram n in
+  List.iter (fun w -> Leveling.write s ~on_copy:ignore (w mod n)) writes;
+  s
+
 (* property: the composed logical -> Wolfram -> Start-Gap address map is
    injective into the physical range whatever the interleaving of writes
-   (and therefore of gap moves and re-keys), for any seed; the one
-   physical line left unmapped is exactly the gap *)
+   (and therefore of gap moves and re-keys), for any seed *)
 let wolfram_start_gap_bijective =
   QCheck.Test.make ~count:200
     ~name:"wolfram-under-start-gap map stays a bijection"
     QCheck.(quad (int_range 1 9) (int_range 1 8) small_int
               (list (int_range 0 10_000)))
     (fun (n, psi, seed, writes) ->
-      let wf = Wolfram.create ~period:7 ~seed n in
-      let sg = Start_gap.create ~psi n in
-      List.iter
-        (fun w ->
-          let la = w mod n in
-          (* the write lands through the current composed map, then may
-             re-key and rotate *)
-          Start_gap.write sg (Wolfram.physical wf la);
-          Wolfram.write wf la)
-        writes;
-      let seen = Array.make (Start_gap.num_physical sg) false in
+      let s = levelled_stack ~psi ~period:7 ~seed n writes in
+      let seen = Array.make (Leveling.num_physical s) false in
       let ok = ref true in
       for la = 0 to n - 1 do
-        let pa = Start_gap.physical sg (Wolfram.physical wf la) in
+        let pa = Leveling.physical s la in
         if pa < 0 || pa > n || seen.(pa) then ok := false else seen.(pa) <- true
       done;
-      !ok && not seen.(Start_gap.gap_line sg))
+      !ok)
 
 (* property: adding the spare-line Remap on top keeps the full chain
    injective and never routes a logical line into a retired physical
@@ -277,21 +287,14 @@ let wolfram_start_gap_remap_injective =
     QCheck.(quad (int_range 2 9) small_int (list (int_range 0 10_000))
               (int_range 0 3))
     (fun (n, seed, writes, retire_k) ->
-      let wf = Wolfram.create ~period:11 ~seed n in
-      let sg = Start_gap.create ~psi:3 n in
-      let rm = Remap.create ~spares:4 ~lines:(Start_gap.num_physical sg) () in
-      List.iter
-        (fun w ->
-          let la = w mod n in
-          Start_gap.write sg (Wolfram.physical wf la);
-          Wolfram.write wf la)
-        writes;
+      let s = levelled_stack ~psi:3 ~period:11 ~seed n writes in
+      let rm = Remap.create ~spares:4 ~lines:(Leveling.num_physical s) () in
       let retired = List.init retire_k (fun i -> i) in
       List.iter (fun l -> ignore (Remap.retire rm l)) retired;
       let seen = Hashtbl.create 16 in
       let ok = ref true in
       for la = 0 to n - 1 do
-        let pa = Remap.physical rm (Start_gap.physical sg (Wolfram.physical wf la)) in
+        let pa = Remap.physical rm (Leveling.physical s la) in
         if Hashtbl.mem seen pa || List.mem pa retired then ok := false;
         Hashtbl.replace seen pa ()
       done;
