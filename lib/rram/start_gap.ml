@@ -13,8 +13,11 @@ let create ?(psi = 100) n =
 
 let num_physical t = t.n + 1
 
+let check_address t la =
+  if la < 0 || la >= t.n then invalid_arg "Start_gap.physical: address out of range"
+
 let physical t la =
-  if la < 0 || la >= t.n then invalid_arg "Start_gap.physical: address out of range";
+  check_address t la;
   let pa = (la + t.start) mod t.n in
   if pa >= t.gap then pa + 1 else pa
 
@@ -31,7 +34,7 @@ let move_gap ?on_copy t =
   end
 
 let write ?on_copy t la =
-  ignore (physical t la);
+  check_address t la;
   t.since_move <- t.since_move + 1;
   if t.since_move >= t.psi then begin
     t.since_move <- 0;

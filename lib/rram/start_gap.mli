@@ -23,9 +23,11 @@ val num_physical : t -> int
 (** [n + 1]. *)
 
 val physical : t -> int -> int
-(** Current physical line of a logical address. *)
+(** Current physical line of a logical address.
+    @raise Invalid_argument out of range. *)
 
 val write : ?on_copy:(int -> unit) -> t -> int -> unit
 (** Record one write to a logical address (moves the gap when due).
     [on_copy] is called with the physical line that receives the gap-move
-    copy, if this write triggers one; a wrap of the gap copies nothing. *)
+    copy, if this write triggers one; a wrap of the gap copies nothing.
+    @raise Invalid_argument out of range, as {!physical}. *)

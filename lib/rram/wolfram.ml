@@ -29,8 +29,11 @@ let create ?(period = 50_000) ~seed n =
 
 let num_lines t = t.n
 
+let check_address t la =
+  if la < 0 || la >= t.n then invalid_arg "Wolfram.physical: address out of range"
+
 let physical t la =
-  if la < 0 || la >= t.n then invalid_arg "Wolfram.physical: address out of range";
+  check_address t la;
   t.map.(la)
 
 let rekey ?on_migrate t =
@@ -43,7 +46,7 @@ let rekey ?on_migrate t =
   t.map <- next
 
 let write ?on_migrate t la =
-  ignore (physical t la);
+  check_address t la;
   t.since <- t.since + 1;
   if t.since >= t.period then begin
     t.since <- 0;

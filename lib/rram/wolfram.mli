@@ -36,7 +36,8 @@ val write : ?on_migrate:(int -> unit) -> t -> int -> unit
 (** Record one logical write; re-keys when the period elapses.  [on_migrate] is
     called with each physical line that receives a migration copy during
     a re-key triggered by this write, letting a wear substrate (e.g. a
-    {!Crossbar}) charge the copies. *)
+    {!Crossbar}) charge the copies.
+    @raise Invalid_argument out of range, as {!physical}. *)
 
 val rekeys : t -> int
 (** Re-key generations performed so far. *)

@@ -84,6 +84,17 @@ let write_accounting =
 
 (* --- start-gap wear levelling ------------------------------------------ *)
 
+(* the one line of [0, n] outside the image of logical lines [0, n), or
+   [None] unless [physical] maps them injectively into those n + 1 lines *)
+let free_line ~physical n =
+  let seen = Array.make (n + 1) false in
+  let ok = ref true in
+  for la = 0 to n - 1 do
+    let pa = physical la in
+    if pa < 0 || pa > n || seen.(pa) then ok := false else seen.(pa) <- true
+  done;
+  if !ok then List.find_opt (fun p -> not seen.(p)) (List.init (n + 1) Fun.id) else None
+
 let test_start_gap_mapping () =
   let t = Start_gap.create ~psi:10 4 in
   check_int "physical lines" 5 (Start_gap.num_physical t);
@@ -95,13 +106,8 @@ let test_start_gap_mapping () =
   for _ = 1 to 97 do
     Start_gap.write t 1
   done;
-  let seen = Array.make 5 false in
-  for la = 0 to 3 do
-    let pa = Start_gap.physical t la in
-    check_bool "in range" true (pa >= 0 && pa < 5);
-    check_bool "no collision" false seen.(pa);
-    seen.(pa) <- true
-  done
+  check_bool "injective, one line free" true
+    (free_line ~physical:(Start_gap.physical t) 4 <> None)
 
 (* the physical lines receiving gap-move copies, in order *)
 let gap_copies t writes =
@@ -129,12 +135,8 @@ let test_start_gap_wraparound () =
   check_int "logical 0 rotated down" 1 (Start_gap.physical t 0);
   check_int "logical 3 wrapped around" 0 (Start_gap.physical t 3);
   check_bool "next copy lands at the top again" true (gap_copies t [ 0 ] = [ 4 ]);
-  let seen = Array.make 5 false in
-  for la = 0 to 3 do
-    let pa = Start_gap.physical t la in
-    check_bool "still a bijection" false seen.(pa);
-    seen.(pa) <- true
-  done
+  check_bool "still a bijection, the gap free" true
+    (free_line ~physical:(Start_gap.physical t) 4 = Some 3)
 
 let test_start_gap_rotation_levels_hot_line () =
   (* one scorching logical line; rotation spreads it over all physical
@@ -168,24 +170,47 @@ let test_start_gap_validation () =
   let t = Start_gap.create 4 in
   Alcotest.check_raises "address range"
     (Invalid_argument "Start_gap.physical: address out of range") (fun () ->
-      ignore (Start_gap.physical t 4))
+      ignore (Start_gap.physical t 4));
+  Alcotest.check_raises "write address range"
+    (Invalid_argument "Start_gap.physical: address out of range") (fun () ->
+      Start_gap.write t (-1))
+
+(* After every write of [writes], the map of logical lines [0, n) must
+   stay injective into the n + 1 physical lines, and the one free line
+   must move only by a gap move: down by one with the write's first copy
+   landing on it (the gap receives the line above), or from 0 back to n
+   on a wrap.  Without a gap move no copy may land on the free line.
+   WoLFRaM only permutes [0, n), so the same holds under the composed
+   stack, whose re-key migrations follow the gap copy. *)
+let gap_copies_track_free_line ~physical ~write n writes =
+  let free_line () = free_line ~physical n in
+  let rec go u = function
+    | [] -> true
+    | w :: rest -> (
+      let copies = ref [] in
+      write ~on_copy:(fun p -> copies := p :: !copies) (w mod n);
+      match free_line (), List.rev !copies with
+      | None, _ -> false
+      | Some u', copies ->
+        (if u' = u then not (List.mem u copies)
+         else if u = 0 then u' = n
+         else u' = u - 1 && List.nth_opt copies 0 = Some u)
+        && go u' rest)
+  in
+  free_line () = Some n && go n writes
 
 (* property: whatever the write sequence, the logical->physical map stays
-   injective into the n + 1 physical lines, leaving exactly the gap free *)
+   injective into the n + 1 physical lines, and every gap-move copy lands
+   on the one line it leaves free *)
 let start_gap_bijective =
   QCheck.Test.make ~count:200
     ~name:"start-gap map is a bijection under arbitrary writes"
     QCheck.(triple (int_range 1 9) (int_range 1 8) (list (int_range 0 10_000)))
     (fun (n, psi, writes) ->
       let t = Start_gap.create ~psi n in
-      List.iter (fun w -> Start_gap.write t (w mod n)) writes;
-      let seen = Array.make (Start_gap.num_physical t) false in
-      let ok = ref true in
-      for la = 0 to n - 1 do
-        let pa = Start_gap.physical t la in
-        if pa < 0 || pa > n || seen.(pa) then ok := false else seen.(pa) <- true
-      done;
-      !ok)
+      gap_copies_track_free_line ~physical:(Start_gap.physical t)
+        ~write:(fun ~on_copy la -> Start_gap.write ~on_copy t la)
+        n writes)
 
 (* --- WoLFRaM programmable remapping ------------------------------------- *)
 
@@ -203,6 +228,9 @@ let test_wolfram_permutation () =
   for la = 0 to 7 do
     check_int "same seed, same map" (Wolfram.physical wf la) (Wolfram.physical wf' la)
   done;
+  Alcotest.check_raises "write address range"
+    (Invalid_argument "Wolfram.physical: address out of range") (fun () ->
+      Wolfram.write wf 8);
   let other = Wolfram.create ~seed:4 8 in
   check_bool "different seed, different map" true
     (List.exists (fun la -> Wolfram.physical other la <> Wolfram.physical wf la)
@@ -254,29 +282,20 @@ let test_wolfram_replay_levels_hot_line () =
     true
     (s.Stats.stdev < unlevelled.Stats.stdev)
 
-(* drive the composed stack through a write sequence, copies ignored *)
-let levelled_stack ~psi ~period ~seed n writes =
-  let s = Leveling.stack ~psi ~period ~seed Leveling.Start_gap_wolfram n in
-  List.iter (fun w -> Leveling.write s ~on_copy:ignore (w mod n)) writes;
-  s
-
 (* property: the composed logical -> Wolfram -> Start-Gap address map is
    injective into the physical range whatever the interleaving of writes
-   (and therefore of gap moves and re-keys), for any seed *)
+   (and therefore of gap moves and re-keys), for any seed, and its gap
+   copies land on the free line as under Start-Gap alone *)
 let wolfram_start_gap_bijective =
   QCheck.Test.make ~count:200
     ~name:"wolfram-under-start-gap map stays a bijection"
     QCheck.(quad (int_range 1 9) (int_range 1 8) small_int
               (list (int_range 0 10_000)))
     (fun (n, psi, seed, writes) ->
-      let s = levelled_stack ~psi ~period:7 ~seed n writes in
-      let seen = Array.make (Leveling.num_physical s) false in
-      let ok = ref true in
-      for la = 0 to n - 1 do
-        let pa = Leveling.physical s la in
-        if pa < 0 || pa > n || seen.(pa) then ok := false else seen.(pa) <- true
-      done;
-      !ok)
+      let s = Leveling.stack ~psi ~period:7 ~seed Leveling.Start_gap_wolfram n in
+      gap_copies_track_free_line ~physical:(Leveling.physical s)
+        ~write:(fun ~on_copy la -> Leveling.write s ~on_copy la)
+        n writes)
 
 (* property: adding the spare-line Remap on top keeps the full chain
    injective and never routes a logical line into a retired physical
@@ -287,7 +306,8 @@ let wolfram_start_gap_remap_injective =
     QCheck.(quad (int_range 2 9) small_int (list (int_range 0 10_000))
               (int_range 0 3))
     (fun (n, seed, writes, retire_k) ->
-      let s = levelled_stack ~psi:3 ~period:11 ~seed n writes in
+      let s = Leveling.stack ~psi:3 ~period:11 ~seed Leveling.Start_gap_wolfram n in
+      List.iter (fun w -> Leveling.write s ~on_copy:ignore (w mod n)) writes;
       let rm = Remap.create ~spares:4 ~lines:(Leveling.num_physical s) () in
       let retired = List.init retire_k (fun i -> i) in
       List.iter (fun l -> ignore (Remap.retire rm l)) retired;
