@@ -22,7 +22,6 @@ module Stats = Plim_stats.Stats
 module Lifetime = Plim_stats.Lifetime
 module Alloc = Plim_core.Alloc
 module Select = Plim_core.Select
-module Obs = Plim_obs.Obs
 module Profile = Plim_obs.Profile
 module Fault_model = Plim_fault.Fault_model
 module Campaign = Plim_machine.Campaign
@@ -103,7 +102,7 @@ let all_results () =
     pmap
       (fun spec ->
         Printf.eprintf "[bench] %s...\n%!" spec.Suite.name;
-        Obs.span ("bench." ^ spec.Suite.name) (fun () -> compute_benchmark spec))
+        Profile.span ("bench." ^ spec.Suite.name) (fun () -> compute_benchmark spec))
       !suite
   in
   List.iter (fun r -> Hashtbl.replace cache r.spec.Suite.name r) results;
@@ -1215,48 +1214,18 @@ let write_results_json results path =
         calls
         (if !deterministic then 0.0 else total))
     (Profile.totals ());
-  Buffer.add_string b "\n],\"faulttol\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      Buffer.add_string b row)
-    (List.rev !faulttol_rows);
-  Buffer.add_string b "\n],\"wear\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      Buffer.add_string b row)
-    !wear_rows;
-  Buffer.add_string b "\n],\"serve\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      Buffer.add_string b row)
-    (List.rev !serve_rows);
-  Buffer.add_string b "\n],\"horizon\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      Buffer.add_string b row)
-    !horizon_rows;
-  Buffer.add_string b "\n],\"cert\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      Buffer.add_string b row)
-    !cert_rows;
-  Buffer.add_string b "\n],\"geometry\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      Buffer.add_string b row)
-    (List.rev !geometry_rows);
+  List.iter
+    (fun (name, rows) ->
+      bprintf b "\n],%s:[" (Plim_util.Jsonx.quote name);
+      List.iteri
+        (fun i row ->
+          if i > 0 then Buffer.add_char b ',';
+          Buffer.add_char b '\n';
+          Buffer.add_string b row)
+        rows)
+    [ ("faulttol", List.rev !faulttol_rows); ("wear", !wear_rows);
+      ("serve", List.rev !serve_rows); ("horizon", !horizon_rows);
+      ("cert", !cert_rows); ("geometry", List.rev !geometry_rows) ];
   Buffer.add_string b "\n]}\n";
   let oc = open_out path in
   Buffer.output_buffer oc b;
@@ -1316,38 +1285,33 @@ let () =
      runs the pure sequential path): the "par.map" profile entry must
      appear at every jobs level or latest.json would differ by -j *)
   pool := Some (Par.create ~jobs:!jobs ());
-  let default = args = [] in
-  let want x = default || List.mem x args || List.mem "all" args in
-  let need_tables =
-    default
-    || List.exists
-         (fun a -> List.mem a [ "table1"; "table2"; "table3"; "summary"; "csv"; "all" ])
-         args
+  (* [asked x]: phase [x] was named, or "all"; the four tables also run
+     when no phase is named *)
+  let asked x = List.mem x args || List.mem "all" args in
+  let want x = args = [] || asked x in
+  let results =
+    if List.exists want [ "table1"; "table2"; "table3"; "summary" ] || asked "csv"
+    then all_results ()
+    else []
   in
-  let results = if need_tables then all_results () else [] in
-  let want_faulttol = List.mem "faulttol" args || List.mem "all" args in
-  if want_faulttol then faulttol ();
-  let want_wear = List.mem "wear" args || List.mem "all" args in
-  if want_wear then wear ();
-  let want_serve = List.mem "serve" args || List.mem "all" args in
-  if want_serve then serve ();
-  let want_horizon = List.mem "horizon" args || List.mem "all" args in
-  if want_horizon then horizon ();
-  let want_geometry = List.mem "geometry" args || List.mem "all" args in
-  if want_geometry then geometry ();
-  if results <> [] || want_faulttol || want_wear || want_serve || want_horizon
-     || want_geometry
-  then write_results_json results !results_path;
-  if List.mem "csv" args || List.mem "all" args then export_csv results "bench_csv";
+  (* the phases that fill a results section beside the tables' rows *)
+  let section_phases =
+    [ ("faulttol", faulttol); ("wear", wear); ("serve", serve);
+      ("horizon", horizon); ("geometry", geometry) ]
+  in
+  List.iter (fun (x, run) -> if asked x then run ()) section_phases;
+  if results <> [] || List.exists (fun (x, _) -> asked x) section_phases then
+    write_results_json results !results_path;
+  if asked "csv" then export_csv results "bench_csv";
   if want "table1" then table1 results;
   if want "table2" then table2 results;
   if want "table3" then table3 results;
   if want "summary" then summary_table results;
-  if List.mem "ablations" args || List.mem "all" args then ablations ();
-  if List.mem "section2" args || List.mem "all" args then section2 ();
-  if List.mem "wearlevel" args || List.mem "all" args then wearlevel ();
-  if List.mem "lifetime" args || List.mem "all" args then lifetime_bench ();
-  if List.mem "histogram" args || List.mem "all" args then histogram ();
-  if List.mem "verify" args || List.mem "all" args then verify ();
-  if List.mem "perf" args || List.mem "all" args then perf ();
+  if asked "ablations" then ablations ();
+  if asked "section2" then section2 ();
+  if asked "wearlevel" then wearlevel ();
+  if asked "lifetime" then lifetime_bench ();
+  if asked "histogram" then histogram ();
+  if asked "verify" then verify ();
+  if asked "perf" then perf ();
   match !pool with Some p -> Par.shutdown p | None -> ()

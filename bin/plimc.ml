@@ -50,27 +50,62 @@ let profile_flag_arg =
            ~doc:"Record profiling spans and write them as Chrome trace_event \
                  JSON to $(docv) (open in chrome://tracing or ui.perfetto.dev).")
 
-let write_chrome_trace path =
+let write_file path contents =
   let oc = open_out path in
-  output_string oc (Profile.to_chrome_json ());
-  close_out oc;
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
+
+let write_chrome_trace path =
+  write_file path (Profile.to_chrome_json ());
   Printf.eprintf "wrote Chrome trace to %s (open in chrome://tracing)\n%!" path
 
 let print_metrics () =
   Format.eprintf "metrics snapshot:@.%a" Metrics.pp_snapshot (Metrics.snapshot ())
 
-(* Run [f] under the requested observability setup; emit the artefacts even
-   when [f] exits nonzero paths via exceptions. *)
-let with_obs ~trace ~metrics ~profile f =
-  if Option.is_some profile then Profile.enable ();
-  let finish () =
-    Option.iter write_chrome_trace profile;
-    if metrics then print_metrics ()
+(* The --trace/--metrics/--profile triple as one wrapper: run [f] under
+   the requested observability setup and emit the artefacts even when
+   [f] leaves through an exception. *)
+let obs_term =
+  let with_obs trace metrics profile f =
+    if Option.is_some profile then Profile.enable ();
+    let finish () =
+      Option.iter write_chrome_trace profile;
+      if metrics then print_metrics ()
+    in
+    Fun.protect ~finally:finish (fun () ->
+        match trace with
+        | Some path -> Trace.with_jsonl path f
+        | None -> f ())
   in
-  Fun.protect ~finally:finish (fun () ->
-      match trace with
-      | Some path -> Trace.with_jsonl path f
-      | None -> f ())
+  Term.(const with_obs $ trace_arg $ metrics_arg $ profile_flag_arg)
+
+(* ---------------------------------------------------------------- *)
+(* Validating converters: a value outside the range the libraries accept
+   is a usage error (exit 2 with a message), never an uncaught
+   Invalid_argument. *)
+
+let checked conv ~what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int ~what:"a positive integer" (fun n -> n > 0)
+let non_negative_int = checked Arg.int ~what:"a non-negative integer" (fun n -> n >= 0)
+let positive_float = checked Arg.float ~what:"a positive number" (fun x -> x > 0.0)
+
+let unit_interval =
+  checked Arg.float ~what:"a number in [0,1]" (fun x -> x >= 0.0 && x <= 1.0)
+
+let jobs_arg ~default ~doc =
+  Arg.(value & opt positive_int default & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+(* [f] gets the pool only when it has more than one domain *)
+let with_jobs jobs f =
+  Plim_par.with_pool ~jobs (fun pool ->
+      f (if Plim_par.jobs pool > 1 then Some pool else None))
 
 (* ---------------------------------------------------------------- *)
 
@@ -108,7 +143,8 @@ let config_arg =
 
 let cap_arg =
   let doc = "Maximum write count strategy: cap per-device writes at $(docv) (>= 3)." in
-  Arg.(value & opt (some int) None & info [ "cap" ] ~docv:"N" ~doc)
+  let cap = checked Arg.int ~what:"a write cap (>= 3)" (fun n -> n >= 3) in
+  Arg.(value & opt (some cap) None & info [ "cap" ] ~docv:"N" ~doc)
 
 let geometry_conv =
   Arg.conv
@@ -174,20 +210,29 @@ let allocation_arg =
        & info [ "allocation" ] ~docv:"A"
            ~doc:"Override device allocation: lifo, fifo or min-write.")
 
-let override config rewriting selection allocation =
-  let config =
-    match rewriting with Some r -> { config with Pipeline.rewriting = r } | None -> config
-  in
-  let config =
-    match selection with Some s -> { config with Pipeline.selection = s } | None -> config
-  in
-  match allocation with
-  | Some a -> { config with Pipeline.allocation = a }
-  | None -> config
-
 let effort_arg =
   let doc = "MIG rewriting cycles (the paper uses 5)." in
   Arg.(value & opt int 5 & info [ "effort" ] ~doc)
+
+(* --config, refined by --rewriting/--selection/--allocation, --effort
+   and --cap: the compiler configuration of every command that compiles *)
+let pipeline_term =
+  let make (config : Pipeline.config) rewriting selection allocation effort cap =
+    let config =
+      { config with
+        rewriting = Option.value rewriting ~default:config.rewriting;
+        selection = Option.value selection ~default:config.selection;
+        allocation = Option.value allocation ~default:config.allocation;
+        effort }
+    in
+    match cap with Some w -> Pipeline.with_cap w config | None -> config
+  in
+  Term.(
+    const make $ config_arg $ rewriting_arg $ selection_arg $ allocation_arg
+    $ effort_arg $ cap_arg)
+
+let zero_inputs p =
+  Array.to_list (Array.map (fun (n, _) -> (n, false)) p.Program.pi_cells)
 
 let source_arg =
   let doc = "Benchmark name (see $(b,plimc list)) or a .mig file." in
@@ -211,12 +256,8 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc:"List the benchmark suite.") Term.(const run $ const ())
 
-let compile_run source config cap effort rewriting selection allocation geometry
-    output dot verify trace metrics profile =
-  with_obs ~trace ~metrics ~profile @@ fun () ->
-  let config = override config rewriting selection allocation in
-  let config = { config with Pipeline.effort } in
-  let config = match cap with Some w -> Pipeline.with_cap w config | None -> config in
+let compile_run obs source config geometry output dot verify =
+  obs @@ fun () ->
   let g = load_mig source in
   let result = Pipeline.compile config g in
   let p = result.Pipeline.program in
@@ -235,9 +276,7 @@ let compile_run source config cap effort rewriting selection allocation geometry
       (Geometry.max_group_size sched));
   (match dot with
   | Some path ->
-    let oc = open_out path in
-    output_string oc (Mig_io.to_dot result.Pipeline.rewritten);
-    close_out oc;
+    write_file path (Mig_io.to_dot result.Pipeline.rewritten);
     Printf.eprintf "wrote rewritten MIG to %s\n%!" path
   | None -> ());
   (if verify then
@@ -252,9 +291,7 @@ let compile_run source config cap effort rewriting selection allocation geometry
      match geometry with
      | None -> ()
      | Some grid ->
-       let inputs =
-         Array.to_list (Array.map (fun (n, _) -> (n, false)) p.Program.pi_cells)
-       in
+       let inputs = zero_inputs p in
        let flat, _, _ = Controller.run p ~inputs in
        (match Controller.run_grouped ~geometry:grid p ~inputs with
        | Ok (grouped, _, _) when grouped = flat ->
@@ -287,16 +324,11 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile a benchmark, .mig or .blif file to PLiM assembly.")
     Term.(
-      const compile_run $ source_arg $ config_arg $ cap_arg $ effort_arg $ rewriting_arg
-      $ selection_arg $ allocation_arg $ geometry_arg $ output $ dot $ verify
-      $ trace_arg $ metrics_arg $ profile_flag_arg)
+      const compile_run $ obs_term $ source_arg $ pipeline_term $ geometry_arg
+      $ output $ dot $ verify)
 
-let stats_run source config cap effort rewriting selection allocation geometry
-    endurance trace metrics profile =
-  with_obs ~trace ~metrics ~profile @@ fun () ->
-  let config = override config rewriting selection allocation in
-  let config = { config with Pipeline.effort } in
-  let config = match cap with Some w -> Pipeline.with_cap w config | None -> config in
+let stats_run obs source config geometry endurance =
+  obs @@ fun () ->
   let g = load_mig source in
   let result = Pipeline.compile config g in
   let p = result.Pipeline.program in
@@ -338,23 +370,21 @@ let stats_run source config cap effort rewriting selection allocation geometry
   Printf.printf "storage       : total %d slot-instructions / max span %d / mean %.2f\n"
     st.Analyze.total_span st.Analyze.max_span st.Analyze.mean_span;
   (* energy of one execution with all-zero inputs *)
-  let inputs = Array.to_list (Array.map (fun (n, _) -> (n, false)) p.Program.pi_cells) in
-  let _, xbar, run_stats = Controller.run p ~inputs in
+  let _, xbar, run_stats = Controller.run p ~inputs:(zero_inputs p) in
   Printf.printf "energy        : %s\n"
     (Format.asprintf "%a" Plim_machine.Energy.pp_report
        (Plim_machine.Energy.of_run xbar run_stats))
 
 let stats_cmd =
   let endurance =
-    Arg.(value & opt float 1e10
+    Arg.(value & opt positive_float 1e10
          & info [ "endurance" ] ~docv:"E" ~doc:"Per-cell write endurance budget.")
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Compile and report write-traffic statistics and lifetime.")
     Term.(
-      const stats_run $ source_arg $ config_arg $ cap_arg $ effort_arg $ rewriting_arg
-      $ selection_arg $ allocation_arg $ geometry_arg $ endurance $ trace_arg
-      $ metrics_arg $ profile_flag_arg)
+      const stats_run $ obs_term $ source_arg $ pipeline_term $ geometry_arg
+      $ endurance)
 
 let exec_run path inputs =
   let p = Asm.read_file path in
@@ -395,9 +425,7 @@ let export_run source output =
   in
   match output with
   | Some path ->
-    let oc = open_out path in
-    output_string oc (serialise path);
-    close_out oc;
+    write_file path (serialise path);
     Printf.eprintf "wrote %s\n%!" path
   | None -> print_string (Mig_io.to_string g)
 
@@ -411,18 +439,12 @@ let export_cmd =
     (Cmd.info "export" ~doc:"Export a benchmark as a .mig or .blif file.")
     Term.(const export_run $ source_arg $ output)
 
-let profile_run source config cap effort rewriting selection allocation exec output
-    metrics =
-  let config = override config rewriting selection allocation in
-  let config = { config with Pipeline.effort } in
-  let config = match cap with Some w -> Pipeline.with_cap w config | None -> config in
+let profile_run source config exec output metrics =
   Profile.enable ();
   let g = load_mig source in
   let result = Pipeline.compile config g in
   let p = result.Pipeline.program in
-  (if exec then
-     let inputs = Array.to_list (Array.map (fun (n, _) -> (n, false)) p.Program.pi_cells) in
-     ignore (Controller.run p ~inputs));
+  if exec then ignore (Controller.run p ~inputs:(zero_inputs p));
   Printf.printf "%s: %s: %d instructions, %d devices\n" source
     (Pipeline.config_name config) (Program.length p) (Program.num_cells p);
   Printf.printf "\nphase totals (wall clock):\n";
@@ -448,9 +470,7 @@ let profile_cmd =
          "Compile a benchmark with profiling spans enabled and print per-phase \
           wall-clock totals (rewriting passes, node selection, translation, \
           machine execution).")
-    Term.(
-      const profile_run $ source_arg $ config_arg $ cap_arg $ effort_arg $ rewriting_arg
-      $ selection_arg $ allocation_arg $ exec $ output $ metrics_arg)
+    Term.(const profile_run $ source_arg $ pipeline_term $ exec $ output $ metrics_arg)
 
 (* ---------------------------------------------------------------- *)
 (* faults: compile a benchmark, wrap the crossbar in the fault layer and
@@ -462,13 +482,9 @@ let fault_spec_conv =
         match Fault_model.parse s with Ok spec -> Ok spec | Error e -> Error (`Msg e)),
       Fault_model.pp )
 
-let faults_run source config cap effort rewriting selection allocation inject spares
-    verify_writes seed executions endurance avoid heatmap wear_json trace metrics
-    profile =
-  with_obs ~trace ~metrics ~profile @@ fun () ->
-  let config = override config rewriting selection allocation in
-  let config = { config with Pipeline.effort } in
-  let config = match cap with Some w -> Pipeline.with_cap w config | None -> config in
+let faults_run obs source config inject spares verify_writes seed executions
+    endurance avoid heatmap wear_json =
+  obs @@ fun () ->
   let inject =
     match seed with Some s -> { inject with Fault_model.seed = s } | None -> inject
   in
@@ -529,16 +545,15 @@ let faults_run source config cap effort rewriting selection allocation inject sp
   end;
   (match wear_json with
   | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\"schema\":\"plim-wear/v1\",\"source\":%s,\"config\":%s,\"executions\":%d,\
-       \"trajectory\":%s,\"heatmap\":%s}\n"
-      (Plim_util.Jsonx.quote source)
-      (Plim_util.Jsonx.quote (Pipeline.config_name config))
-      d.Campaign.executions
-      (Campaign.trajectory_json d.Campaign.trajectory)
-      (Wear.heatmap_json ~label:source d.Campaign.final_wear);
-    close_out oc;
+    write_file path
+      (Printf.sprintf
+         "{\"schema\":\"plim-wear/v1\",\"source\":%s,\"config\":%s,\"executions\":%d,\
+          \"trajectory\":%s,\"heatmap\":%s}\n"
+         (Plim_util.Jsonx.quote source)
+         (Plim_util.Jsonx.quote (Pipeline.config_name config))
+         d.Campaign.executions
+         (Campaign.trajectory_json d.Campaign.trajectory)
+         (Wear.heatmap_json ~label:source d.Campaign.final_wear));
     Printf.eprintf "wrote wear trajectory + heatmap to %s\n%!" path
   | None -> ());
   if d.Campaign.incorrect > 0 then exit 1
@@ -554,7 +569,7 @@ let faults_cmd =
                    $(b,none) disables injection.")
   in
   let spares =
-    Arg.(value & opt int 0
+    Arg.(value & opt non_negative_int 0
          & info [ "spares" ] ~docv:"N" ~doc:"Spare physical lines for remapping.")
   in
   let verify_writes =
@@ -602,10 +617,8 @@ let faults_cmd =
           fault-injection layer: stuck-at and transient faults, write-verify \
           detection and spare-line remapping.")
     Term.(
-      const faults_run $ source_arg $ config_arg $ cap_arg $ effort_arg $ rewriting_arg
-      $ selection_arg $ allocation_arg $ inject $ spares $ verify_writes $ seed
-      $ executions $ endurance $ avoid $ heatmap $ wear_json $ trace_arg $ metrics_arg
-      $ profile_flag_arg)
+      const faults_run $ obs_term $ source_arg $ pipeline_term $ inject $ spares
+      $ verify_writes $ seed $ executions $ endurance $ avoid $ heatmap $ wear_json)
 
 (* ---------------------------------------------------------------- *)
 (* fuzz: differential conformance fuzzing with a persisted corpus. *)
@@ -627,9 +640,9 @@ let print_counterexample (cex : Plim_check.Fuzz.counterexample) =
   Printf.printf "  regenerate with 'plimc fuzz --case-seed %d'\n"
     cex.Plim_check.Fuzz.case_seed
 
-let fuzz_run runs seed max_inputs max_nodes corpus no_save no_shrink case_seed replay
-    jobs trace metrics profile =
-  with_obs ~trace ~metrics ~profile @@ fun () ->
+let fuzz_run obs runs seed max_inputs max_nodes corpus no_save no_shrink case_seed
+    replay jobs =
+  obs @@ fun () ->
   match replay with
   | Some path ->
     let g = Plim_check.Corpus.load_file path in
@@ -658,9 +671,7 @@ let fuzz_run runs seed max_inputs max_nodes corpus no_save no_shrink case_seed r
     (* case seeds are fixed up front and shrinking runs sequentially in
        submission order, so the report is the same at any -j *)
     let report =
-      Plim_par.with_pool ~jobs (fun pool ->
-          let pool = if Plim_par.jobs pool > 1 then Some pool else None in
-          Plim_check.Fuzz.run ?pool ?case_seeds ~on_case options)
+      with_jobs jobs (fun pool -> Plim_check.Fuzz.run ?pool ?case_seeds ~on_case options)
     in
     let n = List.length report.Plim_check.Fuzz.counterexamples in
     Printf.printf "fuzz: %d cases (seed %d, <=%d inputs, <=%d nodes): %d counterexample%s\n"
@@ -715,12 +726,11 @@ let fuzz_cmd =
              ~doc:"Run the conformance suite on one corpus entry (.mig file) and exit.")
   in
   let jobs =
-    Arg.(value & opt int (Plim_par.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Check cases on $(docv) domains.  The report — including the \
-                   first counterexample and every shrunk witness — is byte-identical \
-                   at every $(docv); $(docv)=1 never spawns a domain.  Defaults to \
-                   the recommended domain count.")
+    jobs_arg ~default:(Plim_par.default_jobs ())
+      ~doc:"Check cases on $(docv) domains.  The report — including the \
+            first counterexample and every shrunk witness — is byte-identical \
+            at every $(docv); $(docv)=1 never spawns a domain.  Defaults to \
+            the recommended domain count."
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -732,24 +742,19 @@ let fuzz_cmd =
           heap against a naive reference, shrink failures to minimal witnesses and \
           persist them in the regression corpus.")
     Term.(
-      const fuzz_run $ runs $ seed $ max_inputs $ max_nodes $ corpus $ no_save
-      $ no_shrink $ case_seed $ replay $ jobs $ trace_arg $ metrics_arg
-      $ profile_flag_arg)
+      const fuzz_run $ obs_term $ runs $ seed $ max_inputs $ max_nodes $ corpus
+      $ no_save $ no_shrink $ case_seed $ replay $ jobs)
 
 (* ---------------------------------------------------------------- *)
 (* lint: static dataflow analysis — def-use chains, liveness, endurance
    hygiene — of compiled benchmarks or on-disk .plim assembly. *)
 
-let lint_run sources config cap effort rewriting selection allocation geometry
-    max_writes json jobs trace metrics profile =
-  with_obs ~trace ~metrics ~profile @@ fun () ->
+let lint_run obs sources config geometry max_writes json jobs =
+  obs @@ fun () ->
   if sources = [] then begin
     Printf.eprintf "plimc lint: no sources given\n";
     exit 2
   end;
-  let config = override config rewriting selection allocation in
-  let config = { config with Pipeline.effort } in
-  let config = match cap with Some w -> Pipeline.with_cap w config | None -> config in
   let analyze_source source =
     (* .plim assembly is linted as-is; anything else goes through the
        compiler under the requested configuration first *)
@@ -853,10 +858,9 @@ let lint_cmd =
                    instead of text.")
   in
   let jobs =
-    Arg.(value & opt int 1
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Analyze sources on $(docv) domains; output order is \
-                   submission order at every $(docv).")
+    jobs_arg ~default:1
+      ~doc:"Analyze sources on $(docv) domains; output order is \
+            submission order at every $(docv)."
   in
   Cmd.v
     (Cmd.info "lint"
@@ -871,9 +875,8 @@ let lint_cmd =
            `P "0 on success; 1 if any source produced error diagnostics; 2 on \
                usage errors." ])
     Term.(
-      const lint_run $ sources $ config_arg $ cap_arg $ effort_arg $ rewriting_arg
-      $ selection_arg $ allocation_arg $ geometry_arg $ max_writes $ json $ jobs
-      $ trace_arg $ metrics_arg $ profile_flag_arg)
+      const lint_run $ obs_term $ sources $ pipeline_term $ geometry_arg $ max_writes
+      $ json $ jobs)
 
 let report_run current against threshold min_abs json verbose =
   match
@@ -938,8 +941,9 @@ let report_cmd =
 
 (* ---------------------------------------------------------------- *)
 (* Request-mix commands: serve, horizon and certify take the programs of
-   their mix as BENCH names; horizon and certify also share the whole
-   wear model (strategy grid, fleet shape, levelling parameters). *)
+   their mix as BENCH names and share the fleet shape and the mix flags;
+   horizon and certify also share the whole wear model (strategy grid,
+   levelling parameters). *)
 
 let mix_sources_arg =
   Arg.(value & pos_all string []
@@ -960,6 +964,55 @@ let mix_specs ~cmd = function
           exit 1)
       names
 
+let zipf_arg =
+  Arg.(value & opt float 1.0
+       & info [ "zipf" ] ~docv:"S"
+           ~doc:"Zipf exponent of program popularity (0 = uniform).")
+
+(* [note] extends the help of one command *)
+let compile_ratio_arg ?(note = "") () =
+  Arg.(value & opt unit_interval 0.05
+       & info [ "compile-ratio" ] ~docv:"P"
+           ~doc:("Probability a sampled request is a (redundant) compile." ^ note))
+
+let hot_arg =
+  Arg.(value & opt unit_interval 0.8
+       & info [ "hot" ] ~docv:"P"
+           ~doc:"Probability an execution reuses a hot input vector.")
+
+let hot_pool_arg =
+  Arg.(value & opt non_negative_int 4
+       & info [ "hot-pool" ] ~docv:"N" ~doc:"Recurring input vectors per program.")
+
+(* --shards --spare-shards --cell-spares --lines over [base] *)
+let fleet_term (base : Plim_serve.Server.config) =
+  let shards =
+    Arg.(value & opt positive_int 4
+         & info [ "shards" ] ~docv:"N" ~doc:"Initially active crossbar shards.")
+  in
+  let spare_shards =
+    Arg.(value & opt non_negative_int 1
+         & info [ "spare-shards" ] ~docv:"N"
+             ~doc:"Spare shards activated when an active shard is retired or \
+                   dies.")
+  in
+  let cell_spares =
+    Arg.(value & opt non_negative_int 8
+         & info [ "cell-spares" ] ~docv:"N"
+             ~doc:"Spare lines per shard (within-shard write-verify repair; \
+                   sets the measured cell range of the wear model).")
+  in
+  let lines =
+    Arg.(value & opt non_negative_int 0
+         & info [ "lines" ] ~docv:"N"
+             ~doc:"Logical lines per shard; 0 sizes to the largest compiled \
+                   program at first use.")
+  in
+  let make shards spare_shards cell_spares lines =
+    { base with Plim_serve.Server.shards; spare_shards; cell_spares; lines }
+  in
+  Term.(const make $ shards $ spare_shards $ cell_spares $ lines)
+
 (* Everything but the mix programs: [wm_config.mix] is still the default
    and each command builds its own from the other [wm_] fields. *)
 type wear_model = {
@@ -971,22 +1024,11 @@ type wear_model = {
   wm_config : Plim_serve.Horizon.config;
 }
 
-(* [compile_ratio_note] extends the --compile-ratio help of one command *)
-let wear_model_term ?(compile_ratio_note = "") () =
+let wear_model_term ?compile_ratio_note () =
   let strategy_conv =
     Arg.conv
       ( (fun s -> Result.map_error (fun e -> `Msg e) (Leveling.of_string s)),
         fun ppf st -> Format.pp_print_string ppf (Leveling.name st) )
-  in
-  (* levelling periods are divisors in the wear model: 0 or less is a
-     usage error, not a campaign *)
-  let positive_int =
-    Arg.conv
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n > 0 -> Ok n
-          | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))),
-        Format.pp_print_int )
   in
   let strategies =
     Arg.(value & opt_all strategy_conv []
@@ -996,20 +1038,21 @@ let wear_model_term ?(compile_ratio_note = "") () =
                    default: all four).")
   in
   let rates =
-    Arg.(value & opt_all float []
+    Arg.(value & opt_all unit_interval []
          & info [ "rate" ] ~docv:"R"
              ~doc:"Permanent-fault rate of the wear model (repeatable; \
                    default: 0).")
   in
   let endurance =
-    Arg.(value & opt float 2e5
+    Arg.(value & opt positive_float 2e5
          & info [ "endurance" ] ~docv:"E" ~doc:"Per-cell write budget.")
   in
   let epoch_requests =
-    Arg.(value & opt int 80
+    Arg.(value & opt positive_int 80
          & info [ "epoch-requests" ] ~docv:"N"
              ~doc:"Requests per epoch of simulated traffic.")
   in
+  (* levelling periods are divisors in the wear model *)
   let psi =
     Arg.(value & opt positive_int 100
          & info [ "psi" ] ~docv:"N" ~doc:"Start-Gap rotation period.")
@@ -1020,76 +1063,35 @@ let wear_model_term ?(compile_ratio_note = "") () =
              ~doc:"Writes between WoLFRaM re-keys.")
   in
   let model_spares =
-    Arg.(value & opt int 8
+    Arg.(value & opt non_negative_int 8
          & info [ "model-spares" ] ~docv:"N"
              ~doc:"Spare lines per shard in the wear model.")
   in
-  let shards =
-    Arg.(value & opt int 4
-         & info [ "shards" ] ~docv:"N" ~doc:"Initially active crossbar shards.")
-  in
-  let spare_shards =
-    Arg.(value & opt int 1
-         & info [ "spare-shards" ] ~docv:"N"
-             ~doc:"Spare shards activated when an active shard dies.")
-  in
-  let cell_spares =
-    Arg.(value & opt int 8
-         & info [ "cell-spares" ] ~docv:"N"
-             ~doc:"Spare lines per live server shard (sets the measured cell \
-                   range).")
-  in
-  let lines =
-    Arg.(value & opt int 0
-         & info [ "lines" ] ~docv:"N"
-             ~doc:"Logical lines per shard; 0 sizes to the largest compiled \
-                   program at first use.")
-  in
-  let zipf =
-    Arg.(value & opt float 1.0
-         & info [ "zipf" ] ~docv:"S"
-             ~doc:"Zipf exponent of program popularity (0 = uniform).")
-  in
-  let compile_ratio =
-    Arg.(value & opt float 0.05
-         & info [ "compile-ratio" ] ~docv:"P"
-             ~doc:("Probability a sampled request is a (redundant) compile."
-                   ^ compile_ratio_note))
-  in
   let make wm_sources strategies rates endurance epoch_requests psi
-      wolfram_period model_spares shards spare_shards cell_spares lines wm_zipf
-      wm_compile_ratio =
-    let module H = Plim_serve.Horizon in
-    let base = H.default_config in
+      wolfram_period model_spares server wm_zipf wm_compile_ratio =
     { wm_sources;
       wm_strategies = (match strategies with [] -> Leveling.all | ss -> ss);
       wm_rates = (match rates with [] -> [ 0.0 ] | rs -> rs);
       wm_zipf;
       wm_compile_ratio;
       wm_config =
-        { base with
-          H.server =
-            { base.H.server with
-              Plim_serve.Server.shards; spare_shards; cell_spares; lines };
-          endurance; epoch_requests; psi; wolfram_period; model_spares } }
+        { Plim_serve.Horizon.default_config with
+          server; endurance; epoch_requests; psi; wolfram_period; model_spares } }
   in
   Term.(
     const make $ mix_sources_arg $ strategies $ rates $ endurance
-    $ epoch_requests $ psi $ rekey_period $ model_spares $ shards $ spare_shards
-    $ cell_spares $ lines $ zipf $ compile_ratio)
+    $ epoch_requests $ psi $ rekey_period $ model_spares
+    $ fleet_term Plim_serve.Horizon.default_config.server $ zipf_arg
+    $ compile_ratio_arg ?note:compile_ratio_note ())
 
 (* ---------------------------------------------------------------- *)
 (* serve: the long-lived compile-and-execute service core replaying a
    seeded request mix against a fleet of persistent crossbar shards. *)
 
-let serve_run sources requests seed shards spare_shards cell_spares lines batch
-    zipf hot hot_pool compile_ratio config cap effort rewriting selection
-    allocation geometry inject endurance no_verify no_check retire jobs wear_json
-    json trace metrics profile =
-  with_obs ~trace ~metrics ~profile @@ fun () ->
-  let config = override config rewriting selection allocation in
-  let config = { config with Pipeline.effort } in
-  let config = match cap with Some w -> Pipeline.with_cap w config | None -> config in
+let serve_run obs sources requests seed fleet batch zipf hot hot_pool
+    compile_ratio config geometry inject endurance no_verify no_check retire jobs
+    wear_json json =
+  obs @@ fun () ->
   let specs = mix_specs ~cmd:"serve" sources in
   let mix =
     Plim_serve.Workload.mix_of_suite ~zipf ~hot_fraction:hot ~hot_pool
@@ -1097,11 +1099,8 @@ let serve_run sources requests seed shards spare_shards cell_spares lines batch
   in
   let stream = Plim_serve.Workload.generate ~seed ~requests mix in
   let scfg =
-    { Plim_serve.Server.pipeline = config;
-      shards;
-      spare_shards;
-      lines;
-      cell_spares;
+    { fleet with
+      Plim_serve.Server.pipeline = config;
       verify = not no_verify;
       fault_spec = inject;
       endurance;
@@ -1112,8 +1111,7 @@ let serve_run sources requests seed shards spare_shards cell_spares lines batch
   let server = Plim_serve.Server.create scfg in
   let t0 = Unix.gettimeofday () in
   let serve pool reqs = ignore (Plim_serve.Server.run ?pool ~batch server reqs) in
-  Plim_par.with_pool ~jobs (fun pool ->
-      let pool = if Plim_par.jobs pool > 1 then Some pool else None in
+  with_jobs jobs (fun pool ->
       match retire with
       | [] -> serve pool stream
       | ids ->
@@ -1134,10 +1132,7 @@ let serve_run sources requests seed shards spare_shards cell_spares lines batch
   let s = Plim_serve.Server.summary server in
   (match wear_json with
   | Some path ->
-    let oc = open_out path in
-    output_string oc (Plim_serve.Server.fleet_heatmap_json server);
-    output_char oc '\n';
-    close_out oc;
+    write_file path (Plim_serve.Server.fleet_heatmap_json server ^ "\n");
     Printf.eprintf "wrote fleet wear heatmaps to %s\n%!" path
   | None -> ());
   if json then
@@ -1188,7 +1183,7 @@ let serve_run sources requests seed shards spare_shards cell_spares lines batch
 
 let serve_cmd =
   let requests =
-    Arg.(value & opt int 200
+    Arg.(value & opt non_negative_int 200
          & info [ "requests" ] ~docv:"N" ~doc:"Sampled requests after warm-up.")
   in
   let seed =
@@ -1196,51 +1191,11 @@ let serve_cmd =
          & info [ "seed" ] ~docv:"S"
              ~doc:"Request-mix seed; the request stream is a pure function of it.")
   in
-  let shards =
-    Arg.(value & opt int 4
-         & info [ "shards" ] ~docv:"N" ~doc:"Initially active crossbar shards.")
-  in
-  let spare_shards =
-    Arg.(value & opt int 1
-         & info [ "spare-shards" ] ~docv:"N"
-             ~doc:"Spare shards activated when an active shard is retired.")
-  in
-  let cell_spares =
-    Arg.(value & opt int 8
-         & info [ "cell-spares" ] ~docv:"N"
-             ~doc:"Spare lines per shard (within-shard write-verify repair).")
-  in
-  let lines =
-    Arg.(value & opt int 0
-         & info [ "lines" ] ~docv:"N"
-             ~doc:"Logical lines per shard; 0 sizes to the largest compiled \
-                   program at first use.")
-  in
   let batch =
-    Arg.(value & opt int 32
+    Arg.(value & opt positive_int 32
          & info [ "batch" ] ~docv:"N"
              ~doc:"Scheduler batch size (affects scheduling granularity only, \
                    never results).")
-  in
-  let zipf =
-    Arg.(value & opt float 1.0
-         & info [ "zipf" ] ~docv:"S"
-             ~doc:"Zipf exponent of program popularity (0 = uniform).")
-  in
-  let hot =
-    Arg.(value & opt float 0.8
-         & info [ "hot" ] ~docv:"P"
-             ~doc:"Probability an execution reuses a hot input vector.")
-  in
-  let hot_pool =
-    Arg.(value & opt int 4
-         & info [ "hot-pool" ] ~docv:"N"
-             ~doc:"Recurring input vectors per program.")
-  in
-  let compile_ratio =
-    Arg.(value & opt float 0.05
-         & info [ "compile-ratio" ] ~docv:"P"
-             ~doc:"Probability a sampled request is a (redundant) compile.")
   in
   let inject =
     Arg.(value & opt fault_spec_conv Fault_model.none
@@ -1270,10 +1225,9 @@ let serve_cmd =
                    stream (repeatable) — the spare-activation drill.")
   in
   let jobs =
-    Arg.(value & opt int 1
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Serve on $(docv) domains.  Responses, counters and fleet \
-                   wear are byte-identical at every $(docv).")
+    jobs_arg ~default:1
+      ~doc:"Serve on $(docv) domains.  Responses, counters and fleet \
+            wear are byte-identical at every $(docv)."
   in
   let wear_json =
     Arg.(value & opt (some string) None
@@ -1298,16 +1252,14 @@ let serve_cmd =
            `P "0 on success; 1 if any execution produced incorrect outputs; 2 \
                on usage errors." ])
     Term.(
-      const serve_run $ mix_sources_arg $ requests $ seed $ shards $ spare_shards
-      $ cell_spares $ lines $ batch $ zipf $ hot $ hot_pool $ compile_ratio
-      $ config_arg $ cap_arg $ effort_arg $ rewriting_arg $ selection_arg
-      $ allocation_arg $ geometry_arg $ inject $ endurance $ no_verify $ no_check
-      $ retire $ jobs $ wear_json $ json $ trace_arg $ metrics_arg
-      $ profile_flag_arg)
+      const serve_run $ obs_term $ mix_sources_arg $ requests $ seed
+      $ fleet_term Plim_serve.Server.default_config $ batch $ zipf_arg $ hot_arg
+      $ hot_pool_arg $ compile_ratio_arg () $ pipeline_term $ geometry_arg $ inject
+      $ endurance $ no_verify $ no_check $ retire $ jobs $ wear_json $ json)
 
-let horizon_run wm sample_every max_epochs capacity_floor epoch_seconds project
-    seed hot hot_pool jobs json trace metrics profile =
-  with_obs ~trace ~metrics ~profile @@ fun () ->
+let horizon_run obs wm sample_every max_epochs capacity_floor epoch_seconds
+    project seed hot hot_pool jobs json =
+  obs @@ fun () ->
   let module H = Plim_serve.Horizon in
   let mix =
     Plim_serve.Workload.mix_of_suite ~zipf:wm.wm_zipf ~hot_fraction:hot ~hot_pool
@@ -1326,8 +1278,7 @@ let horizon_run wm sample_every max_epochs capacity_floor epoch_seconds project
       project_endurance = project }
   in
   let cells =
-    Plim_par.with_pool ~jobs (fun pool ->
-        let pool = if Plim_par.jobs pool > 1 then Some pool else None in
+    with_jobs jobs (fun pool ->
         H.grid ?pool cfg ~strategies:wm.wm_strategies ~fault_rates:wm.wm_rates)
   in
   if json then
@@ -1357,16 +1308,16 @@ let horizon_run wm sample_every max_epochs capacity_floor epoch_seconds project
 
 let horizon_cmd =
   let sample_every =
-    Arg.(value & opt float 2500.0
+    Arg.(value & opt positive_float 2500.0
          & info [ "sample-every" ] ~docv:"N"
              ~doc:"Epochs between really-executed sampled epochs.")
   in
   let max_epochs =
-    Arg.(value & opt float 40_000.0
+    Arg.(value & opt positive_float 40_000.0
          & info [ "max-epochs" ] ~docv:"N" ~doc:"Hard epoch horizon.")
   in
   let capacity_floor =
-    Arg.(value & opt float 0.35
+    Arg.(value & opt unit_interval 0.35
          & info [ "capacity-floor" ] ~docv:"F"
              ~doc:"Stop when the alive-shard fraction drops below $(docv).")
   in
@@ -1376,7 +1327,7 @@ let horizon_cmd =
              ~doc:"Wall-clock seconds one epoch represents.")
   in
   let project =
-    Arg.(value & opt float 1e10
+    Arg.(value & opt positive_float 1e10
          & info [ "project" ] ~docv:"E"
              ~doc:"Real device endurance the projected-years columns rescale \
                    to.")
@@ -1387,21 +1338,10 @@ let horizon_cmd =
              ~doc:"Campaign seed; every number in the output is a pure \
                    function of it.")
   in
-  let hot =
-    Arg.(value & opt float 0.8
-         & info [ "hot" ] ~docv:"P"
-             ~doc:"Probability an execution reuses a hot input vector.")
-  in
-  let hot_pool =
-    Arg.(value & opt int 4
-         & info [ "hot-pool" ] ~docv:"N"
-             ~doc:"Recurring input vectors per program.")
-  in
   let jobs =
-    Arg.(value & opt int 1
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Run grid cells on $(docv) domains; results are \
-                   byte-identical at every $(docv).")
+    jobs_arg ~default:1
+      ~doc:"Run grid cells on $(docv) domains; results are \
+            byte-identical at every $(docv)."
   in
   let json =
     Arg.(value & flag
@@ -1421,9 +1361,9 @@ let horizon_cmd =
          [ `S Manpage.s_exit_status;
            `P "0 on success; 2 on usage errors." ])
     Term.(
-      const horizon_run $ wear_model_term () $ sample_every $ max_epochs
-      $ capacity_floor $ epoch_seconds $ project $ seed $ hot $ hot_pool $ jobs
-      $ json $ trace_arg $ metrics_arg $ profile_flag_arg)
+      const horizon_run $ obs_term $ wear_model_term () $ sample_every
+      $ max_epochs $ capacity_floor $ epoch_seconds $ project $ seed $ hot_arg
+      $ hot_pool_arg $ jobs $ json)
 
 let certify_run wm fault_seed json check_file =
   let module H = Plim_serve.Horizon in

@@ -1,6 +1,6 @@
 module Program = Plim_isa.Program
 module I = Plim_isa.Instruction
-module Obs = Plim_obs.Obs
+module Profile = Plim_obs.Profile
 module Metrics = Plim_obs.Metrics
 
 type severity = Error | Warning | Info
@@ -165,7 +165,7 @@ let write_counts (p : Program.t) =
 let default_leak_grace = 8
 
 let analyze ?(leak_grace = default_leak_grace) ?max_writes (p : Program.t) =
-  Obs.span "analyze.program" @@ fun () ->
+  Profile.span "analyze.program" @@ fun () ->
   Metrics.incr m_programs;
   let sites, diags0, is_pi = build p in
   let n = p.Program.num_cells in

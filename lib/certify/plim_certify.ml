@@ -246,6 +246,7 @@ let certify (cfg : Horizon.config) =
   if cfg.Horizon.mix.Workload.programs = [] then
     invalid_arg "Plim_certify.certify: empty mix";
   Leveling.validate ~psi:cfg.Horizon.psi ~period:cfg.Horizon.wolfram_period;
+  Server.validate_config cfg.Horizon.server;
   let server = cfg.Horizon.server in
   let strategy = cfg.Horizon.strategy in
   let endurance = cfg.Horizon.endurance in

@@ -145,8 +145,10 @@ val certify : Horizon.config -> t
     [strategy] and [fault_spec] of the config are read exactly like
     {!Horizon.run} reads them.
     @raise Invalid_argument on an empty mix, a non-positive
-    endurance/epoch_requests or invalid levelling parameters
-    ({!Plim_rram.Leveling.validate}), mirroring [Horizon.run]. *)
+    endurance/epoch_requests, invalid levelling parameters
+    ({!Plim_rram.Leveling.validate}) or a fleet
+    {!Plim_serve.Server.validate_config} rejects, mirroring
+    [Horizon.run]. *)
 
 val grid :
   ?fault_seed:int ->

@@ -1,6 +1,6 @@
 module Mig = Plim_mig.Mig
 module Splitmix = Plim_util.Splitmix
-module Obs = Plim_obs.Obs
+module Profile = Plim_obs.Profile
 module Metrics = Plim_obs.Metrics
 
 type options = {
@@ -98,7 +98,7 @@ let run ?pool ?(check = fun mig -> Check.run mig) ?case_seeds ?(on_case = fun _ 
   in
   let eval i case_seed =
     on_case i;
-    Obs.span "fuzz.case" @@ fun () ->
+    Profile.span "fuzz.case" @@ fun () ->
     Metrics.incr m_cases;
     let d = generate options case_seed in
     match check (Gen.to_mig d) with [] -> None | _ :: _ -> Some d

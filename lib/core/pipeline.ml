@@ -3,7 +3,7 @@ module Recipe = Plim_rewrite.Recipe
 module Program = Plim_isa.Program
 module Stats = Plim_stats.Stats
 module Vec = Plim_util.Vec
-module Obs = Plim_obs.Obs
+module Profile = Plim_obs.Profile
 
 type config = {
   rewriting : Recipe.recipe;
@@ -64,18 +64,18 @@ type result = {
 }
 
 let compile_rewritten ?is_faulty config g =
-  Obs.span "pipeline.compile_rewritten" @@ fun () ->
+  Profile.span "pipeline.compile_rewritten" @@ fun () ->
   let alloc =
     Alloc.create ?max_write:config.max_write ?is_faulty ~strategy:config.allocation ()
   in
   let ctx = Translate.make_ctx ~dest_min_write:config.dest_min_write g alloc in
-  Obs.span "pipeline.place_inputs" (fun () -> Translate.place_inputs ctx);
+  Profile.span "pipeline.place_inputs" (fun () -> Translate.place_inputs ctx);
   let sel =
-    Obs.span "pipeline.select_setup" (fun () ->
+    Profile.span "pipeline.select_setup" (fun () ->
         Select.create ~policy:config.selection g ~pending:ctx.pending)
   in
   ctx.Translate.on_pending_one <- Select.child_pending_dropped_to_one sel;
-  Obs.span "pipeline.translate" (fun () ->
+  Profile.span "pipeline.translate" (fun () ->
       let rec loop () =
         match Select.pop sel with
         | None -> ()
@@ -86,7 +86,7 @@ let compile_rewritten ?is_faulty config g =
       in
       loop ());
   let po_cells =
-    Obs.span "pipeline.outputs" (fun () -> Translate.materialize_outputs ctx)
+    Profile.span "pipeline.outputs" (fun () -> Translate.materialize_outputs ctx)
   in
   let pi_cells =
     Array.init (Mig.num_inputs g) (fun pi ->
@@ -106,9 +106,9 @@ let compile_rewritten ?is_faulty config g =
     config }
 
 let compile ?is_faulty config mig =
-  Obs.span "pipeline.compile" @@ fun () ->
+  Profile.span "pipeline.compile" @@ fun () ->
   let g =
-    Obs.span "pipeline.rewrite" (fun () ->
+    Profile.span "pipeline.rewrite" (fun () ->
         Recipe.run config.rewriting ~effort:config.effort mig)
   in
   compile_rewritten ?is_faulty config g

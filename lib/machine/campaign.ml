@@ -3,7 +3,7 @@ module I = Plim_isa.Instruction
 module Crossbar = Plim_rram.Crossbar
 module Leveling = Plim_rram.Leveling
 module Splitmix = Plim_util.Splitmix
-module Obs = Plim_obs.Obs
+module Profile = Plim_obs.Profile
 module Metrics = Plim_obs.Metrics
 module Fault_model = Plim_fault.Fault_model
 module Faulty = Plim_fault.Faulty
@@ -130,7 +130,7 @@ let total_writes xbar = Array.fold_left ( + ) 0 (Crossbar.write_counts xbar)
 let run_until_failure ?(seed = 0xCAFE) ?(max_executions = 100_000) ?sample_every
     ?geometry ?(strategy = Leveling.No_leveling) ?psi ?period ?wolfram_seed ~endurance
     p =
-  Obs.span "campaign" @@ fun () ->
+  Profile.span "campaign" @@ fun () ->
   Metrics.incr m_campaigns;
   let group_latency = group_latency_of geometry p in
   let stack = Leveling.stack ?psi ?period ?seed:wolfram_seed strategy p.Program.num_cells in
@@ -207,7 +207,7 @@ let m_degraded = Metrics.counter "campaign.degraded_runs"
 let run_degraded ?(seed = 0xCAFE) ?(max_executions = 100) ?sample_every ?endurance
     ?(spares = 0) ?(verify = true) ?(fault_spec = Fault_model.none) ?oracle
     (p : Program.t) =
-  Obs.span "campaign.degraded" @@ fun () ->
+  Profile.span "campaign.degraded" @@ fun () ->
   Metrics.incr m_degraded;
   let lines = p.Program.num_cells in
   let xbar = Crossbar.create ?endurance (lines + spares) in
@@ -301,7 +301,7 @@ type sweep_cell = {
 
 let sweep_degraded ?pool ?seed ?max_executions ?endurance ?(verify = true) ?oracle
     ~fault_spec_of ~rates ~spare_budgets p =
-  Obs.span "campaign.sweep" @@ fun () ->
+  Profile.span "campaign.sweep" @@ fun () ->
   let grid =
     List.concat_map (fun rate -> List.map (fun spares -> (rate, spares)) spare_budgets)
       rates

@@ -1,7 +1,7 @@
 module Crossbar = Plim_rram.Crossbar
 module Program = Plim_isa.Program
 module Instruction = Plim_isa.Instruction
-module Obs = Plim_obs.Obs
+module Profile = Plim_obs.Profile
 module Metrics = Plim_obs.Metrics
 
 let m_runs = Metrics.counter "machine.runs"
@@ -29,7 +29,7 @@ let static_cycles (p : Program.t) =
     0 p.Program.instrs
 
 let run ?endurance ?on_step (p : Program.t) ~inputs =
-  Obs.span "machine.run" @@ fun () ->
+  Profile.span "machine.run" @@ fun () ->
   Metrics.incr m_runs;
   Metrics.incr ~by:(Array.length p.Program.instrs) m_instructions;
   let xbar = Crossbar.create ?endurance p.Program.num_cells in
@@ -99,7 +99,7 @@ let static_groups ~geometry (p : Program.t) =
   Result.map Plim_geometry.num_groups (Plim_geometry.schedule geometry p)
 
 let run_grouped ?endurance ~geometry (p : Program.t) ~inputs =
-  Obs.span "machine.run_grouped" @@ fun () ->
+  Profile.span "machine.run_grouped" @@ fun () ->
   match Plim_geometry.schedule geometry p with
   | Error msg -> Error msg
   | Ok sched ->
@@ -166,7 +166,7 @@ let run_grouped ?endurance ~geometry (p : Program.t) ~inputs =
           g_max_group = Plim_geometry.max_group_size sched } )
 
 let run_self_hosted ?endurance (p : Program.t) ~inputs =
-  Obs.span "machine.run_self_hosted" @@ fun () ->
+  Profile.span "machine.run_self_hosted" @@ fun () ->
   Metrics.incr m_runs;
   Metrics.incr ~by:(Array.length p.Program.instrs) m_instructions;
   let module Encoding = Plim_isa.Encoding in

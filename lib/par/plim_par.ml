@@ -25,7 +25,7 @@
    submitter are counted as stolen. *)
 
 module Splitmix = Plim_util.Splitmix
-module Obs = Plim_obs.Obs
+module Profile = Plim_obs.Profile
 module Metrics = Plim_obs.Metrics
 
 let m_queued = Metrics.counter "par.tasks_queued"
@@ -133,7 +133,7 @@ let check_live t =
 
 let mapi t ~f xs =
   check_live t;
-  Obs.span "par.map" @@ fun () ->
+  Profile.span "par.map" @@ fun () ->
   match xs with
   | [] -> []
   | [ x ] -> [ f 0 x ]

@@ -1,5 +1,5 @@
 module Mig = Plim_mig.Mig
-module Obs = Plim_obs.Obs
+module Profile = Plim_obs.Profile
 module Metrics = Plim_obs.Metrics
 module Trace = Plim_obs.Trace
 
@@ -27,7 +27,7 @@ let run_pass_raw g rules =
         Axioms.apply_first rules g' (operand a oa) (operand b ob) (operand c oc))
 
 let run_pass ?(name = "pass") g rules =
-  Obs.span "rewrite.pass" @@ fun () ->
+  Profile.span "rewrite.pass" @@ fun () ->
   Metrics.incr m_passes;
   let size_before = Mig.size g in
   let g' = run_pass_raw g rules in
@@ -87,7 +87,7 @@ let algorithm1 ~effort g = cycles algorithm1_cycle ~effort g
 let algorithm2 ~effort g = cycles algorithm2_cycle ~effort g
 
 let run recipe ~effort g =
-  Obs.span "rewrite.recipe" @@ fun () ->
+  Profile.span "rewrite.recipe" @@ fun () ->
   match recipe with
   | No_rewriting -> Mig.cleanup g
   | Algorithm1 -> algorithm1 ~effort g

@@ -92,13 +92,16 @@ let m_retired = Metrics.counter "serve.retired_shards"
 let m_reruns = Metrics.counter "serve.reruns"
 let g_fleet_writes = Metrics.gauge "serve.fleet_writes"
 
-let create cfg =
+let validate_config cfg =
   if cfg.shards < 1 then invalid_arg "Server.create: need at least one shard";
   if cfg.spare_shards < 0 then
     invalid_arg "Server.create: negative spare shard count";
   if cfg.lines < 0 then invalid_arg "Server.create: negative line count";
   if cfg.cell_spares < 0 then
-    invalid_arg "Server.create: negative cell spare count";
+    invalid_arg "Server.create: negative cell spare count"
+
+let create cfg =
+  validate_config cfg;
   { cfg;
     cache = Cache.create ();
     fleet = [||];

@@ -95,7 +95,14 @@ type summary = {
 
 type t
 
+val validate_config : config -> unit
+(** Raises [Invalid_argument] on a fleet {!create} cannot build: fewer
+    than one active shard, or a negative spare shard, line or cell spare
+    count. *)
+
 val create : config -> t
+(** A fresh server; raises like {!validate_config}. *)
+
 val config : t -> config
 
 val run : ?pool:Plim_par.t -> ?batch:int -> t -> Workload.request list ->

@@ -44,28 +44,19 @@ type comparison = {
    fields; only metrics present in BOTH files are compared, which is
    the whole v1 -> v2 migration story. *)
 
-let num path j = Option.bind (Json.member path j) Json.to_float
-
-let sub_num obj field j =
-  Option.bind (Json.member obj j) (fun o -> num field o)
-
-let metrics_of_config c =
-  let take name v acc = match v with Some f -> (name, f) :: acc | None -> acc in
-  []
-  |> take "instructions" (num "instructions" c)
-  |> take "rram_cells" (num "rram_cells" c)
-  |> take "writes.total" (sub_num "writes" "total" c)
-  |> take "writes.max" (sub_num "writes" "max" c)
-  |> take "writes.stdev" (sub_num "writes" "stdev" c)
-  |> take "writes.p50" (sub_num "writes" "p50" c)
-  |> take "writes.p90" (sub_num "writes" "p90" c)
-  |> take "writes.p99" (sub_num "writes" "p99" c)
-  |> take "skew.gini" (sub_num "skew" "gini" c)
-  |> take "skew.max_mean" (sub_num "skew" "max_mean" c)
-  |> take "storage.total_span" (sub_num "storage" "total_span" c)
-  |> take "storage.max_span" (sub_num "storage" "max_span" c)
-  |> take "dead_writes" (num "dead_writes" c)
-  |> List.rev
+(* A metric name is its JSON path: "writes.max" reads field "max" of
+   object "writes". *)
+let metrics_of names j =
+  List.filter_map
+    (fun name ->
+      let value =
+        List.fold_left
+          (fun j field -> Option.bind j (Json.member field))
+          (Some j)
+          (String.split_on_char '.' name)
+      in
+      Option.map (fun v -> (name, v)) (Option.bind value Json.to_float))
+    names
 
 type row = {
   r_benchmark : string;
@@ -78,120 +69,52 @@ let schema_of j =
   | Some s -> s
   | None -> "unknown"
 
-(* plim-serve/v1 rows: the service experiments' cost metrics.  Wall-clock
-   throughput (wall_s, requests_per_sec) deliberately stays out — like
-   the phase totals, it varies run to run and never gates. *)
-let serve_metrics_of row =
-  let take name v acc = match v with Some f -> (name, f) :: acc | None -> acc in
-  []
-  |> take "latency.p50" (sub_num "latency" "p50" row)
-  |> take "latency.p99" (sub_num "latency" "p99" row)
-  |> take "total_cycles" (num "total_cycles" row)
-  |> take "groups.p50" (sub_num "groups" "p50" row)
-  |> take "groups.p99" (sub_num "groups" "p99" row)
-  |> take "groups.total" (sub_num "groups" "total" row)
-  |> take "fleet.gini" (sub_num "fleet" "gini" row)
-  |> take "fleet.max_mean" (sub_num "fleet" "max_mean" row)
-  |> take "cache_misses" (num "cache_misses" row)
-  |> take "incorrect" (num "incorrect" row)
-  |> take "rejected" (num "rejected" row)
-  |> List.rev
+let str k j = Option.value ~default:"?" (Option.bind (Json.member k j) Json.to_string)
 
-let serve_rows_of j =
-  match Option.bind (Json.member "serve" j) Json.to_list with
+let config_metrics =
+  [ "instructions"; "rram_cells"; "writes.total"; "writes.max"; "writes.stdev";
+    "writes.p50"; "writes.p90"; "writes.p99"; "skew.gini"; "skew.max_mean";
+    "storage.total_span"; "storage.max_span"; "dead_writes" ]
+
+(* The pseudo-benchmark sections, folded in after the benchmark rows:
+   (section, key of a row as (benchmark, config), gated metrics).  Only
+   costs (larger = worse) gate. *)
+let sections =
+  let labelled section row = (section ^ ":" ^ str "label" row, section) in
+  [ (* plim-serve/v1: wall-clock throughput (wall_s, requests_per_sec)
+       deliberately stays out — like the phase totals, it varies run to
+       run and never gates *)
+    ( "serve", labelled "serve",
+      [ "latency.p50"; "latency.p99"; "total_cycles"; "groups.p50"; "groups.p99";
+        "groups.total"; "fleet.gini"; "fleet.max_mean"; "cache_misses";
+        "incorrect"; "rejected" ] );
+    (* plim-horizon/v1: lifetimes (ttff, half-life) are better-larger and
+       would read as regressions when they improve, so they stay out of
+       the comparison and live in the row for humans and dashboards *)
+    ( "horizon", labelled "horizon",
+      [ "capacity_loss"; "dead_shards"; "skew.gini"; "skew.max_mean";
+        "sampled_epochs" ] );
+    (* plim-cert/v1: a larger write ceiling, per-cell rate bound or
+       leveling overhead is a worse static guarantee; the lifetime
+       brackets are better-larger and [-1]-when-unbounded, so they stay
+       out *)
+    ( "cert", labelled "cert", [ "writes_upper"; "rate_cell_upper"; "overhead" ] );
+    (* geometry: the crossbar-geometry backend's area/latency trade-off.
+       Area is fixed by the grid choice, which the key already embeds, so
+       it is not compared *)
+    ( "geometry",
+      (fun row ->
+        ("geometry:" ^ str "benchmark" row ^ "@" ^ str "grid" row, str "config" row)),
+      [ "groups"; "cross_row"; "max_group"; "instructions" ] ) ]
+
+let section_rows j (section, key, metrics) =
+  match Option.bind (Json.member section j) Json.to_list with
   | None -> []
   | Some rows ->
     List.map
       (fun row ->
-        let label =
-          Option.value ~default:"?"
-            (Option.bind (Json.member "label" row) Json.to_string)
-        in
-        { r_benchmark = "serve:" ^ label; r_config = "serve";
-          r_metrics = serve_metrics_of row })
-      rows
-
-(* plim-horizon/v1 rows: only cost-like metrics fold into the gate
-   (larger = worse).  Lifetimes (ttff, half-life) are better-larger and
-   would read as regressions when they improve, so they stay out of the
-   comparison and live in the row for humans and dashboards. *)
-let horizon_metrics_of row =
-  let take name v acc = match v with Some f -> (name, f) :: acc | None -> acc in
-  []
-  |> take "capacity_loss" (num "capacity_loss" row)
-  |> take "dead_shards" (num "dead_shards" row)
-  |> take "skew.gini" (sub_num "skew" "gini" row)
-  |> take "skew.max_mean" (sub_num "skew" "max_mean" row)
-  |> take "sampled_epochs" (num "sampled_epochs" row)
-  |> List.rev
-
-let horizon_rows_of j =
-  match Option.bind (Json.member "horizon" j) Json.to_list with
-  | None -> []
-  | Some rows ->
-    List.map
-      (fun row ->
-        let label =
-          Option.value ~default:"?"
-            (Option.bind (Json.member "label" row) Json.to_string)
-        in
-        { r_benchmark = "horizon:" ^ label; r_config = "horizon";
-          r_metrics = horizon_metrics_of row })
-      rows
-
-(* plim-bench/v2 "geometry" rows: the crossbar-geometry backend's
-   area/latency trade-off curve.  Group count and cross-row singletons
-   are cost metrics (smaller = better) and gate like instruction counts;
-   area is fixed by the grid choice, so it only gates against a baseline
-   run at the same grid (the key embeds the grid label). *)
-let geometry_metrics_of row =
-  let take name v acc = match v with Some f -> (name, f) :: acc | None -> acc in
-  []
-  |> take "groups" (num "groups" row)
-  |> take "cross_row" (num "cross_row" row)
-  |> take "max_group" (num "max_group" row)
-  |> take "instructions" (num "instructions" row)
-  |> List.rev
-
-let geometry_rows_of j =
-  match Option.bind (Json.member "geometry" j) Json.to_list with
-  | None -> []
-  | Some rows ->
-    List.map
-      (fun row ->
-        let str k =
-          Option.value ~default:"?" (Option.bind (Json.member k row) Json.to_string)
-        in
-        { r_benchmark = "geometry:" ^ str "benchmark" ^ "@" ^ str "grid";
-          r_config = str "config";
-          r_metrics = geometry_metrics_of row })
-      rows
-
-(* plim-cert/v1 rows: static wear-bound certificates as cert:<label>
-   pseudo-benchmarks.  Only cost-like quantities gate (a larger write
-   ceiling, per-cell rate bound or leveling overhead is a worse static
-   guarantee); the lifetime brackets are better-larger and [-1]-when-
-   unbounded, so they stay out of the regression comparison. *)
-let cert_metrics_of row =
-  let take name v acc = match v with Some f -> (name, f) :: acc | None -> acc in
-  []
-  |> take "writes_upper" (num "writes_upper" row)
-  |> take "rate_cell_upper" (num "rate_cell_upper" row)
-  |> take "overhead" (num "overhead" row)
-  |> List.rev
-
-let cert_rows_of j =
-  match Option.bind (Json.member "cert" j) Json.to_list with
-  | None -> []
-  | Some rows ->
-    List.map
-      (fun row ->
-        let label =
-          Option.value ~default:"?"
-            (Option.bind (Json.member "label" row) Json.to_string)
-        in
-        { r_benchmark = "cert:" ^ label; r_config = "cert";
-          r_metrics = cert_metrics_of row })
+        let r_benchmark, r_config = key row in
+        { r_benchmark; r_config; r_metrics = metrics_of metrics row })
       rows
 
 let rows_of j =
@@ -201,27 +124,18 @@ let rows_of j =
     let rows =
       List.concat_map
         (fun b ->
-          let name =
-            Option.value ~default:"?"
-              (Option.bind (Json.member "name" b) Json.to_string)
-          in
           let configs =
             Option.value ~default:[]
               (Option.bind (Json.member "configs" b) Json.to_list)
           in
           List.map
             (fun c ->
-              let config =
-                Option.value ~default:"?"
-                  (Option.bind (Json.member "config" c) Json.to_string)
-              in
-              { r_benchmark = name; r_config = config;
-                r_metrics = metrics_of_config c })
+              { r_benchmark = str "name" b; r_config = str "config" c;
+                r_metrics = metrics_of config_metrics c })
             configs)
         benchmarks
     in
-    Ok (rows @ serve_rows_of j @ horizon_rows_of j @ cert_rows_of j
-        @ geometry_rows_of j)
+    Ok (rows @ List.concat_map (section_rows j) sections)
 
 let key r = r.r_benchmark ^ "/" ^ r.r_config
 

@@ -269,7 +269,9 @@ let test_rejects_bad_leveling_params () =
       check_bool ("certify rejects " ^ what) true
         (raises (fun () -> ignore (C.certify bad))))
     [ ("psi = 0", { cfg with H.strategy = H.Start_gap; psi = 0 });
-      ("rekey period = 0", { cfg with H.wolfram_period = 0 }) ]
+      ("rekey period = 0", { cfg with H.wolfram_period = 0 });
+      ("shards = 0",
+       { cfg with H.server = { cfg.H.server with Plim_serve.Server.shards = 0 } }) ]
 
 let () =
   Alcotest.run "certify"

@@ -1,7 +1,6 @@
 (* Observability layer: metrics counters, trace sinks, profiling spans —
    and the invariant that none of it perturbs compilation. *)
 
-module Obs = Plim_obs.Obs
 module Clock = Plim_obs.Clock
 module Metrics = Plim_obs.Metrics
 module Trace = Plim_obs.Trace
@@ -314,9 +313,9 @@ let test_span_nesting_and_chrome_json () =
   Profile.reset ();
   Profile.enable ();
   let result =
-    Obs.span "outer" (fun () ->
-        ignore (Obs.span "inner1" (fun () -> 1));
-        ignore (Obs.span "inner2" (fun () -> 2));
+    Profile.span "outer" (fun () ->
+        ignore (Profile.span "inner1" (fun () -> 1));
+        ignore (Profile.span "inner2" (fun () -> 2));
         "done")
   in
   Profile.disable ();
@@ -348,14 +347,14 @@ let test_span_nesting_and_chrome_json () =
 let test_span_disabled_is_transparent () =
   Profile.reset ();
   check_bool "disabled by default here" false (Profile.enabled ());
-  check_int "result" 7 (Obs.span "nothing" (fun () -> 7));
+  check_int "result" 7 (Profile.span "nothing" (fun () -> 7));
   check_int "no span recorded" 0 (List.length (Profile.spans ()))
 
 let test_span_records_on_exception () =
   Profile.reset ();
   Profile.enable ();
-  (try Obs.span "raiser" (fun () -> failwith "boom") with Failure _ -> ());
-  ignore (Obs.span "after" (fun () -> ()));
+  (try Profile.span "raiser" (fun () -> failwith "boom") with Failure _ -> ());
+  ignore (Profile.span "after" (fun () -> ()));
   Profile.disable ();
   let spans = Profile.spans () in
   check_int "both spans recorded" 2 (List.length spans);
@@ -369,10 +368,10 @@ let test_totals_sorted_by_name () =
   (* record in an order that differs from both alphabetic and by-time so a
      regression to either ordering fails: "zeta" is slowest, recorded
      first *)
-  ignore (Obs.span "zeta" (fun () -> Unix.sleepf 0.002));
-  ignore (Obs.span "alpha" (fun () -> ()));
-  ignore (Obs.span "mid" (fun () -> ()));
-  ignore (Obs.span "alpha" (fun () -> ()));
+  ignore (Profile.span "zeta" (fun () -> Unix.sleepf 0.002));
+  ignore (Profile.span "alpha" (fun () -> ()));
+  ignore (Profile.span "mid" (fun () -> ()));
+  ignore (Profile.span "alpha" (fun () -> ()));
   Profile.disable ();
   let names = List.map fst (Profile.totals ()) in
   Alcotest.(check (list string))

@@ -520,6 +520,51 @@ let test_report_geometry_rows () =
     | [ d ] -> Alcotest.(check string) "metric" "groups" d.Report.metric
     | l -> Alcotest.failf "expected exactly 1 regression, got %d" (List.length l))
 
+(* every pseudo-benchmark section folds through the same reader: a grown
+   gated metric is a regression keyed <section>:<label> (geometry:
+   <bench>@<grid>), a grown metric the section excludes — wall-clock or
+   better-larger lifetimes, or the grid's fixed area — is never compared *)
+let test_report_sections_fold () =
+  let cases =
+    [ ( "serve", "serve:steady", "total_cycles", "wall_s",
+        Printf.sprintf {|{"label":"steady","total_cycles":%g,"wall_s":%g}|} );
+      ( "horizon", "horizon:none/r0", "dead_shards", "ttff_epochs",
+        Printf.sprintf {|{"label":"none/r0","dead_shards":%g,"ttff_epochs":%g}|} );
+      ( "cert", "cert:none/r0", "writes_upper", "half_life_lower",
+        Printf.sprintf {|{"label":"none/r0","writes_upper":%g,"half_life_lower":%g}|} );
+      ( "geometry", "geometry:dec4@2x16", "groups", "area",
+        Printf.sprintf
+          {|{"benchmark":"dec4","config":"endurance-full","grid":"2x16",
+             "groups":%g,"area":%g}|} ) ]
+  in
+  List.iter
+    (fun (section, key, gated, excluded, row) ->
+      let compare base cur =
+        let doc r =
+          parse_exn
+            (Printf.sprintf {|{"schema":"plim-bench/v2","benchmarks":[],"%s":[%s]}|}
+               section r)
+        in
+        match
+          Report.compare_json ~baseline_path:"a" ~current_path:"b" (doc base)
+            (doc cur)
+        with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "%s: compare failed: %s" section e
+      in
+      let c = compare (row 10.0 10.0) (row 20.0 10.0) in
+      (match c.Report.regressions with
+      | [ d ] ->
+        Alcotest.(check string) (section ^ " key") key d.Report.benchmark;
+        Alcotest.(check string) (section ^ " metric") gated d.Report.metric
+      | l ->
+        Alcotest.failf "%s: expected 1 regression, got %d" section (List.length l));
+      let c = compare (row 10.0 10.0) (row 10.0 20.0) in
+      check_bool (section ^ ": " ^ excluded ^ " yields no delta") true
+        (List.for_all (fun d -> d.Report.metric = gated) c.Report.deltas);
+      check_bool (section ^ ": no regression") false (Report.has_regressions c))
+    cases
+
 (* the emit side (Plim_util.Jsonx) and the read side (Json) agree on the
    escape language: quoting any byte string roundtrips exactly *)
 let prop_jsonx_roundtrip =
@@ -651,7 +696,8 @@ let () =
             test_report_serve_rows;
           Alcotest.test_case "zero-baseline growth" `Quick test_report_from_zero;
           Alcotest.test_case "geometry rows fold into the gate" `Quick
-            test_report_geometry_rows ] );
+            test_report_geometry_rows;
+          Alcotest.test_case "every section folds" `Quick test_report_sections_fold ] );
       ( "metrics",
         [ Alcotest.test_case "histogram exposition" `Quick test_metrics_histogram ] );
       ( "campaign",
