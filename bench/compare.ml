@@ -28,20 +28,22 @@ let () =
   let json_out = ref None in
   let verbose = ref false in
   let files = ref [] in
+  (* a nan, infinite or negative gate would silently switch the gate off *)
+  let gate_float flag v =
+    match float_of_string_opt v with
+    | Some x when Float.is_finite x && x >= 0.0 -> x
+    | _ ->
+      Printf.eprintf "compare: %s %S is not a finite number >= 0\n" flag v;
+      usage ()
+  in
   let rec parse = function
     | [] -> ()
-    | "--threshold" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some t when t >= 0.0 ->
-        threshold := t;
-        parse rest
-      | _ -> usage ())
-    | "--min-abs" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some m when m >= 0.0 ->
-        min_abs := m;
-        parse rest
-      | _ -> usage ())
+    | "--threshold" :: v :: rest ->
+      threshold := gate_float "--threshold" v;
+      parse rest
+    | "--min-abs" :: v :: rest ->
+      min_abs := gate_float "--min-abs" v;
+      parse rest
     | "--json" :: path :: rest ->
       json_out := Some path;
       parse rest
@@ -68,7 +70,7 @@ let () =
       (match !json_out with
       | Some path ->
         let oc = open_out path in
-        output_string oc (Report.to_json c);
+        output_string oc (Plim_telemetry.Json.write (Report.to_json c));
         output_char oc '\n';
         close_out oc;
         Printf.eprintf "wrote %s\n%!" path

@@ -28,6 +28,7 @@ module Campaign = Plim_machine.Campaign
 module Par = Plim_par
 module Wear = Plim_telemetry.Wear
 module Hgram = Plim_telemetry.Histogram
+module Json = Plim_telemetry.Json
 module Geometry = Plim_geometry
 
 let caps = [ 10; 20; 50; 100 ]
@@ -527,7 +528,22 @@ let lifetime_bench () =
    wear-out, behind write-verify + spare-line remapping (Plim_fault).
    JSON rows accumulate here and land in bench/results/latest.json. *)
 
-let faulttol_rows : string list ref = ref []
+let faulttol_rows : Json.t list ref = ref []
+
+(* one faulttol row: the campaign's identifying [head] fields, its
+   write-verify counters ([extra] rides after them) and its outcome *)
+let faulttol_row ?(extra = []) (d : Campaign.degradation) head =
+  Json.Obj
+    (head
+    @ [ ("detections", Json.Int d.Campaign.detections); ("remaps", Int d.Campaign.remaps);
+        ("verify_reads", Int d.Campaign.verify_reads);
+        ("retries", Int d.Campaign.retries) ]
+    @ extra
+    @ [ ("executions", Json.Int d.Campaign.executions);
+        ("correct", Int d.Campaign.correct); ("incorrect", Int d.Campaign.incorrect);
+        ("capacity", Num d.Campaign.final_capacity);
+        ("spares_remaining", Int d.Campaign.spares_remaining);
+        ("survived", Bool (d.Campaign.ended = Campaign.Max_executions)) ])
 
 let faulttol () =
   let rates = [ 0.0; 0.005; 0.01; 0.02; 0.05 ] in
@@ -588,17 +604,9 @@ let faulttol () =
               Printf.printf " | %4d %6.4f %3d/%-3d" d.Campaign.injected
                 d.Campaign.final_capacity d.Campaign.correct d.Campaign.executions;
               faulttol_rows :=
-                Printf.sprintf
-                  "{\"benchmark\":%s,\"rate\":%g,\"spares\":%d,\"injected\":%d,\
-                   \"detections\":%d,\"remaps\":%d,\"verify_reads\":%d,\"retries\":%d,\
-                   \"executions\":%d,\"correct\":%d,\"incorrect\":%d,\"capacity\":%.6g,\
-                   \"spares_remaining\":%d,\"survived\":%b}"
-                  (Plim_util.Jsonx.quote name)
-                  rate spares d.Campaign.injected d.Campaign.detections
-                  d.Campaign.remaps d.Campaign.verify_reads d.Campaign.retries
-                  d.Campaign.executions d.Campaign.correct d.Campaign.incorrect
-                  d.Campaign.final_capacity d.Campaign.spares_remaining
-                  (d.Campaign.ended = Campaign.Max_executions)
+                faulttol_row d
+                  [ ("benchmark", Str name); ("rate", Num rate); ("spares", Int spares);
+                    ("injected", Int d.Campaign.injected) ]
                 :: !faulttol_rows)
             budgets;
           print_newline ())
@@ -641,17 +649,11 @@ let faulttol () =
         (float_of_int d.Campaign.executions /. float_of_int (max 1 crash))
         d.Campaign.remaps d.Campaign.retries d.Campaign.final_capacity;
       faulttol_rows :=
-        Printf.sprintf
-          "{\"benchmark\":\"adder8\",\"endurance\":%d,\"spares\":%d,\"injected\":%d,\
-           \"worn_out\":%d,\"detections\":%d,\"remaps\":%d,\"verify_reads\":%d,\
-           \"retries\":%d,\"transient_failures\":%d,\"executions\":%d,\"correct\":%d,\
-           \"incorrect\":%d,\"capacity\":%.6g,\"spares_remaining\":%d,\"survived\":%b}"
-          endurance spares d.Campaign.injected d.Campaign.worn_out
-          d.Campaign.detections d.Campaign.remaps d.Campaign.verify_reads
-          d.Campaign.retries d.Campaign.transient_failures d.Campaign.executions
-          d.Campaign.correct d.Campaign.incorrect d.Campaign.final_capacity
-          d.Campaign.spares_remaining
-          (d.Campaign.ended = Campaign.Max_executions)
+        faulttol_row d
+          ~extra:[ ("transient_failures", Int d.Campaign.transient_failures) ]
+          [ ("benchmark", Str "adder8"); ("endurance", Int endurance);
+            ("spares", Int spares); ("injected", Int d.Campaign.injected);
+            ("worn_out", Int d.Campaign.worn_out) ]
         :: !faulttol_rows)
     outcomes
 
@@ -663,7 +665,7 @@ let faulttol () =
    sequence, so this section is byte-identical at every -j level; it is
    part of the bench-j1 == bench-j4 diff gate. *)
 
-let wear_rows : string list ref = ref []
+let wear_rows : Json.t list ref = ref []
 
 let wear () =
   Printf.printf
@@ -692,14 +694,14 @@ let wear () =
     "executions %d, %d worn out, %d remaps, capacity %.4f\n" d.Campaign.executions
     d.Campaign.worn_out d.Campaign.remaps d.Campaign.final_capacity;
   wear_rows :=
-    [ Printf.sprintf
-        "{\"benchmark\":\"adder8\",\"config\":\"endurance-full\",\"endurance\":%d,\
-         \"spares\":%d,\"executions\":%d,\"worn_out\":%d,\"remaps\":%d,\
-         \"capacity\":%.6g,\"trajectory\":%s,\"heatmap\":%s}"
-        endurance spares d.Campaign.executions d.Campaign.worn_out d.Campaign.remaps
-        d.Campaign.final_capacity
-        (Campaign.trajectory_json d.Campaign.trajectory)
-        (Wear.heatmap_json ~label:"adder8/endurance-full" d.Campaign.final_wear) ]
+    [ Json.Obj
+        [ ("benchmark", Str "adder8"); ("config", Str "endurance-full");
+          ("endurance", Int endurance); ("spares", Int spares);
+          ("executions", Int d.Campaign.executions); ("worn_out", Int d.Campaign.worn_out);
+          ("remaps", Int d.Campaign.remaps); ("capacity", Num d.Campaign.final_capacity);
+          ("trajectory", Campaign.trajectory_json d.Campaign.trajectory);
+          ( "heatmap",
+            Wear.heatmap_json ~label:"adder8/endurance-full" d.Campaign.final_wear ) ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve: throughput/latency of the compile-and-execute service core
@@ -710,7 +712,7 @@ let wear () =
    mix seed — part of the bench-j1 == bench-j4 diff gate; wall fields
    are zeroed under --deterministic like the phase totals. *)
 
-let serve_rows : string list ref = ref []
+let serve_rows : Json.t list ref = ref []
 
 let serve () =
   Printf.printf
@@ -792,8 +794,8 @@ let serve () =
    milliseconds.  Every number is a pure function of the seeds -- the
    rows are part of the -j1 == -j4 byte-identity gate. *)
 
-let horizon_rows : string list ref = ref []
-let cert_rows : string list ref = ref []
+let horizon_rows : Json.t list ref = ref []
+let cert_rows : Json.t list ref = ref []
 
 let horizon () =
   let module H = Plim_serve.Horizon in
@@ -911,7 +913,7 @@ let horizon () =
    program and grid, so the rows are part of the -j1 == -j4
    byte-identity gate. *)
 
-let geometry_rows : string list ref = ref []
+let geometry_rows : Json.t list ref = ref []
 
 let geometry_cols = [ 1; 4; 16; 64 ]
 
@@ -969,14 +971,13 @@ let geometry () =
             (Geometry.max_group_size sched)
             (float_of_int n_instr /. float_of_int (max 1 groups));
           geometry_rows :=
-            Printf.sprintf
-              "{\"benchmark\":%s,\"config\":\"endurance-full\",\"grid\":%s,\
-               \"rows\":%d,\"cols\":%d,\"area\":%d,\"instructions\":%d,\
-               \"groups\":%d,\"cross_row\":%d,\"max_group\":%d}"
-              (Plim_util.Jsonx.quote spec.Suite.name)
-              (Plim_util.Jsonx.quote gname) grid.Geometry.rows grid.Geometry.cols
-              (Geometry.area grid) n_instr groups sched.Geometry.s_cross_row
-              (Geometry.max_group_size sched)
+            Json.Obj
+              [ ("benchmark", Str spec.Suite.name); ("config", Str "endurance-full");
+                ("grid", Str gname); ("rows", Int grid.Geometry.rows);
+                ("cols", Int grid.Geometry.cols); ("area", Int (Geometry.area grid));
+                ("instructions", Int n_instr); ("groups", Int groups);
+                ("cross_row", Int sched.Geometry.s_cross_row);
+                ("max_group", Int (Geometry.max_group_size sched)) ]
             :: !geometry_rows)
         geometry_cols)
     !suite;
@@ -1144,7 +1145,7 @@ let export_csv results dir =
 
 let bprintf = Printf.bprintf
 
-let buf_result b ?cap ~config (res : Pipeline.result) =
+let result_json ?cap ~config (res : Pipeline.result) =
   let s = summary res in
   let p = res.Pipeline.program in
   (* static dataflow columns: pure functions of the program, so they are
@@ -1157,23 +1158,26 @@ let buf_result b ?cap ~config (res : Pipeline.result) =
          a.Plim_analyze.diagnostics)
   in
   let counts = Program.static_write_counts p in
-  bprintf b "{\"config\":%s" (Plim_util.Jsonx.quote config);
-  (match cap with Some c -> bprintf b ",\"cap\":%d" c | None -> ());
-  bprintf b
-    ",\"instructions\":%d,\"rram_cells\":%d,\"writes\":{\"min\":%d,\"max\":%d,\"total\":%d,\"mean\":%.6g,\"stdev\":%.6g,\"p50\":%d,\"p90\":%d,\"p99\":%d}"
-    (Program.length p) (Program.num_cells p) s.Stats.min s.Stats.max s.Stats.total
-    s.Stats.mean s.Stats.stdev s.Stats.p50 s.Stats.p90 s.Stats.p99;
-  (* v2 columns: wear-skew balance metrics and the full log-bucketed
-     write-count distribution, all pure functions of the program *)
-  bprintf b ",\"skew\":{\"gini\":%.6g,\"max_mean\":%.6g},\"histogram\":%s"
-    (Stats.gini counts)
-    (Stats.max_mean_ratio s)
-    (Hgram.to_json (Hgram.of_array counts));
-  bprintf b
-    ",\"storage\":{\"total_span\":%d,\"max_span\":%d,\"mean_span\":%.6g},\"dead_writes\":%d}"
-    a.Plim_analyze.storage.Plim_analyze.total_span
-    a.Plim_analyze.storage.Plim_analyze.max_span
-    a.Plim_analyze.storage.Plim_analyze.mean_span dead_writes
+  let cap_field = match cap with Some c -> [ ("cap", Json.Int c) ] | None -> [] in
+  Json.Obj
+    ((("config", Json.Str config) :: cap_field)
+    @ [ ("instructions", Int (Program.length p));
+        ("rram_cells", Int (Program.num_cells p));
+        ( "writes",
+          Obj
+            [ ("min", Int s.Stats.min); ("max", Int s.Stats.max);
+              ("total", Int s.Stats.total); ("mean", Num s.Stats.mean);
+              ("stdev", Num s.Stats.stdev); ("p50", Int s.Stats.p50);
+              ("p90", Int s.Stats.p90); ("p99", Int s.Stats.p99) ] );
+        (* v2 columns: wear-skew balance metrics and the full log-bucketed
+           write-count distribution, all pure functions of the program *)
+        ( "skew",
+          Obj
+            [ ("gini", Num (Stats.gini counts));
+              ("max_mean", Num (Stats.max_mean_ratio s)) ] );
+        ("histogram", Hgram.to_json (Hgram.of_array counts));
+        ("storage", Plim_analyze.storage_json a.Plim_analyze.storage);
+        ("dead_writes", Int dead_writes) ])
 
 let ensure_dir dir =
   try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
@@ -1188,22 +1192,21 @@ let write_results_json results path =
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_string b ",\n";
-      bprintf b "{\"name\":%s,\"pi\":%d,\"po\":%d,\"configs\":["
-        (Plim_util.Jsonx.quote r.spec.Suite.name)
-        r.spec.Suite.pi r.spec.Suite.po;
-      List.iteri
-        (fun j (config, res) ->
-          if j > 0 then Buffer.add_char b ',';
-          buf_result b ~config res)
-        [ ("naive", r.naive); ("dac16", r.dac16); ("min-write", r.min_write);
-          ("endurance-rewrite", r.endurance_rewrite);
-          ("endurance-full", r.endurance_full) ];
-      List.iter
-        (fun (cap, res) ->
-          Buffer.add_char b ',';
-          buf_result b ~cap ~config:(Printf.sprintf "endurance-full+cap%d" cap) res)
-        r.capped;
-      Buffer.add_string b "]}")
+      let configs =
+        List.map
+          (fun (config, res) -> result_json ~config res)
+          [ ("naive", r.naive); ("dac16", r.dac16); ("min-write", r.min_write);
+            ("endurance-rewrite", r.endurance_rewrite);
+            ("endurance-full", r.endurance_full) ]
+        @ List.map
+            (fun (cap, res) ->
+              result_json ~cap ~config:(Printf.sprintf "endurance-full+cap%d" cap) res)
+            r.capped
+      in
+      Json.write_into b
+        (Obj
+           [ ("name", Str r.spec.Suite.name); ("pi", Int r.spec.Suite.pi);
+             ("po", Int r.spec.Suite.po); ("configs", Arr configs) ]))
     results;
   Buffer.add_string b "\n],\"phases\":[";
   List.iteri
@@ -1221,7 +1224,7 @@ let write_results_json results path =
         (fun i row ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_char b '\n';
-          Buffer.add_string b row)
+          Json.write_into b row)
         rows)
     [ ("faulttol", List.rev !faulttol_rows); ("wear", !wear_rows);
       ("serve", List.rev !serve_rows); ("horizon", !horizon_rows);

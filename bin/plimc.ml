@@ -24,6 +24,7 @@ module Trace = Plim_obs.Trace
 module Profile = Plim_obs.Profile
 module Report = Plim_telemetry.Report
 module Wear = Plim_telemetry.Wear
+module Json = Plim_telemetry.Json
 module Geometry = Plim_geometry
 
 open Cmdliner
@@ -95,6 +96,11 @@ let checked conv ~what ok =
 let positive_int = checked Arg.int ~what:"a positive integer" (fun n -> n > 0)
 let non_negative_int = checked Arg.int ~what:"a non-negative integer" (fun n -> n >= 0)
 let positive_float = checked Arg.float ~what:"a positive number" (fun x -> x > 0.0)
+
+(* a nan, infinite or negative report gate would compare false against
+   every delta and silently switch the gate off *)
+let gate_float =
+  checked Arg.float ~what:"a finite number >= 0" (fun x -> Float.is_finite x && x >= 0.0)
 
 let unit_interval =
   checked Arg.float ~what:"a number in [0,1]" (fun x -> x >= 0.0 && x <= 1.0)
@@ -546,14 +552,14 @@ let faults_run obs source config inject spares verify_writes seed executions
   (match wear_json with
   | Some path ->
     write_file path
-      (Printf.sprintf
-         "{\"schema\":\"plim-wear/v1\",\"source\":%s,\"config\":%s,\"executions\":%d,\
-          \"trajectory\":%s,\"heatmap\":%s}\n"
-         (Plim_util.Jsonx.quote source)
-         (Plim_util.Jsonx.quote (Pipeline.config_name config))
-         d.Campaign.executions
-         (Campaign.trajectory_json d.Campaign.trajectory)
-         (Wear.heatmap_json ~label:source d.Campaign.final_wear));
+      (Json.write
+         (Obj
+            [ ("schema", Str "plim-wear/v1"); ("source", Str source);
+              ("config", Str (Pipeline.config_name config));
+              ("executions", Int d.Campaign.executions);
+              ("trajectory", Campaign.trajectory_json d.Campaign.trajectory);
+              ("heatmap", Wear.heatmap_json ~label:source d.Campaign.final_wear) ])
+      ^ "\n");
     Printf.eprintf "wrote wear trajectory + heatmap to %s\n%!" path
   | None -> ());
   if d.Campaign.incorrect > 0 then exit 1
@@ -774,15 +780,10 @@ let lint_run obs sources config geometry max_writes json jobs =
     Plim_par.with_pool ~jobs (fun pool -> Plim_par.map pool ~f:analyze_source sources)
   in
   let error_total = ref 0 in
-  if json then begin
-    print_string "[";
-    List.iteri
-      (fun i (source, p, a) ->
-        if i > 0 then print_string ",";
-        print_string (Analyze.to_json ~source p a))
-      results;
-    print_endline "]"
-  end
+  if json then
+    print_endline
+      (Json.write
+         (Arr (List.map (fun (source, p, a) -> Analyze.to_json ~source p a) results)))
   else
     List.iter
       (fun (source, p, a) ->
@@ -887,7 +888,7 @@ let report_run current against threshold min_abs json verbose =
     Printf.eprintf "plimc report: %s\n" e;
     exit 2
   | Ok c ->
-    if json then print_string (Report.to_json c)
+    if json then print_string (Json.write (Report.to_json c))
     else print_string (Report.render ~verbose c);
     if Report.has_regressions c then exit 1
 
@@ -904,13 +905,13 @@ let report_cmd =
              ~doc:"Baseline results file to diff $(i,CURRENT) against.")
   in
   let threshold =
-    Arg.(value & opt float 2.0
+    Arg.(value & opt gate_float 2.0
          & info [ "threshold" ] ~docv:"PCT"
              ~doc:"Relative growth (percent) a metric must exceed to count as a \
                    regression.")
   in
   let min_abs =
-    Arg.(value & opt float 1e-9
+    Arg.(value & opt gate_float 1e-9
          & info [ "min-abs" ] ~docv:"X"
              ~doc:"Absolute growth floor below which a delta never gates; \
                    identical runs always report zero regressions.")
@@ -1132,11 +1133,12 @@ let serve_run obs sources requests seed fleet batch zipf hot hot_pool
   let s = Plim_serve.Server.summary server in
   (match wear_json with
   | Some path ->
-    write_file path (Plim_serve.Server.fleet_heatmap_json server ^ "\n");
+    write_file path (Json.write (Plim_serve.Server.fleet_heatmap_json server) ^ "\n");
     Printf.eprintf "wrote fleet wear heatmaps to %s\n%!" path
   | None -> ());
   if json then
-    print_endline (Plim_serve.Server.row_json server ~label:"serve" ~wall_s:wall)
+    print_endline
+      (Json.write (Plim_serve.Server.row_json server ~label:"serve" ~wall_s:wall))
   else begin
     let lat = Plim_serve.Server.latency server in
     let skew = Plim_serve.Server.fleet_skew server in
@@ -1282,7 +1284,7 @@ let horizon_run obs wm sample_every max_epochs capacity_floor epoch_seconds
         H.grid ?pool cfg ~strategies:wm.wm_strategies ~fault_rates:wm.wm_rates)
   in
   if json then
-    List.iter (fun (_, _, r) -> print_endline (H.row_json r)) cells
+    List.iter (fun (_, _, r) -> print_endline (Json.write (H.row_json r))) cells
   else begin
     Printf.printf
       "horizon: endurance %.3g writes/cell, epochs of %d requests, sampled \
@@ -1381,7 +1383,7 @@ let certify_run wm fault_seed json check_file =
   (match check_file with
   | None ->
     if json then
-      List.iter (fun (_, _, c) -> print_endline (C.row_json c)) cells
+      List.iter (fun (_, _, c) -> print_endline (Json.write (C.row_json c))) cells
     else begin
       Printf.printf
         "certify: endurance %.3g writes/cell, epochs of %d requests, \

@@ -2,6 +2,7 @@ module Program = Plim_isa.Program
 module I = Plim_isa.Instruction
 module Profile = Plim_obs.Profile
 module Metrics = Plim_obs.Metrics
+module Json = Plim_telemetry.Json
 
 type severity = Error | Warning | Info
 
@@ -347,34 +348,28 @@ let errors a = List.filter (fun d -> d.severity = Error) a.diagnostics
 
 (* --- JSON -------------------------------------------------------------- *)
 
-let json_escape = Plim_util.Jsonx.escape
+let storage_json s =
+  Json.Obj
+    [ ("total_span", Int s.total_span); ("max_span", Int s.max_span);
+      ("mean_span", Num s.mean_span) ]
 
 let to_json ?(source = "") (p : Program.t) a =
-  let b = Buffer.create 4096 in
   let count sev = List.length (List.filter (fun d -> d.severity = sev) a.diagnostics) in
-  Printf.bprintf b
-    "{\"schema\":\"plim-lint/v1\",\"source\":\"%s\",\"instructions\":%d,\"cells\":%d,\
-     \"pis\":%d,\"pos\":%d,\"errors\":%d,\"warnings\":%d,\"infos\":%d,\
-     \"diagnostics\":["
-    (json_escape source) (Program.length p) (Program.num_cells p)
-    (Array.length p.Program.pi_cells)
-    (Array.length p.Program.po_cells)
-    (count Error) (count Warning) (count Info);
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "{\"severity\":\"%s\",\"kind\":\"%s\",\"instr\":%s,\"cell\":%d,\
-         \"message\":\"%s\"}"
-        (severity_name d.severity) (kind_name d.kind)
-        (match d.instr with Some i -> string_of_int i | None -> "null")
-        d.cell (json_escape d.message))
-    a.diagnostics;
-  let writes_total = Array.fold_left ( + ) 0 a.write_counts in
-  let writes_max = Array.fold_left max 0 a.write_counts in
-  Printf.bprintf b
-    "],\"storage\":{\"total_span\":%d,\"max_span\":%d,\"mean_span\":%.6g},\
-     \"writes\":{\"max\":%d,\"total\":%d}}"
-    a.storage.total_span a.storage.max_span a.storage.mean_span writes_max
-    writes_total;
-  Buffer.contents b
+  let diagnostic d =
+    Json.Obj
+      [ ("severity", Str (severity_name d.severity)); ("kind", Str (kind_name d.kind));
+        ("instr", match d.instr with Some i -> Int i | None -> Null);
+        ("cell", Int d.cell); ("message", Str d.message) ]
+  in
+  Json.Obj
+    [ ("schema", Str "plim-lint/v1"); ("source", Str source);
+      ("instructions", Int (Program.length p)); ("cells", Int (Program.num_cells p));
+      ("pis", Int (Array.length p.Program.pi_cells));
+      ("pos", Int (Array.length p.Program.po_cells)); ("errors", Int (count Error));
+      ("warnings", Int (count Warning)); ("infos", Int (count Info));
+      ("diagnostics", Arr (List.map diagnostic a.diagnostics));
+      ("storage", storage_json a.storage);
+      ( "writes",
+        Obj
+          [ ("max", Int (Array.fold_left max 0 a.write_counts));
+            ("total", Int (Array.fold_left ( + ) 0 a.write_counts)) ] ) ]

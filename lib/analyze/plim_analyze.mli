@@ -128,7 +128,10 @@ val pp_diagnostic : Format.formatter -> diagnostic -> unit
 
 val diagnostic_to_string : diagnostic -> string
 
-val to_json : ?source:string -> Program.t -> analysis -> string
+val storage_json : storage -> Plim_telemetry.Json.t
+(** The [{total_span, max_span, mean_span}] block of lint and bench rows. *)
+
+val to_json : ?source:string -> Program.t -> analysis -> Plim_telemetry.Json.t
 (** One self-contained JSON object (schema [plim-lint/v1]): program shape,
     the full diagnostic list, storage-duration report and the write-bound
     summary.  Stable field order; documented in EXPERIMENTS.md. *)

@@ -412,45 +412,36 @@ let grid ?fault_seed cfg ~strategies ~fault_rates =
 let label c =
   Printf.sprintf "%s/r%g" (Horizon.strategy_name c.c_strategy) c.c_fault_rate
 
-(* the schema carries no nulls or infinities: -1 encodes "unbounded" *)
-let num_or_sentinel v = if Float.is_finite v then v else -1.0
-
 let row_json ?label:lbl c =
   let lbl = match lbl with Some l -> l | None -> label c in
-  let b = Buffer.create 1024 in
-  Printf.bprintf b
-    "{\"schema\":\"plim-cert/v1\",\"label\":%s,\"strategy\":%s,\
-     \"fault_rate\":%.6g,\"endurance\":%.6g,\"epoch_requests\":%d,\
-     \"compile_ratio\":%.6g,\"zipf\":%.6g,\"shards\":%d,\"spare_shards\":%d,\
-     \"lines\":%d,\"meas\":%d,\"cells\":%d,\"physical\":%d,\"alive0\":%d,\
-     \"capacity0\":%.6g,\"overhead\":%.6g,\"writes_lower\":%.6g,\
-     \"writes_upper\":%.6g,\"rate_cell_upper\":%.6g,\"ttff_lower\":%.6g,\
-     \"ttff_upper\":%.6g,\"half_life_lower\":%.6g,\"half_life_upper\":%.6g,\
-     \"deaths_to_half\":%d,\"line_deaths_lower\":%d,\"expected_ttff\":%.6g,\
-     \"programs\":["
-    (Plim_util.Jsonx.quote lbl)
-    (Plim_util.Jsonx.quote (Horizon.strategy_name c.c_strategy))
-    c.c_fault_rate c.c_endurance c.c_epoch_requests c.c_compile_ratio c.c_zipf
-    c.c_shards c.c_spare_shards c.c_lines c.c_meas c.c_cells c.c_physical
-    c.c_alive0 c.c_capacity0 c.c_overhead c.c_writes.lower c.c_writes.upper
-    c.c_rate_cell_upper
-    (num_or_sentinel c.c_ttff.lower)
-    (num_or_sentinel c.c_ttff.upper)
-    (num_or_sentinel c.c_half_life.lower)
-    (num_or_sentinel c.c_half_life.upper)
-    c.c_deaths_to_half c.c_line_deaths_lower
-    (num_or_sentinel c.c_expected_ttff);
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "{\"label\":%s,\"instructions\":%d,\"cells\":%d,\"wmax\":%d,\
-         \"mass\":%.6g,\"fits\":%b}"
-        (Plim_util.Jsonx.quote p.p_label)
-        p.p_instructions p.p_cells p.p_wmax p.p_mass p.p_fits)
-    c.c_programs;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  (* no nulls or infinities: the horizon's -1 sentinel encodes "unbounded" *)
+  let bound v = Json.Num (Horizon.sentinel_epochs (Some v)) in
+  let program p =
+    Json.Obj
+      [ ("label", Str p.p_label); ("instructions", Int p.p_instructions);
+        ("cells", Int p.p_cells); ("wmax", Int p.p_wmax); ("mass", Num p.p_mass);
+        ("fits", Bool p.p_fits) ]
+  in
+  Json.Obj
+    [ ("schema", Str "plim-cert/v1"); ("label", Str lbl);
+      ("strategy", Str (Horizon.strategy_name c.c_strategy));
+      ("fault_rate", Num c.c_fault_rate); ("endurance", Num c.c_endurance);
+      ("epoch_requests", Int c.c_epoch_requests);
+      ("compile_ratio", Num c.c_compile_ratio);
+      ("zipf", Num c.c_zipf); ("shards", Int c.c_shards);
+      ("spare_shards", Int c.c_spare_shards); ("lines", Int c.c_lines);
+      ("meas", Int c.c_meas); ("cells", Int c.c_cells); ("physical", Int c.c_physical);
+      ("alive0", Int c.c_alive0); ("capacity0", Num c.c_capacity0);
+      ("overhead", Num c.c_overhead); ("writes_lower", Num c.c_writes.lower);
+      ("writes_upper", Num c.c_writes.upper);
+      ("rate_cell_upper", Num c.c_rate_cell_upper);
+      ("ttff_lower", bound c.c_ttff.lower); ("ttff_upper", bound c.c_ttff.upper);
+      ("half_life_lower", bound c.c_half_life.lower);
+      ("half_life_upper", bound c.c_half_life.upper);
+      ("deaths_to_half", Int c.c_deaths_to_half);
+      ("line_deaths_lower", Int c.c_line_deaths_lower);
+      ("expected_ttff", bound c.c_expected_ttff);
+      ("programs", Arr (List.map program c.c_programs)) ]
 
 (* --- the bracket checker ------------------------------------------------ *)
 

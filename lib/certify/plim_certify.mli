@@ -164,7 +164,7 @@ val label : t -> string
 (** ["<strategy>/r<rate>"] — identical to {!Horizon.label} of the
     simulated cell. *)
 
-val row_json : ?label:string -> t -> string
+val row_json : ?label:string -> t -> Plim_telemetry.Json.t
 (** One [plim-cert/v1] row.  Unbounded bound endpoints are encoded as
     [-1] (the schema carries no nulls or infinities); everything else is
     finite.  [label] overrides the default {!label} (variant grids of

@@ -11,6 +11,7 @@ module Remap = Plim_fault.Remap
 module Exec = Plim_fault.Exec
 module Wear = Plim_telemetry.Wear
 module Series = Plim_telemetry.Series
+module Json = Plim_telemetry.Json
 
 let m_campaigns = Metrics.counter "campaign.runs"
 let m_executions = Metrics.counter "campaign.executions"
@@ -91,11 +92,13 @@ let finish_trajectory sm completed =
   | Some s when s.at_execution = completed -> pts
   | _ -> pts @ [ final ]
 
-let sample_json s =
-  Printf.sprintf "{\"at_execution\":%d,\"at_write\":%d,\"skew\":%s}" s.at_execution
-    s.at_write (Wear.skew_json s.skew)
-
-let trajectory_json samples = "[" ^ String.concat "," (List.map sample_json samples) ^ "]"
+let trajectory_json samples =
+  let sample s =
+    Json.Obj
+      [ ("at_execution", Int s.at_execution); ("at_write", Int s.at_write);
+        ("skew", Wear.skew_json s.skew) ]
+  in
+  Json.Arr (List.map sample samples)
 
 let pp_trajectory ppf samples =
   Format.fprintf ppf "  %10s %10s  %s@." "execution" "writes" "wear skew";

@@ -20,12 +20,9 @@ type wear_sample = {
     are a pure function of the execution sequence — byte-identical
     between [-j 1] and [-j N] runs. *)
 
-val sample_json : wear_sample -> string
-(** One JSON object [{at_execution, at_write, skew}]. *)
-
-val trajectory_json : wear_sample list -> string
-(** JSON array of {!sample_json} objects — the time-series column of
-    bench results and fault reports. *)
+val trajectory_json : wear_sample list -> Plim_telemetry.Json.t
+(** JSON array of [{at_execution, at_write, skew}] objects — the
+    time-series column of bench results and fault reports. *)
 
 val pp_trajectory : Format.formatter -> wear_sample list -> unit
 (** Human-readable skew time series, one sample per line. *)

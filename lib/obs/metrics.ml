@@ -1,4 +1,5 @@
 module Hgram = Plim_telemetry.Histogram
+module Json = Plim_telemetry.Json
 
 type counter = { c_name : string; count : int Atomic.t }
 type gauge = { g_name : string; mutable level : float }
@@ -108,17 +109,11 @@ let pp_snapshot ppf entries =
 (* The single JSON exposition path: counters, gauges and histograms in
    one sorted document. *)
 let to_json () =
-  let entries = snapshot () in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"schema\":\"plim-metrics/v1\",\"metrics\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      let key = Plim_util.Jsonx.quote name in
-      match v with
-      | Counter c -> Printf.bprintf b "%s:%d" key c
-      | Gauge g -> Printf.bprintf b "%s:%.6g" key g
-      | Hist h -> Printf.bprintf b "%s:%s" key (Hgram.to_json h))
-    entries;
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  let value = function
+    | Counter c -> Json.Int c
+    | Gauge g -> Num g
+    | Hist h -> Hgram.to_json h
+  in
+  Json.Obj
+    [ ("schema", Str "plim-metrics/v1");
+      ("metrics", Obj (List.map (fun (name, v) -> (name, value v)) (snapshot ()))) ]

@@ -72,6 +72,6 @@ val pp_snapshot : Format.formatter -> (string * value) list -> unit
 (** One [name value] line per metric; histograms render as a
     [count/mean/quantile] summary line. *)
 
-val to_json : unit -> string
+val to_json : unit -> Plim_telemetry.Json.t
 (** The single JSON exposition path: one [plim-metrics/v1] document with
     every counter, gauge and histogram, sorted by name. *)

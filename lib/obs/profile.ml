@@ -83,15 +83,7 @@ let to_chrome_json () =
     (fun i s ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "\n{\"name\":\"";
-      String.iter
-        (fun c ->
-          match c with
-          | '"' -> Buffer.add_string b "\\\""
-          | '\\' -> Buffer.add_string b "\\\\"
-          | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-          | c -> Buffer.add_char b c)
-        s.name;
+      Plim_util.Jsonx.escape_into b s.name;
       Buffer.add_string b
         (Printf.sprintf "\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1}"
            (s.start *. 1e6) (s.duration *. 1e6)))

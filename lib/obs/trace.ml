@@ -20,8 +20,6 @@ let sink () = !current
 
 let enabled () = match !current with Null -> false | _ -> true
 
-let json_escape = Plim_util.Jsonx.escape_into
-
 let add_json_float b f =
   (* JSON has no nan/inf; %.17g round-trips every other float *)
   if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
@@ -32,12 +30,12 @@ let event_to_json e =
   Buffer.add_string b "{\"ts\":";
   add_json_float b e.ts;
   Buffer.add_string b ",\"name\":\"";
-  json_escape b e.name;
+  Plim_util.Jsonx.escape_into b e.name;
   Buffer.add_char b '"';
   List.iter
     (fun (k, v) ->
       Buffer.add_string b ",\"";
-      json_escape b k;
+      Plim_util.Jsonx.escape_into b k;
       Buffer.add_string b "\":";
       match v with
       | Int i -> Buffer.add_string b (string_of_int i)
@@ -45,7 +43,7 @@ let event_to_json e =
       | Bool v -> Buffer.add_string b (if v then "true" else "false")
       | String s ->
         Buffer.add_char b '"';
-        json_escape b s;
+        Plim_util.Jsonx.escape_into b s;
         Buffer.add_char b '"')
     e.args;
   Buffer.add_char b '}';

@@ -3,6 +3,7 @@ module Fault_model = Plim_fault.Fault_model
 module Remap = Plim_fault.Remap
 module Lifetime = Plim_stats.Lifetime
 module Wear = Plim_telemetry.Wear
+module Json = Plim_telemetry.Json
 module Leveling = Plim_rram.Leveling
 
 type strategy = Leveling.t = No_leveling | Start_gap | Wolfram_remap | Start_gap_wolfram
@@ -431,8 +432,6 @@ let sentinel_epochs = function
   | Some e when Float.is_finite e -> e
   | Some _ | None -> -1.0
 
-let opt_epochs = sentinel_epochs
-
 let decimate ~keep xs =
   let n = List.length xs in
   if n <= keep then xs
@@ -443,42 +442,28 @@ let decimate ~keep xs =
 
 let row_json ?label:lbl r =
   let lbl = match lbl with Some l -> l | None -> label r in
-  let b = Buffer.create 1024 in
-  let opt_years e = sentinel_epochs (Option.map (years_of r) e) in
-  let proj e =
-    sentinel_epochs (Option.map (fun e -> years_of r e *. r.r_project_factor) e)
+  let epochs e = Json.Num (sentinel_epochs e) in
+  let years e = epochs (Option.map (years_of r) e) in
+  let proj e = epochs (Option.map (fun e -> years_of r e *. r.r_project_factor) e) in
+  let point s =
+    Json.Obj
+      [ ("epoch", Num s.hz_epoch); ("capacity", Num s.hz_capacity);
+        ("gini", Num s.hz_skew.Wear.gini); ("max_mean", Num s.hz_skew.Wear.max_mean) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"plim-horizon/v1\",\"label\":%s,\"strategy\":%s,\
-        \"fault_rate\":%.6g,\"endurance\":%.6g,\"epochs\":%.6g,\"stop\":%s,\
-        \"ttff_epochs\":%.6g,\"ttff_years\":%.6g,\"half_life_epochs\":%.6g,\
-        \"half_life_years\":%.6g,\"proj_ttff_years\":%.6g,\
-        \"proj_half_life_years\":%.6g,\"final_capacity\":%.6g,\
-        \"capacity_loss\":%.6g,\"dead_shards\":%d,\"alive_shards\":%d,\
-        \"sampled_epochs\":%d,\"total_writes\":%.6g,\"skew\":%s,\
-        \"trajectory\":["
-       (Plim_util.Jsonx.quote lbl)
-       (Plim_util.Jsonx.quote (strategy_name r.r_strategy))
-       r.r_fault_rate r.r_endurance r.r_epochs
-       (Plim_util.Jsonx.quote (stop_reason_name r.r_stop))
-       (opt_epochs r.r_ttff) (opt_years r.r_ttff)
-       (opt_epochs r.r_half_life) (opt_years r.r_half_life)
-       (proj r.r_ttff) (proj r.r_half_life)
-       r.r_final_capacity
-       (1.0 -. r.r_final_capacity)
-       r.r_dead_shards r.r_alive_shards r.r_sampled_epochs r.r_total_writes
-       (Wear.skew_json r.r_skew));
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"epoch\":%.6g,\"capacity\":%.6g,\"gini\":%.6g,\"max_mean\":%.6g}"
-           s.hz_epoch s.hz_capacity s.hz_skew.Wear.gini s.hz_skew.Wear.max_mean))
-    (decimate ~keep:48 r.r_trajectory);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.Obj
+    [ ("schema", Str "plim-horizon/v1"); ("label", Str lbl);
+      ("strategy", Str (strategy_name r.r_strategy)); ("fault_rate", Num r.r_fault_rate);
+      ("endurance", Num r.r_endurance); ("epochs", Num r.r_epochs);
+      ("stop", Str (stop_reason_name r.r_stop)); ("ttff_epochs", epochs r.r_ttff);
+      ("ttff_years", years r.r_ttff); ("half_life_epochs", epochs r.r_half_life);
+      ("half_life_years", years r.r_half_life); ("proj_ttff_years", proj r.r_ttff);
+      ("proj_half_life_years", proj r.r_half_life);
+      ("final_capacity", Num r.r_final_capacity);
+      ("capacity_loss", Num (1.0 -. r.r_final_capacity));
+      ("dead_shards", Int r.r_dead_shards); ("alive_shards", Int r.r_alive_shards);
+      ("sampled_epochs", Int r.r_sampled_epochs); ("total_writes", Num r.r_total_writes);
+      ("skew", Wear.skew_json r.r_skew);
+      ("trajectory", Arr (List.map point (decimate ~keep:48 r.r_trajectory))) ]
 
 let pp_result ppf r =
   let f = function Some e -> Printf.sprintf "%.4g" e | None -> "-" in

@@ -131,13 +131,14 @@ val label : result -> string
 (** ["<strategy>/r<rate>"], the default row label. *)
 
 val sentinel_epochs : float option -> float
-(** The [plim-horizon/v1] encoding of an optional lifetime: the value
-    when present and finite, [-1.0] for [None] {e and} for non-finite
-    values ({!Plim_stats.Lifetime.epochs_to_threshold} returns bare
-    [infinity] for "never reached", which a no-nulls/no-infinities JSON
-    schema folds into the same "did not happen" sentinel). *)
+(** The one [-1] sentinel rule, shared by [plim-horizon/v1] lifetimes and
+    [plim-cert/v1] bounds: the value when present and finite, [-1.0] for
+    [None] {e and} for non-finite values
+    ({!Plim_stats.Lifetime.epochs_to_threshold} returns bare [infinity]
+    for "never reached", which a no-nulls/no-infinities JSON schema
+    folds into the same "did not happen" sentinel). *)
 
-val row_json : ?label:string -> result -> string
+val row_json : ?label:string -> result -> Plim_telemetry.Json.t
 (** One [plim-horizon/v1] row.  Optional lifetimes that never happened
     before the stop are encoded as [-1] (the schema carries no nulls);
     the trajectory is decimated to at most 48 points. *)

@@ -6,6 +6,7 @@ module Exec = Plim_fault.Exec
 module Controller = Plim_machine.Plim_controller
 module Wear = Plim_telemetry.Wear
 module Histogram = Plim_telemetry.Histogram
+module Json = Plim_telemetry.Json
 module Splitmix = Plim_util.Splitmix
 module Metrics = Plim_obs.Metrics
 
@@ -513,24 +514,18 @@ let shard_wear t =
   |> List.map (fun s -> (Shard.id s, Shard.status s, Shard.wear_counts s))
 
 let fleet_heatmap_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"schema\":\"plim-serve-fleet/v1\",\"shards\":[";
-  Array.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Wear.heatmap_json
-           ~label:
-             (Printf.sprintf "shard%d:%s" (Shard.id s)
-                (Shard.status_name (Shard.status s)))
-           (Shard.wear_counts s)))
-    t.fleet;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let heatmap s =
+    let status = Shard.status_name (Shard.status s) in
+    Wear.heatmap_json
+      ~label:(Printf.sprintf "shard%d:%s" (Shard.id s) status)
+      (Shard.wear_counts s)
+  in
+  Json.Obj
+    [ ("schema", Str "plim-serve-fleet/v1");
+      ("shards", Arr (List.map heatmap (Array.to_list t.fleet))) ]
 
 let row_json t ~label ~wall_s =
   let s = summary t in
-  let lat = t.latency in
   let skew = fleet_skew t in
   let active, retired, spare =
     Array.fold_left
@@ -542,33 +537,35 @@ let row_json t ~label ~wall_s =
       (0, 0, 0) t.fleet
   in
   let rps = if wall_s > 0.0 then float_of_int s.requests /. wall_s else 0.0 in
+  let quantiles h =
+    [ ("p50", Json.Int (Histogram.p50 h)); ("p90", Int (Histogram.p90 h));
+      ("p99", Int (Histogram.p99 h)); ("max", Int (Histogram.max_value h)) ]
+  in
   let geometry_fields =
     match t.cfg.geometry with
-    | None -> "\"geometry\":null"
+    | None -> [ ("geometry", Json.Null) ]
     | Some g ->
-      let gl = t.group_latency in
-      Printf.sprintf
-        "\"geometry\":%s,\"groups\":{\"p50\":%d,\"p90\":%d,\"p99\":%d,\
-         \"max\":%d,\"total\":%d}"
-        (Plim_util.Jsonx.quote (Plim_geometry.to_string g))
-        (Histogram.p50 gl) (Histogram.p90 gl) (Histogram.p99 gl)
-        (Histogram.max_value gl) s.total_groups
+      [ ("geometry", Str (Plim_geometry.to_string g));
+        ("groups", Obj (quantiles t.group_latency @ [ ("total", Int s.total_groups) ])) ]
   in
-  Printf.sprintf
-    "{\"schema\":\"plim-serve/v1\",\"label\":%s,\"requests\":%d,\"compiles\":%d,\
-     \"executes\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"rejected\":%d,\
-     \"incorrect\":%d,\"re_runs\":%d,\"retired_shards\":%d,\
-     \"spare_activations\":%d,\"total_cycles\":%d,\
-     \"latency\":{\"p50\":%d,\"p90\":%d,\"p99\":%d,\"max\":%d},%s,\
-     \"verify\":{\"reads\":%d,\"detections\":%d,\"remaps\":%d,\"retries\":%d},\
-     \"fleet\":{\"active\":%d,\"retired\":%d,\"spare\":%d,\"gini\":%.6g,\
-     \"max_mean\":%.6g,\"stdev\":%.6g,\"total_writes\":%d},\
-     \"wall_s\":%.6g,\"requests_per_sec\":%.6g}"
-    (Plim_util.Jsonx.quote label)
-    s.requests s.compiles s.executes s.cache_hits s.cache_misses
-    s.rejected s.incorrect s.re_runs s.retired_shards s.spare_activations
-    s.total_cycles (Histogram.p50 lat) (Histogram.p90 lat) (Histogram.p99 lat)
-    (Histogram.max_value lat) geometry_fields s.exec_stats.Exec.verify_reads
-    s.exec_stats.Exec.detections s.exec_stats.Exec.remaps
-    s.exec_stats.Exec.retries active retired spare skew.Wear.gini
-    skew.Wear.max_mean skew.Wear.stdev skew.Wear.total wall_s rps
+  let x = s.exec_stats in
+  Json.Obj
+    ([ ("schema", Json.Str "plim-serve/v1"); ("label", Str label);
+       ("requests", Int s.requests); ("compiles", Int s.compiles);
+       ("executes", Int s.executes); ("cache_hits", Int s.cache_hits);
+       ("cache_misses", Int s.cache_misses); ("rejected", Int s.rejected);
+       ("incorrect", Int s.incorrect); ("re_runs", Int s.re_runs);
+       ("retired_shards", Int s.retired_shards);
+       ("spare_activations", Int s.spare_activations);
+       ("total_cycles", Int s.total_cycles); ("latency", Obj (quantiles t.latency)) ]
+    @ geometry_fields
+    @ [ ( "verify",
+          Obj
+            [ ("reads", Int x.Exec.verify_reads); ("detections", Int x.Exec.detections);
+              ("remaps", Int x.Exec.remaps); ("retries", Int x.Exec.retries) ] );
+        ( "fleet",
+          Obj
+            [ ("active", Int active); ("retired", Int retired); ("spare", Int spare);
+              ("gini", Num skew.Wear.gini); ("max_mean", Num skew.Wear.max_mean);
+              ("stdev", Num skew.Wear.stdev); ("total_writes", Int skew.Wear.total) ] );
+        ("wall_s", Num wall_s); ("requests_per_sec", Num rps) ])

@@ -141,12 +141,12 @@ val force_retire : t -> int -> bool
     [false] if the fleet is not materialised yet, the id is unknown, or
     the shard is already retired. *)
 
-val fleet_heatmap_json : t -> string
+val fleet_heatmap_json : t -> Plim_telemetry.Json.t
 (** JSON document [{schema: "plim-serve-fleet/v1", shards: [...]}] with
     one {!Plim_telemetry.Wear.heatmap_json} entry per shard — the CI
     wear-heatmap artifact. *)
 
-val row_json : t -> label:string -> wall_s:float -> string
+val row_json : t -> label:string -> wall_s:float -> Plim_telemetry.Json.t
 (** One [plim-serve/v1] result row: the summary counters, latency
     p50/p99, fleet skew and throughput ([wall_s = 0] reports
     [requests_per_sec] as 0 — the deterministic mode). *)

@@ -147,17 +147,15 @@ let p90 t = quantile t 0.90
 let p99 t = quantile t 0.99
 
 let to_json t =
-  let b = Buffer.create 256 in
-  Printf.bprintf b
-    "{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"mean\":%.6g,\"p50\":%d,\"p90\":%d,\"p99\":%d,\"buckets\":["
-    t.count t.sum (min_value t) (max_value t) (mean t) (p50 t) (p90 t) (p99 t);
-  List.iteri
-    (fun i (low, high, c) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "[%d,%d,%d]" low high c)
-    (buckets t);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.Obj
+    [ ("count", Int t.count); ("sum", Int t.sum); ("min", Int (min_value t));
+      ("max", Int (max_value t)); ("mean", Num (mean t)); ("p50", Int (p50 t));
+      ("p90", Int (p90 t)); ("p99", Int (p99 t));
+      ( "buckets",
+        Arr
+          (List.map
+             (fun (low, high, c) -> Json.Arr [ Int low; Int high; Int c ])
+             (buckets t)) ) ]
 
 let pp ppf t =
   Format.fprintf ppf "count=%d sum=%d min=%d p50=%d p90=%d p99=%d max=%d" t.count t.sum

@@ -67,7 +67,7 @@ val value_bounds : int -> int * int
 val buckets : t -> (int * int * int) list
 (** Non-empty buckets as [(low, high, count)], ascending. *)
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** One JSON object: count/sum/min/max/mean, p50/p90/p99 and the
     non-empty buckets as [[low, high, count]] triples. *)
 

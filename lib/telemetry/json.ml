@@ -1,12 +1,12 @@
-(* Minimal JSON reader for the trajectory engine: just enough to load
-   plim-bench result files without adding a dependency the container
-   does not bake in.  Objects keep their key order; numbers are floats
-   (every numeric field in plim-bench fits a double exactly or is
-   already a float). *)
+(* The repo's one JSON value type, reader and writer, with no dependency
+   the container does not bake in.  Objects keep their key order; the
+   reader makes every number a [Num] float (every numeric field in
+   plim-bench fits a double exactly or is already a float). *)
 
 type t =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | Arr of t list
@@ -210,6 +210,7 @@ let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 
 let to_float = function
   | Num f -> Some f
+  | Int i -> Some (float_of_int i)
   | _ -> None
 
 let to_string = function
@@ -219,3 +220,32 @@ let to_string = function
 let to_list = function
   | Arr l -> Some l
   | _ -> None
+
+(* [open_] items [close], comma-separated *)
+let write_seq b open_ close items write =
+  Buffer.add_char b open_;
+  List.iteri (fun i x -> if i > 0 then Buffer.add_char b ','; write x) items;
+  Buffer.add_char b close
+
+(* JSON has no nan or infinities: a non-finite [Num] is written [null] *)
+let rec write_into b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Int i -> Buffer.add_string b (string_of_int i)
+  | Num x when Float.is_finite x -> Printf.bprintf b "%.6g" x
+  | Num _ -> Buffer.add_string b "null"
+  | Str s ->
+    Buffer.add_char b '"';
+    Plim_util.Jsonx.escape_into b s;
+    Buffer.add_char b '"'
+  | Arr vs -> write_seq b '[' ']' vs (write_into b)
+  | Obj kvs ->
+    write_seq b '{' '}' kvs (fun (k, v) ->
+        write_into b (Str k);
+        Buffer.add_char b ':';
+        write_into b v)
+
+let write v =
+  let b = Buffer.create 256 in
+  write_into b v;
+  Buffer.contents b

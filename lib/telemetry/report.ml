@@ -297,35 +297,20 @@ let render ?(verbose = false) c =
   Buffer.contents b
 
 let to_json c =
-  let quote = Plim_util.Jsonx.quote in
-  let b = Buffer.create 1024 in
-  Printf.bprintf b
-    "{\"schema\":\"plim-report/v1\",\"baseline\":%s,\"current\":%s,\"threshold_pct\":%g,\"compared\":%d,\"regressions\":["
-    (quote c.baseline_path) (quote c.current_path) c.threshold_pct
-    (List.length c.deltas);
-  let row i d =
-    if i > 0 then Buffer.add_char b ',';
-    Printf.bprintf b
-      "{\"benchmark\":%s,\"config\":%s,\"metric\":%s,\"baseline\":%.6g,\"current\":%.6g,\"change_pct\":%s,\"from_zero\":%b}"
-      (quote d.benchmark) (quote d.config) (quote d.metric) d.baseline d.current
-      (if d.from_zero then "null" else Printf.sprintf "%.6g" d.change_pct)
-      d.from_zero
+  let row d =
+    Json.Obj
+      [ ("benchmark", Str d.benchmark); ("config", Str d.config);
+        ("metric", Str d.metric); ("baseline", Num d.baseline); ("current", Num d.current);
+        (* a from-zero delta's nan percentage is written null *)
+        ("change_pct", Num d.change_pct); ("from_zero", Bool d.from_zero) ]
   in
-  List.iteri row c.regressions;
-  Buffer.add_string b "],\"improvements\":[";
-  List.iteri row c.improvements;
-  let string_array ks =
-    List.iteri
-      (fun i k ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (quote k))
-      ks
-  in
-  Buffer.add_string b "],\"baseline_only\":[";
-  string_array c.baseline_only;
-  Buffer.add_string b "],\"current_only\":[";
-  string_array c.current_only;
-  Buffer.add_string b "],\"new_metrics\":[";
-  string_array c.new_metrics;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let strings ks = Json.Arr (List.map (fun k -> Json.Str k) ks) in
+  Json.Obj
+    [ ("schema", Str "plim-report/v1"); ("baseline", Str c.baseline_path);
+      ("current", Str c.current_path); ("threshold_pct", Num c.threshold_pct);
+      ("compared", Int (List.length c.deltas));
+      ("regressions", Arr (List.map row c.regressions));
+      ("improvements", Arr (List.map row c.improvements));
+      ("baseline_only", strings c.baseline_only);
+      ("current_only", strings c.current_only);
+      ("new_metrics", strings c.new_metrics) ]

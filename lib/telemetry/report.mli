@@ -93,5 +93,5 @@ val render : ?verbose:bool -> comparison -> string
     line (the CI grep target).  [verbose] lists every improvement
     instead of the top 10. *)
 
-val to_json : comparison -> string
+val to_json : comparison -> Json.t
 (** [plim-report/v1] JSON document of the comparison. *)

@@ -33,9 +33,10 @@ let pp_skew ppf s =
     s.cells s.total s.max_writes s.mean s.stdev s.p99 s.gini s.max_mean
 
 let skew_json s =
-  Printf.sprintf
-    "{\"cells\":%d,\"total\":%d,\"max\":%d,\"mean\":%.6g,\"stdev\":%.6g,\"p99\":%d,\"gini\":%.6g,\"max_mean\":%.6g}"
-    s.cells s.total s.max_writes s.mean s.stdev s.p99 s.gini s.max_mean
+  Json.Obj
+    [ ("cells", Int s.cells); ("total", Int s.total); ("max", Int s.max_writes);
+      ("mean", Num s.mean); ("stdev", Num s.stdev); ("p99", Int s.p99);
+      ("gini", Num s.gini); ("max_mean", Num s.max_mean) ]
 
 (* ten intensity levels: blank = untouched, '@' = the most-worn cell *)
 let shades = " .:-=+*#%@"
@@ -45,18 +46,18 @@ let shade_of ~max_writes c =
   else if max_writes <= 0 then shades.[0]
   else shades.[1 + (c * (String.length shades - 2) / max_writes)]
 
-let default_width n =
-  let rec isqrt i = if i * i >= n then i else isqrt (i + 1) in
-  if n <= 0 then 1 else min 64 (max 1 (isqrt 1))
+(* the requested width, else the smallest square that fits, capped at 64 *)
+let width_of ~fn width n =
+  match width with
+  | Some w when w >= 1 -> w
+  | Some _ -> invalid_arg (fn ^ ": width must be >= 1")
+  | None ->
+    let rec isqrt i = if i * i >= n then i else isqrt (i + 1) in
+    if n <= 0 then 1 else min 64 (max 1 (isqrt 1))
 
 let heatmap ?width counts =
   let n = Array.length counts in
-  let width =
-    match width with
-    | Some w when w >= 1 -> w
-    | Some _ -> invalid_arg "Wear.heatmap: width must be >= 1"
-    | None -> default_width n
-  in
+  let width = width_of ~fn:"Wear.heatmap" width n in
   let s = skew_of counts in
   let b = Buffer.create (n + (n / width * 8) + 128) in
   let rows = (n + width - 1) / width in
@@ -75,22 +76,7 @@ let heatmap ?width counts =
   Buffer.contents b
 
 let heatmap_json ?width ~label counts =
-  let n = Array.length counts in
-  let width =
-    match width with
-    | Some w when w >= 1 -> w
-    | Some _ -> invalid_arg "Wear.heatmap_json: width must be >= 1"
-    | None -> default_width n
-  in
-  let b = Buffer.create (n * 4 + 128) in
-  Printf.bprintf b "{\"label\":%s,\"width\":%d,\"skew\":%s,\"counts\":["
-    (Plim_util.Jsonx.quote label)
-    width
-    (skew_json (skew_of counts));
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int c))
-    counts;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let width = width_of ~fn:"Wear.heatmap_json" width (Array.length counts) in
+  Json.Obj
+    [ ("label", Str label); ("width", Int width); ("skew", skew_json (skew_of counts));
+      ("counts", Arr (Array.to_list (Array.map (fun c -> Json.Int c) counts))) ]

@@ -29,9 +29,9 @@ val heatmap : ?width:int -> int array -> string
     cell index, followed by a scale/skew legend line.
     @raise Invalid_argument when [width < 1]. *)
 
-val heatmap_json : ?width:int -> label:string -> int array -> string
+val heatmap_json : ?width:int -> label:string -> int array -> Json.t
 (** JSON object [{label, width, skew, counts}] of the same snapshot. *)
 
-val skew_json : skew -> string
+val skew_json : skew -> Json.t
 
 val pp_skew : Format.formatter -> skew -> unit

@@ -1,9 +1,9 @@
-(* The one JSON string escaper of the repo.  Every hand-rolled JSON
-   emitter (trace sinks, lint reports, bench rows, serve/horizon rows,
-   wear heatmaps) must quote interpolated strings through here: a
-   benchmark or strategy label containing '"' or '\' otherwise corrupts
-   the emitted document and breaks every downstream reader, including
-   the bench/compare.exe regression gate.
+(* The one JSON string escaper of the repo.  Plim_telemetry.Json's
+   writer and the few writers with their own number formats (trace
+   events, Chrome traces) escape every string through here: a benchmark
+   or strategy label containing '"' or '\' otherwise corrupts the
+   emitted document and breaks every downstream reader, including the
+   bench/compare.exe regression gate.
 
    Bytes >= 0x20 other than '"' and '\' pass through verbatim: labels
    are treated as UTF-8 and JSON does not require escaping non-ASCII.
@@ -26,11 +26,6 @@ let escape_into b s =
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  escape_into b s;
-  Buffer.contents b
 
 let quote s =
   let b = Buffer.create (String.length s + 10) in

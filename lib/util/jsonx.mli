@@ -1,10 +1,9 @@
-(** JSON string escaping shared by every hand-rolled JSON emitter.
+(** The one JSON string escaper.
 
-    The repo writes its machine-readable artefacts (bench rows, trace
-    events, lint reports, wear heatmaps, serve/horizon rows) with
-    [Printf] rather than a JSON library; any string interpolated into
-    those documents must be escaped through this module or a label
-    containing ['"'] or ['\\'] corrupts the output.
+    {!Plim_telemetry.Json.write} escapes every string through here, as
+    do the two writers with their own number formats (trace events and
+    Chrome traces); a label containing ['"'] or ['\\'] must never reach
+    a document unescaped.
 
     The escape language matches what {!Plim_telemetry.Json} accepts:
     short escapes for ["\"\\\n\t\r\b\012"], [\u00XX] for the remaining
@@ -14,9 +13,6 @@
 val escape_into : Buffer.t -> string -> unit
 (** Append the escaped form of the string — without quotes — to the
     buffer. *)
-
-val escape : string -> string
-(** The escaped form, without surrounding quotes. *)
 
 val quote : string -> string
 (** The escaped form wrapped in double quotes: a complete JSON string

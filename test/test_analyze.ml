@@ -144,7 +144,7 @@ let test_json () =
     mk ~num_cells:3 [ sc true 1; sc false 2; rm3 (I.Cell 0) (I.Const false) 1 ]
   in
   let a = A.analyze p in
-  let json = A.to_json ~source:"corrupted" p a in
+  let json = Plim_telemetry.Json.write (A.to_json ~source:"corrupted" p a) in
   let contains needle =
     let n = String.length needle and m = String.length json in
     let rec go i = i + n <= m && (String.sub json i n = needle || go (i + 1)) in

@@ -217,7 +217,7 @@ let test_row_json_shape () =
       ~fault_rates:[ 0.0 ]
   with
   | [ (_, _, c) ] ->
-    let row = C.row_json c in
+    let row = Json.write (C.row_json c) in
     List.iter
       (fun needle -> check_bool needle true (Helpers.contains ~needle row))
       [ "\"schema\":\"plim-cert/v1\""; "\"strategy\":\"start_gap\"";
@@ -225,7 +225,7 @@ let test_row_json_shape () =
         "\"programs\":[" ];
     check_bool "label override" true
       (Helpers.contains ~needle:"\"label\":\"start_gap/r0/exec\""
-         (C.row_json ~label:(C.label c ^ "/exec") c))
+         (Json.write (C.row_json ~label:(C.label c ^ "/exec") c)))
   | _ -> Alcotest.fail "expected one grid cell"
 
 let test_check_row_json_round_trip () =
@@ -233,13 +233,13 @@ let test_check_row_json_round_trip () =
   let certs = C.grid cfg ~strategies:[ H.No_leveling ] ~fault_rates:[ 0.0 ] in
   match H.grid cfg ~strategies:[ H.No_leveling ] ~fault_rates:[ 0.0 ] with
   | [ (_, _, r) ] -> (
-    let row = Json.parse_exn (H.row_json r) in
+    let row = Json.parse_exn (Json.write (H.row_json r)) in
     (match C.check_row_json certs row with
     | Ok lbl -> check_bool "label" true (lbl = H.label r)
     | Error e -> Alcotest.failf "row escaped: %s" e);
     (* suffixed variant rows resolve to their base certificate *)
     let suffixed =
-      Json.parse_exn (H.row_json ~label:(H.label r ^ "/exec") r)
+      Json.parse_exn (Json.write (H.row_json ~label:(H.label r ^ "/exec") r))
     in
     check_bool "prefix lookup" true
       (Result.is_ok (C.check_row_json certs suffixed));

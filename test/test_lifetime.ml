@@ -10,6 +10,7 @@ module Lifetime = Plim_stats.Lifetime
 module Horizon = Plim_serve.Horizon
 module Campaign = Plim_machine.Campaign
 module Leveling = Plim_rram.Leveling
+module Json = Plim_telemetry.Json
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -286,7 +287,7 @@ let test_combined_outlives_none () =
 let test_grid_byte_identical_across_jobs () =
   let rates = [ 0.0; 0.01 ] in
   let render cells =
-    List.map (fun (_, _, r) -> Horizon.row_json r) cells
+    List.map (fun (_, _, r) -> Json.write (Horizon.row_json r)) cells
   in
   let seq =
     render (Horizon.grid hz_config ~strategies:Horizon.all_strategies
@@ -309,7 +310,7 @@ let test_row_json_shape () =
   in
   match cells with
   | [ (_, _, r) ] ->
-    let row = Horizon.row_json r in
+    let row = Json.write (Horizon.row_json r) in
     List.iter
       (fun needle ->
         check_bool needle true

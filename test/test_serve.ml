@@ -5,6 +5,7 @@ module Server = Plim_serve.Server
 module Suite = Plim_benchgen.Suite
 module Fault_model = Plim_fault.Fault_model
 module Hgram = Plim_telemetry.Histogram
+module Json = Plim_telemetry.Json
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -200,8 +201,8 @@ let test_server_jobs_identical () =
   check_bool "latency identical" true
     (Hgram.equal (Server.latency s1) (Server.latency s3));
   Alcotest.(check string) "result rows identical"
-    (Server.row_json s1 ~label:"t" ~wall_s:0.0)
-    (Server.row_json s3 ~label:"t" ~wall_s:0.0)
+    (Json.write (Server.row_json s1 ~label:"t" ~wall_s:0.0))
+    (Json.write (Server.row_json s3 ~label:"t" ~wall_s:0.0))
 
 let test_server_batch_size_invariant () =
   let stream = Workload.generate ~seed:33 ~requests:80 mix4 in
@@ -267,7 +268,7 @@ let test_server_organic_retirement () =
 let test_row_json_shape () =
   let stream = Workload.generate ~seed:5 ~requests:30 mix4 in
   let server, _ = run_server quiet_config stream in
-  let row = Server.row_json server ~label:"unit" ~wall_s:0.0 in
+  let row = Json.write (Server.row_json server ~label:"unit" ~wall_s:0.0) in
   match Plim_telemetry.Json.parse row with
   | Error e -> Alcotest.failf "row_json does not parse: %s" e
   | Ok j ->
@@ -285,7 +286,7 @@ let test_row_json_shape () =
 let test_fleet_heatmap_json () =
   let stream = Workload.generate ~seed:5 ~requests:30 mix4 in
   let server, _ = run_server quiet_config stream in
-  match Plim_telemetry.Json.parse (Server.fleet_heatmap_json server) with
+  match Plim_telemetry.Json.parse (Json.write (Server.fleet_heatmap_json server)) with
   | Error e -> Alcotest.failf "heatmap json does not parse: %s" e
   | Ok j ->
     (match Option.bind (Plim_telemetry.Json.member "shards" j) Plim_telemetry.Json.to_list with

@@ -136,7 +136,9 @@ let test_hist_par_determinism () =
   let j1 = fold_with 1 and j4 = fold_with 4 in
   check_bool "-j1 = sequential" true (Hgram.equal seq j1);
   check_bool "-j4 = -j1" true (Hgram.equal j1 j4);
-  Alcotest.(check string) "identical JSON" (Hgram.to_json j1) (Hgram.to_json j4)
+  Alcotest.(check string) "identical JSON"
+    (Json.write (Hgram.to_json j1))
+    (Json.write (Hgram.to_json j4))
 
 (* --- series ------------------------------------------------------------ *)
 
@@ -198,7 +200,7 @@ let test_wear_heatmap () =
   (* 40 cells at width 8 = 5 rows + legend *)
   check_int "row count" 6
     (List.length (String.split_on_char '\n' (String.trim text)));
-  let j = Wear.heatmap_json ~width:8 ~label:"t" counts in
+  let j = Json.write (Wear.heatmap_json ~width:8 ~label:"t" counts) in
   match Json.parse j with
   | Error e -> Alcotest.failf "heatmap_json unparsable: %s" e
   | Ok doc ->
@@ -383,7 +385,7 @@ let test_report_new_metrics () =
     check_bool "render mentions new metrics" true
       (contains ~affix:"new metric" (Report.render c));
     check_bool "to_json carries new_metrics" true
-      (contains ~affix:"new_metrics" (Report.to_json c));
+      (contains ~affix:"new_metrics" (Json.write (Report.to_json c)));
     (* identical docs: nothing is new *)
     (match
        Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn cur)
@@ -474,7 +476,7 @@ let test_report_from_zero () =
     let txt = Report.render c in
     check_bool "render marks zero-baseline growth" true
       (contains ~affix:"from 0" txt);
-    let j = Report.to_json c in
+    let j = Json.write (Report.to_json c) in
     check_bool "JSON uses null, not a sentinel pct" true
       (contains ~affix:{|"change_pct":null|} j);
     check_bool "JSON carries from_zero" true
@@ -589,6 +591,58 @@ let prop_jsonx_roundtrip_in_object =
       | Ok j -> Option.bind (Json.member k j) Json.to_string = Some v
       | Error _ -> false)
 
+(* the writer and the reader agree: any value tree written by Json.write
+   parses back to itself, up to the two documented lossy encodings — an
+   Int reads back as a Num, a Num as its %.6g rounding *)
+let json_value_gen =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [ return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (int_range (-(1 lsl 53)) (1 lsl 53));
+        map (fun x -> Json.Num (if Float.is_finite x then x else 0.0)) float;
+        map (fun s -> Json.Str s) string ]
+  in
+  let rec tree depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [ (2, leaf);
+          (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (tree (depth - 1))));
+          ( 1,
+            map
+              (fun kvs -> Json.Obj kvs)
+              (list_size (int_bound 4) (pair string (tree (depth - 1)))) ) ]
+  in
+  tree 4
+
+let rec json_read_back = function
+  | Json.Int i -> Json.Num (float_of_int i)
+  | Json.Num x -> Json.Num (float_of_string (Printf.sprintf "%.6g" x))
+  | Json.Arr l -> Json.Arr (List.map json_read_back l)
+  | Json.Obj kvs -> Json.Obj (List.map (fun (k, v) -> (k, json_read_back v)) kvs)
+  | v -> v
+
+let prop_json_write_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"Json.parse inverts Json.write on value trees"
+    (QCheck.make ~print:Json.write json_value_gen)
+    (fun v -> Json.parse (Json.write v) = Ok (json_read_back v))
+
+let test_json_write_edges () =
+  let check what expected v = Alcotest.(check string) what expected (Json.write v) in
+  check "nan is null" "null" (Json.Num Float.nan);
+  check "infinity is null" "null" (Json.Num infinity);
+  check "-infinity is null" "null" (Json.Num neg_infinity);
+  check "empty object" "{}" (Json.Obj []);
+  check "empty array" "[]" (Json.Arr []);
+  Alcotest.(check (option (float 0.0))) "to_float accepts Int" (Some 3.0)
+    (Json.to_float (Json.Int 3));
+  check "compact, %d ints, %.6g floats" {|{"a":[1,0.333333,null],"b\"":true}|}
+    (Json.Obj
+       [ ("a", Json.Arr [ Json.Int 1; Json.Num (1.0 /. 3.0); Json.Null ]);
+         ("b\"", Json.Bool true) ])
+
 (* --- metrics registry exposition ---------------------------------------- *)
 
 let test_metrics_histogram () =
@@ -601,7 +655,7 @@ let test_metrics_histogram () =
   (match List.assoc_opt "test.latency" entries with
   | Some (Metrics.Hist hv) -> check_int "snapshot copy" 3 (Hgram.count hv)
   | _ -> Alcotest.fail "histogram missing from snapshot");
-  let json = Metrics.to_json () in
+  let json = Json.write (Metrics.to_json ()) in
   check_bool "single exposition schema" true (contains ~affix:"plim-metrics/v1" json);
   check_bool "histogram in JSON dump" true (contains ~affix:"\"test.latency\":{" json);
   (match Json.parse json with
@@ -650,9 +704,9 @@ let test_campaign_trajectory () =
      byte-identical, which is what keeps -j 1 == -j N *)
   let d' = run () in
   Alcotest.(check string) "replay identical"
-    (Campaign.trajectory_json traj)
-    (Campaign.trajectory_json d'.Campaign.trajectory);
-  match Json.parse (Campaign.trajectory_json traj) with
+    (Json.write (Campaign.trajectory_json traj))
+    (Json.write (Campaign.trajectory_json d'.Campaign.trajectory));
+  match Json.parse (Json.write (Campaign.trajectory_json traj)) with
   | Ok (Json.Arr l) -> check_int "JSON points" (List.length traj) (List.length l)
   | Ok _ -> Alcotest.fail "trajectory JSON is not an array"
   | Error e -> Alcotest.failf "trajectory JSON unparsable: %s" e
@@ -683,7 +737,9 @@ let () =
           Alcotest.test_case "depth bound and trailing garbage" `Quick
             test_json_depth_limit;
           QCheck_alcotest.to_alcotest prop_jsonx_roundtrip;
-          QCheck_alcotest.to_alcotest prop_jsonx_roundtrip_in_object ] );
+          QCheck_alcotest.to_alcotest prop_jsonx_roundtrip_in_object;
+          QCheck_alcotest.to_alcotest prop_json_write_roundtrip;
+          Alcotest.test_case "writer edge cases" `Quick test_json_write_edges ] );
       ( "report",
         [ Alcotest.test_case "identical -> zero" `Quick test_report_identical;
           Alcotest.test_case "regression detected" `Quick test_report_regression;

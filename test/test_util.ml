@@ -330,16 +330,16 @@ let test_lifetime () =
 
 let test_jsonx_escape () =
   let module J = Plim_util.Jsonx in
-  Alcotest.(check string) "plain passthrough" "abc" (J.escape "abc");
-  Alcotest.(check string) "quote" {|a\"b|} (J.escape "a\"b");
-  Alcotest.(check string) "backslash" {|a\\b|} (J.escape "a\\b");
-  Alcotest.(check string) "short escapes" {|\n\t\r\b\f|} (J.escape "\n\t\r\b\012");
-  Alcotest.(check string) "other control bytes get \\u00XX" {|\u0000\u0001\u001f|}
-    (J.escape "\000\001\031");
+  Alcotest.(check string) "plain passthrough" {|"abc"|} (J.quote "abc");
+  Alcotest.(check string) "quote" {|"a\"b"|} (J.quote "a\"b");
+  Alcotest.(check string) "backslash" {|"a\\b"|} (J.quote "a\\b");
+  Alcotest.(check string) "short escapes" {|"\n\t\r\b\f"|} (J.quote "\n\t\r\b\012");
+  Alcotest.(check string) "other control bytes get \\u00XX" {|"\u0000\u0001\u001f"|}
+    (J.quote "\000\001\031");
   (* 0x7f and non-ASCII bytes are not control characters: UTF-8 payloads
      pass through untouched *)
-  Alcotest.(check string) "utf-8 passthrough" "caf\xc3\xa9 \x7f"
-    (J.escape "caf\xc3\xa9 \x7f");
+  Alcotest.(check string) "utf-8 passthrough" "\"caf\xc3\xa9 \x7f\""
+    (J.quote "caf\xc3\xa9 \x7f");
   Alcotest.(check string) "quote wraps" {|"a\"b"|} (J.quote "a\"b");
   let b = Buffer.create 8 in
   J.escape_into b "x\n";
