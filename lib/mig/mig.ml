@@ -43,12 +43,15 @@ let pp_signal ppf s =
 
 (* {1 Construction} *)
 
-let create () =
+(* [nodes] sizes the node vectors up front, so a rebuild never regrows
+   them. *)
+let create_sized ?nodes () =
+  let vec dummy = Vec.create ?capacity:nodes ~dummy () in
   let g =
-    { tag = Vec.create ~dummy:tag_const ();
-      c0 = Vec.create ~dummy:0 ();
-      c1 = Vec.create ~dummy:0 ();
-      c2 = Vec.create ~dummy:0 ();
+    { tag = vec tag_const;
+      c0 = vec 0;
+      c1 = vec 0;
+      c2 = vec 0;
       strash = Hashtbl.create 1024;
       input_names = Vec.create ~dummy:"" ();
       input_nodes = Vec.create ~dummy:0 ();
@@ -60,6 +63,8 @@ let create () =
   ignore (Vec.push g.c1 0);
   ignore (Vec.push g.c2 0);
   g
+
+let create () = create_sized ()
 
 let new_node g tag c0 c1 c2 =
   let id = Vec.push g.tag tag in
@@ -102,14 +107,14 @@ let maj g a b c =
       Hashtbl.add g.strash (a, b, c) id;
       signal id false)
 
-let lookup g a b c =
+let lookup ?(below = max_int) g a b c =
   let a, b, c = sort3 a b c in
   match reduce a b c with
   | Some s -> Some s
   | None ->
     (match Hashtbl.find_opt g.strash (a, b, c) with
-    | Some id -> Some (signal id false)
-    | None -> None)
+    | Some id when id < below -> Some (signal id false)
+    | Some _ | None -> None)
 
 let and_ g a b = maj g a b false_
 let or_ g a b = maj g a b true_
@@ -148,11 +153,25 @@ let reachable g =
   done;
   mark
 
-let iter_reachable_maj g f =
-  let mark = reachable g in
+let mark_of g = function Some mark -> mark | None -> reachable g
+
+let iter_marked_maj mark g f =
   for id = 0 to num_nodes g - 1 do
     if mark.(id) && Vec.get g.tag id = tag_maj then f id
   done
+
+let iter_reachable_maj g f = iter_marked_maj (reachable g) g f
+
+(* Inputs at ids 1..k in PI order, so every id above k is a majority
+   node, and each of those is live. *)
+let is_compact ?reachable:mark g =
+  let mark = mark_of g mark in
+  let k = num_inputs g in
+  let rec inputs_first pi =
+    pi >= k || (Vec.get g.input_nodes pi = pi + 1 && inputs_first (pi + 1))
+  in
+  let rec all_live id = id >= num_nodes g || (mark.(id) && all_live (id + 1)) in
+  inputs_first 0 && all_live (k + 1)
 
 let size g =
   let n = ref 0 in
@@ -184,9 +203,9 @@ let depth g =
   let lv = levels g in
   Vec.fold_left (fun acc (_, s) -> max acc lv.(node_of s)) 0 g.outs
 
-let fanout_counts g =
+let fanout_counts ?reachable:mark g =
   let counts = Array.make (num_nodes g) 0 in
-  iter_reachable_maj g (fun id ->
+  iter_marked_maj (mark_of g mark) g (fun id ->
       let bump s = counts.(node_of s) <- counts.(node_of s) + 1 in
       bump (Vec.get g.c0 id);
       bump (Vec.get g.c1 id);
@@ -267,8 +286,8 @@ let output_tables g =
 
 (* {1 Copying} *)
 
-let map_rebuild g ~rule =
-  let g' = create () in
+let map_rebuild ?reachable:mark g ~rule =
+  let g' = create_sized ~nodes:(num_nodes g) () in
   let map = Array.make (num_nodes g) false_ in
   Vec.iteri
     (fun pi id -> map.(id) <- add_input g' (Vec.get g.input_names pi))
@@ -277,7 +296,7 @@ let map_rebuild g ~rule =
     let m = map.(node_of s) in
     if is_complemented s then not_ m else m
   in
-  iter_reachable_maj g (fun id ->
+  iter_marked_maj (mark_of g mark) g (fun id ->
       let a = remap (Vec.get g.c0 id)
       and b = remap (Vec.get g.c1 id)
       and c = remap (Vec.get g.c2 id) in

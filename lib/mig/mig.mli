@@ -48,11 +48,13 @@ val add_input : t -> string -> signal
 val maj : t -> signal -> signal -> signal -> signal
 (** Hash-consed majority with Ω.M simplification. *)
 
-val lookup : t -> signal -> signal -> signal -> signal option
+val lookup : ?below:int -> t -> signal -> signal -> signal -> signal option
 (** Like [maj] but never inserts: returns the signal [maj] would return if
     it requires no fresh node (an Ω.M reduction or an existing strashed
     node), else [None].  Used by rewriting heuristics to test whether a
-    transformation is free. *)
+    transformation is free.  With [~below:id] a strashed node at an id
+    [>= id] counts as a miss: the answer is the one the graph's prefix of
+    nodes below [id] would give. *)
 
 val and_ : t -> signal -> signal -> signal
 val or_ : t -> signal -> signal -> signal
@@ -90,9 +92,10 @@ val levels : t -> int array
 (** [levels t].(id) = 0 for constants/inputs, 1 + max child level for
     majority nodes (over all allocated nodes). *)
 
-val fanout_counts : t -> int array
+val fanout_counts : ?reachable:bool array -> t -> int array
 (** Per node: number of majority-node parent edges referencing it (over
-    reachable nodes), not counting output references. *)
+    reachable nodes), not counting output references.  [reachable], when
+    given, must be [reachable t]; it saves recomputing the mark. *)
 
 val output_refs : t -> int array
 (** Per node: number of primary outputs referencing it. *)
@@ -105,6 +108,13 @@ val reachable : t -> bool array
 
 val iter_reachable_maj : t -> (int -> unit) -> unit
 (** Topological (children-first) iteration over reachable majority nodes. *)
+
+val is_compact : ?reachable:bool array -> t -> bool
+(** The inputs occupy ids [1..num_inputs] in PI order and every majority
+    node is reachable.  [map_rebuild] and [cleanup] always return compact
+    graphs, and [map_rebuild] with plain [maj] as its rule reproduces a
+    compact graph node for node, with the same ids.  [reachable] as for
+    {!fanout_counts}. *)
 
 (** {1 Evaluation} *)
 
@@ -127,6 +137,7 @@ val cleanup : t -> t
 val copy : t -> t
 
 val map_rebuild :
+  ?reachable:bool array ->
   t -> rule:(t -> old_id:int -> signal -> signal -> signal -> signal) -> t
 (** [map_rebuild t ~rule] rebuilds [t] bottom-up into a fresh graph.  For
     every reachable majority node its (already remapped) children are
@@ -134,4 +145,4 @@ val map_rebuild :
     rewriting heuristics can consult old-graph fanout information); [rule]
     must return the replacement signal in the new graph (typically via
     [maj] plus algebraic rewriting).  Inputs and output names/polarities
-    are preserved. *)
+    are preserved.  [reachable] as for {!fanout_counts}. *)

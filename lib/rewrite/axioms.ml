@@ -5,7 +5,8 @@ type operand = {
   old_fanout : int;
 }
 
-type rule = Mig.t -> operand -> operand -> operand -> Mig.signal option
+type rule =
+  Mig.t -> below:int -> operand -> operand -> operand -> (unit -> Mig.signal) option
 
 (* The three children of a majority node, adjusted for the polarity of the
    edge pointing at it (Ω.I view): [!<xyz> = <!x!y!z>]. *)
@@ -21,7 +22,7 @@ let pairs = [ (0, 1, 2); (0, 2, 1); (1, 2, 0) ]
 let seq = Mig.signal_equal
 
 (* Ω.D R->L: <<xyu><xyv>z> = <xy<uvz>> *)
-let distributivity_rl g oa ob oc =
+let distributivity_rl g ~below oa ob oc =
   let ops = [| oa; ob; oc |] in
   let try_pair (i, j, k) =
     let pa = ops.(i) and pb = ops.(j) and z = ops.(k).s in
@@ -35,11 +36,9 @@ let distributivity_rl g oa ob oc =
         let rest l = List.filter (fun s -> not (List.exists (seq s) common)) l in
         (match (rest la, rest lb) with
         | [ u ], [ v ] ->
-          let free =
-            match Mig.lookup g u v z with Some _ -> true | None -> false
-          in
+          let free = Option.is_some (Mig.lookup ~below g u v z) in
           if free || (pa.old_fanout <= 1 && pb.old_fanout <= 1) then
-            Some (Mig.maj g x y (Mig.maj g u v z))
+            Some (fun () -> Mig.maj g x y (Mig.maj g u v z))
           else None
         | _, _ -> None)
       | _ -> None)
@@ -48,7 +47,7 @@ let distributivity_rl g oa ob oc =
   List.find_map try_pair pairs
 
 (* Ω.A: <xu<yuz>> = <zu<yux>>, committed only when the new inner is free. *)
-let associativity g oa ob oc =
+let associativity g ~below oa ob oc =
   let ops = [| oa; ob; oc |] in
   let try_inner (i, j, k) =
     (* ops.(k) plays the inner node M; ops.(i), ops.(j) are outer. *)
@@ -66,8 +65,8 @@ let associativity g oa ob oc =
           | [ t1; t2 ] ->
             let attempt t keep =
               (* swap outer x with inner t: inner' = <keep u x> *)
-              match Mig.lookup g keep u x with
-              | Some inner' -> Some (Mig.maj g t u inner')
+              match Mig.lookup ~below g keep u x with
+              | Some inner' -> Some (fun () -> Mig.maj g t u inner')
               | None -> None
             in
             (match attempt t1 t2 with
@@ -78,15 +77,11 @@ let associativity g oa ob oc =
       in
       (match try_shared w1 w2 with Some r -> Some r | None -> try_shared w2 w1)
   in
-  List.find_map
-    (fun (i, j, k) ->
-      (* only consider non-const inner with some chance of profit *)
-      try_inner (i, j, k))
-    [ (0, 1, 2); (0, 2, 1); (1, 2, 0) ]
+  List.find_map try_inner pairs
 
 (* Ψ.C: inner contains the complement of an outer child p; replace that
    occurrence by the other outer child q. *)
-let complementary_associativity g oa ob oc =
+let complementary_associativity g ~below oa ob oc =
   let ops = [| oa; ob; oc |] in
   let try_inner (i, j, k) =
     let m = ops.(k) and p = ops.(i).s and q = ops.(j).s in
@@ -101,10 +96,10 @@ let complementary_associativity g oa ob oc =
           let keep = List.filter (fun s -> not (seq s np)) inner in
           match keep with
           | [ k1; k2 ] ->
-            let build () = Mig.maj g p q (Mig.maj g k1 k2 q) in
-            (match Mig.lookup g k1 k2 q with
-            | Some _ -> Some (build ())
-            | None -> if m.old_fanout <= 1 then Some (build ()) else None)
+            let free = Option.is_some (Mig.lookup ~below g k1 k2 q) in
+            if free || m.old_fanout <= 1 then
+              Some (fun () -> Mig.maj g p q (Mig.maj g k1 k2 q))
+            else None
           | _ -> None
         end
       in
@@ -118,16 +113,16 @@ let complemented_children _g a b c =
 
 (* Ω.I R->L (1)-(3): >=2 complemented non-constant children -> flip all,
    complement the output. *)
-let inverter_propagation g oa ob oc =
+let inverter_propagation g ~below:_ oa ob oc =
   let a = oa.s and b = ob.s and c = oc.s in
   if complemented_children g a b c >= 2 then
-    Some (Mig.not_ (Mig.maj g (Mig.not_ a) (Mig.not_ b) (Mig.not_ c)))
+    Some (fun () -> Mig.not_ (Mig.maj g (Mig.not_ a) (Mig.not_ b) (Mig.not_ c)))
   else None
 
+let first rules g ~below oa ob oc =
+  List.find_map (fun (rule : rule) -> rule g ~below oa ob oc) rules
+
 let apply_first rules g oa ob oc =
-  let rec go = function
-    | [] -> Mig.maj g oa.s ob.s oc.s
-    | rule :: rest ->
-      (match rule g oa ob oc with Some s -> s | None -> go rest)
-  in
-  go rules
+  match first rules g ~below:max_int oa ob oc with
+  | Some commit -> commit ()
+  | None -> Mig.maj g oa.s ob.s oc.s

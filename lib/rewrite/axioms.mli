@@ -4,8 +4,12 @@
     graph is rebuilt bottom-up: the rule sees the (already remapped)
     children of the majority node under reconstruction, plus each child's
     fanout count in the old graph (a death prediction used to avoid
-    size-increasing applications), and either produces a replacement signal
-    or declines.
+    size-increasing applications), and either declines or fires.
+
+    A rule is split into a decision and a commit.  The decision reads the
+    graph only through [Mig.kind] and [Mig.lookup ~below]; when the rule
+    fires it returns the commit, which builds the replacement signal.  So
+    a rule can be asked whether it would fire without changing the graph.
 
     The trivial-majority axiom Ω.M is not a rule here: it is applied
     unconditionally by {!Mig.maj}. *)
@@ -17,7 +21,11 @@ type operand = {
   old_fanout : int;     (** fanout (incl. PO refs) of the child in the old graph *)
 }
 
-type rule = Mig.t -> operand -> operand -> operand -> Mig.signal option
+type rule =
+  Mig.t -> below:int -> operand -> operand -> operand -> (unit -> Mig.signal) option
+(** [rule g ~below a b c] is [None] when the rule declines on the node
+    [<a b c>], else the commit that builds its replacement in [g].  Strash
+    lookups see only the nodes of [g] below id [below]. *)
 
 val distributivity_rl : rule
 (** Ω.D right-to-left: [<<xyu><xyv>z> = <xy<uvz>>].  Applies when the two
@@ -42,8 +50,13 @@ val inverter_propagation : rule
     replaced by its all-flipped dual with a complemented output, leaving
     at most one complemented child. *)
 
+val first :
+  rule list -> Mig.t -> below:int -> operand -> operand -> operand ->
+  (unit -> Mig.signal) option
+(** The commit of the first rule that fires, in list order. *)
+
 val apply_first : rule list -> Mig.t -> operand -> operand -> operand -> Mig.signal
-(** Try rules in order; fall back to [Mig.maj]. *)
+(** Commit the first rule that fires on all of [g]; fall back to [Mig.maj]. *)
 
 val complemented_children : Mig.t -> Mig.signal -> Mig.signal -> Mig.signal -> int
 (** Number of complemented non-constant children — the RM3 cost driver. *)

@@ -15,7 +15,12 @@ type pass = Axioms.rule list
 val run_pass : ?name:string -> Mig.t -> pass -> Mig.t
 (** One bottom-up rebuild applying the first matching rule per node
     (Ω.M always applies through the hash-consed constructor).  [name]
-    labels the pass in emitted trace events (default ["pass"]). *)
+    labels the pass in emitted trace events (default ["pass"]).
+
+    [run_pass] never mutates its argument, and it may return it physically:
+    when the argument is compact ({!Mig.is_compact}) and no rule would fire
+    on it, the rebuild would reproduce it node for node, so it is skipped
+    (counted by the [rewrite.passes_skipped] metric). *)
 
 type recipe = No_rewriting | Algorithm1 | Algorithm2
 
@@ -24,8 +29,10 @@ val recipe_name : recipe -> string
 
 val run : recipe -> effort:int -> Mig.t -> Mig.t
 (** [run recipe ~effort g] applies [effort] cycles of the recipe
-    (the paper uses effort = 5) and returns a cleaned-up graph.
-    [No_rewriting] returns a cleanup copy (the naive flow). *)
+    (the paper uses effort = 5) and returns a cleaned-up graph, never [g]
+    itself.  Once a cycle returns its input unchanged, the remaining cycles
+    are the identity and are not run.  [No_rewriting] returns a cleanup
+    copy (the naive flow). *)
 
 val algorithm1 : effort:int -> Mig.t -> Mig.t
 val algorithm2 : effort:int -> Mig.t -> Mig.t

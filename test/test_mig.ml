@@ -52,6 +52,16 @@ let test_lookup () =
   ignore (Mig.lookup g (Mig.not_ a) (Mig.not_ b) c);
   check_int "lookup is pure" before (Mig.num_nodes g)
 
+(* with [~below:id] the strash answers as the prefix of nodes below [id]
+   would; Ω.M reductions need no node and ignore the bound *)
+let test_lookup_below () =
+  let g, a, b, c = fresh3 () in
+  let n = Mig.maj g a b c in
+  let id = Mig.node_of n in
+  check_bool "hit below the bound" true (Mig.lookup ~below:(id + 1) g a b c = Some n);
+  check_bool "node at the bound misses" true (Mig.lookup ~below:id g a b c = None);
+  check_bool "reduction ignores the bound" true (Mig.lookup ~below:0 g a a b = Some a)
+
 let test_gate_semantics () =
   let g, a, b, c = fresh3 () in
   Mig.add_output g "and" (Mig.and_ g a b);
@@ -146,6 +156,14 @@ let map_rebuild_preserves =
       let g' = Mig.cleanup g in
       let t = Mig.output_tables g and t' = Mig.output_tables g' in
       Array.for_all2 Tt.equal t t')
+
+(* cleanup returns a compact graph, and rebuilding a compact graph
+   reproduces it node for node *)
+let cleanup_is_compact =
+  QCheck.Test.make ~count:60 ~name:"cleanup is compact and reproduces compact graphs"
+    QCheck.small_int (fun seed ->
+      let g' = Mig.cleanup (random_mig seed) in
+      Mig.is_compact g' && Mig_io.to_string (Mig.cleanup g') = Mig_io.to_string g')
 
 (* --- io ----------------------------------------------------------------- *)
 
@@ -287,6 +305,7 @@ let () =
           Alcotest.test_case "omega.M on create" `Quick test_omega_m_on_create;
           Alcotest.test_case "structural hashing" `Quick test_strash;
           Alcotest.test_case "lookup" `Quick test_lookup;
+          Alcotest.test_case "lookup below a bound" `Quick test_lookup_below;
           Alcotest.test_case "derived gates" `Quick test_gate_semantics;
           Alcotest.test_case "duplicate input" `Quick test_duplicate_input ] );
       ( "inspection",
@@ -295,7 +314,7 @@ let () =
           Alcotest.test_case "cleanup" `Quick test_cleanup;
           Alcotest.test_case "complemented edges" `Quick test_complemented_edges ] );
       ( "evaluation",
-        [ qc eval_matches_tables; qc map_rebuild_preserves ] );
+        [ qc eval_matches_tables; qc map_rebuild_preserves; qc cleanup_is_compact ] );
       ( "io",
         [ Alcotest.test_case "roundtrip (manual)" `Quick test_io_roundtrip_manual;
           Alcotest.test_case "errors" `Quick test_io_errors;

@@ -1,5 +1,6 @@
 module Mig = Plim_mig.Mig
 module Mig_gen = Plim_mig.Mig_gen
+module Mig_io = Plim_mig.Mig_io
 module Tt = Plim_logic.Truth_table
 module Axioms = Plim_rewrite.Axioms
 module Recipe = Plim_rewrite.Recipe
@@ -170,6 +171,172 @@ let test_reduction_on_adder () =
   check_bool "alg1 equivalent" true (functionally_equal g g1);
   check_bool "alg2 equivalent" true (functionally_equal g g2)
 
+(* --- converged rewriting: the fast recipe equals the naive loop ---------- *)
+
+(* The reference recipe: every pass a full rebuild, every cycle run. *)
+let naive_pass g rules =
+  let fanout = Mig.fanout_counts g and out_refs = Mig.output_refs g in
+  let operand new_s old_s =
+    let id = Mig.node_of old_s in
+    { Axioms.s = new_s; old_fanout = fanout.(id) + out_refs.(id) }
+  in
+  Mig.map_rebuild g ~rule:(fun g' ~old_id a b c ->
+      match Mig.kind g old_id with
+      | Mig.Maj (oa, ob, oc) ->
+        Axioms.apply_first rules g' (operand a oa) (operand b ob) (operand c oc)
+      | Mig.Const | Mig.Input _ -> Mig.maj g' a b c)
+
+let d_rl = [ Axioms.distributivity_rl ]
+let i_rl = [ Axioms.inverter_propagation ]
+let assoc = [ Axioms.associativity ]
+
+let naive_recipe recipe ~effort g =
+  let passes =
+    match recipe with
+    | Recipe.No_rewriting -> []
+    | Recipe.Algorithm1 ->
+      [ d_rl; [ Axioms.associativity; Axioms.complementary_associativity ]; d_rl;
+        i_rl; i_rl ]
+    | Recipe.Algorithm2 -> [ d_rl; i_rl; i_rl; assoc; i_rl; i_rl; d_rl; i_rl ]
+  in
+  let cycle g = List.fold_left naive_pass g passes in
+  let rec go n g = if n <= 0 then g else go (n - 1) (cycle g) in
+  Mig.cleanup (go effort g)
+
+let same_graph g g' = String.equal (Mig_io.to_string g) (Mig_io.to_string g')
+
+let recipe_matches_naive g =
+  List.for_all
+    (fun recipe ->
+      List.for_all
+        (fun effort ->
+          same_graph (Recipe.run recipe ~effort g) (naive_recipe recipe ~effort g))
+        [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ])
+    [ Recipe.Algorithm1; Recipe.Algorithm2 ]
+
+let fast_recipe_gen =
+  QCheck.Test.make ~count:60 ~name:"fast recipe = naive loop (Gen graphs, efforts 0-8)"
+    (Plim_check.Gen.arbitrary ())
+    (fun d -> recipe_matches_naive (Plim_check.Gen.to_mig d))
+
+let fast_recipe_random =
+  QCheck.Test.make ~count:40
+    ~name:"fast recipe = naive loop (Mig_gen graphs, efforts 0-8)" QCheck.small_int
+    (fun seed ->
+      let aig = Plim_benchgen.Frontend.expand (random_mig ~nodes:20 seed) in
+      recipe_matches_naive (random_mig ~nodes:40 seed) && recipe_matches_naive aig)
+
+(* pass by pass, on compact and non-compact inputs alike, without the
+   recipe's final cleanup *)
+let fast_pass_random =
+  QCheck.Test.make ~count:60 ~name:"run_pass = naive rebuild, every rule set"
+    QCheck.small_int (fun seed ->
+      let g = random_mig seed in
+      List.for_all
+        (fun g ->
+          List.for_all
+            (fun rules -> same_graph (Recipe.run_pass g rules) (naive_pass g rules))
+            [ d_rl; i_rl; assoc; [ Axioms.complementary_associativity ];
+              [ Axioms.associativity; Axioms.complementary_associativity ] ])
+        [ g; Mig.cleanup g; Recipe.run_pass (Mig.cleanup g) i_rl ])
+
+let all_rules =
+  [ Axioms.distributivity_rl; Axioms.associativity; Axioms.complementary_associativity;
+    Axioms.inverter_propagation ]
+
+(* nothing fires on a lone majority of inputs: the pass is skipped *)
+let test_quiet_pass_returns_input () =
+  let g = Mig.create () in
+  let x = Mig.add_input g "x" in
+  let y = Mig.add_input g "y" in
+  let z = Mig.add_input g "z" in
+  Mig.add_output g "f" (Mig.maj g x (Mig.not_ y) z);
+  check_bool "compact" true (Mig.is_compact g);
+  check_bool "run_pass returns its argument" true (Recipe.run_pass g all_rules == g);
+  check_bool "run never returns its argument" false
+    (Recipe.run Recipe.Algorithm2 ~effort:5 g == g);
+  check_bool "run = naive" true
+    (same_graph (Recipe.run Recipe.Algorithm2 ~effort:5 g)
+       (naive_recipe Recipe.Algorithm2 ~effort:5 g))
+
+(* [free] is built right after [top] when [late], right before it
+   otherwise.  A rule whose only free lookup is [free] must not fire on
+   [top] when [free] has the higher id (mid-rebuild, the new graph does not
+   hold it yet), and must fire when [free] is the node just below [top]. *)
+let check_lookup_prefix ~name ~rules build =
+  let g, top_fires = (build ~late:true, build ~late:false) in
+  check_bool (name ^ ": compact") true (Mig.is_compact g);
+  check_bool (name ^ ": later node is not free, pass skipped") true
+    (Recipe.run_pass g rules == g);
+  check_bool (name ^ ": byte-equal to naive") true
+    (same_graph (Recipe.run_pass g rules) (naive_pass g rules));
+  let g' = Recipe.run_pass top_fires rules in
+  check_bool (name ^ ": earlier node is free, pass rewrites") true (g' != top_fires);
+  check_bool (name ^ ": fired pass byte-equal to naive") true
+    (same_graph g' (naive_pass top_fires rules))
+
+(* Ω.A on <x u <y u z>>: the only candidates are <z u x> (absent) and
+   <y u x> *)
+let test_associativity_higher_id () =
+  check_lookup_prefix ~name:"assoc" ~rules:assoc (fun ~late ->
+      let g = Mig.create () in
+      let x = Mig.add_input g "x" in
+      let u = Mig.add_input g "u" in
+      let y = Mig.add_input g "y" in
+      let z = Mig.add_input g "z" in
+      let free () = Mig.add_output g "w" (Mig.maj g y u x) in
+      let inner = Mig.maj g y u z in
+      if not late then free ();
+      Mig.add_output g "f" (Mig.maj g x u inner);
+      if late then free ();
+      g)
+
+(* Ω.D on <<xyu><xyv>z> with both inner nodes kept alive by outputs: the
+   only way to fire is a free <u v z> *)
+let test_distributivity_higher_id () =
+  check_lookup_prefix ~name:"distributivity" ~rules:d_rl (fun ~late ->
+      let g = Mig.create () in
+      let x = Mig.add_input g "x" in
+      let y = Mig.add_input g "y" in
+      let u = Mig.add_input g "u" in
+      let v = Mig.add_input g "v" in
+      let z = Mig.add_input g "z" in
+      let free () = Mig.add_output g "w" (Mig.maj g u v z) in
+      let a = Mig.maj g x y u in
+      let b = Mig.maj g x y v in
+      Mig.add_output g "a" a;
+      Mig.add_output g "b" b;
+      if not late then free ();
+      Mig.add_output g "f" (Mig.maj g a b z);
+      if late then free ();
+      g)
+
+(* a dead node, or an input declared after a majority node, makes the
+   graph non-compact: the pass rebuilds and returns a compact graph *)
+let test_non_compact_rebuilds () =
+  let dead = Mig.create () in
+  let x = Mig.add_input dead "x" in
+  let y = Mig.add_input dead "y" in
+  let z = Mig.add_input dead "z" in
+  ignore (Mig.maj dead x y (Mig.not_ z));
+  Mig.add_output dead "f" (Mig.maj dead x y z);
+  let late_input = Mig.create () in
+  let x = Mig.add_input late_input "x" in
+  let y = Mig.add_input late_input "y" in
+  let n = Mig.maj late_input x y Mig.true_ in
+  let z = Mig.add_input late_input "z" in
+  Mig.add_output late_input "f" (Mig.maj late_input n y z);
+  List.iter
+    (fun (name, g) ->
+      check_bool (name ^ ": not compact") false (Mig.is_compact g);
+      let g' = Recipe.run_pass g all_rules in
+      check_bool (name ^ ": rebuilt") true (g' != g);
+      check_bool (name ^ ": comes back compact") true (Mig.is_compact g');
+      check_bool (name ^ ": byte-equal to naive") true
+        (same_graph g' (naive_pass g all_rules));
+      check_bool (name ^ ": equivalent") true (functionally_equal g g'))
+    [ ("dead node", dead); ("late input", late_input) ]
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -184,6 +351,18 @@ let () =
           qc algorithm2_preserves ] );
       ( "invariants",
         [ qc inverter_invariant; qc never_grows ] );
+      ( "converged",
+        [ qc fast_recipe_gen;
+          qc fast_recipe_random;
+          qc fast_pass_random;
+          Alcotest.test_case "quiet pass returns its input" `Quick
+            test_quiet_pass_returns_input;
+          Alcotest.test_case "assoc lookup above the node misses" `Quick
+            test_associativity_higher_id;
+          Alcotest.test_case "distributivity lookup above the node misses" `Quick
+            test_distributivity_higher_id;
+          Alcotest.test_case "non-compact input rebuilds" `Quick
+            test_non_compact_rebuilds ] );
       ( "directed",
         [ Alcotest.test_case "distributivity collapse" `Quick test_distributivity_collapse;
           Alcotest.test_case "inverter flip" `Quick test_inverter_flip;
