@@ -127,6 +127,15 @@ let load_mig source =
         "plimc: %S is neither a file nor a known benchmark (try 'plimc list')\n" source;
       exit 1
 
+(* A malformed .plim file is a usage error: exit 2, never an uncaught
+   exception. *)
+let load_plim path =
+  match Asm.read_file path with
+  | Ok p -> p
+  | Error e ->
+    Printf.eprintf "plimc: %s: %s\n" path e;
+    exit 2
+
 let preset_of_string = function
   | "naive" -> Ok Pipeline.naive
   | "dac16" -> Ok Pipeline.dac16
@@ -238,7 +247,8 @@ let pipeline_term =
     $ effort_arg $ cap_arg)
 
 let zero_inputs p =
-  Array.to_list (Array.map (fun (n, _) -> (n, false)) p.Program.pi_cells)
+  Program.inputs_of_vector p.Program.pi_cells
+    (Array.make (Array.length p.Program.pi_cells) false)
 
 let source_arg =
   let doc = "Benchmark name (see $(b,plimc list)) or a .mig file." in
@@ -392,36 +402,45 @@ let stats_cmd =
       const stats_run $ obs_term $ source_arg $ pipeline_term $ geometry_arg
       $ endurance)
 
-let exec_run path inputs =
-  let p = Asm.read_file path in
+let exec_run path bits =
+  let p = load_plim path in
   let n = Array.length p.Program.pi_cells in
-  if String.length inputs <> n then begin
-    Printf.eprintf "plimc run: program has %d inputs, got %d bits\n" n
-      (String.length inputs);
-    exit 1
+  if Array.length bits <> n then begin
+    Printf.eprintf "plimc run: BITS: program has %d inputs, got %d bits\n" n
+      (Array.length bits);
+    exit 2
   end;
-  let bindings =
-    Array.to_list
-      (Array.mapi (fun i (name, _) -> (name, inputs.[i] = '1')) p.Program.pi_cells)
-  in
-  let outputs, xbar, stats = Controller.run p ~inputs:bindings in
+  let inputs = Program.inputs_of_vector p.Program.pi_cells bits in
+  let outputs, xbar, stats = Controller.run p ~inputs in
   List.iter (fun (name, v) -> Printf.printf "%s = %d\n" name (if v then 1 else 0)) outputs;
   Printf.printf "(%d instructions, %d cycles, max device writes %d)\n"
     stats.Controller.instructions stats.Controller.cycles
     (Array.fold_left max 0 (Plim_rram.Crossbar.write_counts xbar))
+
+(* one 0/1 character per primary input; anything else is a usage error *)
+let bits_conv =
+  let parse s =
+    if String.for_all (fun c -> c = '0' || c = '1') s then
+      Ok (Array.init (String.length s) (fun i -> s.[i] = '1'))
+    else Error (`Msg (Printf.sprintf "%S is not a string of 0s and 1s" s))
+  in
+  let print ppf bits =
+    Array.iter (fun b -> Format.pp_print_char ppf (if b then '1' else '0')) bits
+  in
+  Arg.conv (parse, print)
 
 let run_cmd =
   let path =
     Arg.(required & pos 0 (some file) None
          & info [] ~docv:"PROGRAM" ~doc:"PLiM assembly file.")
   in
-  let inputs =
-    Arg.(required & pos 1 (some string) None
+  let bits =
+    Arg.(required & pos 1 (some bits_conv) None
          & info [] ~docv:"BITS" ~doc:"Input bits in PI declaration order, e.g. 1011.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a PLiM assembly file on the crossbar machine.")
-    Term.(const exec_run $ path $ inputs)
+    Term.(const exec_run $ path $ bits)
 
 let export_run source output =
   let g = load_mig source in
@@ -761,20 +780,26 @@ let lint_run obs sources config geometry max_writes json jobs =
     Printf.eprintf "plimc lint: no sources given\n";
     exit 2
   end;
-  let analyze_source source =
-    (* .plim assembly is linted as-is; anything else goes through the
-       compiler under the requested configuration first *)
-    if Sys.file_exists source && Filename.check_suffix source ".plim" then
-      let p = Asm.read_file source in
-      (source, p, Analyze.analyze ?max_writes p)
-    else begin
+  (* .plim assembly is linted as-is, and read here so a malformed file
+     exits before the pool starts; anything else goes through the
+     compiler under the requested configuration first *)
+  let sources =
+    List.map
+      (fun source ->
+        if Sys.file_exists source && Filename.check_suffix source ".plim" then
+          (source, Some (load_plim source))
+        else (source, None))
+      sources
+  in
+  let analyze_source = function
+    | source, Some p -> (source, p, Analyze.analyze ?max_writes p)
+    | source, None ->
       let g = load_mig source in
       let result = Pipeline.compile config g in
       let p = result.Pipeline.program in
       let cap = match max_writes with Some w -> Some w | None -> config.Pipeline.max_write in
       (Printf.sprintf "%s[%s]" source (Pipeline.config_name config),
        p, Analyze.analyze ?max_writes:cap p)
-    end
   in
   let results =
     Plim_par.with_pool ~jobs (fun pool -> Plim_par.map pool ~f:analyze_source sources)

@@ -211,8 +211,8 @@ let geometry_check name program acc =
         if k = 0 then acc
         else
           let inputs =
-            Array.to_list
-              (Array.map (fun (nm, _) -> (nm, Plim_util.Splitmix.bool rng)) pis)
+            Program.inputs_of_vector pis
+              (Plim_util.Splitmix.bits rng ~width:(Array.length pis))
           in
           let flat, _, fstats = Controller.run program ~inputs in
           match Controller.run_grouped ~geometry:grid program ~inputs with

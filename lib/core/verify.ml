@@ -6,10 +6,7 @@ module Splitmix = Plim_util.Splitmix
 
 let run_and_compare mig (program : Program.t) vector =
   let expected = Mig.eval mig vector in
-  let inputs =
-    Array.to_list
-      (Array.mapi (fun i (name, _) -> (name, vector.(i))) program.Program.pi_cells)
-  in
+  let inputs = Program.inputs_of_vector program.Program.pi_cells vector in
   let outputs, xbar, _ = Controller.run program ~inputs in
   let actual = Array.of_list (List.map snd outputs) in
   if Array.length expected <> Array.length actual then

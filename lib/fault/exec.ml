@@ -68,26 +68,10 @@ let run ?(verify = false) ?(max_retries = 2) ?(reset = true) fx rm (p : Program.
     verified l ~intended:v ~put:(fun pa -> Faulty.load fx pa v)
       ~rewrite:(fun pa -> Faulty.load fx pa v)
   in
-  (* Input-binding validation mirrors Plim_controller.run and happens before
-     any array operation, so a bad binding never consumes spares. *)
-  let bound = Hashtbl.create 16 in
-  List.iter
-    (fun (name, v) ->
-      if Hashtbl.mem bound name then
-        invalid_arg (Printf.sprintf "Exec.run: duplicate input %S" name);
-      Hashtbl.add bound name v)
-    inputs;
-  let pi_values =
-    Array.map
-      (fun (name, cell) ->
-        match Hashtbl.find_opt bound name with
-        | Some v ->
-          Hashtbl.remove bound name;
-          (cell, v)
-        | None -> invalid_arg (Printf.sprintf "Exec.run: missing input %S" name))
-      p.Program.pi_cells
-  in
-  if Hashtbl.length bound > 0 then invalid_arg "Exec.run: unknown extra inputs";
+  (* binding is validated before any array operation, so a bad binding
+     never consumes spares *)
+  let values = Program.bind_inputs ~caller:"Exec.run" p.Program.pi_cells inputs in
+  let read c = Faulty.read fx (Remap.physical rm c) in
   let outcome =
     try
       (* power-on reset / scrub: compiled programs assume all-HRS state *)
@@ -95,19 +79,15 @@ let run ?(verify = false) ?(max_retries = 2) ?(reset = true) fx rm (p : Program.
         for l = 0 to p.Program.num_cells - 1 do
           verified_load l false
         done;
-      Array.iter (fun (cell, v) -> verified_load cell v) pi_values;
+      Array.iteri (fun i (_, cell) -> verified_load cell values.(i)) p.Program.pi_cells;
       (* instruction stream *)
-      let read_operand = function
-        | I.Const v -> v
-        | I.Cell c -> Faulty.read fx (Remap.physical rm c)
-      in
       Array.iter
         (fun (instr : I.t) ->
-          let a = read_operand instr.I.a in
-          let b = read_operand instr.I.b in
+          let a = Program.operand read instr.I.a in
+          let b = Program.operand read instr.I.b in
           let l = instr.I.z in
           if verify then begin
-            let z = Faulty.read fx (Remap.physical rm l) in
+            let z = read l in
             let intended = I.semantics ~a ~b ~z in
             verified l ~intended
               ~put:(fun pa -> Faulty.rm3 fx ~p:a ~q:b pa)
@@ -115,11 +95,7 @@ let run ?(verify = false) ?(max_retries = 2) ?(reset = true) fx rm (p : Program.
           end
           else Faulty.rm3 fx ~p:a ~q:b (Remap.physical rm l))
         p.Program.instrs;
-      Completed
-        (Array.to_list
-           (Array.map
-              (fun (name, cell) -> (name, Faulty.read fx (Remap.physical rm cell)))
-              p.Program.po_cells))
+      Completed (Program.read_outputs p.Program.po_cells read)
     with Pool_dry l -> Out_of_spares l
   in
   ( outcome,

@@ -1,5 +1,6 @@
 module Mig = Plim_mig.Mig
 module Crossbar = Plim_rram.Crossbar
+module Program = Plim_isa.Program
 module Alloc = Plim_core.Alloc
 module Vec = Plim_util.Vec
 module Splitmix = Plim_util.Splitmix
@@ -195,13 +196,9 @@ let compile ?(strategy = Alloc.Lifo) g =
 (* ------------------------------------------------------------------ *)
 
 let run p ~inputs =
+  let values = Program.bind_inputs ~caller:"Imp.run" p.pi_cells inputs in
   let xbar = Crossbar.create p.num_cells in
-  Array.iter
-    (fun (name, cell) ->
-      match List.assoc_opt name inputs with
-      | Some v -> Crossbar.load xbar cell v
-      | None -> invalid_arg (Printf.sprintf "Imp.run: missing input %S" name))
-    p.pi_cells;
+  Array.iteri (fun i (_, cell) -> Crossbar.load xbar cell values.(i)) p.pi_cells;
   Array.iter
     (function
       | False z -> Crossbar.write xbar z false
@@ -210,10 +207,7 @@ let run p ~inputs =
         let pv = Crossbar.read xbar pc in
         Crossbar.rm3 xbar ~p:true ~q:pv q)
     p.instrs;
-  let outputs =
-    Array.to_list (Array.map (fun (name, cell) -> (name, Crossbar.read xbar cell)) p.po_cells)
-  in
-  (outputs, xbar)
+  (Program.read_outputs p.po_cells (Crossbar.read xbar), xbar)
 
 let check_random ?(trials = 16) ?(seed = 0x1103) mig p =
   let rng = Splitmix.create seed in
@@ -223,10 +217,7 @@ let check_random ?(trials = 16) ?(seed = 0x1103) mig p =
     else begin
       let vector = Splitmix.bits rng ~width:n in
       let expected = Mig.eval mig vector in
-      let inputs =
-        Array.to_list (Array.mapi (fun i (name, _) -> (name, vector.(i))) p.pi_cells)
-      in
-      let outputs, _ = run p ~inputs in
+      let outputs, _ = run p ~inputs:(Program.inputs_of_vector p.pi_cells vector) in
       let actual = Array.of_list (List.map snd outputs) in
       if actual = expected then go (t - 1)
       else

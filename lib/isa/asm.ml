@@ -15,14 +15,17 @@ let to_string (p : Program.t) =
     p.Program.instrs;
   Buffer.contents buf
 
-let fail line msg = failwith (Printf.sprintf "Asm.of_string: line %d: %s" line msg)
+exception Parse_error of string
+
+let fail line msg = raise (Parse_error (Printf.sprintf "Asm.of_string: line %d: %s" line msg))
 
 let parse_operand line tok =
   if tok = "0" then Instruction.Const false
   else if tok = "1" then Instruction.Const true
   else if String.length tok > 1 && tok.[0] = '%' then
     match int_of_string_opt (String.sub tok 1 (String.length tok - 1)) with
-    | Some i -> Instruction.Cell i
+    | Some i when i >= 0 -> Instruction.Cell i
+    | Some _ -> fail line (Printf.sprintf "negative cell reference %S" tok)
     | None -> fail line (Printf.sprintf "bad operand %S" tok)
   else fail line (Printf.sprintf "bad operand %S" tok)
 
@@ -31,7 +34,7 @@ let parse_cell line tok =
   | Instruction.Cell i -> i
   | Instruction.Const _ -> fail line "expected a cell reference"
 
-let of_string text =
+let parse text =
   let num_cells = ref None in
   let pis = ref [] and pos = ref [] and instrs = ref [] in
   let lineno = ref 0 in
@@ -53,8 +56,8 @@ let of_string text =
         match tokens with
         | [ ".cells"; n ] ->
           (match int_of_string_opt n with
-          | Some n -> num_cells := Some n
-          | None -> fail !lineno "bad cell count")
+          | Some n when n >= 0 -> num_cells := Some n
+          | _ -> fail !lineno "bad cell count")
         | [ ".in"; name; cell ] -> pis := (name, parse_cell !lineno cell) :: !pis
         | [ ".out"; name; cell ] -> pos := (name, parse_cell !lineno cell) :: !pos
         | [ "RM3"; a; b; z ] ->
@@ -66,13 +69,19 @@ let of_string text =
       end)
     (String.split_on_char '\n' text);
   match !num_cells with
-  | None -> failwith "Asm.of_string: missing .cells directive"
+  | None -> raise (Parse_error "Asm.of_string: missing .cells directive")
   | Some num_cells ->
     Program.make
       ~instrs:(Array.of_list (List.rev !instrs))
       ~num_cells
       ~pi_cells:(Array.of_list (List.rev !pis))
       ~po_cells:(Array.of_list (List.rev !pos))
+
+let of_string text =
+  match parse text with
+  | p -> Ok p
+  | exception Parse_error msg -> Error msg
+  | exception Invalid_argument msg -> Error ("Asm.of_string: " ^ msg)
 
 let write_file path p =
   let oc = open_out path in
@@ -81,9 +90,12 @@ let write_file path p =
     (fun () -> output_string oc (to_string p))
 
 let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      of_string (really_input_string ic n))
+  match open_in path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        match really_input_string ic (in_channel_length ic) with
+        | text -> of_string text
+        | exception Sys_error msg -> Error msg)

@@ -12,9 +12,14 @@
 
 val to_string : Program.t -> string
 
-val of_string : string -> Program.t
-(** @raise Failure on malformed input (reports the line number). *)
+val of_string : string -> (Program.t, string) result
+(** [Error] on malformed input: an unrecognised line, a bad operand, a
+    negative cell count or cell reference (each with its line number), a
+    missing [.cells] directive, or a program {!Program.make} rejects
+    (a cell out of range, a duplicate input or output name). *)
 
 val write_file : string -> Program.t -> unit
 
-val read_file : string -> Program.t
+val read_file : string -> (Program.t, string) result
+(** {!of_string} on the file's contents; [Error] also when the file
+    cannot be read. *)

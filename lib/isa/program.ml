@@ -58,3 +58,36 @@ let static_write_counts t =
   counts
 
 let iter f t = Array.iter f t.instrs
+
+let bind_inputs ~caller pi_cells inputs =
+  let bound = Hashtbl.create 16 in
+  List.iter
+    (fun (name, v) ->
+      if Hashtbl.mem bound name then
+        invalid_arg (Printf.sprintf "%s: duplicate input %S" caller name);
+      Hashtbl.add bound name v)
+    inputs;
+  let values =
+    Array.map
+      (fun (name, _) ->
+        match Hashtbl.find_opt bound name with
+        | Some v ->
+          Hashtbl.remove bound name;
+          v
+        | None -> invalid_arg (Printf.sprintf "%s: missing input %S" caller name))
+      pi_cells
+  in
+  if Hashtbl.length bound > 0 then invalid_arg (caller ^ ": unknown extra inputs");
+  values
+
+let inputs_of_vector pi_cells values =
+  if Array.length values <> Array.length pi_cells then
+    invalid_arg "Program.inputs_of_vector: input arity mismatch";
+  Array.to_list (Array.mapi (fun i (name, _) -> (name, values.(i))) pi_cells)
+
+let read_outputs po_cells read =
+  Array.to_list (Array.map (fun (name, cell) -> (name, read cell)) po_cells)
+
+let operand read = function
+  | Instruction.Const v -> v
+  | Instruction.Cell i -> read i

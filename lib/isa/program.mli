@@ -35,3 +35,27 @@ val static_write_counts : t -> int array
     paper's min/max/STDEV columns summarise. *)
 
 val iter : (Instruction.t -> unit) -> t -> unit
+
+(** {2 Executor interface}
+
+    How a program meets an array: every executor binds inputs, reads
+    operands and reads outputs back through these, and keeps only its
+    array, schedule and verify policy.  They take the name/cell maps, so
+    the IMP baseline's programs share them. *)
+
+val bind_inputs :
+  caller:string -> (string * int) array -> (string * bool) list -> bool array
+(** The value of each input in [pi_cells] order.
+    @raise Invalid_argument ["<caller>: duplicate input \"x\""], then
+    ["<caller>: missing input \"x\""], then
+    ["<caller>: unknown extra inputs"]. *)
+
+val inputs_of_vector : (string * int) array -> bool array -> (string * bool) list
+(** Named inputs from a vector in [pi_cells] order.
+    @raise Invalid_argument if the lengths differ. *)
+
+val read_outputs : (string * int) array -> (int -> bool) -> (string * bool) list
+(** Each output's cell through [read], in [po_cells] order. *)
+
+val operand : (int -> bool) -> Instruction.operand -> bool
+(** A constant as applied, a cell through [read]; allocates nothing. *)

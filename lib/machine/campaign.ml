@@ -116,14 +116,11 @@ let execute_mapped (p : Program.t) xbar rng ~map ~on_write =
   Array.iter
     (fun (_, cell) -> Crossbar.load xbar (map cell) (Splitmix.bool rng))
     p.Program.pi_cells;
+  let read c = Crossbar.read xbar (map c) in
   Array.iter
     (fun (instr : I.t) ->
-      let operand = function
-        | I.Const v -> v
-        | I.Cell c -> Crossbar.read xbar (map c)
-      in
-      let a = operand instr.I.a in
-      let b = operand instr.I.b in
+      let a = Program.operand read instr.I.a in
+      let b = Program.operand read instr.I.b in
       Crossbar.rm3 xbar ~p:a ~q:b (map instr.I.z);
       on_write instr.I.z)
     p.Program.instrs
@@ -246,10 +243,7 @@ let run_degraded ?(seed = 0xCAFE) ?(max_executions = 100) ?sample_every ?enduran
     if completed >= max_executions then (completed, Max_executions)
     else begin
       let vector = Splitmix.bits rng ~width in
-      let inputs =
-        Array.to_list
-          (Array.mapi (fun i (name, _) -> (name, vector.(i))) p.Program.pi_cells)
-      in
+      let inputs = Program.inputs_of_vector p.Program.pi_cells vector in
       let outcome, s = Exec.run ~verify fx rm p ~inputs in
       stats := Exec.add_stats !stats s;
       match outcome with

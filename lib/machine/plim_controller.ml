@@ -24,58 +24,47 @@ type trace_entry = {
 let static_cycles (p : Program.t) =
   Array.fold_left
     (fun acc (instr : Instruction.t) ->
-      let operand = function Instruction.Const _ -> 0 | Instruction.Cell _ -> 1 in
-      acc + 1 + operand instr.Instruction.a + operand instr.Instruction.b)
+      let cost = function Instruction.Const _ -> 0 | Instruction.Cell _ -> 1 in
+      acc + 1 + cost instr.Instruction.a + cost instr.Instruction.b)
     0 p.Program.instrs
+
+(* Power-on shared by the controllers: a fresh [size]-cell array with the
+   bound inputs loaded (uncounted), a cycle counter, and the operand read
+   that charges it one cycle per access. *)
+let power_on ?endurance ~caller ~size (p : Program.t) inputs =
+  Metrics.incr m_runs;
+  Metrics.incr ~by:(Array.length p.Program.instrs) m_instructions;
+  let values = Program.bind_inputs ~caller p.Program.pi_cells inputs in
+  let xbar = Crossbar.create ?endurance size in
+  Array.iteri (fun i (_, cell) -> Crossbar.load xbar cell values.(i)) p.Program.pi_cells;
+  let cycles = ref 0 in
+  let read i =
+    incr cycles;
+    Crossbar.read xbar i
+  in
+  (xbar, cycles, read)
 
 let run ?endurance ?on_step (p : Program.t) ~inputs =
   Profile.span "machine.run" @@ fun () ->
-  Metrics.incr m_runs;
-  Metrics.incr ~by:(Array.length p.Program.instrs) m_instructions;
-  let xbar = Crossbar.create ?endurance p.Program.num_cells in
-  (* load primary inputs *)
-  let bound = Hashtbl.create 16 in
-  List.iter
-    (fun (name, v) ->
-      if Hashtbl.mem bound name then
-        invalid_arg (Printf.sprintf "Plim_controller.run: duplicate input %S" name);
-      Hashtbl.add bound name v)
-    inputs;
-  Array.iter
-    (fun (name, cell) ->
-      match Hashtbl.find_opt bound name with
-      | Some v ->
-        Crossbar.load xbar cell v;
-        Hashtbl.remove bound name
-      | None -> invalid_arg (Printf.sprintf "Plim_controller.run: missing input %S" name))
-    p.Program.pi_cells;
-  if Hashtbl.length bound > 0 then
-    invalid_arg "Plim_controller.run: unknown extra inputs";
-  (* controller on: execute the stream *)
-  let cycles = ref 0 in
-  let read_operand = function
-    | Instruction.Const v -> v
-    | Instruction.Cell i ->
-      incr cycles;
-      Crossbar.read xbar i
+  let xbar, cycles, read =
+    power_on ?endurance ~caller:"Plim_controller.run" ~size:p.Program.num_cells p inputs
   in
+  (* controller on: execute the stream *)
   Array.iteri
     (fun pc (instr : Instruction.t) ->
-      let a = read_operand instr.Instruction.a in
-      let b = read_operand instr.Instruction.b in
+      let a = Program.operand read instr.Instruction.a in
+      let b = Program.operand read instr.Instruction.b in
       let z = instr.Instruction.z in
-      let z_before = Crossbar.read xbar z in
-      Crossbar.rm3 xbar ~p:a ~q:b z;
       incr cycles;
       match on_step with
-      | None -> ()
+      | None -> Crossbar.rm3 xbar ~p:a ~q:b z
       | Some f ->
-        f { pc; instr; a_value = a; b_value = b; z_before; z_after = Crossbar.read xbar z })
+        (* observation only: the RM3 senses Z itself, so no read is counted *)
+        let z_before = Crossbar.peek xbar z in
+        Crossbar.rm3 xbar ~p:a ~q:b z;
+        f { pc; instr; a_value = a; b_value = b; z_before; z_after = Crossbar.peek xbar z })
     p.Program.instrs;
-  let outputs =
-    Array.to_list
-      (Array.map (fun (name, cell) -> (name, Crossbar.read xbar cell)) p.Program.po_cells)
-  in
+  let outputs = Program.read_outputs p.Program.po_cells (Crossbar.read xbar) in
   (outputs, xbar, { instructions = Array.length p.Program.instrs; cycles = !cycles })
 
 (* ------------------------------------------------------------------ *)
@@ -103,35 +92,9 @@ let run_grouped ?endurance ~geometry (p : Program.t) ~inputs =
   match Plim_geometry.schedule geometry p with
   | Error msg -> Error msg
   | Ok sched ->
-    Metrics.incr m_runs;
-    Metrics.incr ~by:(Array.length p.Program.instrs) m_instructions;
-    let xbar = Crossbar.create ?endurance p.Program.num_cells in
-    let bound = Hashtbl.create 16 in
-    List.iter
-      (fun (name, v) ->
-        if Hashtbl.mem bound name then
-          invalid_arg
-            (Printf.sprintf "Plim_controller.run_grouped: duplicate input %S" name);
-        Hashtbl.add bound name v)
-      inputs;
-    Array.iter
-      (fun (name, cell) ->
-        match Hashtbl.find_opt bound name with
-        | Some v ->
-          Crossbar.load xbar cell v;
-          Hashtbl.remove bound name
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Plim_controller.run_grouped: missing input %S" name))
-      p.Program.pi_cells;
-    if Hashtbl.length bound > 0 then
-      invalid_arg "Plim_controller.run_grouped: unknown extra inputs";
-    let cycles = ref 0 in
-    let read_operand = function
-      | Instruction.Const v -> v
-      | Instruction.Cell i ->
-        incr cycles;
-        Crossbar.read xbar i
+    let xbar, cycles, read =
+      power_on ?endurance ~caller:"Plim_controller.run_grouped" ~size:p.Program.num_cells
+        p inputs
     in
     Array.iter
       (fun group ->
@@ -141,8 +104,8 @@ let run_grouped ?endurance ~geometry (p : Program.t) ~inputs =
           Array.map
             (fun i ->
               let instr = p.Program.instrs.(i) in
-              let a = read_operand instr.Instruction.a in
-              let b = read_operand instr.Instruction.b in
+              let a = Program.operand read instr.Instruction.a in
+              let b = Program.operand read instr.Instruction.b in
               incr cycles;
               (instr.Instruction.z, a, b))
             group
@@ -150,12 +113,7 @@ let run_grouped ?endurance ~geometry (p : Program.t) ~inputs =
         (* write phase: fire the group's RM3s *)
         Array.iter (fun (z, a, b) -> Crossbar.rm3 xbar ~p:a ~q:b z) writes)
       sched.Plim_geometry.s_groups;
-    let outputs =
-      Array.to_list
-        (Array.map
-           (fun (name, cell) -> (name, Crossbar.read xbar cell))
-           p.Program.po_cells)
-    in
+    let outputs = Program.read_outputs p.Program.po_cells (Crossbar.read xbar) in
     Ok
       ( outputs,
         xbar,
@@ -167,68 +125,35 @@ let run_grouped ?endurance ~geometry (p : Program.t) ~inputs =
 
 let run_self_hosted ?endurance (p : Program.t) ~inputs =
   Profile.span "machine.run_self_hosted" @@ fun () ->
-  Metrics.incr m_runs;
-  Metrics.incr ~by:(Array.length p.Program.instrs) m_instructions;
   let module Encoding = Plim_isa.Encoding in
   let data_cells = p.Program.num_cells in
   let footprint = Encoding.footprint p in
   let per_instr = Encoding.instruction_bits ~num_cells:data_cells in
-  let xbar = Crossbar.create ?endurance footprint.Encoding.total_cells in
+  let xbar, cycles, read =
+    power_on ?endurance ~caller:"Plim_controller.run_self_hosted"
+      ~size:footprint.Encoding.total_cells p inputs
+  in
   (* provision the program into the high region of the array *)
   let program_bits = Encoding.encode_program p in
   Array.iteri (fun i bit -> Crossbar.load xbar (data_cells + i) bit) program_bits;
-  (* load primary inputs; validation mirrors [run]: duplicates, missing and
-     unknown extras are all rejected *)
-  let bound = Hashtbl.create 16 in
-  List.iter
-    (fun (name, v) ->
-      if Hashtbl.mem bound name then
-        invalid_arg
-          (Printf.sprintf "Plim_controller.run_self_hosted: duplicate input %S" name);
-      Hashtbl.add bound name v)
-    inputs;
-  Array.iter
-    (fun (name, cell) ->
-      match Hashtbl.find_opt bound name with
-      | Some v ->
-        Crossbar.load xbar cell v;
-        Hashtbl.remove bound name
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Plim_controller.run_self_hosted: missing input %S" name))
-    p.Program.pi_cells;
-  if Hashtbl.length bound > 0 then
-    invalid_arg "Plim_controller.run_self_hosted: unknown extra inputs";
-  let cycles = ref 0 in
   let num_instrs = Array.length p.Program.instrs in
   for pc = 0 to num_instrs - 1 do
     (* fetch: read the instruction's bit cells *)
     let base = data_cells + (pc * per_instr) in
-    let bits = Array.init per_instr (fun k -> Crossbar.read xbar (base + k)) in
-    cycles := !cycles + per_instr;
+    let bits = Array.init per_instr (fun k -> read (base + k)) in
     let instr = Encoding.decode ~num_cells:data_cells bits in
-    let read_operand = function
-      | Instruction.Const v -> v
-      | Instruction.Cell i ->
-        incr cycles;
-        Crossbar.read xbar i
-    in
-    let a = read_operand instr.Instruction.a in
-    let b = read_operand instr.Instruction.b in
+    let a = Program.operand read instr.Instruction.a in
+    let b = Program.operand read instr.Instruction.b in
     Crossbar.rm3 xbar ~p:a ~q:b instr.Instruction.z;
     incr cycles
   done;
-  let outputs =
-    Array.to_list
-      (Array.map (fun (name, cell) -> (name, Crossbar.read xbar cell)) p.Program.po_cells)
-  in
+  let outputs = Program.read_outputs p.Program.po_cells (Crossbar.read xbar) in
   (outputs, xbar, { instructions = num_instrs; cycles = !cycles })
 
 let run_vector ?endurance (p : Program.t) values =
   if Array.length values <> Array.length p.Program.pi_cells then
     invalid_arg "Plim_controller.run_vector: input arity mismatch";
-  let inputs =
-    Array.to_list (Array.mapi (fun i (name, _) -> (name, values.(i))) p.Program.pi_cells)
+  let outputs, _, _ =
+    run ?endurance p ~inputs:(Program.inputs_of_vector p.Program.pi_cells values)
   in
-  let outputs, _, _ = run ?endurance p ~inputs in
   Array.of_list (List.map snd outputs)

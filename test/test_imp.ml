@@ -52,6 +52,19 @@ let test_imp_const_outputs () =
   check_bool "const 0" false (List.assoc "zero" outputs);
   check_bool "const 1" true (List.assoc "one" outputs)
 
+(* Imp.run binds like every RM3 executor: exactly the program's inputs *)
+let test_imp_binding_errors () =
+  let g = Mig.create () in
+  let a = Mig.add_input g "a" in
+  Mig.add_output g "y" (Mig.not_ a);
+  let p = Imp.compile g in
+  Alcotest.check_raises "missing" (Invalid_argument "Imp.run: missing input \"a\"")
+    (fun () -> ignore (Imp.run p ~inputs:[]));
+  Alcotest.check_raises "duplicate" (Invalid_argument "Imp.run: duplicate input \"a\"")
+    (fun () -> ignore (Imp.run p ~inputs:[ ("a", true); ("a", false) ]));
+  Alcotest.check_raises "extra" (Invalid_argument "Imp.run: unknown extra inputs")
+    (fun () -> ignore (Imp.run p ~inputs:[ ("a", true); ("b", false) ]))
+
 let imp_correct =
   QCheck.Test.make ~count:40 ~name:"IMP compilation is functionally correct"
     QCheck.small_int
@@ -110,5 +123,6 @@ let () =
           Alcotest.test_case "constant outputs" `Quick test_imp_const_outputs;
           Alcotest.test_case "IMP vs RM3 (Section II)" `Quick test_imp_vs_rm3;
           Alcotest.test_case "write accounting" `Quick test_imp_write_accounting;
+          Alcotest.test_case "input binding errors" `Quick test_imp_binding_errors;
           qc imp_correct;
           qc imp_min_write_correct ] ) ]

@@ -143,10 +143,12 @@ let test_cycle_accounting () =
 let test_asm_roundtrip_executes () =
   let g = Plim_benchgen.Arith.multiplier ~width:4 in
   let r = Pipeline.compile Pipeline.min_write g in
-  let p' = Plim_isa.Asm.of_string (Plim_isa.Asm.to_string r.Pipeline.program) in
-  match Verify.check_random ~trials:8 g p' with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "roundtripped program: %s" e
+  match Plim_isa.Asm.of_string (Plim_isa.Asm.to_string r.Pipeline.program) with
+  | Error e -> Alcotest.failf "reparse: %s" e
+  | Ok p' -> (
+    match Verify.check_random ~trials:8 g p' with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "roundtripped program: %s" e)
 
 (* rewriting effort monotonicity: more effort never increases size *)
 let test_effort_monotone () =

@@ -118,24 +118,49 @@ let program_equal (p : Program.t) (q : Program.t) =
   && p.Program.pi_cells = q.Program.pi_cells
   && p.Program.po_cells = q.Program.po_cells
 
-let test_asm_roundtrip () =
-  let p = sample_program () in
-  check_bool "roundtrip" true (program_equal p (Asm.of_string (Asm.to_string p)))
+(* parse (print p) = p *)
+let reparses p =
+  match Asm.of_string (Asm.to_string p) with
+  | Ok q -> program_equal p q
+  | Error _ -> false
+
+let test_asm_roundtrip () = check_bool "roundtrip" true (reparses (sample_program ()))
 
 let test_asm_parsing () =
   let text = "; comment line\n.cells 3\n.in a %0\n.out y %2\nRM3 %0, 1, %2 ; trailing\n\n" in
-  let p = Asm.of_string text in
+  let p = Result.get_ok (Asm.of_string text) in
   check_int "#I" 1 (Program.length p);
   check_int "cells" 3 (Program.num_cells p);
   Alcotest.(check (array (pair string int))) "pi" [| ("a", 0) |] p.Program.pi_cells
 
+let check_asm_error what expected text =
+  let got = Result.map Asm.to_string (Asm.of_string text) in
+  Alcotest.(check (result string string)) what (Error expected) got
+
 let test_asm_errors () =
-  Alcotest.check_raises "missing cells" (Failure "Asm.of_string: missing .cells directive")
-    (fun () -> ignore (Asm.of_string "RM3 0, 1, %0"));
-  Alcotest.check_raises "bad operand" (Failure "Asm.of_string: line 2: bad operand \"x\"")
-    (fun () -> ignore (Asm.of_string ".cells 1\nRM3 x, 1, %0"));
-  Alcotest.check_raises "const dest" (Failure "Asm.of_string: line 2: expected a cell reference")
-    (fun () -> ignore (Asm.of_string ".cells 1\nRM3 0, 1, 1"))
+  check_asm_error "missing cells" "Asm.of_string: missing .cells directive" "RM3 0, 1, %0";
+  check_asm_error "bad operand" "Asm.of_string: line 2: bad operand \"x\""
+    ".cells 1\nRM3 x, 1, %0";
+  check_asm_error "const dest" "Asm.of_string: line 2: expected a cell reference"
+    ".cells 1\nRM3 0, 1, 1"
+
+(* every malformed input is an [Error], never an exception *)
+let test_asm_fails_closed () =
+  check_asm_error "garbage" "Asm.of_string: line 1: unrecognised line" "!!garbage!!";
+  check_asm_error "negative cells" "Asm.of_string: line 1: bad cell count" ".cells -2";
+  check_asm_error "negative operand" "Asm.of_string: line 2: negative cell reference \"%-1\""
+    ".cells 2\nRM3 %-1, 1, %0";
+  check_asm_error "negative input cell"
+    "Asm.of_string: line 2: negative cell reference \"%-3\"" ".cells 2\n.in a %-3";
+  check_asm_error "output out of range"
+    "Asm.of_string: Program.make: output cell 5 out of range (num_cells 2)"
+    ".cells 2\n.in a %0\n.out y %5";
+  check_asm_error "destination out of range"
+    "Asm.of_string: Program.make: destination cell 2 out of range (num_cells 2)"
+    ".cells 2\nRM3 0, 1, %2";
+  check_asm_error "duplicate input"
+    "Asm.of_string: Program.make: duplicate input name \"a\""
+    ".cells 2\n.in a %0\n.in a %1"
 
 let asm_roundtrip_random =
   QCheck.Test.make ~count:100 ~name:"assembly roundtrip on random programs"
@@ -150,7 +175,7 @@ let asm_roundtrip_random =
         Program.make ~instrs ~num_cells:10 ~pi_cells:[| ("in0", 0) |]
           ~po_cells:[| ("out0", 9) |]
       in
-      program_equal p (Asm.of_string (Asm.to_string p)))
+      reparses p)
 
 (* parse (print p) = p over real compiler output, not just synthetic
    streams: compiled programs exercise shared PI cells, complement
@@ -163,7 +188,7 @@ let compiled_asm_roundtrip =
       let g = Plim_check.Gen.to_mig desc in
       let config = { Pipeline.endurance_full with Pipeline.effort = 1 } in
       let p = (Pipeline.compile config g).Pipeline.program in
-      program_equal p (Asm.of_string (Asm.to_string p)))
+      reparses p)
 
 (* --- binary encoding -------------------------------------------------------- *)
 
@@ -223,6 +248,7 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_asm_roundtrip;
           Alcotest.test_case "parsing" `Quick test_asm_parsing;
           Alcotest.test_case "errors" `Quick test_asm_errors;
+          Alcotest.test_case "malformed input fails closed" `Quick test_asm_fails_closed;
           qc asm_roundtrip_random;
           qc compiled_asm_roundtrip ] );
       ( "encoding",

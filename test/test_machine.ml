@@ -218,6 +218,120 @@ let test_campaign_matches_static_estimate () =
     true
     (o.Campaign.failed && abs (o.Campaign.executions_completed - predicted) <= 1)
 
+(* --- one executor interface ------------------------------------------------ *)
+
+module Pipeline = Plim_core.Pipeline
+module Exec = Plim_fault.Exec
+module Faulty = Plim_fault.Faulty
+module Remap = Plim_fault.Remap
+module Metrics = Plim_obs.Metrics
+
+let grid rows cols = Plim_geometry.make_exn ~rows ~cols
+
+(* fault-free [Exec.run] through an identity remap: outputs and the
+   per-cell write counts of the program's cells *)
+let exec_fault_free ?(verify = false) ?reset p ~inputs =
+  let n = Program.num_cells p in
+  let fx = Faulty.create (Crossbar.create n) in
+  match Exec.run ~verify ?reset fx (Remap.create ~lines:n ()) p ~inputs with
+  | Exec.Completed outputs, _ -> (outputs, Crossbar.write_counts (Faulty.base fx))
+  | Exec.Out_of_spares l, _ -> Alcotest.failf "fault-free run out of spares at %d" l
+
+let grouped_exn ~geometry p ~inputs =
+  match Controller.run_grouped ~geometry p ~inputs with
+  | Ok (outputs, xbar, _) -> (outputs, xbar)
+  | Error e -> Alcotest.failf "run_grouped %s: %s" (Plim_geometry.to_string geometry) e
+
+(* the crossbar.reads / crossbar.writes deltas of one execution *)
+let counter_deltas f =
+  let reads = Metrics.get "crossbar.reads" and writes = Metrics.get "crossbar.writes" in
+  f ();
+  (Metrics.get "crossbar.reads" - reads, Metrics.get "crossbar.writes" - writes)
+
+let test_executors_count_alike () =
+  let g = Plim_benchgen.Suite.(build_cached (find "adder8")) in
+  let p = (Pipeline.compile Pipeline.endurance_full g).Pipeline.program in
+  let inputs =
+    Program.inputs_of_vector p.Program.pi_cells
+      (Array.make (Array.length p.Program.pi_cells) true)
+  in
+  let flat = counter_deltas (fun () -> ignore (Controller.run p ~inputs)) in
+  let grouped =
+    counter_deltas (fun () -> ignore (grouped_exn ~geometry:(grid 64 1) p ~inputs))
+  in
+  let exec = counter_deltas (fun () -> ignore (exec_fault_free ~reset:false p ~inputs)) in
+  let pair = Alcotest.(pair int int) in
+  (* one read per cell operand plus one per output; one write per RM3 *)
+  let expected =
+    ( Controller.static_cycles p - Program.length p + Array.length p.Program.po_cells,
+      Program.length p )
+  in
+  Alcotest.check pair "flat run" expected flat;
+  Alcotest.check pair "grouped run" expected grouped;
+  Alcotest.check pair "fault-free Exec.run" expected exec
+
+(* every RM3 executor computes the same outputs and the same wear on the
+   program's cells *)
+let executors_agree =
+  QCheck.Test.make ~count:60 ~name:"every executor: same outputs, same data-cell wear"
+    QCheck.(pair (Plim_check.Gen.arbitrary ~max_inputs:5 ~max_nodes:16 ()) int)
+    (fun (desc, seed) ->
+      let g = Plim_check.Gen.to_mig desc in
+      let p = (Pipeline.compile Pipeline.endurance_full g).Pipeline.program in
+      let n = Program.num_cells p in
+      let inputs =
+        Program.inputs_of_vector p.Program.pi_cells
+          (Plim_util.Splitmix.bits (Plim_util.Splitmix.create seed)
+             ~width:(Array.length p.Program.pi_cells))
+      in
+      let data xbar = Array.sub (Crossbar.write_counts xbar) 0 n in
+      let reference, xbar, _ = Controller.run p ~inputs in
+      let wear = data xbar in
+      let agrees name (outputs, counts) =
+        if outputs <> reference then QCheck.Test.fail_reportf "%s: outputs differ" name;
+        if Array.sub counts 0 n <> wear then
+          QCheck.Test.fail_reportf "%s: data-cell wear differs" name;
+        true
+      in
+      let grouped geometry =
+        let outputs, xbar = grouped_exn ~geometry p ~inputs in
+        (outputs, Crossbar.write_counts xbar)
+      in
+      let hosted =
+        let outputs, xbar, _ = Controller.run_self_hosted p ~inputs in
+        (outputs, Crossbar.write_counts xbar)
+      in
+      agrees "run_grouped 64x1" (grouped (grid 64 1))
+      && agrees "run_grouped 8x16" (grouped (grid 8 16))
+      && agrees "run_self_hosted" hosted
+      && agrees "Exec.run" (exec_fault_free p ~inputs)
+      && agrees "Exec.run ~verify" (exec_fault_free ~verify:true p ~inputs))
+
+(* the binding errors of the grouped controller and of fault-tolerant
+   execution.  A failed Exec.run binding touches no cell and no spare:
+   cell 0 is stuck at 1, so a scrub under write-verify would retire it. *)
+let test_binding_error_table () =
+  let p = not_program () in
+  let cases =
+    [ ("missing", [], "missing input \"a\"");
+      ("duplicate", [ ("a", true); ("a", false) ], "duplicate input \"a\"");
+      ("extra", [ ("a", true); ("b", false) ], "unknown extra inputs") ]
+  in
+  List.iter
+    (fun (what, inputs, msg) ->
+      Alcotest.check_raises ("run_grouped " ^ what)
+        (Invalid_argument ("Plim_controller.run_grouped: " ^ msg))
+        (fun () -> ignore (Controller.run_grouped ~geometry:(grid 2 1) p ~inputs));
+      let xbar = Crossbar.create 4 in
+      let fx = Faulty.create ~faults:[ (0, Plim_fault.Fault_model.Stuck_at_1) ] xbar in
+      let rm = Remap.create ~spares:2 ~lines:2 () in
+      Alcotest.check_raises ("Exec.run " ^ what) (Invalid_argument ("Exec.run: " ^ msg))
+        (fun () -> ignore (Exec.run ~verify:true fx rm p ~inputs));
+      Alcotest.(check (array int)) (what ^ ": no wear") [| 0; 0; 0; 0 |]
+        (Crossbar.write_counts xbar);
+      check_int (what ^ ": spares untouched") 2 (Remap.spares_left rm))
+    cases
+
 let () =
   Alcotest.run "machine"
     [ ( "controller",
@@ -239,6 +353,11 @@ let () =
       ( "energy",
         [ Alcotest.test_case "accounting" `Quick test_energy_accounting;
           Alcotest.test_case "custom model" `Quick test_energy_custom_model ] );
+      ( "executors",
+        [ Alcotest.test_case "same read and write counts" `Quick
+            test_executors_count_alike;
+          QCheck_alcotest.to_alcotest executors_agree;
+          Alcotest.test_case "binding error table" `Quick test_binding_error_table ] );
       ( "campaign",
         [ Alcotest.test_case "until failure" `Quick test_campaign_until_failure;
           Alcotest.test_case "max executions" `Quick test_campaign_max_executions;
