@@ -115,10 +115,18 @@ let with_jobs jobs f =
 
 (* ---------------------------------------------------------------- *)
 
+(* A malformed .mig or .plim file is a usage error: exit 2, never an
+   uncaught exception. *)
+let or_exit_2 path = function
+  | Ok x -> x
+  | Error e ->
+    Printf.eprintf "plimc: %s: %s\n" path e;
+    exit 2
+
 let load_mig source =
   if Sys.file_exists source then
     if Filename.check_suffix source ".blif" then Plim_mig.Blif.read_file source
-    else Mig_io.read_file source
+    else or_exit_2 source (Mig_io.read_file source)
   else
     match Suite.find source with
     | spec -> Suite.build_cached spec
@@ -127,14 +135,7 @@ let load_mig source =
         "plimc: %S is neither a file nor a known benchmark (try 'plimc list')\n" source;
       exit 1
 
-(* A malformed .plim file is a usage error: exit 2, never an uncaught
-   exception. *)
-let load_plim path =
-  match Asm.read_file path with
-  | Ok p -> p
-  | Error e ->
-    Printf.eprintf "plimc: %s: %s\n" path e;
-    exit 2
+let load_plim path = or_exit_2 path (Asm.read_file path)
 
 let preset_of_string = function
   | "naive" -> Ok Pipeline.naive
@@ -670,7 +671,7 @@ let fuzz_run obs runs seed max_inputs max_nodes corpus no_save no_shrink case_se
   obs @@ fun () ->
   match replay with
   | Some path ->
-    let g = Plim_check.Corpus.load_file path in
+    let g = or_exit_2 path (Plim_check.Corpus.load_file path) in
     (match Plim_check.Check.run g with
     | [] -> Printf.printf "%s: conformance ok\n" path
     | failures ->

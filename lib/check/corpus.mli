@@ -21,8 +21,10 @@ val save : dir:string -> ?meta:string list -> Mig.t -> string
 (** Write the graph (creating [dir] if needed) with one [# line] per
     [meta] entry; returns the file path.  Idempotent per digest. *)
 
-val load_file : string -> Mig.t
+val load_file : string -> (Mig.t, string) result
+(** {!Plim_mig.Mig_io.read_file}. *)
 
-val entries : string -> (string * Mig.t) list
-(** All [.mig] entries of a corpus directory, sorted by file name; the
-    empty list when the directory does not exist. *)
+val entries : string -> (string * (Mig.t, string) result) list
+(** All [.mig] entries of a corpus directory, sorted by file name, each
+    with its parse result; the empty list when the directory does not
+    exist. *)

@@ -16,10 +16,15 @@ let tag_maj = 2
 
 type t = {
   tag : int Vec.t;
-  c0 : int Vec.t; (* maj: child signal / input: PI index *)
+  c0 : int Vec.t; (* maj: sorted child signals / input: PI index *)
   c1 : int Vec.t;
   c2 : int Vec.t;
-  strash : (int * int * int, int) Hashtbl.t;
+  mutable strash : int array;
+  (* open-addressed structural hash: majority node ids, each keyed on its
+     own (c0, c1, c2); 0 (the constant's id) marks an empty slot.  The
+     length is a power of two, doubled before more than half the slots
+     fill, so probes stay short. *)
+  mutable strash_count : int; (* full slots: the majority node count *)
   input_names : string Vec.t;
   input_nodes : int Vec.t;       (* PI index -> node id *)
   outs : (string * signal) Vec.t;
@@ -43,8 +48,14 @@ let pp_signal ppf s =
 
 (* {1 Construction} *)
 
-(* [nodes] sizes the node vectors up front, so a rebuild never regrows
-   them. *)
+(* The smallest power of two of at least [2 * nodes] slots, and at least
+   256. *)
+let strash_slots nodes =
+  let rec pow2 n = if n >= 2 * nodes then n else pow2 (2 * n) in
+  pow2 256
+
+(* [nodes] sizes the node vectors and the strash up front, so a rebuild
+   never regrows or rehashes them. *)
 let create_sized ?nodes () =
   let vec dummy = Vec.create ?capacity:nodes ~dummy () in
   let g =
@@ -52,7 +63,8 @@ let create_sized ?nodes () =
       c0 = vec 0;
       c1 = vec 0;
       c2 = vec 0;
-      strash = Hashtbl.create 1024;
+      strash = Array.make (strash_slots (Option.value nodes ~default:0)) 0;
+      strash_count = 0;
       input_names = Vec.create ~dummy:"" ();
       input_nodes = Vec.create ~dummy:0 ();
       outs = Vec.create ~dummy:("", 0) () }
@@ -73,48 +85,87 @@ let new_node g tag c0 c1 c2 =
   ignore (Vec.push g.c2 c2);
   id
 
-let add_input g name =
-  if Vec.exists (String.equal name) g.input_names then
-    invalid_arg (Printf.sprintf "Mig.add_input: duplicate input %S" name);
+(* Names are not checked: the caller knows they are unique. *)
+let push_input g name =
   let pi = Vec.push g.input_names name in
   let id = new_node g tag_input pi 0 0 in
   ignore (Vec.push g.input_nodes id);
   signal id false
 
-let sort3 a b c =
-  let a, b = if a <= b then (a, b) else (b, a) in
-  let b, c = if b <= c then (b, c) else (c, b) in
-  let a, b = if a <= b then (a, b) else (b, a) in
-  (a, b, c)
+let add_input g name =
+  if Vec.exists (String.equal name) g.input_names then
+    invalid_arg (Printf.sprintf "Mig.add_input: duplicate input %S" name);
+  push_input g name
 
-(* Ω.M on a sorted triple; [None] when no reduction applies. *)
+let min_signal (a : signal) b = if a <= b then a else b
+let max_signal (a : signal) b = if a <= b then b else a
+
+let no_reduction = -1
+
+(* Ω.M on a sorted triple; [no_reduction] when no reduction applies. *)
 let reduce a b c =
-  if a = b then Some a
-  else if b = c then Some b
-  else if node_of a = node_of b then Some c (* x and !x *)
-  else if node_of b = node_of c then Some a
-  else None
+  if a = b then a
+  else if b = c then b
+  else if node_of a = node_of b then c (* x and !x *)
+  else if node_of b = node_of c then a
+  else no_reduction
 
+let hash3 a b c =
+  let h = (((a * 0x9E3779B1) + b) * 0x85EBCA77) + c in
+  let h = h * 0xC2B2AE3D in
+  h lxor (h lsr 29)
+
+(* Linear probing from the key's home slot: the slot holding the majority
+   node <a b c>, or the empty slot where it belongs. *)
+let rec probe g slots mask a b c i =
+  let id = slots.(i) in
+  if id = 0 || (Vec.get g.c0 id = a && Vec.get g.c1 id = b && Vec.get g.c2 id = c)
+  then i
+  else probe g slots mask a b c ((i + 1) land mask)
+
+let slot g slots a b c =
+  let mask = Array.length slots - 1 in
+  probe g slots mask a b c (hash3 a b c land mask)
+
+let grow_strash g =
+  let old = g.strash in
+  let slots = Array.make (2 * Array.length old) 0 in
+  Array.iter
+    (fun id ->
+      if id <> 0 then
+        slots.(slot g slots (Vec.get g.c0 id) (Vec.get g.c1 id) (Vec.get g.c2 id)) <- id)
+    old;
+  g.strash <- slots
+
+(* Both sort their operands into (lo, mid, hi) with integer operations, so
+   neither allocates unless [lookup] returns [Some]. *)
 let maj g a b c =
-  let a, b, c = sort3 a b c in
-  match reduce a b c with
-  | Some s -> s
-  | None ->
-    (match Hashtbl.find_opt g.strash (a, b, c) with
-    | Some id -> signal id false
-    | None ->
-      let id = new_node g tag_maj a b c in
-      Hashtbl.add g.strash (a, b, c) id;
-      signal id false)
+  let lo = min_signal a (min_signal b c) and hi = max_signal a (max_signal b c) in
+  let mid = a + b + c - lo - hi in
+  let r = reduce lo mid hi in
+  if r <> no_reduction then r
+  else begin
+    let i = slot g g.strash lo mid hi in
+    let id = g.strash.(i) in
+    if id <> 0 then signal id false
+    else begin
+      let id = new_node g tag_maj lo mid hi in
+      g.strash.(i) <- id;
+      g.strash_count <- g.strash_count + 1;
+      if 2 * g.strash_count > Array.length g.strash then grow_strash g;
+      signal id false
+    end
+  end
 
 let lookup ?(below = max_int) g a b c =
-  let a, b, c = sort3 a b c in
-  match reduce a b c with
-  | Some s -> Some s
-  | None ->
-    (match Hashtbl.find_opt g.strash (a, b, c) with
-    | Some id when id < below -> Some (signal id false)
-    | Some _ | None -> None)
+  let lo = min_signal a (min_signal b c) and hi = max_signal a (max_signal b c) in
+  let mid = a + b + c - lo - hi in
+  let r = reduce lo mid hi in
+  if r <> no_reduction then Some r
+  else begin
+    let id = g.strash.(slot g g.strash lo mid hi) in
+    if id <> 0 && id < below then Some (signal id false) else None
+  end
 
 let and_ g a b = maj g a b false_
 let or_ g a b = maj g a b true_
@@ -134,6 +185,16 @@ let kind g id =
   if tag = tag_const then Const
   else if tag = tag_input then Input (Vec.get g.c0 id)
   else Maj (Vec.get g.c0 id, Vec.get g.c1 id, Vec.get g.c2 id)
+
+let is_maj g id = Vec.get g.tag id = tag_maj
+
+let child g id i =
+  if not (is_maj g id) then invalid_arg "Mig.child: not a majority node";
+  match i with
+  | 0 -> Vec.get g.c0 id
+  | 1 -> Vec.get g.c1 id
+  | 2 -> Vec.get g.c2 id
+  | _ -> invalid_arg "Mig.child: position not in 0..2"
 
 let input_name g pi = Vec.get g.input_names pi
 let input_signal g pi = signal (Vec.get g.input_nodes pi) false
@@ -290,7 +351,7 @@ let map_rebuild ?reachable:mark g ~rule =
   let g' = create_sized ~nodes:(num_nodes g) () in
   let map = Array.make (num_nodes g) false_ in
   Vec.iteri
-    (fun pi id -> map.(id) <- add_input g' (Vec.get g.input_names pi))
+    (fun pi id -> map.(id) <- push_input g' (Vec.get g.input_names pi))
     g.input_nodes;
   let remap s =
     let m = map.(node_of s) in

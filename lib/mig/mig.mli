@@ -8,7 +8,12 @@
     constant and ids are topologically ordered (children always precede
     parents).  The graph is hash-consed: structurally identical majority
     nodes are shared, and the trivial majority axiom Ω.M is applied on
-    construction ([maj] never builds <x,x,y> or <x,!x,y>). *)
+    construction ([maj] never builds <x,x,y> or <x,!x,y>).
+
+    The structural hash is an open-addressed table of node ids keyed on
+    each node's own sorted children; it is not observable: a graph built
+    by the same calls gets the same ids whatever the table's size.  [maj],
+    [lookup] (up to its [Some]), [is_maj] and [child] allocate nothing. *)
 
 type t
 
@@ -43,7 +48,8 @@ val pp_signal : Format.formatter -> signal -> unit
 val create : unit -> t
 
 val add_input : t -> string -> signal
-(** Declares a fresh primary input.  Names must be unique. *)
+(** Declares a fresh primary input.
+    @raise Invalid_argument if the name is already an input. *)
 
 val maj : t -> signal -> signal -> signal -> signal
 (** Hash-consed majority with Ω.M simplification. *)
@@ -72,6 +78,18 @@ val num_nodes : t -> int
 val num_inputs : t -> int
 val num_outputs : t -> int
 val kind : t -> int -> node_kind
+
+val is_maj : t -> int -> bool
+(** [is_maj t id]: node [id] is a majority node.  Unlike [kind] it
+    allocates nothing. *)
+
+val child : t -> int -> int -> signal
+(** [child t id i] is child [i] (0, 1 or 2) of majority node [id], as in
+    [Maj] of [kind t id] and in the same order: the children sorted by
+    signal.  It allocates nothing, so rewriting decisions use it.
+    @raise Invalid_argument if [id] is not a majority node or [i] is not
+    0, 1 or 2. *)
+
 val input_name : t -> int -> string
 val input_signal : t -> int -> signal
 val outputs : t -> (string * signal) array
@@ -145,4 +163,7 @@ val map_rebuild :
     rewriting heuristics can consult old-graph fanout information); [rule]
     must return the replacement signal in the new graph (typically via
     [maj] plus algebraic rewriting).  Inputs and output names/polarities
-    are preserved.  [reachable] as for {!fanout_counts}. *)
+    are preserved.  [reachable] as for {!fanout_counts}.  The new graph's
+    node vectors and strash are sized for [num_nodes t], and its inputs
+    are copied without [add_input]'s duplicate check (the source's names
+    are unique), so a copy is linear in the graph's size. *)

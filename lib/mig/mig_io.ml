@@ -29,20 +29,31 @@ let to_string g =
     (Mig.outputs g);
   Buffer.contents buf
 
-let fail line msg = failwith (Printf.sprintf "Mig_io.of_string: line %d: %s" line msg)
+exception Parse_error of int * string
 
-let of_string text =
+let fail line msg = raise (Parse_error (line, msg))
+
+let parse text =
   let g = Mig.create () in
   (* old node id -> signal in the new graph *)
   let map = Hashtbl.create 256 in
   Hashtbl.add map 0 Mig.false_;
+  let parse_id line what tok =
+    match int_of_string_opt tok with
+    | Some id -> id
+    | None -> fail line ("bad " ^ what)
+  in
+  let define line id s =
+    if Hashtbl.mem map id then fail line (Printf.sprintf "node %d defined twice" id);
+    Hashtbl.add map id s
+  in
   let parse_operand line tok =
     let compl_, tok =
       if String.length tok > 0 && tok.[0] = '~' then
         (true, String.sub tok 1 (String.length tok - 1))
       else (false, tok)
     in
-    let id = try int_of_string tok with Failure _ -> fail line "bad operand" in
+    let id = parse_id line "operand" tok in
     match Hashtbl.find_opt map id with
     | Some s -> if compl_ then Mig.not_ s else s
     | None -> fail line (Printf.sprintf "operand references unknown node %d" id)
@@ -61,20 +72,29 @@ let of_string text =
       else
         match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
         | [ ".input"; id; name ] ->
-          let id = try int_of_string id with Failure _ -> fail !lineno "bad input id" in
-          Hashtbl.replace map id (Mig.add_input g name)
+          let id = parse_id !lineno "input id" id in
+          (match Mig.add_input g name with
+          | s -> define !lineno id s
+          | exception Invalid_argument _ ->
+            fail !lineno (Printf.sprintf "duplicate input %S" name))
         | [ ".node"; id; a; b; c ] ->
-          let id = try int_of_string id with Failure _ -> fail !lineno "bad node id" in
+          let id = parse_id !lineno "node id" id in
           let a = parse_operand !lineno a
           and b = parse_operand !lineno b
           and c = parse_operand !lineno c in
-          Hashtbl.replace map id (Mig.maj g a b c)
+          define !lineno id (Mig.maj g a b c)
         | [ ".output"; name; s ] ->
           Mig.add_output g name (parse_operand !lineno s)
         | _ -> fail !lineno "unrecognised line")
     lines;
-  if not !header_seen then failwith "Mig_io.of_string: empty input";
+  if not !header_seen then fail !lineno "no 'mig' header before the end of the input";
   g
+
+let of_string text =
+  match parse text with
+  | g -> Ok g
+  | exception Parse_error (line, msg) ->
+    Error (Printf.sprintf "Mig_io.of_string: line %d: %s" line msg)
 
 let to_dot ?(name = "mig") g =
   let buf = Buffer.create 4096 in
@@ -117,9 +137,12 @@ let write_file path g =
     (fun () -> output_string oc (to_string g))
 
 let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      of_string (really_input_string ic n))
+  match open_in path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        match really_input_string ic (in_channel_length ic) with
+        | text -> of_string text
+        | exception Sys_error msg -> Error msg)

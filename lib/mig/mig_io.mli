@@ -18,12 +18,16 @@ val to_string : Mig.t -> string
     Node operands are node ids, [~] marks a complemented edge, and id 0 is
     the constant false. *)
 
-val of_string : string -> Mig.t
-(** Parse the [.mig] format.
-    @raise Failure on malformed input (with a line number). *)
+val of_string : string -> (Mig.t, string) result
+(** Parse the [.mig] format.  [Error] on malformed input, always with a
+    line number: a missing header, an unrecognised line, a bad id or
+    operand, an operand naming an undefined node, an id defined twice, or
+    an input name declared twice. *)
 
 val to_dot : ?name:string -> Mig.t -> string
 
 val write_file : string -> Mig.t -> unit
 
-val read_file : string -> Mig.t
+val read_file : string -> (Mig.t, string) result
+(** {!of_string} on the file's contents; [Error] also when the file
+    cannot be read. *)

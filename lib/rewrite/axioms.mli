@@ -7,9 +7,14 @@
     size-increasing applications), and either declines or fires.
 
     A rule is split into a decision and a commit.  The decision reads the
-    graph only through [Mig.kind] and [Mig.lookup ~below]; when the rule
-    fires it returns the commit, which builds the replacement signal.  So
-    a rule can be asked whether it would fire without changing the graph.
+    graph only through [Mig.is_maj], [Mig.child] and [Mig.lookup ~below],
+    and allocates nothing beyond [lookup]'s optional argument and result;
+    when the rule fires it returns the commit, which builds the
+    replacement signal.  So a rule can be asked whether it would fire
+    without changing the graph, and asking costs next to no garbage.  The
+    rules over two or three operands try the operand pairs in a fixed
+    order, (a, b | c), (a, c | b), (b, c | a), and return the commit of
+    the first that matches.
 
     The trivial-majority axiom Ω.M is not a rule here: it is applied
     unconditionally by {!Mig.maj}. *)

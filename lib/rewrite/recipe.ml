@@ -24,20 +24,21 @@ let run_pass_raw g rules =
     { Axioms.s = new_s; old_fanout = fanout.(id) + out_refs.(id) }
   in
   let fires id =
-    match Mig.kind g id with
-    | Mig.Maj (a, b, c) ->
+    if not (Mig.is_maj g id) then false
+    else begin
+      let a = Mig.child g id 0 and b = Mig.child g id 1 and c = Mig.child g id 2 in
       Option.is_some
         (Axioms.first rules g ~below:id (operand a a) (operand b b) (operand c c))
-    | Mig.Const | Mig.Input _ -> false
+    end
   in
   let rec quiet id = id >= Mig.num_nodes g || (not (fires id) && quiet (id + 1)) in
   if Mig.is_compact ~reachable g && quiet 0 then g
   else
     Mig.map_rebuild ~reachable g ~rule:(fun g' ~old_id a b c ->
-        match Mig.kind g old_id with
-        | Mig.Maj (oa, ob, oc) ->
-          Axioms.apply_first rules g' (operand a oa) (operand b ob) (operand c oc)
-        | Mig.Const | Mig.Input _ -> Mig.maj g' a b c)
+        Axioms.apply_first rules g'
+          (operand a (Mig.child g old_id 0))
+          (operand b (Mig.child g old_id 1))
+          (operand c (Mig.child g old_id 2)))
 
 (* One pass's span, counters and trace event around [rebuild g]. *)
 let count_pass name g rebuild =

@@ -150,7 +150,9 @@ let test_corpus_roundtrip () =
   let g = Gen.to_mig d in
   let path = Corpus.save ~dir ~meta:[ "failure: synthetic"; "two\nlines" ] g in
   Alcotest.(check bool) "file exists" true (Sys.file_exists path);
-  let g' = Corpus.load_file path in
+  let g' =
+    match Corpus.load_file path with Ok g' -> g' | Error e -> Alcotest.fail e
+  in
   Alcotest.(check string) "roundtrip is textually exact" (Mig_io.to_string g)
     (Mig_io.to_string g');
   (* idempotent: saving the same graph again reuses the entry *)

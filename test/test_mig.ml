@@ -83,6 +83,139 @@ let test_duplicate_input () =
   Alcotest.check_raises "dup" (Invalid_argument "Mig.add_input: duplicate input \"a\"")
     (fun () -> ignore (Mig.add_input g "a"))
 
+(* map_rebuild copies input names without add_input's check; the copy's
+   own add_input must still see them *)
+let test_duplicate_input_after_copy () =
+  let g, a, b, c = fresh3 () in
+  Mig.add_output g "y" (Mig.maj g a b c);
+  let g' = Mig.cleanup g in
+  Alcotest.(check (array string)) "names copied" [| "a"; "b"; "c" |] (Mig.input_names g');
+  Alcotest.check_raises "dup in the copy"
+    (Invalid_argument "Mig.add_input: duplicate input \"b\"")
+    (fun () -> ignore (Mig.add_input g' "b"));
+  ignore (Mig.add_input g' "d");
+  check_int "fresh name accepted" 4 (Mig.num_inputs g')
+
+(* --- strash model ------------------------------------------------------- *)
+
+(* The reference strash: the polymorphic table of sorted signal triples
+   the graph once kept, over signals as plain ints (node * 2 + polarity).
+   [children] lets the random calls re-ask for existing nodes. *)
+type model = {
+  table : (int * int * int, int) Hashtbl.t;
+  children : (int, int * int * int) Hashtbl.t;
+  mutable nodes : int;
+}
+
+let int_of_signal s = (2 * Mig.node_of s) + if Mig.is_complemented s then 1 else 0
+let signal_of_int i = Mig.signal (i lsr 1) (i land 1 = 1)
+
+let model_of g =
+  let m =
+    { table = Hashtbl.create 64; children = Hashtbl.create 64; nodes = Mig.num_nodes g }
+  in
+  for id = 0 to Mig.num_nodes g - 1 do
+    match Mig.kind g id with
+    | Mig.Maj (a, b, c) ->
+      let key = (int_of_signal a, int_of_signal b, int_of_signal c) in
+      Hashtbl.replace m.table key id;
+      Hashtbl.replace m.children id key
+    | Mig.Const | Mig.Input _ -> ()
+  done;
+  m
+
+let model_find m a b c =
+  match List.sort compare [ a; b; c ] with
+  | [ a; b; c ] ->
+    if a = b then `Reduced a
+    else if b = c then `Reduced b
+    else if a lsr 1 = b lsr 1 then `Reduced c
+    else if b lsr 1 = c lsr 1 then `Reduced a
+    else begin
+      match Hashtbl.find_opt m.table (a, b, c) with
+      | Some id -> `Node id
+      | None -> `Absent (a, b, c)
+    end
+  | _ -> assert false
+
+let model_maj m a b c =
+  match model_find m a b c with
+  | `Reduced s -> s
+  | `Node id -> 2 * id
+  | `Absent key ->
+    let id = m.nodes in
+    m.nodes <- id + 1;
+    Hashtbl.add m.table key id;
+    Hashtbl.add m.children id key;
+    2 * id
+
+let model_lookup m ~below a b c =
+  match model_find m a b c with
+  | `Reduced s -> Some s
+  | `Node id when id < below -> Some (2 * id)
+  | `Node _ | `Absent _ -> None
+
+(* [ops] random maj / lookup ~below / add_input calls on [g] and [m];
+   false at the first answer or node count that differs. *)
+let agrees_with_model rng g m ~ops =
+  let int n = Random.State.int rng n in
+  let operands () =
+    let id = int m.nodes in
+    match Hashtbl.find_opt m.children id with
+    | Some (a, b, c) when int 2 = 0 ->
+      (* an existing node, permuted, sometimes with one edge flipped *)
+      let flip s = if int 4 = 0 then s lxor 1 else s in
+      (match int 3 with 0 -> (c, flip a, b) | 1 -> (b, c, a) | _ -> (a, b, flip c))
+    | _ ->
+      let s () = (2 * int m.nodes) + int 2 in
+      let a = s () and b = s () in
+      (a, b, if int 8 = 0 then a lxor int 2 else s ())
+  in
+  let rec go k =
+    k = 0
+    || begin
+      let same =
+        match int 10 with
+        | 0 ->
+          let name = Printf.sprintf "in%d" (Mig.num_inputs g) in
+          let s = int_of_signal (Mig.add_input g name) in
+          let id = m.nodes in
+          m.nodes <- id + 1;
+          s = 2 * id
+        | 1 | 2 | 3 ->
+          let a, b, c = operands () in
+          let below = int (m.nodes + 2) in
+          Option.map int_of_signal
+            (Mig.lookup ~below g (signal_of_int a) (signal_of_int b) (signal_of_int c))
+          = model_lookup m ~below a b c
+        | _ ->
+          let a, b, c = operands () in
+          int_of_signal (Mig.maj g (signal_of_int a) (signal_of_int b) (signal_of_int c))
+          = model_maj m a b c
+      in
+      same && Mig.num_nodes g = m.nodes && go (k - 1)
+    end
+  in
+  go ops
+
+(* From [Mig.create ()] past 2 000 nodes (several table growths), then on
+   a presized [cleanup] copy of the result. *)
+let strash_matches_model =
+  QCheck.Test.make ~count:20 ~name:"strash answers like a reference Hashtbl model"
+    QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let g = Mig.create () in
+      ignore (Mig.add_input g "x");
+      ignore (Mig.add_input g "y");
+      let m = model_of g in
+      let grown = agrees_with_model rng g m ~ops:5000 && Mig.num_nodes g > 2000 in
+      for i = 0 to 49 do
+        Mig.add_output g (Printf.sprintf "o%d" i)
+          (signal_of_int ((2 * Random.State.int rng m.nodes) + Random.State.int rng 2))
+      done;
+      let copy = Mig.cleanup g in
+      grown && agrees_with_model rng copy (model_of copy) ~ops:2000)
+
 (* --- inspection -------------------------------------------------------- *)
 
 let test_levels_depth () =
@@ -167,12 +300,15 @@ let cleanup_is_compact =
 
 (* --- io ----------------------------------------------------------------- *)
 
+let parse text =
+  match Mig_io.of_string text with Ok g -> g | Error e -> Alcotest.fail e
+
 let test_io_roundtrip_manual () =
   let g, a, b, c = fresh3 () in
   let n1 = Mig.maj g a (Mig.not_ b) c in
   Mig.add_output g "y" (Mig.not_ n1);
   Mig.add_output g "z" a;
-  let g' = Mig_io.of_string (Mig_io.to_string g) in
+  let g' = parse (Mig_io.to_string g) in
   check_int "inputs" 3 (Mig.num_inputs g');
   check_int "outputs" 2 (Mig.num_outputs g');
   check_int "size" 1 (Mig.size g');
@@ -183,18 +319,43 @@ let io_roundtrip =
   QCheck.Test.make ~count:40 ~name:"mig text format roundtrip"
     QCheck.small_int (fun seed ->
       let g = random_mig seed in
-      let g' = Mig_io.of_string (Mig_io.to_string g) in
+      let g' = parse (Mig_io.to_string g) in
       Mig.num_inputs g' = Mig.num_inputs g
       && Mig.num_outputs g' = Mig.num_outputs g
       && Array.for_all2 Tt.equal (Mig.output_tables g) (Mig.output_tables g'))
 
+let check_error what expected text =
+  Alcotest.(check (result reject string))
+    what (Error expected)
+    (Result.map ignore (Mig_io.of_string text))
+
 let test_io_errors () =
-  Alcotest.check_raises "missing header"
-    (Failure "Mig_io.of_string: line 1: expected 'mig' header") (fun () ->
-      ignore (Mig_io.of_string ".node 1 2 3 4"));
-  Alcotest.check_raises "unknown operand"
-    (Failure "Mig_io.of_string: line 2: operand references unknown node 9") (fun () ->
-      ignore (Mig_io.of_string "mig\n.node 4 9 9 9"))
+  check_error "missing header" "Mig_io.of_string: line 1: expected 'mig' header"
+    ".node 1 2 3 4";
+  check_error "unknown operand"
+    "Mig_io.of_string: line 2: operand references unknown node 9" "mig\n.node 4 9 9 9"
+
+(* every malformed file is an [Error] naming its line, never an exception *)
+let test_io_fails_closed () =
+  check_error "duplicate input" "Mig_io.of_string: line 3: duplicate input \"a\""
+    "mig\n.input 1 a\n.input 2 a\n";
+  check_error "id defined twice" "Mig_io.of_string: line 5: node 3 defined twice"
+    "mig\n.input 1 a\n.input 2 b\n.node 3 1 2 0\n.node 3 1 ~2 0\n";
+  check_error "input rebinds the constant" "Mig_io.of_string: line 2: node 0 defined twice"
+    "mig\n.input 0 a\n";
+  check_error "empty input"
+    "Mig_io.of_string: line 1: no 'mig' header before the end of the input" "";
+  check_error "comments only"
+    "Mig_io.of_string: line 3: no 'mig' header before the end of the input"
+    "# a\n\n# b";
+  check_error "bad operand" "Mig_io.of_string: line 3: bad operand"
+    "mig\n.input 1 a\n.node 2 1 ~ 0\n";
+  check_error "bad id" "Mig_io.of_string: line 2: bad node id" "mig\n.node x 0 0 0\n";
+  check_error "unrecognised" "Mig_io.of_string: line 2: unrecognised line"
+    "mig\n.latch a b\n";
+  match Mig_io.read_file "/nonexistent/plim.mig" with
+  | Ok _ -> Alcotest.fail "read a missing file"
+  | Error _ -> ()
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -307,7 +468,10 @@ let () =
           Alcotest.test_case "lookup" `Quick test_lookup;
           Alcotest.test_case "lookup below a bound" `Quick test_lookup_below;
           Alcotest.test_case "derived gates" `Quick test_gate_semantics;
-          Alcotest.test_case "duplicate input" `Quick test_duplicate_input ] );
+          Alcotest.test_case "duplicate input" `Quick test_duplicate_input;
+          Alcotest.test_case "duplicate input after a copy" `Quick
+            test_duplicate_input_after_copy;
+          qc strash_matches_model ] );
       ( "inspection",
         [ Alcotest.test_case "levels/depth" `Quick test_levels_depth;
           Alcotest.test_case "fanouts/reachability" `Quick test_fanouts_reachability;
@@ -318,6 +482,7 @@ let () =
       ( "io",
         [ Alcotest.test_case "roundtrip (manual)" `Quick test_io_roundtrip_manual;
           Alcotest.test_case "errors" `Quick test_io_errors;
+          Alcotest.test_case "malformed input fails closed" `Quick test_io_fails_closed;
           Alcotest.test_case "dot export" `Quick test_dot;
           qc io_roundtrip ] );
       ( "blif",

@@ -81,11 +81,12 @@ let check (name, tag, instrs, cells, stdev) () =
    every run — a bug found once by fuzzing can never come back. *)
 let corpus_tests =
   List.map
-    (fun (name, mig) ->
+    (fun (name, parsed) ->
       Alcotest.test_case name `Quick (fun () ->
-          match Plim_check.Check.run mig with
-          | [] -> ()
-          | failures ->
+          match Result.map Plim_check.Check.run parsed with
+          | Error e -> Alcotest.failf "unreadable corpus entry: %s" e
+          | Ok [] -> ()
+          | Ok failures ->
             Alcotest.failf "%d conformance failures:\n%s" (List.length failures)
               (String.concat "\n"
                  (List.map Plim_check.Check.failure_to_string failures))))

@@ -240,6 +240,188 @@ let fast_pass_random =
               [ Axioms.associativity; Axioms.complementary_associativity ] ])
         [ g; Mig.cleanup g; Recipe.run_pass (Mig.cleanup g) i_rl ])
 
+(* --- allocation-free matching: the rules equal their list-based form ----- *)
+
+(* The list-based decisions the rules had before they read children through
+   [Mig.child], kept as the reference: views as tuples and lists, pairs
+   tried through [List.find_map]. *)
+module Reference = struct
+  open Axioms
+
+  let maj_view g s =
+    match Mig.kind g (Mig.node_of s) with
+    | Mig.Maj (x, y, z) ->
+      if Mig.is_complemented s then Some (Mig.not_ x, Mig.not_ y, Mig.not_ z)
+      else Some (x, y, z)
+    | Mig.Const | Mig.Input _ -> None
+
+  let pairs = [ (0, 1, 2); (0, 2, 1); (1, 2, 0) ]
+  let seq = Mig.signal_equal
+
+  let distributivity_rl g ~below oa ob oc =
+    let ops = [| oa; ob; oc |] in
+    let try_pair (i, j, k) =
+      let pa = ops.(i) and pb = ops.(j) and z = ops.(k).s in
+      match (maj_view g pa.s, maj_view g pb.s) with
+      | Some (a1, a2, a3), Some (b1, b2, b3)
+        when Mig.node_of pa.s <> Mig.node_of pb.s ->
+        let la = [ a1; a2; a3 ] and lb = [ b1; b2; b3 ] in
+        let common = List.filter (fun x -> List.exists (seq x) lb) la in
+        (match common with
+        | [ x; y ] ->
+          let rest l = List.filter (fun s -> not (List.exists (seq s) common)) l in
+          (match (rest la, rest lb) with
+          | [ u ], [ v ] ->
+            let free = Option.is_some (Mig.lookup ~below g u v z) in
+            if free || (pa.old_fanout <= 1 && pb.old_fanout <= 1) then
+              Some (fun () -> Mig.maj g x y (Mig.maj g u v z))
+            else None
+          | _, _ -> None)
+        | _ -> None)
+      | _, _ -> None
+    in
+    List.find_map try_pair pairs
+
+  let associativity g ~below oa ob oc =
+    let ops = [| oa; ob; oc |] in
+    let try_inner (i, j, k) =
+      let m = ops.(k).s and w1 = ops.(i).s and w2 = ops.(j).s in
+      match maj_view g m with
+      | None -> None
+      | Some (m1, m2, m3) ->
+        let inner = [ m1; m2; m3 ] in
+        let try_shared u x =
+          if not (List.exists (seq u) inner) then None
+          else begin
+            match List.filter (fun s -> not (seq s u)) inner with
+            | [ t1; t2 ] ->
+              let attempt t keep =
+                match Mig.lookup ~below g keep u x with
+                | Some inner' -> Some (fun () -> Mig.maj g t u inner')
+                | None -> None
+              in
+              (match attempt t1 t2 with Some r -> Some r | None -> attempt t2 t1)
+            | _ -> None
+          end
+        in
+        (match try_shared w1 w2 with Some r -> Some r | None -> try_shared w2 w1)
+    in
+    List.find_map try_inner pairs
+
+  let complementary_associativity g ~below oa ob oc =
+    let ops = [| oa; ob; oc |] in
+    let try_inner (i, j, k) =
+      let m = ops.(k) and p = ops.(i).s and q = ops.(j).s in
+      match maj_view g m.s with
+      | None -> None
+      | Some (m1, m2, m3) ->
+        let inner = [ m1; m2; m3 ] in
+        let try_outer p q =
+          let np = Mig.not_ p in
+          if not (List.exists (seq np) inner) then None
+          else begin
+            match List.filter (fun s -> not (seq s np)) inner with
+            | [ k1; k2 ] ->
+              let free = Option.is_some (Mig.lookup ~below g k1 k2 q) in
+              if free || m.old_fanout <= 1 then
+                Some (fun () -> Mig.maj g p q (Mig.maj g k1 k2 q))
+              else None
+            | _ -> None
+          end
+        in
+        (match try_outer p q with Some r -> Some r | None -> try_outer q p)
+    in
+    List.find_map try_inner pairs
+end
+
+let rule_pairs : (string * Axioms.rule * Axioms.rule) list =
+  [ ("distributivity", Axioms.distributivity_rl, Reference.distributivity_rl);
+    ("associativity", Axioms.associativity, Reference.associativity);
+    ("psi.C", Axioms.complementary_associativity, Reference.complementary_associativity) ]
+
+(* At every majority node of a compact graph, with the dry scan's operands,
+   each rule fires exactly when its reference does; when both fire, their
+   commits, each run on its own fresh copy (same ids: the graph is
+   compact), build the same signal and the same nodes. *)
+let rules_match_reference g =
+  let g = Mig.cleanup g in
+  let fanout = Mig.fanout_counts g and out_refs = Mig.output_refs g in
+  let operand s =
+    let id = Mig.node_of s in
+    { Axioms.s; old_fanout = fanout.(id) + out_refs.(id) }
+  in
+  let n = Mig.num_nodes g in
+  let agree (rule : Axioms.rule) (reference : Axioms.rule) id below =
+    match Mig.kind g id with
+    | Mig.Const | Mig.Input _ -> true
+    | Mig.Maj (a, b, c) ->
+      let ask (r : Axioms.rule) g' = r g' ~below (operand a) (operand b) (operand c) in
+      (match (ask rule g, ask reference g) with
+      | None, None -> true
+      | Some _, None | None, Some _ -> false
+      | Some _, Some _ ->
+        let g1 = Mig.cleanup g and g2 = Mig.cleanup g in
+        (match (ask rule g1, ask reference g2) with
+        | Some commit1, Some commit2 ->
+          let s1 = commit1 () and s2 = commit2 () in
+          Mig.signal_equal s1 s2
+          && Mig.num_nodes g1 = Mig.num_nodes g2
+          && List.for_all
+               (fun id -> Mig.kind g1 id = Mig.kind g2 id)
+               (List.init (Mig.num_nodes g1 - n) (fun k -> n + k))
+        | _, _ -> false))
+  in
+  List.for_all
+    (fun (_, rule, reference) ->
+      List.for_all
+        (fun id -> agree rule reference id id && agree rule reference id max_int)
+        (List.init n Fun.id))
+    rule_pairs
+
+let rules_match_gen =
+  QCheck.Test.make ~count:100 ~name:"rules = list-based reference (Gen graphs)"
+    (Plim_check.Gen.arbitrary ())
+    (fun d -> rules_match_reference (Plim_check.Gen.to_mig d))
+
+(* Tops over three majority nodes of four inputs and the constant, each
+   inner node mostly used once: operands sharing two children are common,
+   so several operand pairs match at one top and the order they are tried
+   in decides the commit. *)
+let shared_children_mig seed =
+  let rng = Random.State.make [| seed |] in
+  let g = Mig.create () in
+  let leaves =
+    Array.append [| Mig.false_ |]
+      (Array.init 4 (fun i -> Mig.add_input g (Printf.sprintf "x%d" i)))
+  in
+  let leaf () =
+    let s = leaves.(Random.State.int rng 5) in
+    if Random.State.int rng 4 = 0 then Mig.not_ s else s
+  in
+  let inner () = Mig.maj g (leaf ()) (leaf ()) (leaf ()) in
+  for o = 0 to 7 do
+    Mig.add_output g (Printf.sprintf "f%d" o) (Mig.maj g (inner ()) (inner ()) (inner ()))
+  done;
+  g
+
+(* Few inputs and many nodes, as in [dense], also make shared children
+   common. *)
+let rules_match_random =
+  QCheck.Test.make ~count:60 ~name:"rules = list-based reference (Mig_gen graphs)"
+    QCheck.small_int (fun seed ->
+      let dense =
+        Mig_gen.random ~profile:Mig_gen.control_profile ~seed ~num_inputs:3 ~num_nodes:40
+          ~num_outputs:4 ()
+      in
+      rules_match_reference (random_mig seed)
+      && rules_match_reference dense
+      && rules_match_reference
+           (Plim_benchgen.Frontend.expand (random_mig ~nodes:20 seed)))
+
+let rules_match_shared =
+  QCheck.Test.make ~count:100 ~name:"rules = list-based reference (shared children)"
+    QCheck.small_int (fun seed -> rules_match_reference (shared_children_mig seed))
+
 let all_rules =
   [ Axioms.distributivity_rl; Axioms.associativity; Axioms.complementary_associativity;
     Axioms.inverter_propagation ]
@@ -363,6 +545,8 @@ let () =
             test_distributivity_higher_id;
           Alcotest.test_case "non-compact input rebuilds" `Quick
             test_non_compact_rebuilds ] );
+      ( "matching",
+        [ qc rules_match_gen; qc rules_match_random; qc rules_match_shared ] );
       ( "directed",
         [ Alcotest.test_case "distributivity collapse" `Quick test_distributivity_collapse;
           Alcotest.test_case "inverter flip" `Quick test_inverter_flip;
