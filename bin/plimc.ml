@@ -115,8 +115,8 @@ let with_jobs jobs f =
 
 (* ---------------------------------------------------------------- *)
 
-(* A malformed .mig or .plim file is a usage error: exit 2, never an
-   uncaught exception. *)
+(* A malformed .mig, .blif or .plim file is a usage error: exit 2, never
+   an uncaught exception. *)
 let or_exit_2 path = function
   | Ok x -> x
   | Error e ->
@@ -125,8 +125,9 @@ let or_exit_2 path = function
 
 let load_mig source =
   if Sys.file_exists source then
-    if Filename.check_suffix source ".blif" then Plim_mig.Blif.read_file source
-    else or_exit_2 source (Mig_io.read_file source)
+    or_exit_2 source
+      (if Filename.check_suffix source ".blif" then Plim_mig.Blif.read_file source
+       else Mig_io.read_file source)
   else
     match Suite.find source with
     | spec -> Suite.build_cached spec

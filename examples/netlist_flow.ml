@@ -55,7 +55,7 @@ let netlist =
 |blif}
 
 let () =
-  let g = Blif.of_string netlist in
+  let g = match Blif.of_string netlist with Ok g -> g | Error e -> failwith e in
   Printf.printf "parsed BLIF: %d inputs, %d outputs, %d majority nodes\n\n"
     (Mig.num_inputs g) (Mig.num_outputs g) (Mig.size g);
   let r = Pipeline.compile (Pipeline.with_cap 10 Pipeline.endurance_full) g in

@@ -8,7 +8,6 @@ module Pipeline = Plim_core.Pipeline
 module Fault_model = Plim_fault.Fault_model
 module Remap = Plim_fault.Remap
 module Leveling = Plim_rram.Leveling
-module Splitmix = Plim_util.Splitmix
 module Workload = Plim_serve.Workload
 module Server = Plim_serve.Server
 module Horizon = Plim_serve.Horizon
@@ -177,48 +176,28 @@ type t = {
   c_programs : program_profile list;
 }
 
-(* Exact replay of one model shard's power-on scrub (Horizon.init_model):
-   sample the permanent-fault population under the derived per-shard seed,
-   remap every logical line off dead physicals.  Returns whether the shard
-   survives and the minimum number of wear-out line deaths that can drain
-   its remaining spare pool — Remap hands out spares in ascending physical
-   order, so the consumed set is exact, not an estimate. *)
+(* One model shard after its power-on scrub (Horizon.power_on): whether
+   it survives, and the minimum number of wear-out line deaths that can
+   drain its remaining spare pool — Remap hands out spares in ascending
+   physical order, so the consumed set is exact, not an estimate. *)
 type shard0 = {
   s0_alive : bool;
   s0_min_wear_deaths : int;  (* to kill the shard, given wear retirement *)
 }
 
-let replay_shard ~spec ~model_spares ~cells id =
-  let rm = Remap.create ~spares:model_spares ~lines:cells () in
-  let np = Remap.num_physical rm in
-  let dead = Array.make np false in
-  let spec =
-    { spec with Fault_model.seed = Splitmix.derive spec.Fault_model.seed id }
-  in
-  List.iter
-    (fun (p, _kind) -> dead.(p) <- true)
-    (Fault_model.sample_permanent spec ~cells:np);
-  let alive = ref true in
-  for l = 0 to cells - 1 do
-    let continue = ref true in
-    while !continue && !alive && dead.(Remap.physical rm l) do
-      match Remap.retire rm l with
-      | Some _ -> ()
-      | None ->
-        alive := false;
-        continue := false
-    done
-  done;
-  let spares_left = Remap.spares_left rm in
+let shard0 cfg ~cells id =
+  let po = Horizon.power_on cfg ~id ~cells in
+  let np = Array.length po.Horizon.dead in
+  let spares_left = Remap.spares_left po.Horizon.remap in
   (* unconsumed spares occupy the top [spares_left] physical addresses *)
   let dead_spares = ref 0 in
   for p = np - spares_left to np - 1 do
-    if dead.(p) then incr dead_spares
+    if po.Horizon.dead.(p) then incr dead_spares
   done;
   (* each completed wear death consumes exactly one healthy spare (its
      retire chain may also burn dead spares); the death that finds the
      pool dry kills the shard *)
-  { s0_alive = !alive;
+  { s0_alive = po.Horizon.alive;
     s0_min_wear_deaths = max 1 (spares_left - !dead_spares + 1) }
 
 let profile_mix pipeline ~lines (mix : Workload.mix) =
@@ -251,24 +230,16 @@ let certify (cfg : Horizon.config) =
   let strategy = cfg.Horizon.strategy in
   let endurance = cfg.Horizon.endurance in
   let requests = float_of_int cfg.Horizon.epoch_requests in
-  (* shard sizing, replayed from Server.materialize_fleet/Shard.create:
-     logical lines auto-size to the largest compiled program, measured
+  (* shard sizing: the fleet's lines for the compiled mix; measured
      cells include the within-shard spare region *)
   let probe = profile_mix server.Server.pipeline ~lines:max_int cfg.Horizon.mix in
-  let lines =
-    if server.Server.lines > 0 then server.Server.lines
-    else List.fold_left (fun acc p -> max acc p.p_cells) 1 probe
-  in
+  let lines = Server.shard_lines server ~cells:(List.map (fun p -> p.p_cells) probe) in
   let programs = List.map (fun p -> { p with p_fits = p.p_cells <= lines }) probe in
   let meas = lines + server.Server.cell_spares in
   let cells = Leveling.lines strategy meas in
   let physical = cells + cfg.Horizon.model_spares in
   let total_shards = server.Server.shards + server.Server.spare_shards in
-  let shard0s =
-    List.init total_shards
-      (replay_shard ~spec:cfg.Horizon.fault_spec
-         ~model_spares:cfg.Horizon.model_spares ~cells)
-  in
+  let shard0s = List.init total_shards (shard0 cfg ~cells) in
   let alive0 = List.length (List.filter (fun s -> s.s0_alive) shard0s) in
   let capacity0 = float_of_int alive0 /. float_of_int total_shards in
   (* fleet writes per epoch: executes wear exactly their static footprint
@@ -394,23 +365,13 @@ let certify (cfg : Horizon.config) =
     c_programs = programs }
 
 let grid ?fault_seed cfg ~strategies ~fault_rates =
-  List.concat_map
-    (fun strategy ->
-      List.map
-        (fun rate ->
-          let c =
-            { cfg with
-              Horizon.strategy;
-              fault_spec = Horizon.spec_of_rate ?seed:fault_seed rate }
-          in
-          (strategy, rate, certify c))
-        fault_rates)
-    strategies
+  List.map
+    (fun (strategy, rate, c) -> (strategy, rate, certify c))
+    (Horizon.cells ?fault_seed cfg ~strategies ~fault_rates)
 
 (* --- reporting ---------------------------------------------------------- *)
 
-let label c =
-  Printf.sprintf "%s/r%g" (Horizon.strategy_name c.c_strategy) c.c_fault_rate
+let label c = Horizon.cell_label c.c_strategy c.c_fault_rate
 
 let row_json ?label:lbl c =
   let lbl = match lbl with Some l -> l | None -> label c in

@@ -142,8 +142,10 @@ type t = {
 
 val certify : Horizon.config -> t
 (** The certificate of one grid cell, from the config alone.  The
-    [strategy] and [fault_spec] of the config are read exactly like
-    {!Horizon.run} reads them.
+    fleet decisions come from their one owner, exactly as the simulator
+    takes them: shard lines from {!Plim_serve.Server.shard_lines} over
+    the compiled mix, and each shard's survival and spare pool from
+    {!Horizon.power_on}.
     @raise Invalid_argument on an empty mix, a non-positive
     endurance/epoch_requests, invalid levelling parameters
     ({!Plim_rram.Leveling.validate}) or a fleet
@@ -156,13 +158,12 @@ val grid :
   strategies:Horizon.strategy list ->
   fault_rates:float list ->
   (Horizon.strategy * float * t) list
-(** Certificates for the same strategy × fault-rate grid
-    {!Horizon.grid} simulates, with identical fault-spec derivation
-    ({!Horizon.spec_of_rate}), so cell labels match row labels. *)
+(** {!certify} on every one of {!Horizon.cells}, the grid
+    {!Horizon.grid} simulates, so cell labels match row labels. *)
 
 val label : t -> string
-(** ["<strategy>/r<rate>"] — identical to {!Horizon.label} of the
-    simulated cell. *)
+(** {!Horizon.cell_label} of the certificate's strategy and fault rate,
+    identical to {!Horizon.label} of the simulated cell. *)
 
 val row_json : ?label:string -> t -> Plim_telemetry.Json.t
 (** One [plim-cert/v1] row.  Unbounded bound endpoints are encoded as

@@ -1,4 +1,6 @@
-let fail line msg = failwith (Printf.sprintf "Blif: line %d: %s" line msg)
+exception Parse_error of int * string
+
+let fail line msg = raise (Parse_error (line, msg))
 
 (* logical lines: strip comments, join '\'-continued lines *)
 let logical_lines text =
@@ -32,7 +34,7 @@ type cover = {
   declared_at : int;
 }
 
-let of_string text =
+let parse text =
   let inputs = ref [] and outputs = ref [] in
   let covers = ref [] in
   let current = ref None in
@@ -43,17 +45,22 @@ let of_string text =
       current := None
     | None -> ()
   in
+  let cube_value lineno value =
+    if value <> "0" && value <> "1" then fail lineno "cube output must be 0 or 1";
+    value.[0]
+  in
+  let declare lineno names = List.map (fun n -> (lineno, n)) names in
   List.iter
     (fun (lineno, line) ->
       if line = "" then ()
       else
-        match tokens line with
-        | ".model" :: _ -> ()
-        | ".inputs" :: names -> inputs := !inputs @ names
-        | ".outputs" :: names -> outputs := !outputs @ names
-        | ".names" :: signals ->
+        match (tokens line, !current) with
+        | ".model" :: _, _ -> ()
+        | ".inputs" :: names, _ -> inputs := !inputs @ declare lineno names
+        | ".outputs" :: names, _ -> outputs := !outputs @ declare lineno names
+        | ".names" :: signals, _ -> (
           finish ();
-          (match List.rev signals with
+          match List.rev signals with
           | gate_output :: rev_inputs ->
             current :=
               Some
@@ -62,25 +69,22 @@ let of_string text =
                   cubes = [];
                   declared_at = lineno }
           | [] -> fail lineno ".names without signals")
-        | [ ".end" ] -> finish ()
-        | (".latch" | ".subckt" | ".gate") :: _ ->
+        | [ ".end" ], _ -> finish ()
+        | (".latch" | ".subckt" | ".gate") :: _, _ ->
           fail lineno "only combinational single-model BLIF is supported"
-        | [ pattern; value ] when !current <> None ->
-          (match !current with
-          | Some c ->
-            if String.length pattern <> List.length c.gate_inputs then
-              fail lineno "cube arity does not match .names inputs";
-            if value <> "0" && value <> "1" then fail lineno "cube output must be 0 or 1";
-            c.cubes <- (pattern, value.[0]) :: c.cubes
-          | None -> assert false)
-        | [ value ] when !current <> None ->
+        | [ pattern; value ], Some c ->
+          if String.length pattern <> List.length c.gate_inputs then
+            fail lineno "cube arity does not match .names inputs";
+          String.iter
+            (fun ch ->
+              if ch <> '0' && ch <> '1' && ch <> '-' then
+                fail lineno (Printf.sprintf "bad cube character %C" ch))
+            pattern;
+          c.cubes <- (pattern, cube_value lineno value) :: c.cubes
+        | [ value ], Some c ->
           (* constant cover: ".names x" followed by "1" (or nothing = 0) *)
-          (match !current with
-          | Some c ->
-            if c.gate_inputs <> [] then fail lineno "missing cube input pattern";
-            if value <> "0" && value <> "1" then fail lineno "cube output must be 0 or 1";
-            c.cubes <- ("", value.[0]) :: c.cubes
-          | None -> assert false)
+          if c.gate_inputs <> [] then fail lineno "missing cube input pattern";
+          c.cubes <- ("", cube_value lineno value) :: c.cubes
         | _ -> fail lineno (Printf.sprintf "unrecognised line %S" line))
     (logical_lines text);
   finish ();
@@ -88,16 +92,21 @@ let of_string text =
   (* build the MIG: inputs first, then covers in topological order *)
   let g = Mig.create () in
   let env : (string, Mig.signal) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun name -> Hashtbl.replace env name (Mig.add_input g name)) !inputs;
+  List.iter
+    (fun (lineno, name) ->
+      if Hashtbl.mem env name then fail lineno (Printf.sprintf "duplicate input %S" name);
+      Hashtbl.replace env name (Mig.add_input g name))
+    !inputs;
   let by_output = Hashtbl.create 64 in
   List.iter (fun c -> Hashtbl.replace by_output c.gate_output c) covers;
   let visiting = Hashtbl.create 16 in
-  let rec signal_of name =
+  (* [lineno] is the line that references [name] *)
+  let rec signal_of lineno name =
     match Hashtbl.find_opt env name with
     | Some s -> s
     | None ->
       (match Hashtbl.find_opt by_output name with
-      | None -> failwith (Printf.sprintf "Blif: undriven signal %S" name)
+      | None -> fail lineno (Printf.sprintf "undriven signal %S" name)
       | Some c ->
         if Hashtbl.mem visiting name then
           fail c.declared_at (Printf.sprintf "combinational cycle through %S" name);
@@ -107,7 +116,7 @@ let of_string text =
         Hashtbl.replace env name s;
         s)
   and build_cover c =
-    let input_signals = List.map signal_of c.gate_inputs in
+    let input_signals = List.map (signal_of c.declared_at) c.gate_inputs in
     (* single-output cover: OR over cubes of AND over literals; the
        on-set is given by cubes with output '1', otherwise the cover
        describes the off-set and is complemented *)
@@ -121,8 +130,7 @@ let of_string text =
           match pattern.[i] with
           | '1' -> acc := Mig.and_ g !acc s
           | '0' -> acc := Mig.and_ g !acc (Mig.not_ s)
-          | '-' -> ()
-          | ch -> failwith (Printf.sprintf "Blif: bad cube character %C" ch))
+          | _ -> ())
         input_signals;
       !acc
     in
@@ -137,8 +145,16 @@ let of_string text =
       in
       if off_form then Mig.not_ sum else sum
   in
-  List.iter (fun name -> Mig.add_output g name (signal_of name)) !outputs;
+  List.iter
+    (fun (lineno, name) -> Mig.add_output g name (signal_of lineno name))
+    !outputs;
   g
+
+let of_string text =
+  match parse text with
+  | g -> Ok g
+  | exception Parse_error (line, msg) ->
+    Error (Printf.sprintf "Blif.of_string: line %d: %s" line msg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -201,10 +217,15 @@ let to_string ?(model = "mig") g =
   Buffer.contents buf
 
 let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+  match open_in path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        match really_input_string ic (in_channel_length ic) with
+        | text -> of_string text
+        | exception Sys_error msg -> Error msg)
 
 let write_file ?model path g =
   let oc = open_out path in

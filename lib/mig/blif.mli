@@ -12,11 +12,19 @@
     Writing emits one [.names] per majority node (8-row cover), plus
     buffers/inverters for outputs. *)
 
-val of_string : string -> Mig.t
-(** @raise Failure on malformed input (reports the line number). *)
+val of_string : string -> (Mig.t, string) result
+(** Parse a combinational BLIF netlist.  [Error] on malformed input,
+    always with a line number: an unrecognised or unsupported line
+    ([.latch], [.subckt], [.gate]), a cube whose arity or characters do
+    not match its [.names], a cube output other than [0]/[1], an input
+    declared twice, an undriven signal (at the line that references it),
+    a combinational cycle (at the [.names] of a signal on it) or a dangling
+    line continuation. *)
 
 val to_string : ?model:string -> Mig.t -> string
 
-val read_file : string -> Mig.t
+val read_file : string -> (Mig.t, string) result
+(** {!of_string} on the file's contents; [Error] also when the file
+    cannot be read. *)
 
 val write_file : ?model:string -> string -> Mig.t -> unit

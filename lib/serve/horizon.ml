@@ -120,53 +120,60 @@ let refresh_prate sm =
       sm.sm_rate.(p) <- sm.sm_rate.(p) +. sm.sm_lrate.(l)
     done
 
-(* Remap logical line [l] away from dead physical lines until it lands on
-   a healthy spare; kills the shard when the pool runs dry. *)
+(* Remap logical line [l] off dead physical lines until it lands on a
+   live one; [false] when the spare pool runs dry first. *)
+let rec remap_off_dead rm dead l =
+  (not dead.(Remap.physical rm l))
+  ||
+  match Remap.retire rm l with
+  | Some _ -> remap_off_dead rm dead l
+  | None -> false
+
+(* Move a worn-out logical line onto a live spare; kills the shard when
+   the pool runs dry. *)
 let scrub_line sm ~epoch l =
-  let continue = ref true in
-  while !continue && sm.sm_alive && sm.sm_dead.(Remap.physical sm.sm_rm l) do
-    let old = Remap.physical sm.sm_rm l in
-    match Remap.retire sm.sm_rm l with
-    | Some fresh ->
-      sm.sm_inverse.(old) <- -1;
-      sm.sm_inverse.(fresh) <- l
-    | None ->
-      sm.sm_alive <- false;
-      sm.sm_dead_epoch <- Some epoch;
-      continue := false
-  done
+  if remap_off_dead sm.sm_rm sm.sm_dead l then
+    sm.sm_inverse.(Remap.physical sm.sm_rm l) <- l
+  else begin
+    sm.sm_alive <- false;
+    sm.sm_dead_epoch <- Some epoch
+  end
+
+type power_on = { remap : Remap.t; dead : bool array; alive : bool }
+
+let power_on cfg ~id ~cells =
+  let remap = Remap.create ~spares:cfg.model_spares ~lines:cells () in
+  let dead = Array.make (Remap.num_physical remap) false in
+  List.iter
+    (fun (p, _kind) -> dead.(p) <- true)
+    (Fault_model.sample_permanent (Shard.fault_spec cfg.fault_spec ~id)
+       ~cells:(Array.length dead));
+  let alive = ref true in
+  for l = 0 to cells - 1 do
+    if !alive then alive := remap_off_dead remap dead l
+  done;
+  { remap; dead; alive = !alive }
 
 let init_model cfg ~id ~meas =
   let cells = Leveling.lines cfg.strategy meas in
-  let rm = Remap.create ~spares:cfg.model_spares ~lines:cells () in
-  let np = Remap.num_physical rm in
-  let sm =
-    { sm_id = id;
-      sm_meas = meas;
-      sm_cells = cells;
-      sm_rm = rm;
-      sm_wear = Array.make np 0.0;
-      sm_rate = Array.make np 0.0;
-      sm_lrate = Array.make cells 0.0;
-      sm_inverse = Array.init np (fun p -> if p < cells then p else -1);
-      sm_dead = Array.make np false;
-      sm_alive = true;
-      sm_first_death = None;
-      sm_dead_epoch = None }
-  in
-  (* power-on scrub: the permanent-fault population of this shard, seeded
-     exactly like the server fleet derives per-shard fault streams *)
-  let spec =
-    { cfg.fault_spec with
-      Fault_model.seed = Splitmix.derive cfg.fault_spec.Fault_model.seed id }
-  in
-  List.iter
-    (fun (p, _kind) -> sm.sm_dead.(p) <- true)
-    (Fault_model.sample_permanent spec ~cells:np);
+  let po = power_on cfg ~id ~cells in
+  let np = Remap.num_physical po.remap in
+  let inverse = Array.make np (-1) in
   for l = 0 to cells - 1 do
-    scrub_line sm ~epoch:0.0 l
+    inverse.(Remap.physical po.remap l) <- l
   done;
-  sm
+  { sm_id = id;
+    sm_meas = meas;
+    sm_cells = cells;
+    sm_rm = po.remap;
+    sm_wear = Array.make np 0.0;
+    sm_rate = Array.make np 0.0;
+    sm_lrate = Array.make cells 0.0;
+    sm_inverse = inverse;
+    sm_dead = po.dead;
+    sm_alive = po.alive;
+    sm_first_death = None;
+    sm_dead_epoch = (if po.alive then None else Some 0.0) }
 
 let set_rates cfg sm (delta : int array) =
   if sm.sm_alive then begin
@@ -399,21 +406,25 @@ let spec_of_rate ?(seed = 0xFA17) rate =
   if rate <= 0.0 then Fault_model.none
   else Fault_model.make ~sa0:(rate *. 2.0 /. 3.0) ~sa1:(rate /. 3.0) ~seed ()
 
+let cells ?fault_seed cfg ~strategies ~fault_rates =
+  List.concat_map
+    (fun strategy ->
+      List.map
+        (fun rate ->
+          let fault_spec = spec_of_rate ?seed:fault_seed rate in
+          (strategy, rate, { cfg with strategy; fault_spec }))
+        fault_rates)
+    strategies
+
 let grid ?pool ?fault_seed cfg ~strategies ~fault_rates =
-  let cells =
-    List.concat_map
-      (fun strategy -> List.map (fun rate -> (strategy, rate)) fault_rates)
-      strategies
-  in
-  let one (strategy, rate) =
-    let c =
-      { cfg with strategy; fault_spec = spec_of_rate ?seed:fault_seed rate }
-    in
-    (strategy, rate, run ?pool c)
-  in
+  let one (strategy, rate, c) = (strategy, rate, run ?pool c) in
+  let cells = cells ?fault_seed cfg ~strategies ~fault_rates in
   match pool with
   | Some p -> Plim_par.map p ~f:one cells
   | None -> List.map one cells
+
+let cell_label strategy fault_rate =
+  Printf.sprintf "%s/r%g" (strategy_name strategy) fault_rate
 
 (* --- reporting --------------------------------------------------------- *)
 
@@ -421,7 +432,7 @@ let seconds_per_year = 31_557_600.0
 
 let years_of r epochs = epochs *. r.r_epoch_seconds /. seconds_per_year
 
-let label r = Printf.sprintf "%s/r%g" (strategy_name r.r_strategy) r.r_fault_rate
+let label r = cell_label r.r_strategy r.r_fault_rate
 
 (* [-1] encodes "did not happen before the campaign stopped" — the schema
    has no nulls so the rows stay greppable and diffable.  Non-finite

@@ -105,10 +105,35 @@ type result = {
   r_project_factor : float;
 }
 
+type power_on = {
+  remap : Plim_fault.Remap.t;  (** the shard's spare-line table after the scrub *)
+  dead : bool array;           (** per physical line: permanently faulty *)
+  alive : bool;                (** every logical line landed on a live line *)
+}
+
+val power_on : config -> id:int -> cells:int -> power_on
+(** The power-on scrub of model shard [id] over [cells] logical lines
+    and [model_spares] spares: sample the shard's permanent faults
+    ({!Shard.fault_spec} of [fault_spec]) and remap each logical line in
+    ascending order off dead physical lines.  The scrub stops at the
+    first line the spare pool cannot rescue, which kills the shard.
+    {!run} builds every shard model from it and {!Plim_certify} reads
+    the surviving spare pool from it. *)
+
 val run : ?pool:Plim_par.t -> config -> result
 (** One campaign.  Deterministic: a pure function of the config — the
     pool parallelises sampled-epoch batches without affecting any
     value. *)
+
+val cells :
+  ?fault_seed:int ->
+  config ->
+  strategies:strategy list ->
+  fault_rates:float list ->
+  (strategy * float * config) list
+(** The strategy × fault-rate grid, strategies outer: one config per
+    cell, with [fault_spec] set to {!spec_of_rate} of the rate.  Both
+    {!grid} and {!Plim_certify.grid} map over it. *)
 
 val grid :
   ?pool:Plim_par.t ->
@@ -117,7 +142,7 @@ val grid :
   strategies:strategy list ->
   fault_rates:float list ->
   (strategy * float * result) list
-(** The strategy × fault-rate grid, strategies outer, in submission order
+(** {!run} on every one of {!cells}, in submission order
     (byte-identical at any [-j] width).  Each rate becomes a coupled-
     threshold {!Plim_fault.Fault_model} spec (2/3 SA0, 1/3 SA1), so fault
     sets are supersets along the rate axis. *)
@@ -127,8 +152,13 @@ val spec_of_rate : ?seed:int -> float -> Plim_fault.Fault_model.spec
 val years_of : result -> float -> float
 (** Convert epochs to simulated years at the result's [epoch_seconds]. *)
 
+val cell_label : strategy -> float -> string
+(** [cell_label strategy fault_rate] is ["<strategy>/r<rate>"], the
+    label of one grid cell in horizon and certificate rows alike. *)
+
 val label : result -> string
-(** ["<strategy>/r<rate>"], the default row label. *)
+(** {!cell_label} of the result's strategy and fault rate, the default
+    row label. *)
 
 val sentinel_epochs : float option -> float
 (** The one [-1] sentinel rule, shared by [plim-horizon/v1] lifetimes and

@@ -140,13 +140,8 @@ let retire_shard t shard =
     Shard.set_status shard Shard.Retired;
     t.retired_shards <- t.retired_shards + 1;
     Metrics.incr m_retired;
-    let spare =
-      Array.to_seq t.fleet
-      |> Seq.filter (fun s -> Shard.status s = Shard.Spare)
-      |> Seq.uncons
-    in
-    match spare with
-    | Some (s, _) ->
+    match Array.find_opt (fun s -> Shard.status s = Shard.Spare) t.fleet with
+    | Some s ->
       Shard.set_status s Shard.Active;
       t.spare_activations <- t.spare_activations + 1
     | None -> ()
@@ -162,41 +157,51 @@ let force_retire t id =
       true
     end
 
+(* The active shard of least [wear]; ties go to the lowest id. *)
+let least_worn t ~wear =
+  Array.fold_left
+    (fun best s ->
+      match best with
+      | _ when Shard.status s <> Shard.Active -> best
+      | Some b when wear b <= wear s -> best
+      | _ -> Some s)
+    None t.fleet
+
+let shard_lines cfg ~cells =
+  if cfg.lines > 0 then cfg.lines else List.fold_left max 1 cells
+
 let materialize_fleet t =
   if Array.length t.fleet = 0 then begin
-    let lines =
-      if t.cfg.lines > 0 then t.cfg.lines
-      else
-        List.fold_left
-          (fun acc (_, (e : Cache.entry)) ->
-            max acc (Program.num_cells e.Cache.result.Pipeline.program))
-          1 (Cache.entries t.cache)
+    let cells =
+      List.map
+        (fun (_, (e : Cache.entry)) -> Program.num_cells e.Cache.result.Pipeline.program)
+        (Cache.entries t.cache)
     in
+    let lines = shard_lines t.cfg ~cells in
     t.fleet <-
       Array.init (t.cfg.shards + t.cfg.spare_shards) (fun id ->
-        let spec =
-          { t.cfg.fault_spec with
-            Fault_model.seed = Splitmix.derive t.cfg.fault_spec.Fault_model.seed id }
-        in
         let status = if id < t.cfg.shards then Shard.Active else Shard.Spare in
-        Shard.create ?endurance:t.cfg.endurance ?geometry:t.cfg.geometry ~spec
-          ~status ~id ~lines ~spares:t.cfg.cell_spares ())
+        Shard.create ?endurance:t.cfg.endurance ?geometry:t.cfg.geometry
+          ~spec:(Shard.fault_spec t.cfg.fault_spec ~id) ~status ~id ~lines
+          ~spares:t.cfg.cell_spares ())
   end
 
 type exec_job = {
   index : int;                  (* position within the batch *)
   digest : string;
-  entry : Cache.entry;
+  program : Program.t;
   inputs : (string * bool) list;
 }
 
 (* Reference outputs on an ideal (fault-free, unlimited) machine — the
    correctness oracle for [check].  Pure: allocates its own crossbar. *)
-let reference_outputs entry inputs =
-  let outputs, _, _ =
-    Controller.run entry.Cache.result.Pipeline.program ~inputs
-  in
+let reference_outputs j =
+  let outputs, _, _ = Controller.run j.program ~inputs:j.inputs in
   outputs
+
+(* Simulated service cost of one execution attempt. *)
+let attempt_cycles p (stats : Exec.stats) =
+  Controller.static_cycles p + stats.Exec.verify_reads + stats.Exec.retries
 
 let observe_latency t cycles =
   Histogram.observe t.latency cycles;
@@ -226,252 +231,161 @@ let observe_groups t digest p =
     Histogram.observe t.group_latency n;
     t.total_groups <- t.total_groups + n
 
-let run ?pool ?(batch = 32) t requests =
-  if batch <= 0 then invalid_arg "Server.run: batch size must be positive";
-  let pmap ~f xs =
-    match pool with Some p -> Plim_par.map p ~f xs | None -> List.map f xs
+let pmap pool ~f xs =
+  match pool with Some p -> Plim_par.map p ~f xs | None -> List.map f xs
+
+let serve_batch ?pool t reqs =
+  let n = Array.length reqs in
+  t.requests <- t.requests + n;
+  Metrics.incr ~by:n m_requests;
+  let responses = Array.make n None in
+  let answer i r = responses.(i) <- Some r in
+  let reject i digest reason =
+    t.rejected <- t.rejected + 1;
+    Metrics.incr m_rejected;
+    answer i (Rejected { digest; reason })
   in
-  let writes_before = if Array.length t.fleet = 0 then 0 else fleet_total_writes t in
-  let rec batches acc = function
-    | [] -> List.rev acc
-    | xs ->
-      let rec take n ys zs =
-        match (n, zs) with
-        | 0, _ | _, [] -> (List.rev ys, zs)
-        | n, z :: zs -> take (n - 1) (z :: ys) zs
-      in
-      let b, rest = take batch [] xs in
-      batches (b :: acc) rest
-  in
-  let serve_batch reqs =
-    let reqs = Array.of_list reqs in
-    let n = Array.length reqs in
-    t.requests <- t.requests + n;
-    Metrics.incr ~by:n m_requests;
-    let responses = Array.make n None in
-    (* Phase 1: classify. Compile hits answer immediately; distinct
-       missing digests become compile jobs; executions wait for phase 2
-       so batch-compiled programs are visible to them. *)
-    let miss_order = ref [] and miss_seen = Hashtbl.create 8 in
-    let pending_compiles = ref [] and pending_execs = ref [] in
-    Array.iteri
-      (fun i req ->
-        match req with
-        | Workload.Compile { label; graph } ->
-          t.compiles <- t.compiles + 1;
-          let digest = Cache.digest_of graph in
-          (match Cache.find t.cache digest with
-          | Some _ ->
-            Cache.record_hit t.cache;
-            observe_latency t 1;
-            responses.(i) <- Some (Compiled { digest; cached = true })
-          | None when Hashtbl.mem miss_seen digest ->
-            (* same digest already compiling earlier in this batch: the
-               in-flight compile serves this request too, so the counters
-               and responses are independent of the batch size *)
-            Cache.record_hit t.cache;
-            observe_latency t 1;
-            responses.(i) <- Some (Compiled { digest; cached = true })
-          | None ->
-            Cache.record_miss t.cache;
-            Hashtbl.add miss_seen digest ();
-            miss_order := (digest, label, graph) :: !miss_order;
-            pending_compiles := (i, digest, graph) :: !pending_compiles)
-        | Workload.Execute { digest; inputs } ->
-          pending_execs := (i, digest, inputs) :: !pending_execs)
-      reqs;
-    (* Phase 2: compile the distinct misses in parallel; merge into the
-       cache in submission order (first writer wins, so the merge order
-       is fixed by the request stream, not by completion order). *)
-    let misses = List.rev !miss_order in
-    let compiled =
-      pmap misses ~f:(fun (digest, label, graph) ->
-        let result = Pipeline.compile t.cfg.pipeline graph in
-        (digest, { Cache.label; source = graph; result }))
-    in
-    List.iter (fun (digest, entry) -> Cache.add t.cache ~digest entry) compiled;
-    List.iter
-      (fun (i, digest, graph) ->
-        observe_latency t (Mig.size graph);
-        responses.(i) <- Some (Compiled { digest; cached = false }))
-      (List.rev !pending_compiles);
-    (* Phase 2b: resolve executions against the updated cache. *)
-    let jobs =
-      List.rev !pending_execs
-      |> List.filter_map (fun (i, digest, inputs) ->
-           match Cache.hit t.cache digest with
-           | Some entry -> Some { index = i; digest; entry; inputs }
-           | None ->
-             t.rejected <- t.rejected + 1;
-             Metrics.incr m_rejected;
-             responses.(i) <-
-               Some (Rejected { digest; reason = "unknown program digest" });
-             None)
-    in
-    if jobs <> [] then materialize_fleet t;
-    let shard_lines =
-      if Array.length t.fleet = 0 then 0 else Shard.lines t.fleet.(0)
-    in
-    let jobs =
-      List.filter
-        (fun j ->
-          let cells = Program.num_cells j.entry.Cache.result.Pipeline.program in
-          if cells > shard_lines then begin
-            t.rejected <- t.rejected + 1;
-            Metrics.incr m_rejected;
-            responses.(j.index) <-
-              Some
-                (Rejected
-                   { digest = j.digest;
-                     reason =
-                       Printf.sprintf
-                         "program needs %d lines, shards have %d" cells
-                         shard_lines });
-            false
-          end
-          else true)
-        jobs
-    in
-    (* Phase 3: sequential placement onto the least-worn eligible active
-       shard.  Wear is read once at batch start (through Wear.skew_of)
-       and advanced by the static footprint of work placed so far, so the
-       placement depends only on pre-batch fleet state and batch order. *)
-    let fleet_n = Array.length t.fleet in
-    let wear0 =
-      Array.map (fun s -> (Wear.skew_of (Shard.wear_counts s)).Wear.total) t.fleet
-    in
-    let extra = Array.make fleet_n 0 in
-    let queues = Array.make fleet_n [] in
-    List.iter
-      (fun j ->
-        let best = ref (-1) in
-        Array.iter
-          (fun s ->
-            if Shard.status s = Shard.Active then
-              let i = Shard.id s in
-              if
-                !best < 0
-                || wear0.(i) + extra.(i) < wear0.(!best) + extra.(!best)
-              then best := i)
-          t.fleet;
-        if !best < 0 then begin
-          t.rejected <- t.rejected + 1;
-          Metrics.incr m_rejected;
-          responses.(j.index) <-
-            Some (Rejected { digest = j.digest; reason = "no active shards" })
+  (* Phase 1: classify. Compile hits answer immediately; distinct
+     missing digests become compile jobs; executions wait for phase 2
+     so batch-compiled programs are visible to them. *)
+  let misses = ref [] and miss_seen = Hashtbl.create 8 and pending_execs = ref [] in
+  Array.iteri
+    (fun i req ->
+      match req with
+      | Workload.Compile { label; graph } ->
+        t.compiles <- t.compiles + 1;
+        let digest = Cache.digest_of graph in
+        if Option.is_some (Cache.find t.cache digest) || Hashtbl.mem miss_seen digest
+        then begin
+          (* a digest already compiling earlier in this batch is a hit
+             too: the in-flight compile serves it, so the counters and
+             responses are independent of the batch size *)
+          Cache.record_hit t.cache;
+          observe_latency t 1;
+          answer i (Compiled { digest; cached = true })
         end
         else begin
-          extra.(!best) <-
-            extra.(!best) + footprint j.entry.Cache.result.Pipeline.program;
-          queues.(!best) <- j :: queues.(!best)
-        end)
-      jobs;
-    (* Phase 4: one parallel task per shard with work; each task owns its
-       shard's mutable state exclusively and runs its queue in batch
-       order.  The fault-free reference run is pure, so it rides along. *)
-    let loaded =
-      Array.to_list t.fleet
-      |> List.filter (fun s -> queues.(Shard.id s) <> [])
-    in
-    let shard_results =
-      pmap loaded ~f:(fun s ->
-        List.rev queues.(Shard.id s)
-        |> List.map (fun j ->
-             let p = j.entry.Cache.result.Pipeline.program in
-             let outcome, stats = Shard.execute ~verify:t.cfg.verify s p
-                 ~inputs:j.inputs
-             in
-             let ideal =
-               if t.cfg.check then Some (reference_outputs j.entry j.inputs)
-               else None
-             in
-             (j, Shard.id s, outcome, stats, ideal)))
-    in
-    (* Phase 5: sequential merge in shard-id order (phase 4 preserves the
-       submission order of [loaded], which is ascending id).  A dry spare
-       pool retires the shard and replays the abandoned execution on the
-       least-worn surviving active shard. *)
-    let finalize j shard_id outputs ideal cycles =
+          Cache.record_miss t.cache;
+          Hashtbl.add miss_seen digest ();
+          misses := (i, digest, label, graph) :: !misses
+        end
+      | Workload.Execute { digest; inputs } ->
+        pending_execs := (i, digest, inputs) :: !pending_execs)
+    reqs;
+  (* Phase 2: compile the distinct misses in parallel; merge into the
+     cache in submission order (first writer wins, so the merge order
+     is fixed by the request stream, not by completion order). *)
+  let misses = List.rev !misses in
+  pmap pool misses ~f:(fun (_, digest, label, graph) ->
+    let result = Pipeline.compile t.cfg.pipeline graph in
+    (digest, { Cache.label; source = graph; result }))
+  |> List.iter (fun (digest, entry) -> Cache.add t.cache ~digest entry);
+  List.iter
+    (fun (i, digest, _, graph) ->
+      observe_latency t (Mig.size graph);
+      answer i (Compiled { digest; cached = false }))
+    misses;
+  (* Phase 2b: resolve executions against the updated cache. *)
+  let jobs =
+    List.rev !pending_execs
+    |> List.filter_map (fun (index, digest, inputs) ->
+         match Cache.hit t.cache digest with
+         | Some entry ->
+           Some { index; digest; program = entry.Cache.result.Pipeline.program; inputs }
+         | None ->
+           reject index digest "unknown program digest";
+           None)
+  in
+  if jobs <> [] then materialize_fleet t;
+  (* Phase 3: sequential placement onto the least-worn eligible active
+     shard.  Wear is read once at batch start and advanced by the static
+     footprint of work placed so far, so the placement depends only on
+     pre-batch fleet state and batch order. *)
+  let planned = Array.map Shard.total_writes t.fleet in
+  let queues = Array.make (Array.length t.fleet) [] in
+  List.iter
+    (fun j ->
+      let cells = Program.num_cells j.program and lines = Shard.lines t.fleet.(0) in
+      if cells > lines then
+        reject j.index j.digest
+          (Printf.sprintf "program needs %d lines, shards have %d" cells lines)
+      else
+        match least_worn t ~wear:(fun s -> planned.(Shard.id s)) with
+        | None -> reject j.index j.digest "no active shards"
+        | Some s ->
+          let id = Shard.id s in
+          planned.(id) <- planned.(id) + footprint j.program;
+          queues.(id) <- j :: queues.(id))
+    jobs;
+  (* Phase 4: one parallel task per shard with work; each task owns its
+     shard's mutable state exclusively and runs its queue in batch
+     order.  The fault-free reference run is pure, so it rides along. *)
+  let shard_results =
+    Array.to_list t.fleet
+    |> List.filter (fun s -> queues.(Shard.id s) <> [])
+    |> pmap pool ~f:(fun s ->
+         List.rev queues.(Shard.id s)
+         |> List.map (fun j ->
+              let attempt =
+                Shard.execute ~verify:t.cfg.verify s j.program ~inputs:j.inputs
+              in
+              let ideal = if t.cfg.check then Some (reference_outputs j) else None in
+              (j, s, attempt, ideal)))
+  in
+  (* Phase 5: sequential merge in shard-id order (phase 4 preserves the
+     submission order of the loaded shards, which is ascending id).  A
+     dry spare pool retires the shard and replays the abandoned
+     execution on the least-worn surviving active shard, until an
+     attempt completes or no active shard is left. *)
+  let rec settle j ideal ~cycles s (outcome, stats) =
+    let cycles = cycles + attempt_cycles j.program stats in
+    match outcome with
+    | Exec.Completed outputs ->
       let correct =
-        match ideal with
-        | None -> None
-        | Some ref_outputs ->
-          let ok = outputs = ref_outputs in
-          if not ok then begin
-            t.incorrect <- t.incorrect + 1;
-            Metrics.incr m_incorrect
-          end;
-          Some ok
+        Option.map
+          (fun ref_outputs ->
+            let ok = outputs = ref_outputs in
+            if not ok then begin
+              t.incorrect <- t.incorrect + 1;
+              Metrics.incr m_incorrect
+            end;
+            ok)
+          ideal
       in
       t.executes <- t.executes + 1;
       observe_latency t cycles;
-      observe_groups t j.digest j.entry.Cache.result.Pipeline.program;
-      responses.(j.index) <-
-        Some (Executed { digest = j.digest; shard = shard_id; outputs; correct;
-                         cycles })
-    in
-    List.iter
-      (fun results ->
-        List.iter
-          (fun (j, shard_id, outcome, stats, ideal) ->
-            let p = j.entry.Cache.result.Pipeline.program in
-            let cycles =
-              Controller.static_cycles p + stats.Exec.verify_reads
-              + stats.Exec.retries
-            in
-            match outcome with
-            | Exec.Completed outputs -> finalize j shard_id outputs ideal cycles
-            | Exec.Out_of_spares _ ->
-              retire_shard t t.fleet.(shard_id);
-              (* replay, chasing surviving shards until one completes *)
-              let rec replay cycles =
-                let best = ref (-1) and best_w = ref max_int in
-                Array.iter
-                  (fun s ->
-                    if Shard.status s = Shard.Active then begin
-                      let w = Shard.total_writes s in
-                      if w < !best_w then begin
-                        best := Shard.id s;
-                        best_w := w
-                      end
-                    end)
-                  t.fleet;
-                if !best < 0 then begin
-                  t.rejected <- t.rejected + 1;
-                  Metrics.incr m_rejected;
-                  responses.(j.index) <-
-                    Some
-                      (Rejected
-                         { digest = j.digest; reason = "fleet out of shards" })
-                end
-                else begin
-                  t.re_runs <- t.re_runs + 1;
-                  Metrics.incr m_reruns;
-                  let s = t.fleet.(!best) in
-                  let outcome, stats =
-                    Shard.execute ~verify:t.cfg.verify s p ~inputs:j.inputs
-                  in
-                  let cycles =
-                    cycles + Controller.static_cycles p
-                    + stats.Exec.verify_reads + stats.Exec.retries
-                  in
-                  match outcome with
-                  | Exec.Completed outputs ->
-                    finalize j !best outputs ideal cycles
-                  | Exec.Out_of_spares _ ->
-                    retire_shard t s;
-                    replay cycles
-                end
-              in
-              replay cycles)
-          results)
-      shard_results;
-    Array.to_list responses
-    |> List.map (function
-         | Some r -> r
-         | None -> Rejected { digest = "-"; reason = "internal: unanswered" })
+      observe_groups t j.digest j.program;
+      answer j.index
+        (Executed { digest = j.digest; shard = Shard.id s; outputs; correct; cycles })
+    | Exec.Out_of_spares _ -> (
+      retire_shard t s;
+      match least_worn t ~wear:Shard.total_writes with
+      | None -> reject j.index j.digest "fleet out of shards"
+      | Some s ->
+        t.re_runs <- t.re_runs + 1;
+        Metrics.incr m_reruns;
+        settle j ideal ~cycles s
+          (Shard.execute ~verify:t.cfg.verify s j.program ~inputs:j.inputs))
   in
-  let out = List.concat_map serve_batch (batches [] requests) in
+  List.iter
+    (List.iter (fun (j, s, attempt, ideal) -> settle j ideal ~cycles:0 s attempt))
+    shard_results;
+  List.init n (fun i ->
+      match responses.(i) with
+      | Some r -> r
+      | None -> failwith (Printf.sprintf "Server.run: batch index %d has no response" i))
+
+let run ?pool ?(batch = 32) t requests =
+  if batch <= 0 then invalid_arg "Server.run: batch size must be positive";
+  let writes_before = fleet_total_writes t in
+  let reqs = Array.of_list requests in
+  let rec go start acc =
+    if start >= Array.length reqs then List.concat (List.rev acc)
+    else
+      let len = min batch (Array.length reqs - start) in
+      go (start + batch) (serve_batch ?pool t (Array.sub reqs start len) :: acc)
+  in
+  let out = go 0 [] in
   Metrics.add_gauge g_fleet_writes
     (float_of_int (fleet_total_writes t - writes_before));
   out

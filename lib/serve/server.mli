@@ -10,15 +10,21 @@
     + {b compile} — missing programs compile in parallel on the
       {!Plim_par} pool and merge into the cache in submission order;
     + {b place} — sequentially route each execution to the least-worn
-      eligible [Active] shard (wear read through
-      {!Plim_telemetry.Wear.skew_of} at batch start plus the static
-      write footprint of work already placed this batch; ties break to
-      the lowest shard id);
+      eligible [Active] shard (wear read through {!Shard.total_writes}
+      at batch start plus the static write footprint of work already
+      placed this batch; ties break to the lowest shard id);
     + {b execute} — one parallel task per shard runs its queue in
       batch order, so every shard is touched by exactly one domain;
     + {b merge} — sequentially, in shard-id order: a shard whose
       spare-line pool ran dry is retired, a spare shard is activated,
-      and the abandoned execution re-runs there.
+      and the abandoned execution re-runs on the least-worn active shard
+      (by {!Shard.total_writes}), until an attempt completes or the
+      fleet is out of shards.
+
+    Every request gets exactly one response.  An execution is rejected
+    for one of four reasons: an unknown program digest, a program with
+    more cells than a shard has lines, no active shard at placement, or
+    a fleet that runs out of shards while replaying it.
 
     Phases 1, 3 and 5 are sequential and phases 2 and 4 partition
     their mutable state per task, so the response stream, every counter
@@ -94,6 +100,12 @@ type summary = {
 }
 
 type t
+
+val shard_lines : config -> cells:int list -> int
+(** Logical lines per shard: [lines] when positive, otherwise the
+    largest of [cells] (the cell counts of the cached programs), at
+    least 1.  The one sizing rule: the fleet applies it to its cache
+    when it materialises, and {!Plim_certify} to the compiled mix. *)
 
 val validate_config : config -> unit
 (** Raises [Invalid_argument] on a fleet {!create} cannot build: fewer

@@ -18,6 +18,9 @@ type t = {
   mutable stats : Exec.stats;
 }
 
+let fault_spec (spec : Fault_model.spec) ~id =
+  { spec with Fault_model.seed = Plim_util.Splitmix.derive spec.Fault_model.seed id }
+
 let create ?endurance ?geometry ?(spec = Fault_model.none) ?(status = Active) ~id
     ~lines ~spares () =
   if lines <= 0 then invalid_arg "Shard.create: need at least one line";

@@ -15,6 +15,12 @@ type status = Spare | Active | Retired
 
 type t
 
+val fault_spec : Plim_fault.Fault_model.spec -> id:int -> Plim_fault.Fault_model.spec
+(** [fault_spec spec ~id] is shard [id]'s own fault stream: [spec] with
+    its seed replaced by [Splitmix.derive spec.seed id].  The one
+    per-shard seed rule: the serve fleet, the {!Horizon} wear model and
+    {!Plim_certify} all derive shard faults through it. *)
+
 val create :
   ?endurance:int ->
   ?geometry:Plim_geometry.grid ->
@@ -27,8 +33,8 @@ val create :
   t
 (** [create ~id ~lines ~spares ()] is a fresh shard of [lines] logical
     lines backed by [lines + spares] physical cells.  The fault spec's
-    seed should already be per-shard derived (the fleet uses
-    [Splitmix.derive seed id]); [status] defaults to [Active].
+    seed should already be per-shard derived ({!fault_spec});
+    [status] defaults to [Active].
     [geometry] declares the crossbar's physical [rows x cols] bound —
     the fleet reports request latency in row-parallel groups when set.
     @raise Invalid_argument on non-positive [lines], negative [spares],

@@ -3,7 +3,7 @@
    events, Chrome traces) escape every string through here: a benchmark
    or strategy label containing '"' or '\' otherwise corrupts the
    emitted document and breaks every downstream reader, including the
-   bench/compare.exe regression gate.
+   plimc report regression gate.
 
    Bytes >= 0x20 other than '"' and '\' pass through verbatim: labels
    are treated as UTF-8 and JSON does not require escaping non-ASCII.

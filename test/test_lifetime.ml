@@ -320,6 +320,39 @@ let test_row_json_shape () =
         "\"trajectory\"" ]
   | _ -> Alcotest.fail "expected one grid cell"
 
+(* the power-on scrub must leave every logical line of a surviving shard
+   on its own live physical line; the rates span shards that survive
+   with remaps and shards the scrub kills *)
+let test_power_on_lands_on_live_lines () =
+  let survived = ref 0 and killed = ref 0 and remapped = ref 0 in
+  List.iter
+    (fun (rate, model_spares) ->
+      let cfg =
+        { hz_config with Horizon.fault_spec = Horizon.spec_of_rate rate; model_spares }
+      in
+      for id = 0 to 9 do
+        let cells = 40 in
+        let po = Horizon.power_on cfg ~id ~cells in
+        if not po.Horizon.alive then incr killed
+        else begin
+          incr survived;
+          let used = Hashtbl.create cells in
+          for l = 0 to cells - 1 do
+            let p = Plim_fault.Remap.physical po.Horizon.remap l in
+            if p <> l then incr remapped;
+            check_bool (Printf.sprintf "line %d on a live line" l) false
+              po.Horizon.dead.(p);
+            check_bool (Printf.sprintf "line %d on its own line" l) false
+              (Hashtbl.mem used p);
+            Hashtbl.add used p ()
+          done
+        end
+      done)
+    [ (0.0, 8); (0.02, 8); (0.05, 4); (0.1, 8); (0.3, 2) ];
+  check_bool "some shards survive" true (!survived > 0);
+  check_bool "some shards die" true (!killed > 0);
+  check_bool "some survivors were remapped" true (!remapped > 0)
+
 let () =
   Alcotest.run "lifetime"
     [ ( "extrapolation",
@@ -356,4 +389,6 @@ let () =
             test_combined_outlives_none;
           Alcotest.test_case "grid byte-identical at -j1 and -j4" `Quick
             test_grid_byte_identical_across_jobs;
-          Alcotest.test_case "row JSON shape" `Quick test_row_json_shape ] ) ]
+          Alcotest.test_case "row JSON shape" `Quick test_row_json_shape;
+          Alcotest.test_case "power-on lands on live lines" `Quick
+            test_power_on_lands_on_live_lines ] ) ]

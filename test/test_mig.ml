@@ -373,6 +373,9 @@ let test_dot () =
 
 module Blif = Plim_mig.Blif
 
+let blif_of_string text =
+  match Blif.of_string text with Ok g -> g | Error e -> Alcotest.fail e
+
 let test_blif_parse () =
   let text =
     "# a 2:1 mux with a don't-care cube\n\
@@ -384,7 +387,7 @@ let test_blif_parse () =
      0-1 1\n\
      .end\n"
   in
-  let g = Blif.of_string text in
+  let g = blif_of_string text in
   check_int "inputs" 3 (Mig.num_inputs g);
   check_int "outputs" 1 (Mig.num_outputs g);
   for m = 0 to 7 do
@@ -396,7 +399,7 @@ let test_blif_parse () =
 let test_blif_offset_cover () =
   (* cover given by its off-set (output column 0) *)
   let text = ".model f\n.inputs a b\n.outputs y\n.names a b y\n11 0\n.end\n" in
-  let g = Blif.of_string text in
+  let g = blif_of_string text in
   for m = 0 to 3 do
     let a = m land 1 = 1 and b = m land 2 = 2 in
     check_bool "nand" (not (a && b)) (Mig.eval g [| a; b |]).(0)
@@ -407,33 +410,50 @@ let test_blif_constants_and_continuation () =
     ".model k\n.inputs a\n.outputs one zero pass\n.names one\n1\n.names zero\n\
      .names a \\\npass\n1 1\n.end\n"
   in
-  let g = Blif.of_string text in
+  let g = blif_of_string text in
   let out = Mig.eval g [| true |] in
   Alcotest.(check (array bool)) "consts + buffer" [| true; false; true |] out
 
 let test_blif_errors () =
-  check_bool "latch rejected" true
-    (try ignore (Blif.of_string ".model x\n.latch a b\n.end\n"); false
-     with Failure _ -> true);
-  check_bool "arity mismatch rejected" true
-    (try ignore (Blif.of_string ".model x\n.inputs a b\n.outputs y\n.names a b y\n1 1\n.end\n"); false
-     with Failure _ -> true);
-  check_bool "undriven output rejected" true
-    (try ignore (Blif.of_string ".model x\n.inputs a\n.outputs y\n.end\n"); false
-     with Failure _ -> true)
+  let check_error what expected text =
+    Alcotest.(check (result unit string))
+      what (Error expected)
+      (Result.map ignore (Blif.of_string text))
+  in
+  check_error "latch rejected"
+    "Blif.of_string: line 2: only combinational single-model BLIF is supported"
+    ".model x\n.latch a b\n.end\n";
+  check_error "arity mismatch rejected"
+    "Blif.of_string: line 5: cube arity does not match .names inputs"
+    ".model x\n.inputs a b\n.outputs y\n.names a b y\n1 1\n.end\n";
+  check_error "undriven output rejected"
+    "Blif.of_string: line 3: undriven signal \"y\""
+    ".model x\n.inputs a\n.outputs y\n.end\n";
+  check_error "duplicate input rejected"
+    "Blif.of_string: line 2: duplicate input \"a\""
+    ".model x\n.inputs a a\n.outputs y\n.names a y\n1 1\n.end\n";
+  check_error "combinational cycle rejected"
+    "Blif.of_string: line 4: combinational cycle through \"y\""
+    ".model x\n.inputs a\n.outputs y\n.names a z y\n11 1\n.names y z\n1 1\n.end\n";
+  check_error "bad cube character rejected"
+    "Blif.of_string: line 5: bad cube character 'x'"
+    ".model x\n.inputs a\n.outputs y\n.names a y\nx 1\n.end\n";
+  Alcotest.(check (result unit string))
+    "missing file" (Error "no-such-file.blif: No such file or directory")
+    (Result.map ignore (Blif.read_file "no-such-file.blif"))
 
 let blif_roundtrip =
   QCheck.Test.make ~count:40 ~name:"blif write/read roundtrip preserves function"
     QCheck.small_int (fun seed ->
       let g = random_mig seed in
-      let g' = Blif.of_string (Blif.to_string g) in
+      let g' = blif_of_string (Blif.to_string g) in
       Mig.num_inputs g' = Mig.num_inputs g
       && Mig.num_outputs g' = Mig.num_outputs g
       && Array.for_all2 Tt.equal (Mig.output_tables g) (Mig.output_tables g'))
 
 let test_blif_roundtrip_adder () =
   let g = Plim_benchgen.Arith.adder ~width:4 in
-  let g' = Blif.of_string (Blif.to_string ~model:"adder4" g) in
+  let g' = blif_of_string (Blif.to_string ~model:"adder4" g) in
   check_bool "adder roundtrip" true
     (Array.for_all2 Tt.equal (Mig.output_tables g) (Mig.output_tables g'))
 

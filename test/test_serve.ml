@@ -265,6 +265,76 @@ let test_server_organic_retirement () =
   let _, responses3 = run_server ~jobs:3 cfg stream in
   check_bool "cascade identical at -j3" true (responses = responses3)
 
+(* Each rejection reason, checked for its exact message, the response
+   slot it answers, the summary counter and the serve.rejected metric. *)
+let test_server_rejection_reasons () =
+  let wp = List.hd mix4.Workload.programs in
+  let compile =
+    Workload.Compile { label = wp.Workload.label; graph = wp.Workload.graph }
+  in
+  let execute =
+    Workload.Execute
+      { digest = wp.Workload.digest;
+        inputs =
+          Array.to_list (Plim_mig.Mig.input_names wp.Workload.graph)
+          |> List.map (fun n -> (n, false)) }
+  in
+  let expect_rejected what server requests ~index ~reason =
+    let before = (Server.summary server).Server.rejected in
+    let metric_before = Plim_obs.Metrics.get "serve.rejected" in
+    let responses = Server.run server requests in
+    List.iteri
+      (fun i r ->
+        match r with
+        | Server.Rejected { digest; reason = got } when i = index ->
+          Alcotest.(check string) (what ^ ": digest") wp.Workload.digest digest;
+          Alcotest.(check string) (what ^ ": reason") reason got
+        | Server.Rejected { reason; _ } ->
+          Alcotest.failf "%s: slot %d rejected: %s" what i reason
+        | _ when i = index -> Alcotest.failf "%s: slot %d not rejected" what i
+        | _ -> ())
+      responses;
+    check_int (what ^ ": summary.rejected") (before + 1)
+      (Server.summary server).Server.rejected;
+    check_int (what ^ ": serve.rejected delta") 1
+      (Plim_obs.Metrics.get "serve.rejected" - metric_before)
+  in
+  (* a program larger than the configured shard lines *)
+  let cells =
+    Plim_isa.Program.num_cells
+      (Plim_core.Pipeline.compile quiet_config.Server.pipeline wp.Workload.graph)
+        .Plim_core.Pipeline.program
+  in
+  let small = Server.create { quiet_config with Server.lines = 2 } in
+  expect_rejected "too large" small [ compile; execute ] ~index:1
+    ~reason:(Printf.sprintf "program needs %d lines, shards have 2" cells);
+  (* every shard force-retired, the spare included *)
+  let server = Server.create quiet_config in
+  ignore (Server.run server [ compile; execute ]);
+  let total = quiet_config.Server.shards + quiet_config.Server.spare_shards in
+  for id = 0 to total - 1 do
+    check_bool (Printf.sprintf "retire shard %d" id) true (Server.force_retire server id)
+  done;
+  expect_rejected "no active shards" server [ compile; execute ] ~index:1
+    ~reason:"no active shards";
+  (* no cell spares and a one-write endurance: every attempt runs its
+     shard's spare pool dry, so the replay chain retires the whole fleet *)
+  let cfg =
+    { quiet_config with
+      Server.shards = 2;
+      spare_shards = 1;
+      cell_spares = 0;
+      endurance = Some 1 }
+  in
+  let server = Server.create cfg in
+  expect_rejected "fleet out of shards" server [ compile; execute ] ~index:1
+    ~reason:"fleet out of shards";
+  let s = Server.summary server in
+  check_int "re-runs: one per surviving shard" 2 s.Server.re_runs;
+  check_int "every shard retired" 3 s.Server.retired_shards;
+  check_int "the spare was woken" 1 s.Server.spare_activations;
+  check_int "nothing executed" 0 s.Server.executes
+
 let test_row_json_shape () =
   let stream = Workload.generate ~seed:5 ~requests:30 mix4 in
   let server, _ = run_server quiet_config stream in
@@ -315,5 +385,6 @@ let () =
           Alcotest.test_case "batch-size invariant" `Quick test_server_batch_size_invariant;
           Alcotest.test_case "forced retirement" `Quick test_server_forced_retirement;
           Alcotest.test_case "organic retirement" `Quick test_server_organic_retirement;
+          Alcotest.test_case "rejection reasons" `Quick test_server_rejection_reasons;
           Alcotest.test_case "row json" `Quick test_row_json_shape;
           Alcotest.test_case "fleet heatmaps" `Quick test_fleet_heatmap_json ] ) ]
