@@ -9,19 +9,26 @@ let m_passes = Metrics.counter "rewrite.passes"
 let m_passes_skipped = Metrics.counter "rewrite.passes_skipped"
 let m_cycles = Metrics.counter "rewrite.cycles"
 
+(* What the dry scan reads of a graph: the reachable mark, each node's
+   fanout including output references, and whether the graph is compact. *)
+type facts = { reachable : bool array; refs : int array; compact : bool }
+
+let facts g =
+  let reachable = Mig.reachable g in
+  let refs = Mig.fanout_counts ~reachable g in
+  Array.iteri (fun id r -> refs.(id) <- refs.(id) + r) (Mig.output_refs g);
+  { reachable; refs; compact = Mig.is_compact ~reachable g }
+
 (* On a compact graph, a rebuild in which no rule fires reproduces the
    graph id for id.  So the pass first walks the graph in id order and asks
    each rule whether it would fire, with the same operands the rebuild
    would pass and with strash lookups limited to the ids below the node:
    mid-rebuild, the new graph holds only that prefix.  Only when some rule
-   fires, or the graph is not compact, does the pass pay for the rebuild. *)
-let run_pass_raw g rules =
-  let reachable = Mig.reachable g in
-  let fanout = Mig.fanout_counts ~reachable g in
-  let out_refs = Mig.output_refs g in
+   fires, or the graph is not compact, does the pass pay for the rebuild.
+   [facts] must be [facts g]. *)
+let run_pass_raw g facts rules =
   let operand new_s old_s =
-    let id = Mig.node_of old_s in
-    { Axioms.s = new_s; old_fanout = fanout.(id) + out_refs.(id) }
+    { Axioms.s = new_s; old_fanout = facts.refs.(Mig.node_of old_s) }
   in
   let fires id =
     if not (Mig.is_maj g id) then false
@@ -32,9 +39,9 @@ let run_pass_raw g rules =
     end
   in
   let rec quiet id = id >= Mig.num_nodes g || (not (fires id) && quiet (id + 1)) in
-  if Mig.is_compact ~reachable g && quiet 0 then g
+  if facts.compact && quiet 0 then g
   else
-    Mig.map_rebuild ~reachable g ~rule:(fun g' ~old_id a b c ->
+    Mig.map_rebuild ~reachable:facts.reachable g ~rule:(fun g' ~old_id a b c ->
         Axioms.apply_first rules g'
           (operand a (Mig.child g old_id 0))
           (operand b (Mig.child g old_id 1))
@@ -54,7 +61,7 @@ let count_pass name g rebuild =
   g'
 
 let run_pass ?(name = "pass") g rules =
-  count_pass name g (fun g -> run_pass_raw g rules)
+  count_pass name g (fun g -> run_pass_raw g (facts g) rules)
 
 type recipe = No_rewriting | Algorithm1 | Algorithm2
 
@@ -82,27 +89,31 @@ let algorithm1_passes =
 let algorithm2_passes =
   [ d_rl; i_rl; i_rl; ("A", [ Axioms.associativity ]); i_rl; i_rl; d_rl; i_rl ]
 
-(* A cycle that returns its input physically ran only identity passes,
-   and a pass is a pure function of its input graph, so every later cycle
-   is the identity too.  Those cycles are not run; each of their passes is
-   counted as skipped. *)
+(* A pass is a pure function of its input graph and rule list, and it
+   never mutates its input.  So while the graph stays the same, the recipe
+   keeps its facts and the rule lists found quiet on it (the passes share
+   their lists, so [List.memq] finds them), and a pass whose list is known
+   quiet returns the graph without a scan.  A rebuild forgets both.  After
+   a cycle that changes nothing every list is known quiet, so the later
+   cycles cost only their counters. *)
 let cycles passes ~effort g =
-  let cycle ~converged g =
-    List.fold_left
-      (fun g (name, rules) ->
-        let rebuild = if converged then Fun.id else fun g -> run_pass_raw g rules in
-        count_pass name g rebuild)
-      g passes
-  in
-  let rec go n ~converged g =
-    if n <= 0 then g
+  let step (g, facts_g, quiet) (name, rules) =
+    if List.memq rules quiet then (count_pass name g Fun.id, facts_g, quiet)
     else begin
-      Metrics.incr m_cycles;
-      let g' = cycle ~converged g in
-      go (n - 1) ~converged:(g' == g) g'
+      let f = match facts_g with Some f -> f | None -> facts g in
+      let g' = count_pass name g (fun g -> run_pass_raw g f rules) in
+      if g' == g then (g, Some f, rules :: quiet) else (g', None, [])
     end
   in
-  Mig.cleanup (go (max 0 effort) ~converged:false g)
+  let rec go n state =
+    if n <= 0 then state
+    else begin
+      Metrics.incr m_cycles;
+      go (n - 1) (List.fold_left step state passes)
+    end
+  in
+  let g, _, _ = go (max 0 effort) (g, None, []) in
+  Mig.cleanup g
 
 let algorithm1 ~effort g = cycles algorithm1_passes ~effort g
 let algorithm2 ~effort g = cycles algorithm2_passes ~effort g

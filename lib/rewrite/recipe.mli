@@ -30,9 +30,12 @@ val recipe_name : recipe -> string
 val run : recipe -> effort:int -> Mig.t -> Mig.t
 (** [run recipe ~effort g] applies [effort] cycles of the recipe
     (the paper uses effort = 5) and returns a cleaned-up graph, never [g]
-    itself.  Once a cycle returns its input unchanged, the remaining cycles
-    are the identity and are not run.  [No_rewriting] returns a cleanup
-    copy (the naive flow). *)
+    itself.  A pass whose rule list was already found quiet on the current
+    graph (it returned that graph unchanged) is not scanned again: it
+    returns the graph and counts as skipped.  A pass that rebuilds the
+    graph forgets every quiet list.  So once a cycle returns its input
+    unchanged, the remaining cycles cost only their counters.
+    [No_rewriting] returns a cleanup copy (the naive flow). *)
 
 val algorithm1 : effort:int -> Mig.t -> Mig.t
 val algorithm2 : effort:int -> Mig.t -> Mig.t

@@ -12,9 +12,8 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-exception Parse_error of string
-
-let parse_exn s =
+let parse s =
+  let exception Parse_error of string in
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
@@ -120,7 +119,7 @@ let parse_exn s =
      merely corrupted) input of a few hundred kilobytes of '[' would
      blow the OCaml stack with a Stack_overflow the caller cannot
      distinguish from a bug.  Bound the depth explicitly and fail with
-     a regular Parse_error instead; no plim-bench artefact nests more
+     a regular parse error instead; no plim-bench artefact nests more
      than a dozen levels deep. *)
   let max_depth = 256 in
   let rec value depth =
@@ -186,12 +185,13 @@ let parse_exn s =
     skip_ws ();
     v
   in
-  let v = value 0 in
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let parse s =
-  match parse_exn s with v -> Ok v | exception Parse_error msg -> Error msg
+  match
+    let v = value 0 in
+    if !pos <> n then fail "trailing garbage";
+    v
+  with
+  | v -> Ok v
+  | exception Parse_error msg -> Error msg
 
 let parse_file path =
   match

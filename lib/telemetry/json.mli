@@ -17,11 +17,8 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-exception Parse_error of string
-
 val parse : string -> (t, string) result
-val parse_exn : string -> t
-(** @raise Parse_error with an offset-bearing message on malformed input. *)
+(** [Error] carries an offset-bearing message on malformed input. *)
 
 val parse_file : string -> (t, string) result
 (** Reads and parses a whole file; IO errors become [Error]. *)

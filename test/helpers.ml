@@ -19,6 +19,12 @@ let contains ~needle haystack =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   n = 0 || go 0
 
+(* a JSON document the test expects to be well formed *)
+let parse_ok s =
+  match Plim_telemetry.Json.parse s with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "Json.parse: %s" e
+
 (* --- tiny hand-written programs ---------------------------------------- *)
 
 (* NOT gate: z := 1; RM3(0, a, z) -> <0, !a, 1> = !a *)

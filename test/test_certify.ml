@@ -233,13 +233,13 @@ let test_check_row_json_round_trip () =
   let certs = C.grid cfg ~strategies:[ H.No_leveling ] ~fault_rates:[ 0.0 ] in
   match H.grid cfg ~strategies:[ H.No_leveling ] ~fault_rates:[ 0.0 ] with
   | [ (_, _, r) ] -> (
-    let row = Json.parse_exn (Json.write (H.row_json r)) in
+    let row = Helpers.parse_ok (Json.write (H.row_json r)) in
     (match C.check_row_json certs row with
     | Ok lbl -> check_bool "label" true (lbl = H.label r)
     | Error e -> Alcotest.failf "row escaped: %s" e);
     (* suffixed variant rows resolve to their base certificate *)
     let suffixed =
-      Json.parse_exn (Json.write (H.row_json ~label:(H.label r ^ "/exec") r))
+      Helpers.parse_ok (Json.write (H.row_json ~label:(H.label r ^ "/exec") r))
     in
     check_bool "prefix lookup" true
       (Result.is_ok (C.check_row_json certs suffixed));

@@ -4,6 +4,7 @@ module Mig_io = Plim_mig.Mig_io
 module Tt = Plim_logic.Truth_table
 module Axioms = Plim_rewrite.Axioms
 module Recipe = Plim_rewrite.Recipe
+module Suite = Plim_benchgen.Suite
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -190,7 +191,7 @@ let d_rl = [ Axioms.distributivity_rl ]
 let i_rl = [ Axioms.inverter_propagation ]
 let assoc = [ Axioms.associativity ]
 
-let naive_recipe recipe ~effort g =
+let naive_cycle recipe g =
   let passes =
     match recipe with
     | Recipe.No_rewriting -> []
@@ -199,8 +200,10 @@ let naive_recipe recipe ~effort g =
         i_rl; i_rl ]
     | Recipe.Algorithm2 -> [ d_rl; i_rl; i_rl; assoc; i_rl; i_rl; d_rl; i_rl ]
   in
-  let cycle g = List.fold_left naive_pass g passes in
-  let rec go n g = if n <= 0 then g else go (n - 1) (cycle g) in
+  List.fold_left naive_pass g passes
+
+let naive_recipe recipe ~effort g =
+  let rec go n g = if n <= 0 then g else go (n - 1) (naive_cycle recipe g) in
   Mig.cleanup (go effort g)
 
 let same_graph g g' = String.equal (Mig_io.to_string g) (Mig_io.to_string g')
@@ -239,6 +242,57 @@ let fast_pass_random =
             [ d_rl; i_rl; assoc; [ Axioms.complementary_associativity ];
               [ Axioms.associativity; Axioms.complementary_associativity ] ])
         [ g; Mig.cleanup g; Recipe.run_pass (Mig.cleanup g) i_rl ])
+
+(* Suite circuits whose Alg. 2 cycles repeat: cavlc has period 2 and sqrt
+   returns to its effort-2 graph at effort 4, so the recipe meets graphs
+   on which it already ran the same passes.  Each effort must give
+   [naive_recipe]'s graph; the naive cycles are run once and cleaned up
+   at each effort. *)
+let test_orbit_circuits () =
+  List.iter
+    (fun name ->
+      let g = (Suite.find name).Suite.build () in
+      let rec check effort naive =
+        if effort <= 8 then begin
+          check_bool (Printf.sprintf "%s effort %d = naive" name effort) true
+            (same_graph (Recipe.run Recipe.Algorithm2 ~effort g) (Mig.cleanup naive));
+          check (effort + 1) (naive_cycle Recipe.Algorithm2 naive)
+        end
+      in
+      check 0 g)
+    [ "cavlc"; "sqrt" ]
+
+(* Ω.D is quiet on [g]: the inner nodes of <<xyu><xyv>z> are kept alive
+   by outputs and <uvz> is absent.  Ω.I then flips <!u!v!z> into !<uvz>,
+   after which Ω.D fires on the same node.  In Alg. 2 that is pass 1
+   (Ω.D, quiet), pass 2 (Ω.I, rebuilds) and pass 7 (Ω.D, fires): a rule
+   list found quiet must be scanned again once the graph is rebuilt. *)
+let test_quiet_list_rescanned_after_rebuild () =
+  let g = Mig.create () in
+  let input = Mig.add_input g in
+  let x = input "x" and y = input "y" and u = input "u" in
+  let v = input "v" and z = input "z" in
+  let a = Mig.maj g x y u and b = Mig.maj g x y v in
+  Mig.add_output g "a" a;
+  Mig.add_output g "b" b;
+  Mig.add_output g "p" (Mig.maj g (Mig.not_ u) (Mig.not_ v) (Mig.not_ z));
+  Mig.add_output g "f" (Mig.maj g a b z);
+  check_bool "compact" true (Mig.is_compact g);
+  check_bool "D quiet on g" true (Recipe.run_pass g d_rl == g);
+  let g' = Recipe.run_pass g i_rl in
+  check_bool "I rebuilds g" true (g' != g);
+  let g'' = Recipe.run_pass g' d_rl in
+  check_bool "D fires on the rebuilt graph" true (g'' != g');
+  check_bool "the D rewrite reaches effort 1" false
+    (same_graph (Recipe.run Recipe.Algorithm2 ~effort:1 g) (Mig.cleanup g'));
+  List.iter
+    (fun effort ->
+      let r = Recipe.run Recipe.Algorithm2 ~effort g in
+      check_bool (Printf.sprintf "effort %d = naive" effort) true
+        (same_graph r (naive_recipe Recipe.Algorithm2 ~effort g));
+      check_bool (Printf.sprintf "effort %d equivalent" effort) true
+        (functionally_equal g r))
+    [ 1; 2; 5 ]
 
 (* --- allocation-free matching: the rules equal their list-based form ----- *)
 
@@ -544,7 +598,11 @@ let () =
           Alcotest.test_case "distributivity lookup above the node misses" `Quick
             test_distributivity_higher_id;
           Alcotest.test_case "non-compact input rebuilds" `Quick
-            test_non_compact_rebuilds ] );
+            test_non_compact_rebuilds;
+          Alcotest.test_case "quiet rule list rescanned after a rebuild" `Quick
+            test_quiet_list_rescanned_after_rebuild;
+          Alcotest.test_case "cavlc and sqrt orbits = naive loop" `Quick
+            test_orbit_circuits ] );
       ( "matching",
         [ qc rules_match_gen; qc rules_match_random; qc rules_match_shared ] );
       ( "directed",

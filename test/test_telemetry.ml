@@ -238,7 +238,7 @@ let test_json_parse () =
 
 let test_json_depth_limit () =
   (* the recursive-descent reader is depth-bounded: adversarially nested
-     input gets a clean Parse_error, never a stack overflow *)
+     input gets a clean Error, never a stack overflow *)
   let deep n = String.make n '[' ^ "1" ^ String.make n ']' in
   (match Json.parse (deep 200) with
   | Ok _ -> ()
@@ -247,10 +247,9 @@ let test_json_depth_limit () =
   | Ok _ -> Alcotest.fail "accepted 300-deep nesting"
   | Error e ->
     check_bool "error names the depth bound" true (contains ~affix:"deep" e));
-  (try
-     ignore (Json.parse_exn (deep 100_000));
-     Alcotest.fail "accepted pathologically deep nesting"
-   with Json.Parse_error _ -> ());
+  (match Json.parse (deep 100_000) with
+  | Ok _ -> Alcotest.fail "accepted pathologically deep nesting"
+  | Error _ -> ());
   (* a complete value followed by anything is an error, not a prefix parse *)
   List.iter
     (fun bad ->
@@ -272,13 +271,13 @@ let bench_doc ~schema ~max_writes ~extra =
 
 let v2_extra = {|,"skew":{"gini":0.31,"max_mean":2.4}|}
 
-let parse_exn s = Json.parse_exn s
+let parse_ok = Helpers.parse_ok
 
 let test_report_identical () =
   let doc = bench_doc ~schema:"plim-bench/v2" ~max_writes:40 ~extra:v2_extra in
   match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn doc)
-      (parse_exn doc)
+    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok doc)
+      (parse_ok doc)
   with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
@@ -292,8 +291,8 @@ let test_report_regression () =
   let base = bench_doc ~schema:"plim-bench/v2" ~max_writes:40 ~extra:v2_extra in
   let cur = bench_doc ~schema:"plim-bench/v2" ~max_writes:55 ~extra:v2_extra in
   match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn base)
-      (parse_exn cur)
+    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
+      (parse_ok cur)
   with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
@@ -306,8 +305,8 @@ let test_report_regression () =
     | l -> Alcotest.failf "expected exactly 1 regression, got %d" (List.length l));
     (* the other direction is an improvement, not a regression *)
     (match
-       Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn cur)
-         (parse_exn base)
+       Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok cur)
+         (parse_ok base)
      with
     | Ok c' ->
       check_bool "improvement direction never gates" false (Report.has_regressions c');
@@ -320,8 +319,8 @@ let test_report_v1_migration () =
   let v1 = bench_doc ~schema:"plim-bench/v1" ~max_writes:40 ~extra:"" in
   let v2 = bench_doc ~schema:"plim-bench/v2" ~max_writes:40 ~extra:v2_extra in
   match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn v1)
-      (parse_exn v2)
+    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok v1)
+      (parse_ok v2)
   with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
@@ -338,7 +337,7 @@ let test_report_threshold () =
   let compare_at threshold =
     match
       Report.compare_json ~threshold_pct:threshold ~baseline_path:"a"
-        ~current_path:"b" (parse_exn base) (parse_exn cur)
+        ~current_path:"b" (parse_ok base) (parse_ok cur)
     with
     | Ok c -> Report.has_regressions c
     | Error e -> Alcotest.failf "compare failed: %s" e
@@ -352,16 +351,16 @@ let test_report_missing_rows () =
     {|{"schema":"plim-bench/v2","generated_at":0,"benchmarks":[],"phases":[]}|}
   in
   (match
-     Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn base)
-       (parse_exn empty)
+     Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
+       (parse_ok empty)
    with
   | Ok c ->
     Alcotest.(check (list string)) "vanished rows" [ "b1/naive" ] c.Report.baseline_only;
     check_bool "vanished rows do not gate" false (Report.has_regressions c)
   | Error e -> Alcotest.failf "compare failed: %s" e);
   match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn "{}")
-      (parse_exn base)
+    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok "{}")
+      (parse_ok base)
   with
   | Ok _ -> Alcotest.fail "accepted a non-bench document"
   | Error _ -> ()
@@ -372,8 +371,8 @@ let test_report_new_metrics () =
   let base = bench_doc ~schema:"plim-bench/v2" ~max_writes:40 ~extra:"" in
   let cur = bench_doc ~schema:"plim-bench/v2" ~max_writes:40 ~extra:v2_extra in
   match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn base)
-      (parse_exn cur)
+    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
+      (parse_ok cur)
   with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
@@ -388,8 +387,8 @@ let test_report_new_metrics () =
       (contains ~affix:"new_metrics" (Json.write (Report.to_json c)));
     (* identical docs: nothing is new *)
     (match
-       Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn cur)
-         (parse_exn cur)
+       Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok cur)
+         (parse_ok cur)
      with
     | Ok c' -> check_int "identical -> no new metrics" 0 (List.length c'.Report.new_metrics)
     | Error e -> Alcotest.failf "compare failed: %s" e)
@@ -411,8 +410,8 @@ let test_report_serve_rows () =
   let base = serve_doc ~p99:60.0 ~misses:4 in
   let cur = serve_doc ~p99:90.0 ~misses:4 in
   (match
-     Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn base)
-       (parse_exn base)
+     Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
+       (parse_ok base)
    with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
@@ -429,8 +428,8 @@ let test_report_serve_rows () =
          c.Report.deltas);
     check_bool "identical serve rows -> zero" false (Report.has_regressions c));
   match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn base)
-      (parse_exn cur)
+    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
+      (parse_ok cur)
   with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
@@ -456,8 +455,8 @@ let test_report_from_zero () =
   let base = zero_doc ~instructions:100 ~dead_writes:0 in
   let cur = zero_doc ~instructions:150 ~dead_writes:5 in
   match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn base)
-      (parse_exn cur)
+    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
+      (parse_ok cur)
   with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
@@ -498,8 +497,8 @@ let test_report_geometry_rows () =
      pseudo-benchmarks and gate on group latency like any cost *)
   let base = geometry_doc ~groups:18 in
   (match
-     Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn base)
-       (parse_exn base)
+     Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
+       (parse_ok base)
    with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
@@ -512,8 +511,8 @@ let test_report_geometry_rows () =
          c.Report.deltas);
     check_bool "identical -> zero" false (Report.has_regressions c));
   match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_exn base)
-      (parse_exn (geometry_doc ~groups:25))
+    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
+      (parse_ok (geometry_doc ~groups:25))
   with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
@@ -543,7 +542,7 @@ let test_report_sections_fold () =
     (fun (section, key, gated, excluded, row) ->
       let compare base cur =
         let doc r =
-          parse_exn
+          parse_ok
             (Printf.sprintf {|{"schema":"plim-bench/v2","benchmarks":[],"%s":[%s]}|}
                section r)
         in
