@@ -1,5 +1,7 @@
 (* Reproduction harness: regenerates every table of the paper's evaluation
-   (Section IV) plus ablations and Bechamel micro-benchmarks.
+   (Section IV) plus the experiments built on top of the compiler.  Every
+   phase's --deterministic output is pinned by test/expected/bench-small.out
+   (small suite) or tables-full.out (Tables I-III, full suite).
 
      dune exec bench/main.exe                 -- tables I, II, III + summary
      dune exec bench/main.exe -- table1       -- write traffic (Table I)
@@ -7,10 +9,12 @@
      dune exec bench/main.exe -- table3       -- write caps   (Table III)
      dune exec bench/main.exe -- summary      -- paper-vs-measured averages
      dune exec bench/main.exe -- ablations    -- design-choice ablations
-     dune exec bench/main.exe -- verify       -- machine-vs-MIG verification
      dune exec bench/main.exe -- faulttol     -- fault-injection degradation sweep
-     dune exec bench/main.exe -- perf         -- Bechamel micro-benchmarks
-     dune exec bench/main.exe -- all          -- everything *)
+     dune exec bench/main.exe -- all          -- everything
+
+   A failed self-check (fault-free verification, capacity monotonicity,
+   the horizon lifetime ordering, the certificate and geometry gates)
+   exits 1; an unknown phase or flag exits 2. *)
 
 module Mig = Plim_mig.Mig
 module Suite = Plim_benchgen.Suite
@@ -52,12 +56,13 @@ let results_path = ref "bench/results/latest.json"
 
 let suite = ref Suite.all
 
+(* a failed self-check: the message goes to stderr and the run exits 1 *)
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
+
 (* ------------------------------------------------------------------ *)
-(* Experiment cache: per benchmark, rewrite twice and compile once per
-   configuration; every table reads from here.  Parallel campaigns compute
-   off-cache ([compute_benchmark]) and fill the cache at the merge, so the
-   table only sees results in suite order and the Hashtbl is only touched
-   from the submitting domain. *)
+(* Table campaign: per benchmark, rewrite twice and compile once per
+   configuration; every table reads these results, which the pool
+   returns in suite order. *)
 
 type bench_results = {
   spec : Suite.spec;
@@ -68,8 +73,6 @@ type bench_results = {
   endurance_full : Pipeline.result;
   capped : (int * Pipeline.result) list;
 }
-
-let cache : (string, bench_results) Hashtbl.t = Hashtbl.create 32
 
 let compute_benchmark spec =
   let g = Suite.build_cached spec in
@@ -89,14 +92,6 @@ let compute_benchmark spec =
         (fun cap -> (cap, base g2 (Pipeline.with_cap cap Pipeline.endurance_full)))
         caps }
 
-let run_benchmark spec =
-  match Hashtbl.find_opt cache spec.Suite.name with
-  | Some r -> r
-  | None ->
-    let r = compute_benchmark spec in
-    Hashtbl.replace cache spec.Suite.name r;
-    r
-
 let all_results () =
   let t0 = Unix.gettimeofday () in
   let results =
@@ -106,7 +101,6 @@ let all_results () =
         Profile.span ("bench." ^ spec.Suite.name) (fun () -> compute_benchmark spec))
       !suite
   in
-  List.iter (fun r -> Hashtbl.replace cache r.spec.Suite.name r) results;
   Printf.eprintf "[bench] table campaign wall-clock: %.2f s (-j %d, %d benchmarks)\n%!"
     (Unix.gettimeofday () -. t0)
     (pool_jobs ()) (List.length results);
@@ -316,49 +310,43 @@ let summary_table results =
 let ablation_subset = [ "sin"; "cavlc"; "i2c"; "router"; "adder" ]
 
 let ablations () =
-  let specs = List.map Suite.find ablation_subset in
-  Printf.printf "\nABLATION A — allocation policy (Algorithm 2 + level-first fixed)\n";
-  Printf.printf "%-10s %12s %12s %12s\n" "benchmark" "lifo" "fifo" "min-write";
-  List.iter
-    (fun spec ->
-      let g = Recipe.run Recipe.Algorithm2 ~effort:5 (Suite.build_cached spec) in
-      let sd alloc =
-        (Pipeline.compile_rewritten
-           { Pipeline.endurance_full with Pipeline.allocation = alloc }
-           g)
-          .Pipeline.write_summary.Stats.stdev
-      in
-      Printf.printf "%-10s %12.2f %12.2f %12.2f\n" spec.Suite.name (sd Alloc.Lifo)
-        (sd Alloc.Fifo) (sd Alloc.Min_write))
-    specs;
-  Printf.printf "\nABLATION B — node selection (Algorithm 2 + min-write fixed)\n";
-  Printf.printf "%-10s %12s %14s %12s\n" "benchmark" "in-order" "release-first"
-    "level-first";
-  List.iter
-    (fun spec ->
-      let g = Recipe.run Recipe.Algorithm2 ~effort:5 (Suite.build_cached spec) in
-      let sd sel =
-        (Pipeline.compile_rewritten
-           { Pipeline.endurance_full with Pipeline.selection = sel }
-           g)
-          .Pipeline.write_summary.Stats.stdev
-      in
-      Printf.printf "%-10s %12.2f %14.2f %12.2f\n" spec.Suite.name (sd Select.In_order)
-        (sd Select.Release_first) (sd Select.Level_first))
-    specs;
-  Printf.printf "\nABLATION C — destination tie-break by write count (beyond the paper)\n";
-  Printf.printf "%-10s %12s %16s\n" "benchmark" "paper" "dest-min-write";
-  List.iter
-    (fun spec ->
-      let g = Recipe.run Recipe.Algorithm2 ~effort:5 (Suite.build_cached spec) in
-      let sd dmw =
-        (Pipeline.compile_rewritten
-           { Pipeline.endurance_full with Pipeline.dest_min_write = dmw }
-           g)
-          .Pipeline.write_summary.Stats.stdev
-      in
-      Printf.printf "%-10s %12.2f %16.2f\n" spec.Suite.name (sd false) (sd true))
-    specs;
+  (* each subset circuit is rewritten once (Algorithm 2) and recompiled
+     under every variant of ablations A-C *)
+  let graphs =
+    List.map
+      (fun name ->
+        (name, Recipe.run Recipe.Algorithm2 ~effort:5 (Suite.build_cached (Suite.find name))))
+      ablation_subset
+  in
+  (* one stdev column per (heading, width, config) *)
+  let ablation title columns =
+    Printf.printf "\n%s\n%-10s" title "benchmark";
+    List.iter (fun (heading, w, _) -> Printf.printf " %*s" w heading) columns;
+    print_newline ();
+    List.iter
+      (fun (name, g) ->
+        Printf.printf "%-10s" name;
+        List.iter
+          (fun (_, w, config) ->
+            Printf.printf " %*.2f" w
+              (Pipeline.compile_rewritten config g).Pipeline.write_summary.Stats.stdev)
+          columns;
+        print_newline ())
+      graphs
+  in
+  let ef = Pipeline.endurance_full in
+  let alloc a = { ef with Pipeline.allocation = a } in
+  let select sel = { ef with Pipeline.selection = sel } in
+  ablation "ABLATION A — allocation policy (Algorithm 2 + level-first fixed)"
+    [ ("lifo", 12, alloc Alloc.Lifo); ("fifo", 12, alloc Alloc.Fifo);
+      ("min-write", 12, alloc Alloc.Min_write) ];
+  ablation "ABLATION B — node selection (Algorithm 2 + min-write fixed)"
+    [ ("in-order", 12, select Select.In_order);
+      ("release-first", 14, select Select.Release_first);
+      ("level-first", 12, select Select.Level_first) ];
+  ablation "ABLATION C — destination tie-break by write count (beyond the paper)"
+    [ ("paper", 12, { ef with Pipeline.dest_min_write = false });
+      ("dest-min-write", 16, { ef with Pipeline.dest_min_write = true }) ];
   Printf.printf "\nABLATION D — rewriting effort sweep (Algorithm 2, benchmark: sin)\n";
   Printf.printf "%-8s %10s %10s %10s\n" "effort" "MIG size" "#I" "STDEV";
   let g = Suite.build_cached (Suite.find "sin") in
@@ -369,18 +357,7 @@ let ablations () =
       Printf.printf "%-8d %10d %10d %10.2f\n" effort (Mig.size g')
         (Program.length r.Pipeline.program)
         r.Pipeline.write_summary.Stats.stdev)
-    [ 0; 1; 2; 3; 5 ];
-  Printf.printf "\nABLATION E — psi.C in the rewriting loop (Algorithm 1 vs Algorithm 2)\n";
-  Printf.printf "%-10s %18s %18s\n" "benchmark" "alg1 #I/stdev" "alg2 #I/stdev";
-  List.iter
-    (fun spec ->
-      let r = run_benchmark spec in
-      Printf.printf "%-10s %11d/%6.2f %11d/%6.2f\n" spec.Suite.name
-        (Program.length r.min_write.Pipeline.program)
-        (summary r.min_write).Stats.stdev
-        (Program.length r.endurance_rewrite.Pipeline.program)
-        (summary r.endurance_rewrite).Stats.stdev)
-    specs
+    [ 0; 1; 2; 3; 5 ]
 
 (* ------------------------------------------------------------------ *)
 (* Section II quantified: IMPLY-based logic-in-memory vs RM3.  The paper
@@ -450,31 +427,6 @@ let wearlevel () =
     "Start-Gap levels wear across executions at ~1%% write overhead but cannot\n\
      fix intra-program imbalance faster than its rotation period; the compiler\n\
      bounds every device within a single execution.  The two compose.\n"
-
-(* ------------------------------------------------------------------ *)
-(* Write-distribution histogram: the visual intuition behind Table I. *)
-
-let histogram () =
-  Printf.printf "\nHISTOGRAM — per-device write distribution (benchmark: sin)\n";
-  let spec = Suite.find "sin" in
-  let g = Suite.build_cached spec in
-  let show config =
-    let r = Pipeline.compile config g in
-    let writes = Program.static_write_counts r.Pipeline.program in
-    let s = r.Pipeline.write_summary in
-    Printf.printf "\n%s  (devices %d, stdev %.2f)\n" (Pipeline.config_name config)
-      (Array.length writes) s.Stats.stdev;
-    let buckets = Stats.histogram ~bucket:25 writes in
-    let peak = List.fold_left (fun acc (_, c) -> max acc c) 1 buckets in
-    List.iter
-      (fun (lo, count) ->
-        let bar = max 1 (count * 50 / peak) in
-        Printf.printf "  %5d-%-5d %6d %s\n" lo (lo + 24) count (String.make bar '#'))
-      buckets
-  in
-  show Pipeline.naive;
-  show Pipeline.endurance_full;
-  show (Pipeline.with_cap 20 Pipeline.endurance_full)
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic wear-out campaigns: empirical executions-to-first-failure on
@@ -570,8 +522,7 @@ let faulttol () =
       let p = r.Pipeline.program in
       (match Verify.check_random ~trials:4 ~seed:0xFA g p with
       | Ok () -> ()
-      | Error e ->
-        Printf.printf "  %s: fault-free verification FAILED: %s\n" name e);
+      | Error e -> fail "faulttol: %s: fault-free verification FAILED: %s" name e);
       (* every (rate, spares) campaign is independent; the sweep fans out
          on the pool and returns cells in grid order, so printing, the
          monotonicity self-check and the JSON rows below are identical at
@@ -615,7 +566,7 @@ let faulttol () =
   if !mono_violations = 0 then
     Printf.printf
       "monotonicity: ok — higher fault rate never increased surviving capacity\n"
-  else Printf.printf "monotonicity: %d VIOLATIONS\n" !mono_violations;
+  else fail "faulttol: monotonicity: %d VIOLATIONS" !mono_violations;
   Printf.printf
     "\nWEAR + REPAIR — endurance 400 writes/cell, transient 1e-3 (adder8)\n";
   Printf.printf
@@ -850,7 +801,9 @@ let horizon () =
   | [] ->
     Printf.printf
       "(ok: start_gap+wolfram strictly outlives none at every fault rate)\n"
-  | vs -> List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) vs);
+  | vs ->
+    List.iter (Printf.printf "VIOLATION: %s\n") vs;
+    fail "horizon: %d lifetime ordering violation(s)" (List.length vs));
   (* static certification gate: every simulated grid cell must fall
      inside the bracket Plim_certify derives without simulating.  The
      default mix (compile_ratio > 0) only has finite lower bounds, so a
@@ -885,11 +838,8 @@ let horizon () =
   in
   let xcerts = C.grid xbase ~strategies:H.all_strategies ~fault_rates:rates in
   gate xcells xcerts;
-  if !cert_fail > 0 then begin
-    Printf.eprintf "[bench] %d simulated cell(s) escape their static certificates\n"
-      !cert_fail;
-    exit 1
-  end;
+  if !cert_fail > 0 then
+    fail "[bench] %d simulated cell(s) escape their static certificates" !cert_fail;
   Printf.printf
     "(ok: all %d simulated cells inside their static wear-bound certificates)\n"
     (List.length cells + List.length xcells);
@@ -940,31 +890,22 @@ let geometry () =
           let sched =
             match Geometry.schedule grid p with
             | Ok s -> s
-            | Error e ->
-              Printf.eprintf "geometry: %s @%s: %s\n" spec.Suite.name gname e;
-              exit 1
+            | Error e -> fail "geometry: %s @%s: %s" spec.Suite.name gname e
           in
           (match Geometry.validate p sched with
           | Ok () -> ()
           | Error e ->
-            Printf.eprintf "geometry: %s @%s: invalid schedule: %s\n"
-              spec.Suite.name gname e;
-            exit 1);
+            fail "geometry: %s @%s: invalid schedule: %s" spec.Suite.name gname e);
           let groups = Geometry.num_groups sched in
           (* self-checks: row parallelism can only shorten the schedule,
              and a single-column grid must degenerate to the serial
              instruction stream *)
-          if groups > n_instr then begin
-            Printf.eprintf "geometry: %s @%s: %d groups > %d instructions\n"
-              spec.Suite.name gname groups n_instr;
-            exit 1
-          end;
-          if cols = 1 && groups <> n_instr then begin
-            Printf.eprintf
-              "geometry: %s @1 column: %d groups for %d instructions\n"
+          if groups > n_instr then
+            fail "geometry: %s @%s: %d groups > %d instructions" spec.Suite.name
+              gname groups n_instr;
+          if cols = 1 && groups <> n_instr then
+            fail "geometry: %s @1 column: %d groups for %d instructions"
               spec.Suite.name groups n_instr;
-            exit 1
-          end;
           Printf.printf "%-12s %5d %10s %6d %7d %7d %10d %9d %7.2fx\n"
             spec.Suite.name cols gname (Geometry.area grid) n_instr groups
             sched.Geometry.s_cross_row
@@ -984,159 +925,6 @@ let geometry () =
   Printf.printf
     "(groups <= instructions on every grid; cols=1 reproduces the serial\n\
     \ instruction count exactly)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Machine-level verification of the compiled artefacts. *)
-
-let verify () =
-  Printf.printf
-    "\nVERIFICATION — compiled programs vs MIG semantics on the crossbar machine\n";
-  List.iter
-    (fun spec ->
-      let g = spec.Suite.build () in
-      List.iter
-        (fun config ->
-          let r = Pipeline.compile config g in
-          let status =
-            match Verify.check_random ~trials:8 ~seed:0xBEEF g r.Pipeline.program with
-            | Ok () -> "ok"
-            | Error e -> "FAIL: " ^ e
-          in
-          Printf.printf "  %-12s %-24s %s\n%!" spec.Suite.name
-            (Pipeline.config_name config) status)
-        [ Pipeline.naive; Pipeline.dac16; Pipeline.min_write;
-          Pipeline.endurance_rewrite; Pipeline.endurance_full;
-          Pipeline.with_cap 10 Pipeline.endurance_full ])
-    Suite.small_suite;
-  let spec = Suite.find "sin" in
-  let r = run_benchmark spec in
-  (match
-     Verify.check_random ~trials:2 ~seed:1 (Suite.build_cached spec)
-       r.endurance_full.Pipeline.program
-   with
-  | Ok () -> Printf.printf "  %-12s %-24s ok\n" "sin" "endurance-full"
-  | Error e -> Printf.printf "  %-12s %-24s FAIL: %s\n" "sin" "endurance-full" e);
-  (* complete formal proof of the paper-sized adder via symbolic (BDD)
-     execution: all 2^256 input vectors at once *)
-  let adder = Suite.find "adder" in
-  let ra = run_benchmark adder in
-  let order = Plim_logic.Bdd.interleave 2 128 in
-  (match
-     Verify.check_symbolic ~order (Suite.build_cached adder)
-       ra.endurance_full.Pipeline.program
-   with
-  | Ok () ->
-    Printf.printf "  %-12s %-24s ok (symbolic proof, 256 inputs)\n" "adder"
-      "endurance-full"
-  | Error e -> Printf.printf "  %-12s %-24s FAIL: %s\n" "adder" "endurance-full" e)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the compiler stages. *)
-
-let perf () =
-  let open Bechamel in
-  let open Toolkit in
-  Printf.printf "\nPERF — Bechamel micro-benchmarks\n%!";
-  let adder32 = Plim_benchgen.Arith.adder ~width:32 in
-  let sin_aig = Suite.build_cached (Suite.find "sin") in
-  let sin_rewritten = Recipe.run Recipe.Algorithm2 ~effort:1 sin_aig in
-  let compiled = Pipeline.compile_rewritten Pipeline.endurance_full sin_rewritten in
-  let inputs =
-    Array.to_list
-      (Array.map (fun (n, _) -> (n, true)) compiled.Pipeline.program.Program.pi_cells)
-  in
-  let tests =
-    [ Test.make ~name:"mig-build adder32"
-        (Staged.stage (fun () -> ignore (Plim_benchgen.Arith.adder ~width:32)));
-      Test.make ~name:"aig-expand adder32"
-        (Staged.stage (fun () -> ignore (Plim_benchgen.Frontend.expand adder32)));
-      Test.make ~name:"rewrite-pass distributivity (sin)"
-        (Staged.stage (fun () ->
-             ignore (Recipe.run_pass sin_aig [ Plim_rewrite.Axioms.distributivity_rl ])));
-      Test.make ~name:"compile endurance-full (sin)"
-        (Staged.stage (fun () ->
-             ignore (Pipeline.compile_rewritten Pipeline.endurance_full sin_rewritten)));
-      Test.make ~name:"compile naive (sin)"
-        (Staged.stage (fun () ->
-             ignore (Pipeline.compile_rewritten Pipeline.naive sin_rewritten)));
-      Test.make ~name:"machine-run compiled sin"
-        (Staged.stage (fun () ->
-             ignore (Plim_machine.Plim_controller.run compiled.Pipeline.program ~inputs)))
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let m = Benchmark.run cfg [ Instance.monotonic_clock ] elt in
-          let est = Analyze.one ols Instance.monotonic_clock m in
-          let ns =
-            match Analyze.OLS.estimates est with
-            | Some [ v ] -> v
-            | Some _ | None -> nan
-          in
-          Printf.printf "  %-36s %12.3f ms/run  (%d samples)\n%!" (Test.Elt.name elt)
-            (ns /. 1e6) m.Benchmark.stats.Benchmark.samples)
-        (Test.elements test))
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* CSV export of the three tables for external plotting. *)
-
-let export_csv results dir =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let module Csv = Plim_stats.Csv in
-  let f = Printf.sprintf "%g" in
-  let stat_fields s =
-    [ string_of_int s.Stats.min; string_of_int s.Stats.max; f s.Stats.stdev ]
-  in
-  Csv.write_file
-    (Filename.concat dir "table1.csv")
-    ~header:
-      [ "benchmark"; "pi"; "po"; "config"; "min"; "max"; "stdev"; "impr_pct" ]
-    (List.concat_map
-       (fun r ->
-         let base = (summary r.naive).Stats.stdev in
-         List.map
-           (fun (config, res) ->
-             let s = summary res in
-             [ r.spec.Suite.name; string_of_int r.spec.Suite.pi;
-               string_of_int r.spec.Suite.po; config ]
-             @ stat_fields s
-             @ [ f (impr base s.Stats.stdev) ])
-           [ ("naive", r.naive); ("dac16", r.dac16); ("min-write", r.min_write);
-             ("endurance-rewrite", r.endurance_rewrite);
-             ("endurance-full", r.endurance_full) ])
-       results);
-  Csv.write_file
-    (Filename.concat dir "table2.csv")
-    ~header:[ "benchmark"; "config"; "instructions"; "devices" ]
-    (List.concat_map
-       (fun r ->
-         List.map
-           (fun (config, res) ->
-             [ r.spec.Suite.name; config;
-               string_of_int (Program.length res.Pipeline.program);
-               string_of_int (Program.num_cells res.Pipeline.program) ])
-           [ ("naive", r.naive); ("endurance-rewrite", r.endurance_rewrite);
-             ("endurance-full", r.endurance_full) ])
-       results);
-  Csv.write_file
-    (Filename.concat dir "table3.csv")
-    ~header:[ "benchmark"; "cap"; "instructions"; "devices"; "stdev" ]
-    (List.concat_map
-       (fun r ->
-         List.map
-           (fun (cap, res) ->
-             [ r.spec.Suite.name; string_of_int cap;
-               string_of_int (Program.length res.Pipeline.program);
-               string_of_int (Program.num_cells res.Pipeline.program);
-               f (summary res).Stats.stdev ])
-           r.capped)
-       results);
-  Printf.eprintf "[bench] wrote %s/table{1,2,3}.csv\n%!" dir
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable results: bench/results/latest.json carries the same
@@ -1235,15 +1023,27 @@ let write_results_json results path =
   close_out oc;
   Printf.eprintf "[bench] wrote %s\n%!" path
 
+(* the table phases also run when no phase is named *)
+let table_phases = [ "table1"; "table2"; "table3"; "summary" ]
+
+(* the phases that fill a results section beside the tables' rows *)
+let section_phases =
+  [ ("faulttol", faulttol); ("wear", wear); ("serve", serve); ("horizon", horizon);
+    ("geometry", geometry) ]
+
+(* the phases that only print, in print order after the tables *)
+let print_phases =
+  [ ("ablations", ablations); ("section2", section2); ("wearlevel", wearlevel);
+    ("lifetime", lifetime_bench) ]
+
 let usage () =
   prerr_endline
     "usage: main.exe [PHASE...] [-j N] [--suite small|all] [--deterministic]\n\
     \                [--results PATH]\n\
-     phases: table1 table2 table3 summary csv ablations section2 wearlevel\n\
-    \        lifetime histogram verify faulttol wear serve horizon geometry\n\
-    \        perf all\n\
-    \        (horizon also certifies every cell against its static\n\
-    \        plim-cert/v1 wear bracket and fails on any escape)\n\
+     phases: table1 table2 table3 summary ablations section2 wearlevel\n\
+    \        lifetime faulttol wear serve horizon geometry all\n\
+    \        (a failed self-check exits 1; horizon also certifies every\n\
+    \        cell against its static plim-cert/v1 wear bracket)\n\
      -j N            run fan-out phases on N domains (default: domain count);\n\
     \                -j 1 is byte-identical to the sequential program\n\
      --suite small   restrict tables to the small benchmark suite\n\
@@ -1256,6 +1056,10 @@ let () =
   Profile.enable ();
   let jobs = ref (Par.default_jobs ()) in
   let args = ref [] in
+  let known a =
+    a = "all" || List.mem a table_phases || List.mem_assoc a section_phases
+    || List.mem_assoc a print_phases
+  in
   let rec parse = function
     | [] -> ()
     | "--" :: rest -> parse rest
@@ -1277,10 +1081,10 @@ let () =
     | "--results" :: path :: rest ->
       results_path := path;
       parse rest
-    | a :: _ when String.length a > 0 && a.[0] = '-' -> usage ()
-    | a :: rest ->
+    | a :: rest when known a ->
       args := a :: !args;
       parse rest
+    | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
   let args = List.rev !args in
@@ -1292,29 +1096,13 @@ let () =
      when no phase is named *)
   let asked x = List.mem x args || List.mem "all" args in
   let want x = args = [] || asked x in
-  let results =
-    if List.exists want [ "table1"; "table2"; "table3"; "summary" ] || asked "csv"
-    then all_results ()
-    else []
-  in
-  (* the phases that fill a results section beside the tables' rows *)
-  let section_phases =
-    [ ("faulttol", faulttol); ("wear", wear); ("serve", serve);
-      ("horizon", horizon); ("geometry", geometry) ]
-  in
+  let results = if List.exists want table_phases then all_results () else [] in
   List.iter (fun (x, run) -> if asked x then run ()) section_phases;
   if results <> [] || List.exists (fun (x, _) -> asked x) section_phases then
     write_results_json results !results_path;
-  if asked "csv" then export_csv results "bench_csv";
   if want "table1" then table1 results;
   if want "table2" then table2 results;
   if want "table3" then table3 results;
   if want "summary" then summary_table results;
-  if asked "ablations" then ablations ();
-  if asked "section2" then section2 ();
-  if asked "wearlevel" then wearlevel ();
-  if asked "lifetime" then lifetime_bench ();
-  if asked "histogram" then histogram ();
-  if asked "verify" then verify ();
-  if asked "perf" then perf ();
+  List.iter (fun (x, run) -> if asked x then run ()) print_phases;
   match !pool with Some p -> Par.shutdown p | None -> ()

@@ -5,7 +5,7 @@
    maximum/stdev/tail, storage spans, wear skew — so "worse" always
    means "larger".  A metric regresses when it grows beyond BOTH the
    relative threshold and the absolute epsilon, which keeps identical
-   runs at exactly zero regressions (the CI perf-gate invariant) while
+   runs at exactly zero regressions (the runtest self-compare invariant) while
    tolerating genuine noise when a human lowers the threshold to 0.
 
    Wall-clock phases deliberately do not gate: they vary run to run and

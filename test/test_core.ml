@@ -313,13 +313,13 @@ let symbolic_random =
         [ Pipeline.naive; Pipeline.endurance_full ];
       true)
 
-let test_symbolic_wide_adder () =
-  (* 32-bit adder: 64 inputs — far beyond truth tables, linear as a BDD
-     with interleaved operands.  Complete formal verification of the
-     compiled program. *)
-  let g = Plim_benchgen.Arith.adder ~width:32 in
-  let order = Plim_logic.Bdd.interleave 2 32 in
-  let r = Pipeline.compile (Pipeline.with_cap 10 Pipeline.endurance_full) g in
+let test_symbolic_wide_adder ~width config () =
+  (* a [width]-bit adder: 2*width inputs — far beyond truth tables, linear
+     as a BDD with interleaved operands.  Complete formal verification of
+     the compiled program; width 128 is the paper's adder benchmark. *)
+  let g = Plim_benchgen.Arith.adder ~width in
+  let order = Plim_logic.Bdd.interleave 2 width in
+  let r = Pipeline.compile config g in
   match Verify.check_symbolic ~order g r.Pipeline.program with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s" e
@@ -490,7 +490,11 @@ let () =
               test_min_write_beats_lifo_on_average ] );
       ( "symbolic",
         [ qc symbolic_random;
-          Alcotest.test_case "32-bit adder, complete proof" `Quick test_symbolic_wide_adder;
+          Alcotest.test_case "32-bit adder, complete proof" `Quick
+            (test_symbolic_wide_adder ~width:32
+               (Pipeline.with_cap 10 Pipeline.endurance_full));
+          Alcotest.test_case "128-bit adder (256 inputs), complete proof" `Slow
+            (test_symbolic_wide_adder ~width:128 Pipeline.endurance_full);
           Alcotest.test_case "catches corruption" `Quick test_symbolic_catches_corruption ]
       );
       ( "cost-model",

@@ -346,18 +346,6 @@ let test_jsonx_escape () =
   J.escape_into b "\"y";
   Alcotest.(check string) "escape_into appends" {|x\n\"y|} (Buffer.contents b)
 
-(* --- Csv --------------------------------------------------------------- *)
-
-let test_csv_escape () =
-  Alcotest.(check string) "plain" "abc" (Plim_stats.Csv.escape "abc");
-  Alcotest.(check string) "comma" "\"a,b\"" (Plim_stats.Csv.escape "a,b");
-  Alcotest.(check string) "quote" "\"a\"\"b\"" (Plim_stats.Csv.escape "a\"b");
-  Alcotest.(check string) "newline" "\"a\nb\"" (Plim_stats.Csv.escape "a\nb")
-
-let test_csv_table () =
-  Alcotest.(check string) "table" "x,y\n1,\"a,b\"\n"
-    (Plim_stats.Csv.table ~header:[ "x"; "y" ] [ [ "1"; "a,b" ] ])
-
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -400,7 +388,4 @@ let () =
           qc stdev_nonneg ] );
       ("lifetime", [ Alcotest.test_case "estimates" `Quick test_lifetime ]);
       ( "jsonx",
-        [ Alcotest.test_case "escape vectors" `Quick test_jsonx_escape ] );
-      ( "csv",
-        [ Alcotest.test_case "escaping" `Quick test_csv_escape;
-          Alcotest.test_case "table" `Quick test_csv_table ] ) ]
+        [ Alcotest.test_case "escape vectors" `Quick test_jsonx_escape ] ) ]
