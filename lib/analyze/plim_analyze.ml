@@ -3,6 +3,7 @@ module I = Plim_isa.Instruction
 module Profile = Plim_obs.Profile
 module Metrics = Plim_obs.Metrics
 module Json = Plim_telemetry.Json
+module Csr = Plim_util.Csr
 
 type severity = Error | Warning | Info
 
@@ -74,88 +75,122 @@ let reads_dest (instr : I.t) =
 
 (* --- def-use IR -------------------------------------------------------- *)
 
-(* One value held by a cell, mutable while chains are under construction.
-   [s_uses] is kept newest-first.  A synthetic site is installed after a
-   use-before-def report so later reads of the same cell chain quietly
-   instead of cascading. *)
-type site = {
-  s_cell : int;
-  s_def_at : int;
-  mutable s_uses : int list;
-  mutable s_live_out : bool;
-  s_synthetic : bool;
+(* Every def ("site") in def order: PI loads first, then per instruction
+   any placeholder it needs and its own def.  A placeholder is installed
+   after a use-before-def report so later reads of the same cell chain
+   quietly instead of cascading. *)
+type chains = {
+  def_count : int;
+  def_cell : int array;
+  def_instr : int array;
+  def_live_out : bool array;
+  def_placeholder : bool array;
+  use_start : int array;
+  use_instr : int array;
+  chain_start : int array;
+  chain : int array;
+  has_use_before_def : bool;
 }
 
+(* One pass over the stream records the defs and the use events (def,
+   instruction) in order, counting both per bucket; the two CSR layouts
+   follow from the counts.  Returns the chains and the use-before-def
+   reports. *)
 let build (p : Program.t) =
   let n = p.Program.num_cells in
-  let is_pi = Array.make n false in
-  Array.iter (fun (_, c) -> is_pi.(c) <- true) p.Program.pi_cells;
-  let last : site option array = Array.make n None in
-  let sites = ref [] in
-  let push s =
-    sites := s :: !sites;
+  let len = Array.length p.Program.instrs in
+  (* at most one placeholder per cell: it is installed only while the
+     cell has no def, and every cell keeps a def from then on *)
+  let cap = Array.length p.Program.pi_cells + len + n in
+  let cell = Array.make cap 0 and def_at = Array.make cap (-1) in
+  let live_out = Array.make cap false and placeholder = Array.make cap false in
+  let last_use = Array.make cap (-1) in
+  let chain_start = Array.make (n + 1) 0 and use_start = Array.make (cap + 1) 0 in
+  let defs = ref 0 in
+  let push c i =
+    let s = !defs in
+    cell.(s) <- c;
+    def_at.(s) <- i;
+    chain_start.(c + 1) <- chain_start.(c + 1) + 1;
+    incr defs;
     s
+  in
+  let ev_def = Array.make (3 * len) 0 and ev_instr = Array.make (3 * len) 0 in
+  let events = ref 0 in
+  let record s i =
+    ev_def.(!events) <- s;
+    ev_instr.(!events) <- i;
+    use_start.(s + 1) <- use_start.(s + 1) + 1;
+    incr events;
+    last_use.(s) <- i
   in
   let diags = ref [] in
   let add d = diags := d :: !diags in
+  (* [last.(c)]: the def cell [c] holds, or -1 *)
+  let last = Array.make n (-1) in
   (* PI loads happen before instruction 0, in declaration order: with two
      PIs bound to one cell (the compiler reuses the device of an unused
      input) the later load is the one that sticks. *)
-  Array.iter
-    (fun (_, c) ->
-      last.(c) <-
-        Some (push { s_cell = c; s_def_at = -1; s_uses = []; s_live_out = false;
-                     s_synthetic = false }))
-    p.Program.pi_cells;
-  let reported = Array.make n false in
-  Array.iteri
-    (fun i (instr : I.t) ->
-      let use c =
-        match last.(c) with
-        | Some s -> (
-          match s.s_uses with
-          | u :: _ when u = i -> () (* one use per instruction per value *)
-          | _ -> s.s_uses <- i :: s.s_uses)
-        | None ->
-          if not reported.(c) then begin
-            reported.(c) <- true;
-            add
-              { severity = Error; kind = Use_before_def; instr = Some i; cell = c;
-                message =
-                  Printf.sprintf
-                    "cell %%%d is read but never written before (and is not a \
-                     primary input)"
-                    c }
-          end;
-          last.(c) <-
-            Some (push { s_cell = c; s_def_at = -1; s_uses = [ i ];
-                         s_live_out = false; s_synthetic = true })
-      in
-      (match instr.I.a with I.Cell c -> use c | I.Const _ -> ());
-      (match instr.I.b with I.Cell c -> use c | I.Const _ -> ());
-      if reads_dest instr then use instr.I.z;
-      last.(instr.I.z) <-
-        Some (push { s_cell = instr.I.z; s_def_at = i; s_uses = [];
-                     s_live_out = false; s_synthetic = false }))
-    p.Program.instrs;
+  Array.iter (fun (_, c) -> last.(c) <- push c (-1)) p.Program.pi_cells;
+  let use i c =
+    let s = last.(c) in
+    if s < 0 then begin
+      add
+        { severity = Error; kind = Use_before_def; instr = Some i; cell = c;
+          message =
+            Printf.sprintf
+              "cell %%%d is read but never written before (and is not a \
+               primary input)"
+              c };
+      let s = push c (-1) in
+      placeholder.(s) <- true;
+      last.(c) <- s;
+      record s i
+    end
+    else if last_use.(s) <> i then record s i (* one use per instruction per value *)
+  in
+  for i = 0 to len - 1 do
+    let instr = p.Program.instrs.(i) in
+    (match instr.I.a with I.Cell c -> use i c | I.Const _ -> ());
+    (match instr.I.b with I.Cell c -> use i c | I.Const _ -> ());
+    if reads_dest instr then use i instr.I.z;
+    last.(instr.I.z) <- push instr.I.z i
+  done;
   Array.iter
     (fun (name, c) ->
-      match last.(c) with
-      | Some s -> s.s_live_out <- true
-      | None ->
+      if last.(c) >= 0 then live_out.(last.(c)) <- true
+      else
         add
           { severity = Error; kind = Use_before_def; instr = None; cell = c;
             message =
               Printf.sprintf "output %S reads cell %%%d which nothing ever writes"
                 name c })
     p.Program.po_cells;
-  (List.rev !sites, !diags, is_pi)
+  Csr.prefix_sums use_start;
+  Csr.prefix_sums chain_start;
+  ( { def_count = !defs; def_cell = cell; def_instr = def_at; def_live_out = live_out;
+      def_placeholder = placeholder; use_start;
+      use_instr =
+        Csr.scatter use_start (fun add ->
+            for k = 0 to !events - 1 do add ev_def.(k) ev_instr.(k) done);
+      chain_start;
+      chain =
+        Csr.scatter chain_start (fun add ->
+            for s = 0 to !defs - 1 do add cell.(s) s done);
+      has_use_before_def = !diags <> [] },
+    !diags )
 
-let write_counts (p : Program.t) =
-  let sites, _, _ = build p in
-  let counts = Array.make p.Program.num_cells 0 in
-  List.iter (fun s -> if s.s_def_at >= 0 then counts.(s.s_cell) <- counts.(s.s_cell) + 1) sites;
+let chains p = fst (build p)
+
+(* per-cell static write bounds: the instruction defs of each cell *)
+let counts_of ch num_cells =
+  let counts = Array.make num_cells 0 in
+  for s = 0 to ch.def_count - 1 do
+    if ch.def_instr.(s) >= 0 then counts.(ch.def_cell.(s)) <- counts.(ch.def_cell.(s)) + 1
+  done;
   counts
+
+let write_counts (p : Program.t) = counts_of (chains p) p.Program.num_cells
 
 (* --- checkers ---------------------------------------------------------- *)
 
@@ -168,141 +203,152 @@ let default_leak_grace = 8
 let analyze ?(leak_grace = default_leak_grace) ?max_writes (p : Program.t) =
   Profile.span "analyze.program" @@ fun () ->
   Metrics.incr m_programs;
-  let sites, diags0, is_pi = build p in
+  let ch, diags0 = build p in
   let n = p.Program.num_cells in
   let len = Program.length p in
   let diags = ref diags0 in
   let add d = diags := d :: !diags in
-  let is_po = Array.make n false in
+  let is_pi = Array.make n false and is_po = Array.make n false in
+  Array.iter (fun (_, c) -> is_pi.(c) <- true) p.Program.pi_cells;
   Array.iter (fun (_, c) -> is_po.(c) <- true) p.Program.po_cells;
-  (* chronological per-cell def chains *)
-  let by_cell : site list array = Array.make n [] in
-  List.iter (fun s -> by_cell.(s.s_cell) <- s :: by_cell.(s.s_cell)) sites;
-  let chains = Array.map List.rev by_cell in
+  let uses_of s = ch.use_start.(s + 1) - ch.use_start.(s) in
+  (* the instruction a def's value dies at: its last use, else its def *)
+  let death s =
+    if uses_of s > 0 then ch.use_instr.(ch.use_start.(s + 1) - 1) else ch.def_instr.(s)
+  in
   (* dead writes and PO clobbers: an unread, overwritten (or trailing,
      non-live-out) value; on an output cell the overwriting instruction is
      the clobber *)
-  Array.iteri
-    (fun c chain ->
-      let rec scan = function
-        | [] -> ()
-        | s :: rest ->
-          if s.s_def_at >= 0 && s.s_uses = [] && not s.s_live_out then begin
-            add
-              { severity = Error; kind = Dead_write; instr = Some s.s_def_at;
-                cell = c;
-                message =
-                  Printf.sprintf
-                    "value written to cell %%%d is never read — wasted endurance"
-                    c };
-            if is_po.(c) then
-              match rest with
-              | next :: _ when next.s_def_at >= 0 ->
-                add
-                  { severity = Error; kind = Po_clobber; instr = Some next.s_def_at;
-                    cell = c;
-                    message =
-                      Printf.sprintf
-                        "output cell %%%d is overwritten after its final value \
-                         (written at %d, never read)"
-                        c s.s_def_at }
-              | _ -> ()
-          end;
-          scan rest
-      in
-      scan chain)
-    chains;
+  for c = 0 to n - 1 do
+    let stop = ch.chain_start.(c + 1) in
+    for k = ch.chain_start.(c) to stop - 1 do
+      let s = ch.chain.(k) in
+      if ch.def_instr.(s) >= 0 && uses_of s = 0 && not ch.def_live_out.(s) then begin
+        add
+          { severity = Error; kind = Dead_write; instr = Some ch.def_instr.(s); cell = c;
+            message =
+              Printf.sprintf
+                "value written to cell %%%d is never read — wasted endurance" c };
+        if is_po.(c) && k + 1 < stop && ch.def_instr.(ch.chain.(k + 1)) >= 0 then
+          add
+            { severity = Error; kind = Po_clobber;
+              instr = Some ch.def_instr.(ch.chain.(k + 1)); cell = c;
+              message =
+                Printf.sprintf
+                  "output cell %%%d is overwritten after its final value \
+                   (written at %d, never read)"
+                  c ch.def_instr.(s) }
+      end
+    done
+  done;
   (* RRAM leaks: the uncapped allocator opens a fresh device only when the
      free pool is empty, so a first-def of a brand-new cell after another
      cell went dead proves the dead device was held past its last use.
      Under a write cap, retired devices legitimately stay unused. *)
-  let fresh_defs =
-    (* (first-def index, cell) of every non-PI cell, ascending by index *)
-    let acc = ref [] in
-    Array.iteri
-      (fun c chain ->
-        if not is_pi.(c) then
-          match List.find_opt (fun s -> s.s_def_at >= 0) chain with
-          | Some s -> acc := (s.s_def_at, c) :: !acc
-          | None -> ())
-      chains;
-    List.sort compare !acc
+  let fresh_at = Array.make len 0 and fresh_cell = Array.make len 0 in
+  let fresh = ref 0 in
+  (* the first def of every non-PI cell, ascending by instruction *)
+  let defined = Array.copy is_pi in
+  Array.iteri
+    (fun i (instr : I.t) ->
+      if not defined.(instr.I.z) then begin
+        defined.(instr.I.z) <- true;
+        fresh_at.(!fresh) <- i;
+        fresh_cell.(!fresh) <- instr.I.z;
+        incr fresh
+      end)
+    p.Program.instrs;
+  (* dying cells by ascending death, so that one pointer moving forward
+     through [fresh_at] finds each one's first fresh def past its grace;
+     the cells in [fresh_cell] are distinct, so at most one is skipped *)
+  let dying =
+    List.filter
+      (fun c ->
+        let stop = ch.chain_start.(c + 1) in
+        stop > ch.chain_start.(c) && not ch.def_live_out.(ch.chain.(stop - 1)))
+      (List.init n Fun.id)
+    |> Array.of_list
   in
+  let death_of c = death ch.chain.(ch.chain_start.(c + 1) - 1) in
+  Array.stable_sort (fun a b -> Int.compare (death_of a) (death_of b)) dying;
+  let leak = Array.make n (-1) in
+  let j = ref 0 in
+  Array.iter
+    (fun c ->
+      while !j < !fresh && fresh_at.(!j) <= death_of c + leak_grace do
+        incr j
+      done;
+      let k = if !j < !fresh && fresh_cell.(!j) = c then !j + 1 else !j in
+      if k < !fresh then leak.(c) <- k)
+    dying;
   let leak_severity = match max_writes with Some _ -> Info | None -> Error in
   Array.iteri
-    (fun c chain ->
-      match List.rev chain with
-      | [] -> ()
-      | final :: _ ->
-        if not final.s_live_out then begin
-          let death =
-            match final.s_uses with u :: _ -> u | [] -> final.s_def_at
-          in
-          match
-            List.find_opt (fun (t, c') -> t > death + leak_grace && c' <> c) fresh_defs
-          with
-          | None -> ()
-          | Some (t, c') ->
-            add
-              { severity = leak_severity; kind = Rram_leak; instr = Some t; cell = c;
-                message =
-                  Printf.sprintf
-                    "cell %%%d is dead after instruction %d but fresh device %%%d \
-                     is opened at %d%s"
-                    c death c' t
-                    (match max_writes with
-                    | Some w ->
-                      Printf.sprintf " (may be retirement under cap %d)" w
-                    | None -> " — the allocator held it past its last use") }
-        end)
-    chains;
+    (fun c k ->
+      if k >= 0 then
+        add
+          { severity = leak_severity; kind = Rram_leak; instr = Some fresh_at.(k); cell = c;
+            message =
+              Printf.sprintf
+                "cell %%%d is dead after instruction %d but fresh device %%%d \
+                 is opened at %d%s"
+                c (death_of c) fresh_cell.(k) fresh_at.(k)
+                (match max_writes with
+                | Some w -> Printf.sprintf " (may be retirement under cap %d)" w
+                | None -> " — the allocator held it past its last use") })
+    leak;
+  let counts = counts_of ch n in
   (* cap: the maximum write count strategy, Table III's W knob *)
   (match max_writes with
   | None -> ()
   | Some w ->
-    Array.iteri
-      (fun c chain ->
-        let writes = List.filter (fun s -> s.s_def_at >= 0) chain in
-        if List.length writes > w then
-          let offender = List.nth writes w in
-          add
-            { severity = Error; kind = Cap_exceeded; instr = Some offender.s_def_at;
-              cell = c;
-              message =
-                Printf.sprintf
-                  "cell %%%d takes %d static writes, exceeding the cap of %d at \
-                   this instruction"
-                  c (List.length writes) w })
-      chains);
-  (* unused cells: address-space gaps (e.g. fault-aware allocation) *)
-  Array.iteri
-    (fun c chain ->
-      if chain = [] && not is_pi.(c) then
+    for c = 0 to n - 1 do
+      if counts.(c) > w then begin
+        (* the (w+1)-th write of the chain is the offender *)
+        let seen = ref 0 and offender = ref (-1) in
+        for k = ch.chain_start.(c) to ch.chain_start.(c + 1) - 1 do
+          let at = ch.def_instr.(ch.chain.(k)) in
+          if at >= 0 then begin
+            if !seen = w then offender := at;
+            incr seen
+          end
+        done;
         add
-          { severity = Info; kind = Unused_cell; instr = None; cell = c;
+          { severity = Error; kind = Cap_exceeded; instr = Some !offender; cell = c;
             message =
-              Printf.sprintf "cell %%%d is inside num_cells but never loaded or \
-                              written" c })
-    chains;
+              Printf.sprintf
+                "cell %%%d takes %d static writes, exceeding the cap of %d at \
+                 this instruction"
+                c counts.(c) w }
+      end
+    done);
+  (* unused cells: address-space gaps (e.g. fault-aware allocation) *)
+  for c = 0 to n - 1 do
+    if ch.chain_start.(c + 1) = ch.chain_start.(c) && not is_pi.(c) then
+      add
+        { severity = Info; kind = Unused_cell; instr = None; cell = c;
+          message =
+            Printf.sprintf "cell %%%d is inside num_cells but never loaded or \
+                            written" c }
+  done;
   (* storage-duration report: how long each device is blocked holding a
      live value — the quantity Algorithm 3's node selection minimizes *)
   let per_cell_span = Array.make n 0 in
   let total = ref 0 and max_span = ref 0 and defs_counted = ref 0 in
-  List.iter
-    (fun s ->
-      if not s.s_synthetic then begin
-        incr defs_counted;
-        let start = if s.s_def_at < 0 then 0 else s.s_def_at in
-        let stop =
-          if s.s_live_out then len
-          else match s.s_uses with u :: _ -> u | [] -> start
-        in
-        let span = stop - start in
-        per_cell_span.(s.s_cell) <- per_cell_span.(s.s_cell) + span;
-        total := !total + span;
-        if span > !max_span then max_span := span
-      end)
-    sites;
+  for s = 0 to ch.def_count - 1 do
+    if not ch.def_placeholder.(s) then begin
+      incr defs_counted;
+      let start = max 0 ch.def_instr.(s) in
+      let stop =
+        if ch.def_live_out.(s) then len
+        else if uses_of s > 0 then death s
+        else start
+      in
+      let span = stop - start in
+      per_cell_span.(ch.def_cell.(s)) <- per_cell_span.(ch.def_cell.(s)) + span;
+      total := !total + span;
+      if span > !max_span then max_span := span
+    end
+  done;
   let storage =
     { total_span = !total;
       max_span = !max_span;
@@ -311,8 +357,6 @@ let analyze ?(leak_grace = default_leak_grace) ?max_writes (p : Program.t) =
          else float_of_int !total /. float_of_int !defs_counted);
       per_cell_span }
   in
-  let counts = Array.make n 0 in
-  List.iter (fun s -> if s.s_def_at >= 0 then counts.(s.s_cell) <- counts.(s.s_cell) + 1) sites;
   let order d =
     (* program-level findings last; stable kind order inside one instruction *)
     ( (match d.instr with Some i -> i | None -> max_int),
@@ -332,17 +376,20 @@ let analyze ?(leak_grace = default_leak_grace) ?max_writes (p : Program.t) =
   Metrics.incr
     ~by:(List.length (List.filter (fun d -> d.severity = Error) diagnostics))
     m_errors;
-  let defs =
-    List.filter_map
-      (fun s ->
-        if s.s_synthetic then None
-        else
-          Some
-            { cell = s.s_cell; def_at = s.s_def_at; uses = List.rev s.s_uses;
-              live_out = s.s_live_out })
-      sites
-  in
-  { diagnostics; defs; storage; write_counts = counts }
+  let defs = ref [] in
+  for s = ch.def_count - 1 downto 0 do
+    if not ch.def_placeholder.(s) then begin
+      let uses = ref [] in
+      for k = ch.use_start.(s + 1) - 1 downto ch.use_start.(s) do
+        uses := ch.use_instr.(k) :: !uses
+      done;
+      defs :=
+        { cell = ch.def_cell.(s); def_at = ch.def_instr.(s); uses = !uses;
+          live_out = ch.def_live_out.(s) }
+        :: !defs
+    end
+  done;
+  { diagnostics; defs = !defs; storage; write_counts = counts }
 
 let errors a = List.filter (fun d -> d.severity = Error) a.diagnostics
 

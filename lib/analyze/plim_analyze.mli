@@ -106,6 +106,33 @@ val analyze : ?leak_grace:int -> ?max_writes:int -> Program.t -> analysis
     cap checker and marks the leak checker cap-aware; [leak_grace]
     (default 8) is the leak checker's scheduling slack (see above). *)
 
+(** The def-use chains behind {!analyze}, in flat int arrays.  Defs are
+    numbered [0 .. def_count - 1] in def order: PI loads first, then per
+    instruction any placeholder and the instruction's own def.  A
+    placeholder is the def installed after a use-before-def read, so
+    later reads of that cell chain to it; it is not in [analysis.defs]. *)
+type chains = private {
+  def_count : int;
+  def_cell : int array;          (** per def: the cell it defines *)
+  def_instr : int array;         (** per def: [def_at], [-1] for a PI load or a placeholder *)
+  def_live_out : bool array;     (** per def: carried out by a PO *)
+  def_placeholder : bool array;
+  use_start : int array;
+      (** def [d]'s uses are [use_instr.(use_start.(d))] up to
+          [use_instr.(use_start.(d + 1) - 1)], ascending *)
+  use_instr : int array;
+  chain_start : int array;
+      (** cell [c]'s defs are [chain.(chain_start.(c))] up to
+          [chain.(chain_start.(c + 1) - 1)], in def order *)
+  chain : int array;
+  has_use_before_def : bool;     (** whether {!analyze} reports a use-before-def *)
+}
+
+val chains : Program.t -> chains
+(** The def-use IR alone, without the checkers, storage report or [defs]
+    list of {!analyze}: what a consumer that walks the chains needs.
+    Arrays may be longer than the counts they are indexed by. *)
+
 val reads_dest : Plim_isa.Instruction.t -> bool
 (** Whether the instruction reads the old value of its destination — true
     except for the two [set_const] encodings (see the read/write model). *)

@@ -27,67 +27,49 @@ module Race = struct
     e_hazard : hazard;
   }
 
-  (* Happens-before edges from the def-use chains.  [Plim_analyze] keeps
-     defs in chronological order, so grouping them per cell preserves the
-     chain order; a def with [def_at = -1] is the external PI load and
-     orders nothing (it happens before instruction 0 by construction). *)
-  let edges_of_analysis (a : Plim_analyze.analysis) =
-    let n = Array.length a.Plim_analyze.write_counts in
-    let by_cell = Array.make n [] in
-    List.iter
-      (fun (d : Plim_analyze.def) ->
-        by_cell.(d.Plim_analyze.cell) <- d :: by_cell.(d.Plim_analyze.cell))
-      a.Plim_analyze.defs;
-    let edges = ref [] in
-    let add e = edges := e :: !edges in
-    Array.iteri
-      (fun cell chain_rev ->
-        let chain = List.rev chain_rev in
-        let rec walk = function
-          | [] -> ()
-          | (d : Plim_analyze.def) :: rest ->
-            if d.Plim_analyze.def_at >= 0 then
-              List.iter
-                (fun u ->
-                  if u <> d.Plim_analyze.def_at then
-                    add
-                      { e_before = d.Plim_analyze.def_at; e_after = u;
-                        e_cell = cell; e_hazard = Raw })
-                d.Plim_analyze.uses;
-            (match rest with
-            | (next : Plim_analyze.def) :: _ ->
-              if d.Plim_analyze.def_at >= 0 then
-                add
-                  { e_before = d.Plim_analyze.def_at;
-                    e_after = next.Plim_analyze.def_at; e_cell = cell;
-                    e_hazard = Waw };
-              List.iter
-                (fun u ->
-                  (* a use by the overwriting instruction itself is the
-                     read-modify-write of RM3, not an ordering edge *)
-                  if u <> next.Plim_analyze.def_at then
-                    add
-                      { e_before = u; e_after = next.Plim_analyze.def_at;
-                        e_cell = cell; e_hazard = War })
-                d.Plim_analyze.uses
-            | [] -> ());
-            walk rest
-        in
-        walk chain)
-      by_cell;
-    List.rev !edges
+  (* Happens-before edges from the def-use chains, cell by cell and
+     along each cell's chain in def order: [f before after cell hazard]
+     for each.  A PI load ([def_at = -1]) orders nothing (it happens
+     before instruction 0 by construction); a placeholder def (installed
+     after a use-before-def read) is skipped, and since it is always the
+     first def of its cell's chain no other def loses a neighbour. *)
+  let iter_edges (ch : Plim_analyze.chains) f =
+    let { Plim_analyze.chain_start; chain; def_instr; def_placeholder; use_start;
+          use_instr; _ } =
+      ch
+    in
+    for cell = 0 to Array.length chain_start - 2 do
+      let stop = chain_start.(cell + 1) in
+      for k = chain_start.(cell) to stop - 1 do
+        let d = chain.(k) in
+        if not def_placeholder.(d) then begin
+          let def_at = def_instr.(d) in
+          if def_at >= 0 then
+            for e = use_start.(d) to use_start.(d + 1) - 1 do
+              if use_instr.(e) <> def_at then f def_at use_instr.(e) cell Raw
+            done;
+          if k + 1 < stop then begin
+            let next = def_instr.(chain.(k + 1)) in
+            if def_at >= 0 then f def_at next cell Waw;
+            for e = use_start.(d) to use_start.(d + 1) - 1 do
+              (* a use by the overwriting instruction itself is the
+                 read-modify-write of RM3, not an ordering edge *)
+              if use_instr.(e) <> next then f use_instr.(e) next cell War
+            done
+          end
+        end
+      done
+    done
 
-  let edges p = edges_of_analysis (Plim_analyze.analyze p)
+  let edges p =
+    let acc = ref [] in
+    iter_edges (Plim_analyze.chains p) (fun e_before e_after e_cell e_hazard ->
+        acc := { e_before; e_after; e_cell; e_hazard } :: !acc);
+    List.rev !acc
 
   let check_groups p groups =
-    let a = Plim_analyze.analyze p in
-    let ubd =
-      List.exists
-        (fun (d : Plim_analyze.diagnostic) ->
-          d.Plim_analyze.kind = Plim_analyze.Use_before_def)
-        (Plim_analyze.errors a)
-    in
-    if ubd then
+    let ch = Plim_analyze.chains p in
+    if ch.Plim_analyze.has_use_before_def then
       Error "program has use-before-def reads; its ordering is not certifiable"
     else begin
       let n = Program.length p in
@@ -116,13 +98,18 @@ module Race = struct
       match !bad with
       | Some msg -> Error ("coverage: " ^ msg)
       | None ->
-        let race = ref None in
-        List.iter
-          (fun e ->
-            if !race = None && group_of.(e.e_before) >= group_of.(e.e_after)
-            then race := Some e)
-          (edges_of_analysis a);
-        (match !race with
+        (* the first edge whose groups do not increase is the race *)
+        let exception Violated of edge in
+        let race =
+          match
+            iter_edges ch (fun e_before e_after e_cell e_hazard ->
+                if group_of.(e_before) >= group_of.(e_after) then
+                  raise (Violated { e_before; e_after; e_cell; e_hazard }))
+          with
+          | () -> None
+          | exception Violated e -> Some e
+        in
+        (match race with
         | None -> Ok ()
         | Some e ->
           Error

@@ -85,7 +85,10 @@ module Race : sig
       every instruction index appears exactly once across the groups
       (empty groups are permitted), and every hazard edge lands in
       strictly increasing groups — two hazard-ordered instructions in
-      the same group are a race.  Programs with use-before-def errors
+      the same group are a race, and the first violated edge in
+      {!edges} order is the one reported (walked straight off
+      {!Plim_analyze.chains}, without building the list).  Programs
+      with use-before-def errors
       are rejected up front (their read order is not representable in
       the def-use IR).  Row confinement and area are deliberately not
       checked here; this is the pure happens-before half of

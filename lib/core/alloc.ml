@@ -21,6 +21,9 @@ module Heap = struct
 
   let create () = { data = Array.make 64 (0, -1); len = 0 }
 
+  (* lexicographic on (writes, cell), compared as ints *)
+  let lt ((w1, c1) : int * int) ((w2, c2) : int * int) = w1 < w2 || (w1 = w2 && c1 < c2)
+
   let swap h i j =
     let tmp = h.data.(i) in
     h.data.(i) <- h.data.(j);
@@ -29,7 +32,7 @@ module Heap = struct
   let rec sift_up h i =
     if i > 0 then begin
       let parent = (i - 1) / 2 in
-      if h.data.(i) < h.data.(parent) then begin
+      if lt h.data.(i) h.data.(parent) then begin
         swap h i parent;
         sift_up h parent
       end
@@ -38,8 +41,8 @@ module Heap = struct
   let rec sift_down h i =
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
     let smallest = ref i in
-    if l < h.len && h.data.(l) < h.data.(!smallest) then smallest := l;
-    if r < h.len && h.data.(r) < h.data.(!smallest) then smallest := r;
+    if l < h.len && lt h.data.(l) h.data.(!smallest) then smallest := l;
+    if r < h.len && lt h.data.(r) h.data.(!smallest) then smallest := r;
     if !smallest <> i then begin
       swap h i !smallest;
       sift_down h !smallest

@@ -2,16 +2,20 @@
    row-parallel instruction grouping.  See the .mli for the model and
    its invariants.
 
-   The scheduler is a plain list scheduler over the hazard DAG of the
-   flat instruction stream.  Correctness leans on one structural fact:
-   every hazard (RAW, WAW, WAR) between two instructions becomes an
-   edge, so any two instructions that are simultaneously ready are
-   hazard-free and may execute in the same group in either order.
-   Grouping therefore only ever reorders independent instructions and
-   the functional results stay byte-identical to the flat backend. *)
+   The scheduler is a list scheduler over the hazard DAG of the flat
+   instruction stream, kept in flat int arrays: the DAG in CSR form, one
+   precomputed home row per instruction, and the ready set as an int
+   min-heap plus one bucket per row.  Correctness leans on one
+   structural fact: every hazard (RAW, WAW, WAR) between two
+   instructions becomes an edge, so any two instructions that are
+   simultaneously ready are hazard-free and may execute in the same
+   group in either order.  Grouping therefore only ever reorders
+   independent instructions and the functional results stay
+   byte-identical to the flat backend. *)
 
 module Program = Plim_isa.Program
 module Instruction = Plim_isa.Instruction
+module Csr = Plim_util.Csr
 
 type grid = { rows : int; cols : int }
 
@@ -56,28 +60,94 @@ type schedule = {
   s_cross_row : int;
 }
 
-(* Cells an instruction touches: Cell operands plus the destination
-   (which RM3 both reads and writes). *)
-let touched (i : Instruction.t) =
-  let ops =
-    List.filter_map
-      (function Instruction.Const _ -> None | Instruction.Cell c -> Some c)
-      [ i.Instruction.a; i.Instruction.b ]
+(* Operands as cells: [-1] for a constant.  The destination is always a
+   touched cell (RM3 reads and writes it), so an instruction touches its
+   destination plus every [Cell] operand. *)
+let cell_of = function Instruction.Const _ -> -1 | Instruction.Cell c -> c
+
+(* The single row all touched cells of [i] lie in, or [-1] if they span
+   rows (a cross-row instruction). *)
+let home_row g (i : Instruction.t) =
+  let r = row_of g i.Instruction.z in
+  let a = cell_of i.Instruction.a and b = cell_of i.Instruction.b in
+  if (a < 0 || row_of g a = r) && (b < 0 || row_of g b = r) then r else -1
+
+(* The hazard DAG of the flat stream in CSR form: [u]'s successors are
+   [succ.(start.(u)) .. succ.(start.(u+1) - 1)], and [indeg] counts
+   every edge into each instruction.  Each touched cell is read — the
+   destination too, so RAW on it subsumes WAW — and a write orders after
+   every read of the cell since its previous write (WAR).  "Readers since
+   the last write" is an int-linked list per cell over a node pool (one
+   node per read; a write drops the cell's list).  The stream is scanned
+   twice, once to count out-degrees and once to fill [succ].  Repeated
+   edges are kept: each is counted and later decremented exactly once. *)
+let hazard_dag (p : Program.t) =
+  let n = Array.length p.Program.instrs in
+  let cells = Program.num_cells p in
+  let last_write = Array.make cells (-1) and head = Array.make cells (-1) in
+  let node_instr = Array.make (3 * n) 0 and node_next = Array.make (3 * n) 0 in
+  let nodes = ref 0 in
+  let scan edge =
+    Array.fill last_write 0 cells (-1);
+    Array.fill head 0 cells (-1);
+    nodes := 0;
+    let read i c =
+      if c >= 0 then begin
+        if last_write.(c) >= 0 then edge last_write.(c) i;
+        node_instr.(!nodes) <- i;
+        node_next.(!nodes) <- head.(c);
+        head.(c) <- !nodes;
+        incr nodes
+      end
+    in
+    for i = 0 to n - 1 do
+      let ins = p.Program.instrs.(i) in
+      let z = ins.Instruction.z in
+      read i z;
+      read i (cell_of ins.Instruction.a);
+      read i (cell_of ins.Instruction.b);
+      let k = ref head.(z) in
+      while !k >= 0 do
+        if node_instr.(!k) <> i then edge node_instr.(!k) i;
+        k := node_next.(!k)
+      done;
+      last_write.(z) <- i;
+      head.(z) <- -1
+    done
   in
-  i.Instruction.z :: ops
+  let start = Array.make (n + 1) 0 and indeg = Array.make n 0 in
+  scan (fun u v ->
+      start.(u + 1) <- start.(u + 1) + 1;
+      indeg.(v) <- indeg.(v) + 1);
+  Csr.prefix_sums start;
+  (start, Csr.scatter start scan, indeg)
 
-let reads = touched (* z is read-modify-write, so reads = touched *)
+(* Binary min-heap of ints with a fixed capacity. *)
+let heap_push heap len x =
+  let i = ref !len in
+  incr len;
+  while !i > 0 && heap.((!i - 1) / 2) > x do
+    heap.(!i) <- heap.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  heap.(!i) <- x
 
-let write (i : Instruction.t) = i.Instruction.z
-
-(* Does every touched cell of instruction [i] lie in row [r]? *)
-let in_row g r i = List.for_all (fun c -> row_of g c = r) (touched i)
-
-(* The single row of an instruction, or None if its cells span rows. *)
-let home_row g i =
-  match touched i with
-  | [] -> assert false (* z is always present *)
-  | c :: _ -> if in_row g (row_of g c) i then Some (row_of g c) else None
+let heap_pop heap len =
+  let top = heap.(0) in
+  decr len;
+  let x = heap.(!len) in
+  let i = ref 0 and continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    let c = if l + 1 < !len && heap.(l + 1) < heap.(l) then l + 1 else l in
+    if c < !len && heap.(c) < x then begin
+      heap.(!i) <- heap.(c);
+      i := c
+    end
+    else continue := false
+  done;
+  heap.(!i) <- x;
+  top
 
 let schedule g (p : Program.t) =
   if not (fits g ~num_cells:(Program.num_cells p)) then
@@ -86,68 +156,70 @@ let schedule g (p : Program.t) =
          (Program.num_cells p) (to_string g) (area g))
   else begin
     let n = Array.length p.Program.instrs in
-    let instr i = p.Program.instrs.(i) in
-    (* hazard DAG: succs adjacency (possibly with duplicate edges; indeg
-       counts every edge, and every edge is decremented exactly once) *)
-    let succs = Array.make n [] in
-    let indeg = Array.make n 0 in
-    let add_edge u v =
-      if u <> v then begin
-        succs.(u) <- v :: succs.(u);
-        indeg.(v) <- indeg.(v) + 1
+    let start, succ, indeg = hazard_dag p in
+    let home = Array.init n (fun i -> home_row g p.Program.instrs.(i)) in
+    (* The ready set, held twice: a min-heap of every ready instruction
+       (scheduled ones are dropped lazily when they surface, marked by
+       [indeg = -1]) and an int-linked bucket per row of the ready
+       instructions confined to it. *)
+    let heap = Array.make n 0 and heap_len = ref 0 in
+    let bucket = Array.make g.rows (-1) and bucket_next = Array.make n (-1) in
+    let bucket_len = Array.make g.rows 0 in
+    let make_ready i =
+      heap_push heap heap_len i;
+      let r = home.(i) in
+      if r >= 0 then begin
+        bucket_next.(i) <- bucket.(r);
+        bucket.(r) <- i;
+        bucket_len.(r) <- bucket_len.(r) + 1
       end
     in
-    let last_write = Array.make (Program.num_cells p) (-1) in
-    let readers_since = Array.make (Program.num_cells p) [] in
     for i = 0 to n - 1 do
-      List.iter
-        (fun c ->
-          if last_write.(c) >= 0 then add_edge last_write.(c) i;
-          readers_since.(c) <- i :: readers_since.(c))
-        (reads (instr i));
-      let z = write (instr i) in
-      List.iter (fun r -> add_edge r i) readers_since.(z);
-      last_write.(z) <- i;
-      readers_since.(z) <- []
+      if indeg.(i) = 0 then make_ready i
     done;
-    (* list scheduling; [ready] kept sorted ascending for determinism *)
-    let rec insert x = function
-      | [] -> [ x ]
-      | y :: tl when y < x -> y :: insert x tl
-      | l -> x :: l
-    in
-    let ready = ref [] in
-    for i = n - 1 downto 0 do
-      if indeg.(i) = 0 then ready := i :: !ready
-    done;
-    let groups = ref [] in
+    let groups = Array.make n [||] and num_groups = ref 0 in
     let cross_row = ref 0 in
-    let scheduled = ref 0 in
-    while !ready <> [] do
-      let first = List.hd !ready in
-      let group, rest =
-        match home_row g (instr first) with
-        | None ->
-          incr cross_row;
-          ([ first ], List.tl !ready)
-        | Some r -> List.partition (fun i -> in_row g r (instr i)) !ready
-      in
-      ready := rest;
-      List.iter
-        (fun u ->
-          List.iter
-            (fun v ->
+    (* each group: the smallest ready index, then every ready instruction
+       of its row in ascending order — or it alone if it is cross-row *)
+    while !heap_len > 0 do
+      let first = heap_pop heap heap_len in
+      if indeg.(first) = 0 then begin
+        let r = home.(first) in
+        let group =
+          if r < 0 then begin
+            incr cross_row;
+            [| first |]
+          end
+          else begin
+            let members = Array.make bucket_len.(r) 0 in
+            let k = ref bucket.(r) in
+            for j = 0 to bucket_len.(r) - 1 do
+              members.(j) <- !k;
+              k := bucket_next.(!k)
+            done;
+            Array.sort Int.compare members;
+            bucket.(r) <- -1;
+            bucket_len.(r) <- 0;
+            members
+          end
+        in
+        Array.iter (fun u -> indeg.(u) <- -1) group;
+        Array.iter
+          (fun u ->
+            for e = start.(u) to start.(u + 1) - 1 do
+              let v = succ.(e) in
               indeg.(v) <- indeg.(v) - 1;
-              if indeg.(v) = 0 then ready := insert v !ready)
-            succs.(u))
-        group;
-      groups := Array.of_list group :: !groups;
-      scheduled := !scheduled + List.length group
+              if indeg.(v) = 0 then make_ready v
+            done)
+          group;
+        groups.(!num_groups) <- group;
+        incr num_groups
+      end
     done;
     (* all hazard edges point forward in the flat stream, so the DAG is
        acyclic and list scheduling always drains it *)
-    assert (!scheduled = n);
-    Ok { s_grid = g; s_groups = Array.of_list (List.rev !groups); s_cross_row = !cross_row }
+    assert (Array.for_all (fun d -> d = -1) indeg);
+    Ok { s_grid = g; s_groups = Array.sub groups 0 !num_groups; s_cross_row = !cross_row }
   end
 
 let of_groups g (p : Program.t) groups =
@@ -155,7 +227,7 @@ let of_groups g (p : Program.t) groups =
   let cross_row = ref 0 in
   Array.iter
     (Array.iter (fun i ->
-         if i >= 0 && i < n && home_row g p.Program.instrs.(i) = None then
+         if i >= 0 && i < n && home_row g p.Program.instrs.(i) < 0 then
            incr cross_row))
     groups;
   { s_grid = g;
@@ -205,14 +277,14 @@ let validate (p : Program.t) s =
     let bad = ref None in
     Array.iteri
       (fun gi members ->
-        if Array.length members > 1 && !bad = None then
-          match home_row g p.Program.instrs.(members.(0)) with
-          | None -> bad := Some gi
-          | Some r ->
-            if
-              not
-                (Array.for_all (fun i -> in_row g r p.Program.instrs.(i)) members)
-            then bad := Some gi)
+        if Array.length members > 1 && !bad = None then begin
+          let r = home_row g p.Program.instrs.(members.(0)) in
+          if
+            r < 0
+            || not
+                 (Array.for_all (fun i -> home_row g p.Program.instrs.(i) = r) members)
+          then bad := Some gi
+        end)
       s.s_groups;
     match !bad with
     | Some gi -> fail "row: group %d mixes rows (or contains a cross-row op)" gi
@@ -224,18 +296,23 @@ let validate (p : Program.t) s =
     let last_write_group = Array.make (Program.num_cells p) (-1) in
     let max_reader_group = Array.make (Program.num_cells p) (-1) in
     let bad = ref None in
+    (* every touched cell is read; within one instruction the last
+       violation found wins *)
+    let raw i gi c = if c >= 0 && gi <= last_write_group.(c) then bad := Some (i, c, "RAW") in
+    let read gi c = if c >= 0 then max_reader_group.(c) <- max max_reader_group.(c) gi in
     for i = 0 to n - 1 do
       if !bad = None then begin
         let gi = group_of.(i) in
         let ins = p.Program.instrs.(i) in
-        List.iter
-          (fun c -> if gi <= last_write_group.(c) then bad := Some (i, c, "RAW"))
-          (reads ins);
-        let z = write ins in
+        let z = ins.Instruction.z in
+        let a = cell_of ins.Instruction.a and b = cell_of ins.Instruction.b in
+        raw i gi z;
+        raw i gi a;
+        raw i gi b;
         if gi <= max_reader_group.(z) then bad := Some (i, z, "WAR");
-        List.iter
-          (fun c -> max_reader_group.(c) <- max max_reader_group.(c) gi)
-          (reads ins);
+        read gi z;
+        read gi a;
+        read gi b;
         last_write_group.(z) <- gi;
         max_reader_group.(z) <- gi
       end

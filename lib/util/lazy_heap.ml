@@ -17,7 +17,10 @@ let create ~capacity =
     stamps = Array.make (max capacity 1) (-1);
     live = 0 }
 
-let key_lt (a : key) (b : key) = compare a b < 0
+(* lexicographic, component by component as ints: the order of [compare]
+   on the triple without its polymorphic call on every sift *)
+let key_lt ((a1, a2, a3) : key) ((b1, b2, b3) : key) =
+  a1 < b1 || (a1 = b1 && (a2 < b2 || (a2 = b2 && a3 < b3)))
 
 let swap t i j =
   let tmp = t.heap.(i) in

@@ -96,6 +96,28 @@ let test_use_before_def_not_certifiable () =
   | Error e -> check_bool "mentions certifiability" true
                  (Helpers.contains ~needle:"not certifiable" e)
 
+(* Cell 0 is read by instruction 0 before anything defines it; the
+   placeholder def the analyzer installs there orders nothing, so the
+   would-be WAR edge 0 -> 1 on cell 0 is absent.  Cell 1's PI load is
+   read and overwritten by instruction 0 itself: no edge either. *)
+let test_edges_skip_placeholder () =
+  let p =
+    Program.make
+      ~instrs:
+        [| I.rm3 ~a:(I.Cell 0) ~b:(I.Const false) ~z:1;
+           I.rm3 ~a:(I.Const true) ~b:(I.Const false) ~z:0;
+           I.rm3 ~a:(I.Cell 0) ~b:(I.Const false) ~z:1 |]
+      ~num_cells:2 ~pi_cells:[| ("x", 1) |]
+      ~po_cells:[| ("y", 1) |]
+  in
+  let show e =
+    Printf.sprintf "%s %d->%d @%d" (Race.hazard_name e.Race.e_hazard)
+      e.Race.e_before e.Race.e_after e.Race.e_cell
+  in
+  Alcotest.(check (list string)) "edges"
+    [ "RAW 1->2 @0"; "RAW 0->2 @1"; "WAW 0->2 @1" ]
+    (List.map show (Race.edges p))
+
 (* --- race detector: adversarial mutants --------------------------------- *)
 
 (* Perturb a valid schedule along one of its own hazard edges — swap the
@@ -150,6 +172,68 @@ let mutation_rejected =
             Result.is_error (Geometry.validate p mutant)
             && Result.is_error (Race.check_schedule p mutant)
           end))
+
+(* Mutate a valid schedule without breaking coverage — swap two adjacent
+   groups, merge two groups, or move one instruction to another group —
+   and demand check_groups' exact verdict: the message of the first edge
+   of [Race.edges], in its order, whose groups do not increase. *)
+let first_race_verdict =
+  QCheck.Test.make ~count:300
+    ~name:"check_groups reports the first violated edge of Race.edges"
+    QCheck.(quad (int_range 0 3) (int_range 0 2) (int_range 0 100_000)
+              (int_range 0 100_000))
+    (fun (pidx, kind, x, y) ->
+      let p = List.nth (Lazy.force programs) pidx in
+      let grid = Geometry.grid_for ~cols:4 ~num_cells:(Program.num_cells p) in
+      match Geometry.schedule grid p with
+      | Error _ -> false
+      | Ok sched ->
+        let gs = Array.to_list sched.Geometry.s_groups in
+        let n = List.length gs in
+        let i = x mod n and j = y mod n in
+        let groups =
+          Array.of_list
+            (match kind with
+            | 0 ->
+              let i = min i (n - 2) in
+              List.mapi
+                (fun k g ->
+                  if k = i then List.nth gs (i + 1)
+                  else if k = i + 1 then List.nth gs i
+                  else g)
+                gs
+            | 1 ->
+              let lo = min i j and hi = max i j in
+              List.filteri (fun k _ -> k <> hi || lo = hi) gs
+              |> List.mapi (fun k g ->
+                     if k = lo && lo <> hi then Array.append g (List.nth gs hi)
+                     else g)
+            | _ ->
+              let v = (List.nth gs i).(0) in
+              List.mapi
+                (fun k g ->
+                  let g = Array.of_list (List.filter (( <> ) v) (Array.to_list g)) in
+                  if k = j then Array.append g [| v |] else g)
+                gs)
+        in
+        let group_of = Array.make (Program.length p) (-1) in
+        Array.iteri (fun gi g -> Array.iter (fun v -> group_of.(v) <- gi) g) groups;
+        let expected =
+          match
+            List.find_opt
+              (fun e -> group_of.(e.Race.e_before) >= group_of.(e.Race.e_after))
+              (Race.edges p)
+          with
+          | None -> Ok ()
+          | Some e ->
+            Error
+              (Printf.sprintf
+                 "race: %s hazard on cell %d — instruction %d (group %d) must \
+                  precede instruction %d (group %d)"
+                 (Race.hazard_name e.Race.e_hazard) e.Race.e_cell e.Race.e_before
+                 group_of.(e.Race.e_before) e.Race.e_after group_of.(e.Race.e_after))
+        in
+        Race.check_groups p groups = expected)
 
 (* --- wear-bound certificates -------------------------------------------- *)
 
@@ -284,7 +368,9 @@ let () =
             test_check_groups_verdicts;
           Alcotest.test_case "use-before-def not certifiable" `Quick
             test_use_before_def_not_certifiable;
-          qc mutation_rejected ] );
+          Alcotest.test_case "edges skip a use-before-def placeholder" `Quick
+            test_edges_skip_placeholder;
+          qc mutation_rejected; qc first_race_verdict ] );
       ( "wear-bounds",
         [ Alcotest.test_case "simulator inside bracket (compile-heavy)" `Quick
             test_bracket_compile_heavy;

@@ -290,6 +290,100 @@ let prop_grouped_matches_flat =
       | Ok (grouped, _, gstats) ->
         flat = grouped && fstats.Controller.cycles = gstats.Controller.g_cycles)
 
+(* --- the scheduler against a reference list scheduler -------------------- *)
+
+(* The list-based scheduler the flat-array one replaced, kept as the
+   reference: a sorted ready list, one [List.partition] per group, and
+   per-instruction lists of touched cells.  Returns (groups, cross_row). *)
+let reference_schedule g (p : Program.t) =
+  let touched (i : I.t) =
+    i.I.z
+    :: List.filter_map
+         (function I.Const _ -> None | I.Cell c -> Some c)
+         [ i.I.a; i.I.b ]
+  in
+  let in_row r i = List.for_all (fun c -> G.row_of g c = r) (touched i) in
+  let home_row i =
+    let r = G.row_of g i.I.z in
+    if in_row r i then Some r else None
+  in
+  let n = Array.length p.Program.instrs in
+  let instr i = p.Program.instrs.(i) in
+  let succs = Array.make n [] and indeg = Array.make n 0 in
+  let add_edge u v =
+    if u <> v then begin
+      succs.(u) <- v :: succs.(u);
+      indeg.(v) <- indeg.(v) + 1
+    end
+  in
+  let last_write = Array.make (Program.num_cells p) (-1) in
+  let readers_since = Array.make (Program.num_cells p) [] in
+  for i = 0 to n - 1 do
+    List.iter
+      (fun c ->
+        if last_write.(c) >= 0 then add_edge last_write.(c) i;
+        readers_since.(c) <- i :: readers_since.(c))
+      (touched (instr i));
+    let z = (instr i).I.z in
+    List.iter (fun r -> add_edge r i) readers_since.(z);
+    last_write.(z) <- i;
+    readers_since.(z) <- []
+  done;
+  let rec insert x = function
+    | [] -> [ x ]
+    | y :: tl when y < x -> y :: insert x tl
+    | l -> x :: l
+  in
+  let ready = ref (List.filter (fun i -> indeg.(i) = 0) (List.init n Fun.id)) in
+  let groups = ref [] and cross_row = ref 0 in
+  while !ready <> [] do
+    let first = List.hd !ready in
+    let group, rest =
+      match home_row (instr first) with
+      | None ->
+        incr cross_row;
+        ([ first ], List.tl !ready)
+      | Some r -> List.partition (fun i -> in_row r (instr i)) !ready
+    in
+    ready := rest;
+    List.iter
+      (fun u ->
+        List.iter
+          (fun v ->
+            indeg.(v) <- indeg.(v) - 1;
+            if indeg.(v) = 0 then ready := insert v !ready)
+          succs.(u))
+      group;
+    groups := Array.of_list group :: !groups
+  done;
+  (Array.of_list (List.rev !groups), !cross_row)
+
+let same_as_reference g p =
+  let s = ok_exn (G.schedule g p) in
+  let groups, cross_row = reference_schedule g p in
+  s.G.s_groups = groups && s.G.s_cross_row = cross_row
+
+let prop_schedule_reference =
+  QCheck.Test.make ~count:300
+    ~name:"schedule = reference list scheduler on random programs"
+    QCheck.(pair program_arb (int_range 1 10))
+    (fun (p, cols) -> same_as_reference (G.grid_for ~cols ~num_cells:(Program.num_cells p)) p)
+
+let test_suite_reference () =
+  List.iter
+    (fun spec ->
+      let p =
+        (Pipeline.compile Pipeline.endurance_full (Suite.build_cached spec)).Pipeline.program
+      in
+      List.iter
+        (fun cols ->
+          let g = G.grid_for ~cols ~num_cells:(Program.num_cells p) in
+          if not (same_as_reference g p) then
+            Alcotest.failf "%s@%s: schedule differs from the reference"
+              spec.Suite.name (G.to_string g))
+        [ 1; 4; 16; 64 ])
+    Suite.small_suite
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -309,8 +403,9 @@ let () =
           Alcotest.test_case "hazards serialize" `Quick test_hazard_serializes;
           Alcotest.test_case "suite invariants across grids" `Quick
             test_suite_invariants;
-          Alcotest.test_case "deterministic" `Quick test_schedule_deterministic ]
-      );
+          Alcotest.test_case "deterministic" `Quick test_schedule_deterministic;
+          Alcotest.test_case "small suite = reference scheduler" `Quick
+            test_suite_reference ] );
       ( "execution",
         [ Alcotest.test_case "grouped run = flat run (suite)" `Quick
             test_run_grouped_identity;
@@ -322,4 +417,5 @@ let () =
           Alcotest.test_case "campaign rejects non-fitting grid" `Quick
             test_campaign_rejects_overflow ] );
       ( "properties",
-        [ qc prop_schedule_valid; qc prop_grouped_matches_flat ] ) ]
+        [ qc prop_schedule_valid; qc prop_grouped_matches_flat;
+          qc prop_schedule_reference ] ) ]
