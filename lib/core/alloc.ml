@@ -11,28 +11,33 @@ let m_released = Metrics.counter "alloc.released"
 let m_retired = Metrics.counter "alloc.retired_cells"
 let m_writes = Metrics.counter "alloc.writes"
 
-(* Binary min-heap over (writes, cell).  Keys are stable while a cell is
-   pooled: pooled devices are dead and receive no writes. *)
+(* Binary min-heap over (writes, cell), the two keys in parallel int
+   arrays.  Keys are stable while a cell is pooled: pooled devices are dead
+   and receive no writes. *)
 module Heap = struct
   type t = {
-    mutable data : (int * int) array;
+    mutable writes : int array;
+    mutable cells : int array;
     mutable len : int;
   }
 
-  let create () = { data = Array.make 64 (0, -1); len = 0 }
+  let create () = { writes = Array.make 64 0; cells = Array.make 64 (-1); len = 0 }
 
-  (* lexicographic on (writes, cell), compared as ints *)
-  let lt ((w1, c1) : int * int) ((w2, c2) : int * int) = w1 < w2 || (w1 = w2 && c1 < c2)
+  (* lexicographic on (writes, cell) *)
+  let lt h i j =
+    h.writes.(i) < h.writes.(j) || (h.writes.(i) = h.writes.(j) && h.cells.(i) < h.cells.(j))
 
   let swap h i j =
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- tmp
+    let w = h.writes.(i) and c = h.cells.(i) in
+    h.writes.(i) <- h.writes.(j);
+    h.cells.(i) <- h.cells.(j);
+    h.writes.(j) <- w;
+    h.cells.(j) <- c
 
   let rec sift_up h i =
     if i > 0 then begin
       let parent = (i - 1) / 2 in
-      if lt h.data.(i) h.data.(parent) then begin
+      if lt h i parent then begin
         swap h i parent;
         sift_up h parent
       end
@@ -41,32 +46,32 @@ module Heap = struct
   let rec sift_down h i =
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
     let smallest = ref i in
-    if l < h.len && lt h.data.(l) h.data.(!smallest) then smallest := l;
-    if r < h.len && lt h.data.(r) h.data.(!smallest) then smallest := r;
+    if l < h.len && lt h l !smallest then smallest := l;
+    if r < h.len && lt h r !smallest then smallest := r;
     if !smallest <> i then begin
       swap h i !smallest;
       sift_down h !smallest
     end
 
-  let push h entry =
-    if h.len = Array.length h.data then begin
-      let data = Array.make (2 * h.len) (0, -1) in
-      Array.blit h.data 0 data 0 h.len;
-      h.data <- data
+  let push h ~writes cell =
+    if h.len = Array.length h.cells then begin
+      let grow a = Array.append a (Array.make h.len 0) in
+      h.writes <- grow h.writes;
+      h.cells <- grow h.cells
     end;
-    h.data.(h.len) <- entry;
+    h.writes.(h.len) <- writes;
+    h.cells.(h.len) <- cell;
     h.len <- h.len + 1;
     sift_up h (h.len - 1)
 
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.len <- h.len - 1;
-      h.data.(0) <- h.data.(h.len);
-      if h.len > 0 then sift_down h 0;
-      Some top
-    end
+  (* the least-written pooled cell; the heap must not be empty *)
+  let min_cell h = h.cells.(0)
+
+  let drop_min h =
+    h.len <- h.len - 1;
+    h.writes.(0) <- h.writes.(h.len);
+    h.cells.(0) <- h.cells.(h.len);
+    if h.len > 0 then sift_down h 0
 
   let length h = h.len
 end
@@ -155,7 +160,7 @@ let release t cell =
         ~args:[ ("cell", Int cell); ("writes", Int (writes_of t cell)) ];
     match t.strategy with
     | Lifo | Fifo -> ignore (Vec.push t.stack cell)
-    | Min_write -> Heap.push t.heap (writes_of t cell, cell)
+    | Min_write -> Heap.push t.heap ~writes:(writes_of t cell) cell
   end
   else begin
     Metrics.incr m_retired;
@@ -218,12 +223,12 @@ let request_cell ~needed t =
   | Min_write ->
     (* the least-written device is the most capable: if it does not fit,
        no pooled device does *)
-    (match Heap.pop t.heap with
-    | Some (_, cell) when fits t needed cell -> cell
-    | Some entry ->
-      Heap.push t.heap entry;
-      fresh t
-    | None -> fresh t)
+    if Heap.length t.heap > 0 && fits t needed (Heap.min_cell t.heap) then begin
+      let cell = Heap.min_cell t.heap in
+      Heap.drop_min t.heap;
+      cell
+    end
+    else fresh t
 
 let request ?(needed = 2) t =
   Metrics.incr m_requests;

@@ -1,5 +1,6 @@
 module Mig = Plim_mig.Mig
 module Lazy_heap = Plim_util.Lazy_heap
+module Csr = Plim_util.Csr
 module Metrics = Plim_obs.Metrics
 
 type policy = In_order | Release_first | Level_first
@@ -21,51 +22,74 @@ type t = {
   children_left : int array;   (* uncomputed non-trivial children *)
   computed_mark : bool array;
   is_candidate : bool array;
-  fanout_lists : int array array;
+  parent_start : int array;    (* node id -> its span of [parents] *)
+  parents : int array;         (* reachable majority parents, ascending *)
   heap : Lazy_heap.t;
 }
 
 (* Number of children whose device is freed (or consumed in place) when
    [id] is computed. *)
-let releasing t id =
-  match Mig.kind t.g id with
-  | Mig.Maj (a, b, c) ->
-    let count s =
-      let n = Mig.node_of s in
-      if n <> 0 && t.pending.(n) = 1 then 1 else 0
-    in
-    count a + count b + count c
-  | Mig.Const | Mig.Input _ -> 0
+let releases t id i =
+  let n = Mig.node_of (Mig.child t.g id i) in
+  if n <> 0 && t.pending.(n) = 1 then 1 else 0
 
-let key t id =
+let releasing t id =
+  if Mig.is_maj t.g id then releases t id 0 + releases t id 1 + releases t id 2 else 0
+
+let insert t id =
   match t.policy with
-  | In_order -> (id, 0, 0)
-  | Release_first -> (- releasing t id, t.fanout_level.(id), id)
-  | Level_first -> (t.fanout_level.(id), - releasing t id, id)
+  | In_order -> Lazy_heap.insert t.heap id 0 0 id
+  | Release_first -> Lazy_heap.insert t.heap (- releasing t id) t.fanout_level.(id) id id
+  | Level_first -> Lazy_heap.insert t.heap t.fanout_level.(id) (- releasing t id) id id
 
 let add_candidate t id =
   t.is_candidate.(id) <- true;
   Metrics.incr m_candidates;
-  Lazy_heap.insert t.heap (key t id) id
+  insert t id
+
+(* A majority node is reachable exactly when some reachable parent or an
+   output still uses it: [pending] starts as fanout count + output refs. *)
+let is_reachable_maj g ~pending id = Mig.is_maj g id && pending.(id) > 0
+
+(* Calls [f child id] once per distinct child node of every reachable
+   majority node [id], in ascending [id] order: the parent lists of
+   {!Mig.fanouts}, as CSR buckets. *)
+let iter_child_edges g ~pending f =
+  for id = 0 to Mig.num_nodes g - 1 do
+    if is_reachable_maj g ~pending id then begin
+      let n0 = Mig.node_of (Mig.child g id 0)
+      and n1 = Mig.node_of (Mig.child g id 1)
+      and n2 = Mig.node_of (Mig.child g id 2) in
+      f n0 id;
+      if n1 <> n0 then f n1 id;
+      if n2 <> n0 && n2 <> n1 then f n2 id
+    end
+  done
+
+(* 1 when child [i] of [id] is a majority node, to be computed first *)
+let needs g id i = if Mig.is_maj g (Mig.node_of (Mig.child g id i)) then 1 else 0
 
 let create ~policy g ~pending =
   let n = Mig.num_nodes g in
   let levels = Mig.levels g in
   let out_refs = Mig.output_refs g in
-  let fanout_lists = Mig.fanouts g in
+  let parent_start = Array.make (n + 1) 0 in
+  iter_child_edges g ~pending (fun c _ -> parent_start.(c + 1) <- parent_start.(c + 1) + 1);
+  Csr.prefix_sums parent_start;
+  let parents = Csr.scatter parent_start (fun add -> iter_child_edges g ~pending add) in
   let fanout_level = Array.make n 0 in
   for id = 0 to n - 1 do
     (* level of the nearest consumer: the earliest moment the value can be
        used (and its device possibly recycled).  A primary output consumes
        the value as soon as it is produced (level + 1). *)
-    let from_parents =
-      Array.fold_left (fun acc p -> min acc levels.(p)) max_int fanout_lists.(id)
-    in
+    let from_parents = ref max_int in
+    for k = parent_start.(id) to parent_start.(id + 1) - 1 do
+      from_parents := min !from_parents levels.(parents.(k))
+    done;
     let from_outputs = if out_refs.(id) > 0 then levels.(id) + 1 else max_int in
-    let fl = min from_parents from_outputs in
+    let fl = min !from_parents from_outputs in
     fanout_level.(id) <- (if fl = max_int then levels.(id) + 1 else fl)
   done;
-  let computed_mark = Array.make n false in
   let children_left = Array.make n 0 in
   let t =
     { policy;
@@ -73,53 +97,46 @@ let create ~policy g ~pending =
       pending;
       fanout_level;
       children_left;
-      computed_mark;
+      computed_mark = Array.make n false;
       is_candidate = Array.make n false;
-      fanout_lists;
+      parent_start;
+      parents;
       heap = Lazy_heap.create ~capacity:n }
   in
   (* constants and inputs are available from the start *)
-  Mig.iter_reachable_maj g (fun id ->
-      match Mig.kind g id with
-      | Mig.Maj (a, b, c) ->
-        let needs s =
-          match Mig.kind g (Mig.node_of s) with
-          | Mig.Maj _ -> not t.computed_mark.(Mig.node_of s)
-          | Mig.Const | Mig.Input _ -> false
-        in
-        let left =
-          (if needs a then 1 else 0) + (if needs b then 1 else 0)
-          + (if needs c then 1 else 0)
-        in
-        children_left.(id) <- left;
-        if left = 0 then add_candidate t id
-      | Mig.Const | Mig.Input _ -> ());
+  for id = 0 to n - 1 do
+    if is_reachable_maj g ~pending id then begin
+      let left = needs g id 0 + needs g id 1 + needs g id 2 in
+      children_left.(id) <- left;
+      if left = 0 then add_candidate t id
+    end
+  done;
   t
 
 let pop t =
   match Lazy_heap.pop_min t.heap with
   | None -> None
-  | Some (_, id) ->
+  | Some id as popped ->
     t.is_candidate.(id) <- false;
     Metrics.incr m_pops;
-    Some id
+    popped
 
 let computed t id =
   t.computed_mark.(id) <- true;
-  Array.iter
-    (fun parent ->
-      if not t.computed_mark.(parent) then begin
-        t.children_left.(parent) <- t.children_left.(parent) - 1;
-        if t.children_left.(parent) = 0 then add_candidate t parent
-      end)
-    t.fanout_lists.(id)
+  for k = t.parent_start.(id) to t.parent_start.(id + 1) - 1 do
+    let parent = t.parents.(k) in
+    if not t.computed_mark.(parent) then begin
+      t.children_left.(parent) <- t.children_left.(parent) - 1;
+      if t.children_left.(parent) = 0 then add_candidate t parent
+    end
+  done
 
 let child_pending_dropped_to_one t id =
   (* the single remaining consumer gains a releasing device *)
-  Array.iter
-    (fun parent ->
-      if (not t.computed_mark.(parent)) && t.is_candidate.(parent) then begin
-        Metrics.incr m_requeued;
-        Lazy_heap.insert t.heap (key t parent) parent
-      end)
-    t.fanout_lists.(id)
+  for k = t.parent_start.(id) to t.parent_start.(id + 1) - 1 do
+    let parent = t.parents.(k) in
+    if (not t.computed_mark.(parent)) && t.is_candidate.(parent) then begin
+      Metrics.incr m_requeued;
+      insert t parent
+    end
+  done

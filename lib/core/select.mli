@@ -26,7 +26,8 @@ type t
 
 val create : policy:policy -> Mig.t -> pending:int array -> t
 (** [pending] is shared with the caller (the translator decrements it);
-    it must initially hold fanout count + output refs per node. *)
+    it must initially hold fanout count + output refs per node, so a
+    majority node is reachable exactly when its count is positive. *)
 
 val pop : t -> int option
 (** Highest-priority candidate, or [None] when all nodes are computed. *)

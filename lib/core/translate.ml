@@ -64,7 +64,7 @@ let cell_of_child ctx s =
 
 (* cell freshly loaded with !v where the child's device holds v:
    set tmp := 1; RM3(0, v, tmp) -> <0, !v, 1> = !v *)
-let materialize_complement ?(needed = 2) ctx s =
+let materialize_complement ~needed ctx s =
   Metrics.incr m_complements;
   let src = cell_of_child ctx s in
   let tmp = Alloc.request ~needed ctx.alloc in
@@ -100,108 +100,104 @@ let cost_z ctx s =
   else if in_place_ok ctx s then 0
   else 2
 
-let permutations = [ (0, 1, 2); (0, 2, 1); (1, 0, 2); (1, 2, 0); (2, 0, 1); (2, 1, 0) ]
+(* write count of the device an in-place destination would overwrite *)
+let z_writes ctx s =
+  if in_place_ok ctx s then Alloc.writes_of ctx.alloc (cell_of_child ctx s)
+  else max_int
+
+(* The six role assignments, permutation [k] giving the child positions
+   (0..2) of P, Q and Z, in the order the first-wins choice scans them. *)
+let perm_p = [| 0; 0; 1; 1; 2; 2 |]
+let perm_q = [| 1; 2; 0; 2; 0; 1 |]
+let perm_z = [| 2; 1; 2; 0; 1; 0 |]
+
+let nth a b c i = if i = 0 then a else if i = 1 then b else c
+
+let role_cost ctx a b c k =
+  cost_p (nth a b c perm_p.(k)) + cost_q (nth a b c perm_q.(k))
+  + cost_z ctx (nth a b c perm_z.(k))
+
+(* child bookkeeping: decrement uses, free dead devices *)
+let finish_child ctx ~in_place_node s =
+  let n = Mig.node_of s in
+  if n <> 0 then begin
+    ctx.pending.(n) <- ctx.pending.(n) - 1;
+    if ctx.pending.(n) = 0 then begin
+      (* consumed in place, the device now holds the parent's value *)
+      if n <> in_place_node then Alloc.release ctx.alloc ctx.cell_of.(n);
+      ctx.cell_of.(n) <- -1
+    end
+    else if ctx.pending.(n) = 1 then ctx.on_pending_one n
+  end
 
 let compute_node ctx id =
-  match Mig.kind ctx.g id with
-  | Mig.Const | Mig.Input _ ->
-    invalid_arg "Translate.compute_node: not a majority node"
-  | Mig.Maj (a, b, c) ->
-    let children = [| a; b; c |] in
-    let cost (p, q, z) =
-      cost_p children.(p) + cost_q children.(q) + cost_z ctx children.(z)
-    in
-    (* pick the cheapest role assignment; optional ablation tie-break:
-       among in-place destinations prefer the least-written device *)
-    let better (cost_x, perm_x) (cost_y, perm_y) =
-      if cost_x <> cost_y then cost_x < cost_y
-      else if not ctx.dest_min_write then false (* keep first *)
-      else begin
-        let z_writes (_, _, z) =
-          let s = children.(z) in
-          if in_place_ok ctx s then Alloc.writes_of ctx.alloc (cell_of_child ctx s)
-          else max_int
-        in
-        z_writes perm_x < z_writes perm_y
-      end
-    in
-    let best =
-      List.fold_left
-        (fun acc perm ->
-          let entry = (cost perm, perm) in
-          match acc with
-          | None -> Some entry
-          | Some current -> if better entry current then Some entry else Some current)
-        None permutations
-    in
-    let _, (pi_, qi_, zi_) =
-      match best with Some e -> e | None -> assert false
-    in
-    let sp = children.(pi_) and sq = children.(qi_) and sz = children.(zi_) in
-    let temps = ref [] in
-    (* destination first (never clobbers a child device) *)
-    let consumed_in_place = ref false in
-    let zcell =
-      if Mig.is_const sz then begin
-        let cell = Alloc.request ctx.alloc in
-        emit ctx (I.set_const (const_value sz) cell);
-        cell
-      end
-      else if Mig.is_complemented sz then materialize_complement ~needed:3 ctx sz
-      else if in_place_ok ctx sz then begin
-        consumed_in_place := true;
-        Metrics.incr m_in_place;
-        cell_of_child ctx sz
-      end
-      else materialize_copy ctx sz
-    in
-    let p_operand =
-      if Mig.is_const sp then I.Const (const_value sp)
-      else if Mig.is_complemented sp then begin
-        let tmp = materialize_complement ctx sp in
-        temps := tmp :: !temps;
-        I.Cell tmp
-      end
-      else I.Cell (cell_of_child ctx sp)
-    in
-    let q_operand =
-      if Mig.is_const sq then I.Const (not (const_value sq))
-      else if Mig.is_complemented sq then I.Cell (cell_of_child ctx sq)
-      else begin
-        let tmp = materialize_complement ctx sq in
-        temps := tmp :: !temps;
-        I.Cell tmp
-      end
-    in
-    emit ctx (I.rm3 ~a:p_operand ~b:q_operand ~z:zcell);
-    if Trace.enabled () then
-      Trace.emit "translate.rm3"
-        ~args:
-          [ ("node", Int id); ("z", Int zcell);
-            ("in_place", Bool !consumed_in_place) ];
-    ctx.cell_of.(id) <- zcell;
-    (* temporaries are dead once the instruction has executed *)
-    List.iter (fun tmp -> Alloc.release ctx.alloc tmp) !temps;
-    (* child bookkeeping: decrement uses, free dead devices *)
-    let finish_child s =
-      let n = Mig.node_of s in
-      if n <> 0 then begin
-        ctx.pending.(n) <- ctx.pending.(n) - 1;
-        if ctx.pending.(n) = 0 then begin
-          if !consumed_in_place && n = Mig.node_of sz then
-            (* device now holds this node's value *)
-            ctx.cell_of.(n) <- -1
-          else begin
-            Alloc.release ctx.alloc ctx.cell_of.(n);
-            ctx.cell_of.(n) <- -1
-          end
-        end
-        else if ctx.pending.(n) = 1 then ctx.on_pending_one n
-      end
-    in
-    finish_child a;
-    finish_child b;
-    finish_child c
+  if not (Mig.is_maj ctx.g id) then
+    invalid_arg "Translate.compute_node: not a majority node";
+  let a = Mig.child ctx.g id 0 and b = Mig.child ctx.g id 1 and c = Mig.child ctx.g id 2 in
+  (* pick the cheapest role assignment, the first of equals; optional
+     ablation tie-break: among in-place destinations prefer the
+     least-written device *)
+  let best = ref 0 and best_cost = ref (role_cost ctx a b c 0) in
+  for k = 1 to 5 do
+    let ck = role_cost ctx a b c k in
+    if
+      ck < !best_cost
+      || ck = !best_cost && ctx.dest_min_write
+         && z_writes ctx (nth a b c perm_z.(k))
+            < z_writes ctx (nth a b c perm_z.(!best))
+    then begin
+      best := k;
+      best_cost := ck
+    end
+  done;
+  let sp = nth a b c perm_p.(!best)
+  and sq = nth a b c perm_q.(!best)
+  and sz = nth a b c perm_z.(!best) in
+  (* destination first (never clobbers a child device) *)
+  let in_place = in_place_ok ctx sz in
+  let zcell =
+    if Mig.is_const sz then begin
+      let cell = Alloc.request ctx.alloc in
+      emit ctx (I.set_const (const_value sz) cell);
+      cell
+    end
+    else if Mig.is_complemented sz then materialize_complement ~needed:3 ctx sz
+    else if in_place then begin
+      Metrics.incr m_in_place;
+      cell_of_child ctx sz
+    end
+    else materialize_copy ctx sz
+  in
+  (* temporaries, -1 when the operand needs none *)
+  let p_tmp =
+    if Mig.is_complemented sp && not (Mig.is_const sp) then
+      materialize_complement ~needed:2 ctx sp
+    else -1
+  in
+  let q_tmp =
+    if Mig.is_complemented sq || Mig.is_const sq then -1
+    else materialize_complement ~needed:2 ctx sq
+  in
+  let p_operand =
+    if Mig.is_const sp then I.Const (const_value sp)
+    else I.Cell (if p_tmp >= 0 then p_tmp else cell_of_child ctx sp)
+  in
+  let q_operand =
+    if Mig.is_const sq then I.Const (not (const_value sq))
+    else I.Cell (if q_tmp >= 0 then q_tmp else cell_of_child ctx sq)
+  in
+  emit ctx (I.rm3 ~a:p_operand ~b:q_operand ~z:zcell);
+  if Trace.enabled () then
+    Trace.emit "translate.rm3"
+      ~args:[ ("node", Int id); ("z", Int zcell); ("in_place", Bool in_place) ];
+  ctx.cell_of.(id) <- zcell;
+  (* temporaries are dead once the instruction has executed *)
+  if q_tmp >= 0 then Alloc.release ctx.alloc q_tmp;
+  if p_tmp >= 0 then Alloc.release ctx.alloc p_tmp;
+  let in_place_node = if in_place then Mig.node_of sz else -1 in
+  finish_child ctx ~in_place_node a;
+  finish_child ctx ~in_place_node b;
+  finish_child ctx ~in_place_node c
 
 let materialize_outputs ctx =
   let outs = Mig.outputs ctx.g in
@@ -244,7 +240,7 @@ let materialize_outputs ctx =
             finish ();
             (name, cell)
           | None ->
-            let cell = materialize_complement ctx (Mig.signal n false) in
+            let cell = materialize_complement ~needed:2 ctx (Mig.signal n false) in
             Hashtbl.replace complement_cache n cell;
             finish ();
             (name, cell)

@@ -3,6 +3,7 @@ module Program = Plim_isa.Program
 module Controller = Plim_machine.Plim_controller
 module Crossbar = Plim_rram.Crossbar
 module Splitmix = Plim_util.Splitmix
+module Profile = Plim_obs.Profile
 
 let run_and_compare mig (program : Program.t) vector =
   let expected = Mig.eval mig vector in
@@ -36,28 +37,38 @@ let check_vector mig program vector =
 (* Three-way agreement: the trivial per-instruction count, the bound the
    dataflow analyzer derives from its def-use chains, and what the crossbar
    actually counted.  Each pair failing points at a different layer (ISA
-   accounting, analyzer IR, machine). *)
-let check_write_counts (program : Program.t) (xbar : Crossbar.t) =
-  let static = Program.static_write_counts program in
-  let analyzed = Plim_analyze.write_counts program in
+   accounting, analyzer IR, machine).  The first two depend only on the
+   program, so a check derives them once, on its first run, and compares
+   every run's crossbar against the same arrays. *)
+let static_counts (program : Program.t) =
+  lazy
+    (Profile.span "verify.static_counts" (fun () ->
+         (Program.static_write_counts program, Plim_analyze.write_counts program)))
+
+let check_write_counts counts (xbar : Crossbar.t) =
+  let static, analyzed = Lazy.force counts in
   let dynamic = Crossbar.write_counts xbar in
   if
     Array.length static <> Array.length dynamic
     || Array.length static <> Array.length analyzed
   then Error "write-count arrays differ in length"
   else begin
-    let bad = ref None in
-    Array.iteri
-      (fun i s ->
-        if !bad = None && (s <> dynamic.(i) || s <> analyzed.(i)) then bad := Some i)
-      static;
-    match !bad with
-    | Some i ->
-      Error
-        (Printf.sprintf "cell %d: static writes %d, analyzer bound %d, dynamic writes %d"
-           i static.(i) analyzed.(i) dynamic.(i))
-    | None -> Ok ()
+    let rec first_bad i =
+      if i >= Array.length static then Ok ()
+      else if static.(i) <> dynamic.(i) || static.(i) <> analyzed.(i) then
+        Error
+          (Printf.sprintf "cell %d: static writes %d, analyzer bound %d, dynamic writes %d"
+             i static.(i) analyzed.(i) dynamic.(i))
+      else first_bad (i + 1)
+    in
+    first_bad 0
   end
+
+(* one vector: machine outputs against the MIG, then the write counts *)
+let check_run mig program counts vector =
+  match run_and_compare mig program vector with
+  | Error e -> Error e
+  | Ok xbar -> check_write_counts counts xbar
 
 let vector_to_string vector =
   String.init (Array.length vector) (fun i -> if vector.(i) then '1' else '0')
@@ -69,6 +80,7 @@ let vector_to_string vector =
 let check_random ?(trials = 32) ?(seed = 0x5eed) mig program =
   let rng = Splitmix.create seed in
   let n = Mig.num_inputs mig in
+  let counts = static_counts program in
   let rec go t =
     if t >= trials then Ok ()
     else begin
@@ -77,12 +89,9 @@ let check_random ?(trials = 32) ?(seed = 0x5eed) mig program =
         Printf.sprintf "seed 0x%X trial %d vector %s: %s" seed t
           (vector_to_string vector) e
       in
-      match run_and_compare mig program vector with
+      match check_run mig program counts vector with
       | Error e -> Error (witness e)
-      | Ok xbar ->
-        (match check_write_counts program xbar with
-        | Error e -> Error (witness e)
-        | Ok () -> go (t + 1))
+      | Ok () -> go (t + 1)
     end
   in
   go 0
@@ -122,13 +131,14 @@ let check_symbolic ?order mig (program : Program.t) =
 let check_exhaustive mig program =
   let n = Mig.num_inputs mig in
   if n > 20 then invalid_arg "Verify.check_exhaustive: too many inputs";
+  let counts = static_counts program in
   let rec go m =
     if m >= 1 lsl n then Ok ()
     else begin
       let vector = Array.init n (fun i -> (m lsr i) land 1 = 1) in
-      match run_and_compare mig program vector with
+      match check_run mig program counts vector with
       | Error e -> Error (Printf.sprintf "minterm %d: %s" m e)
-      | Ok _ -> go (m + 1)
+      | Ok () -> go (m + 1)
     end
   in
   go 0

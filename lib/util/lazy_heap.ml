@@ -1,6 +1,5 @@
-type key = int * int * int
-
-type entry = { key : key; elt : int; stamp : int }
+(* one record per heap slot, the three key components unboxed in it *)
+type entry = { k1 : int; k2 : int; k3 : int; elt : int; stamp : int }
 
 type t = {
   mutable heap : entry array;
@@ -9,7 +8,7 @@ type t = {
   mutable live : int;
 }
 
-let dummy_entry = { key = (0, 0, 0); elt = -1; stamp = -1 }
+let dummy_entry = { k1 = 0; k2 = 0; k3 = 0; elt = -1; stamp = -1 }
 
 let create ~capacity =
   { heap = Array.make 64 dummy_entry;
@@ -17,10 +16,9 @@ let create ~capacity =
     stamps = Array.make (max capacity 1) (-1);
     live = 0 }
 
-(* lexicographic, component by component as ints: the order of [compare]
-   on the triple without its polymorphic call on every sift *)
-let key_lt ((a1, a2, a3) : key) ((b1, b2, b3) : key) =
-  a1 < b1 || (a1 = b1 && (a2 < b2 || (a2 = b2 && a3 < b3)))
+(* lexicographic on (k1, k2, k3), compared as ints *)
+let lt a b =
+  a.k1 < b.k1 || (a.k1 = b.k1 && (a.k2 < b.k2 || (a.k2 = b.k2 && a.k3 < b.k3)))
 
 let swap t i j =
   let tmp = t.heap.(i) in
@@ -30,7 +28,7 @@ let swap t i j =
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if key_lt t.heap.(i).key t.heap.(parent).key then begin
+    if lt t.heap.(i) t.heap.(parent) then begin
       swap t i parent;
       sift_up t parent
     end
@@ -39,8 +37,8 @@ let rec sift_up t i =
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = ref i in
-  if l < t.len && key_lt t.heap.(l).key t.heap.(!smallest).key then smallest := l;
-  if r < t.len && key_lt t.heap.(r).key t.heap.(!smallest).key then smallest := r;
+  if l < t.len && lt t.heap.(l) t.heap.(!smallest) then smallest := l;
+  if r < t.len && lt t.heap.(r) t.heap.(!smallest) then smallest := r;
   if !smallest <> i then begin
     swap t i !smallest;
     sift_down t !smallest
@@ -51,7 +49,7 @@ let grow t =
   Array.blit t.heap 0 heap 0 t.len;
   t.heap <- heap
 
-let insert t key elt =
+let insert t k1 k2 k3 elt =
   if elt < 0 || elt >= Array.length t.stamps then
     invalid_arg "Lazy_heap.insert: element out of range";
   let was_live = t.stamps.(elt) >= 0 in
@@ -59,7 +57,7 @@ let insert t key elt =
   t.stamps.(elt) <- stamp;
   if not was_live then t.live <- t.live + 1;
   if t.len = Array.length t.heap then grow t;
-  t.heap.(t.len) <- { key; elt; stamp };
+  t.heap.(t.len) <- { k1; k2; k3; elt; stamp };
   t.len <- t.len + 1;
   sift_up t (t.len - 1)
 
@@ -82,7 +80,7 @@ let rec drop_stale t =
 
 let peek_min t =
   drop_stale t;
-  if t.len = 0 then None else Some (t.heap.(0).key, t.heap.(0).elt)
+  if t.len = 0 then None else Some t.heap.(0).elt
 
 let pop_min t =
   drop_stale t;
@@ -95,7 +93,7 @@ let pop_min t =
     if t.len > 0 then sift_down t 0;
     t.stamps.(top.elt) <- - top.stamp;
     t.live <- t.live - 1;
-    Some (top.key, top.elt)
+    Some top.elt
   end
 
 let is_empty t = t.live = 0

@@ -7,26 +7,26 @@
     when they surface at the top, giving O(log n) amortised updates without
     a decrease-key operation. *)
 
-type key = int * int * int
-(** Lexicographic priority (smaller = higher priority). *)
-
 type t
 
 val create : capacity:int -> t
 (** [capacity] is the largest element id that will ever be inserted, plus
     one.  Used to size the stamp table. *)
 
-val insert : t -> key -> int -> unit
-(** [insert t key x] (re-)inserts element [x] with priority [key],
-    invalidating any previous entry for [x]. *)
+val insert : t -> int -> int -> int -> int -> unit
+(** [insert t k1 k2 k3 x] (re-)inserts element [x] with the lexicographic
+    priority [(k1, k2, k3)] (smaller = higher priority), invalidating any
+    previous entry for [x].  The heap's order among equal priorities is
+    unspecified, so callers that need a total order make [k3] unique. *)
 
 val remove : t -> int -> unit
 (** Logically removes [x] (its entries become stale). *)
 
-val pop_min : t -> (key * int) option
-(** Removes and returns the live minimum, skipping stale entries. *)
+val pop_min : t -> int option
+(** Removes and returns the live element with the smallest priority,
+    skipping stale entries. *)
 
-val peek_min : t -> (key * int) option
+val peek_min : t -> int option
 
 val is_empty : t -> bool
 (** True when no live element remains. *)

@@ -274,6 +274,49 @@ let test_check_random_deterministic () =
      let rec scan i = i + ln <= le && (String.sub e i ln = needle || scan (i + 1)) in
      scan 0)
 
+(* a wrong program that passes its first 19 trials, write-count checks
+   included: the witness names the late trial and its vector, byte for
+   byte *)
+let test_check_random_late_witness () =
+  let g = Plim_benchgen.Arith.adder ~width:4 in
+  let p = (Pipeline.compile Pipeline.naive g).Pipeline.program in
+  let bad = Array.copy p.Program.instrs in
+  let swapped = bad.(6) in
+  bad.(6) <- I.rm3 ~a:swapped.I.b ~b:swapped.I.a ~z:swapped.I.z;
+  let corrupted =
+    Program.make ~instrs:bad ~num_cells:p.Program.num_cells ~pi_cells:p.Program.pi_cells
+      ~po_cells:p.Program.po_cells
+  in
+  Alcotest.(check (result unit string))
+    "witness"
+    (Error
+       "seed 0x5EED trial 19 vector 11001001: output \"s_1\" differs: expected \
+        false, machine computed true")
+    (Verify.check_random g corrupted)
+
+(* the static and analysed write counts are derived once per call, on the
+   first trial that reaches the comparison, and never for zero trials *)
+let test_check_random_counts_once () =
+  let module Profile = Plim_obs.Profile in
+  let g = Plim_benchgen.Arith.adder ~width:4 in
+  let p = (Pipeline.compile Pipeline.endurance_full g).Pipeline.program in
+  let derivations trials =
+    Profile.reset ();
+    Profile.enable ();
+    let result = Verify.check_random ~trials g p in
+    Profile.disable ();
+    let n =
+      List.length
+        (List.filter (fun s -> s.Profile.name = "verify.static_counts") (Profile.spans ()))
+    in
+    Profile.reset ();
+    Alcotest.(check (result unit string)) "correct program" (Ok ()) result;
+    n
+  in
+  check_int "no trials" 0 (derivations 0);
+  check_int "one trial" 1 (derivations 1);
+  check_int "twelve trials" 1 (derivations 12)
+
 let test_config_names () =
   Alcotest.(check string) "naive" "naive" (Pipeline.config_name Pipeline.naive);
   Alcotest.(check string) "endurance-full" "endurance-full"
@@ -484,6 +527,10 @@ let () =
               test_verify_detects_corruption;
             Alcotest.test_case "check_random is seed-deterministic" `Quick
               test_check_random_deterministic;
+            Alcotest.test_case "check_random witness on a late trial" `Quick
+              test_check_random_late_witness;
+            Alcotest.test_case "check_random derives write counts once" `Quick
+              test_check_random_counts_once;
             Alcotest.test_case "config names" `Quick test_config_names;
             Alcotest.test_case "pi/po maps" `Quick test_pi_po_maps;
             Alcotest.test_case "min-write <= lifo (avg stdev)" `Slow

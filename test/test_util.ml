@@ -172,37 +172,46 @@ let test_splitmix_derive () =
 
 (* --- Lazy_heap ------------------------------------------------------- *)
 
+let check_elt = Alcotest.(check (option int))
+
 let test_heap_ordering () =
   let h = Lazy_heap.create ~capacity:10 in
-  Lazy_heap.insert h (3, 0, 0) 1;
-  Lazy_heap.insert h (1, 0, 0) 2;
-  Lazy_heap.insert h (2, 0, 0) 3;
-  Alcotest.(check (option (pair (triple int int int) int)))
-    "min" (Some ((1, 0, 0), 2)) (Lazy_heap.pop_min h);
-  Alcotest.(check (option (pair (triple int int int) int)))
-    "next" (Some ((2, 0, 0), 3)) (Lazy_heap.pop_min h);
-  Alcotest.(check (option (pair (triple int int int) int)))
-    "last" (Some ((3, 0, 0), 1)) (Lazy_heap.pop_min h);
+  Lazy_heap.insert h 3 0 0 1;
+  Lazy_heap.insert h 1 0 0 2;
+  Lazy_heap.insert h 2 0 0 3;
+  check_elt "peek" (Some 2) (Lazy_heap.peek_min h);
+  check_elt "min" (Some 2) (Lazy_heap.pop_min h);
+  check_elt "next" (Some 3) (Lazy_heap.pop_min h);
+  check_elt "last" (Some 1) (Lazy_heap.pop_min h);
   check_bool "empty" true (Lazy_heap.is_empty h)
+
+let test_heap_lexicographic () =
+  let h = Lazy_heap.create ~capacity:10 in
+  Lazy_heap.insert h 1 2 0 1;
+  Lazy_heap.insert h 1 1 9 2;
+  Lazy_heap.insert h 1 1 3 3;
+  Lazy_heap.insert h 0 5 5 4;
+  check_elt "first key decides" (Some 4) (Lazy_heap.pop_min h);
+  check_elt "then the third" (Some 3) (Lazy_heap.pop_min h);
+  check_elt "then the second" (Some 2) (Lazy_heap.pop_min h);
+  check_elt "last" (Some 1) (Lazy_heap.pop_min h)
 
 let test_heap_rekey () =
   let h = Lazy_heap.create ~capacity:10 in
-  Lazy_heap.insert h (5, 0, 0) 1;
-  Lazy_heap.insert h (4, 0, 0) 2;
+  Lazy_heap.insert h 5 0 0 1;
+  Lazy_heap.insert h 4 0 0 2;
   (* element 1 improves past element 2 *)
-  Lazy_heap.insert h (1, 0, 0) 1;
-  Alcotest.(check (option (pair (triple int int int) int)))
-    "rekeyed element wins" (Some ((1, 0, 0), 1)) (Lazy_heap.pop_min h);
+  Lazy_heap.insert h 1 0 0 1;
+  check_elt "rekeyed element wins" (Some 1) (Lazy_heap.pop_min h);
   check_int "one live left" 1 (Lazy_heap.live_count h)
 
 let test_heap_remove () =
   let h = Lazy_heap.create ~capacity:10 in
-  Lazy_heap.insert h (1, 0, 0) 1;
-  Lazy_heap.insert h (2, 0, 0) 2;
+  Lazy_heap.insert h 1 0 0 1;
+  Lazy_heap.insert h 2 0 0 2;
   Lazy_heap.remove h 1;
-  Alcotest.(check (option (pair (triple int int int) int)))
-    "removed skipped" (Some ((2, 0, 0), 2)) (Lazy_heap.pop_min h);
-  Alcotest.(check (option (pair (triple int int int) int))) "drained" None (Lazy_heap.pop_min h)
+  check_elt "removed skipped" (Some 2) (Lazy_heap.pop_min h);
+  check_elt "drained" None (Lazy_heap.pop_min h)
 
 let heap_vs_sort =
   QCheck.Test.make ~count:200 ~name:"lazy heap drains in sorted key order"
@@ -213,19 +222,69 @@ let heap_vs_sort =
       let final = Hashtbl.create 16 in
       List.iter
         (fun (key, elt) ->
-          Lazy_heap.insert h (key, 0, elt) elt;
+          Lazy_heap.insert h key 0 elt elt;
           Hashtbl.replace final elt key)
         entries;
       let expected =
         Hashtbl.fold (fun elt key acc -> (key, elt) :: acc) final []
-        |> List.sort compare
+        |> List.sort compare |> List.map snd
       in
       let rec drain acc =
         match Lazy_heap.pop_min h with
         | None -> List.rev acc
-        | Some ((k, _, _), elt) -> drain ((k, elt) :: acc)
+        | Some elt -> drain (elt :: acc)
       in
       drain [] = expected)
+
+(* Interleaved inserts (a re-insert re-keys), removes and pops against a
+   reference that keeps the live (key, element) pairs in a sorted list:
+   a re-key or remove deletes the element's pair, a pop takes the head.
+   The third key component is the element, so the order is total. *)
+type heap_op = Insert of int * int * int | Remove of int | Pop
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (5, map3 (fun k1 k2 x -> Insert (k1, k2, x)) (int_range 0 4) (int_range 0 4)
+              (int_range 0 15));
+        (1, map (fun x -> Remove x) (int_range 0 15));
+        (3, return Pop) ])
+
+let print_heap_op = function
+  | Insert (k1, k2, x) -> Printf.sprintf "insert (%d,%d,%d) %d" k1 k2 x x
+  | Remove x -> Printf.sprintf "remove %d" x
+  | Pop -> "pop"
+
+let heap_vs_reference =
+  QCheck.Test.make ~count:300 ~name:"lazy heap pops like a sorted-list reference"
+    (QCheck.make
+       ~print:(QCheck.Print.list print_heap_op)
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 0 80) heap_op_gen))
+    (fun ops ->
+      let h = Lazy_heap.create ~capacity:16 in
+      let drop x = List.filter (fun (_, y) -> y <> x) in
+      let step reference = function
+        | Insert (k1, k2, x) ->
+          Lazy_heap.insert h k1 k2 x x;
+          (true, List.merge compare [ ((k1, k2, x), x) ] (drop x reference))
+        | Remove x ->
+          Lazy_heap.remove h x;
+          (true, drop x reference)
+        | Pop ->
+          (match (Lazy_heap.pop_min h, reference) with
+          | None, [] -> (true, [])
+          | Some x, (_, y) :: rest -> (x = y, rest)
+          | Some _, [] | None, _ :: _ -> (false, reference))
+      in
+      let ok, reference =
+        List.fold_left
+          (fun (ok, reference) op ->
+            let step_ok, reference = step reference op in
+            (ok && step_ok, reference))
+          (true, []) ops
+      in
+      ok && Lazy_heap.live_count h = List.length reference)
 
 (* --- Stats ----------------------------------------------------------- *)
 
@@ -374,7 +433,9 @@ let () =
         [ Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "rekey" `Quick test_heap_rekey;
           Alcotest.test_case "remove" `Quick test_heap_remove;
-          qc heap_vs_sort ] );
+          Alcotest.test_case "lexicographic keys" `Quick test_heap_lexicographic;
+          qc heap_vs_sort;
+          qc heap_vs_reference ] );
       ( "stats",
         [ Alcotest.test_case "summary" `Quick test_stats_summary;
           Alcotest.test_case "singleton/empty" `Quick test_stats_singleton;
