@@ -128,6 +128,29 @@ let test_cache_digest_stability () =
   check_bool "different graphs, different digests" true
     (Cache.digest_of g <> Cache.digest_of g2)
 
+(* The small suite's cache keys.  They appear in serve output and name
+   corpus files, so a change to the .mig text or to its hashing shows
+   here first. *)
+let test_cache_digest_pins () =
+  let pins =
+    [ ("adder8", "c196e81af7524b14"); ("bar8", "58ea43e8892bd81d");
+      ("div8", "613576cb4e41180c"); ("max8", "6dc99d8c41c77f69");
+      ("multiplier8", "e391fba8f2e71777"); ("sqrt8", "7c31047169aa2e40");
+      ("square8", "0f335e46dcded576"); ("dec4", "7031d9bf31a8ee61");
+      ("priority16", "4d1e4745efff6cf9"); ("voter15", "9fa6491d063ba16f");
+      ("rc_small", "fb2a4476cb2ca782") ]
+  in
+  check_int "one pin per small-suite circuit" (List.length Suite.small_suite)
+    (List.length pins);
+  List.iter
+    (fun (spec : Suite.spec) ->
+      let g = Suite.build_cached spec in
+      let name = spec.Suite.name in
+      Alcotest.(check string) name (List.assoc name pins) (Cache.digest_of g);
+      Alcotest.(check string) (name ^ " corpus digest") (List.assoc name pins)
+        (Plim_check.Corpus.digest g))
+    Suite.small_suite
+
 (* --- server ---------------------------------------------------------- *)
 
 let quiet_config = Helpers.quiet_config
@@ -375,7 +398,8 @@ let () =
           Alcotest.test_case "warm-up compiles first" `Quick test_generate_warmup_first;
           Alcotest.test_case "hot/cold input skew" `Quick test_hot_cold_skew ] );
       ( "cache",
-        [ Alcotest.test_case "digest stability" `Quick test_cache_digest_stability ] );
+        [ Alcotest.test_case "digest stability" `Quick test_cache_digest_stability;
+          Alcotest.test_case "small-suite digest pins" `Quick test_cache_digest_pins ] );
       ( "server",
         [ Alcotest.test_case "end to end" `Quick test_server_end_to_end;
           Alcotest.test_case "warm replay hits" `Quick test_server_warmup_then_hits;

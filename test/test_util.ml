@@ -170,6 +170,32 @@ let test_splitmix_derive () =
   let first = Splitmix.int parent max_int in
   check_bool "derived differs from parent draw" true (Splitmix.derive 42 0 <> first)
 
+(* Known answers for seeds 0, 1 and 7: the first draws of each kind, in
+   stream order, and two derived seeds.  Every seeded stream in the repo
+   (fault sampling, transient draws, workloads, corpora) rests on these. *)
+let test_splitmix_known_answers () =
+  let check_float what expected got =
+    Alcotest.(check int64) what (Int64.bits_of_float expected) (Int64.bits_of_float got)
+  in
+  List.iter
+    (fun (seed, next64, int1000, f1, b, intmax, f2, d0, d5) ->
+      let r = Splitmix.create seed in
+      let what k = Printf.sprintf "seed %d: %s" seed k in
+      Alcotest.(check int64) (what "next64") next64 (Splitmix.next64 r);
+      check_int (what "int 1000") int1000 (Splitmix.int r 1000);
+      check_float (what "float") f1 (Splitmix.float r);
+      check_bool (what "bool") b (Splitmix.bool r);
+      check_int (what "int max_int") intmax (Splitmix.int r max_int);
+      check_float (what "second float") f2 (Splitmix.float r);
+      check_int (what "derive 0") d0 (Splitmix.derive seed 0);
+      check_int (what "derive 5") d5 (Splitmix.derive seed 5))
+    [ ( 0, -2152535657050944081L, 925, 0x1.b1174620025p-6, false, 490437550606523686,
+        0x1.4f2e7c31d1fa8p-2, 1990071630548588925, 801824006500076728 );
+      ( 1, -7995527694508729151L, 129, 0x1.f12745ddf664ap-1, true, 2048809309281742190,
+        0x1.869a17ff202ap-1, 3439311302766607129, 4046056672035966761 );
+      ( 7, 7191089600892374487L, 951, 0x1.cd30810175625p-1, true, 2086519961375180918,
+        0x1.fed5f4365df54p-3, 77422343148738951, 2158052326855717949 ) ]
+
 (* --- Lazy_heap ------------------------------------------------------- *)
 
 let check_elt = Alcotest.(check (option int))
@@ -428,6 +454,7 @@ let () =
           Alcotest.test_case "bits" `Quick test_splitmix_bits;
           Alcotest.test_case "int uniformity" `Quick test_splitmix_int_uniform;
           Alcotest.test_case "derive" `Quick test_splitmix_derive;
+          Alcotest.test_case "known answers" `Quick test_splitmix_known_answers;
           qc splitmix_int_bounds ] );
       ( "lazy-heap",
         [ Alcotest.test_case "ordering" `Quick test_heap_ordering;
