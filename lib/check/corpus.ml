@@ -3,9 +3,7 @@ module Mig_io = Plim_mig.Mig_io
 
 (* one repo-wide digest implementation: corpus file names and the serve
    compile cache must agree on what "the same MIG" means *)
-let digest_string = Plim_util.Fnv.digest_string
-
-let digest mig = digest_string (Mig_io.to_string mig)
+let digest = Mig_io.digest
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -16,7 +14,8 @@ let rec mkdir_p dir =
 let save ~dir ?(meta = []) mig =
   mkdir_p dir;
   let body = Mig_io.to_string mig in
-  let path = Filename.concat dir (Printf.sprintf "cex-%s.mig" (digest_string body)) in
+  let name = Printf.sprintf "cex-%s.mig" (Plim_util.Fnv.digest_string body) in
+  let path = Filename.concat dir name in
   if not (Sys.file_exists path) then begin
     let oc = open_out path in
     Fun.protect

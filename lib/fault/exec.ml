@@ -24,82 +24,95 @@ exception Pool_dry of int
 let m_verify_reads = Metrics.counter "fault.verify_reads"
 let m_detections = Metrics.counter "fault.detections"
 
+(* One execution's write-verify state.  The loop below is top-level
+   functions over this record, so no instruction or scrubbed cell
+   allocates a closure. *)
+type state = {
+  fx : Faulty.t;
+  rm : Remap.t;
+  verify : bool;
+  max_retries : int;
+  mutable reads : int;
+  mutable detected : int;
+  mutable remapped : int;
+  mutable retried : int;
+}
+
+(* Re-deposit the intended value on physical line [pa]: a load for scrub
+   and input deposits, a counted write for RM3 results. *)
+let rewrite st ~load pa v =
+  if load then Faulty.load st.fx pa v else Faulty.write st.fx pa v
+
+(* Read logical line [l] back until it holds [intended]: up to
+   [max_retries] in-place rewrites, then retire the line and replay the
+   value on a spare, which is verified in turn. *)
+let rec check st l ~load ~intended tries =
+  st.reads <- st.reads + 1;
+  Metrics.incr m_verify_reads;
+  let pa = Remap.physical st.rm l in
+  if Faulty.read st.fx pa <> intended then
+    if tries < st.max_retries then begin
+      st.retried <- st.retried + 1;
+      rewrite st ~load pa intended;
+      check st l ~load ~intended (tries + 1)
+    end
+    else begin
+      st.detected <- st.detected + 1;
+      Metrics.incr m_detections;
+      match Remap.retire st.rm l with
+      | None -> raise (Pool_dry l)
+      | Some spare ->
+        st.remapped <- st.remapped + 1;
+        rewrite st ~load spare intended;
+        check st l ~load ~intended 0
+    end
+
+let verified_load st l v =
+  Faulty.load st.fx (Remap.physical st.rm l) v;
+  if st.verify then check st l ~load:true ~intended:v 0
+
+let read st c = Faulty.read st.fx (Remap.physical st.rm c)
+
+let step st read (instr : I.t) =
+  let a = Program.operand read instr.I.a in
+  let b = Program.operand read instr.I.b in
+  let l = instr.I.z in
+  if st.verify then begin
+    let intended = I.semantics ~a ~b ~z:(read l) in
+    Faulty.rm3 st.fx ~p:a ~q:b (Remap.physical st.rm l);
+    check st l ~load:false ~intended 0
+  end
+  else Faulty.rm3 st.fx ~p:a ~q:b (Remap.physical st.rm l)
+
 let run ?(verify = false) ?(max_retries = 2) ?(reset = true) fx rm (p : Program.t)
     ~inputs =
   if Remap.lines rm < p.Program.num_cells then
     invalid_arg "Exec.run: remap table smaller than the program's cell count";
   if Remap.num_physical rm > Faulty.size fx then
     invalid_arg "Exec.run: crossbar smaller than the remap table's physical space";
-  let verify_reads = ref 0
-  and detections = ref 0
-  and remaps = ref 0
-  and retries = ref 0 in
-  (* Write-verify loop shared by loads, input deposits and RM3 results:
-     [put pa] performs the raw operation on physical line [pa]; [rewrite]
-     re-deposits the intended value on retries and spares. *)
-  let verified l ~intended ~put ~rewrite =
-    put (Remap.physical rm l);
-    if verify then begin
-      let rec check tries =
-        incr verify_reads;
-        Metrics.incr m_verify_reads;
-        let pa = Remap.physical rm l in
-        if Faulty.read fx pa <> intended then
-          if tries < max_retries then begin
-            incr retries;
-            rewrite pa;
-            check (tries + 1)
-          end
-          else begin
-            incr detections;
-            Metrics.incr m_detections;
-            match Remap.retire rm l with
-            | None -> raise (Pool_dry l)
-            | Some spare ->
-              incr remaps;
-              rewrite spare;
-              check 0
-          end
-      in
-      check 0
-    end
-  in
-  let verified_load l v =
-    verified l ~intended:v ~put:(fun pa -> Faulty.load fx pa v)
-      ~rewrite:(fun pa -> Faulty.load fx pa v)
+  let st =
+    { fx; rm; verify; max_retries; reads = 0; detected = 0; remapped = 0; retried = 0 }
   in
   (* binding is validated before any array operation, so a bad binding
      never consumes spares *)
   let values = Program.bind_inputs ~caller:"Exec.run" p.Program.pi_cells inputs in
-  let read c = Faulty.read fx (Remap.physical rm c) in
+  let read = read st in
   let outcome =
     try
       (* power-on reset / scrub: compiled programs assume all-HRS state *)
       if reset then
         for l = 0 to p.Program.num_cells - 1 do
-          verified_load l false
+          verified_load st l false
         done;
-      Array.iteri (fun i (_, cell) -> verified_load cell values.(i)) p.Program.pi_cells;
-      (* instruction stream *)
-      Array.iter
-        (fun (instr : I.t) ->
-          let a = Program.operand read instr.I.a in
-          let b = Program.operand read instr.I.b in
-          let l = instr.I.z in
-          if verify then begin
-            let z = read l in
-            let intended = I.semantics ~a ~b ~z in
-            verified l ~intended
-              ~put:(fun pa -> Faulty.rm3 fx ~p:a ~q:b pa)
-              ~rewrite:(fun pa -> Faulty.write fx pa intended)
-          end
-          else Faulty.rm3 fx ~p:a ~q:b (Remap.physical rm l))
-        p.Program.instrs;
+      Array.iteri (fun i (_, cell) -> verified_load st cell values.(i)) p.Program.pi_cells;
+      for i = 0 to Array.length p.Program.instrs - 1 do
+        step st read p.Program.instrs.(i)
+      done;
       Completed (Program.read_outputs p.Program.po_cells read)
     with Pool_dry l -> Out_of_spares l
   in
   ( outcome,
-    { verify_reads = !verify_reads;
-      detections = !detections;
-      remaps = !remaps;
-      retries = !retries } )
+    { verify_reads = st.reads;
+      detections = st.detected;
+      remaps = st.remapped;
+      retries = st.retried } )

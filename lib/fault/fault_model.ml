@@ -106,6 +106,10 @@ let sample_permanent s ~cells =
   in
   go (cells - 1) []
 
-let transient_probability s ~writes =
+(* This runs on every write pulse, so it compares the unboxed sum with the
+   [bits53] draw behind [Splitmix.float] in place.  Leaving out the clamp
+   changes no outcome: a draw is below 1, and a NaN or non-positive sum
+   draws nothing either way. *)
+let transient_fires s ~writes rng =
   let p = s.transient +. (s.transient_growth *. float_of_int writes) in
-  Float.min 1.0 (Float.max 0.0 p)
+  p > 0.0 && float_of_int (Splitmix.bits53 rng) /. 9007199254740992.0 < p

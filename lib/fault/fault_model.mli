@@ -67,6 +67,9 @@ val cell_fault : spec -> int -> kind option
 val sample_permanent : spec -> cells:int -> (int * kind) list
 (** All permanently faulty cells in [0, cells), ascending. *)
 
-val transient_probability : spec -> writes:int -> float
-(** Switching-failure probability of the next write to a cell that has
-    already sustained [writes] writes; clamped to [0, 1]. *)
+val transient_fires : spec -> writes:int -> Plim_util.Splitmix.t -> bool
+(** Whether the next write to a cell that has already sustained [writes]
+    writes fails to switch: a uniform draw from the rng falls below the
+    switching-failure probability [transient + growth * writes] (clamped
+    to [0, 1]).  Draws only when that probability is positive, so a spec
+    without transients consumes no randomness.  Allocates nothing. *)

@@ -78,14 +78,6 @@ let absorb t i =
   Metrics.incr m_absorbed;
   if Trace.enabled () then Trace.emit "fault.absorbed_write" ~args:[ ("cell", Int i) ]
 
-(* Whether the next write pulse on a cell with [writes] prior writes fails.
-   Draws from the rng only when the probability is non-zero, so a fault-free
-   wrapper consumes no randomness and stays bit-identical to the bare
-   crossbar. *)
-let transient_fires t ~writes =
-  let p = Fault_model.transient_probability t.spec ~writes in
-  p > 0.0 && Splitmix.float t.rng < p
-
 let note_transient t i =
   t.transients <- t.transients + 1;
   Metrics.incr m_transient;
@@ -96,7 +88,7 @@ let write t i b =
   | Some _ -> absorb t i
   | None ->
     let writes = Crossbar.writes t.base i in
-    if transient_fires t ~writes then begin
+    if Fault_model.transient_fires t.spec ~writes t.rng then begin
       let prev = Crossbar.peek t.base i in
       if prev <> b then note_transient t i;
       (* the pulse wears the cell but the state does not switch *)
@@ -110,7 +102,7 @@ let rm3 t ~p ~q i =
   | Some _ -> absorb t i
   | None ->
     let writes = Crossbar.writes t.base i in
-    if transient_fires t ~writes then begin
+    if Fault_model.transient_fires t.spec ~writes t.rng then begin
       let prev = Crossbar.peek t.base i in
       let intended = Plim_isa.Instruction.semantics ~a:p ~b:q ~z:prev in
       if prev <> intended then note_transient t i;

@@ -198,6 +198,7 @@ let child g id i =
 
 let input_name g pi = Vec.get g.input_names pi
 let input_signal g pi = signal (Vec.get g.input_nodes pi) false
+let output g i = Vec.get g.outs i
 let outputs g = Vec.to_array g.outs
 let input_names g = Vec.to_array g.input_names
 

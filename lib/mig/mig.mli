@@ -92,6 +92,9 @@ val child : t -> int -> int -> signal
 
 val input_name : t -> int -> string
 val input_signal : t -> int -> signal
+val output : t -> int -> string * signal
+(** [output t i] is [(outputs t).(i)] without copying the output table. *)
+
 val outputs : t -> (string * signal) array
 val input_names : t -> string array
 

@@ -1,33 +1,53 @@
-let pp_operand buf s =
-  if Mig.is_complemented s then Buffer.add_char buf '~';
-  Buffer.add_string buf (string_of_int (Mig.node_of s))
+(* The one emitter of the [.mig] text: [to_string] collects it in a
+   buffer, [digest] hashes it as it is produced. *)
+type sink = { char : char -> unit; string : string -> unit; int : int -> unit }
+
+let emit k g =
+  (* an operand with its leading space *)
+  let operand s =
+    k.string (if Mig.is_complemented s then " ~" else " ");
+    k.int (Mig.node_of s)
+  in
+  k.string "mig\n";
+  for pi = 0 to Mig.num_inputs g - 1 do
+    k.string ".input ";
+    k.int (Mig.node_of (Mig.input_signal g pi));
+    k.char ' ';
+    k.string (Mig.input_name g pi);
+    k.char '\n'
+  done;
+  Mig.iter_reachable_maj g (fun id ->
+      k.string ".node ";
+      k.int id;
+      operand (Mig.child g id 0);
+      operand (Mig.child g id 1);
+      operand (Mig.child g id 2);
+      k.char '\n');
+  for o = 0 to Mig.num_outputs g - 1 do
+    let name, s = Mig.output g o in
+    k.string ".output ";
+    k.string name;
+    operand s;
+    k.char '\n'
+  done
 
 let to_string g =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "mig\n";
-  Array.iteri
-    (fun pi name ->
-      Buffer.add_string buf
-        (Printf.sprintf ".input %d %s\n" (Mig.node_of (Mig.input_signal g pi)) name))
-    (Mig.input_names g);
-  Mig.iter_reachable_maj g (fun id ->
-      match Mig.kind g id with
-      | Mig.Maj (a, b, c) ->
-        Buffer.add_string buf (Printf.sprintf ".node %d " id);
-        pp_operand buf a;
-        Buffer.add_char buf ' ';
-        pp_operand buf b;
-        Buffer.add_char buf ' ';
-        pp_operand buf c;
-        Buffer.add_char buf '\n'
-      | Mig.Const | Mig.Input _ -> assert false);
-  Array.iter
-    (fun (name, s) ->
-      Buffer.add_string buf (Printf.sprintf ".output %s " name);
-      pp_operand buf s;
-      Buffer.add_char buf '\n')
-    (Mig.outputs g);
+  emit
+    { char = Buffer.add_char buf;
+      string = Buffer.add_string buf;
+      int = (fun n -> Buffer.add_string buf (string_of_int n)) }
+    g;
   Buffer.contents buf
+
+let digest g =
+  let h = Plim_util.Fnv.create () in
+  emit
+    { char = Plim_util.Fnv.add_char h;
+      string = Plim_util.Fnv.add_string h;
+      int = Plim_util.Fnv.add_int h }
+    g;
+  Plim_util.Fnv.hex h
 
 exception Parse_error of int * string
 

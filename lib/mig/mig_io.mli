@@ -18,6 +18,11 @@ val to_string : Mig.t -> string
     Node operands are node ids, [~] marks a complemented edge, and id 0 is
     the constant false. *)
 
+val digest : Mig.t -> string
+(** [Plim_util.Fnv.digest_string (to_string g)], computed by hashing the
+    text as it is emitted: no text is built.  The serve cache keys and the
+    corpus file names are this digest. *)
+
 val of_string : string -> (Mig.t, string) result
 (** Parse the [.mig] format.  [Error] on malformed input, always with a
     line number: a missing header, an unrecognised line, a bad id or

@@ -93,6 +93,8 @@ let writes t i =
 
 let write_counts t = Array.copy t.writes
 
+let total_writes t = Array.fold_left ( + ) 0 t.writes
+
 let transitions t i =
   check t i;
   t.transitions.(i)

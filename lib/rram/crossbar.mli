@@ -59,6 +59,10 @@ val set_observer : t -> (cell:int -> writes:int -> unit) option -> unit
 
 val writes : t -> int -> int
 val write_counts : t -> int array
+
+val total_writes : t -> int
+(** Sum of {!write_counts}, read in place without copying the array. *)
+
 val transitions : t -> int -> int
 val transition_counts : t -> int array
 val failed : t -> int -> bool

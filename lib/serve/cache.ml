@@ -14,7 +14,7 @@ type t = {
 let m_hits = Metrics.counter "serve.cache_hits"
 let m_misses = Metrics.counter "serve.cache_misses"
 
-let digest_of graph = Plim_util.Fnv.digest_string (Mig_io.to_string graph)
+let digest_of = Mig_io.digest
 
 let create () = { table = Hashtbl.create 64; hits = 0; misses = 0 }
 

@@ -19,7 +19,9 @@ type t
 
 val digest_of : Mig.t -> string
 (** FNV-1a 64-bit digest (hex) of the canonical [.mig] serialisation —
-    what "the same MIG" means to the cache ({!Plim_util.Fnv}). *)
+    what "the same MIG" means to the cache.  It is
+    {!Plim_mig.Mig_io.digest}, which hashes the text as it is emitted and
+    never builds it. *)
 
 val create : unit -> t
 

@@ -9,6 +9,7 @@ module Histogram = Plim_telemetry.Histogram
 module Json = Plim_telemetry.Json
 module Splitmix = Plim_util.Splitmix
 module Metrics = Plim_obs.Metrics
+module Profile = Plim_obs.Profile
 
 type config = {
   pipeline : Pipeline.config;
@@ -234,6 +235,9 @@ let observe_groups t digest p =
 let pmap pool ~f xs =
   match pool with Some p -> Plim_par.map p ~f xs | None -> List.map f xs
 
+(* One batch in five phases, each a Profile span (classify, compile,
+   place, execute, settle), so a profiled run attributes all of
+   [Server.run]'s time; there is no span per request. *)
 let serve_batch ?pool t reqs =
   let n = Array.length reqs in
   t.requests <- t.requests + n;
@@ -248,79 +252,89 @@ let serve_batch ?pool t reqs =
   (* Phase 1: classify. Compile hits answer immediately; distinct
      missing digests become compile jobs; executions wait for phase 2
      so batch-compiled programs are visible to them. *)
-  let misses = ref [] and miss_seen = Hashtbl.create 8 and pending_execs = ref [] in
-  Array.iteri
-    (fun i req ->
-      match req with
-      | Workload.Compile { label; graph } ->
-        t.compiles <- t.compiles + 1;
-        let digest = Cache.digest_of graph in
-        if Option.is_some (Cache.find t.cache digest) || Hashtbl.mem miss_seen digest
-        then begin
-          (* a digest already compiling earlier in this batch is a hit
-             too: the in-flight compile serves it, so the counters and
-             responses are independent of the batch size *)
-          Cache.record_hit t.cache;
-          observe_latency t 1;
-          answer i (Compiled { digest; cached = true })
-        end
-        else begin
-          Cache.record_miss t.cache;
-          Hashtbl.add miss_seen digest ();
-          misses := (i, digest, label, graph) :: !misses
-        end
-      | Workload.Execute { digest; inputs } ->
-        pending_execs := (i, digest, inputs) :: !pending_execs)
-    reqs;
+  let misses, pending_execs =
+    Profile.span "server.classify" @@ fun () ->
+    let misses = ref [] and miss_seen = Hashtbl.create 8 and pending_execs = ref [] in
+    Array.iteri
+      (fun i req ->
+        match req with
+        | Workload.Compile { label; graph } ->
+          t.compiles <- t.compiles + 1;
+          let digest = Cache.digest_of graph in
+          if Option.is_some (Cache.find t.cache digest) || Hashtbl.mem miss_seen digest
+          then begin
+            (* a digest already compiling earlier in this batch is a hit
+               too: the in-flight compile serves it, so the counters and
+               responses are independent of the batch size *)
+            Cache.record_hit t.cache;
+            observe_latency t 1;
+            answer i (Compiled { digest; cached = true })
+          end
+          else begin
+            Cache.record_miss t.cache;
+            Hashtbl.add miss_seen digest ();
+            misses := (i, digest, label, graph) :: !misses
+          end
+        | Workload.Execute { digest; inputs } ->
+          pending_execs := (i, digest, inputs) :: !pending_execs)
+      reqs;
+    (List.rev !misses, List.rev !pending_execs)
+  in
   (* Phase 2: compile the distinct misses in parallel; merge into the
      cache in submission order (first writer wins, so the merge order
      is fixed by the request stream, not by completion order). *)
-  let misses = List.rev !misses in
-  pmap pool misses ~f:(fun (_, digest, label, graph) ->
-    let result = Pipeline.compile t.cfg.pipeline graph in
-    (digest, { Cache.label; source = graph; result }))
-  |> List.iter (fun (digest, entry) -> Cache.add t.cache ~digest entry);
-  List.iter
-    (fun (i, digest, _, graph) ->
-      observe_latency t (Mig.size graph);
-      answer i (Compiled { digest; cached = false }))
-    misses;
-  (* Phase 2b: resolve executions against the updated cache. *)
-  let jobs =
-    List.rev !pending_execs
-    |> List.filter_map (fun (index, digest, inputs) ->
-         match Cache.hit t.cache digest with
-         | Some entry ->
-           Some { index; digest; program = entry.Cache.result.Pipeline.program; inputs }
-         | None ->
-           reject index digest "unknown program digest";
-           None)
+  Profile.span "server.compile" (fun () ->
+      pmap pool misses ~f:(fun (_, digest, label, graph) ->
+          let result = Pipeline.compile t.cfg.pipeline graph in
+          (digest, { Cache.label; source = graph; result }))
+      |> List.iter (fun (digest, entry) -> Cache.add t.cache ~digest entry);
+      List.iter
+        (fun (i, digest, _, graph) ->
+          observe_latency t (Mig.size graph);
+          answer i (Compiled { digest; cached = false }))
+        misses);
+  let queues =
+    Profile.span "server.place" @@ fun () ->
+    (* Phase 2b: resolve executions against the updated cache. *)
+    let jobs =
+      List.filter_map
+        (fun (index, digest, inputs) ->
+          match Cache.hit t.cache digest with
+          | Some entry ->
+            Some { index; digest; program = entry.Cache.result.Pipeline.program; inputs }
+          | None ->
+            reject index digest "unknown program digest";
+            None)
+        pending_execs
+    in
+    if jobs <> [] then materialize_fleet t;
+    (* Phase 3: sequential placement onto the least-worn eligible active
+       shard.  Wear is read once at batch start and advanced by the static
+       footprint of work placed so far, so the placement depends only on
+       pre-batch fleet state and batch order. *)
+    let planned = Array.map Shard.total_writes t.fleet in
+    let queues = Array.make (Array.length t.fleet) [] in
+    List.iter
+      (fun j ->
+        let cells = Program.num_cells j.program and lines = Shard.lines t.fleet.(0) in
+        if cells > lines then
+          reject j.index j.digest
+            (Printf.sprintf "program needs %d lines, shards have %d" cells lines)
+        else
+          match least_worn t ~wear:(fun s -> planned.(Shard.id s)) with
+          | None -> reject j.index j.digest "no active shards"
+          | Some s ->
+            let id = Shard.id s in
+            planned.(id) <- planned.(id) + footprint j.program;
+            queues.(id) <- j :: queues.(id))
+      jobs;
+    queues
   in
-  if jobs <> [] then materialize_fleet t;
-  (* Phase 3: sequential placement onto the least-worn eligible active
-     shard.  Wear is read once at batch start and advanced by the static
-     footprint of work placed so far, so the placement depends only on
-     pre-batch fleet state and batch order. *)
-  let planned = Array.map Shard.total_writes t.fleet in
-  let queues = Array.make (Array.length t.fleet) [] in
-  List.iter
-    (fun j ->
-      let cells = Program.num_cells j.program and lines = Shard.lines t.fleet.(0) in
-      if cells > lines then
-        reject j.index j.digest
-          (Printf.sprintf "program needs %d lines, shards have %d" cells lines)
-      else
-        match least_worn t ~wear:(fun s -> planned.(Shard.id s)) with
-        | None -> reject j.index j.digest "no active shards"
-        | Some s ->
-          let id = Shard.id s in
-          planned.(id) <- planned.(id) + footprint j.program;
-          queues.(id) <- j :: queues.(id))
-    jobs;
   (* Phase 4: one parallel task per shard with work; each task owns its
      shard's mutable state exclusively and runs its queue in batch
      order.  The fault-free reference run is pure, so it rides along. *)
   let shard_results =
+    Profile.span "server.execute" @@ fun () ->
     Array.to_list t.fleet
     |> List.filter (fun s -> queues.(Shard.id s) <> [])
     |> pmap pool ~f:(fun s ->
@@ -337,6 +351,7 @@ let serve_batch ?pool t reqs =
      dry spare pool retires the shard and replays the abandoned
      execution on the least-worn surviving active shard, until an
      attempt completes or no active shard is left. *)
+  Profile.span "server.settle" @@ fun () ->
   let rec settle j ideal ~cycles s (outcome, stats) =
     let cycles = cycles + attempt_cycles j.program stats in
     match outcome with

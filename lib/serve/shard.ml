@@ -61,6 +61,6 @@ let execute ~verify t p ~inputs =
 let executions t = t.executions
 let stats t = t.stats
 let wear_counts t = Faulty.wear_counts t.faulty
-let total_writes t = Array.fold_left ( + ) 0 (wear_counts t)
+let total_writes t = Crossbar.total_writes (Faulty.base t.faulty)
 let spares_left t = Remap.spares_left t.remap
 let stuck_cells t = Faulty.num_faulty t.faulty

@@ -43,9 +43,14 @@ let sample_rank rng cumulative =
   let rec find i = if i >= n - 1 || u < cumulative.(i) then i else find (i + 1) in
   find 0
 
-let input_vector rng graph =
-  let names = Mig.input_names graph in
-  Array.to_list (Array.map (fun name -> (name, Splitmix.bool rng)) names)
+(* One [(name, false)] and one [(name, true)] binding per input, built once
+   per program: a vector shares them and allocates only its list. *)
+let bindings graph =
+  Array.map (fun name -> ((name, false), (name, true))) (Mig.input_names graph)
+
+let input_vector rng bindings =
+  Array.to_list
+    (Array.map (fun (off, on) -> if Splitmix.bool rng then on else off) bindings)
 
 let generate ~seed ~requests mix =
   if requests < 0 then invalid_arg "Workload.generate: negative request count";
@@ -53,6 +58,7 @@ let generate ~seed ~requests mix =
   if mix.hot_pool < 0 then invalid_arg "Workload.generate: negative hot pool";
   let programs = Array.of_list mix.programs in
   let n = Array.length programs in
+  let bindings = Array.map (fun p -> bindings p.graph) programs in
   let mass = zipf_mass mix.zipf n in
   let cumulative = Array.make n 0.0 in
   let acc = ref 0.0 in
@@ -65,17 +71,12 @@ let generate ~seed ~requests mix =
      request stream — so the same recurring vectors appear whatever the
      request count. *)
   let hot_vectors =
-    Array.mapi
-      (fun rank p ->
+    Array.init n (fun rank ->
         Array.init mix.hot_pool (fun slot ->
-          let vseed = Splitmix.derive (Splitmix.derive seed (1 + rank)) slot in
-          input_vector (Splitmix.create vseed) p.graph))
-      programs
+            let vseed = Splitmix.derive (Splitmix.derive seed (1 + rank)) slot in
+            input_vector (Splitmix.create vseed) bindings.(rank)))
   in
   let rng = Splitmix.create (Splitmix.derive seed 0) in
-  let warmup =
-    List.map (fun p -> Compile { label = p.label; graph = p.graph }) mix.programs
-  in
   let sampled =
     List.init requests (fun _ ->
       let rank = sample_rank rng cumulative in
@@ -86,8 +87,12 @@ let generate ~seed ~requests mix =
         let inputs =
           if mix.hot_pool > 0 && Splitmix.float rng < mix.hot_fraction then
             hot_vectors.(rank).(Splitmix.int rng mix.hot_pool)
-          else input_vector rng p.graph
+          else input_vector rng bindings.(rank)
         in
         Execute { digest = p.digest; inputs })
   in
-  warmup @ sampled
+  (* the warm-up compiles go in front of the sampled stream, which is not
+     copied *)
+  List.fold_right
+    (fun p stream -> Compile { label = p.label; graph = p.graph } :: stream)
+    mix.programs sampled

@@ -10,6 +10,27 @@
     64-bit hash with good dispersion over short ASCII texts — exactly
     the MIG serialisations it is fed. *)
 
+type t
+(** A running hash.  Feeding it bytes allocates nothing, so a text can be
+    hashed as it is produced instead of being built first. *)
+
+val create : unit -> t
+(** The hash of the empty string. *)
+
+val add_char : t -> char -> unit
+
+val add_string : t -> string -> unit
+
+val add_int : t -> int -> unit
+(** Feeds the decimal text of the int, as [string_of_int] writes it;
+    allocates nothing for non-negative ints. *)
+
+val value : t -> int64
+(** The hash of every byte fed so far. *)
+
+val hex : t -> string
+(** {!value} as 16 lowercase hex characters. *)
+
 val digest_int64 : string -> int64
 (** Raw FNV-1a 64-bit hash of the byte string. *)
 

@@ -22,8 +22,14 @@ val int : t -> int -> int
 
 val bool : t -> bool
 
+val bits53 : t -> int
+(** The top 53 bits of the next raw output, uniform in [\[0, 2^53)]: the
+    integer behind {!float}.  Returns an immediate, so a caller that
+    compares a draw with a probability can scale it itself and box no
+    float. *)
+
 val float : t -> float
-(** Uniform in [\[0, 1)]. *)
+(** Uniform in [\[0, 1)]: [bits53 t / 2^53], exactly. *)
 
 val bits : t -> width:int -> bool array
 (** [bits t ~width] is a uniform bit vector, LSB first. *)

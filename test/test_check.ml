@@ -40,6 +40,23 @@ let lowering_preserves_semantics =
       done;
       !ok)
 
+(* The streamed digest hashes exactly the text [Mig_io.to_string] builds:
+   the cache keys and corpus names are unchanged by never building it. *)
+let streamed_digest_matches_text =
+  QCheck.Test.make ~count:200 ~name:"Mig_io.digest = digest of Mig_io.to_string" desc_arb
+    (fun d ->
+      let g = Gen.to_mig d in
+      Mig_io.digest g = Plim_util.Fnv.digest_string (Mig_io.to_string g))
+
+let test_streamed_digest_suite () =
+  List.iter
+    (fun (spec : Plim_benchgen.Suite.spec) ->
+      let g = Plim_benchgen.Suite.build_cached spec in
+      Alcotest.(check string) spec.Plim_benchgen.Suite.name
+        (Plim_util.Fnv.digest_string (Mig_io.to_string g))
+        (Mig_io.digest g))
+    Plim_benchgen.Suite.all
+
 (* well-founded shrink measure; [idxsum] comes before [negs] because edge
    hoisting shortens reference paths but may flip a complement on *)
 let measure d =
@@ -267,7 +284,10 @@ let () =
             test_reference_order_topological ] );
       ( "corpus",
         [ Alcotest.test_case "save/load roundtrip" `Quick test_corpus_roundtrip;
-          Alcotest.test_case "missing dir" `Quick test_corpus_missing_dir ] );
+          Alcotest.test_case "missing dir" `Quick test_corpus_missing_dir;
+          qc streamed_digest_matches_text;
+          Alcotest.test_case "streamed digest on every suite circuit" `Quick
+            test_streamed_digest_suite ] );
       ( "fuzz",
         [ Alcotest.test_case "shrinks synthetic bug to minimal" `Quick
             test_fuzz_shrinks_to_minimal;

@@ -167,6 +167,34 @@ let test_zero_fault_bit_identical () =
   Alcotest.(check (array int)) "same write counts" (Crossbar.write_counts xbar)
     (Crossbar.write_counts base)
 
+(* The write-verify loop allocates per run, not per instruction: under
+   transient faults every RM3 draws from the fault rng and is read back,
+   and none of that may box or build a closure. *)
+let test_exec_allocation () =
+  let graph = Plim_benchgen.Suite.build_cached (Plim_benchgen.Suite.find "sqrt8") in
+  let p = (Pipeline.compile Pipeline.endurance_full graph).Pipeline.program in
+  let spec = Fault_model.make ~transient:1e-4 ~seed:7 () in
+  let fx = Faulty.create ~spec (Crossbar.create (Program.num_cells p + 8)) in
+  let rm = Remap.create ~spares:8 ~lines:(Program.num_cells p) () in
+  let inputs =
+    Program.inputs_of_vector p.Program.pi_cells
+      (Array.init (Array.length p.Program.pi_cells) (fun i -> i mod 3 = 0))
+  in
+  let runs = 200 in
+  let retries = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    match Exec.run ~verify:true fx rm p ~inputs with
+    | Exec.Completed _, stats -> retries := !retries + stats.Exec.retries
+    | Exec.Out_of_spares _, _ -> Alcotest.fail "transients exhausted the spares"
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool "transients fired and were retried" true (!retries > 0);
+  let per_instr = words /. float_of_int (runs * Program.length p) in
+  if per_instr >= 2.0 then
+    Alcotest.failf "%.2f minor words per instruction (%d instructions)" per_instr
+      (Program.length p)
+
 let test_oversized_remap_table () =
   (* a persistent shard's remap table outlives any one program: a table
      with more lines than the program has cells must execute identically,
@@ -245,4 +273,6 @@ let () =
             test_zero_fault_bit_identical;
           Alcotest.test_case "oversized remap table" `Quick
             test_oversized_remap_table;
+          Alcotest.test_case "write-verify allocates per run, not per instruction" `Quick
+            test_exec_allocation;
           qc verified_never_wrong ] ) ]

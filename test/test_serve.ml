@@ -74,6 +74,25 @@ let test_generate_deterministic () =
   check_int "warm-up + sampled" (List.length mix4.Workload.programs + 300)
     (List.length a)
 
+(* A generated stream stays resident for a whole replay, so a program's
+   vectors share one [(name, value)] binding per input value instead of
+   allocating a pair per input per request. *)
+let test_generate_shares_bindings () =
+  let stream = Workload.generate ~seed:7 ~requests:400 mix4 in
+  let first = Hashtbl.create 64 in
+  List.iter
+    (function
+      | Workload.Compile _ -> ()
+      | Workload.Execute { digest; inputs } ->
+        List.iter
+          (fun b ->
+            match Hashtbl.find_opt first (digest, b) with
+            | None -> Hashtbl.add first (digest, b) b
+            | Some b0 -> check_bool "binding shared" true (b == b0))
+          inputs)
+    stream;
+  check_bool "both values of some input seen" true (Hashtbl.length first > 2)
+
 let test_generate_warmup_first () =
   let stream = Workload.generate ~seed:3 ~requests:50 mix4 in
   let programs = mix4.Workload.programs in
@@ -396,7 +415,9 @@ let () =
           Alcotest.test_case "zipf chi-square" `Quick test_zipf_chi_square;
           Alcotest.test_case "seed determinism" `Quick test_generate_deterministic;
           Alcotest.test_case "warm-up compiles first" `Quick test_generate_warmup_first;
-          Alcotest.test_case "hot/cold input skew" `Quick test_hot_cold_skew ] );
+          Alcotest.test_case "hot/cold input skew" `Quick test_hot_cold_skew;
+          Alcotest.test_case "vectors share their bindings" `Quick
+            test_generate_shares_bindings ] );
       ( "cache",
         [ Alcotest.test_case "digest stability" `Quick test_cache_digest_stability;
           Alcotest.test_case "small-suite digest pins" `Quick test_cache_digest_pins ] );

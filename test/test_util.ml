@@ -188,7 +188,10 @@ let test_splitmix_known_answers () =
       check_int (what "int max_int") intmax (Splitmix.int r max_int);
       check_float (what "second float") f2 (Splitmix.float r);
       check_int (what "derive 0") d0 (Splitmix.derive seed 0);
-      check_int (what "derive 5") d5 (Splitmix.derive seed 5))
+      check_int (what "derive 5") d5 (Splitmix.derive seed 5);
+      check_float (what "float = bits53 / 2^53")
+        (Splitmix.float (Splitmix.create seed))
+        (float_of_int (Splitmix.bits53 (Splitmix.create seed)) /. 9007199254740992.0))
     [ ( 0, -2152535657050944081L, 925, 0x1.b1174620025p-6, false, 490437550606523686,
         0x1.4f2e7c31d1fa8p-2, 1990071630548588925, 801824006500076728 );
       ( 1, -7995527694508729151L, 129, 0x1.f12745ddf664ap-1, true, 2048809309281742190,
