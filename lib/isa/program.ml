@@ -59,7 +59,7 @@ let static_write_counts t =
 
 let iter f t = Array.iter f t.instrs
 
-let bind_inputs ~caller pi_cells inputs =
+let bind_by_name ~caller pi_cells inputs =
   let bound = Hashtbl.create 16 in
   List.iter
     (fun (name, v) ->
@@ -79,6 +79,25 @@ let bind_inputs ~caller pi_cells inputs =
   in
   if Hashtbl.length bound > 0 then invalid_arg (caller ^ ": unknown extra inputs");
   values
+
+(* Inputs in [pi_cells] order, as [inputs_of_vector] produces them, bind
+   by position with no table.  With distinct input names such a list has
+   no duplicate, missing or extra input, so only the by-name path, which
+   every other list takes, raises. *)
+let bind_inputs ~caller pi_cells inputs =
+  let n = Array.length pi_cells in
+  let values = Array.make n false in
+  let rec in_order i = function
+    | [] -> i = n
+    | (name, v) :: rest ->
+      i < n
+      && String.equal name (fst pi_cells.(i))
+      && begin
+        values.(i) <- v;
+        in_order (i + 1) rest
+      end
+  in
+  if in_order 0 inputs then values else bind_by_name ~caller pi_cells inputs
 
 let inputs_of_vector pi_cells values =
   if Array.length values <> Array.length pi_cells then

@@ -45,7 +45,10 @@ val iter : (Instruction.t -> unit) -> t -> unit
 
 val bind_inputs :
   caller:string -> (string * int) array -> (string * bool) list -> bool array
-(** The value of each input in [pi_cells] order.
+(** The value of each input in [pi_cells] order.  The names in
+    [pi_cells] must be distinct, as {!make} ensures.  Inputs listed in
+    [pi_cells] order, as {!inputs_of_vector} lists them, bind by position
+    and allocate only the result; any other order goes through a table.
     @raise Invalid_argument ["<caller>: duplicate input \"x\""], then
     ["<caller>: missing input \"x\""], then
     ["<caller>: unknown extra inputs"]. *)

@@ -9,16 +9,23 @@ type node_kind =
   | Input of int
   | Maj of signal * signal * signal
 
-(* tag values in the [tag] vector *)
+(* tag values in the [tag] array *)
 let tag_const = 0
 let tag_input = 1
 let tag_maj = 2
 
+(* One plain [int array] per field, indexed by node id, owned here and
+   grown by doubling: a [Vec.t] would cost an out-of-line call per read,
+   since nothing inlines across modules under [-opaque].  Separate arrays
+   rather than one interleaved 4-word-per-node array, which measurably
+   raised peak heap over a recipe's passes.  Slots at [len] and above are
+   spare capacity. *)
 type t = {
-  tag : int Vec.t;
-  c0 : int Vec.t; (* maj: sorted child signals / input: PI index *)
-  c1 : int Vec.t;
-  c2 : int Vec.t;
+  mutable tag : int array;
+  mutable c0 : int array; (* maj: sorted child signals / input: PI index *)
+  mutable c1 : int array;
+  mutable c2 : int array;
+  mutable len : int; (* allocated nodes, the constant included *)
   mutable strash : int array;
   (* open-addressed structural hash: majority node ids, each keyed on its
      own (c0, c1, c2); 0 (the constant's id) marks an empty slot.  The
@@ -41,10 +48,6 @@ let signal_equal (a : signal) b = a = b
 let false_ = signal 0 false
 let true_ = signal 0 true
 let is_const s = node_of s = 0
-let compare_signal (a : signal) b = compare a b
-
-let pp_signal ppf s =
-  Format.fprintf ppf "%s%d" (if is_complemented s then "!" else "") (node_of s)
 
 (* {1 Construction} *)
 
@@ -54,35 +57,44 @@ let strash_slots nodes =
   let rec pow2 n = if n >= 2 * nodes then n else pow2 (2 * n) in
   pow2 256
 
-(* [nodes] sizes the node vectors and the strash up front, so a rebuild
+(* [nodes] sizes the node arrays and the strash up front, so a rebuild
    never regrows or rehashes them. *)
 let create_sized ?nodes () =
-  let vec dummy = Vec.create ?capacity:nodes ~dummy () in
-  let g =
-    { tag = vec tag_const;
-      c0 = vec 0;
-      c1 = vec 0;
-      c2 = vec 0;
-      strash = Array.make (strash_slots (Option.value nodes ~default:0)) 0;
-      strash_count = 0;
-      input_names = Vec.create ~dummy:"" ();
-      input_nodes = Vec.create ~dummy:0 ();
-      outs = Vec.create ~dummy:("", 0) () }
-  in
-  (* node 0: the constant *)
-  ignore (Vec.push g.tag tag_const);
-  ignore (Vec.push g.c0 0);
-  ignore (Vec.push g.c1 0);
-  ignore (Vec.push g.c2 0);
-  g
+  let capacity = max 16 (Option.value nodes ~default:0) in
+  let field () = Array.make capacity 0 in
+  (* node 0, the constant, is all zeros: tag_const and no children *)
+  { tag = field ();
+    c0 = field ();
+    c1 = field ();
+    c2 = field ();
+    len = 1;
+    strash = Array.make (strash_slots (Option.value nodes ~default:0)) 0;
+    strash_count = 0;
+    input_names = Vec.create ~dummy:"" ();
+    input_nodes = Vec.create ~dummy:0 ();
+    outs = Vec.create ~dummy:("", 0) () }
 
 let create () = create_sized ()
 
+let grow_nodes g =
+  let grow a =
+    let a' = Array.make (2 * Array.length a) 0 in
+    Array.blit a 0 a' 0 g.len;
+    a'
+  in
+  g.tag <- grow g.tag;
+  g.c0 <- grow g.c0;
+  g.c1 <- grow g.c1;
+  g.c2 <- grow g.c2
+
 let new_node g tag c0 c1 c2 =
-  let id = Vec.push g.tag tag in
-  ignore (Vec.push g.c0 c0);
-  ignore (Vec.push g.c1 c1);
-  ignore (Vec.push g.c2 c2);
+  if g.len = Array.length g.tag then grow_nodes g;
+  let id = g.len in
+  g.tag.(id) <- tag;
+  g.c0.(id) <- c0;
+  g.c1.(id) <- c1;
+  g.c2.(id) <- c2;
+  g.len <- id + 1;
   id
 
 (* Names are not checked: the caller knows they are unique. *)
@@ -119,7 +131,7 @@ let hash3 a b c =
    node <a b c>, or the empty slot where it belongs. *)
 let rec probe g slots mask a b c i =
   let id = slots.(i) in
-  if id = 0 || (Vec.get g.c0 id = a && Vec.get g.c1 id = b && Vec.get g.c2 id = c)
+  if id = 0 || (g.c0.(id) = a && g.c1.(id) = b && g.c2.(id) = c)
   then i
   else probe g slots mask a b c ((i + 1) land mask)
 
@@ -133,7 +145,7 @@ let grow_strash g =
   Array.iter
     (fun id ->
       if id <> 0 then
-        slots.(slot g slots (Vec.get g.c0 id) (Vec.get g.c1 id) (Vec.get g.c2 id)) <- id)
+        slots.(slot g slots g.c0.(id) g.c1.(id) g.c2.(id)) <- id)
     old;
   g.strash <- slots
 
@@ -176,24 +188,32 @@ let add_output g name s = ignore (Vec.push g.outs (name, s))
 
 (* {1 Inspection} *)
 
-let num_nodes g = Vec.length g.tag
+let num_nodes g = g.len
 let num_inputs g = Vec.length g.input_names
 let num_outputs g = Vec.length g.outs
 
-let kind g id =
-  let tag = Vec.get g.tag id in
-  if tag = tag_const then Const
-  else if tag = tag_input then Input (Vec.get g.c0 id)
-  else Maj (Vec.get g.c0 id, Vec.get g.c1 id, Vec.get g.c2 id)
+let check_id fn g id =
+  if id < 0 || id >= g.len then
+    invalid_arg (Printf.sprintf "Mig.%s: node id %d out of range (num_nodes %d)" fn id g.len)
 
-let is_maj g id = Vec.get g.tag id = tag_maj
+let kind g id =
+  check_id "kind" g id;
+  let tag = g.tag.(id) in
+  if tag = tag_const then Const
+  else if tag = tag_input then Input g.c0.(id)
+  else Maj (g.c0.(id), g.c1.(id), g.c2.(id))
+
+let is_maj g id =
+  check_id "is_maj" g id;
+  g.tag.(id) = tag_maj
 
 let child g id i =
-  if not (is_maj g id) then invalid_arg "Mig.child: not a majority node";
+  check_id "child" g id;
+  if g.tag.(id) <> tag_maj then invalid_arg "Mig.child: not a majority node";
   match i with
-  | 0 -> Vec.get g.c0 id
-  | 1 -> Vec.get g.c1 id
-  | 2 -> Vec.get g.c2 id
+  | 0 -> g.c0.(id)
+  | 1 -> g.c1.(id)
+  | 2 -> g.c2.(id)
   | _ -> invalid_arg "Mig.child: position not in 0..2"
 
 let input_name g pi = Vec.get g.input_names pi
@@ -207,10 +227,10 @@ let reachable g =
   let mark = Array.make n false in
   Vec.iter (fun (_, s) -> mark.(node_of s) <- true) g.outs;
   for id = n - 1 downto 0 do
-    if mark.(id) && Vec.get g.tag id = tag_maj then begin
-      mark.(node_of (Vec.get g.c0 id)) <- true;
-      mark.(node_of (Vec.get g.c1 id)) <- true;
-      mark.(node_of (Vec.get g.c2 id)) <- true
+    if mark.(id) && g.tag.(id) = tag_maj then begin
+      mark.(node_of g.c0.(id)) <- true;
+      mark.(node_of g.c1.(id)) <- true;
+      mark.(node_of g.c2.(id)) <- true
     end
   done;
   mark
@@ -219,7 +239,7 @@ let mark_of g = function Some mark -> mark | None -> reachable g
 
 let iter_marked_maj mark g f =
   for id = 0 to num_nodes g - 1 do
-    if mark.(id) && Vec.get g.tag id = tag_maj then f id
+    if mark.(id) && g.tag.(id) = tag_maj then f id
   done
 
 let iter_reachable_maj g f = iter_marked_maj (reachable g) g f
@@ -244,19 +264,19 @@ let num_complemented_edges g =
   let n = ref 0 in
   iter_reachable_maj g (fun id ->
       let count s = if is_complemented s && not (is_const s) then incr n in
-      count (Vec.get g.c0 id);
-      count (Vec.get g.c1 id);
-      count (Vec.get g.c2 id));
+      count g.c0.(id);
+      count g.c1.(id);
+      count g.c2.(id));
   !n
 
 let levels g =
   let n = num_nodes g in
   let lv = Array.make n 0 in
   for id = 0 to n - 1 do
-    if Vec.get g.tag id = tag_maj then begin
+    if g.tag.(id) = tag_maj then begin
       let l s = lv.(node_of s) in
       lv.(id) <-
-        1 + max (l (Vec.get g.c0 id)) (max (l (Vec.get g.c1 id)) (l (Vec.get g.c2 id)))
+        1 + max (l g.c0.(id)) (max (l g.c1.(id)) (l g.c2.(id)))
     end
   done;
   lv
@@ -266,12 +286,16 @@ let depth g =
   Vec.fold_left (fun acc (_, s) -> max acc lv.(node_of s)) 0 g.outs
 
 let fanout_counts ?reachable:mark g =
-  let counts = Array.make (num_nodes g) 0 in
-  iter_marked_maj (mark_of g mark) g (fun id ->
-      let bump s = counts.(node_of s) <- counts.(node_of s) + 1 in
-      bump (Vec.get g.c0 id);
-      bump (Vec.get g.c1 id);
-      bump (Vec.get g.c2 id));
+  let mark = mark_of g mark in
+  let counts = Array.make g.len 0 in
+  let bump s = counts.(node_of s) <- counts.(node_of s) + 1 in
+  for id = 0 to g.len - 1 do
+    if mark.(id) && g.tag.(id) = tag_maj then begin
+      bump g.c0.(id);
+      bump g.c1.(id);
+      bump g.c2.(id)
+    end
+  done;
   counts
 
 let output_refs g =
@@ -288,9 +312,9 @@ let fanouts g =
         | parent :: _ when parent = id -> () (* children are distinct after Ω.M *)
         | l -> lists.(c) <- id :: l
       in
-      add (Vec.get g.c0 id);
-      add (Vec.get g.c1 id);
-      add (Vec.get g.c2 id));
+      add g.c0.(id);
+      add g.c1.(id);
+      add g.c2.(id));
   Array.map (fun l -> Array.of_list (List.rev l)) lists
 
 (* {1 Evaluation} *)
@@ -302,12 +326,12 @@ let node_values g pi_values =
   let values = Array.make n false in
   let value_of s = values.(node_of s) <> is_complemented s in
   for id = 0 to n - 1 do
-    let tag = Vec.get g.tag id in
-    if tag = tag_input then values.(id) <- pi_values.(Vec.get g.c0 id)
+    let tag = g.tag.(id) in
+    if tag = tag_input then values.(id) <- pi_values.(g.c0.(id))
     else if tag = tag_maj then begin
-      let a = value_of (Vec.get g.c0 id)
-      and b = value_of (Vec.get g.c1 id)
-      and c = value_of (Vec.get g.c2 id) in
+      let a = value_of g.c0.(id)
+      and b = value_of g.c1.(id)
+      and c = value_of g.c2.(id) in
       values.(id) <- (a && b) || (a && c) || (b && c)
     end
   done;
@@ -328,16 +352,16 @@ let output_tables g =
   let mark = reachable g in
   Vec.iteri (fun pi id -> tables.(id) <- Truth_table.var ni pi) g.input_nodes;
   for id = 0 to n - 1 do
-    if mark.(id) && Vec.get g.tag id = tag_maj then begin
+    if mark.(id) && g.tag.(id) = tag_maj then begin
       let table_of s =
         let tt = tables.(node_of s) in
         if is_complemented s then Truth_table.not_ tt else tt
       in
       tables.(id) <-
         Truth_table.maj
-          (table_of (Vec.get g.c0 id))
-          (table_of (Vec.get g.c1 id))
-          (table_of (Vec.get g.c2 id))
+          (table_of g.c0.(id))
+          (table_of g.c1.(id))
+          (table_of g.c2.(id))
     end
   done;
   Array.map
@@ -349,20 +373,18 @@ let output_tables g =
 (* {1 Copying} *)
 
 let map_rebuild ?reachable:mark g ~rule =
-  let g' = create_sized ~nodes:(num_nodes g) () in
-  let map = Array.make (num_nodes g) false_ in
+  let mark = mark_of g mark in
+  let g' = create_sized ~nodes:g.len () in
+  let map = Array.make g.len false_ in
   Vec.iteri
     (fun pi id -> map.(id) <- push_input g' (Vec.get g.input_names pi))
     g.input_nodes;
-  let remap s =
-    let m = map.(node_of s) in
-    if is_complemented s then not_ m else m
-  in
-  iter_marked_maj (mark_of g mark) g (fun id ->
-      let a = remap (Vec.get g.c0 id)
-      and b = remap (Vec.get g.c1 id)
-      and c = remap (Vec.get g.c2 id) in
-      map.(id) <- rule g' ~old_id:id a b c);
+  (* a signal's image: its node's image, complemented with it *)
+  let remap s = map.(node_of s) lxor (s land 1) in
+  for id = 0 to g.len - 1 do
+    if mark.(id) && g.tag.(id) = tag_maj then
+      map.(id) <- rule g' ~old_id:id (remap g.c0.(id)) (remap g.c1.(id)) (remap g.c2.(id))
+  done;
   Vec.iter (fun (name, s) -> add_output g' name (remap s)) g.outs;
   g'
 

@@ -10,15 +10,31 @@
     nodes are shared, and the trivial majority axiom Ω.M is applied on
     construction ([maj] never builds <x,x,y> or <x,!x,y>).
 
-    The structural hash is an open-addressed table of node ids keyed on
-    each node's own sorted children; it is not observable: a graph built
-    by the same calls gets the same ids whatever the table's size.  [maj],
-    [lookup] (up to its [Some]), [is_maj] and [child] allocate nothing. *)
+    Representation: one plain [int array] per node field (a tag and three
+    children; an input keeps its PI index in the first), indexed by node
+    id and grown by doubling, plus a structural hash: an open-addressed
+    table of node ids keyed on each node's own sorted children.  Neither
+    is observable: a graph built by the same calls gets the same ids
+    whatever its arrays' and table's sizes.  A {!signal} is a [private
+    int], so other modules read a node, a polarity or an equality by
+    coercion, with no call.  Dune's default profile compiles with
+    [-opaque], so nothing of this module is inlined elsewhere: a hot loop
+    outside it pays one call per accessor.
+
+    Allocation: [maj] (hit, miss or Ω.M reduction), a [lookup] miss,
+    [is_maj] and [child] allocate nothing, except when [maj] outgrows the
+    arrays or the table ([create_sized] sizes both up front); a [lookup]
+    hit allocates its [Some], and a caller passing [~below] allocates the
+    option.  [kind] allocates its [Maj] or [Input].  [kind], [is_maj] and
+    [child] raise [Invalid_argument] on an id outside [0, num_nodes). *)
 
 type t
 
-type signal
-(** A node reference with a polarity (complemented-edge) flag. *)
+type signal = private int
+(** A node reference with a polarity (complemented-edge) flag, packed as
+    [2 * node + (1 if complemented)].  Read it by coercion, [(s :> int)],
+    where a call to {!node_of}, {!is_complemented} or {!signal_equal}
+    would cost too much; build one only through this module. *)
 
 type node_kind =
   | Const                              (** node 0; plain signal = false *)
@@ -40,12 +56,16 @@ val signal_equal : signal -> signal -> bool
 val false_ : signal
 val true_ : signal
 val is_const : signal -> bool
-val compare_signal : signal -> signal -> int
-val pp_signal : Format.formatter -> signal -> unit
 
 (** {1 Construction} *)
 
 val create : unit -> t
+
+val create_sized : ?nodes:int -> unit -> t
+(** An empty graph whose node arrays and strash are sized for [nodes]
+    nodes, so building up to that many never regrows them.  The hint only
+    sizes storage: a graph that outgrows it doubles its arrays, and gets
+    the same ids as the same calls on [create ()]. *)
 
 val add_input : t -> string -> signal
 (** Declares a fresh primary input.
@@ -78,17 +98,19 @@ val num_nodes : t -> int
 val num_inputs : t -> int
 val num_outputs : t -> int
 val kind : t -> int -> node_kind
+(** @raise Invalid_argument if the id is not in [0, num_nodes t). *)
 
 val is_maj : t -> int -> bool
 (** [is_maj t id]: node [id] is a majority node.  Unlike [kind] it
-    allocates nothing. *)
+    allocates nothing.
+    @raise Invalid_argument if the id is not in [0, num_nodes t). *)
 
 val child : t -> int -> int -> signal
 (** [child t id i] is child [i] (0, 1 or 2) of majority node [id], as in
     [Maj] of [kind t id] and in the same order: the children sorted by
     signal.  It allocates nothing, so rewriting decisions use it.
-    @raise Invalid_argument if [id] is not a majority node or [i] is not
-    0, 1 or 2. *)
+    @raise Invalid_argument if [id] is out of range or not a majority
+    node, or [i] is not 0, 1 or 2. *)
 
 val input_name : t -> int -> string
 val input_signal : t -> int -> signal
@@ -167,6 +189,6 @@ val map_rebuild :
     must return the replacement signal in the new graph (typically via
     [maj] plus algebraic rewriting).  Inputs and output names/polarities
     are preserved.  [reachable] as for {!fanout_counts}.  The new graph's
-    node vectors and strash are sized for [num_nodes t], and its inputs
+    node arrays and strash are sized for [num_nodes t], and its inputs
     are copied without [add_input]'s duplicate check (the source's names
     are unique), so a copy is linear in the graph's size. *)

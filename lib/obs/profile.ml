@@ -13,6 +13,19 @@ let on = ref false
    extending the submitter's. *)
 let lock = Mutex.create ()
 let recorded : span list ref = ref []  (* completion order, reversed *)
+
+(* span name -> its [profile.<name>] histogram, resolved on the name's
+   first span; also guarded by [lock].  Metrics registrations survive
+   [Metrics.reset], so an entry never goes stale. *)
+let histograms : (string, Metrics.histogram) Hashtbl.t = Hashtbl.create 16
+
+let histogram_of name =
+  match Hashtbl.find histograms name with
+  | h -> h
+  | exception Not_found ->
+    let h = Metrics.histogram ("profile." ^ name) in
+    Hashtbl.add histograms name h;
+    h
 let depth_key = Domain.DLS.new_key (fun () -> ref 0)
 
 let enable () = on := true
@@ -31,13 +44,12 @@ let span name f =
       let s = { name; start; duration = Clock.now () -. start; depth } in
       Mutex.lock lock;
       recorded := s :: !recorded;
+      let h = histogram_of name in
       Mutex.unlock lock;
       (* Feed the per-phase latency distribution (microseconds).  These
          are wall-clock values: they belong in metrics expositions and
          never in deterministic bench output. *)
-      Metrics.observe
-        (Metrics.histogram ("profile." ^ name))
-        (max 0 (int_of_float (s.duration *. 1e6)))
+      Metrics.observe h (max 0 (int_of_float (s.duration *. 1e6)))
     in
     match f () with
     | v ->

@@ -8,16 +8,21 @@ type operand = {
 type rule =
   Mig.t -> below:int -> operand -> operand -> operand -> (unit -> Mig.signal) option
 
-let seq = Mig.signal_equal
+(* A signal's node, polarity and equality, read by coercion: nothing
+   inlines across modules under [-opaque], so [Mig.node_of] and friends
+   would cost an out-of-line call per read. *)
+let node (s : Mig.signal) = (s :> int) lsr 1
+let complemented (s : Mig.signal) = (s :> int) land 1 = 1
+let seq (a : Mig.signal) (b : Mig.signal) = (a :> int) = (b :> int)
 
 (* Child [i] of the majority node behind [s], adjusted for the polarity of
    the edge pointing at it (Ω.I view): [!<xyz> = <!x!y!z>].  Only for
-   [Mig.is_maj g (Mig.node_of s)]. *)
+   [Mig.is_maj g (node s)]. *)
 let view g s i =
-  let x = Mig.child g (Mig.node_of s) i in
-  if Mig.is_complemented s then Mig.not_ x else x
+  let x = Mig.child g (node s) i in
+  if complemented s then Mig.not_ x else x
 
-let is_maj_signal g s = Mig.is_maj g (Mig.node_of s)
+let is_maj_signal g s = Mig.is_maj g (node s)
 
 (* The first commit [f] returns on the operand pairs (a, b | c),
    (a, c | b), (b, c | a), in that order.  The decisions read a view's
@@ -50,7 +55,7 @@ let distributivity_commit g ~below pa pb z b1 b2 b3 x y u =
 let distributivity_pair g ~below pa pb oz =
   let z = oz.s in
   if not (is_maj_signal g pa.s && is_maj_signal g pb.s) then None
-  else if Mig.node_of pa.s = Mig.node_of pb.s then None
+  else if node pa.s = node pb.s then None
   else begin
     let a1 = view g pa.s 0 and a2 = view g pa.s 1 and a3 = view g pa.s 2 in
     let b1 = view g pb.s 0 and b2 = view g pb.s 1 and b3 = view g pb.s 2 in
@@ -121,7 +126,7 @@ let complementary_associativity g ~below oa ob oc =
   pairs complementary_inner g ~below oa ob oc
 
 let complemented_children _g a b c =
-  let count s = if Mig.is_complemented s && not (Mig.is_const s) then 1 else 0 in
+  let count s = if complemented s && node s <> 0 then 1 else 0 in
   count a + count b + count c
 
 (* Ω.I R->L (1)-(3): >=2 complemented non-constant children -> flip all,

@@ -8,9 +8,11 @@
 
     A rule is split into a decision and a commit.  The decision reads the
     graph only through [Mig.is_maj], [Mig.child] and [Mig.lookup ~below],
-    and allocates nothing beyond [lookup]'s optional argument and result;
-    when the rule fires it returns the commit, which builds the
-    replacement signal.  So a rule can be asked whether it would fire
+    and a signal's node, polarity and equality by coercion of the
+    [private int] {!Mig.signal} (a view of a complemented child also calls
+    [Mig.not_]).  It allocates nothing beyond [lookup]'s optional argument
+    and result; when the rule fires it returns the commit, which builds
+    the replacement signal.  So a rule can be asked whether it would fire
     without changing the graph, and asking costs next to no garbage.  The
     rules over two or three operands try the operand pairs in a fixed
     order, (a, b | c), (a, c | b), (b, c | a), and return the commit of

@@ -28,7 +28,7 @@ let facts g =
    [facts] must be [facts g]. *)
 let run_pass_raw g facts rules =
   let operand new_s old_s =
-    { Axioms.s = new_s; old_fanout = facts.refs.(Mig.node_of old_s) }
+    { Axioms.s = new_s; old_fanout = facts.refs.((old_s : Mig.signal :> int) lsr 1) }
   in
   let fires id =
     if not (Mig.is_maj g id) then false

@@ -2,6 +2,7 @@ module Mig = Plim_mig.Mig
 module Mig_io = Plim_mig.Mig_io
 module Mig_gen = Plim_mig.Mig_gen
 module Tt = Plim_logic.Truth_table
+module Vec = Plim_util.Vec
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -95,6 +96,98 @@ let test_duplicate_input_after_copy () =
     (fun () -> ignore (Mig.add_input g' "b"));
   ignore (Mig.add_input g' "d");
   check_int "fresh name accepted" 4 (Mig.num_inputs g')
+
+(* --- primitive contract -------------------------------------------------- *)
+
+(* Minor words [f] allocates over [n] calls, less what the empty loop
+   costs (the boxed floats [Gc.minor_words] returns). *)
+let minor_words_of n f =
+  let words body =
+    let before = Gc.minor_words () in
+    for i = 1 to n do
+      body i
+    done;
+    Gc.minor_words () -. before
+  in
+  words f -. words ignore
+
+(* The calls a rule decision and a rebuild make per node allocate nothing
+   (the option of [~below] is built once, outside the loop). *)
+let test_primitives_allocate_nothing () =
+  let n = 10_000 in
+  let g = Mig.create_sized ~nodes:(3 * n) () in
+  let xs = Array.init 8 (fun i -> Mig.add_input g (Printf.sprintf "x%d" i)) in
+  let hit = Mig.maj g xs.(0) xs.(1) xs.(2) in
+  let id = Mig.node_of hit in
+  let below = Some id in
+  let check name words = Alcotest.(check (float 0.)) name 0. words in
+  check "maj hit" (minor_words_of n (fun _ -> ignore (Mig.maj g xs.(2) xs.(0) xs.(1))));
+  check "maj reduction" (minor_words_of n (fun _ -> ignore (Mig.maj g xs.(3) xs.(3) xs.(4))));
+  (* a fresh node per call: <x0 x1 !p> over a chain, all distinct *)
+  let prev = ref hit and before = Mig.num_nodes g in
+  check "maj miss"
+    (minor_words_of n (fun _ -> prev := Mig.maj g xs.(5) xs.(6) (Mig.not_ !prev)));
+  check_int "every miss made a node" (before + n) (Mig.num_nodes g);
+  check "lookup ~below miss"
+    (minor_words_of n (fun _ -> ignore (Mig.lookup ?below g xs.(0) xs.(1) xs.(2))));
+  check "is_maj" (minor_words_of n (fun i -> ignore (Mig.is_maj g (i mod Mig.num_nodes g))));
+  check "child" (minor_words_of n (fun i -> ignore (Mig.child g id (i mod 3))))
+
+let test_id_range () =
+  let g, a, b, c = fresh3 () in
+  let n = Mig.num_nodes g in
+  ignore (Mig.maj g a b c);
+  let n' = Mig.num_nodes g in
+  check_int "one node added" (n + 1) n';
+  List.iter
+    (fun id ->
+      let raises name f =
+        match f () with
+        | _ -> Alcotest.failf "%s %d: no exception" name id
+        | exception Invalid_argument _ -> ()
+      in
+      raises "kind" (fun () -> ignore (Mig.kind g id));
+      raises "is_maj" (fun () -> ignore (Mig.is_maj g id));
+      raises "child" (fun () -> ignore (Mig.child g id 0)))
+    [ -1; min_int; n'; n' + 1; 1 lsl 40 ]
+
+(* Storage size is not observable: a graph that outgrows its hint, or
+   starts at the default size (so its arrays and strash double many
+   times), gets the ids of one sized up front. *)
+let test_outgrown_hint () =
+  let build g =
+    let st = Random.State.make [| 11 |] in
+    let sigs = Vec.create ~dummy:Mig.false_ () in
+    for i = 0 to 5 do
+      ignore (Vec.push sigs (Mig.add_input g (Printf.sprintf "i%d" i)))
+    done;
+    let pick () =
+      let s = Vec.get sigs (Random.State.int st (Vec.length sigs)) in
+      if Random.State.bool st then Mig.not_ s else s
+    in
+    let made = Vec.create ~dummy:Mig.false_ () in
+    for _ = 1 to 3000 do
+      let s = Mig.maj g (pick ()) (pick ()) (pick ()) in
+      ignore (Vec.push made s);
+      ignore (Vec.push sigs s)
+    done;
+    Mig.add_output g "y" (Vec.get made (Vec.length made - 1));
+    Vec.to_array made
+  in
+  (* the reference never grows; the others double at different sizes *)
+  let g_ref = Mig.create_sized ~nodes:5000 () in
+  let s_ref = build g_ref in
+  check_bool "the hint held" true (Mig.num_nodes g_ref <= 5000);
+  check_bool "hint 100 is outgrown" true (Mig.num_nodes g_ref > 1000);
+  List.iter
+    (fun (what, g) ->
+      let s = build g in
+      check_int (what ^ ": same node count") (Mig.num_nodes g_ref) (Mig.num_nodes g);
+      check_bool (what ^ ": same signals") true (s = s_ref);
+      for id = 0 to Mig.num_nodes g - 1 do
+        if Mig.kind g id <> Mig.kind g_ref id then Alcotest.failf "%s: node %d differs" what id
+      done)
+    [ ("create ()", Mig.create ()); ("hint 100", Mig.create_sized ~nodes:100 ()) ]
 
 (* --- strash model ------------------------------------------------------- *)
 
@@ -492,6 +585,11 @@ let () =
           Alcotest.test_case "duplicate input after a copy" `Quick
             test_duplicate_input_after_copy;
           qc strash_matches_model ] );
+      ( "primitives",
+        [ Alcotest.test_case "allocate nothing" `Quick test_primitives_allocate_nothing;
+          Alcotest.test_case "ids out of range raise" `Quick test_id_range;
+          Alcotest.test_case "an outgrown size hint changes no id" `Quick
+            test_outgrown_hint ] );
       ( "inspection",
         [ Alcotest.test_case "levels/depth" `Quick test_levels_depth;
           Alcotest.test_case "fanouts/reachability" `Quick test_fanouts_reachability;

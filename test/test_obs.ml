@@ -380,6 +380,33 @@ let test_totals_sorted_by_name () =
   check_int "alpha merged calls" 2 calls;
   Profile.reset ()
 
+(* every finished span feeds its name's profile.<name> histogram, in
+   microseconds, before and after a metrics reset *)
+let test_span_histograms () =
+  let t = ref 0.0 in
+  Clock.set (fun () ->
+      t := !t +. 0.001;
+      !t);
+  let hist name =
+    Metrics.histogram_value (Metrics.histogram ("profile." ^ name))
+  in
+  Profile.reset ();
+  Metrics.reset ();
+  Profile.enable ();
+  ignore (Profile.span "hist.a" (fun () -> ()));
+  ignore (Profile.span "hist.a" (fun () -> ignore (Clock.now ())));
+  ignore (Profile.span "hist.b" (fun () -> ()));
+  let h = hist "hist.a" in
+  check_int "a: two spans" 2 (Plim_telemetry.Histogram.count h);
+  check_int "a: 1 ms + 2 ms" 3000 (Plim_telemetry.Histogram.sum h);
+  check_int "b: one span" 1 (Plim_telemetry.Histogram.count (hist "hist.b"));
+  Metrics.reset ();
+  ignore (Profile.span "hist.a" (fun () -> ()));
+  Profile.disable ();
+  Clock.reset ();
+  check_int "a after a reset" 1 (Plim_telemetry.Histogram.count (hist "hist.a"));
+  Profile.reset ()
+
 let () =
   Alcotest.run "obs"
     [ ( "metrics",
@@ -398,4 +425,5 @@ let () =
           Alcotest.test_case "records on exception" `Quick
             test_span_records_on_exception;
           Alcotest.test_case "totals sorted by name" `Quick
-            test_totals_sorted_by_name ] ) ]
+            test_totals_sorted_by_name;
+          Alcotest.test_case "latency histograms" `Quick test_span_histograms ] ) ]
