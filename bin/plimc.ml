@@ -115,12 +115,14 @@ let with_jobs jobs f =
 
 (* ---------------------------------------------------------------- *)
 
-(* A malformed .mig, .blif or .plim file is a usage error: exit 2, never
-   an uncaught exception. *)
+(* A malformed or unreadable .mig, .blif or .plim file is a usage error:
+   exit 2, never an uncaught exception.  A read error already names the
+   file (Plim_util.File.read); a parse error does not. *)
 let or_exit_2 path = function
   | Ok x -> x
   | Error e ->
-    Printf.eprintf "plimc: %s: %s\n" path e;
+    if String.starts_with ~prefix:(path ^ ": ") e then Printf.eprintf "plimc: %s\n" e
+    else Printf.eprintf "plimc: %s: %s\n" path e;
     exit 2
 
 let load_mig source =
@@ -1429,9 +1431,16 @@ let certify_run wm fault_seed json check_file =
     end
   | Some file ->
     (* accept both shapes a horizon run produces: a plim-bench results
-       object (or bare array) and `plimc horizon --json` row-per-line *)
+       object (or bare array) and `plimc horizon --json` row-per-line.  A
+       file that cannot be read, or is neither, is a usage error (exit 2),
+       never a row escaping its bracket (exit 1). *)
+    let usage_error reason =
+      Printf.eprintf "plimc certify: %s\n" reason;
+      exit 2
+    in
+    let text = match Plim_util.File.read file with Ok t -> t | Error e -> usage_error e in
     let rows =
-      match Json.parse_file file with
+      match Json.parse text with
       | Ok (Json.Obj _ as j) ->
         (match Option.bind (Json.member "horizon" j) Json.to_list with
         | Some rows -> rows
@@ -1441,21 +1450,16 @@ let certify_run wm fault_seed json check_file =
       | Ok (Json.Arr rows) -> rows
       | Ok row -> [ row ]
       | Error _ ->
-        let ic = open_in file in
-        let rows = ref [] in
-        (try
-           while true do
-             let line = String.trim (input_line ic) in
-             if line <> "" then
-               match Json.parse line with
-               | Ok row -> rows := row :: !rows
-               | Error e ->
-                 close_in ic;
-                 Printf.eprintf "plimc certify: %s: %s\n" file e;
-                 exit 1
-           done
-         with End_of_file -> close_in ic);
-        List.rev !rows
+        List.concat
+          (List.mapi
+             (fun i line ->
+               match String.trim line with
+               | "" -> []
+               | line ->
+                 (match Json.parse line with
+                 | Ok row -> [ row ]
+                 | Error e -> usage_error (Printf.sprintf "%s: line %d: %s" file (i + 1) e)))
+             (String.split_on_char '\n' text))
     in
     if rows = [] then begin
       Printf.eprintf "plimc certify: %s contains no rows to check\n" file;

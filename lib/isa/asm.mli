@@ -22,4 +22,4 @@ val write_file : string -> Program.t -> unit
 
 val read_file : string -> (Program.t, string) result
 (** {!of_string} on the file's contents; [Error] also when the file
-    cannot be read. *)
+    cannot be read or is a directory ({!Plim_util.File.read}). *)

@@ -216,16 +216,7 @@ let to_string ?(model = "mig") g =
   Buffer.add_string buf ".end\n";
   Buffer.contents buf
 
-let read_file path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        match really_input_string ic (in_channel_length ic) with
-        | text -> of_string text
-        | exception Sys_error msg -> Error msg)
+let read_file path = Result.bind (Plim_util.File.read path) of_string
 
 let write_file ?model path g =
   let oc = open_out path in

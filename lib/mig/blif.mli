@@ -25,6 +25,6 @@ val to_string : ?model:string -> Mig.t -> string
 
 val read_file : string -> (Mig.t, string) result
 (** {!of_string} on the file's contents; [Error] also when the file
-    cannot be read. *)
+    cannot be read or is a directory ({!Plim_util.File.read}). *)
 
 val write_file : ?model:string -> string -> Mig.t -> unit

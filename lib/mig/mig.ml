@@ -9,32 +9,38 @@ type node_kind =
   | Input of int
   | Maj of signal * signal * signal
 
-(* tag values in the [tag] array *)
-let tag_const = 0
-let tag_input = 1
-let tag_maj = 2
+type node_tag = Tag_const | Tag_input | Tag_maj
 
-(* One plain [int array] per field, indexed by node id, owned here and
-   grown by doubling: a [Vec.t] would cost an out-of-line call per read,
-   since nothing inlines across modules under [-opaque].  Separate arrays
-   rather than one interleaved 4-word-per-node array, which measurably
-   raised peak heap over a recipe's passes.  Slots at [len] and above are
-   spare capacity. *)
-type t = {
-  mutable tag : int array;
-  mutable c0 : int array; (* maj: sorted child signals / input: PI index *)
-  mutable c1 : int array;
-  mutable c2 : int array;
-  mutable len : int; (* allocated nodes, the constant included *)
-  mutable strash : int array;
-  (* open-addressed structural hash: majority node ids, each keyed on its
-     own (c0, c1, c2); 0 (the constant's id) marks an empty slot.  The
-     length is a power of two, doubled before more than half the slots
-     fill, so probes stay short. *)
-  mutable strash_count : int; (* full slots: the majority node count *)
+type strash = {
+  mutable slots : int array;
+  (* open-addressed: majority node ids, each keyed on its own (c0, c1,
+     c2); 0 (the constant's id) marks an empty slot.  The length is a
+     power of two, doubled before more than half the slots fill, so probes
+     stay short. *)
+  mutable count : int; (* full slots: the majority node count *)
+}
+
+type io = {
   input_names : string Vec.t;
-  input_nodes : int Vec.t;       (* PI index -> node id *)
+  input_nodes : int Vec.t; (* PI index -> node id *)
   outs : (string * signal) Vec.t;
+}
+
+(* One plain array per field, indexed by node id, owned here and grown by
+   doubling: a [Vec.t] would cost an out-of-line call per read, since
+   nothing inlines across modules under [-opaque].  Separate arrays rather
+   than one interleaved 4-word-per-node array, which measurably raised
+   peak heap over a recipe's passes.  Slots at [len] and above are spare
+   capacity.  The interface exposes the record [private], so rewriting
+   reads a node's fields with no call. *)
+type t = {
+  mutable tag : node_tag array;
+  mutable c0 : signal array; (* maj: sorted child signals / input: PI index *)
+  mutable c1 : signal array;
+  mutable c2 : signal array;
+  mutable len : int; (* allocated nodes, the constant included *)
+  strash : strash;
+  io : io;
 }
 
 (* {1 Signals} *)
@@ -62,23 +68,24 @@ let strash_slots nodes =
 let create_sized ?nodes () =
   let capacity = max 16 (Option.value nodes ~default:0) in
   let field () = Array.make capacity 0 in
-  (* node 0, the constant, is all zeros: tag_const and no children *)
-  { tag = field ();
+  (* node 0, the constant, is Tag_const with zero children *)
+  { tag = Array.make capacity Tag_const;
     c0 = field ();
     c1 = field ();
     c2 = field ();
     len = 1;
-    strash = Array.make (strash_slots (Option.value nodes ~default:0)) 0;
-    strash_count = 0;
-    input_names = Vec.create ~dummy:"" ();
-    input_nodes = Vec.create ~dummy:0 ();
-    outs = Vec.create ~dummy:("", 0) () }
+    strash =
+      { slots = Array.make (strash_slots (Option.value nodes ~default:0)) 0; count = 0 };
+    io =
+      { input_names = Vec.create ~dummy:"" ();
+        input_nodes = Vec.create ~dummy:0 ();
+        outs = Vec.create ~dummy:("", 0) () } }
 
 let create () = create_sized ()
 
 let grow_nodes g =
   let grow a =
-    let a' = Array.make (2 * Array.length a) 0 in
+    let a' = Array.make (2 * Array.length a) a.(0) in
     Array.blit a 0 a' 0 g.len;
     a'
   in
@@ -99,13 +106,13 @@ let new_node g tag c0 c1 c2 =
 
 (* Names are not checked: the caller knows they are unique. *)
 let push_input g name =
-  let pi = Vec.push g.input_names name in
-  let id = new_node g tag_input pi 0 0 in
-  ignore (Vec.push g.input_nodes id);
+  let pi = Vec.push g.io.input_names name in
+  let id = new_node g Tag_input pi 0 0 in
+  ignore (Vec.push g.io.input_nodes id);
   signal id false
 
 let add_input g name =
-  if Vec.exists (String.equal name) g.input_names then
+  if Vec.exists (String.equal name) g.io.input_names then
     invalid_arg (Printf.sprintf "Mig.add_input: duplicate input %S" name);
   push_input g name
 
@@ -140,14 +147,14 @@ let slot g slots a b c =
   probe g slots mask a b c (hash3 a b c land mask)
 
 let grow_strash g =
-  let old = g.strash in
+  let old = g.strash.slots in
   let slots = Array.make (2 * Array.length old) 0 in
   Array.iter
     (fun id ->
       if id <> 0 then
         slots.(slot g slots g.c0.(id) g.c1.(id) g.c2.(id)) <- id)
     old;
-  g.strash <- slots
+  g.strash.slots <- slots
 
 (* Both sort their operands into (lo, mid, hi) with integer operations, so
    neither allocates unless [lookup] returns [Some]. *)
@@ -157,25 +164,25 @@ let maj g a b c =
   let r = reduce lo mid hi in
   if r <> no_reduction then r
   else begin
-    let i = slot g g.strash lo mid hi in
-    let id = g.strash.(i) in
+    let i = slot g g.strash.slots lo mid hi in
+    let id = g.strash.slots.(i) in
     if id <> 0 then signal id false
     else begin
-      let id = new_node g tag_maj lo mid hi in
-      g.strash.(i) <- id;
-      g.strash_count <- g.strash_count + 1;
-      if 2 * g.strash_count > Array.length g.strash then grow_strash g;
+      let id = new_node g Tag_maj lo mid hi in
+      g.strash.slots.(i) <- id;
+      g.strash.count <- g.strash.count + 1;
+      if 2 * g.strash.count > Array.length g.strash.slots then grow_strash g;
       signal id false
     end
   end
 
-let lookup ?(below = max_int) g a b c =
+let lookup ~below g a b c =
   let lo = min_signal a (min_signal b c) and hi = max_signal a (max_signal b c) in
   let mid = a + b + c - lo - hi in
   let r = reduce lo mid hi in
   if r <> no_reduction then Some r
   else begin
-    let id = g.strash.(slot g g.strash lo mid hi) in
+    let id = g.strash.slots.(slot g g.strash.slots lo mid hi) in
     if id <> 0 && id < below then Some (signal id false) else None
   end
 
@@ -184,13 +191,13 @@ let or_ g a b = maj g a b true_
 let xor g a b = or_ g (and_ g a (not_ b)) (and_ g (not_ a) b)
 let mux g s a b = or_ g (and_ g s a) (and_ g (not_ s) b)
 
-let add_output g name s = ignore (Vec.push g.outs (name, s))
+let add_output g name s = ignore (Vec.push g.io.outs (name, s))
 
 (* {1 Inspection} *)
 
 let num_nodes g = g.len
-let num_inputs g = Vec.length g.input_names
-let num_outputs g = Vec.length g.outs
+let num_inputs g = Vec.length g.io.input_names
+let num_outputs g = Vec.length g.io.outs
 
 let check_id fn g id =
   if id < 0 || id >= g.len then
@@ -199,35 +206,35 @@ let check_id fn g id =
 let kind g id =
   check_id "kind" g id;
   let tag = g.tag.(id) in
-  if tag = tag_const then Const
-  else if tag = tag_input then Input g.c0.(id)
+  if tag = Tag_const then Const
+  else if tag = Tag_input then Input g.c0.(id)
   else Maj (g.c0.(id), g.c1.(id), g.c2.(id))
 
 let is_maj g id =
   check_id "is_maj" g id;
-  g.tag.(id) = tag_maj
+  g.tag.(id) = Tag_maj
 
 let child g id i =
   check_id "child" g id;
-  if g.tag.(id) <> tag_maj then invalid_arg "Mig.child: not a majority node";
+  if g.tag.(id) <> Tag_maj then invalid_arg "Mig.child: not a majority node";
   match i with
   | 0 -> g.c0.(id)
   | 1 -> g.c1.(id)
   | 2 -> g.c2.(id)
   | _ -> invalid_arg "Mig.child: position not in 0..2"
 
-let input_name g pi = Vec.get g.input_names pi
-let input_signal g pi = signal (Vec.get g.input_nodes pi) false
-let output g i = Vec.get g.outs i
-let outputs g = Vec.to_array g.outs
-let input_names g = Vec.to_array g.input_names
+let input_name g pi = Vec.get g.io.input_names pi
+let input_signal g pi = signal (Vec.get g.io.input_nodes pi) false
+let output g i = Vec.get g.io.outs i
+let outputs g = Vec.to_array g.io.outs
+let input_names g = Vec.to_array g.io.input_names
 
 let reachable g =
   let n = num_nodes g in
   let mark = Array.make n false in
-  Vec.iter (fun (_, s) -> mark.(node_of s) <- true) g.outs;
+  Vec.iter (fun (_, s) -> mark.(node_of s) <- true) g.io.outs;
   for id = n - 1 downto 0 do
-    if mark.(id) && g.tag.(id) = tag_maj then begin
+    if mark.(id) && g.tag.(id) = Tag_maj then begin
       mark.(node_of g.c0.(id)) <- true;
       mark.(node_of g.c1.(id)) <- true;
       mark.(node_of g.c2.(id)) <- true
@@ -239,7 +246,7 @@ let mark_of g = function Some mark -> mark | None -> reachable g
 
 let iter_marked_maj mark g f =
   for id = 0 to num_nodes g - 1 do
-    if mark.(id) && g.tag.(id) = tag_maj then f id
+    if mark.(id) && g.tag.(id) = Tag_maj then f id
   done
 
 let iter_reachable_maj g f = iter_marked_maj (reachable g) g f
@@ -250,7 +257,7 @@ let is_compact ?reachable:mark g =
   let mark = mark_of g mark in
   let k = num_inputs g in
   let rec inputs_first pi =
-    pi >= k || (Vec.get g.input_nodes pi = pi + 1 && inputs_first (pi + 1))
+    pi >= k || (Vec.get g.io.input_nodes pi = pi + 1 && inputs_first (pi + 1))
   in
   let rec all_live id = id >= num_nodes g || (mark.(id) && all_live (id + 1)) in
   inputs_first 0 && all_live (k + 1)
@@ -273,7 +280,7 @@ let levels g =
   let n = num_nodes g in
   let lv = Array.make n 0 in
   for id = 0 to n - 1 do
-    if g.tag.(id) = tag_maj then begin
+    if g.tag.(id) = Tag_maj then begin
       let l s = lv.(node_of s) in
       lv.(id) <-
         1 + max (l g.c0.(id)) (max (l g.c1.(id)) (l g.c2.(id)))
@@ -283,14 +290,14 @@ let levels g =
 
 let depth g =
   let lv = levels g in
-  Vec.fold_left (fun acc (_, s) -> max acc lv.(node_of s)) 0 g.outs
+  Vec.fold_left (fun acc (_, s) -> max acc lv.(node_of s)) 0 g.io.outs
 
 let fanout_counts ?reachable:mark g =
   let mark = mark_of g mark in
   let counts = Array.make g.len 0 in
   let bump s = counts.(node_of s) <- counts.(node_of s) + 1 in
   for id = 0 to g.len - 1 do
-    if mark.(id) && g.tag.(id) = tag_maj then begin
+    if mark.(id) && g.tag.(id) = Tag_maj then begin
       bump g.c0.(id);
       bump g.c1.(id);
       bump g.c2.(id)
@@ -300,7 +307,7 @@ let fanout_counts ?reachable:mark g =
 
 let output_refs g =
   let refs = Array.make (num_nodes g) 0 in
-  Vec.iter (fun (_, s) -> refs.(node_of s) <- refs.(node_of s) + 1) g.outs;
+  Vec.iter (fun (_, s) -> refs.(node_of s) <- refs.(node_of s) + 1) g.io.outs;
   refs
 
 let fanouts g =
@@ -327,8 +334,8 @@ let node_values g pi_values =
   let value_of s = values.(node_of s) <> is_complemented s in
   for id = 0 to n - 1 do
     let tag = g.tag.(id) in
-    if tag = tag_input then values.(id) <- pi_values.(g.c0.(id))
-    else if tag = tag_maj then begin
+    if tag = Tag_input then values.(id) <- pi_values.(g.c0.(id))
+    else if tag = Tag_maj then begin
       let a = value_of g.c0.(id)
       and b = value_of g.c1.(id)
       and c = value_of g.c2.(id) in
@@ -341,7 +348,7 @@ let eval g pi_values =
   let values = node_values g pi_values in
   Array.map
     (fun (_, s) -> values.(node_of s) <> is_complemented s)
-    (Vec.to_array g.outs)
+    (Vec.to_array g.io.outs)
 
 let output_tables g =
   let ni = num_inputs g in
@@ -350,9 +357,9 @@ let output_tables g =
   let n = num_nodes g in
   let tables = Array.make n (Truth_table.const_ ni false) in
   let mark = reachable g in
-  Vec.iteri (fun pi id -> tables.(id) <- Truth_table.var ni pi) g.input_nodes;
+  Vec.iteri (fun pi id -> tables.(id) <- Truth_table.var ni pi) g.io.input_nodes;
   for id = 0 to n - 1 do
-    if mark.(id) && g.tag.(id) = tag_maj then begin
+    if mark.(id) && g.tag.(id) = Tag_maj then begin
       let table_of s =
         let tt = tables.(node_of s) in
         if is_complemented s then Truth_table.not_ tt else tt
@@ -368,7 +375,7 @@ let output_tables g =
     (fun (_, s) ->
       let tt = tables.(node_of s) in
       if is_complemented s then Truth_table.not_ tt else tt)
-    (Vec.to_array g.outs)
+    (Vec.to_array g.io.outs)
 
 (* {1 Copying} *)
 
@@ -377,15 +384,15 @@ let map_rebuild ?reachable:mark g ~rule =
   let g' = create_sized ~nodes:g.len () in
   let map = Array.make g.len false_ in
   Vec.iteri
-    (fun pi id -> map.(id) <- push_input g' (Vec.get g.input_names pi))
-    g.input_nodes;
+    (fun pi id -> map.(id) <- push_input g' (Vec.get g.io.input_names pi))
+    g.io.input_nodes;
   (* a signal's image: its node's image, complemented with it *)
   let remap s = map.(node_of s) lxor (s land 1) in
   for id = 0 to g.len - 1 do
-    if mark.(id) && g.tag.(id) = tag_maj then
+    if mark.(id) && g.tag.(id) = Tag_maj then
       map.(id) <- rule g' ~old_id:id (remap g.c0.(id)) (remap g.c1.(id)) (remap g.c2.(id))
   done;
-  Vec.iter (fun (name, s) -> add_output g' name (remap s)) g.outs;
+  Vec.iter (fun (name, s) -> add_output g' name (remap s)) g.io.outs;
   g'
 
 let cleanup g = map_rebuild g ~rule:(fun g' ~old_id:_ a b c -> maj g' a b c)

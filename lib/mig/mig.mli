@@ -10,31 +10,56 @@
     nodes are shared, and the trivial majority axiom Ω.M is applied on
     construction ([maj] never builds <x,x,y> or <x,!x,y>).
 
-    Representation: one plain [int array] per node field (a tag and three
+    Representation: one plain array per node field (a tag and three
     children; an input keeps its PI index in the first), indexed by node
     id and grown by doubling, plus a structural hash: an open-addressed
     table of node ids keyed on each node's own sorted children.  Neither
-    is observable: a graph built by the same calls gets the same ids
-    whatever its arrays' and table's sizes.  A {!signal} is a [private
-    int], so other modules read a node, a polarity or an equality by
-    coercion, with no call.  Dune's default profile compiles with
-    [-opaque], so nothing of this module is inlined elsewhere: a hot loop
-    outside it pays one call per accessor.
+    the arrays' sizes nor the table is observable: a graph built by the
+    same calls gets the same ids whatever their sizes.  Dune's default
+    profile compiles with [-opaque], so nothing of this module is inlined
+    elsewhere: a hot loop outside it pays one call per accessor.  So the
+    node-field arrays are readable fields of the [private] record {!t},
+    and a {!signal} is a [private int]: rewriting decisions read a node's
+    tag and children, and a signal's node, polarity and equality, with no
+    call.
 
     Allocation: [maj] (hit, miss or Ω.M reduction), a [lookup] miss,
-    [is_maj] and [child] allocate nothing, except when [maj] outgrows the
-    arrays or the table ([create_sized] sizes both up front); a [lookup]
-    hit allocates its [Some], and a caller passing [~below] allocates the
-    option.  [kind] allocates its [Maj] or [Input].  [kind], [is_maj] and
-    [child] raise [Invalid_argument] on an id outside [0, num_nodes). *)
-
-type t
+    [is_maj], [child] and a read of {!t}'s fields allocate nothing,
+    except when [maj] outgrows the arrays or the table ([create_sized]
+    sizes both up front); a [lookup] hit allocates its [Some].  [kind]
+    allocates its [Maj] or [Input].  [kind], [is_maj] and [child] raise
+    [Invalid_argument] on an id outside [0, num_nodes). *)
 
 type signal = private int
 (** A node reference with a polarity (complemented-edge) flag, packed as
     [2 * node + (1 if complemented)].  Read it by coercion, [(s :> int)],
     where a call to {!node_of}, {!is_complemented} or {!signal_equal}
     would cost too much; build one only through this module. *)
+
+type node_tag = Tag_const | Tag_input | Tag_maj
+
+type strash
+type io
+(** The structural hash and the input/output tables: read only through
+    the functions below. *)
+
+type t = private {
+  mutable tag : node_tag array;
+  mutable c0 : signal array;
+  mutable c1 : signal array;
+  mutable c2 : signal array;
+  mutable len : int;
+  strash : strash;
+  io : io;
+}
+(** A graph.  Node [id]'s tag is [tag.(id)]; a majority node's children
+    are [c0.(id)], [c1.(id)] and [c2.(id)], as {!child} returns them.  The
+    arrays have spare slots past [len] (= {!num_nodes}), and a graph that
+    grows replaces them, so read them through the record each time rather
+    than keep one.  A field read skips {!is_maj}'s and {!child}'s checks,
+    but not OCaml's array bounds check: the reader makes sure [id] is
+    below [len] (and is a majority node, for a child).  Code outside a hot
+    loop calls the checked functions below. *)
 
 type node_kind =
   | Const                              (** node 0; plain signal = false *)
@@ -74,13 +99,13 @@ val add_input : t -> string -> signal
 val maj : t -> signal -> signal -> signal -> signal
 (** Hash-consed majority with Ω.M simplification. *)
 
-val lookup : ?below:int -> t -> signal -> signal -> signal -> signal option
+val lookup : below:int -> t -> signal -> signal -> signal -> signal option
 (** Like [maj] but never inserts: returns the signal [maj] would return if
     it requires no fresh node (an Ω.M reduction or an existing strashed
     node), else [None].  Used by rewriting heuristics to test whether a
-    transformation is free.  With [~below:id] a strashed node at an id
-    [>= id] counts as a miss: the answer is the one the graph's prefix of
-    nodes below [id] would give. *)
+    transformation is free.  A strashed node at an id [>= below] counts
+    as a miss: the answer is the one the graph's prefix of nodes below
+    [below] would give.  [~below:max_int] asks the whole graph. *)
 
 val and_ : t -> signal -> signal -> signal
 val or_ : t -> signal -> signal -> signal
@@ -108,7 +133,8 @@ val is_maj : t -> int -> bool
 val child : t -> int -> int -> signal
 (** [child t id i] is child [i] (0, 1 or 2) of majority node [id], as in
     [Maj] of [kind t id] and in the same order: the children sorted by
-    signal.  It allocates nothing, so rewriting decisions use it.
+    signal.  It allocates nothing; a hot loop that has checked [id]
+    itself reads [c0]..[c2] of {!t} instead.
     @raise Invalid_argument if [id] is out of range or not a majority
     node, or [i] is not 0, 1 or 2. *)
 

@@ -156,13 +156,4 @@ let write_file path g =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string g))
 
-let read_file path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        match really_input_string ic (in_channel_length ic) with
-        | text -> of_string text
-        | exception Sys_error msg -> Error msg)
+let read_file path = Result.bind (Plim_util.File.read path) of_string

@@ -6,33 +6,33 @@
     fanout count in the old graph (a death prediction used to avoid
     size-increasing applications), and either declines or fires.
 
-    A rule is split into a decision and a commit.  The decision reads the
-    graph only through [Mig.is_maj], [Mig.child] and [Mig.lookup ~below],
-    and a signal's node, polarity and equality by coercion of the
-    [private int] {!Mig.signal} (a view of a complemented child also calls
-    [Mig.not_]).  It allocates nothing beyond [lookup]'s optional argument
-    and result; when the rule fires it returns the commit, which builds
-    the replacement signal.  So a rule can be asked whether it would fire
-    without changing the graph, and asking costs next to no garbage.  The
-    rules over two or three operands try the operand pairs in a fixed
-    order, (a, b | c), (a, c | b), (b, c | a), and return the commit of
-    the first that matches.
+    A rule is split into a decision and a commit.  The decision reads a
+    node's tag and children from the fields of the [private] record
+    {!Mig.t}, and a signal's node, polarity and equality by coercion of
+    the [private int] {!Mig.signal}; it calls into [Mig] only once a node
+    has the rule's shape, to ask [Mig.lookup ~below] whether the
+    replacement is free (and [Mig.not_] for the signals it asks about).
+    A decision that declines allocates nothing; a [lookup] hit allocates
+    its [Some].  When the rule fires the decision returns the commit,
+    which builds the replacement signal.  So a rule can be asked whether
+    it would fire without changing the graph.  The rules over two or
+    three operands try the operand pairs in a fixed order, (a, b | c),
+    (a, c | b), (b, c | a), and return the commit of the first that
+    matches.
 
     The trivial-majority axiom Ω.M is not a rule here: it is applied
     unconditionally by {!Mig.maj}. *)
 
 module Mig = Plim_mig.Mig
 
-type operand = {
-  s : Mig.signal;       (** remapped child in the new graph *)
-  old_fanout : int;     (** fanout (incl. PO refs) of the child in the old graph *)
-}
-
 type rule =
-  Mig.t -> below:int -> operand -> operand -> operand -> (unit -> Mig.signal) option
-(** [rule g ~below a b c] is [None] when the rule declines on the node
-    [<a b c>], else the commit that builds its replacement in [g].  Strash
-    lookups see only the nodes of [g] below id [below]. *)
+  Mig.t -> below:int -> Mig.signal -> int -> Mig.signal -> int -> Mig.signal -> int ->
+  (unit -> Mig.signal) option
+(** [rule g ~below a fa b fb c fc] is [None] when the rule declines on the
+    node [<a b c>], else the commit that builds its replacement in [g].
+    Each operand is a remapped child in [g] followed by its child's fanout
+    in the old graph, output references included.  Strash lookups see
+    only the nodes of [g] below id [below]. *)
 
 val distributivity_rl : rule
 (** Ω.D right-to-left: [<<xyu><xyv>z> = <xy<uvz>>].  Applies when the two
@@ -57,12 +57,12 @@ val inverter_propagation : rule
     replaced by its all-flipped dual with a complemented output, leaving
     at most one complemented child. *)
 
-val first :
-  rule list -> Mig.t -> below:int -> operand -> operand -> operand ->
-  (unit -> Mig.signal) option
+val first : rule list -> rule
 (** The commit of the first rule that fires, in list order. *)
 
-val apply_first : rule list -> Mig.t -> operand -> operand -> operand -> Mig.signal
+val apply_first :
+  rule list -> Mig.t -> Mig.signal -> int -> Mig.signal -> int -> Mig.signal -> int ->
+  Mig.signal
 (** Commit the first rule that fires on all of [g]; fall back to [Mig.maj]. *)
 
 val complemented_children : Mig.t -> Mig.signal -> Mig.signal -> Mig.signal -> int

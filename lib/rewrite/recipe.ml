@@ -19,33 +19,40 @@ let facts g =
   Array.iteri (fun id r -> refs.(id) <- refs.(id) + r) (Mig.output_refs g);
   { reachable; refs; compact = Mig.is_compact ~reachable g }
 
+(* The old fanout of a signal's node, from [refs] of [facts]. *)
+let fanout refs (s : Mig.signal) = refs.((s :> int) lsr 1)
+
 (* On a compact graph, a rebuild in which no rule fires reproduces the
    graph id for id.  So the pass first walks the graph in id order and asks
    each rule whether it would fire, with the same operands the rebuild
    would pass and with strash lookups limited to the ids below the node:
    mid-rebuild, the new graph holds only that prefix.  Only when some rule
    fires, or the graph is not compact, does the pass pay for the rebuild.
-   [facts] must be [facts g]. *)
-let run_pass_raw g facts rules =
-  let operand new_s old_s =
-    { Axioms.s = new_s; old_fanout = facts.refs.((old_s : Mig.signal :> int) lsr 1) }
-  in
+   [facts] must be [facts g].  Both loops read node fields and [refs]
+   directly: under [-opaque] a call into [Mig] per read would cost more
+   than the read. *)
+let run_pass_raw (g : Mig.t) facts rules =
+  let refs = facts.refs in
   let fires id =
-    if not (Mig.is_maj g id) then false
-    else begin
-      let a = Mig.child g id 0 and b = Mig.child g id 1 and c = Mig.child g id 2 in
+    g.tag.(id) = Mig.Tag_maj
+    && begin
+      let a = g.c0.(id) and b = g.c1.(id) and c = g.c2.(id) in
       Option.is_some
-        (Axioms.first rules g ~below:id (operand a a) (operand b b) (operand c c))
+        (Axioms.first rules g ~below:id a (fanout refs a) b (fanout refs b) c
+           (fanout refs c))
     end
   in
-  let rec quiet id = id >= Mig.num_nodes g || (not (fires id) && quiet (id + 1)) in
+  let n = Mig.num_nodes g in
+  let rec quiet id = id >= n || (not (fires id) && quiet (id + 1)) in
   if facts.compact && quiet 0 then g
   else
     Mig.map_rebuild ~reachable:facts.reachable g ~rule:(fun g' ~old_id a b c ->
-        Axioms.apply_first rules g'
-          (operand a (Mig.child g old_id 0))
-          (operand b (Mig.child g old_id 1))
-          (operand c (Mig.child g old_id 2)))
+        Axioms.apply_first rules g' a
+          (fanout refs g.c0.(old_id))
+          b
+          (fanout refs g.c1.(old_id))
+          c
+          (fanout refs g.c2.(old_id)))
 
 (* One pass's span, counters and trace event around [rebuild g]. *)
 let count_pass name g rebuild =

@@ -194,17 +194,8 @@ let parse s =
   | exception Parse_error msg -> Error msg
 
 let parse_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | s -> (
-    match parse s with
-    | Ok v -> Ok v
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+  Result.bind (Plim_util.File.read path) (fun s ->
+      Result.map_error (Printf.sprintf "%s: %s" path) (parse s))
 
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 

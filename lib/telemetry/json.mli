@@ -21,7 +21,8 @@ val parse : string -> (t, string) result
 (** [Error] carries an offset-bearing message on malformed input. *)
 
 val parse_file : string -> (t, string) result
-(** Reads and parses a whole file; IO errors become [Error]. *)
+(** Reads ({!Plim_util.File.read}) and parses a whole file; IO errors,
+    a directory among them, become [Error]. *)
 
 val member : string -> t -> t option
 (** Object field lookup; [None] on non-objects and missing keys. *)

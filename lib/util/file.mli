@@ -1,0 +1,7 @@
+(** Whole-file reading, shared by every reader of a file format. *)
+
+val read : string -> (string, string) result
+(** [read path] is the whole contents of the file at [path], read as
+    bytes.  [Error "PATH: REASON"] when it cannot be opened or read, and
+    [Error "PATH: is a directory"] for a directory, which the
+    operating system would let [open_in] open and then fail to size. *)

@@ -169,6 +169,13 @@ let test_asm_errors () =
     ".cells 1\nRM3 0, 1, 1"
 
 (* every malformed input is an [Error], never an exception *)
+(* a directory opens on Linux; reading it must be an [Error] naming it *)
+let test_asm_directory () =
+  let dir = Filename.current_dir_name in
+  Alcotest.(check (result unit string))
+    "directory" (Error (dir ^ ": is a directory"))
+    (Result.map ignore (Asm.read_file dir))
+
 let test_asm_fails_closed () =
   check_asm_error "garbage" "Asm.of_string: line 1: unrecognised line" "!!garbage!!";
   check_asm_error "negative cells" "Asm.of_string: line 1: bad cell count" ".cells -2";
@@ -274,6 +281,7 @@ let () =
           Alcotest.test_case "parsing" `Quick test_asm_parsing;
           Alcotest.test_case "errors" `Quick test_asm_errors;
           Alcotest.test_case "malformed input fails closed" `Quick test_asm_fails_closed;
+          Alcotest.test_case "a directory is refused" `Quick test_asm_directory;
           qc asm_roundtrip_random;
           qc compiled_asm_roundtrip ] );
       ( "encoding",

@@ -44,13 +44,13 @@ let test_strash () =
 
 let test_lookup () =
   let g, a, b, c = fresh3 () in
-  Alcotest.(check bool) "lookup miss" true (Mig.lookup g a b c = None);
+  Alcotest.(check bool) "lookup miss" true (Mig.lookup ~below:max_int g a b c = None);
   let n = Mig.maj g a b c in
-  Alcotest.(check bool) "lookup hit" true (Mig.lookup g b c a = Some n);
-  Alcotest.(check bool) "lookup reduce" true (Mig.lookup g a a b = Some a);
+  Alcotest.(check bool) "lookup hit" true (Mig.lookup ~below:max_int g b c a = Some n);
+  Alcotest.(check bool) "lookup reduce" true (Mig.lookup ~below:max_int g a a b = Some a);
   (* lookup never creates *)
   let before = Mig.num_nodes g in
-  ignore (Mig.lookup g (Mig.not_ a) (Mig.not_ b) c);
+  ignore (Mig.lookup ~below:max_int g (Mig.not_ a) (Mig.not_ b) c);
   check_int "lookup is pure" before (Mig.num_nodes g)
 
 (* with [~below:id] the strash answers as the prefix of nodes below [id]
@@ -111,15 +111,13 @@ let minor_words_of n f =
   in
   words f -. words ignore
 
-(* The calls a rule decision and a rebuild make per node allocate nothing
-   (the option of [~below] is built once, outside the loop). *)
+(* The calls a rule decision and a rebuild make per node allocate nothing. *)
 let test_primitives_allocate_nothing () =
   let n = 10_000 in
   let g = Mig.create_sized ~nodes:(3 * n) () in
   let xs = Array.init 8 (fun i -> Mig.add_input g (Printf.sprintf "x%d" i)) in
   let hit = Mig.maj g xs.(0) xs.(1) xs.(2) in
   let id = Mig.node_of hit in
-  let below = Some id in
   let check name words = Alcotest.(check (float 0.)) name 0. words in
   check "maj hit" (minor_words_of n (fun _ -> ignore (Mig.maj g xs.(2) xs.(0) xs.(1))));
   check "maj reduction" (minor_words_of n (fun _ -> ignore (Mig.maj g xs.(3) xs.(3) xs.(4))));
@@ -129,7 +127,7 @@ let test_primitives_allocate_nothing () =
     (minor_words_of n (fun _ -> prev := Mig.maj g xs.(5) xs.(6) (Mig.not_ !prev)));
   check_int "every miss made a node" (before + n) (Mig.num_nodes g);
   check "lookup ~below miss"
-    (minor_words_of n (fun _ -> ignore (Mig.lookup ?below g xs.(0) xs.(1) xs.(2))));
+    (minor_words_of n (fun _ -> ignore (Mig.lookup ~below:id g xs.(0) xs.(1) xs.(2))));
   check "is_maj" (minor_words_of n (fun i -> ignore (Mig.is_maj g (i mod Mig.num_nodes g))));
   check "child" (minor_words_of n (fun i -> ignore (Mig.child g id (i mod 3))))
 
@@ -450,6 +448,14 @@ let test_io_fails_closed () =
   | Ok _ -> Alcotest.fail "read a missing file"
   | Error _ -> ()
 
+(* a directory opens on Linux; reading it must be an [Error] naming it,
+   not the EOVERFLOW of sizing it *)
+let test_io_directory () =
+  let dir = Filename.current_dir_name in
+  Alcotest.(check (result unit string))
+    "directory" (Error (dir ^ ": is a directory"))
+    (Result.map ignore (Mig_io.read_file dir))
+
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
@@ -535,6 +541,12 @@ let test_blif_errors () =
     "missing file" (Error "no-such-file.blif: No such file or directory")
     (Result.map ignore (Blif.read_file "no-such-file.blif"))
 
+let test_blif_directory () =
+  let dir = Filename.current_dir_name in
+  Alcotest.(check (result unit string))
+    "directory" (Error (dir ^ ": is a directory"))
+    (Result.map ignore (Blif.read_file dir))
+
 let blif_roundtrip =
   QCheck.Test.make ~count:40 ~name:"blif write/read roundtrip preserves function"
     QCheck.small_int (fun seed ->
@@ -601,6 +613,7 @@ let () =
         [ Alcotest.test_case "roundtrip (manual)" `Quick test_io_roundtrip_manual;
           Alcotest.test_case "errors" `Quick test_io_errors;
           Alcotest.test_case "malformed input fails closed" `Quick test_io_fails_closed;
+          Alcotest.test_case "a directory is refused" `Quick test_io_directory;
           Alcotest.test_case "dot export" `Quick test_dot;
           qc io_roundtrip ] );
       ( "blif",
@@ -609,6 +622,7 @@ let () =
           Alcotest.test_case "constants/continuation" `Quick
             test_blif_constants_and_continuation;
           Alcotest.test_case "errors" `Quick test_blif_errors;
+          Alcotest.test_case "a directory is refused" `Quick test_blif_directory;
           Alcotest.test_case "adder roundtrip" `Quick test_blif_roundtrip_adder;
           qc blif_roundtrip ] );
       ( "generator",

@@ -177,14 +177,14 @@ let test_reduction_on_adder () =
 (* The reference recipe: every pass a full rebuild, every cycle run. *)
 let naive_pass g rules =
   let fanout = Mig.fanout_counts g and out_refs = Mig.output_refs g in
-  let operand new_s old_s =
-    let id = Mig.node_of old_s in
-    { Axioms.s = new_s; old_fanout = fanout.(id) + out_refs.(id) }
+  let old_fanout s =
+    let id = Mig.node_of s in
+    fanout.(id) + out_refs.(id)
   in
   Mig.map_rebuild g ~rule:(fun g' ~old_id a b c ->
       match Mig.kind g old_id with
       | Mig.Maj (oa, ob, oc) ->
-        Axioms.apply_first rules g' (operand a oa) (operand b ob) (operand c oc)
+        Axioms.apply_first rules g' a (old_fanout oa) b (old_fanout ob) c (old_fanout oc)
       | Mig.Const | Mig.Input _ -> Mig.maj g' a b c)
 
 let d_rl = [ Axioms.distributivity_rl ]
@@ -296,11 +296,14 @@ let test_quiet_list_rescanned_after_rebuild () =
 
 (* --- allocation-free matching: the rules equal their list-based form ----- *)
 
-(* The list-based decisions the rules had before they read children through
-   [Mig.child], kept as the reference: views as tuples and lists, pairs
-   tried through [List.find_map]. *)
+(* The list-based decisions the rules had before they read children without
+   allocating, kept as the reference: operands as records, views as tuples
+   and lists, pairs tried through [List.find_map]. *)
 module Reference = struct
-  open Axioms
+  type operand = { s : Mig.signal; old_fanout : int }
+
+  let operands a fa b fb c fc =
+    [| { s = a; old_fanout = fa }; { s = b; old_fanout = fb }; { s = c; old_fanout = fc } |]
 
   let maj_view g s =
     match Mig.kind g (Mig.node_of s) with
@@ -312,8 +315,8 @@ module Reference = struct
   let pairs = [ (0, 1, 2); (0, 2, 1); (1, 2, 0) ]
   let seq = Mig.signal_equal
 
-  let distributivity_rl g ~below oa ob oc =
-    let ops = [| oa; ob; oc |] in
+  let distributivity_rl g ~below a fa b fb c fc =
+    let ops = operands a fa b fb c fc in
     let try_pair (i, j, k) =
       let pa = ops.(i) and pb = ops.(j) and z = ops.(k).s in
       match (maj_view g pa.s, maj_view g pb.s) with
@@ -336,8 +339,8 @@ module Reference = struct
     in
     List.find_map try_pair pairs
 
-  let associativity g ~below oa ob oc =
-    let ops = [| oa; ob; oc |] in
+  let associativity g ~below a fa b fb c fc =
+    let ops = operands a fa b fb c fc in
     let try_inner (i, j, k) =
       let m = ops.(k).s and w1 = ops.(i).s and w2 = ops.(j).s in
       match maj_view g m with
@@ -362,8 +365,8 @@ module Reference = struct
     in
     List.find_map try_inner pairs
 
-  let complementary_associativity g ~below oa ob oc =
-    let ops = [| oa; ob; oc |] in
+  let complementary_associativity g ~below a fa b fb c fc =
+    let ops = operands a fa b fb c fc in
     let try_inner (i, j, k) =
       let m = ops.(k) and p = ops.(i).s and q = ops.(j).s in
       match maj_view g m.s with
@@ -400,16 +403,18 @@ let rule_pairs : (string * Axioms.rule * Axioms.rule) list =
 let rules_match_reference g =
   let g = Mig.cleanup g in
   let fanout = Mig.fanout_counts g and out_refs = Mig.output_refs g in
-  let operand s =
+  let old_fanout s =
     let id = Mig.node_of s in
-    { Axioms.s; old_fanout = fanout.(id) + out_refs.(id) }
+    fanout.(id) + out_refs.(id)
   in
   let n = Mig.num_nodes g in
   let agree (rule : Axioms.rule) (reference : Axioms.rule) id below =
     match Mig.kind g id with
     | Mig.Const | Mig.Input _ -> true
     | Mig.Maj (a, b, c) ->
-      let ask (r : Axioms.rule) g' = r g' ~below (operand a) (operand b) (operand c) in
+      let ask (r : Axioms.rule) g' =
+        r g' ~below a (old_fanout a) b (old_fanout b) c (old_fanout c)
+      in
       (match (ask rule g, ask reference g) with
       | None, None -> true
       | Some _, None | None, Some _ -> false
@@ -573,6 +578,36 @@ let test_non_compact_rebuilds () =
       check_bool (name ^ ": equivalent") true (functionally_equal g g'))
     [ ("dead node", dead); ("late input", late_input) ]
 
+(* --- allocation: rule decisions allocate nothing --------------------------- *)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. before)
+
+(* On the small-suite circuits of at least 500 nodes, whose per-graph
+   arrays (facts, rebuilt node arrays) are large enough to go straight to
+   the major heap: a scan that fires nothing allocates next to nothing per
+   node, and so does the whole recipe per source node.  Decisions that
+   build a record per operand read about 9 and 65-150 words, so both
+   bounds catch them. *)
+let test_recipe_allocation () =
+  List.iter
+    (fun name ->
+      let g = (Suite.find name).Suite.build () in
+      let r, words = minor_words_of (fun () -> Recipe.run Recipe.Algorithm2 ~effort:5 g) in
+      let per_source_node = words /. float_of_int (Mig.num_nodes g) in
+      if per_source_node >= 16. then
+        Alcotest.failf "%s: Alg. 2 at effort 5 allocates %.1f minor words per source node (>= 16)"
+          name per_source_node;
+      let r', words = minor_words_of (fun () -> Recipe.run_pass r i_rl) in
+      check_bool (name ^ ": Ω.I is quiet on the Alg. 2 output") true (r' == r);
+      let per_node = words /. float_of_int (Mig.num_nodes r) in
+      if per_node >= 1. then
+        Alcotest.failf "%s: a quiet pass allocates %.2f minor words per node (>= 1)" name
+          per_node)
+    [ "div8"; "multiplier8"; "sqrt8"; "square8"; "rc_small" ]
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -605,6 +640,9 @@ let () =
             test_orbit_circuits ] );
       ( "matching",
         [ qc rules_match_gen; qc rules_match_random; qc rules_match_shared ] );
+      ( "allocation",
+        [ Alcotest.test_case "recipe and quiet pass allocate next to nothing" `Quick
+            test_recipe_allocation ] );
       ( "directed",
         [ Alcotest.test_case "distributivity collapse" `Quick test_distributivity_collapse;
           Alcotest.test_case "inverter flip" `Quick test_inverter_flip;

@@ -236,6 +236,13 @@ let test_json_parse () =
       | Error _ -> ())
     [ "{"; "[1,]"; "{\"a\":}"; "12 34"; "\"unterminated"; "nulll" ]
 
+(* a directory opens on Linux; reading it must be an [Error] naming it *)
+let test_json_directory () =
+  let dir = Filename.current_dir_name in
+  Alcotest.(check (result unit string))
+    "directory" (Error (dir ^ ": is a directory"))
+    (Result.map ignore (Json.parse_file dir))
+
 let test_json_depth_limit () =
   (* the recursive-descent reader is depth-bounded: adversarially nested
      input gets a clean Error, never a stack overflow *)
@@ -735,6 +742,7 @@ let () =
         [ Alcotest.test_case "reader" `Quick test_json_parse;
           Alcotest.test_case "depth bound and trailing garbage" `Quick
             test_json_depth_limit;
+          Alcotest.test_case "a directory is refused" `Quick test_json_directory;
           QCheck_alcotest.to_alcotest prop_jsonx_roundtrip;
           QCheck_alcotest.to_alcotest prop_jsonx_roundtrip_in_object;
           QCheck_alcotest.to_alcotest prop_json_write_roundtrip;
