@@ -37,13 +37,6 @@ type storage = {
   per_cell_span : int array;
 }
 
-type analysis = {
-  diagnostics : diagnostic list;
-  defs : def list;
-  storage : storage;
-  write_counts : int array;
-}
-
 let m_programs = Metrics.counter "analyze.programs"
 let m_diagnostics = Metrics.counter "analyze.diagnostics"
 let m_errors = Metrics.counter "analyze.errors"
@@ -92,11 +85,20 @@ type chains = {
   has_use_before_def : bool;
 }
 
+type analysis = {
+  diagnostics : diagnostic list;
+  chains : chains;
+  storage : storage;
+  write_counts : int array;
+}
+
 (* One pass over the stream records the defs and the use events (def,
    instruction) in order, counting both per bucket; the two CSR layouts
    follow from the counts.  Returns the chains and the use-before-def
-   reports. *)
-let build (p : Program.t) =
+   reports.  With [~uses:false] it walks the defs alone: it records no use
+   event and builds neither CSR layout, so only [def_count], [def_cell],
+   [def_instr], [def_live_out] and [def_placeholder] of the result hold. *)
+let build ~uses:with_uses (p : Program.t) =
   let n = p.Program.num_cells in
   let len = Array.length p.Program.instrs in
   (* at most one placeholder per cell: it is installed only while the
@@ -104,8 +106,7 @@ let build (p : Program.t) =
   let cap = Array.length p.Program.pi_cells + len + n in
   let cell = Array.make cap 0 and def_at = Array.make cap (-1) in
   let live_out = Array.make cap false and placeholder = Array.make cap false in
-  let last_use = Array.make cap (-1) in
-  let chain_start = Array.make (n + 1) 0 and use_start = Array.make (cap + 1) 0 in
+  let chain_start = Array.make (n + 1) 0 in
   let defs = ref 0 in
   let push c i =
     let s = !defs in
@@ -115,7 +116,9 @@ let build (p : Program.t) =
     incr defs;
     s
   in
-  let ev_def = Array.make (3 * len) 0 and ev_instr = Array.make (3 * len) 0 in
+  let sized k = if with_uses then k else 0 in
+  let last_use = Array.make (sized cap) (-1) and use_start = Array.make (sized cap + 1) 0 in
+  let ev_def = Array.make (sized (3 * len)) 0 and ev_instr = Array.make (sized (3 * len)) 0 in
   let events = ref 0 in
   let record s i =
     ev_def.(!events) <- s;
@@ -145,9 +148,10 @@ let build (p : Program.t) =
       let s = push c (-1) in
       placeholder.(s) <- true;
       last.(c) <- s;
-      record s i
+      if with_uses then record s i
     end
-    else if last_use.(s) <> i then record s i (* one use per instruction per value *)
+    (* one use per instruction per value *)
+    else if with_uses && last_use.(s) <> i then record s i
   in
   for i = 0 to len - 1 do
     let instr = p.Program.instrs.(i) in
@@ -166,21 +170,22 @@ let build (p : Program.t) =
               Printf.sprintf "output %S reads cell %%%d which nothing ever writes"
                 name c })
     p.Program.po_cells;
-  Csr.prefix_sums use_start;
-  Csr.prefix_sums chain_start;
+  let csr start add = if with_uses then Csr.scatter start add else [||] in
+  if with_uses then begin
+    Csr.prefix_sums use_start;
+    Csr.prefix_sums chain_start
+  end;
   ( { def_count = !defs; def_cell = cell; def_instr = def_at; def_live_out = live_out;
       def_placeholder = placeholder; use_start;
       use_instr =
-        Csr.scatter use_start (fun add ->
+        csr use_start (fun add ->
             for k = 0 to !events - 1 do add ev_def.(k) ev_instr.(k) done);
       chain_start;
-      chain =
-        Csr.scatter chain_start (fun add ->
-            for s = 0 to !defs - 1 do add cell.(s) s done);
+      chain = csr chain_start (fun add -> for s = 0 to !defs - 1 do add cell.(s) s done);
       has_use_before_def = !diags <> [] },
     !diags )
 
-let chains p = fst (build p)
+let chains p = fst (build ~uses:true p)
 
 (* per-cell static write bounds: the instruction defs of each cell *)
 let counts_of ch num_cells =
@@ -190,7 +195,25 @@ let counts_of ch num_cells =
   done;
   counts
 
-let write_counts (p : Program.t) = counts_of (chains p) p.Program.num_cells
+let write_counts (p : Program.t) =
+  counts_of (fst (build ~uses:false p)) p.Program.num_cells
+
+let defs a =
+  let ch = a.chains in
+  let defs = ref [] in
+  for s = ch.def_count - 1 downto 0 do
+    if not ch.def_placeholder.(s) then begin
+      let uses = ref [] in
+      for k = ch.use_start.(s + 1) - 1 downto ch.use_start.(s) do
+        uses := ch.use_instr.(k) :: !uses
+      done;
+      defs :=
+        { cell = ch.def_cell.(s); def_at = ch.def_instr.(s); uses = !uses;
+          live_out = ch.def_live_out.(s) }
+        :: !defs
+    end
+  done;
+  !defs
 
 (* --- checkers ---------------------------------------------------------- *)
 
@@ -203,7 +226,7 @@ let default_leak_grace = 8
 let analyze ?(leak_grace = default_leak_grace) ?max_writes (p : Program.t) =
   Profile.span "analyze.program" @@ fun () ->
   Metrics.incr m_programs;
-  let ch, diags0 = build p in
+  let ch, diags0 = build ~uses:true p in
   let n = p.Program.num_cells in
   let len = Program.length p in
   let diags = ref diags0 in
@@ -376,20 +399,7 @@ let analyze ?(leak_grace = default_leak_grace) ?max_writes (p : Program.t) =
   Metrics.incr
     ~by:(List.length (List.filter (fun d -> d.severity = Error) diagnostics))
     m_errors;
-  let defs = ref [] in
-  for s = ch.def_count - 1 downto 0 do
-    if not ch.def_placeholder.(s) then begin
-      let uses = ref [] in
-      for k = ch.use_start.(s + 1) - 1 downto ch.use_start.(s) do
-        uses := ch.use_instr.(k) :: !uses
-      done;
-      defs :=
-        { cell = ch.def_cell.(s); def_at = ch.def_instr.(s); uses = !uses;
-          live_out = ch.def_live_out.(s) }
-        :: !defs
-    end
-  done;
-  { diagnostics; defs = !defs; storage; write_counts = counts }
+  { diagnostics; chains = ch; storage; write_counts = counts }
 
 let errors a = List.filter (fun d -> d.severity = Error) a.diagnostics
 

@@ -94,23 +94,11 @@ type storage = {
   per_cell_span : int array;  (** blocked duration per cell, length [num_cells] *)
 }
 
-type analysis = {
-  diagnostics : diagnostic list;  (** sorted by instruction index *)
-  defs : def list;                (** every def in def order (PI loads first) *)
-  storage : storage;
-  write_counts : int array;       (** per-cell static bound, from the IR *)
-}
-
-val analyze : ?leak_grace:int -> ?max_writes:int -> Program.t -> analysis
-(** Build the def-use IR and run every checker.  [max_writes] enables the
-    cap checker and marks the leak checker cap-aware; [leak_grace]
-    (default 8) is the leak checker's scheduling slack (see above). *)
-
 (** The def-use chains behind {!analyze}, in flat int arrays.  Defs are
     numbered [0 .. def_count - 1] in def order: PI loads first, then per
     instruction any placeholder and the instruction's own def.  A
     placeholder is the def installed after a use-before-def read, so
-    later reads of that cell chain to it; it is not in [analysis.defs]. *)
+    later reads of that cell chain to it; it is not in {!defs}. *)
 type chains = private {
   def_count : int;
   def_cell : int array;          (** per def: the cell it defines *)
@@ -129,18 +117,39 @@ type chains = private {
 }
 
 val chains : Program.t -> chains
-(** The def-use IR alone, without the checkers, storage report or [defs]
-    list of {!analyze}: what a consumer that walks the chains needs.
-    Arrays may be longer than the counts they are indexed by. *)
+(** The def-use IR alone, without the checkers or storage report of
+    {!analyze}: what a consumer that walks the chains needs.  Arrays may
+    be longer than the counts they are indexed by. *)
+
+type analysis = {
+  diagnostics : diagnostic list;  (** sorted by instruction index *)
+  chains : chains;                (** the def-use IR the checkers ran on *)
+  storage : storage;
+  write_counts : int array;       (** per-cell static bound, from the IR *)
+}
+
+val analyze : ?leak_grace:int -> ?max_writes:int -> Program.t -> analysis
+(** Build the def-use IR and run every checker.  [max_writes] enables the
+    cap checker and marks the leak checker cap-aware; [leak_grace]
+    (default 8) is the leak checker's scheduling slack (see above). *)
+
+val defs : analysis -> def list
+(** Every def of the analysed program in def order (PI loads first, then
+    each instruction's def), each with its ascending uses; placeholders
+    are left out.  Built from [chains] on each call, one record and one
+    [uses] list per def, so a caller that only walks the defs should read
+    the chains instead. *)
 
 val reads_dest : Plim_isa.Instruction.t -> bool
 (** Whether the instruction reads the old value of its destination — true
     except for the two [set_const] encodings (see the read/write model). *)
 
 val write_counts : Program.t -> int array
-(** Per-cell write bounds derived from the def-use chains alone.  Always
-    equals {!Plim_isa.Program.static_write_counts}; computed through an
-    independent path so the equality is a real cross-check. *)
+(** Per-cell write bounds: the instruction defs per cell, counted from the
+    def walk that builds {!chains} (use events and the CSR layouts are
+    skipped).  Always equals {!Plim_isa.Program.static_write_counts};
+    computed through an independent path so the equality is a real
+    cross-check. *)
 
 val errors : analysis -> diagnostic list
 (** The diagnostics with [severity = Error]. *)

@@ -24,6 +24,10 @@ type io = {
   input_names : string Vec.t;
   input_nodes : int Vec.t; (* PI index -> node id *)
   outs : (string * signal) Vec.t;
+  names : (string, unit) Hashtbl.t;
+  (* the names of the first [named] inputs: [push_input] does not index
+     its name, [add_input] catches up before it checks *)
+  mutable named : int;
 }
 
 (* One plain array per field, indexed by node id, owned here and grown by
@@ -79,7 +83,9 @@ let create_sized ?nodes () =
     io =
       { input_names = Vec.create ~dummy:"" ();
         input_nodes = Vec.create ~dummy:0 ();
-        outs = Vec.create ~dummy:("", 0) () } }
+        outs = Vec.create ~dummy:("", 0) ();
+        names = Hashtbl.create 16;
+        named = 0 } }
 
 let create () = create_sized ()
 
@@ -112,7 +118,12 @@ let push_input g name =
   signal id false
 
 let add_input g name =
-  if Vec.exists (String.equal name) g.io.input_names then
+  let io = g.io in
+  for pi = io.named to Vec.length io.input_names - 1 do
+    Hashtbl.replace io.names (Vec.get io.input_names pi) ()
+  done;
+  io.named <- Vec.length io.input_names;
+  if Hashtbl.mem io.names name then
     invalid_arg (Printf.sprintf "Mig.add_input: duplicate input %S" name);
   push_input g name
 
@@ -251,17 +262,6 @@ let iter_marked_maj mark g f =
 
 let iter_reachable_maj g f = iter_marked_maj (reachable g) g f
 
-(* Inputs at ids 1..k in PI order, so every id above k is a majority
-   node, and each of those is live. *)
-let is_compact ?reachable:mark g =
-  let mark = mark_of g mark in
-  let k = num_inputs g in
-  let rec inputs_first pi =
-    pi >= k || (Vec.get g.io.input_nodes pi = pi + 1 && inputs_first (pi + 1))
-  in
-  let rec all_live id = id >= num_nodes g || (mark.(id) && all_live (id + 1)) in
-  inputs_first 0 && all_live (k + 1)
-
 let size g =
   let n = ref 0 in
   iter_reachable_maj g (fun _ -> incr n);
@@ -292,8 +292,8 @@ let depth g =
   let lv = levels g in
   Vec.fold_left (fun acc (_, s) -> max acc lv.(node_of s)) 0 g.io.outs
 
-let fanout_counts ?reachable:mark g =
-  let mark = mark_of g mark in
+let fanout_counts g =
+  let mark = reachable g in
   let counts = Array.make g.len 0 in
   let bump s = counts.(node_of s) <- counts.(node_of s) + 1 in
   for id = 0 to g.len - 1 do
@@ -309,6 +309,42 @@ let output_refs g =
   let refs = Array.make (num_nodes g) 0 in
   Vec.iter (fun (_, s) -> refs.(node_of s) <- refs.(node_of s) + 1) g.io.outs;
   refs
+
+let sweep_into g ~reachable:mark ~refs =
+  let n = g.len in
+  if Array.length mark < n || Array.length refs < n then
+    invalid_arg "Mig.sweep_into: arrays shorter than num_nodes";
+  Array.fill mark 0 n false;
+  Array.fill refs 0 n 0;
+  let touch s =
+    let id = node_of s in
+    mark.(id) <- true;
+    refs.(id) <- refs.(id) + 1
+  in
+  Vec.iter (fun (_, s) -> touch s) g.io.outs;
+  (* children precede parents, so a node's mark is final when the
+     descending walk reaches it *)
+  let k = num_inputs g in
+  let live_above_inputs = ref true in
+  for id = n - 1 downto 1 do
+    if mark.(id) then begin
+      if g.tag.(id) = Tag_maj then begin
+        touch g.c0.(id);
+        touch g.c1.(id);
+        touch g.c2.(id)
+      end
+    end
+    else if id > k then live_above_inputs := false
+  done;
+  (* compact: inputs at ids 1..k in PI order, so every id above k is a
+     majority node, and each of those is live *)
+  let rec inputs_first pi =
+    pi >= k || (Vec.get g.io.input_nodes pi = pi + 1 && inputs_first (pi + 1))
+  in
+  !live_above_inputs && inputs_first 0
+
+let is_compact g =
+  sweep_into g ~reachable:(Array.make g.len false) ~refs:(Array.make g.len 0)
 
 let fanouts g =
   let lists = Array.make (num_nodes g) [] in
@@ -379,22 +415,60 @@ let output_tables g =
 
 (* {1 Copying} *)
 
-let map_rebuild ?reachable:mark g ~rule =
+(* Empties [g] for a rebuild of [nodes] nodes: node arrays and strash too
+   small for them are replaced, larger ones are kept.  The ids a graph
+   gets do not depend on either size, so a reset graph numbers its nodes
+   as [create ()] would. *)
+let reset g ~nodes =
+  if Array.length g.tag < nodes then begin
+    g.tag <- Array.make nodes Tag_const;
+    g.c0 <- Array.make nodes 0;
+    g.c1 <- Array.make nodes 0;
+    g.c2 <- Array.make nodes 0
+  end;
+  g.len <- 1;
+  let st = g.strash in
+  if Array.length st.slots < strash_slots nodes then
+    st.slots <- Array.make (strash_slots nodes) 0
+  else if st.count > 0 then Array.fill st.slots 0 (Array.length st.slots) 0;
+  st.count <- 0;
+  let io = g.io in
+  Vec.clear io.input_names;
+  Vec.clear io.input_nodes;
+  Vec.clear io.outs;
+  if io.named > 0 then Hashtbl.reset io.names;
+  io.named <- 0
+
+let rebuild_into ?reachable:mark ~map g ~into ~rule =
+  if into == g then invalid_arg "Mig.rebuild_into: target is the source";
+  if Array.length map < g.len then invalid_arg "Mig.rebuild_into: map too short";
   let mark = mark_of g mark in
-  let g' = create_sized ~nodes:g.len () in
-  let map = Array.make g.len false_ in
+  reset into ~nodes:g.len;
+  map.(0) <- false_;
   Vec.iteri
-    (fun pi id -> map.(id) <- push_input g' (Vec.get g.io.input_names pi))
+    (fun pi id -> map.(id) <- push_input into (Vec.get g.io.input_names pi))
     g.io.input_nodes;
   (* a signal's image: its node's image, complemented with it *)
   let remap s = map.(node_of s) lxor (s land 1) in
   for id = 0 to g.len - 1 do
     if mark.(id) && g.tag.(id) = Tag_maj then
-      map.(id) <- rule g' ~old_id:id (remap g.c0.(id)) (remap g.c1.(id)) (remap g.c2.(id))
+      map.(id) <-
+        rule into ~old_id:id (remap g.c0.(id)) (remap g.c1.(id)) (remap g.c2.(id))
   done;
-  Vec.iter (fun (name, s) -> add_output g' name (remap s)) g.io.outs;
-  g'
+  Vec.iter (fun (name, s) -> add_output into name (remap s)) g.io.outs
 
-let cleanup g = map_rebuild g ~rule:(fun g' ~old_id:_ a b c -> maj g' a b c)
+let map_rebuild g ~rule =
+  let into = create_sized ~nodes:g.len () in
+  rebuild_into ~map:(Array.make g.len false_) g ~into ~rule;
+  into
+
+let cleanup ?reachable ?map g =
+  let mark = mark_of g reachable in
+  let live = ref (1 + num_inputs g) in
+  iter_marked_maj mark g (fun _ -> incr live);
+  let into = create_sized ~nodes:!live () in
+  let map = match map with Some m -> m | None -> Array.make g.len false_ in
+  rebuild_into ~reachable:mark ~map g ~into ~rule:(fun g' ~old_id:_ a b c -> maj g' a b c);
+  into
 
 let copy g = cleanup g

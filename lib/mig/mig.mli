@@ -93,7 +93,9 @@ val create_sized : ?nodes:int -> unit -> t
     the same ids as the same calls on [create ()]. *)
 
 val add_input : t -> string -> signal
-(** Declares a fresh primary input.
+(** Declares a fresh primary input.  The duplicate check looks the name
+    up in a table of the graph's input names, so declaring [k] inputs
+    takes time linear in [k].
     @raise Invalid_argument if the name is already an input. *)
 
 val maj : t -> signal -> signal -> signal -> signal
@@ -161,13 +163,19 @@ val levels : t -> int array
 (** [levels t].(id) = 0 for constants/inputs, 1 + max child level for
     majority nodes (over all allocated nodes). *)
 
-val fanout_counts : ?reachable:bool array -> t -> int array
+val fanout_counts : t -> int array
 (** Per node: number of majority-node parent edges referencing it (over
-    reachable nodes), not counting output references.  [reachable], when
-    given, must be [reachable t]; it saves recomputing the mark. *)
+    reachable nodes), not counting output references. *)
 
 val output_refs : t -> int array
 (** Per node: number of primary outputs referencing it. *)
+
+val sweep_into : t -> reachable:bool array -> refs:int array -> bool
+(** One walk that fills the first [num_nodes t] slots of [reachable] with
+    {!reachable}[ t] and of [refs] with {!fanout_counts} plus
+    {!output_refs}, and returns {!is_compact}[ t].  The arrays may be
+    longer than [num_nodes t]; slots past it are left as they were.
+    @raise Invalid_argument if either is shorter. *)
 
 val fanouts : t -> int array array
 (** Per node: ids of reachable majority parents (with duplicates collapsed). *)
@@ -178,12 +186,11 @@ val reachable : t -> bool array
 val iter_reachable_maj : t -> (int -> unit) -> unit
 (** Topological (children-first) iteration over reachable majority nodes. *)
 
-val is_compact : ?reachable:bool array -> t -> bool
+val is_compact : t -> bool
 (** The inputs occupy ids [1..num_inputs] in PI order and every majority
-    node is reachable.  [map_rebuild] and [cleanup] always return compact
-    graphs, and [map_rebuild] with plain [maj] as its rule reproduces a
-    compact graph node for node, with the same ids.  [reachable] as for
-    {!fanout_counts}. *)
+    node is reachable.  [cleanup] always returns a compact graph, and
+    [map_rebuild] with plain [maj] as its rule reproduces a compact graph
+    node for node, with the same ids; other rules may leave dead nodes. *)
 
 (** {1 Evaluation} *)
 
@@ -200,21 +207,40 @@ val output_tables : t -> Plim_logic.Truth_table.t array
 
 (** {1 Copying} *)
 
-val cleanup : t -> t
-(** Rebuilds the graph keeping only nodes reachable from outputs. *)
+val cleanup : ?reachable:bool array -> ?map:signal array -> t -> t
+(** Rebuilds the graph keeping only nodes reachable from outputs, into a
+    fresh graph whose storage is sized for exactly those nodes.
+    [reachable], when given, must be {!reachable}[ t] (it saves
+    recomputing the mark), and [map] serves as {!rebuild_into}'s map
+    instead of a fresh one.  Either may be longer than [num_nodes t]. *)
 
 val copy : t -> t
 
-val map_rebuild :
-  ?reachable:bool array ->
-  t -> rule:(t -> old_id:int -> signal -> signal -> signal -> signal) -> t
+val map_rebuild : t -> rule:(t -> old_id:int -> signal -> signal -> signal -> signal) -> t
 (** [map_rebuild t ~rule] rebuilds [t] bottom-up into a fresh graph.  For
     every reachable majority node its (already remapped) children are
     passed to [rule] together with the node's id in the old graph (so that
     rewriting heuristics can consult old-graph fanout information); [rule]
     must return the replacement signal in the new graph (typically via
     [maj] plus algebraic rewriting).  Inputs and output names/polarities
-    are preserved.  [reachable] as for {!fanout_counts}.  The new graph's
+    are preserved.  The new graph's
     node arrays and strash are sized for [num_nodes t], and its inputs
     are copied without [add_input]'s duplicate check (the source's names
-    are unique), so a copy is linear in the graph's size. *)
+    are unique), so a copy is linear in the graph's size.  It is
+    [rebuild_into] with a fresh target and map. *)
+
+val rebuild_into :
+  ?reachable:bool array ->
+  map:signal array ->
+  t -> into:t -> rule:(t -> old_id:int -> signal -> signal -> signal -> signal) -> unit
+(** [rebuild_into t ~map ~into ~rule] is [map_rebuild t ~rule] built in
+    [into] instead of a fresh graph, for a caller that rebuilds many times
+    and keeps its own targets.  [into]'s previous contents are discarded
+    first: its node arrays and strash are kept when large enough for
+    [num_nodes t] and replaced otherwise, and either way the rebuild gets
+    the ids [map_rebuild] would give.  [map] receives each rebuilt node's
+    image: after the call, [map.(id)] is the signal in [into] of every
+    input and reachable majority node [id] of [t].  [reachable] as for
+    {!cleanup}.  [t] is only read.
+    @raise Invalid_argument if [into == t] or [map] is shorter than
+    [num_nodes t]. *)

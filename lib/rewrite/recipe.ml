@@ -9,17 +9,33 @@ let m_passes = Metrics.counter "rewrite.passes"
 let m_passes_skipped = Metrics.counter "rewrite.passes_skipped"
 let m_cycles = Metrics.counter "rewrite.cycles"
 
-(* What the dry scan reads of a graph: the reachable mark, each node's
-   fanout including output references, and whether the graph is compact. *)
-type facts = { reachable : bool array; refs : int array; compact : bool }
+(* What the dry scan reads of a graph, filled by one [Mig.sweep_into]:
+   the reachable mark, each node's fanout including output references, and
+   whether the graph is compact.  [map] is a rebuild's old -> new signal
+   map.  The arrays are at least as long as the graph swept last. *)
+type scratch = {
+  mutable reachable : bool array;
+  mutable refs : int array;
+  mutable map : Mig.signal array;
+  mutable compact : bool;
+}
 
-let facts g =
-  let reachable = Mig.reachable g in
-  let refs = Mig.fanout_counts ~reachable g in
-  Array.iteri (fun id r -> refs.(id) <- refs.(id) + r) (Mig.output_refs g);
-  { reachable; refs; compact = Mig.is_compact ~reachable g }
+let scratch () = { reachable = [||]; refs = [||]; map = [||]; compact = false }
 
-(* The old fanout of a signal's node, from [refs] of [facts]. *)
+(* Fills [s] with the facts of [g], first replacing the arrays when [g] has
+   outgrown them.  They are replaced by arrays of [g]'s exact size: graphs
+   seldom grow from pass to pass, and slack would be dead weight on the
+   heap for the whole call. *)
+let sweep s g =
+  let n = Mig.num_nodes g in
+  if Array.length s.refs < n then begin
+    s.reachable <- Array.make n false;
+    s.refs <- Array.make n 0;
+    s.map <- Array.make n Mig.false_
+  end;
+  s.compact <- Mig.sweep_into g ~reachable:s.reachable ~refs:s.refs
+
+(* The old fanout of a signal's node, from [refs] of [scratch]. *)
 let fanout refs (s : Mig.signal) = refs.((s :> int) lsr 1)
 
 (* On a compact graph, a rebuild in which no rule fires reproduces the
@@ -27,12 +43,12 @@ let fanout refs (s : Mig.signal) = refs.((s :> int) lsr 1)
    each rule whether it would fire, with the same operands the rebuild
    would pass and with strash lookups limited to the ids below the node:
    mid-rebuild, the new graph holds only that prefix.  Only when some rule
-   fires, or the graph is not compact, does the pass pay for the rebuild.
-   [facts] must be [facts g].  Both loops read node fields and [refs]
-   directly: under [-opaque] a call into [Mig] per read would cost more
-   than the read. *)
-let run_pass_raw (g : Mig.t) facts rules =
-  let refs = facts.refs in
+   fires, or the graph is not compact, does the pass pay for the rebuild,
+   into [target ()].  [s] must hold the facts of [g].  Both loops read node
+   fields and [refs] directly: under [-opaque] a call into [Mig] per read
+   would cost more than the read. *)
+let run_pass_raw (g : Mig.t) s rules ~target =
+  let refs = s.refs in
   let fires id =
     g.tag.(id) = Mig.Tag_maj
     && begin
@@ -44,15 +60,18 @@ let run_pass_raw (g : Mig.t) facts rules =
   in
   let n = Mig.num_nodes g in
   let rec quiet id = id >= n || (not (fires id) && quiet (id + 1)) in
-  if facts.compact && quiet 0 then g
-  else
-    Mig.map_rebuild ~reachable:facts.reachable g ~rule:(fun g' ~old_id a b c ->
+  if s.compact && quiet 0 then g
+  else begin
+    let into = target () in
+    Mig.rebuild_into ~reachable:s.reachable ~map:s.map g ~into ~rule:(fun g' ~old_id a b c ->
         Axioms.apply_first rules g' a
           (fanout refs g.c0.(old_id))
           b
           (fanout refs g.c1.(old_id))
           c
-          (fanout refs g.c2.(old_id)))
+          (fanout refs g.c2.(old_id)));
+    into
+  end
 
 (* One pass's span, counters and trace event around [rebuild g]. *)
 let count_pass name g rebuild =
@@ -67,8 +86,13 @@ let count_pass name g rebuild =
           ("size_after", Int (Mig.size g')) ];
   g'
 
+let fresh_target g () = Mig.create_sized ~nodes:(Mig.num_nodes g) ()
+
 let run_pass ?(name = "pass") g rules =
-  count_pass name g (fun g -> run_pass_raw g (facts g) rules)
+  count_pass name g (fun g ->
+      let s = scratch () in
+      sweep s g;
+      run_pass_raw g s rules ~target:(fresh_target g))
 
 type recipe = No_rewriting | Algorithm1 | Algorithm2
 
@@ -102,14 +126,30 @@ let algorithm2_passes =
    their lists, so [List.memq] finds them), and a pass whose list is known
    quiet returns the graph without a scan.  A rebuild forgets both.  After
    a cycle that changes nothing every list is known quiet, so the later
-   cycles cost only their counters. *)
-let cycles passes ~effort g =
-  let step (g, facts_g, quiet) (name, rules) =
-    if List.memq rules quiet then (count_pass name g Fun.id, facts_g, quiet)
+   cycles cost only their counters.
+
+   The rebuild storage belongs to one call: a scratch for the facts and
+   the old -> new map, and two target graphs, made on first need, that
+   rebuilds alternate between.  A rebuild writes into the target that does
+   not hold the current graph, so it never writes the graph it reads, and
+   never [input]: the caller's graph is only ever a source.  The result is
+   a fresh [Mig.cleanup] of the last graph, which reads the scratch but
+   keeps nothing of it, so no rebuild storage outlives the call. *)
+let cycles passes ~effort input =
+  let s = scratch () in
+  let spare = ref None in
+  let target g () =
+    let into = match !spare with Some t -> t | None -> fresh_target g () in
+    (* [g] becomes the next rebuild's target, unless it is [input] *)
+    spare := if g == input then None else Some g;
+    into
+  in
+  let step (g, swept, quiet) (name, rules) =
+    if List.memq rules quiet then (count_pass name g Fun.id, swept, quiet)
     else begin
-      let f = match facts_g with Some f -> f | None -> facts g in
-      let g' = count_pass name g (fun g -> run_pass_raw g f rules) in
-      if g' == g then (g, Some f, rules :: quiet) else (g', None, [])
+      if not swept then sweep s g;
+      let g' = count_pass name g (fun g -> run_pass_raw g s rules ~target:(target g)) in
+      if g' == g then (g, true, rules :: quiet) else (g', false, [])
     end
   in
   let rec go n state =
@@ -119,8 +159,9 @@ let cycles passes ~effort g =
       go (n - 1) (List.fold_left step state passes)
     end
   in
-  let g, _, _ = go (max 0 effort) (g, None, []) in
-  Mig.cleanup g
+  let g, swept, _ = go (max 0 effort) (input, false, []) in
+  if not swept then sweep s g;
+  Mig.cleanup ~reachable:s.reachable ~map:s.map g
 
 let algorithm1 ~effort g = cycles algorithm1_passes ~effort g
 let algorithm2 ~effort g = cycles algorithm2_passes ~effort g

@@ -25,7 +25,7 @@ let test_defs () =
   let p = mk ~num_cells:2 [ sc true 1; rm3 (I.Cell 0) (I.Const false) 1 ] in
   let a = A.analyze p in
   Alcotest.(check int) "clean" 0 (List.length a.A.diagnostics);
-  match a.A.defs with
+  match A.defs a with
   | [ pi; d0; d1 ] ->
     check_int "PI cell" 0 pi.A.cell;
     check_int "PI def_at" (-1) pi.A.def_at;

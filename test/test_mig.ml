@@ -97,6 +97,35 @@ let test_duplicate_input_after_copy () =
   ignore (Mig.add_input g' "d");
   check_int "fresh name accepted" 4 (Mig.num_inputs g')
 
+(* [add_input] looks names up in a table: 20 000 inputs take a few
+   milliseconds of CPU, where the former scan of every earlier name took
+   about a second.  The table catches up with inputs a rebuild copied
+   unchecked, and a rebuild into a used graph forgets the old names. *)
+let test_many_inputs_linear () =
+  let g = Mig.create () in
+  let t0 = Sys.time () in
+  for i = 0 to 19_999 do
+    ignore (Mig.add_input g (Printf.sprintf "in%d" i))
+  done;
+  let cpu = Sys.time () -. t0 in
+  check_int "inputs" 20_000 (Mig.num_inputs g);
+  if cpu >= 0.25 then
+    Alcotest.failf "20 000 add_input calls took %.3f s of CPU (>= 0.25 s)" cpu;
+  Alcotest.check_raises "dup among many"
+    (Invalid_argument "Mig.add_input: duplicate input \"in12345\"")
+    (fun () -> ignore (Mig.add_input g "in12345"));
+  let src, a, b, c = fresh3 () in
+  Mig.add_output src "y" (Mig.maj src a b c);
+  Mig.rebuild_into ~map:(Array.make (Mig.num_nodes src) Mig.false_) src ~into:g
+    ~rule:(fun g' ~old_id:_ a b c -> Mig.maj g' a b c);
+  Alcotest.(check (array string)) "the target holds the source's inputs"
+    [| "a"; "b"; "c" |] (Mig.input_names g);
+  Alcotest.check_raises "dup after a rebuild into a used graph"
+    (Invalid_argument "Mig.add_input: duplicate input \"c\"")
+    (fun () -> ignore (Mig.add_input g "c"));
+  ignore (Mig.add_input g "in12345");
+  check_int "an old name is free again" 4 (Mig.num_inputs g)
+
 (* --- primitive contract -------------------------------------------------- *)
 
 (* Minor words [f] allocates over [n] calls, less what the empty loop
@@ -584,6 +613,57 @@ let test_gen_distinct_seeds () =
 
 let qc = QCheck_alcotest.to_alcotest
 
+(* A rebuild into a reused target: one sized for a far smaller graph (its
+   arrays and strash are replaced, and the rule's extra nodes outgrow
+   them again), and one left holding a far larger graph (kept, cleared).
+   Both must give the ids, signals and strash answers of a rebuild into
+   [create ()]. *)
+let test_rebuild_into_reused () =
+  let g = Mig.cleanup (Mig_gen.random ~seed:5 ~num_inputs:8 ~num_nodes:600 ~num_outputs:6 ()) in
+  (* every node also builds dead nodes, so the target outgrows [g] *)
+  let rule g' ~old_id:_ a b c =
+    ignore (Mig.maj g' (Mig.not_ a) b c);
+    ignore (Mig.maj g' a (Mig.not_ b) c);
+    Mig.maj g' a b c
+  in
+  let rebuild into =
+    let map = Array.make (Mig.num_nodes g + 7) Mig.true_ in
+    Mig.rebuild_into ~map g ~into ~rule;
+    (into, Array.sub map 0 (Mig.num_nodes g))
+  in
+  check_bool "the rule outgrows the source" true
+    (Mig.num_nodes (fst (rebuild (Mig.create ()))) > Mig.num_nodes g);
+  let small = Mig.create () in
+  ignore (Mig.maj small (Mig.add_input small "p") (Mig.add_input small "q") Mig.true_);
+  let large = Mig_gen.random ~seed:9 ~num_inputs:12 ~num_nodes:5000 ~num_outputs:3 () in
+  List.iter
+    (fun (what, into) ->
+      let reference, ref_map = rebuild (Mig.create ()) in
+      let into, map = rebuild into in
+      check_int (what ^ ": node count") (Mig.num_nodes reference) (Mig.num_nodes into);
+      check_bool (what ^ ": same .mig text") true
+        (String.equal (Mig_io.to_string reference) (Mig_io.to_string into));
+      check_bool (what ^ ": same map") true
+        (Array.for_all2 Mig.signal_equal ref_map map);
+      for id = 0 to Mig.num_nodes into - 1 do
+        check_bool (Printf.sprintf "%s: node %d" what id) true
+          (Mig.kind reference id = Mig.kind into id);
+        if Mig.is_maj into id then begin
+          let a = Mig.child into id 0 and b = Mig.child into id 1 and c = Mig.child into id 2 in
+          check_bool (Printf.sprintf "%s: strash finds node %d" what id) true
+            (Mig.lookup ~below:max_int into a b c = Some (Mig.signal id false))
+        end
+      done;
+      let x = Mig.input_signal into 0 and y = Mig.input_signal into 1 in
+      check_bool (what ^ ": the next fresh node") true
+        (Mig.signal_equal
+           (Mig.maj reference x (Mig.not_ y) Mig.true_)
+           (Mig.maj into x (Mig.not_ y) Mig.true_)))
+    [ ("undersized", small); ("oversized", large) ];
+  Alcotest.check_raises "a graph is not its own target"
+    (Invalid_argument "Mig.rebuild_into: target is the source") (fun () ->
+      ignore (rebuild g))
+
 let () =
   Alcotest.run "mig"
     [ ( "construction",
@@ -596,12 +676,15 @@ let () =
           Alcotest.test_case "duplicate input" `Quick test_duplicate_input;
           Alcotest.test_case "duplicate input after a copy" `Quick
             test_duplicate_input_after_copy;
+          Alcotest.test_case "20 000 inputs in linear time" `Quick test_many_inputs_linear;
           qc strash_matches_model ] );
       ( "primitives",
         [ Alcotest.test_case "allocate nothing" `Quick test_primitives_allocate_nothing;
           Alcotest.test_case "ids out of range raise" `Quick test_id_range;
           Alcotest.test_case "an outgrown size hint changes no id" `Quick
-            test_outgrown_hint ] );
+            test_outgrown_hint;
+          Alcotest.test_case "a reused rebuild target changes no id" `Quick
+            test_rebuild_into_reused ] );
       ( "inspection",
         [ Alcotest.test_case "levels/depth" `Quick test_levels_depth;
           Alcotest.test_case "fanouts/reachability" `Quick test_fanouts_reachability;

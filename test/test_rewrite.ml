@@ -191,16 +191,13 @@ let d_rl = [ Axioms.distributivity_rl ]
 let i_rl = [ Axioms.inverter_propagation ]
 let assoc = [ Axioms.associativity ]
 
-let naive_cycle recipe g =
-  let passes =
-    match recipe with
-    | Recipe.No_rewriting -> []
-    | Recipe.Algorithm1 ->
-      [ d_rl; [ Axioms.associativity; Axioms.complementary_associativity ]; d_rl;
-        i_rl; i_rl ]
-    | Recipe.Algorithm2 -> [ d_rl; i_rl; i_rl; assoc; i_rl; i_rl; d_rl; i_rl ]
-  in
-  List.fold_left naive_pass g passes
+let recipe_passes = function
+  | Recipe.No_rewriting -> []
+  | Recipe.Algorithm1 ->
+    [ d_rl; [ Axioms.associativity; Axioms.complementary_associativity ]; d_rl; i_rl; i_rl ]
+  | Recipe.Algorithm2 -> [ d_rl; i_rl; i_rl; assoc; i_rl; i_rl; d_rl; i_rl ]
+
+let naive_cycle recipe g = List.fold_left naive_pass g (recipe_passes recipe)
 
 let naive_recipe recipe ~effort g =
   let rec go n g = if n <= 0 then g else go (n - 1) (naive_cycle recipe g) in
@@ -608,6 +605,77 @@ let test_recipe_allocation () =
           per_node)
     [ "div8"; "multiplier8"; "sqrt8"; "square8"; "rc_small" ]
 
+(* Every word the recipe allocates, minor plus direct major, per source
+   node.  [Gc.minor] before each snapshot counts what is still in the minor
+   heap.  OCaml 5.1's [major_words] can also take in words allocated before
+   the first snapshot at a later major slice, one that may fall inside the
+   measured call (the same recipe then reads 200-300 words per node); a
+   full major collection before the first snapshot settles them, and the
+   count repeats exactly.
+   A rebuild into fresh arrays, and facts in fresh arrays per rebuilt
+   graph, read 61-99 words per source node on these circuits; rebuilds
+   into two targets the call reuses, with one scratch for the facts and
+   the map, read 38-44. *)
+let total_words_of f =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  Gc.full_major ();
+  let before = words () in
+  let r = f () in
+  (r, words () -. before)
+
+let test_recipe_total_words () =
+  List.iter
+    (fun name ->
+      let g = (Suite.find name).Suite.build () in
+      let _, words = total_words_of (fun () -> Recipe.run Recipe.Algorithm2 ~effort:5 g) in
+      let per_source_node = words /. float_of_int (Mig.num_nodes g) in
+      if per_source_node >= 55. then
+        Alcotest.failf "%s: Alg. 2 at effort 5 allocates %.1f words per source node (>= 55)"
+          name per_source_node)
+    [ "div8"; "multiplier8"; "sqrt8"; "square8"; "rc_small" ]
+
+(* [Recipe.run]'s rebuild storage belongs to one call: its result is the
+   cleanup of the same passes run one by one through the public
+   [run_pass], it never writes its input, and two calls return graphs that
+   share no node array (the second call would overwrite the first's
+   result otherwise).  AIG expansions make Ω.D grow the graph, so
+   rebuilds outgrow their targets too. *)
+let run_pass_recipe recipe ~effort g =
+  let rec go n g =
+    if n <= 0 then g
+    else go (n - 1) (List.fold_left (fun g rules -> Recipe.run_pass g rules) g (recipe_passes recipe))
+  in
+  Mig.cleanup (go effort g)
+
+let recipe_owns_its_storage =
+  QCheck.Test.make ~count:60
+    ~name:"run = cleanup of run_pass cycles; input unchanged, results unshared"
+    QCheck.(pair small_int (int_range 0 6))
+    (fun (seed, effort) ->
+      List.for_all
+        (fun g ->
+          let before = Mig_io.digest g in
+          List.for_all
+            (fun recipe ->
+              let r1 = Recipe.run recipe ~effort g in
+              let d1 = Mig_io.digest r1 in
+              let r2 = Recipe.run recipe ~effort g in
+              let unshared (a : Mig.t) (b : Mig.t) =
+                a != b && a.tag != b.tag && a.c0 != b.c0 && a.c1 != b.c1 && a.c2 != b.c2
+              in
+              String.equal d1 (Mig_io.digest (run_pass_recipe recipe ~effort g))
+              && String.equal d1 (Mig_io.digest r2)
+              && String.equal d1 (Mig_io.digest r1)
+              && String.equal before (Mig_io.digest g)
+              && unshared r1 r2 && unshared r1 g && unshared r2 g)
+            [ Recipe.Algorithm1; Recipe.Algorithm2 ])
+        [ random_mig ~nodes:60 seed;
+          Plim_benchgen.Frontend.expand (random_mig ~nodes:30 seed) ])
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -642,7 +710,10 @@ let () =
         [ qc rules_match_gen; qc rules_match_random; qc rules_match_shared ] );
       ( "allocation",
         [ Alcotest.test_case "recipe and quiet pass allocate next to nothing" `Quick
-            test_recipe_allocation ] );
+            test_recipe_allocation;
+          Alcotest.test_case "recipe allocates < 55 words per source node" `Quick
+            test_recipe_total_words;
+          qc recipe_owns_its_storage ] );
       ( "directed",
         [ Alcotest.test_case "distributivity collapse" `Quick test_distributivity_collapse;
           Alcotest.test_case "inverter flip" `Quick test_inverter_flip;
