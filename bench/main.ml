@@ -705,15 +705,9 @@ let serve () =
       let stream = Plim_serve.Workload.generate ~seed ~requests mix in
       let server = Plim_serve.Server.create cfg in
       let t0 = Unix.gettimeofday () in
-      (match retire_ids with
-      | [] -> ignore (Plim_serve.Server.run ?pool:!pool server stream)
-      | ids ->
-        let n = List.length stream in
-        let first = List.filteri (fun i _ -> i < n / 2) stream in
-        let second = List.filteri (fun i _ -> i >= n / 2) stream in
-        ignore (Plim_serve.Server.run ?pool:!pool server first);
-        List.iter (fun id -> ignore (Plim_serve.Server.force_retire server id)) ids;
-        ignore (Plim_serve.Server.run ?pool:!pool server second));
+      ignore
+        (Plim_serve.Server.retire_drill ?pool:!pool server stream
+           ~retire:retire_ids);
       let wall = if !deterministic then 0.0 else Unix.gettimeofday () -. t0 in
       let s = Plim_serve.Server.summary server in
       let lat = Plim_serve.Server.latency server in
@@ -804,30 +798,13 @@ let horizon () =
   | vs ->
     List.iter (Printf.printf "VIOLATION: %s\n") vs;
     fail "horizon: %d lifetime ordering violation(s)" (List.length vs));
-  (* static certification gate: every simulated grid cell must fall
-     inside the bracket Plim_certify derives without simulating.  The
-     default mix (compile_ratio > 0) only has finite lower bounds, so a
-     second exec-only grid pins the upper ends too; its rows ride along
-     in the results under a "/exec" label suffix. *)
+  (* static certification gate: every published row must fall inside
+     the bracket Plim_certify derives without simulating.  The default
+     mix (compile_ratio > 0) only has finite lower bounds, so a second
+     exec-only grid pins the upper ends too; its rows ride along in the
+     results under a "/exec" label suffix. *)
   let module C = Plim_certify in
-  let cert_fail = ref 0 in
-  let gate cells certs =
-    List.iter
-      (fun (_, _, r) ->
-        match C.find certs (H.label r) with
-        | None ->
-          incr cert_fail;
-          Printf.printf "CERT FAIL %s: no matching certificate\n" (H.label r)
-        | Some c -> (
-          match C.check_result c r with
-          | Ok () -> ()
-          | Error e ->
-            incr cert_fail;
-            Printf.printf "CERT FAIL %s: %s\n" (H.label r) e))
-      cells
-  in
   let certs = C.grid base ~strategies:H.all_strategies ~fault_rates:rates in
-  gate cells certs;
   let xbase =
     { base with
       H.mix =
@@ -837,22 +814,32 @@ let horizon () =
     H.grid ?pool:!pool xbase ~strategies:H.all_strategies ~fault_rates:rates
   in
   let xcerts = C.grid xbase ~strategies:H.all_strategies ~fault_rates:rates in
-  gate xcells xcerts;
-  if !cert_fail > 0 then
-    fail "[bench] %d simulated cell(s) escape their static certificates" !cert_fail;
+  let rows = List.map (fun (_, _, r) -> H.row_json r) cells in
+  let xrows =
+    List.map (fun (_, _, r) -> H.row_json ~label:(H.label r ^ "/exec") r) xcells
+  in
+  let escapes =
+    List.concat_map
+      (fun (certs, rows) ->
+        List.filter_map
+          (fun row -> Result.fold ~ok:(fun _ -> None) ~error:Option.some
+              (C.check_row_json certs row))
+          rows)
+      [ (certs, rows); (xcerts, xrows) ]
+  in
+  List.iter (Printf.printf "CERT FAIL %s\n") escapes;
+  if escapes <> [] then
+    fail "[bench] %d simulated cell(s) escape their static certificates"
+      (List.length escapes);
   Printf.printf
     "(ok: all %d simulated cells inside their static wear-bound certificates)\n"
-    (List.length cells + List.length xcells);
+    (List.length rows + List.length xrows);
   cert_rows :=
     List.map (fun (_, _, c) -> C.row_json c) certs
     @ List.map
         (fun (_, _, c) -> C.row_json ~label:(C.label c ^ "/exec") c)
         xcerts;
-  horizon_rows :=
-    List.map (fun (_, _, r) -> H.row_json r) cells
-    @ List.map
-        (fun (_, _, r) -> H.row_json ~label:(H.label r ^ "/exec") r)
-        xcells
+  horizon_rows := rows @ xrows
 
 (* ------------------------------------------------------------------ *)
 (* Geometry: the area/latency trade-off curve of the crossbar-geometry

@@ -1140,24 +1140,11 @@ let serve_run obs sources requests seed fleet batch zipf hot hot_pool
   in
   let server = Plim_serve.Server.create scfg in
   let t0 = Unix.gettimeofday () in
-  let serve pool reqs = ignore (Plim_serve.Server.run ?pool ~batch server reqs) in
   with_jobs jobs (fun pool ->
-      match retire with
-      | [] -> serve pool stream
-      | ids ->
-        (* forced-retirement drill: serve half the stream, retire the
-           given shards, let the survivors absorb the rest *)
-        let n = List.length stream in
-        let first = List.filteri (fun i _ -> i < n / 2) stream in
-        let second = List.filteri (fun i _ -> i >= n / 2) stream in
-        serve pool first;
-        List.iter
-          (fun id ->
-            if not (Plim_serve.Server.force_retire server id) then
-              Printf.eprintf "plimc serve: cannot retire shard %d (unknown, \
-                              spare or already retired)\n%!" id)
-          ids;
-        serve pool second);
+      List.iter
+        (Printf.eprintf "plimc serve: cannot retire shard %d (unknown, spare or \
+                         already retired)\n%!")
+        (Plim_serve.Server.retire_drill ?pool ~batch server stream ~retire));
   let wall = Unix.gettimeofday () -. t0 in
   let s = Plim_serve.Server.summary server in
   (match wear_json with
@@ -1430,36 +1417,14 @@ let certify_run wm fault_seed json check_file =
         cells
     end
   | Some file ->
-    (* accept both shapes a horizon run produces: a plim-bench results
-       object (or bare array) and `plimc horizon --json` row-per-line.  A
-       file that cannot be read, or is neither, is a usage error (exit 2),
-       never a row escaping its bracket (exit 1). *)
-    let usage_error reason =
-      Printf.eprintf "plimc certify: %s\n" reason;
-      exit 2
-    in
-    let text = match Plim_util.File.read file with Ok t -> t | Error e -> usage_error e in
+    (* a file that cannot be read or parsed is a usage error (exit 2),
+       never a row escaping its bracket (exit 1) *)
     let rows =
-      match Json.parse text with
-      | Ok (Json.Obj _ as j) ->
-        (match Option.bind (Json.member "horizon" j) Json.to_list with
-        | Some rows -> rows
-        | None ->
-          Printf.eprintf "plimc certify: %s has no \"horizon\" rows\n" file;
-          exit 1)
-      | Ok (Json.Arr rows) -> rows
-      | Ok row -> [ row ]
-      | Error _ ->
-        List.concat
-          (List.mapi
-             (fun i line ->
-               match String.trim line with
-               | "" -> []
-               | line ->
-                 (match Json.parse line with
-                 | Ok row -> [ row ]
-                 | Error e -> usage_error (Printf.sprintf "%s: line %d: %s" file (i + 1) e)))
-             (String.split_on_char '\n' text))
+      match C.read_rows file with
+      | Ok rows -> rows
+      | Error e ->
+        Printf.eprintf "plimc certify: %s\n" e;
+        exit 2
     in
     if rows = [] then begin
       Printf.eprintf "plimc certify: %s contains no rows to check\n" file;

@@ -418,34 +418,40 @@ let check_bound ~what ~stopped_at bound = function
            what stopped_at bound.upper)
     else Ok ()
 
-let check_result c (r : Horizon.result) =
+(* The one verdict behind both front ends: the identity of the simulated
+   cell (strategy, endurance, fault rate) must be the certificate's, then
+   both lifetimes must sit in their brackets. *)
+let check c ~strategy ~endurance ~fault_rate ~epochs ~ttff ~half_life =
   let ( let* ) = Result.bind in
   let* () =
-    if c.c_strategy <> r.Horizon.r_strategy then
+    if c.c_strategy <> strategy then
       Error
         (Printf.sprintf "strategy mismatch: certificate %s, result %s"
            (Horizon.strategy_name c.c_strategy)
-           (Horizon.strategy_name r.Horizon.r_strategy))
+           (Horizon.strategy_name strategy))
     else Ok ()
   in
   let* () =
-    if Float.abs (c.c_endurance -. r.Horizon.r_endurance) > slack c.c_endurance
-    then
+    if Float.abs (c.c_endurance -. endurance) > slack c.c_endurance then
       Error
         (Printf.sprintf "endurance mismatch: certificate %.6g, result %.6g"
-           c.c_endurance r.Horizon.r_endurance)
+           c.c_endurance endurance)
     else Ok ()
   in
   let* () =
-    if Float.abs (c.c_fault_rate -. r.Horizon.r_fault_rate) > 1e-9 then
+    if Float.abs (c.c_fault_rate -. fault_rate) > 1e-9 then
       Error
         (Printf.sprintf "fault-rate mismatch: certificate %.6g, result %.6g"
-           c.c_fault_rate r.Horizon.r_fault_rate)
+           c.c_fault_rate fault_rate)
     else Ok ()
   in
-  let stopped_at = r.Horizon.r_epochs in
-  let* () = check_bound ~what:"ttff" ~stopped_at c.c_ttff r.Horizon.r_ttff in
-  check_bound ~what:"half-life" ~stopped_at c.c_half_life r.Horizon.r_half_life
+  let* () = check_bound ~what:"ttff" ~stopped_at:epochs c.c_ttff ttff in
+  check_bound ~what:"half-life" ~stopped_at:epochs c.c_half_life half_life
+
+let check_result c (r : Horizon.result) =
+  check c ~strategy:r.Horizon.r_strategy ~endurance:r.Horizon.r_endurance
+    ~fault_rate:r.Horizon.r_fault_rate ~epochs:r.Horizon.r_epochs
+    ~ttff:r.Horizon.r_ttff ~half_life:r.Horizon.r_half_life
 
 let find cells lbl =
   let matches c =
@@ -458,51 +464,59 @@ let find cells lbl =
 
 let check_row_json cells row =
   let ( let* ) = Result.bind in
-  let str k = Option.bind (Json.member k row) Json.to_string in
-  let num k = Option.bind (Json.member k row) Json.to_float in
+  let field k conv =
+    match Option.bind (Json.member k row) conv with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "row has no %s field" k)
+  in
+  let* schema = field "schema" Json.to_string in
   let* () =
-    match str "schema" with
-    | Some "plim-horizon/v1" -> Ok ()
-    | Some s -> Error (Printf.sprintf "row schema %S is not plim-horizon/v1" s)
-    | None -> Error "row has no schema field"
+    if schema = "plim-horizon/v1" then Ok ()
+    else Error (Printf.sprintf "row schema %S is not plim-horizon/v1" schema)
   in
-  let* lbl =
-    match str "label" with Some l -> Ok l | None -> Error "row has no label"
-  in
-  let* c =
-    match find cells lbl with
-    | Some c -> Ok c
-    | None -> Error (Printf.sprintf "%s: no certificate for this cell" lbl)
-  in
-  let* epochs =
-    match num "epochs" with
-    | Some e -> Ok e
-    | None -> Error (lbl ^ ": row has no epochs field")
-  in
-  let* () =
-    match num "endurance" with
-    | Some e when Float.abs (e -. c.c_endurance) <= slack c.c_endurance -> Ok ()
-    | Some e ->
-      Error
-        (Printf.sprintf "%s: row endurance %.6g, certificate %.6g" lbl e
-           c.c_endurance)
-    | None -> Error (lbl ^ ": row has no endurance field")
-  in
-  (* -1 is the horizon sentinel for "did not happen before the stop" *)
-  let lifetime k =
-    match num k with
-    | Some v when v >= 0.0 -> Ok (Some v)
-    | Some _ -> Ok None
-    | None -> Error (Printf.sprintf "%s: row has no %s field" lbl k)
-  in
-  let* ttff = lifetime "ttff_epochs" in
-  let* half_life = lifetime "half_life_epochs" in
-  let* () =
-    Result.map_error (fun e -> lbl ^ ": " ^ e)
-      (check_bound ~what:"ttff" ~stopped_at:epochs c.c_ttff ttff)
-  in
-  let* () =
-    Result.map_error (fun e -> lbl ^ ": " ^ e)
-      (check_bound ~what:"half-life" ~stopped_at:epochs c.c_half_life half_life)
-  in
-  Ok lbl
+  let* lbl = field "label" Json.to_string in
+  Result.map_error (fun e -> lbl ^ ": " ^ e)
+    (let* c =
+       Option.to_result ~none:"no certificate for this cell" (find cells lbl)
+     in
+     let* strategy =
+       Result.bind (field "strategy" Json.to_string) Horizon.strategy_of_string
+     in
+     let* fault_rate = field "fault_rate" Json.to_float in
+     let* endurance = field "endurance" Json.to_float in
+     let* epochs = field "epochs" Json.to_float in
+     (* -1 is the horizon sentinel for "did not happen before the stop" *)
+     let lifetime k =
+       Result.map (fun v -> if v >= 0.0 then Some v else None) (field k Json.to_float)
+     in
+     let* ttff = lifetime "ttff_epochs" in
+     let* half_life = lifetime "half_life_epochs" in
+     let* () = check c ~strategy ~endurance ~fault_rate ~epochs ~ttff ~half_life in
+     Ok lbl)
+
+let read_rows path =
+  let ( let* ) = Result.bind in
+  let* text = Plim_util.File.read path in
+  match Json.parse text with
+  | Ok (Json.Arr rows) -> Ok rows
+  | Ok doc -> (
+    (* a results object carries its rows under "horizon"; any other
+       document is one row *)
+    match Json.member "horizon" doc with
+    | None -> Ok [ doc ]
+    | Some rows ->
+      Option.to_result
+        ~none:(path ^ ": \"horizon\" is not an array of rows")
+        (Json.to_list rows))
+  | Error _ ->
+    let rec lines i acc = function
+      | [] -> Ok (List.rev acc)
+      | line :: rest -> (
+        match String.trim line with
+        | "" -> lines (i + 1) acc rest
+        | line -> (
+          match Json.parse line with
+          | Ok row -> lines (i + 1) (row :: acc) rest
+          | Error e -> Error (Printf.sprintf "%s: line %d: %s" path i e)))
+    in
+    lines 1 [] (String.split_on_char '\n' text)

@@ -191,8 +191,18 @@ val check_row_json :
   (Horizon.strategy * float * t) list ->
   Plim_telemetry.Json.t ->
   (string, string) result
-(** Check one parsed [plim-horizon/v1] row against the matching
-    certificate of the grid: [Ok label] when the row is inside its
-    bracket, [Error] when it escapes, has no matching certificate, or
-    was produced at a different endurance.  [-1] lifetimes are treated
+(** Check one parsed [plim-horizon/v1] row against the certificate
+    {!find} gives for its label: [Ok label] when the row passes the same
+    identity and bracket check as {!check_result}, [Error] when it
+    escapes, names another strategy, endurance or fault rate, has no
+    matching certificate or lacks a field.  [-1] lifetimes are treated
     as "did not happen" exactly like {!Horizon.row_json} emits them. *)
+
+val read_rows : string -> (Plim_telemetry.Json.t list, string) result
+(** The rows of a file to check: a results object (its ["horizon"]
+    array), a bare array of rows, JSON lines (one row per non-blank
+    line, as [plimc horizon --json] writes them), or a single row (an
+    object with no ["horizon"] member).  [Error "PATH: reason"] when the
+    file cannot be read, its ["horizon"] member is not an array, or it
+    is neither one JSON document nor JSON lines (naming the first bad
+    line).  The rows themselves are not validated here. *)

@@ -142,8 +142,6 @@ let size m t =
   go t;
   Hashtbl.length seen
 
-let live_nodes m = m.len
-
 let interleave groups width =
   Array.init (groups * width) (fun v ->
       let g = v / width and i = v mod width in

@@ -48,8 +48,6 @@ let set_gauge g v = with_lock @@ fun () -> g.level <- v
 
 let add_gauge g d = with_lock @@ fun () -> g.level <- g.level +. d
 
-let gauge_value g = with_lock @@ fun () -> g.level
-
 let get name =
   with_lock @@ fun () ->
   match Hashtbl.find_opt counters name with Some c -> Atomic.get c.count | None -> 0

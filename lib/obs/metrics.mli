@@ -35,8 +35,6 @@ val add_gauge : gauge -> float -> unit
     registry lock — for levels maintained incrementally across batches,
     like the serve fleet's cumulative physical-write gauge. *)
 
-val gauge_value : gauge -> float
-
 val get : string -> int
 (** Current value of the counter registered under [name]; 0 if no such
     counter exists. *)

@@ -101,8 +101,6 @@ let recipe_name = function
   | Algorithm1 -> "dac16"
   | Algorithm2 -> "endurance"
 
-let pp_recipe ppf r = Format.pp_print_string ppf (recipe_name r)
-
 let d_rl = ("D(R->L)", [ Axioms.distributivity_rl ])
 let i_rl = ("I(R->L)", [ Axioms.inverter_propagation ])
 

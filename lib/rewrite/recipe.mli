@@ -24,7 +24,6 @@ val run_pass : ?name:string -> Mig.t -> pass -> Mig.t
 
 type recipe = No_rewriting | Algorithm1 | Algorithm2
 
-val pp_recipe : Format.formatter -> recipe -> unit
 val recipe_name : recipe -> string
 
 val run : recipe -> effort:int -> Mig.t -> Mig.t

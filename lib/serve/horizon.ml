@@ -475,11 +475,3 @@ let row_json ?label:lbl r =
       ("sampled_epochs", Int r.r_sampled_epochs); ("total_writes", Num r.r_total_writes);
       ("skew", Wear.skew_json r.r_skew);
       ("trajectory", Arr (List.map point (decimate ~keep:48 r.r_trajectory))) ]
-
-let pp_result ppf r =
-  let f = function Some e -> Printf.sprintf "%.4g" e | None -> "-" in
-  Format.fprintf ppf
-    "%-17s r=%-6g ttff=%-8s half-life=%-8s epochs=%-8g capacity=%.2f dead=%d"
-    (strategy_name r.r_strategy)
-    r.r_fault_rate (f r.r_ttff) (f r.r_half_life) r.r_epochs r.r_final_capacity
-    r.r_dead_shards

@@ -172,5 +172,3 @@ val row_json : ?label:string -> result -> Plim_telemetry.Json.t
 (** One [plim-horizon/v1] row.  Optional lifetimes that never happened
     before the stop are encoded as [-1] (the schema carries no nulls);
     the trajectory is decimated to at most 48 points. *)
-
-val pp_result : Format.formatter -> result -> unit

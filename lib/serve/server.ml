@@ -405,6 +405,18 @@ let run ?pool ?(batch = 32) t requests =
     (float_of_int (fleet_total_writes t - writes_before));
   out
 
+let retire_drill ?pool ?batch t requests ~retire =
+  match retire with
+  | [] ->
+    ignore (run ?pool ?batch t requests);
+    []
+  | ids ->
+    let half = List.length requests / 2 in
+    ignore (run ?pool ?batch t (List.filteri (fun i _ -> i < half) requests));
+    let refused = List.filter (fun id -> not (force_retire t id)) ids in
+    ignore (run ?pool ?batch t (List.filteri (fun i _ -> i >= half) requests));
+    refused
+
 let summary t =
   { requests = t.requests;
     compiles = t.compiles;

@@ -124,6 +124,15 @@ val run : ?pool:Plim_par.t -> ?batch:int -> t -> Workload.request list ->
     request order.  Without [pool] every phase runs sequentially —
     identical output, no parallelism. *)
 
+val retire_drill :
+  ?pool:Plim_par.t -> ?batch:int -> t -> Workload.request list ->
+  retire:int list -> int list
+(** The forced-retirement drill: {!run} the first half of the requests,
+    {!force_retire} each of [retire] in order, then {!run} the rest, so
+    the surviving and spare shards absorb it.  With [retire = []] this
+    is one {!run} over all the requests.  Responses are dropped; the
+    result is the ids {!force_retire} refused, in order. *)
+
 val summary : t -> summary
 
 val latency : t -> Histogram.t

@@ -68,6 +68,3 @@ val total_writes : t -> int
 
 val spares_left : t -> int
 (** Spare {e lines} still available to {!Plim_fault.Remap.retire}. *)
-
-val stuck_cells : t -> int
-(** Currently stuck physical cells (injected + worn out). *)

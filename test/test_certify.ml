@@ -339,6 +339,60 @@ let test_check_row_json_round_trip () =
         (Helpers.contains ~needle:"endurance" e))
   | _ -> Alcotest.fail "expected one grid cell"
 
+(* a row whose strategy or fault rate is not its label's cell must not
+   pass, whatever its lifetimes *)
+let test_check_row_json_identity () =
+  let cfg = cert_config ~compile_ratio:0.0 in
+  let certs = C.grid cfg ~strategies:[ H.No_leveling ] ~fault_rates:[ 0.0 ] in
+  match H.grid cfg ~strategies:[ H.No_leveling ] ~fault_rates:[ 0.0 ] with
+  | [ (_, _, r) ] ->
+    let forge key v =
+      match H.row_json r with
+      | Json.Obj kvs ->
+        Json.Obj (List.map (fun (k, x) -> (k, if k = key then v else x)) kvs)
+      | _ -> Alcotest.fail "row is not an object"
+    in
+    List.iter
+      (fun (key, v, needle) ->
+        match C.check_row_json certs (forge key v) with
+        | Ok _ -> Alcotest.failf "forged %s accepted" key
+        | Error e ->
+          check_bool ("names the forged " ^ key) true
+            (Helpers.contains ~needle e))
+      [ ("strategy", Json.Str "start_gap", "strategy");
+        ("fault_rate", Json.Num 0.5, "fault-rate") ]
+  | _ -> Alcotest.fail "expected one grid cell"
+
+(* every shape --check accepts, read through the one reader *)
+let read_rows_text text =
+  let path = Filename.temp_file "rows" ".json" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let rows = C.read_rows path in
+  Sys.remove path;
+  Result.map (List.map Json.write) rows
+
+let row_text l = Printf.sprintf {|{"schema":"plim-horizon/v1","label":"%s"}|} l
+
+let read_rows_shapes =
+  let a = row_text "a" and b = row_text "b" in
+  List.map
+    (fun (shape, text, expected) ->
+      Alcotest.test_case ("read_rows: " ^ shape) `Quick (fun () ->
+          Alcotest.(check (result (list string) string)) shape (Ok expected)
+            (read_rows_text text)))
+    [ ("results object",
+       Printf.sprintf {|{"schema":"plim-bench/v1","horizon":[%s,%s]}|} a b,
+       [ a; b ]);
+      ("bare array", Printf.sprintf "[%s,%s]" a b, [ a; b ]);
+      ("JSON lines", Printf.sprintf "%s\n\n%s\n" a b, [ a; b ]);
+      ("single row", a ^ "\n", [ a ]) ]
+
+let test_read_rows_malformed_line () =
+  match read_rows_text (row_text "a" ^ "\n{\"label\":\n") with
+  | Ok _ -> Alcotest.fail "malformed line accepted"
+  | Error e ->
+    check_bool "names the line" true (Helpers.contains ~needle:"line 2" e)
+
 (* bad levelling parameters are refused up front by both sides of the
    gate, never certified into an inf/nan bracket *)
 let test_rejects_bad_leveling_params () =
@@ -380,5 +434,10 @@ let () =
             test_row_json_shape;
           Alcotest.test_case "check_row_json round trip" `Quick
             test_check_row_json_round_trip;
+          Alcotest.test_case "check_row_json checks the row's identity" `Quick
+            test_check_row_json_identity;
+          Alcotest.test_case "read_rows: malformed line" `Quick
+            test_read_rows_malformed_line;
           Alcotest.test_case "bad levelling parameters rejected" `Quick
-            test_rejects_bad_leveling_params ] ) ]
+            test_rejects_bad_leveling_params ]
+        @ read_rows_shapes ) ]
