@@ -1,5 +1,4 @@
 module Program = Plim_isa.Program
-module I = Plim_isa.Instruction
 module Profile = Plim_obs.Profile
 module Metrics = Plim_obs.Metrics
 module Json = Plim_telemetry.Json
@@ -58,14 +57,6 @@ let pp_diagnostic ppf d =
 
 let diagnostic_to_string d = Format.asprintf "%a" pp_diagnostic d
 
-(* [RM3 a, b, z] computes [z <- <a, !b, z>]; the old value of [z] is read
-   unless both operands are constants with [a <> b] (the two set_const
-   encodings, whose majority is decided by the operands alone). *)
-let reads_dest (instr : I.t) =
-  match (instr.I.a, instr.I.b) with
-  | I.Const a, I.Const b -> a = b
-  | (I.Cell _ | I.Const _), (I.Cell _ | I.Const _) -> true
-
 (* --- def-use IR -------------------------------------------------------- *)
 
 (* Every def ("site") in def order: PI loads first, then per instruction
@@ -100,7 +91,8 @@ type analysis = {
    [def_instr], [def_live_out] and [def_placeholder] of the result hold. *)
 let build ~uses:with_uses (p : Program.t) =
   let n = p.Program.num_cells in
-  let len = Array.length p.Program.instrs in
+  let code = p.Program.code in
+  let len = Array.length code in
   (* at most one placeholder per cell: it is installed only while the
      cell has no def, and every cell keeps a def from then on *)
   let cap = Array.length p.Program.pi_cells + len + n in
@@ -153,12 +145,17 @@ let build ~uses:with_uses (p : Program.t) =
     (* one use per instruction per value *)
     else if with_uses && last_use.(s) <> i then record s i
   in
+  let bits = Program.field_bits and mask = Program.field_mask in
   for i = 0 to len - 1 do
-    let instr = p.Program.instrs.(i) in
-    (match instr.I.a with I.Cell c -> use i c | I.Const _ -> ());
-    (match instr.I.b with I.Cell c -> use i c | I.Const _ -> ());
-    if reads_dest instr then use i instr.I.z;
-    last.(instr.I.z) <- push instr.I.z i
+    let w = code.(i) in
+    let a = (w lsr bits) land mask and b = w lsr (2 * bits) and z = w land mask in
+    if a >= 2 then use i (a - 2);
+    if b >= 2 then use i (b - 2);
+    (* [RM3 a, b, z] computes [z <- <a, !b, z>]; the old value of [z] is
+       read unless both operands are constants with [a <> b] (the two
+       set_const encodings, whose majority the operands alone decide) *)
+    if a >= 2 || b >= 2 || a = b then use i z;
+    last.(z) <- push z i
   done;
   Array.iter
     (fun (name, c) ->
@@ -272,15 +269,15 @@ let analyze ?(leak_grace = default_leak_grace) ?max_writes (p : Program.t) =
   let fresh = ref 0 in
   (* the first def of every non-PI cell, ascending by instruction *)
   let defined = Array.copy is_pi in
-  Array.iteri
-    (fun i (instr : I.t) ->
-      if not defined.(instr.I.z) then begin
-        defined.(instr.I.z) <- true;
-        fresh_at.(!fresh) <- i;
-        fresh_cell.(!fresh) <- instr.I.z;
-        incr fresh
-      end)
-    p.Program.instrs;
+  for i = 0 to len - 1 do
+    let z = p.Program.code.(i) land Program.field_mask in
+    if not defined.(z) then begin
+      defined.(z) <- true;
+      fresh_at.(!fresh) <- i;
+      fresh_cell.(!fresh) <- z;
+      incr fresh
+    end
+  done;
   (* dying cells by ascending death, so that one pointer moving forward
      through [fresh_at] finds each one's first fresh def past its grace;
      the cells in [fresh_cell] are distinct, so at most one is skipped *)

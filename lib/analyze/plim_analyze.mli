@@ -140,10 +140,6 @@ val defs : analysis -> def list
     [uses] list per def, so a caller that only walks the defs should read
     the chains instead. *)
 
-val reads_dest : Plim_isa.Instruction.t -> bool
-(** Whether the instruction reads the old value of its destination — true
-    except for the two [set_const] encodings (see the read/write model). *)
-
 val write_counts : Program.t -> int array
 (** Per-cell write bounds: the instruction defs per cell, counted from the
     def walk that builds {!chains} (use events and the CSR layouts are

@@ -125,12 +125,12 @@ let fault_avoidance_check name spec program acc =
   let faulty i = Fault_model.cell_fault spec i <> None in
   let bad = ref [] in
   let touch what i = if faulty i then bad := Printf.sprintf "%s cell %d" what i :: !bad in
-  Array.iter
-    (fun (instr : I.t) ->
-      touch "destination" instr.I.z;
-      (match instr.I.a with I.Cell i -> touch "operand" i | I.Const _ -> ());
-      match instr.I.b with I.Cell i -> touch "operand" i | I.Const _ -> ())
-    program.Program.instrs;
+  for k = 0 to Program.length program - 1 do
+    let instr = Program.instr program k in
+    touch "destination" instr.I.z;
+    (match instr.I.a with I.Cell i -> touch "operand" i | I.Const _ -> ());
+    match instr.I.b with I.Cell i -> touch "operand" i | I.Const _ -> ()
+  done;
   Array.iter (fun (_, c) -> touch "PI" c) program.Program.pi_cells;
   Array.iter (fun (_, c) -> touch "PO" c) program.Program.po_cells;
   match List.sort_uniq compare !bad with

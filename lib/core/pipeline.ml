@@ -2,7 +2,6 @@ module Mig = Plim_mig.Mig
 module Recipe = Plim_rewrite.Recipe
 module Program = Plim_isa.Program
 module Stats = Plim_stats.Stats
-module Vec = Plim_util.Vec
 module Profile = Plim_obs.Profile
 
 type config = {
@@ -93,8 +92,8 @@ let compile_rewritten ?is_faulty config g =
         (Mig.input_name g pi, ctx.Translate.pi_cell.(pi)))
   in
   let program =
-    Program.make
-      ~instrs:(Vec.to_array ctx.Translate.instrs)
+    Program.of_code
+      ~code:(Array.sub ctx.Translate.code 0 ctx.Translate.len)
       ~num_cells:(Alloc.total_allocated alloc)
       ~pi_cells ~po_cells
   in

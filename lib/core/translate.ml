@@ -1,6 +1,5 @@
 module Mig = Plim_mig.Mig
-module Vec = Plim_util.Vec
-module I = Plim_isa.Instruction
+module Program = Plim_isa.Program
 module Metrics = Plim_obs.Metrics
 module Trace = Plim_obs.Trace
 
@@ -15,7 +14,8 @@ type ctx = {
   cell_of : int array;
   pending : int array;
   pi_cell : int array;   (* PI index -> load cell, stable for the PI map *)
-  instrs : I.t Vec.t;
+  mutable code : int array;  (* packed RM3 words (Program's layout), [len] used *)
+  mutable len : int;
   dest_min_write : bool;
   mutable on_pending_one : int -> unit;
 }
@@ -30,14 +30,33 @@ let make_ctx ?(dest_min_write = false) g alloc =
     cell_of = Array.make n (-1);
     pending;
     pi_cell = Array.make (Mig.num_inputs g) (-1);
-    instrs = Vec.create ~dummy:(I.set_const false 0) ();
+    code = Array.make 16 0;
+    len = 0;
     dest_min_write;
     on_pending_one = (fun _ -> ()) }
 
-let emit ctx instr =
-  ignore (Vec.push ctx.instrs instr);
+(* Operand codes: 0 and 1 for the constants, cell + 2 for a cell. *)
+let const_code v = Bool.to_int v
+let cell_code c = c + 2
+
+(* RM3(a, b, z) packed into the buffer; [a] and [b] are operand codes.
+   A cell past [Program.max_cells] would wrap a field, so it is refused. *)
+let emit ctx a b z =
+  if z >= Program.max_cells || a >= Program.max_cells + 2 || b >= Program.max_cells + 2
+  then invalid_arg "Translate.emit: cell beyond Program.max_cells";
+  if ctx.len = Array.length ctx.code then begin
+    let code = Array.make (2 * ctx.len) 0 in
+    Array.blit ctx.code 0 code 0 ctx.len;
+    ctx.code <- code
+  end;
+  ctx.code.(ctx.len) <-
+    z lor (a lsl Program.field_bits) lor (b lsl (2 * Program.field_bits));
+  ctx.len <- ctx.len + 1;
   Metrics.incr m_instrs;
-  Alloc.note_write ctx.alloc instr.I.z
+  Alloc.note_write ctx.alloc z
+
+(* RM3(1,0,z) forces 1 and RM3(0,1,z) forces 0 (Instruction.set_const) *)
+let emit_set ctx v z = emit ctx (const_code v) (const_code (not v)) z
 
 let place_inputs ctx =
   for pi = 0 to Mig.num_inputs ctx.g - 1 do
@@ -68,8 +87,8 @@ let materialize_complement ~needed ctx s =
   Metrics.incr m_complements;
   let src = cell_of_child ctx s in
   let tmp = Alloc.request ~needed ctx.alloc in
-  emit ctx (I.set_const true tmp);
-  emit ctx (I.rm3 ~a:(I.Const false) ~b:(I.Cell src) ~z:tmp);
+  emit_set ctx true tmp;
+  emit ctx (const_code false) (cell_code src) tmp;
   tmp
 
 (* cell freshly loaded with v: set tmp := 0; RM3(v, 0, tmp) -> <v,1,0> = v.
@@ -78,8 +97,8 @@ let materialize_copy ctx s =
   Metrics.incr m_copies;
   let src = cell_of_child ctx s in
   let tmp = Alloc.request ~needed:3 ctx.alloc in
-  emit ctx (I.set_const false tmp);
-  emit ctx (I.rm3 ~a:(I.Cell src) ~b:(I.Const false) ~z:tmp);
+  emit_set ctx false tmp;
+  emit ctx (cell_code src) (const_code false) tmp;
   tmp
 
 (* --- role costs ------------------------------------------------------ *)
@@ -158,7 +177,7 @@ let compute_node ctx id =
   let zcell =
     if Mig.is_const sz then begin
       let cell = Alloc.request ctx.alloc in
-      emit ctx (I.set_const (const_value sz) cell);
+      emit_set ctx (const_value sz) cell;
       cell
     end
     else if Mig.is_complemented sz then materialize_complement ~needed:3 ctx sz
@@ -179,14 +198,14 @@ let compute_node ctx id =
     else materialize_complement ~needed:2 ctx sq
   in
   let p_operand =
-    if Mig.is_const sp then I.Const (const_value sp)
-    else I.Cell (if p_tmp >= 0 then p_tmp else cell_of_child ctx sp)
+    if Mig.is_const sp then const_code (const_value sp)
+    else cell_code (if p_tmp >= 0 then p_tmp else cell_of_child ctx sp)
   in
   let q_operand =
-    if Mig.is_const sq then I.Const (not (const_value sq))
-    else I.Cell (if q_tmp >= 0 then q_tmp else cell_of_child ctx sq)
+    if Mig.is_const sq then const_code (not (const_value sq))
+    else cell_code (if q_tmp >= 0 then q_tmp else cell_of_child ctx sq)
   in
-  emit ctx (I.rm3 ~a:p_operand ~b:q_operand ~z:zcell);
+  emit ctx p_operand q_operand zcell;
   if Trace.enabled () then
     Trace.emit "translate.rm3"
       ~args:[ ("node", Int id); ("z", Int zcell); ("in_place", Bool in_place) ];
@@ -217,7 +236,7 @@ let materialize_outputs ctx =
       let n = Mig.node_of s in
       if n = 0 then begin
         let cell = Alloc.request ctx.alloc in
-        emit ctx (I.set_const (const_value s) cell);
+        emit_set ctx (const_value s) cell;
         (name, cell)
       end
       else begin

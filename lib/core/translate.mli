@@ -23,7 +23,10 @@ type ctx = {
   cell_of : int array;     (** node id -> device holding its value; -1 = none *)
   pending : int array;     (** node id -> remaining uses (parents + PO refs) *)
   pi_cell : int array;     (** PI index -> device the input is loaded into *)
-  instrs : Plim_isa.Instruction.t Plim_util.Vec.t;
+  mutable code : int array;
+      (** the emitted RM3s, packed as in {!Plim_isa.Program}; the first
+          [len] words are used, the rest is growth room *)
+  mutable len : int;
   dest_min_write : bool;
       (** ablation: among equally-cheap destination choices prefer the
           device with the smallest write count (not part of the paper) *)
@@ -42,7 +45,9 @@ val place_inputs : ctx -> unit
 val compute_node : ctx -> int -> unit
 (** Translate one majority node (children must be available).
     Updates pending counts, releases dead devices, invokes
-    [on_pending_one]. *)
+    [on_pending_one].
+    @raise Invalid_argument if an instruction would name a cell past
+    {!Plim_isa.Program.max_cells}. *)
 
 val materialize_outputs : ctx -> (string * int) array
 (** After all nodes are computed: ensure every primary output value sits

@@ -111,13 +111,13 @@ let check_symbolic ?order mig (program : Program.t) =
     | I.Const true -> Bdd.true_ man
     | I.Cell i -> cells.(i)
   in
-  Array.iter
-    (fun (instr : I.t) ->
-      let a = operand instr.I.a in
-      let b = operand instr.I.b in
-      let z = instr.I.z in
-      cells.(z) <- Bdd.maj man a (Bdd.not_ man b) cells.(z))
-    program.Program.instrs;
+  for i = 0 to Program.length program - 1 do
+    let instr = Program.instr program i in
+    let a = operand instr.I.a in
+    let b = operand instr.I.b in
+    let z = instr.I.z in
+    cells.(z) <- Bdd.maj man a (Bdd.not_ man b) cells.(z)
+  done;
   let mismatch = ref None in
   Array.iteri
     (fun i (name, cell) ->

@@ -73,10 +73,14 @@ let verified_load st l v =
 
 let read st c = Faulty.read st.fx (Remap.physical st.rm c)
 
-let step st read (instr : I.t) =
-  let a = Program.operand read instr.I.a in
-  let b = Program.operand read instr.I.b in
-  let l = instr.I.z in
+(* An operand code of the packed stream: 0/1 a constant, cell + 2. *)
+let operand read c = if c < 2 then c = 1 else read (c - 2)
+
+(* One packed RM3 word (Program's layout). *)
+let step st read w =
+  let a = operand read ((w lsr Program.field_bits) land Program.field_mask) in
+  let b = operand read (w lsr (2 * Program.field_bits)) in
+  let l = w land Program.field_mask in
   if st.verify then begin
     let intended = I.semantics ~a ~b ~z:(read l) in
     Faulty.rm3 st.fx ~p:a ~q:b (Remap.physical st.rm l);
@@ -105,8 +109,8 @@ let run ?(verify = false) ?(max_retries = 2) ?(reset = true) fx rm (p : Program.
           verified_load st l false
         done;
       Array.iteri (fun i (_, cell) -> verified_load st cell values.(i)) p.Program.pi_cells;
-      for i = 0 to Array.length p.Program.instrs - 1 do
-        step st read p.Program.instrs.(i)
+      for i = 0 to Program.length p - 1 do
+        step st read p.Program.code.(i)
       done;
       Completed (Program.read_outputs p.Program.po_cells read)
     with Pool_dry l -> Out_of_spares l

@@ -14,7 +14,6 @@
    byte-identical to the flat backend. *)
 
 module Program = Plim_isa.Program
-module Instruction = Plim_isa.Instruction
 module Csr = Plim_util.Csr
 
 type grid = { rows : int; cols : int }
@@ -60,16 +59,19 @@ type schedule = {
   s_cross_row : int;
 }
 
-(* Operands as cells: [-1] for a constant.  The destination is always a
-   touched cell (RM3 reads and writes it), so an instruction touches its
-   destination plus every [Cell] operand. *)
-let cell_of = function Instruction.Const _ -> -1 | Instruction.Cell c -> c
+(* The fields of packed word [w] (Program's layout), operands as cells:
+   a constant's code is 0 or 1, so its cell is negative.  The destination
+   is always a touched cell (RM3 reads and writes it), so an instruction
+   touches its destination plus every cell operand. *)
+let dest w = w land Program.field_mask
+let cell_a w = ((w lsr Program.field_bits) land Program.field_mask) - 2
+let cell_b w = (w lsr (2 * Program.field_bits)) - 2
 
-(* The single row all touched cells of [i] lie in, or [-1] if they span
-   rows (a cross-row instruction). *)
-let home_row g (i : Instruction.t) =
-  let r = row_of g i.Instruction.z in
-  let a = cell_of i.Instruction.a and b = cell_of i.Instruction.b in
+(* The single row all touched cells of word [w] lie in, or [-1] if they
+   span rows (a cross-row instruction). *)
+let home_row g w =
+  let r = row_of g (dest w) in
+  let a = cell_a w and b = cell_b w in
   if (a < 0 || row_of g a = r) && (b < 0 || row_of g b = r) then r else -1
 
 (* The hazard DAG of the flat stream in CSR form: [u]'s successors are
@@ -82,7 +84,8 @@ let home_row g (i : Instruction.t) =
    twice, once to count out-degrees and once to fill [succ].  Repeated
    edges are kept: each is counted and later decremented exactly once. *)
 let hazard_dag (p : Program.t) =
-  let n = Array.length p.Program.instrs in
+  let code = p.Program.code in
+  let n = Array.length code in
   let cells = Program.num_cells p in
   let last_write = Array.make cells (-1) and head = Array.make cells (-1) in
   let node_instr = Array.make (3 * n) 0 and node_next = Array.make (3 * n) 0 in
@@ -101,11 +104,11 @@ let hazard_dag (p : Program.t) =
       end
     in
     for i = 0 to n - 1 do
-      let ins = p.Program.instrs.(i) in
-      let z = ins.Instruction.z in
+      let w = code.(i) in
+      let z = dest w in
       read i z;
-      read i (cell_of ins.Instruction.a);
-      read i (cell_of ins.Instruction.b);
+      read i (cell_a w);
+      read i (cell_b w);
       let k = ref head.(z) in
       while !k >= 0 do
         if node_instr.(!k) <> i then edge node_instr.(!k) i;
@@ -155,9 +158,9 @@ let schedule g (p : Program.t) =
       (Printf.sprintf "geometry: program needs %d cells but grid %s has area %d"
          (Program.num_cells p) (to_string g) (area g))
   else begin
-    let n = Array.length p.Program.instrs in
+    let n = Program.length p in
     let start, succ, indeg = hazard_dag p in
-    let home = Array.init n (fun i -> home_row g p.Program.instrs.(i)) in
+    let home = Array.map (home_row g) p.Program.code in
     (* The ready set, held twice: a min-heap of every ready instruction
        (scheduled ones are dropped lazily when they surface, marked by
        [indeg = -1]) and an int-linked bucket per row of the ready
@@ -223,11 +226,11 @@ let schedule g (p : Program.t) =
   end
 
 let of_groups g (p : Program.t) groups =
-  let n = Array.length p.Program.instrs in
+  let n = Program.length p in
   let cross_row = ref 0 in
   Array.iter
     (Array.iter (fun i ->
-         if i >= 0 && i < n && home_row g p.Program.instrs.(i) < 0 then
+         if i >= 0 && i < n && home_row g p.Program.code.(i) < 0 then
            incr cross_row))
     groups;
   { s_grid = g;
@@ -242,7 +245,8 @@ let max_group_size s =
 let validate (p : Program.t) s =
   let ( let* ) = Result.bind in
   let g = s.s_grid in
-  let n = Array.length p.Program.instrs in
+  let code = p.Program.code in
+  let n = Array.length code in
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let* () =
     if fits g ~num_cells:(Program.num_cells p) then Ok ()
@@ -278,11 +282,8 @@ let validate (p : Program.t) s =
     Array.iteri
       (fun gi members ->
         if Array.length members > 1 && !bad = None then begin
-          let r = home_row g p.Program.instrs.(members.(0)) in
-          if
-            r < 0
-            || not
-                 (Array.for_all (fun i -> home_row g p.Program.instrs.(i) = r) members)
+          let r = home_row g code.(members.(0)) in
+          if r < 0 || not (Array.for_all (fun i -> home_row g code.(i) = r) members)
           then bad := Some gi
         end)
       s.s_groups;
@@ -303,9 +304,8 @@ let validate (p : Program.t) s =
     for i = 0 to n - 1 do
       if !bad = None then begin
         let gi = group_of.(i) in
-        let ins = p.Program.instrs.(i) in
-        let z = ins.Instruction.z in
-        let a = cell_of ins.Instruction.a and b = cell_of ins.Instruction.b in
+        let w = code.(i) in
+        let z = dest w and a = cell_a w and b = cell_b w in
         raw i gi z;
         raw i gi a;
         raw i gi b;

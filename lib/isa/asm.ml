@@ -8,11 +8,10 @@ let to_string (p : Program.t) =
   Array.iter
     (fun (name, cell) -> Buffer.add_string buf (Printf.sprintf ".out %s %%%d\n" name cell))
     p.Program.po_cells;
-  Array.iter
-    (fun instr ->
-      Buffer.add_string buf (Instruction.to_string instr);
-      Buffer.add_char buf '\n')
-    p.Program.instrs;
+  for i = 0 to Program.length p - 1 do
+    Buffer.add_string buf (Instruction.to_string (Program.instr p i));
+    Buffer.add_char buf '\n'
+  done;
   Buffer.contents buf
 
 exception Parse_error of string

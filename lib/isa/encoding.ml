@@ -61,10 +61,10 @@ let decode ~num_cells bits =
 let encode_program (p : Program.t) =
   let num_cells = p.Program.num_cells in
   let per = instruction_bits ~num_cells in
-  let bits = Array.make (per * Array.length p.Program.instrs) false in
-  Array.iteri
-    (fun idx instr -> Array.blit (encode ~num_cells instr) 0 bits (idx * per) per)
-    p.Program.instrs;
+  let bits = Array.make (per * Program.length p) false in
+  for idx = 0 to Program.length p - 1 do
+    Array.blit (encode ~num_cells (Program.instr p idx)) 0 bits (idx * per) per
+  done;
   bits
 
 type footprint = {
@@ -77,7 +77,7 @@ type footprint = {
 let footprint (p : Program.t) =
   let data_cells = p.Program.num_cells in
   let instruction_cells =
-    Array.length p.Program.instrs * instruction_bits ~num_cells:data_cells
+    Program.length p * instruction_bits ~num_cells:data_cells
   in
   { data_cells;
     instruction_cells;

@@ -1,5 +1,4 @@
 module Program = Plim_isa.Program
-module I = Plim_isa.Instruction
 module Crossbar = Plim_rram.Crossbar
 module Leveling = Plim_rram.Leveling
 module Splitmix = Plim_util.Splitmix
@@ -116,14 +115,17 @@ let execute_mapped (p : Program.t) xbar rng ~map ~on_write =
   Array.iter
     (fun (_, cell) -> Crossbar.load xbar (map cell) (Splitmix.bool rng))
     p.Program.pi_cells;
-  let read c = Crossbar.read xbar (map c) in
-  Array.iter
-    (fun (instr : I.t) ->
-      let a = Program.operand read instr.I.a in
-      let b = Program.operand read instr.I.b in
-      Crossbar.rm3 xbar ~p:a ~q:b (map instr.I.z);
-      on_write instr.I.z)
-    p.Program.instrs
+  (* operand codes of the packed stream: 0/1 a constant, cell + 2 *)
+  let operand c = if c < 2 then c = 1 else Crossbar.read xbar (map (c - 2)) in
+  let code = p.Program.code in
+  for i = 0 to Array.length code - 1 do
+    let w = code.(i) in
+    let a = operand ((w lsr Program.field_bits) land Program.field_mask) in
+    let b = operand (w lsr (2 * Program.field_bits)) in
+    let z = w land Program.field_mask in
+    Crossbar.rm3 xbar ~p:a ~q:b (map z);
+    on_write z
+  done
 
 let total_writes xbar = Array.fold_left ( + ) 0 (Crossbar.write_counts xbar)
 

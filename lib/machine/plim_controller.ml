@@ -21,19 +21,26 @@ type trace_entry = {
   z_after : bool;
 }
 
+(* The fields of packed word [w] (Program's layout): the destination
+   cell and the two operand codes, 0/1 for a constant, cell + 2. *)
+let dest w = w land Program.field_mask
+let code_a w = (w lsr Program.field_bits) land Program.field_mask
+let code_b w = w lsr (2 * Program.field_bits)
+
 let static_cycles (p : Program.t) =
-  Array.fold_left
-    (fun acc (instr : Instruction.t) ->
-      let cost = function Instruction.Const _ -> 0 | Instruction.Cell _ -> 1 in
-      acc + 1 + cost instr.Instruction.a + cost instr.Instruction.b)
-    0 p.Program.instrs
+  let cycles = ref 0 in
+  for i = 0 to Program.length p - 1 do
+    let w = p.Program.code.(i) in
+    cycles := !cycles + 1 + Bool.to_int (code_a w >= 2) + Bool.to_int (code_b w >= 2)
+  done;
+  !cycles
 
 (* Power-on shared by the controllers: a fresh [size]-cell array with the
    bound inputs loaded (uncounted), a cycle counter, and the operand read
    that charges it one cycle per access. *)
 let power_on ?endurance ~caller ~size (p : Program.t) inputs =
   Metrics.incr m_runs;
-  Metrics.incr ~by:(Array.length p.Program.instrs) m_instructions;
+  Metrics.incr ~by:(Program.length p) m_instructions;
   let values = Program.bind_inputs ~caller p.Program.pi_cells inputs in
   let xbar = Crossbar.create ?endurance size in
   Array.iteri (fun i (_, cell) -> Crossbar.load xbar cell values.(i)) p.Program.pi_cells;
@@ -44,28 +51,34 @@ let power_on ?endurance ~caller ~size (p : Program.t) inputs =
   in
   (xbar, cycles, read)
 
+(* An operand code's value: a constant as applied, a cell through [read]. *)
+let operand read c = if c < 2 then c = 1 else read (c - 2)
+
 let run ?endurance ?on_step (p : Program.t) ~inputs =
   Profile.span "machine.run" @@ fun () ->
   let xbar, cycles, read =
     power_on ?endurance ~caller:"Plim_controller.run" ~size:p.Program.num_cells p inputs
   in
   (* controller on: execute the stream *)
-  Array.iteri
-    (fun pc (instr : Instruction.t) ->
-      let a = Program.operand read instr.Instruction.a in
-      let b = Program.operand read instr.Instruction.b in
-      let z = instr.Instruction.z in
-      incr cycles;
-      match on_step with
-      | None -> Crossbar.rm3 xbar ~p:a ~q:b z
-      | Some f ->
-        (* observation only: the RM3 senses Z itself, so no read is counted *)
-        let z_before = Crossbar.peek xbar z in
-        Crossbar.rm3 xbar ~p:a ~q:b z;
-        f { pc; instr; a_value = a; b_value = b; z_before; z_after = Crossbar.peek xbar z })
-    p.Program.instrs;
+  let code = p.Program.code in
+  for pc = 0 to Array.length code - 1 do
+    let w = code.(pc) in
+    let a = operand read (code_a w) in
+    let b = operand read (code_b w) in
+    let z = dest w in
+    incr cycles;
+    match on_step with
+    | None -> Crossbar.rm3 xbar ~p:a ~q:b z
+    | Some f ->
+      (* observation only: the RM3 senses Z itself, so no read is counted *)
+      let z_before = Crossbar.peek xbar z in
+      Crossbar.rm3 xbar ~p:a ~q:b z;
+      f
+        { pc; instr = Program.instr p pc; a_value = a; b_value = b; z_before;
+          z_after = Crossbar.peek xbar z }
+  done;
   let outputs = Program.read_outputs p.Program.po_cells (Crossbar.read xbar) in
-  (outputs, xbar, { instructions = Array.length p.Program.instrs; cycles = !cycles })
+  (outputs, xbar, { instructions = Array.length code; cycles = !cycles })
 
 (* ------------------------------------------------------------------ *)
 (* Geometry backend: execute a row-parallel schedule (Plim_geometry)
@@ -96,28 +109,30 @@ let run_grouped ?endurance ~geometry (p : Program.t) ~inputs =
       power_on ?endurance ~caller:"Plim_controller.run_grouped" ~size:p.Program.num_cells
         p inputs
     in
+    let code = p.Program.code in
+    (* one group's operand values, captured before any of its writes *)
+    let width = Plim_geometry.max_group_size sched in
+    let pv = Array.make width false and qv = Array.make width false in
     Array.iter
       (fun group ->
         (* read phase: capture every member's operand and destination
            state before any write of the group lands *)
-        let writes =
-          Array.map
-            (fun i ->
-              let instr = p.Program.instrs.(i) in
-              let a = Program.operand read instr.Instruction.a in
-              let b = Program.operand read instr.Instruction.b in
-              incr cycles;
-              (instr.Instruction.z, a, b))
-            group
-        in
+        for k = 0 to Array.length group - 1 do
+          let w = code.(group.(k)) in
+          pv.(k) <- operand read (code_a w);
+          qv.(k) <- operand read (code_b w);
+          incr cycles
+        done;
         (* write phase: fire the group's RM3s *)
-        Array.iter (fun (z, a, b) -> Crossbar.rm3 xbar ~p:a ~q:b z) writes)
+        for k = 0 to Array.length group - 1 do
+          Crossbar.rm3 xbar ~p:pv.(k) ~q:qv.(k) (dest code.(group.(k)))
+        done)
       sched.Plim_geometry.s_groups;
     let outputs = Program.read_outputs p.Program.po_cells (Crossbar.read xbar) in
     Ok
       ( outputs,
         xbar,
-        { g_instructions = Array.length p.Program.instrs;
+        { g_instructions = Array.length code;
           g_groups = Plim_geometry.num_groups sched;
           g_cycles = !cycles;
           g_cross_row = sched.Plim_geometry.s_cross_row;
@@ -136,7 +151,7 @@ let run_self_hosted ?endurance (p : Program.t) ~inputs =
   (* provision the program into the high region of the array *)
   let program_bits = Encoding.encode_program p in
   Array.iteri (fun i bit -> Crossbar.load xbar (data_cells + i) bit) program_bits;
-  let num_instrs = Array.length p.Program.instrs in
+  let num_instrs = Program.length p in
   for pc = 0 to num_instrs - 1 do
     (* fetch: read the instruction's bit cells *)
     let base = data_cells + (pc * per_instr) in

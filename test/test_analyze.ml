@@ -39,12 +39,19 @@ let test_defs () =
   | defs -> Alcotest.failf "expected 3 defs, got %d" (List.length defs)
 
 let test_set_const_does_not_read () =
-  (* identity RM3 0,0,z DOES read z; the two set_const forms do not *)
-  check_bool "set 1" false (A.reads_dest (sc true 0));
-  check_bool "set 0" false (A.reads_dest (sc false 0));
-  check_bool "identity 0,0" true (A.reads_dest (rm3 (I.Const false) (I.Const false) 0));
-  check_bool "identity 1,1" true (A.reads_dest (rm3 (I.Const true) (I.Const true) 0));
-  check_bool "cell operand" true (A.reads_dest (rm3 (I.Cell 1) (I.Const false) 0))
+  (* identity RM3 0,0,z DOES read z; the two set_const forms do not.  An
+     instruction reads its destination exactly when the def it overwrites
+     lists it as a use. *)
+  let reads_dest instr =
+    match A.defs (A.analyze (mk ~num_cells:2 [ sc true 1; instr ])) with
+    | [ _pi; overwritten; _ ] -> overwritten.A.uses = [ 1 ]
+    | defs -> Alcotest.failf "expected 3 defs, got %d" (List.length defs)
+  in
+  check_bool "set 1" false (reads_dest (sc true 1));
+  check_bool "set 0" false (reads_dest (sc false 1));
+  check_bool "identity 0,0" true (reads_dest (rm3 (I.Const false) (I.Const false) 1));
+  check_bool "identity 1,1" true (reads_dest (rm3 (I.Const true) (I.Const true) 1));
+  check_bool "cell operand" true (reads_dest (rm3 (I.Cell 0) (I.Const false) 1))
 
 let test_storage () =
   let p = mk ~num_cells:2 [ sc true 1; rm3 (I.Cell 0) (I.Const false) 1 ] in

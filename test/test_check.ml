@@ -244,9 +244,9 @@ let test_case_seed_replays_campaign_case () =
 (* --- exhaustive vs symbolic agreement (satellite) ------------------------ *)
 
 let corrupt_last (p : Program.t) =
-  let bad = Array.copy p.Program.instrs in
+  let bad = Array.init (Program.length p) (Program.instr p) in
   let last = Array.length bad - 1 in
-  bad.(last) <- I.set_const true p.Program.instrs.(last).I.z;
+  bad.(last) <- I.set_const true (Program.instr p last).I.z;
   Program.make ~instrs:bad ~num_cells:p.Program.num_cells
     ~pi_cells:p.Program.pi_cells ~po_cells:p.Program.po_cells
 

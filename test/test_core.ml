@@ -8,6 +8,9 @@ module Verify = Plim_core.Verify
 module Program = Plim_isa.Program
 module I = Plim_isa.Instruction
 module Stats = Plim_stats.Stats
+module Recipe = Plim_rewrite.Recipe
+module Suite = Plim_benchgen.Suite
+module Controller = Plim_machine.Plim_controller
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -240,8 +243,8 @@ let test_verify_detects_corruption () =
   let p = r.Pipeline.program in
   (* flip the first instruction's destination semantics by replacing the
      whole instruction with a constant load *)
-  let bad = Array.copy p.Program.instrs in
-  bad.(Array.length bad - 1) <- I.set_const true p.Program.instrs.(Array.length bad - 1).I.z;
+  let bad = Array.init (Program.length p) (Program.instr p) in
+  bad.(Array.length bad - 1) <- I.set_const true (Program.instr p (Array.length bad - 1)).I.z;
   let corrupted =
     Program.make ~instrs:bad ~num_cells:p.Program.num_cells ~pi_cells:p.Program.pi_cells
       ~po_cells:p.Program.po_cells
@@ -254,8 +257,8 @@ let test_check_random_deterministic () =
      the same (broken) program must produce byte-identical witnesses *)
   let g = Plim_benchgen.Arith.adder ~width:3 in
   let p = (Pipeline.compile Pipeline.naive g).Pipeline.program in
-  let bad = Array.copy p.Program.instrs in
-  bad.(Array.length bad - 1) <- I.set_const true p.Program.instrs.(Array.length bad - 1).I.z;
+  let bad = Array.init (Program.length p) (Program.instr p) in
+  bad.(Array.length bad - 1) <- I.set_const true (Program.instr p (Array.length bad - 1)).I.z;
   let corrupted =
     Program.make ~instrs:bad ~num_cells:p.Program.num_cells ~pi_cells:p.Program.pi_cells
       ~po_cells:p.Program.po_cells
@@ -280,7 +283,7 @@ let test_check_random_deterministic () =
 let test_check_random_late_witness () =
   let g = Plim_benchgen.Arith.adder ~width:4 in
   let p = (Pipeline.compile Pipeline.naive g).Pipeline.program in
-  let bad = Array.copy p.Program.instrs in
+  let bad = Array.init (Program.length p) (Program.instr p) in
   let swapped = bad.(6) in
   bad.(6) <- I.rm3 ~a:swapped.I.b ~b:swapped.I.a ~z:swapped.I.z;
   let corrupted =
@@ -371,7 +374,7 @@ let test_symbolic_catches_corruption () =
   let g = Plim_benchgen.Arith.adder ~width:4 in
   let r = Pipeline.compile Pipeline.naive g in
   let p = r.Pipeline.program in
-  let bad = Array.copy p.Program.instrs in
+  let bad = Array.init (Program.length p) (Program.instr p) in
   let last = bad.(Array.length bad - 1) in
   bad.(Array.length bad - 1) <- I.set_const true last.I.z;
   let corrupted =
@@ -498,6 +501,44 @@ let test_min_write_beats_lifo_on_average () =
     (Printf.sprintf "min-write %.2f <= lifo %.2f" !total_min !total_lifo)
     true (!total_min <= !total_lifo)
 
+(* --- allocation: the packed instruction stream ----------------------------- *)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. before)
+
+(* The backend emits each RM3 as one int into a buffer it owns and trims
+   once into the program, and the controller decodes the words in its
+   loop.  A record per emitted instruction (with boxed operands) read
+   17-19 minor words per instruction in compile_rewritten on these
+   circuits, the packed stream 10-12; the controller allocates well under
+   a word per instruction, a decoded instruction per step about 6. *)
+let test_backend_allocation () =
+  List.iter
+    (fun name ->
+      let g =
+        Recipe.run Pipeline.endurance_full.Pipeline.rewriting
+          ~effort:Pipeline.endurance_full.Pipeline.effort (Suite.build_cached (Suite.find name))
+      in
+      let r, words =
+        minor_words_of (fun () -> Pipeline.compile_rewritten Pipeline.endurance_full g)
+      in
+      let p = r.Pipeline.program in
+      let n = float_of_int (Program.length p) in
+      if words /. n >= 12.5 then
+        Alcotest.failf "%s: compile_rewritten allocates %.1f minor words per instruction (>= 12.5)"
+          name (words /. n);
+      let inputs =
+        Program.inputs_of_vector p.Program.pi_cells
+          (Array.init (Array.length p.Program.pi_cells) (fun i -> i mod 2 = 0))
+      in
+      let _, words = minor_words_of (fun () -> Controller.run p ~inputs) in
+      if words /. n >= 1. then
+        Alcotest.failf "%s: Plim_controller.run allocates %.2f minor words per instruction (>= 1)"
+          name (words /. n))
+    [ "div8"; "multiplier8"; "sqrt8"; "square8"; "rc_small" ]
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -554,4 +595,7 @@ let () =
           Alcotest.test_case "complemented POs share a cell" `Quick
             test_complemented_po_shared;
           Alcotest.test_case "constant outputs" `Quick test_constant_output;
-          Alcotest.test_case "passthrough outputs" `Quick test_passthrough_output ] ) ]
+          Alcotest.test_case "passthrough outputs" `Quick test_passthrough_output ] );
+      ( "allocation",
+        [ Alcotest.test_case "backend and controller per instruction" `Quick
+            test_backend_allocation ] ) ]

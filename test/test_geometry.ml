@@ -307,8 +307,8 @@ let reference_schedule g (p : Program.t) =
     let r = G.row_of g i.I.z in
     if in_row r i then Some r else None
   in
-  let n = Array.length p.Program.instrs in
-  let instr i = p.Program.instrs.(i) in
+  let n = Program.length p in
+  let instr i = Program.instr p i in
   let succs = Array.make n [] and indeg = Array.make n 0 in
   let add_edge u v =
     if u <> v then begin

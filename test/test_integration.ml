@@ -132,7 +132,8 @@ let test_cycle_accounting () =
       (fun acc (i : Plim_isa.Instruction.t) ->
         let op = function Plim_isa.Instruction.Cell _ -> 1 | Plim_isa.Instruction.Const _ -> 0 in
         acc + op i.Plim_isa.Instruction.a + op i.Plim_isa.Instruction.b)
-      0 p.Program.instrs
+      0
+      (Array.init (Program.length p) (Program.instr p))
   in
   check_int "cycles = reads + writes" (reads + Program.length p) stats.Controller.cycles;
   (* dynamic counts equal the static profile *)

@@ -80,6 +80,56 @@ let test_program_validation () =
     (Invalid_argument "Program.make: input cell 5 out of range (num_cells 2)") (fun () ->
       ignore (Program.make ~instrs:[||] ~num_cells:2 ~pi_cells:[| ("a", 5) |] ~po_cells:[||]))
 
+(* Program.make packs each instruction into one int; [instr] decodes it.
+   Operands are drawn to hit both constants, cell 0 and the top cell
+   [max_cells - 1], whose operand code fills its 21-bit field. *)
+let packed_roundtrip =
+  let top = Program.max_cells - 1 in
+  let cell = QCheck.Gen.(oneof [ return 0; return top; int_range 0 top ]) in
+  let operand =
+    QCheck.Gen.(
+      oneof
+        [ return (I.Const false); return (I.Const true); map (fun c -> I.Cell c) cell ])
+  in
+  let instr = QCheck.Gen.(map3 (fun a b z -> I.rm3 ~a ~b ~z) operand operand cell) in
+  QCheck.Test.make ~count:200 ~name:"packed instruction round trip"
+    (QCheck.make ~print:(QCheck.Print.array I.to_string) QCheck.Gen.(array_size (int_range 0 20) instr))
+    (fun instrs ->
+      let p =
+        Program.make ~instrs ~num_cells:Program.max_cells ~pi_cells:[||] ~po_cells:[||]
+      in
+      Program.length p = Array.length instrs
+      && Array.for_all Fun.id (Array.mapi (fun i x -> I.equal (Program.instr p i) x) instrs))
+
+let test_program_cell_limit () =
+  check_int "max_cells = 2^21 - 2" ((1 lsl 21) - 2) Program.max_cells;
+  check_int "field_mask" ((1 lsl Program.field_bits) - 1) Program.field_mask;
+  let too_many = Program.max_cells + 1 in
+  Alcotest.check_raises "num_cells past the limit"
+    (Invalid_argument
+       (Printf.sprintf "Program.make: num_cells %d outside [0, %d] (Program.max_cells)"
+          too_many Program.max_cells))
+    (fun () ->
+      ignore (Program.make ~instrs:[||] ~num_cells:too_many ~pi_cells:[||] ~po_cells:[||]));
+  (* a cell past the limit is refused before it is packed, whatever the
+     cell count *)
+  Alcotest.check_raises "operand past the limit"
+    (Invalid_argument
+       (Printf.sprintf "Program.make: operand cell %d out of range (num_cells %d)"
+          Program.max_cells Program.max_cells))
+    (fun () ->
+      ignore
+        (Program.make
+           ~instrs:[| I.rm3 ~a:(I.Cell Program.max_cells) ~b:(I.Const false) ~z:0 |]
+           ~num_cells:Program.max_cells ~pi_cells:[||] ~po_cells:[||]));
+  (* packed words are range-checked the same way *)
+  Alcotest.check_raises "packed operand out of range"
+    (Invalid_argument "Program.of_code: operand cell 2 out of range (num_cells 2)")
+    (fun () ->
+      ignore
+        (Program.of_code ~code:[| 4 lsl Program.field_bits |] ~num_cells:2 ~pi_cells:[||]
+           ~po_cells:[||]))
+
 let test_program_validation_edges () =
   (* an empty instruction stream is a valid (degenerate) program *)
   let p =
@@ -137,7 +187,7 @@ let test_bind_inputs () =
 (* --- assembly ------------------------------------------------------------- *)
 
 let program_equal (p : Program.t) (q : Program.t) =
-  p.Program.instrs = q.Program.instrs
+  p.Program.code = q.Program.code
   && p.Program.num_cells = q.Program.num_cells
   && p.Program.pi_cells = q.Program.pi_cells
   && p.Program.po_cells = q.Program.po_cells
@@ -275,6 +325,8 @@ let () =
         [ Alcotest.test_case "stats" `Quick test_program_stats;
           Alcotest.test_case "validation" `Quick test_program_validation;
           Alcotest.test_case "validation edges" `Quick test_program_validation_edges;
+          Alcotest.test_case "cell limit" `Quick test_program_cell_limit;
+          qc packed_roundtrip;
           Alcotest.test_case "input binding" `Quick test_bind_inputs ] );
       ( "assembly",
         [ Alcotest.test_case "roundtrip" `Quick test_asm_roundtrip;
