@@ -530,9 +530,7 @@ let faulttol () =
       let cells =
         Campaign.sweep_degraded ?pool:!pool ~seed:0xBE57 ~max_executions:execs
           ~verify:true ~oracle:(Mig.eval g)
-          ~fault_spec_of:(fun rate ->
-            Fault_model.make ~sa0:(rate *. 2.0 /. 3.0) ~sa1:(rate /. 3.0)
-              ~seed:0xFA017 ())
+          ~fault_spec_of:(Plim_serve.Horizon.spec_of_rate ~seed:0xFA017)
           ~rates ~spare_budgets:budgets p
       in
       let cell = Array.of_list cells in

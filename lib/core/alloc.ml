@@ -1,4 +1,5 @@
 module Vec = Plim_util.Vec
+module Lazy_heap = Plim_util.Lazy_heap
 module Metrics = Plim_obs.Metrics
 module Trace = Plim_obs.Trace
 
@@ -10,72 +11,6 @@ let m_fresh = Metrics.counter "alloc.fresh_cells"
 let m_released = Metrics.counter "alloc.released"
 let m_retired = Metrics.counter "alloc.retired_cells"
 let m_writes = Metrics.counter "alloc.writes"
-
-(* Binary min-heap over (writes, cell), the two keys in parallel int
-   arrays.  Keys are stable while a cell is pooled: pooled devices are dead
-   and receive no writes. *)
-module Heap = struct
-  type t = {
-    mutable writes : int array;
-    mutable cells : int array;
-    mutable len : int;
-  }
-
-  let create () = { writes = Array.make 64 0; cells = Array.make 64 (-1); len = 0 }
-
-  (* lexicographic on (writes, cell) *)
-  let lt h i j =
-    h.writes.(i) < h.writes.(j) || (h.writes.(i) = h.writes.(j) && h.cells.(i) < h.cells.(j))
-
-  let swap h i j =
-    let w = h.writes.(i) and c = h.cells.(i) in
-    h.writes.(i) <- h.writes.(j);
-    h.cells.(i) <- h.cells.(j);
-    h.writes.(j) <- w;
-    h.cells.(j) <- c
-
-  let rec sift_up h i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if lt h i parent then begin
-        swap h i parent;
-        sift_up h parent
-      end
-    end
-
-  let rec sift_down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < h.len && lt h l !smallest then smallest := l;
-    if r < h.len && lt h r !smallest then smallest := r;
-    if !smallest <> i then begin
-      swap h i !smallest;
-      sift_down h !smallest
-    end
-
-  let push h ~writes cell =
-    if h.len = Array.length h.cells then begin
-      let grow a = Array.append a (Array.make h.len 0) in
-      h.writes <- grow h.writes;
-      h.cells <- grow h.cells
-    end;
-    h.writes.(h.len) <- writes;
-    h.cells.(h.len) <- cell;
-    h.len <- h.len + 1;
-    sift_up h (h.len - 1)
-
-  (* the least-written pooled cell; the heap must not be empty *)
-  let min_cell h = h.cells.(0)
-
-  let drop_min h =
-    h.len <- h.len - 1;
-    h.writes.(0) <- h.writes.(h.len);
-    h.cells.(0) <- h.cells.(h.len);
-    if h.len > 0 then sift_down h 0
-
-  let length h = h.len
-end
-
 let m_faulty_skipped = Metrics.counter "alloc.faulty_skipped"
 
 type t = {
@@ -84,9 +19,9 @@ type t = {
   is_faulty : int -> bool;
   mutable faulty_skipped : int;
   writes : int Vec.t;   (* per ever-allocated device *)
-  stack : int Vec.t;    (* Lifo/Fifo pool *)
-  mutable fifo_head : int;
-  heap : Heap.t;        (* Min_write pool *)
+  pool : Lazy_heap.t;   (* free devices, keyed per strategy (see [pool]) *)
+  mutable clock : int;  (* pool insertions so far: the Lifo/Fifo keys *)
+  skipped : int Vec.t;  (* devices a hunt popped that did not fit *)
 }
 
 let create ?max_write ?(is_faulty = fun _ -> false) ~strategy () =
@@ -98,9 +33,9 @@ let create ?max_write ?(is_faulty = fun _ -> false) ~strategy () =
     is_faulty;
     faulty_skipped = 0;
     writes = Vec.create ~dummy:0 ();
-    stack = Vec.create ~dummy:(-1) ();
-    fifo_head = 0;
-    heap = Heap.create () }
+    pool = Lazy_heap.create ~capacity:64;
+    clock = 0;
+    skipped = Vec.create ~dummy:0 () }
 
 let writes_of t cell = Vec.get t.writes cell
 
@@ -149,6 +84,17 @@ let rec fresh t =
     cell
   end
 
+(* Pools a device under its strategy's key: the newest first for Lifo,
+   the oldest first for Fifo, the least written (ties to the lowest cell)
+   for Min_write.  A pooled device is dead and takes no writes, so its
+   key stays valid until it leaves the pool. *)
+let pool t cell =
+  t.clock <- t.clock + 1;
+  match t.strategy with
+  | Lifo -> Lazy_heap.insert t.pool (- t.clock) 0 0 cell
+  | Fifo -> Lazy_heap.insert t.pool t.clock 0 0 cell
+  | Min_write -> Lazy_heap.insert t.pool (writes_of t cell) cell 0 cell
+
 let release t cell =
   if cell < 0 || cell >= total_allocated t then
     invalid_arg "Alloc.release: unknown device";
@@ -158,9 +104,7 @@ let release t cell =
     if Trace.enabled () then
       Trace.emit "alloc.release"
         ~args:[ ("cell", Int cell); ("writes", Int (writes_of t cell)) ];
-    match t.strategy with
-    | Lifo | Fifo -> ignore (Vec.push t.stack cell)
-    | Min_write -> Heap.push t.heap ~writes:(writes_of t cell) cell
+    pool t cell
   end
   else begin
     Metrics.incr m_retired;
@@ -174,61 +118,33 @@ let fits t needed cell =
   | None -> true
   | Some w -> writes_of t cell + needed <= w
 
+(* Pops until a pooled device fits [needed], or -1 when none does; the
+   misfits wait in [t.skipped].  Min_write gives up at its first misfit:
+   the least-written device is the most capable.  Top-level and
+   closure-free: local closures would allocate two per request. *)
+let rec hunt t needed =
+  match Lazy_heap.pop_min t.pool with
+  | None -> -1
+  | Some cell when fits t needed cell -> cell
+  | Some cell ->
+    ignore (Vec.push t.skipped cell);
+    (match t.strategy with Min_write -> -1 | Lifo | Fifo -> hunt t needed)
+
+(* Re-pools the misfits with fresh keys: Lifo last-popped first, which
+   restores its stack order; Fifo first-popped first, so they rejoin at
+   the back.  Min_write's key ignores the clock. *)
+let restore t =
+  let n = Vec.length t.skipped in
+  for i = 0 to n - 1 do
+    let k = match t.strategy with Lifo -> n - 1 - i | Fifo | Min_write -> i in
+    pool t (Vec.get t.skipped k)
+  done;
+  Vec.clear t.skipped
+
 let request_cell ~needed t =
-  match t.strategy with
-  | Lifo ->
-    (* pop until a device fits; re-push the skipped ones preserving order *)
-    let rec hunt stash =
-      match Vec.pop t.stack with
-      | None ->
-        List.iter (fun c -> ignore (Vec.push t.stack c)) stash;
-        fresh t
-      | Some cell ->
-        if fits t needed cell then begin
-          List.iter (fun c -> ignore (Vec.push t.stack c)) stash;
-          cell
-        end
-        else hunt (cell :: stash)
-    in
-    hunt []
-  | Fifo ->
-    let rec hunt stash =
-      if t.fifo_head < Vec.length t.stack then begin
-        let cell = Vec.get t.stack t.fifo_head in
-        t.fifo_head <- t.fifo_head + 1;
-        if fits t needed cell then begin
-          (* skipped devices rejoin at the back of the queue *)
-          List.iter (fun c -> ignore (Vec.push t.stack c)) (List.rev stash);
-          Some cell
-        end
-        else hunt (cell :: stash)
-      end
-      else begin
-        List.iter (fun c -> ignore (Vec.push t.stack c)) (List.rev stash);
-        None
-      end
-    in
-    let result = hunt [] in
-    (* periodically compact the consumed prefix *)
-    if t.fifo_head > 1024 && t.fifo_head * 2 > Vec.length t.stack then begin
-      let remaining =
-        Array.sub (Vec.to_array t.stack) t.fifo_head
-          (Vec.length t.stack - t.fifo_head)
-      in
-      Vec.clear t.stack;
-      Array.iter (fun c -> ignore (Vec.push t.stack c)) remaining;
-      t.fifo_head <- 0
-    end;
-    (match result with Some cell -> cell | None -> fresh t)
-  | Min_write ->
-    (* the least-written device is the most capable: if it does not fit,
-       no pooled device does *)
-    if Heap.length t.heap > 0 && fits t needed (Heap.min_cell t.heap) then begin
-      let cell = Heap.min_cell t.heap in
-      Heap.drop_min t.heap;
-      cell
-    end
-    else fresh t
+  let cell = hunt t needed in
+  if Vec.length t.skipped > 0 then restore t;
+  if cell >= 0 then cell else fresh t
 
 let request ?(needed = 2) t =
   Metrics.incr m_requests;
@@ -241,10 +157,6 @@ let request ?(needed = 2) t =
       ~args:[ ("cell", Int cell); ("from_pool", Bool from_pool) ];
   cell
 
-let free_count t =
-  match t.strategy with
-  | Lifo -> Vec.length t.stack
-  | Fifo -> Vec.length t.stack - t.fifo_head
-  | Min_write -> Heap.length t.heap
+let free_count t = Lazy_heap.live_count t.pool
 
 let faulty_skipped t = t.faulty_skipped

@@ -66,7 +66,7 @@ let make_sampler ~sample_every ~max_executions ~counts =
   in
   { sm_every;
     sm_writes = ref 0;
-    sm_series = Series.create ~policy:Series.Decimate ~capacity:128 ();
+    sm_series = Series.create ~capacity:128 ();
     sm_counts = counts }
 
 let sampler_observer sm = Some (fun ~cell:_ ~writes:_ -> incr sm.sm_writes)

@@ -10,7 +10,6 @@ type sink =
   | Null
   | Memory of event Queue.t
   | Jsonl of out_channel
-  | Custom of (event -> unit)
 
 let current = ref Null
 
@@ -65,8 +64,7 @@ let emit ?(args = []) name =
     | Memory q -> Queue.add e q
     | Jsonl oc ->
       output_string oc (event_to_json e);
-      output_char oc '\n'
-    | Custom f -> f e);
+      output_char oc '\n');
     Mutex.unlock emit_lock
 
 let with_sink s f =

@@ -9,8 +9,7 @@
     Sinks:
     - {!Null}: drop everything (default);
     - [Memory q]: append to a queue, for tests and in-process analysis;
-    - [Jsonl oc]: one JSON object per line on an output channel;
-    - [Custom f]: arbitrary consumer. *)
+    - [Jsonl oc]: one JSON object per line on an output channel. *)
 
 type arg = Int of int | Float of float | Bool of bool | String of string
 
@@ -24,7 +23,6 @@ type sink =
   | Null
   | Memory of event Queue.t
   | Jsonl of out_channel
-  | Custom of (event -> unit)
 
 val set_sink : sink -> unit
 val sink : unit -> sink

@@ -1,60 +1,35 @@
 (* Bounded time-series store for campaign telemetry.
 
-   Two retention policies over one fixed capacity:
-   - [Ring]: classic ring buffer, keeps the most recent [capacity]
-     samples (rolling window — live dashboards, tails);
-   - [Decimate]: keeps a bounded sketch of the WHOLE run: every sample
-     is offered, the store keeps every [stride]-th one, and when full it
-     compacts by dropping every second kept sample and doubling the
-     stride.  The first sample is always retained, so an
-     accelerated-time campaign of any length yields a trajectory curve
-     with bounded memory and deterministic contents (a pure function of
-     the offered sequence — no clocks, no randomness). *)
-
-type policy = Ring | Decimate
+   Keeps a bounded sketch of the WHOLE run: every sample is offered, the
+   store keeps every [stride]-th one, and when full it compacts by
+   dropping every second kept sample and doubling the stride.  The first
+   sample is always retained, so an accelerated-time campaign of any
+   length yields a trajectory curve with bounded memory and
+   deterministic contents (a pure function of the offered sequence — no
+   clocks, no randomness). *)
 
 type 'a t = {
-  policy : policy;
   capacity : int;
   mutable buf : 'a option array;
   mutable len : int;
-  mutable start : int;    (* Ring: index of the oldest element *)
-  mutable stride : int;   (* Decimate: keep one sample in [stride] *)
+  mutable stride : int;   (* keep one sample in [stride] *)
   mutable offered : int;  (* total samples ever offered *)
 }
 
-let create ?(policy = Ring) ~capacity () =
+let create ~capacity () =
   if capacity < 2 then invalid_arg "Series.create: capacity must be >= 2";
-  { policy;
-    capacity;
-    buf = Array.make capacity None;
-    len = 0;
-    start = 0;
-    stride = 1;
-    offered = 0 }
+  { capacity; buf = Array.make capacity None; len = 0; stride = 1; offered = 0 }
 
 let length t = t.len
 let capacity t = t.capacity
 let stride t = t.stride
 let offered t = t.offered
-let policy t = t.policy
 
 let clear t =
   Array.fill t.buf 0 t.capacity None;
   t.len <- 0;
-  t.start <- 0;
   t.stride <- 1;
   t.offered <- 0
-
-let push_ring t x =
-  if t.len < t.capacity then begin
-    t.buf.((t.start + t.len) mod t.capacity) <- Some x;
-    t.len <- t.len + 1
-  end
-  else begin
-    t.buf.(t.start) <- Some x;
-    t.start <- (t.start + 1) mod t.capacity
-  end
 
 (* keep samples 0, 2, 4, ... (oldest first), halving the population *)
 let compact t =
@@ -66,7 +41,7 @@ let compact t =
   t.len <- kept;
   t.stride <- t.stride * 2
 
-let push_decimate t x =
+let offer t x =
   if t.offered mod t.stride = 0 then begin
     if t.len = t.capacity then compact t;
     (* after compaction the retained samples sit at stride [t.stride];
@@ -75,18 +50,13 @@ let push_decimate t x =
       t.buf.(t.len) <- Some x;
       t.len <- t.len + 1
     end
-  end
-
-let offer t x =
-  (match t.policy with Ring -> push_ring t x | Decimate -> push_decimate t x);
+  end;
   t.offered <- t.offered + 1
 
 let to_list t =
   List.init t.len (fun i ->
-      match t.buf.((t.start + i) mod t.capacity) with
+      match t.buf.(i) with
       | Some x -> x
       | None -> assert false)
 
-let last t =
-  if t.len = 0 then None
-  else t.buf.((t.start + t.len - 1) mod t.capacity)
+let last t = if t.len = 0 then None else t.buf.(t.len - 1)

@@ -1,39 +1,31 @@
 (** Bounded time-series storage for campaign telemetry.
 
-    A fixed-capacity sample store with two retention policies:
-
-    - {!Ring}: keep the most recent [capacity] samples (rolling window);
-    - {!Decimate}: keep a bounded sketch of the {e whole} sequence —
-      when full, drop every second retained sample and double the
-      keep-stride.  The first sample is always retained and the store
-      ends up holding every [stride]-th offered sample, so arbitrarily
-      long accelerated-time campaigns produce trajectory curves of
-      bounded size.
+    A fixed-capacity decimating sample store: it keeps a bounded sketch
+    of the {e whole} sequence.  When full, it drops every second
+    retained sample and doubles the keep-stride.  The first sample is
+    always retained and the store ends up holding every [stride]-th
+    offered sample, so arbitrarily long accelerated-time campaigns
+    produce trajectory curves of bounded size.
 
     Contents are a pure function of the offered sequence (no clock, no
     randomness): series recorded inside [-j N] campaigns are identical
     to their [-j 1] runs. *)
 
-type policy = Ring | Decimate
-
 type 'a t
 
-val create : ?policy:policy -> capacity:int -> unit -> 'a t
-(** [policy] defaults to [Ring].
-    @raise Invalid_argument when [capacity < 2]. *)
+val create : capacity:int -> unit -> 'a t
+(** @raise Invalid_argument when [capacity < 2]. *)
 
 val offer : 'a t -> 'a -> unit
-(** Submit the next sample; the policy decides whether it is retained. *)
+(** Submit the next sample; the stride decides whether it is retained. *)
 
 val length : 'a t -> int
 (** Retained samples, [<= capacity]. *)
 
 val capacity : 'a t -> int
-val policy : 'a t -> policy
 
 val stride : 'a t -> int
-(** [Decimate]: the current keep-one-in-[stride] rate (a power of two).
-    Always 1 for [Ring]. *)
+(** The current keep-one-in-[stride] rate (a power of two). *)
 
 val offered : 'a t -> int
 (** Total samples ever offered. *)

@@ -35,16 +35,6 @@ let push t x =
   t.len <- i + 1;
   i
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let i = t.len - 1 in
-    let x = t.data.(i) in
-    t.data.(i) <- t.dummy;
-    t.len <- i;
-    Some x
-  end
-
 let clear t =
   Array.fill t.data 0 t.len t.dummy;
   t.len <- 0
@@ -67,15 +57,3 @@ let fold_left f acc t =
   !acc
 
 let to_array t = Array.sub t.data 0 t.len
-
-let of_array ~dummy arr =
-  let n = Array.length arr in
-  let t = create ~capacity:(max n 1) ~dummy () in
-  Array.iter (fun x -> ignore (push t x)) arr;
-  t
-
-let exists p t =
-  let rec loop i = i < t.len && (p t.data.(i) || loop (i + 1)) in
-  loop 0
-
-let to_list t = Array.to_list (to_array t)

@@ -17,9 +17,6 @@ val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> int
 (** [push t x] appends [x] and returns its index. *)
 
-val pop : 'a t -> 'a option
-(** Removes and returns the last element, or [None] if empty. *)
-
 val clear : 'a t -> unit
 
 val iter : ('a -> unit) -> 'a t -> unit
@@ -29,9 +26,3 @@ val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val to_array : 'a t -> 'a array
-
-val of_array : dummy:'a -> 'a array -> 'a t
-
-val exists : ('a -> bool) -> 'a t -> bool
-
-val to_list : 'a t -> 'a list

@@ -142,26 +142,12 @@ let test_hist_par_determinism () =
 
 (* --- series ------------------------------------------------------------ *)
 
-let test_series_ring () =
-  let s = Series.create ~capacity:4 () in
-  for i = 0 to 9 do
-    Series.offer s i
-  done;
-  Alcotest.(check (list int)) "last capacity samples" [ 6; 7; 8; 9 ] (Series.to_list s);
-  check_int "length" 4 (Series.length s);
-  check_int "offered" 10 (Series.offered s);
-  Alcotest.(check (option int)) "last" (Some 9) (Series.last s);
-  Series.clear s;
-  check_int "cleared" 0 (Series.length s);
-  Alcotest.check_raises "capacity < 2" (Invalid_argument "Series.create: capacity must be >= 2")
-    (fun () -> ignore (Series.create ~capacity:1 () : int Series.t))
-
 let test_series_decimate () =
   (* offering the sample index makes the retention contract checkable:
      the store must hold exactly 0, stride, 2*stride, ... *)
   List.iter
     (fun n ->
-      let s = Series.create ~policy:Series.Decimate ~capacity:8 () in
+      let s = Series.create ~capacity:8 () in
       for i = 0 to n - 1 do
         Series.offer s i
       done;
@@ -173,8 +159,16 @@ let test_series_decimate () =
       if n > 0 then begin
         check_int "first sample always retained" 0 (List.hd kept);
         List.iteri (fun i v -> check_int "stride grid" (i * stride) v) kept
-      end)
-    [ 0; 1; 7; 8; 9; 64; 1000; 4097 ]
+      end;
+      check_int "offered" n (Series.offered s);
+      Alcotest.(check (option int)) "last"
+        (match List.rev kept with [] -> None | x :: _ -> Some x)
+        (Series.last s);
+      Series.clear s;
+      check_int "cleared" 0 (Series.length s))
+    [ 0; 1; 7; 8; 9; 64; 1000; 4097 ];
+  Alcotest.check_raises "capacity < 2" (Invalid_argument "Series.create: capacity must be >= 2")
+    (fun () -> ignore (Series.create ~capacity:1 () : int Series.t))
 
 (* --- wear snapshots ---------------------------------------------------- *)
 
@@ -733,8 +727,7 @@ let () =
           Alcotest.test_case "map_reduce determinism" `Quick test_hist_par_determinism
         ] );
       ( "series",
-        [ Alcotest.test_case "ring window" `Quick test_series_ring;
-          Alcotest.test_case "decimate sketch" `Quick test_series_decimate ] );
+        [ Alcotest.test_case "decimate sketch" `Quick test_series_decimate ] );
       ( "wear",
         [ Alcotest.test_case "skew metrics" `Quick test_wear_skew;
           Alcotest.test_case "heatmap" `Quick test_wear_heatmap ] );
