@@ -67,10 +67,10 @@ let strash_slots nodes =
   let rec pow2 n = if n >= 2 * nodes then n else pow2 (2 * n) in
   pow2 256
 
-(* [nodes] sizes the node arrays and the strash up front, so a rebuild
-   never regrows or rehashes them. *)
-let create_sized ?nodes () =
-  let capacity = max 16 (Option.value nodes ~default:0) in
+(* An empty graph with node arrays for [nodes] nodes and the strash
+   [strash]. *)
+let empty ~nodes strash =
+  let capacity = max 16 nodes in
   let field () = Array.make capacity 0 in
   (* node 0, the constant, is Tag_const with zero children *)
   { tag = Array.make capacity Tag_const;
@@ -78,8 +78,7 @@ let create_sized ?nodes () =
     c1 = field ();
     c2 = field ();
     len = 1;
-    strash =
-      { slots = Array.make (strash_slots (Option.value nodes ~default:0)) 0; count = 0 };
+    strash;
     io =
       { input_names = Vec.create ~dummy:"" ();
         input_nodes = Vec.create ~dummy:0 ();
@@ -87,7 +86,17 @@ let create_sized ?nodes () =
         names = Hashtbl.create 16;
         named = 0 } }
 
+(* [nodes] sizes the node arrays and the strash up front, so a rebuild
+   never regrows or rehashes them. *)
+let create_sized ?(nodes = 0) () =
+  empty ~nodes { slots = Array.make (strash_slots nodes) 0; count = 0 }
+
 let create () = create_sized ()
+
+(* The strash holds ids only, and [probe] reads the children of those ids
+   from the graph it is called on, so it serves whichever graph last
+   filled it. *)
+let create_twin ?(nodes = 0) g = empty ~nodes g.strash
 
 let grow_nodes g =
   let grow a =

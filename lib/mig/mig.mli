@@ -92,6 +92,19 @@ val create_sized : ?nodes:int -> unit -> t
     sizes storage: a graph that outgrows it doubles its arrays, and gets
     the same ids as the same calls on [create ()]. *)
 
+val create_twin : ?nodes:int -> t -> t
+(** [create_twin ?nodes g] is an empty graph whose node arrays are sized
+    as by [create_sized ?nodes ()] and whose structural hash is [g]'s own,
+    not a fresh one: for a caller that alternates {!rebuild_into} between
+    two targets and needs only one hash.  The hash answers for whichever
+    of the twins was built into last, by [maj] or as the [into] of
+    [rebuild_into], which empties it first.  On the other twin, [maj],
+    [lookup] and the gates built on [maj] must not be called until a
+    [rebuild_into] builds into it again.  Every other function reads only
+    node fields and input/output tables, and stays valid on both twins:
+    in particular either may be the source of a [rebuild_into] into the
+    other, or of a [cleanup]. *)
+
 val add_input : t -> string -> signal
 (** Declares a fresh primary input.  The duplicate check looks the name
     up in a table of the graph's input names, so declaring [k] inputs

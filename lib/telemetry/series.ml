@@ -20,17 +20,6 @@ let create ~capacity () =
   if capacity < 2 then invalid_arg "Series.create: capacity must be >= 2";
   { capacity; buf = Array.make capacity None; len = 0; stride = 1; offered = 0 }
 
-let length t = t.len
-let capacity t = t.capacity
-let stride t = t.stride
-let offered t = t.offered
-
-let clear t =
-  Array.fill t.buf 0 t.capacity None;
-  t.len <- 0;
-  t.stride <- 1;
-  t.offered <- 0
-
 (* keep samples 0, 2, 4, ... (oldest first), halving the population *)
 let compact t =
   let kept = (t.len + 1) / 2 in

@@ -19,21 +19,8 @@ val create : capacity:int -> unit -> 'a t
 val offer : 'a t -> 'a -> unit
 (** Submit the next sample; the stride decides whether it is retained. *)
 
-val length : 'a t -> int
-(** Retained samples, [<= capacity]. *)
-
-val capacity : 'a t -> int
-
-val stride : 'a t -> int
-(** The current keep-one-in-[stride] rate (a power of two). *)
-
-val offered : 'a t -> int
-(** Total samples ever offered. *)
-
 val to_list : 'a t -> 'a list
-(** Retained samples, oldest first. *)
+(** Retained samples, oldest first: at most [capacity] of them. *)
 
 val last : 'a t -> 'a option
 (** Most recently retained sample. *)
-
-val clear : 'a t -> unit

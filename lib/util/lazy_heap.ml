@@ -104,12 +104,6 @@ let insert t k1 k2 k3 elt =
   t.len <- i + 1;
   sift_up t i k1 k2 k3 elt stamp
 
-let remove t elt =
-  if elt >= 0 && elt < Array.length t.stamps && t.stamps.(elt) >= 0 then begin
-    t.stamps.(elt) <- - t.stamps.(elt);
-    t.live <- t.live - 1
-  end
-
 (* drops the top slot, moving the last one up *)
 let drop_top t =
   let last = t.len - 1 in

@@ -23,9 +23,6 @@ val insert : t -> int -> int -> int -> int -> unit
     unspecified, so callers that need a total order make [k3] unique.
     @raise Invalid_argument if [x] is negative. *)
 
-val remove : t -> int -> unit
-(** Logically removes [x] (its entries become stale). *)
-
 val pop_min : t -> int option
 (** Removes and returns the live element with the smallest priority,
     skipping stale entries. *)

@@ -664,6 +664,47 @@ let test_rebuild_into_reused () =
     (Invalid_argument "Mig.rebuild_into: target is the source") (fun () ->
       ignore (rebuild g))
 
+(* Rebuilds alternating between two twins, each from the other, the way
+   [Recipe] uses them: every step must give the graph, the map and the
+   strash answers of a rebuild into [create ()], although the twins hold
+   one strash and the rule outgrows both (node arrays sized for 50 nodes,
+   a strash for 256 slots). *)
+let test_twins_alternate () =
+  let g = Mig.cleanup (Mig_gen.random ~seed:11 ~num_inputs:8 ~num_nodes:400 ~num_outputs:5 ()) in
+  let rule g' ~old_id:_ a b c =
+    ignore (Mig.maj g' (Mig.not_ a) b c);
+    Mig.maj g' a b c
+  in
+  let rebuild src into =
+    let map = Array.make (Mig.num_nodes src) Mig.true_ in
+    Mig.rebuild_into ~map src ~into ~rule;
+    map
+  in
+  let a = Mig.create_sized ~nodes:50 () in
+  let b = Mig.create_twin ~nodes:50 a in
+  check_bool "one strash" true (a.Mig.strash == b.Mig.strash);
+  check_bool "own node arrays" true (a.Mig.tag != b.Mig.tag && a.Mig.c0 != b.Mig.c0);
+  let rec step i src into other =
+    if i < 4 then begin
+      let reference = Mig.create () in
+      let ref_map = rebuild src reference in
+      let map = rebuild src into in
+      let what = Printf.sprintf "step %d" i in
+      check_bool (what ^ ": same .mig text") true
+        (String.equal (Mig_io.to_string reference) (Mig_io.to_string into));
+      check_bool (what ^ ": same map") true (Array.for_all2 Mig.signal_equal ref_map map);
+      for id = 0 to Mig.num_nodes into - 1 do
+        if Mig.is_maj into id then begin
+          let x = Mig.child into id 0 and y = Mig.child into id 1 and z = Mig.child into id 2 in
+          check_bool (Printf.sprintf "%s: strash finds node %d" what id) true
+            (Mig.lookup ~below:max_int into x y z = Some (Mig.signal id false))
+        end
+      done;
+      step (i + 1) into other into
+    end
+  in
+  step 0 g a b
+
 let () =
   Alcotest.run "mig"
     [ ( "construction",
@@ -684,7 +725,8 @@ let () =
           Alcotest.test_case "an outgrown size hint changes no id" `Quick
             test_outgrown_hint;
           Alcotest.test_case "a reused rebuild target changes no id" `Quick
-            test_rebuild_into_reused ] );
+            test_rebuild_into_reused;
+          Alcotest.test_case "twins alternate one strash" `Quick test_twins_alternate ] );
       ( "inspection",
         [ Alcotest.test_case "levels/depth" `Quick test_levels_depth;
           Alcotest.test_case "fanouts/reachability" `Quick test_fanouts_reachability;

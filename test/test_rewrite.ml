@@ -615,7 +615,9 @@ let test_recipe_allocation () =
    A rebuild into fresh arrays, and facts in fresh arrays per rebuilt
    graph, read 61-99 words per source node on these circuits; rebuilds
    into two targets the call reuses, with one scratch for the facts and
-   the map, read 38-44. *)
+   the map, sized for the source graph and with a strash per target, read
+   38-44; the same storage allocated once with a quarter of headroom and
+   one strash for both targets reads 26-30. *)
 let total_words_of f =
   let words () =
     Gc.minor ();
@@ -633,8 +635,8 @@ let test_recipe_total_words () =
       let g = (Suite.find name).Suite.build () in
       let _, words = total_words_of (fun () -> Recipe.run Recipe.Algorithm2 ~effort:5 g) in
       let per_source_node = words /. float_of_int (Mig.num_nodes g) in
-      if per_source_node >= 55. then
-        Alcotest.failf "%s: Alg. 2 at effort 5 allocates %.1f words per source node (>= 55)"
+      if per_source_node >= 34. then
+        Alcotest.failf "%s: Alg. 2 at effort 5 allocates %.1f words per source node (>= 34)"
           name per_source_node)
     [ "div8"; "multiplier8"; "sqrt8"; "square8"; "rc_small" ]
 
@@ -642,8 +644,8 @@ let test_recipe_total_words () =
    cleanup of the same passes run one by one through the public
    [run_pass], it never writes its input, and two calls return graphs that
    share no node array (the second call would overwrite the first's
-   result otherwise).  AIG expansions make Ω.D grow the graph, so
-   rebuilds outgrow their targets too. *)
+   result otherwise).  AIG expansions make Ω.D grow the graph;
+   [test_regrowth] grows it past the storage's headroom. *)
 let run_pass_recipe recipe ~effort g =
   let rec go n g =
     if n <= 0 then g
@@ -675,6 +677,50 @@ let recipe_owns_its_storage =
             [ Recipe.Algorithm1; Recipe.Algorithm2 ])
         [ random_mig ~nodes:60 seed;
           Plim_benchgen.Frontend.expand (random_mig ~nodes:30 seed) ])
+
+(* A graph whose first Ω.D pass outgrows the rebuild storage [Recipe.run]
+   sizes from its input (a quarter of headroom): 45 outputs <<xyu><xyv>z>
+   over 24 inputs, whose inner nodes each have one parent and whose
+   <uvz> are all distinct.  A firing output rebuilds as its two inner
+   nodes, dead after the rewrite, plus <uvz> and <xy<uvz>>: four nodes for
+   three. *)
+let omega_d_growth_mig () =
+  let k = 12 in
+  let g = Mig.create () in
+  let input prefix i = Mig.add_input g (Printf.sprintf "%s%d" prefix i) in
+  let p = Array.init k (input "p") and q = Array.init k (input "q") in
+  for x = 0 to k - 1 do
+    for y = x + 1 to k - 3 do
+      let inner w = Mig.maj g p.(x) p.(y) w in
+      Mig.add_output g
+        (Printf.sprintf "o%d_%d" x y)
+        (Mig.maj g (inner p.(y + 1)) (inner (Mig.not_ p.(y + 2))) q.(x))
+    done
+  done;
+  g
+
+let test_regrowth () =
+  let g = omega_d_growth_mig () in
+  let before = Mig_io.digest g in
+  let growth =
+    float_of_int (Mig.num_nodes (Recipe.run_pass g d_rl)) /. float_of_int (Mig.num_nodes g)
+  in
+  if growth <= 1.25 then Alcotest.failf "the first Ω.D pass grows the graph only %.3fx" growth;
+  List.iter
+    (fun recipe ->
+      let name = Recipe.recipe_name recipe in
+      let r1 = Recipe.run recipe ~effort:5 g and r2 = Recipe.run recipe ~effort:5 g in
+      check_bool (name ^ ": run = run_pass reference") true
+        (String.equal (Mig_io.digest r1) (Mig_io.digest (run_pass_recipe recipe ~effort:5 g)));
+      check_bool (name ^ ": two runs agree") true (same_graph r1 r2);
+      check_bool (name ^ ": input unchanged") true (String.equal before (Mig_io.digest g));
+      List.iter
+        (fun (what, (a : Mig.t), (b : Mig.t)) ->
+          check_bool (name ^ ": " ^ what ^ " share no node array") true
+            (a.tag != b.tag && a.c0 != b.c0 && a.c1 != b.c1 && a.c2 != b.c2);
+          check_bool (name ^ ": " ^ what ^ " share no strash") true (a.strash != b.strash))
+        [ ("results", r1, r2); ("result and input", r1, g) ])
+    [ Recipe.Algorithm1; Recipe.Algorithm2 ]
 
 let qc = QCheck_alcotest.to_alcotest
 
@@ -711,9 +757,10 @@ let () =
       ( "allocation",
         [ Alcotest.test_case "recipe and quiet pass allocate next to nothing" `Quick
             test_recipe_allocation;
-          Alcotest.test_case "recipe allocates < 55 words per source node" `Quick
+          Alcotest.test_case "recipe allocates < 34 words per source node" `Quick
             test_recipe_total_words;
-          qc recipe_owns_its_storage ] );
+          qc recipe_owns_its_storage;
+          Alcotest.test_case "storage outgrown by a first Ω.D pass" `Quick test_regrowth ] );
       ( "directed",
         [ Alcotest.test_case "distributivity collapse" `Quick test_distributivity_collapse;
           Alcotest.test_case "inverter flip" `Quick test_inverter_flip;

@@ -152,20 +152,17 @@ let test_series_decimate () =
         Series.offer s i
       done;
       let kept = Series.to_list s in
-      check_bool (Printf.sprintf "bounded (%d offers)" n) true
-        (Series.length s <= Series.capacity s);
-      let stride = Series.stride s in
+      check_bool (Printf.sprintf "bounded (%d offers)" n) true (List.length kept <= 8);
+      (* the stride is the gap between the first two kept samples *)
+      let stride = match kept with _ :: x :: _ -> x | _ -> 1 in
       check_bool "stride is a power of two" true (stride land (stride - 1) = 0);
       if n > 0 then begin
         check_int "first sample always retained" 0 (List.hd kept);
         List.iteri (fun i v -> check_int "stride grid" (i * stride) v) kept
       end;
-      check_int "offered" n (Series.offered s);
       Alcotest.(check (option int)) "last"
         (match List.rev kept with [] -> None | x :: _ -> Some x)
-        (Series.last s);
-      Series.clear s;
-      check_int "cleared" 0 (Series.length s))
+        (Series.last s))
     [ 0; 1; 7; 8; 9; 64; 1000; 4097 ];
   Alcotest.check_raises "capacity < 2" (Invalid_argument "Series.create: capacity must be >= 2")
     (fun () -> ignore (Series.create ~capacity:1 () : int Series.t))

@@ -231,14 +231,6 @@ let test_heap_rekey () =
   check_elt "rekeyed element wins" (Some 1) (Lazy_heap.pop_min h);
   check_int "one live left" 1 (Lazy_heap.live_count h)
 
-let test_heap_remove () =
-  let h = Lazy_heap.create ~capacity:10 in
-  Lazy_heap.insert h 1 0 0 1;
-  Lazy_heap.insert h 2 0 0 2;
-  Lazy_heap.remove h 1;
-  check_elt "removed skipped" (Some 2) (Lazy_heap.pop_min h);
-  check_elt "drained" None (Lazy_heap.pop_min h)
-
 let heap_vs_sort =
   QCheck.Test.make ~count:200 ~name:"lazy heap drains in sorted key order"
     QCheck.(list (pair (int_range 0 50) (int_range 0 30)))
@@ -263,23 +255,21 @@ let heap_vs_sort =
       in
       drain [] = expected)
 
-(* Interleaved inserts (a re-insert re-keys), removes and pops against a
+(* Interleaved inserts (a re-insert re-keys) and pops against a
    reference that keeps the live (key, element) pairs in a sorted list:
-   a re-key or remove deletes the element's pair, a pop takes the head.
-   The third key component is the element, so the order is total. *)
-type heap_op = Insert of int * int * int | Remove of int | Pop
+   a re-key deletes the element's pair, a pop takes the head.  The third
+   key component is the element, so the order is total. *)
+type heap_op = Insert of int * int * int | Pop
 
 let heap_op_gen =
   QCheck.Gen.(
     frequency
       [ (5, map3 (fun k1 k2 x -> Insert (k1, k2, x)) (int_range 0 4) (int_range 0 4)
               (int_range 0 15));
-        (1, map (fun x -> Remove x) (int_range 0 15));
         (3, return Pop) ])
 
 let print_heap_op = function
   | Insert (k1, k2, x) -> Printf.sprintf "insert (%d,%d,%d) %d" k1 k2 x x
-  | Remove x -> Printf.sprintf "remove %d" x
   | Pop -> "pop"
 
 let heap_vs_reference =
@@ -295,9 +285,6 @@ let heap_vs_reference =
         | Insert (k1, k2, x) ->
           Lazy_heap.insert h k1 k2 x x;
           (true, List.merge compare [ ((k1, k2, x), x) ] (drop x reference))
-        | Remove x ->
-          Lazy_heap.remove h x;
-          (true, drop x reference)
         | Pop ->
           (match (Lazy_heap.pop_min h, reference) with
           | None, [] -> (true, [])
@@ -483,7 +470,6 @@ let () =
       ( "lazy-heap",
         [ Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "rekey" `Quick test_heap_rekey;
-          Alcotest.test_case "remove" `Quick test_heap_remove;
           Alcotest.test_case "lexicographic keys" `Quick test_heap_lexicographic;
           qc heap_vs_sort;
           qc heap_vs_reference;
