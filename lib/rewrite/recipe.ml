@@ -134,13 +134,14 @@ let algorithm2_passes =
    a cycle that changes nothing every list is known quiet, so the later
    cycles cost only their counters.
 
-   The rebuild storage belongs to one call and is allocated once, sized
-   from [input] with [headroom]: a scratch for the facts and the old ->
-   new map, and, at the first rebuild, two target graphs that rebuilds
-   alternate between and that hold one strash ([Mig.create_twin]).  A
-   rebuild writes into the target that does not hold the current graph,
-   so it never writes the graph it reads, and never [input]: the caller's
-   graph is only ever a source.  One strash serves both targets because
+   The rebuild storage belongs to one call and is allocated once, at its
+   start, sized from [input] with [headroom]: two target graphs that
+   rebuilds alternate between and that hold one strash
+   ([Mig.create_twin]), and a scratch for the facts and the old -> new
+   map.  A rebuild writes into the target that does not hold the current
+   graph, so it never writes the graph it reads, and never [input]: the
+   caller's graph is only ever a source.  One strash serves both targets
+   because
    a rebuild reads only its source's node fields and I/O tables, and each
    dry scan, which looks up the current graph's strash, ends before the
    next rebuild empties it for the other target.  A graph that outgrows
@@ -150,16 +151,10 @@ let algorithm2_passes =
    call. *)
 let cycles passes ~effort input =
   let nodes = headroom (Mig.num_nodes input) in
+  let a = Mig.create_sized ~nodes () in
+  let b = Mig.create_twin ~nodes a in
   let s = scratch ~nodes in
-  let targets =
-    lazy
-      (let a = Mig.create_sized ~nodes () in
-       (a, Mig.create_twin ~nodes a))
-  in
-  let target g () =
-    let a, b = Lazy.force targets in
-    if g == a then b else a
-  in
+  let target g () = if g == a then b else a in
   let step (g, swept, quiet) (name, rules) =
     if List.memq rules quiet then (count_pass name g Fun.id, swept, quiet)
     else begin
