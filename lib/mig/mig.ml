@@ -96,7 +96,7 @@ let create () = create_sized ()
 (* The strash holds ids only, and [probe] reads the children of those ids
    from the graph it is called on, so it serves whichever graph last
    filled it. *)
-let create_twin ?(nodes = 0) g = empty ~nodes g.strash
+let create_twin ~nodes g = empty ~nodes g.strash
 
 let grow_nodes g =
   let grow a =

@@ -92,9 +92,9 @@ val create_sized : ?nodes:int -> unit -> t
     sizes storage: a graph that outgrows it doubles its arrays, and gets
     the same ids as the same calls on [create ()]. *)
 
-val create_twin : ?nodes:int -> t -> t
-(** [create_twin ?nodes g] is an empty graph whose node arrays are sized
-    as by [create_sized ?nodes ()] and whose structural hash is [g]'s own,
+val create_twin : nodes:int -> t -> t
+(** [create_twin ~nodes g] is an empty graph whose node arrays are sized
+    as by [create_sized ~nodes ()] and whose structural hash is [g]'s own,
     not a fresh one: for a caller that alternates {!rebuild_into} between
     two targets and needs only one hash.  The hash answers for whichever
     of the twins was built into last, by [maj] or as the [into] of
