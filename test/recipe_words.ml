@@ -1,9 +1,10 @@
 (* Prints the words [Recipe.run Algorithm2 ~effort:5] allocates, minor
    plus direct major, per source node, on two EPFL circuits, and exits 1
-   when one reads above its bound.  At this scale a first Ω.D pass grows
-   the graph by 14-18%, past rebuild storage sized for the source alone;
-   test_rewrite's [allocation] group bounds the same figure on the small
-   suite, where it stays below that threshold.  One line per circuit:
+   when one reads above its bound.  On these circuits a first Ω.D pass
+   grows the graph by 14% (square) and 18% (mem_ctrl), which storage
+   sized for the source alone could not hold; test_rewrite's
+   [allocation] group bounds the same figure on small-suite circuits.
+   One line per circuit:
    [<circuit> <source nodes> <words per source node> (bound <b>)].
 
    The bounds are about 1.15 times the figures with rebuild storage
