@@ -116,7 +116,8 @@ let with_jobs jobs f =
 (* ---------------------------------------------------------------- *)
 
 (* A malformed or unreadable .mig, .blif or .plim file is a usage error:
-   exit 2, never an uncaught exception.  A read error already names the
+   exit 2, never an uncaught exception; so is a source that is neither a
+   file nor a known benchmark.  A read error already names the
    file (Plim_util.File.read); a parse error does not. *)
 let or_exit_2 path = function
   | Ok x -> x
@@ -136,7 +137,7 @@ let load_mig source =
     | exception Not_found ->
       Printf.eprintf
         "plimc: %S is neither a file nor a known benchmark (try 'plimc list')\n" source;
-      exit 1
+      exit 2
 
 let load_plim path = or_exit_2 path (Asm.read_file path)
 
@@ -991,7 +992,7 @@ let mix_specs ~cmd = function
         | exception Not_found ->
           Printf.eprintf "plimc %s: %S is not a known benchmark (try 'plimc list')\n"
             cmd name;
-          exit 1)
+          exit 2)
       names
 
 let zipf_arg =
