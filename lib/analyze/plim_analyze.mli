@@ -150,14 +150,6 @@ val write_counts : Program.t -> int array
 val errors : analysis -> diagnostic list
 (** The diagnostics with [severity = Error]. *)
 
-val severity_name : severity -> string  (** ["error"], ["warning"], ["info"] *)
-
-val kind_name : kind -> string
-(** Kebab-case catalogue name, e.g. ["use-before-def"], ["dead-write"]. *)
-
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
-(** [<instr>: <severity>: <kind>: cell %<cell>: <message>]. *)
-
 val diagnostic_to_string : diagnostic -> string
 
 val storage_json : storage -> Plim_telemetry.Json.t

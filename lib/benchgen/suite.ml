@@ -49,8 +49,6 @@ let all =
     control "router" 60 30 ~seed:0x4073 ~nodes:48;
     arithmetic "voter" 1001 1 (fun () -> Arith.voter ~inputs:1001) ]
 
-let names = List.map (fun s -> s.name) all
-
 let cache : (string, Mig.t) Hashtbl.t = Hashtbl.create 32
 let cache_lock = Mutex.create ()
 

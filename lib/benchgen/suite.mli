@@ -25,8 +25,6 @@ val all : spec list
 val find : string -> spec
 (** @raise Not_found for unknown names. *)
 
-val names : string list
-
 val build_cached : spec -> Mig.t
 (** Memoised [spec.build] (generation can cost seconds for mem_ctrl). *)
 

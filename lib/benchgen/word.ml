@@ -38,8 +38,6 @@ let and_word g a b = check_same_width "and_word" a b; map2 g Mig.and_ a b
 let or_word g a b = check_same_width "or_word" a b; map2 g Mig.or_ a b
 let xor_word g a b = check_same_width "xor_word" a b; map2 g Mig.xor a b
 
-let and_bit g s w = Array.map (fun x -> Mig.and_ g s x) w
-
 let mux_word g s a b =
   check_same_width "mux_word" a b;
   Array.init (width a) (fun i -> Mig.mux g s a.(i) b.(i))
@@ -214,6 +212,3 @@ let rec decode g sel =
     let without = Array.map (fun s -> Mig.and_ g (Mig.not_ top) s) low in
     let with_ = Array.map (fun s -> Mig.and_ g top s) low in
     Array.append without with_
-
-let reduce_or g w = Array.fold_left (fun acc s -> Mig.or_ g acc s) Mig.false_ w
-let reduce_and g w = Array.fold_left (fun acc s -> Mig.and_ g acc s) Mig.true_ w

@@ -25,17 +25,11 @@ val slice : word -> lo:int -> len:int -> word
 val concat : word -> word -> word
 (** [concat lo hi] — [lo] supplies the low bits. *)
 
-val not_word : word -> word
 val and_word : Mig.t -> word -> word -> word
 val or_word : Mig.t -> word -> word -> word
 val xor_word : Mig.t -> word -> word -> word
-val and_bit : Mig.t -> Mig.signal -> word -> word
 val mux_word : Mig.t -> Mig.signal -> word -> word -> word
 (** [mux_word g s a b] is [a] when [s] else [b] (widths must match). *)
-
-val full_adder :
-  Mig.t -> Mig.signal -> Mig.signal -> Mig.signal -> Mig.signal * Mig.signal
-(** [(sum, carry)] — 3 majority nodes (carry is a single node). *)
 
 val add : Mig.t -> ?cin:Mig.signal -> word -> word -> word * Mig.signal
 (** Ripple-carry sum of equal-width words; returns (sum, carry-out). *)
@@ -47,11 +41,6 @@ val less_than : Mig.t -> word -> word -> Mig.signal
 (** Unsigned [a < b]. *)
 
 val equal_word : Mig.t -> word -> word -> Mig.signal
-
-val shift_left_const : Mig.t -> word -> int -> word
-(** In-width logical shift (bits fall off the top). *)
-
-val shift_right_const : Mig.t -> word -> int -> word
 
 val barrel_shift_right : Mig.t -> word -> amount:word -> word
 (** Logical right shift by a variable amount (one mux stage per amount
@@ -83,6 +72,3 @@ val priority_encode : Mig.t -> word -> word * Mig.signal
 
 val decode : Mig.t -> word -> word
 (** [decode g sel] is the one-hot word of width [2^(width sel)]. *)
-
-val reduce_or : Mig.t -> word -> Mig.signal
-val reduce_and : Mig.t -> word -> Mig.signal

@@ -182,18 +182,15 @@ val check_result : t -> Horizon.result -> (unit, string) result
     static upper bound.  Comparisons carry a relative slack of 1e-6 to
     absorb the simulator's event epsilon. *)
 
-val find : (Horizon.strategy * float * t) list -> string -> t option
-(** Look up a certificate by row label: exact match, or a label of the
-    form ["<cell label>/<suffix>"] (suffixed variant rows check against
-    their base cell). *)
-
 val check_row_json :
   (Horizon.strategy * float * t) list ->
   Plim_telemetry.Json.t ->
   (string, string) result
 (** Check one parsed [plim-horizon/v1] row against the certificate
-    {!find} gives for its label: [Ok label] when the row passes the same
-    identity and bracket check as {!check_result}, [Error] when it
+    its label names (exactly, or as the base cell of a
+    ["<cell label>/<suffix>"] variant label): [Ok label] when the row
+    passes the same identity and bracket check as {!check_result},
+    [Error] when it
     escapes, names another strategy, endurance or fault rate, has no
     matching certificate or lacks a field.  [-1] lifetimes are treated
     as "did not happen" exactly like {!Horizon.row_json} emits them. *)

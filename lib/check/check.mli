@@ -45,21 +45,7 @@ type failure = {
   message : string;
 }
 
-val pp_failure : Format.formatter -> failure -> unit
 val failure_to_string : failure -> string
-
-val default_matrix : Pipeline.config list
-(** Curated configurations covering every dimension: the five paper
-    presets, capped variants, FIFO allocation and the destination
-    min-write ablation. *)
-
-val default_fault_spec : Fault_model.spec
-(** Seeded stuck-at map (≈8% faulty cells) for the fault-aware column. *)
-
-val check_config :
-  ?fault_spec:Fault_model.spec -> Pipeline.config -> Mig.t -> failure list
-(** Compile under one configuration (fault-aware when [fault_spec] is
-    given) and run every per-program invariant. *)
 
 val reference_order : Select.policy -> Mig.t -> int list
 (** Naive re-implementation of the selection semantics: recompute every

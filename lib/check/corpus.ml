@@ -1,10 +1,6 @@
 module Mig = Plim_mig.Mig
 module Mig_io = Plim_mig.Mig_io
 
-(* one repo-wide digest implementation: corpus file names and the serve
-   compile cache must agree on what "the same MIG" means *)
-let digest = Mig_io.digest
-
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);

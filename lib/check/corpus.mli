@@ -13,10 +13,6 @@
 
 module Mig = Plim_mig.Mig
 
-val digest : Mig.t -> string
-(** Hex FNV-1a digest ({!Plim_util.Fnv}) of the graph's canonical text
-    form — the same digest that keys the serve layer's compile cache. *)
-
 val save : dir:string -> ?meta:string list -> Mig.t -> string
 (** Write the graph (creating [dir] if needed) with one [# line] per
     [meta] entry; returns the file path.  Idempotent per digest. *)

@@ -44,12 +44,6 @@ val case_seed_of : seed:int -> int -> int
 val desc_of_case_seed : options -> int -> Gen.desc
 (** The description a given case seed generates under these options. *)
 
-val shrink_to_minimal :
-  fails:(Gen.desc -> bool) -> Gen.desc -> Gen.desc * int
-(** Greedy structural shrinking: repeatedly adopt the first shrink
-    candidate that still fails, until none does (or a step cap is hit).
-    Returns the minimal description and the number of steps taken. *)
-
 val run :
   ?pool:Plim_par.t ->
   ?check:(Mig.t -> Check.failure list) ->

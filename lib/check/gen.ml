@@ -12,8 +12,6 @@ type desc = {
   outs : ref_ array;
 }
 
-let size d = Array.length d.nodes
-
 let well_formed d =
   d.inputs >= 1
   && Array.length d.outs >= 1

@@ -38,9 +38,6 @@ val to_mig : desc -> Mig.t
 val eval : desc -> bool array -> bool array
 (** Direct evaluation of the description, independent of [Mig]. *)
 
-val size : desc -> int
-(** [Array.length nodes]. *)
-
 val generate :
   ?max_inputs:int ->
   ?max_nodes:int ->

@@ -17,7 +17,6 @@ type t = {
   strategy : strategy;
   max_write : int option;
   is_faulty : int -> bool;
-  mutable faulty_skipped : int;
   writes : int Vec.t;   (* per ever-allocated device *)
   pool : Lazy_heap.t;   (* free devices, keyed per strategy (see [pool]) *)
   mutable clock : int;  (* pool insertions so far: the Lifo/Fifo keys *)
@@ -31,7 +30,6 @@ let create ?max_write ?(is_faulty = fun _ -> false) ~strategy () =
   { strategy;
     max_write;
     is_faulty;
-    faulty_skipped = 0;
     writes = Vec.create ~dummy:0 ();
     pool = Lazy_heap.create ~capacity:64;
     clock = 0;
@@ -73,7 +71,6 @@ let rec fresh t =
   ignore (Vec.push t.writes 0);
   let cell = Vec.length t.writes - 1 in
   if t.is_faulty cell then begin
-    t.faulty_skipped <- t.faulty_skipped + 1;
     Metrics.incr m_faulty_skipped;
     if Trace.enabled () then Trace.emit "alloc.skip_faulty" ~args:[ ("cell", Int cell) ];
     fresh t
@@ -158,5 +155,3 @@ let request ?(needed = 2) t =
   cell
 
 let free_count t = Lazy_heap.live_count t.pool
-
-let faulty_skipped t = t.faulty_skipped

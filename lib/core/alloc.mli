@@ -54,6 +54,3 @@ val write_counts : t -> int array
 (** Snapshot, length [total_allocated]. *)
 
 val free_count : t -> int
-
-val faulty_skipped : t -> int
-(** Devices skipped by the fault-aware mode (0 without [is_faulty]). *)

@@ -53,8 +53,6 @@ let config_name config =
   | None -> base
   | Some w -> Printf.sprintf "%s+cap%d" base w
 
-let pp_config ppf config = Format.pp_print_string ppf (config_name config)
-
 type result = {
   program : Program.t;
   rewritten : Mig.t;

@@ -35,7 +35,6 @@ val endurance_rewrite : config
 val endurance_full : config
 val with_cap : int -> config -> config
 val config_name : config -> string
-val pp_config : Format.formatter -> config -> unit
 
 type result = {
   program : Program.t;

@@ -29,11 +29,6 @@ let run_and_compare mig (program : Program.t) vector =
     | None -> Ok xbar
   end
 
-let check_vector mig program vector =
-  match run_and_compare mig program vector with
-  | Ok _ -> Ok ()
-  | Error e -> Error e
-
 (* Three-way agreement: the trivial per-instruction count, the bound the
    dataflow analyzer derives from its def-use chains, and what the crossbar
    actually counted.  Each pair failing points at a different layer (ISA

@@ -9,11 +9,6 @@
 module Mig = Plim_mig.Mig
 module Program = Plim_isa.Program
 
-val check_vector :
-  Mig.t -> Program.t -> bool array -> (unit, string) result
-(** Compare machine execution against MIG evaluation for one input
-    assignment (positionally, PI declaration order). *)
-
 val check_random :
   ?trials:int -> ?seed:int -> Mig.t -> Program.t -> (unit, string) result
 (** [check_random mig program] runs [trials] (default 32) random vectors.

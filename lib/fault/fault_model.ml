@@ -12,9 +12,6 @@ type spec = {
 
 let none = { sa0 = 0.0; sa1 = 0.0; transient = 0.0; transient_growth = 0.0; seed = 0x5EED }
 
-let is_none s =
-  s.sa0 = 0.0 && s.sa1 = 0.0 && s.transient = 0.0 && s.transient_growth = 0.0
-
 let validate s =
   let rate name v =
     if v < 0.0 || v > 1.0 || Float.is_nan v then
@@ -31,10 +28,6 @@ let validate s =
 let make ?(sa0 = 0.0) ?(sa1 = 0.0) ?(transient = 0.0) ?(transient_growth = 0.0)
     ?(seed = none.seed) () =
   validate { sa0; sa1; transient; transient_growth; seed }
-
-let scale factor s =
-  let clamp v = Float.min 1.0 (Float.max 0.0 v) in
-  validate { s with sa0 = clamp (s.sa0 *. factor); sa1 = clamp (s.sa1 *. factor) }
 
 let to_string s =
   let parts = ref [] in

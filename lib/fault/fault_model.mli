@@ -37,12 +37,6 @@ val none : spec
 (** No faults at all; wrapping a crossbar with [none] is behaviourally
     identical to the bare crossbar. *)
 
-val is_none : spec -> bool
-
-val scale : float -> spec -> spec
-(** Multiply the permanent rates ([sa0], [sa1]) by a factor; transient
-    parameters and seed are kept.  Clamps to 1. *)
-
 val make :
   ?sa0:float -> ?sa1:float -> ?transient:float -> ?transient_growth:float ->
   ?seed:int -> unit -> spec

@@ -11,7 +11,6 @@ type t = {
   rng : Splitmix.t;               (* transient draws only *)
   injected : int;
   mutable num_stuck : int;
-  mutable absorbed : int;
   mutable transients : int;
 }
 
@@ -40,7 +39,6 @@ let create ?(spec = Fault_model.none) ?(faults = []) base =
     rng = Splitmix.create (spec.Fault_model.seed lxor 0x7F4A7C15);
     injected = !injected;
     num_stuck = !injected;
-    absorbed = 0;
     transients = 0 }
 
 let base t = t.base
@@ -60,9 +58,6 @@ let read t i =
     v
   | None -> Crossbar.read t.base i
 
-let peek t i =
-  match stuck_at t i with Some v -> v | None -> Crossbar.peek t.base i
-
 let mark_worn t i =
   if Bytes.get t.stuck i = '\000' then begin
     Bytes.set t.stuck i (if Crossbar.peek t.base i then '\002' else '\001');
@@ -73,8 +68,7 @@ let mark_worn t i =
         ~args:[ ("cell", Int i); ("value", Bool (Crossbar.peek t.base i)) ]
   end
 
-let absorb t i =
-  t.absorbed <- t.absorbed + 1;
+let absorb i =
   Metrics.incr m_absorbed;
   if Trace.enabled () then Trace.emit "fault.absorbed_write" ~args:[ ("cell", Int i) ]
 
@@ -85,7 +79,7 @@ let note_transient t i =
 
 let write t i b =
   match stuck_at t i with
-  | Some _ -> absorb t i
+  | Some _ -> absorb i
   | None ->
     let writes = Crossbar.writes t.base i in
     if Fault_model.transient_fires t.spec ~writes t.rng then begin
@@ -99,7 +93,7 @@ let write t i b =
 
 let rm3 t ~p ~q i =
   match stuck_at t i with
-  | Some _ -> absorb t i
+  | Some _ -> absorb i
   | None ->
     let writes = Crossbar.writes t.base i in
     if Fault_model.transient_fires t.spec ~writes t.rng then begin
@@ -113,36 +107,25 @@ let rm3 t ~p ~q i =
 
 let load t i b =
   match stuck_at t i with
-  | Some _ -> absorb t i
+  | Some _ -> absorb i
   | None ->
     (match Crossbar.load t.base i b with
     | () -> ()
     | exception Crossbar.Cell_failed _ ->
       (* the wrapped crossbar was already worn before wrapping *)
       mark_worn t i;
-      absorb t i)
+      absorb i)
 
 let set_observer t obs = Crossbar.set_observer t.base obs
 
 let wear_counts t = Crossbar.write_counts t.base
 
-let num_faulty t = t.num_stuck
-
 let injected t = t.injected
 
 let worn_out t = t.num_stuck - t.injected
-
-let absorbed_writes t = t.absorbed
 
 let transient_failures t = t.transients
 
 let capacity t =
   let n = size t in
   if n = 0 then 1.0 else float_of_int (n - t.num_stuck) /. float_of_int n
-
-let faulty_cells t =
-  let acc = ref [] in
-  for i = size t - 1 downto 0 do
-    match stuck_at t i with Some v -> acc := (i, v) :: !acc | None -> ()
-  done;
-  !acc

@@ -40,10 +40,6 @@ val size : t -> int
 val read : t -> int -> bool
 (** Stuck-aware read: a stuck cell returns its stuck value. *)
 
-val peek : t -> int -> bool
-(** Stuck-aware state inspection without metrics (cf.
-    {!Plim_rram.Crossbar.peek}). *)
-
 val write : t -> int -> bool -> unit
 (** Never raises: writes to stuck cells are absorbed, endurance
     exhaustion converts the cell into a stuck-at fault. *)
@@ -62,22 +58,11 @@ val wear_counts : t -> int array
 (** Per-cell cumulative write counts of the wrapped crossbar (a copy) —
     the raw material for wear heatmaps and skew metrics. *)
 
-val stuck_at : t -> int -> bool option
-(** Ground truth (test/reporting oracle — a real controller only learns
-    this through write-verify): [Some v] if the cell is permanently stuck
-    at [v]. *)
-
-val num_faulty : t -> int
-(** Currently stuck cells: injected plus worn-out. *)
-
 val injected : t -> int
 (** Permanently faulty cells present at creation. *)
 
 val worn_out : t -> int
 (** Cells that became stuck through endurance exhaustion after creation. *)
-
-val absorbed_writes : t -> int
-(** Writes and RM3s silently swallowed by stuck cells. *)
 
 val transient_failures : t -> int
 (** Write pulses that failed to switch the state (cell wear was still
@@ -86,6 +71,3 @@ val transient_failures : t -> int
 val capacity : t -> float
 (** Surviving capacity: fraction of cells not permanently stuck,
     in [0, 1]. *)
-
-val faulty_cells : t -> (int * bool) list
-(** All stuck cells with their stuck value, ascending. *)

@@ -6,7 +6,6 @@ type t = {
   total : int;                  (* lines + spares *)
   mutable next_spare : int;
   mutable remaps : int;
-  mutable retired : int list;
 }
 
 let m_remaps = Metrics.counter "fault.remaps"
@@ -17,8 +16,7 @@ let create ?(spares = 0) ~lines () =
   { map = Array.init lines (fun i -> i);
     total = lines + spares;
     next_spare = lines;
-    remaps = 0;
-    retired = [] }
+    remaps = 0 }
 
 let lines t = Array.length t.map
 
@@ -41,12 +39,9 @@ let retire t l =
     t.next_spare <- t.next_spare + 1;
     t.map.(l) <- fresh;
     t.remaps <- t.remaps + 1;
-    t.retired <- old :: t.retired;
     Metrics.incr m_remaps;
     if Trace.enabled () then
       Trace.emit "fault.remap"
         ~args:[ ("logical", Int l); ("retired", Int old); ("spare", Int fresh) ];
     Some fresh
   end
-
-let retired_cells t = t.retired

@@ -37,6 +37,3 @@ val retire : t -> int -> int option
     address [l] and remaps [l] to a fresh spare.  [Some p] is the new
     physical line; [None] means the spare pool is exhausted (the map is
     unchanged). *)
-
-val retired_cells : t -> int list
-(** Physical lines retired so far, most recent first. *)

@@ -38,8 +38,6 @@ let of_string s =
 
 let to_string g = Printf.sprintf "%dx%d" g.rows g.cols
 
-let pp ppf g = Format.pp_print_string ppf (to_string g)
-
 let area g = g.rows * g.cols
 
 let grid_for ~cols ~num_cells =

@@ -28,9 +28,6 @@
 
 type grid = private { rows : int; cols : int }
 
-val make : rows:int -> cols:int -> (grid, string) result
-(** [Error] unless both dimensions are at least 1. *)
-
 val make_exn : rows:int -> cols:int -> grid
 (** @raise Invalid_argument unless both dimensions are at least 1. *)
 
@@ -39,8 +36,6 @@ val of_string : string -> (grid, string) result
 
 val to_string : grid -> string
 (** ["ROWSxCOLS"]; inverse of {!of_string}. *)
-
-val pp : Format.formatter -> grid -> unit
 
 val area : grid -> int
 (** [rows * cols]: the device budget of the grid. *)

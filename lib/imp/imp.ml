@@ -16,10 +16,6 @@ type program = {
   po_cells : (string * int) array;
 }
 
-let pp_instr ppf = function
-  | False z -> Format.fprintf ppf "FALSE %%%d" z
-  | Imply (p, q) -> Format.fprintf ppf "IMP %%%d, %%%d" p q
-
 let length p = Array.length p.instrs
 let num_cells p = p.num_cells
 

@@ -32,8 +32,6 @@ type program = {
   po_cells : (string * int) array;   (** outputs, true phase *)
 }
 
-val pp_instr : Format.formatter -> instr -> unit
-
 val length : program -> int
 val num_cells : program -> int
 

@@ -15,8 +15,6 @@
 val address_bits : num_cells:int -> int
 (** At least 1. *)
 
-val operand_bits : num_cells:int -> int
-
 val instruction_bits : num_cells:int -> int
 
 val encode : num_cells:int -> Instruction.t -> bool array

@@ -26,8 +26,6 @@ let semantics ~a ~b ~z =
   let nb = not b in
   (a && nb) || (a && z) || (nb && z)
 
-let equal x y = x = y
-
 let pp_operand ppf = function
   | Const false -> Format.pp_print_string ppf "0"
   | Const true -> Format.pp_print_string ppf "1"

@@ -24,7 +24,4 @@ val set_const : bool -> int -> t
 val semantics : a:bool -> b:bool -> z:bool -> bool
 (** Pure meaning of one instruction: [<a, !b, z>]. *)
 
-val equal : t -> t -> bool
-val pp_operand : Format.formatter -> operand -> unit
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -52,8 +52,6 @@ let manager ?order ~num_vars () =
     unique = Hashtbl.create 4096;
     ite_cache = Hashtbl.create 4096 }
 
-let num_vars m = m.nvars
-
 let false_ _ = 0
 let true_ _ = 1
 

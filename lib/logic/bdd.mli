@@ -21,8 +21,6 @@ val manager : ?order:int array -> num_vars:int -> unit -> man
     lower levels decide first.
     @raise Invalid_argument if [order] is not a permutation. *)
 
-val num_vars : man -> int
-
 val false_ : man -> t
 val true_ : man -> t
 val var : man -> int -> t

@@ -19,8 +19,6 @@ let check_vars n =
   if n < 0 || n > max_vars then
     invalid_arg (Printf.sprintf "Truth_table: %d variables unsupported" n)
 
-let num_vars t = t.n
-
 let const_ n b =
   check_vars n;
   let w = words_for n in

@@ -10,8 +10,6 @@ type t
 val max_vars : int
 (** 16: tables up to 64 Ki-minterms, ample for exhaustive checks. *)
 
-val num_vars : t -> int
-
 val const_ : int -> bool -> t
 (** [const_ n b] is the constant-[b] function of [n] variables. *)
 

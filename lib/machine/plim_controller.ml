@@ -164,11 +164,3 @@ let run_self_hosted ?endurance (p : Program.t) ~inputs =
   done;
   let outputs = Program.read_outputs p.Program.po_cells (Crossbar.read xbar) in
   (outputs, xbar, { instructions = num_instrs; cycles = !cycles })
-
-let run_vector ?endurance (p : Program.t) values =
-  if Array.length values <> Array.length p.Program.pi_cells then
-    invalid_arg "Plim_controller.run_vector: input arity mismatch";
-  let outputs, _, _ =
-    run ?endurance p ~inputs:(Program.inputs_of_vector p.Program.pi_cells values)
-  in
-  Array.of_list (List.map snd outputs)

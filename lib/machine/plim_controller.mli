@@ -85,11 +85,6 @@ val run_grouped :
     @raise Invalid_argument if [inputs] does not bind exactly the
     program's primary inputs. *)
 
-val run_vector :
-  ?endurance:int -> Program.t -> bool array -> bool array
-(** Positional convenience wrapper: inputs/outputs in [pi_cells]/[po_cells]
-    declaration order. *)
-
 val run_self_hosted :
   ?endurance:int ->
   Program.t ->

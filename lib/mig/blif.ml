@@ -217,9 +217,3 @@ let to_string ?(model = "mig") g =
   Buffer.contents buf
 
 let read_file path = Result.bind (Plim_util.File.read path) of_string
-
-let write_file ?model path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?model g))

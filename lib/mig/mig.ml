@@ -53,8 +53,6 @@ let signal node complemented = (node lsl 1) lor (if complemented then 1 else 0)
 let node_of s = s lsr 1
 let is_complemented s = s land 1 = 1
 let not_ s = s lxor 1
-let ( ~: ) = not_
-let signal_equal (a : signal) b = a = b
 let false_ = signal 0 false
 let true_ = signal 0 true
 let is_const s = node_of s = 0
@@ -479,5 +477,3 @@ let cleanup ?reachable ?map g =
   let map = match map with Some m -> m | None -> Array.make g.len false_ in
   rebuild_into ~reachable:mark ~map g ~into ~rule:(fun g' ~old_id:_ a b c -> maj g' a b c);
   into
-
-let copy g = cleanup g

@@ -33,7 +33,7 @@
 type signal = private int
 (** A node reference with a polarity (complemented-edge) flag, packed as
     [2 * node + (1 if complemented)].  Read it by coercion, [(s :> int)],
-    where a call to {!node_of}, {!is_complemented} or {!signal_equal}
+    where a call to {!node_of} or {!is_complemented}
     would cost too much; build one only through this module. *)
 
 type node_tag = Tag_const | Tag_input | Tag_maj
@@ -74,10 +74,7 @@ val signal : int -> bool -> signal
 val node_of : signal -> int
 val is_complemented : signal -> bool
 val not_ : signal -> signal
-val ( ~: ) : signal -> signal
-(** Alias for [not_]. *)
 
-val signal_equal : signal -> signal -> bool
 val false_ : signal
 val true_ : signal
 val is_const : signal -> bool
@@ -210,9 +207,6 @@ val is_compact : t -> bool
 val eval : t -> bool array -> bool array
 (** [eval t pi_values] returns output values, in output declaration order. *)
 
-val node_values : t -> bool array -> bool array
-(** Per-node values under the given input assignment. *)
-
 val output_tables : t -> Plim_logic.Truth_table.t array
 (** Exhaustive truth tables of all outputs;
     @raise Invalid_argument when [num_inputs] exceeds
@@ -226,8 +220,6 @@ val cleanup : ?reachable:bool array -> ?map:signal array -> t -> t
     [reachable], when given, must be {!reachable}[ t] (it saves
     recomputing the mark), and [map] serves as {!rebuild_into}'s map
     instead of a fresh one.  Either may be longer than [num_nodes t]. *)
-
-val copy : t -> t
 
 val map_rebuild : t -> rule:(t -> old_id:int -> signal -> signal -> signal -> signal) -> t
 (** [map_rebuild t ~rule] rebuilds [t] bottom-up into a fresh graph.  For

@@ -16,8 +16,6 @@ type profile = {
                              keeping all PIs in use despite locality *)
 }
 
-val default_profile : profile
-
 val control_profile : profile
 (** Mux/and-or flavoured: moderate complement density, strong locality,
     occasional constant children — mimics decoded control logic. *)

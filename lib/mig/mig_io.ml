@@ -150,10 +150,4 @@ let to_dot ?(name = "mig") g =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write_file path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string g))
-
 let read_file path = Result.bind (Plim_util.File.read path) of_string

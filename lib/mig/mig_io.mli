@@ -31,8 +31,6 @@ val of_string : string -> (Mig.t, string) result
 
 val to_dot : ?name:string -> Mig.t -> string
 
-val write_file : string -> Mig.t -> unit
-
 val read_file : string -> (Mig.t, string) result
 (** {!of_string} on the file's contents; [Error] also when the file
     cannot be read or is a directory ({!Plim_util.File.read}). *)

@@ -1,5 +1,4 @@
 module Hgram = Plim_telemetry.Histogram
-module Json = Plim_telemetry.Json
 
 type counter = { c_name : string; count : int Atomic.t }
 type gauge = { g_name : string; mutable level : float }
@@ -33,8 +32,6 @@ let incr ?(by = 1) c =
   if by < 0 then invalid_arg "Metrics.incr: negative increment";
   ignore (Atomic.fetch_and_add c.count by)
 
-let value c = Atomic.get c.count
-
 let gauge name =
   with_lock @@ fun () ->
   match Hashtbl.find_opt gauges name with
@@ -67,11 +64,6 @@ let histogram name =
 
 let observe h v = with_lock @@ fun () -> Hgram.observe h.hist v
 
-let observe_array h xs =
-  with_lock @@ fun () -> Array.iter (fun v -> Hgram.observe h.hist v) xs
-
-let histogram_value h = with_lock @@ fun () -> Hgram.copy h.hist
-
 type value = Counter of int | Gauge of float | Hist of Hgram.t
 
 let snapshot () =
@@ -103,15 +95,3 @@ let pp_snapshot ppf entries =
       | Gauge g -> Format.fprintf ppf "%-28s %g@." name g
       | Hist h -> Format.fprintf ppf "%-28s %a@." name Hgram.pp h)
     entries
-
-(* The single JSON exposition path: counters, gauges and histograms in
-   one sorted document. *)
-let to_json () =
-  let value = function
-    | Counter c -> Json.Int c
-    | Gauge g -> Num g
-    | Hist h -> Hgram.to_json h
-  in
-  Json.Obj
-    [ ("schema", Str "plim-metrics/v1");
-      ("metrics", Obj (List.map (fun (name, v) -> (name, value v)) (snapshot ()))) ]

@@ -23,8 +23,6 @@ val counter : string -> counter
 val incr : ?by:int -> counter -> unit
 (** Add [by] (default 1) to the counter.  [by] must be non-negative. *)
 
-val value : counter -> int
-
 val gauge : string -> gauge
 (** Get-or-create, like {!counter}. *)
 
@@ -46,14 +44,6 @@ val observe : histogram -> int -> unit
 (** Record one non-negative value into the distribution.
     @raise Invalid_argument on negative values. *)
 
-val observe_array : histogram -> int array -> unit
-(** Record every element under a single registry lock acquisition —
-    for bulk feeds like a whole crossbar wear grid. *)
-
-val histogram_value : histogram -> Plim_telemetry.Histogram.t
-(** Point-in-time copy of the underlying histogram, safe to read and
-    merge without racing further observations. *)
-
 type value =
   | Counter of int
   | Gauge of float
@@ -69,7 +59,3 @@ val reset : unit -> unit
 val pp_snapshot : Format.formatter -> (string * value) list -> unit
 (** One [name value] line per metric; histograms render as a
     [count/mean/quantile] summary line. *)
-
-val to_json : unit -> Plim_telemetry.Json.t
-(** The single JSON exposition path: one [plim-metrics/v1] document with
-    every counter, gauge and histogram, sorted by name. *)

@@ -30,7 +30,6 @@ let depth_key = Domain.DLS.new_key (fun () -> ref 0)
 
 let enable () = on := true
 let disable () = on := false
-let enabled () = !on
 
 let span name f =
   if not !on then f ()

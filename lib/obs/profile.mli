@@ -15,7 +15,6 @@ type span = {
 
 val enable : unit -> unit
 val disable : unit -> unit
-val enabled : unit -> bool
 
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f], recording a span when profiling is enabled.

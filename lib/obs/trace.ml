@@ -13,10 +13,6 @@ type sink =
 
 let current = ref Null
 
-let set_sink s = current := s
-
-let sink () = !current
-
 let enabled () = match !current with Null -> false | _ -> true
 
 let add_json_float b f =

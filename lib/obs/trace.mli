@@ -24,18 +24,12 @@ type sink =
   | Memory of event Queue.t
   | Jsonl of out_channel
 
-val set_sink : sink -> unit
-val sink : unit -> sink
-
 val enabled : unit -> bool
 (** [false] iff the current sink is {!Null}.  Guard argument construction
     with this at hot call sites. *)
 
 val emit : ?args:(string * arg) list -> string -> unit
 (** Emit an event to the current sink (a no-op under {!Null}). *)
-
-val event_to_json : event -> string
-(** One-line JSON object: [{"ts":…,"name":"…",…args…}]. *)
 
 val with_memory : (unit -> 'a) -> 'a * event list
 (** Run with a fresh [Memory] sink installed; restores the previous sink

@@ -64,6 +64,3 @@ val apply_first :
   rule list -> Mig.t -> Mig.signal -> int -> Mig.signal -> int -> Mig.signal -> int ->
   Mig.signal
 (** Commit the first rule that fires on all of [g]; fall back to [Mig.maj]. *)
-
-val complemented_children : Mig.t -> Mig.signal -> Mig.signal -> Mig.signal -> int
-(** Number of complemented non-constant children — the RM3 cost driver. *)

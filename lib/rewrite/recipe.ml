@@ -175,12 +175,9 @@ let cycles passes ~effort input =
   if not swept then sweep s g;
   Mig.cleanup ~reachable:s.reachable ~map:s.map g
 
-let algorithm1 ~effort g = cycles algorithm1_passes ~effort g
-let algorithm2 ~effort g = cycles algorithm2_passes ~effort g
-
 let run recipe ~effort g =
   Profile.span "rewrite.recipe" @@ fun () ->
   match recipe with
   | No_rewriting -> Mig.cleanup g
-  | Algorithm1 -> algorithm1 ~effort g
-  | Algorithm2 -> algorithm2 ~effort g
+  | Algorithm1 -> cycles algorithm1_passes ~effort g
+  | Algorithm2 -> cycles algorithm2_passes ~effort g

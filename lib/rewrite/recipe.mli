@@ -1,8 +1,8 @@
 (** MIG rewriting recipes.
 
-    [algorithm1] is the rewriting loop of the original PLiM compiler
+    [Algorithm1] is the rewriting loop of the original PLiM compiler
     (Soeken et al., DAC'16 [21], reproduced as Algorithm 1 in the paper);
-    [algorithm2] is the endurance-aware variant proposed by the paper
+    [Algorithm2] is the endurance-aware variant proposed by the paper
     (Algorithm 2): Ψ.C is dropped (it removes single complemented edges,
     which are *ideal* for RM3) and Ω.A is sandwiched between inverter-
     propagation passes to maximise the number of nodes with exactly one
@@ -35,6 +35,3 @@ val run : recipe -> effort:int -> Mig.t -> Mig.t
     graph forgets every quiet list.  So once a cycle returns its input
     unchanged, the remaining cycles cost only their counters.
     [No_rewriting] returns a cleanup copy (the naive flow). *)
-
-val algorithm1 : effort:int -> Mig.t -> Mig.t
-val algorithm2 : effort:int -> Mig.t -> Mig.t

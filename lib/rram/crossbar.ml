@@ -95,17 +95,4 @@ let write_counts t = Array.copy t.writes
 
 let total_writes t = Array.fold_left ( + ) 0 t.writes
 
-let transitions t i =
-  check t i;
-  t.transitions.(i)
-
 let transition_counts t = Array.copy t.transitions
-
-let num_failed t =
-  let n = ref 0 in
-  Bytes.iter (fun c -> if c <> '\000' then incr n) t.failed;
-  !n
-
-let reset_counters t =
-  Array.fill t.writes 0 (size t) 0;
-  Array.fill t.transitions 0 (size t) 0

@@ -63,8 +63,5 @@ val write_counts : t -> int array
 val total_writes : t -> int
 (** Sum of {!write_counts}, read in place without copying the array. *)
 
-val transitions : t -> int -> int
 val transition_counts : t -> int array
 val failed : t -> int -> bool
-val num_failed : t -> int
-val reset_counters : t -> unit

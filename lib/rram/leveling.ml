@@ -46,7 +46,7 @@ let overhead t ~psi ~period ~lines =
   let wf = if remaps t then float_of_int lines /. float_of_int period else 0.0 in
   ((1.0 +. sg) *. (1.0 +. wf)) -. 1.0
 
-let leveled_rate ?(overhead = 0.0) ~cells ~total () =
+let leveled_rate ~overhead ~cells ~total =
   if cells <= 0 then invalid_arg "Leveling.leveled_rate: cells must be positive";
   if overhead < 0.0 then invalid_arg "Leveling.leveled_rate: negative overhead";
   total *. (1.0 +. overhead) /. float_of_int cells
@@ -58,13 +58,13 @@ let line_rates t ~overhead ~cells delta =
         if l < Array.length delta then float_of_int delta.(l) else 0.0)
   | Start_gap | Wolfram_remap | Start_gap_wolfram ->
     let total = Array.fold_left (fun acc d -> acc +. float_of_int d) 0.0 delta in
-    Array.make cells (leveled_rate ~overhead ~cells ~total ())
+    Array.make cells (leveled_rate ~overhead ~cells ~total)
 
 let cell_rate_bound t ~overhead ~cells ~total ~hottest =
   match t with
   | No_leveling -> hottest
   | Start_gap | Wolfram_remap | Start_gap_wolfram ->
-    leveled_rate ~overhead ~cells ~total ()
+    leveled_rate ~overhead ~cells ~total
 
 (* --- execution ----------------------------------------------------------- *)
 

@@ -68,17 +68,12 @@ val overhead : t -> psi:int -> period:int -> lines:int -> float
     each [0] when its layer is absent.
     @raise Invalid_argument as {!validate}, whatever the strategy. *)
 
-val leveled_rate : ?overhead:float -> cells:int -> total:float -> unit -> float
-(** Stationary per-cell write rate of an ideal levelling layer spreading
-    [total] writes uniformly over [cells] physical lines, plus a
-    fractional bookkeeping [overhead] (default 0).
-    @raise Invalid_argument if [cells <= 0] or [overhead < 0]. *)
-
 val line_rates : t -> overhead:float -> cells:int -> int array -> float array
 (** [line_rates t ~overhead ~cells delta] maps one sample of per-line
     write deltas to the stationary per-line rates over [cells] model
     lines: [delta] verbatim (zero past its end) under [none], otherwise
-    {!leveled_rate} of [sum delta] on every line. *)
+    the levelled rate of [sum delta] on every line: [sum delta] spread
+    uniformly over [cells], scaled by [1 + overhead]. *)
 
 val cell_rate_bound :
   t -> overhead:float -> cells:int -> total:float -> hottest:float -> float
@@ -86,7 +81,9 @@ val cell_rate_bound :
     of time and no logical line takes more than [hottest] of them: the
     [hottest] line itself under [none], the levelled rate otherwise.
     Never below the largest of {!line_rates} for a delta with that sum
-    and maximum. *)
+    and maximum.
+    @raise Invalid_argument under a levelling strategy if [cells <= 0] or
+    [overhead < 0] (as does {!line_rates}). *)
 
 (** {1 Execution} *)
 

@@ -11,8 +11,6 @@ let create ?(psi = 100) n =
   if psi <= 0 then invalid_arg "Start_gap.create: psi must be positive";
   { n; psi; start = 0; gap = n; since_move = 0 }
 
-let num_physical t = t.n + 1
-
 let check_address t la =
   if la < 0 || la >= t.n then invalid_arg "Start_gap.physical: address out of range"
 

@@ -19,9 +19,6 @@ val create : ?psi:int -> int -> t
 (** [create ?psi n] for [n] logical lines; gap moves every [psi] (default
     100) writes. *)
 
-val num_physical : t -> int
-(** [n + 1]. *)
-
 val physical : t -> int -> int
 (** Current physical line of a logical address.
     @raise Invalid_argument out of range. *)

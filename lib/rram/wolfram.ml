@@ -27,8 +27,6 @@ let create ?(period = 50_000) ~seed n =
   { n; seed; period; rekeys = 0; since = 0;
     map = permutation ~seed ~generation:0 n }
 
-let num_lines t = t.n
-
 let check_address t la =
   if la < 0 || la >= t.n then invalid_arg "Wolfram.physical: address out of range"
 

@@ -26,8 +26,6 @@ val create : ?period:int -> seed:int -> int -> t
     map is already a seeded permutation, not the identity.
     @raise Invalid_argument if [n <= 0] or [period <= 0]. *)
 
-val num_lines : t -> int
-
 val physical : t -> int -> int
 (** Current physical line of a logical address; a bijection on [0, n).
     @raise Invalid_argument out of range. *)

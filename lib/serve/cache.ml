@@ -44,7 +44,6 @@ let add t ~digest entry =
 
 let hits t = t.hits
 let misses t = t.misses
-let size t = Hashtbl.length t.table
 
 let entries t =
   Hashtbl.fold (fun d e acc -> (d, e) :: acc) t.table []

@@ -47,7 +47,6 @@ val add : t -> digest:string -> entry -> unit
 
 val hits : t -> int
 val misses : t -> int
-val size : t -> int
 
 val entries : t -> (string * entry) list
 (** All entries sorted by digest — a deterministic iteration order for

@@ -6,7 +6,7 @@
     accelerated time: every [sample_every] epochs one {e sampled epoch} of
     real {!Workload} traffic runs through the {!Server} fleet and the
     per-shard, per-cell write deltas become {e rates}; between samples wear
-    advances in closed form ({!Plim_stats.Lifetime.fast_forward}) and the
+    advances in closed form ({!Plim_stats.Lifetime.fast_forward_into}) and the
     driver jumps straight to the next event — the earliest predicted cell
     death, the next sample boundary, or the epoch horizon — so runtime
     scales with {e events}, not with endurance.
@@ -71,8 +71,6 @@ type config = {
 val default_config : config
 
 type stop_reason = Capacity_floor | Fleet_dead | Max_epochs
-
-val stop_reason_name : stop_reason -> string
 
 type sample = { hz_epoch : float; hz_capacity : float; hz_skew : Plim_telemetry.Wear.skew }
 

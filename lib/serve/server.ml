@@ -121,8 +121,6 @@ let create cfg =
     total_cycles = 0;
     total_groups = 0 }
 
-let config t = t.cfg
-
 (* Static write footprint of one execution — the placement cost model:
    one RMW write per instruction.  Scrub and PI deposits are load
    pulses, which the wear counters exclude, and verify traffic is

@@ -115,8 +115,6 @@ val validate_config : config -> unit
 val create : config -> t
 (** A fresh server; raises like {!validate_config}. *)
 
-val config : t -> config
-
 val run : ?pool:Plim_par.t -> ?batch:int -> t -> Workload.request list ->
   response list
 (** Serve the requests (batch size defaults to 32 and never affects

@@ -10,11 +10,9 @@ type status = Spare | Active | Retired
 type t = {
   id : int;
   lines : int;
-  geometry : Plim_geometry.grid option;
   faulty : Faulty.t;
   remap : Remap.t;
   mutable status : status;
-  mutable executions : int;
   mutable stats : Exec.stats;
 }
 
@@ -34,12 +32,10 @@ let create ?endurance ?geometry ?(spec = Fault_model.none) ?(status = Active) ~i
   let xbar = Crossbar.create ?endurance (lines + spares) in
   let faulty = Faulty.create ~spec xbar in
   let remap = Remap.create ~spares ~lines () in
-  { id; lines; geometry; faulty; remap; status; executions = 0;
-    stats = Exec.zero_stats }
+  { id; lines; faulty; remap; status; stats = Exec.zero_stats }
 
 let id t = t.id
 let lines t = t.lines
-let geometry t = t.geometry
 let status t = t.status
 let set_status t s = t.status <- s
 
@@ -54,12 +50,9 @@ let execute ~verify t p ~inputs =
       (Printf.sprintf "Shard.execute: program needs %d cells, shard %d has %d"
          (Program.num_cells p) t.id t.lines);
   let outcome, stats = Exec.run ~verify t.faulty t.remap p ~inputs in
-  t.executions <- t.executions + 1;
   t.stats <- Exec.add_stats t.stats stats;
   (outcome, stats)
 
-let executions t = t.executions
 let stats t = t.stats
 let wear_counts t = Faulty.wear_counts t.faulty
 let total_writes t = Crossbar.total_writes (Faulty.base t.faulty)
-let spares_left t = Remap.spares_left t.remap

@@ -43,9 +43,6 @@ val create :
 val id : t -> int
 val lines : t -> int
 
-val geometry : t -> Plim_geometry.grid option
-(** The declared crossbar geometry, if any. *)
-
 val status : t -> status
 val set_status : t -> status -> unit
 val status_name : status -> string
@@ -58,13 +55,9 @@ val execute :
     @raise Invalid_argument when the program needs more than [lines]
     cells. *)
 
-val executions : t -> int
 val stats : t -> Exec.stats
 
 val wear_counts : t -> int array
 (** Per-physical-cell cumulative write counts (copy), spares included. *)
 
 val total_writes : t -> int
-
-val spares_left : t -> int
-(** Spare {e lines} still available to {!Plim_fault.Remap.retire}. *)

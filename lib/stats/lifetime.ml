@@ -27,12 +27,6 @@ let pp ppf t =
 
 (* --- accelerated-time extrapolation ------------------------------------ *)
 
-let fast_forward ~epochs ~wear ~rate =
-  if Array.length wear <> Array.length rate then
-    invalid_arg "Lifetime.fast_forward: wear and rate lengths differ";
-  if epochs < 0.0 then invalid_arg "Lifetime.fast_forward: negative epochs";
-  Array.mapi (fun i w -> w +. epochs *. rate.(i)) wear
-
 let fast_forward_into ~epochs ~wear ~rate =
   if Array.length wear <> Array.length rate then
     invalid_arg "Lifetime.fast_forward_into: wear and rate lengths differ";

@@ -31,15 +31,13 @@ val pp : Format.formatter -> t -> unit
     order independent, which keeps horizon campaigns byte-identical at any
     [-j] width. *)
 
-val fast_forward : epochs:float -> wear:float array -> rate:float array -> float array
-(** [fast_forward ~epochs ~wear ~rate] is the wear after [epochs] more
-    epochs at constant per-cell rates: [wear.(i) +. epochs *. rate.(i)].
-    Equals replaying the same per-epoch deltas [epochs] times (exactly,
-    for integer-valued inputs within the float-exact range).
-    @raise Invalid_argument on length mismatch or negative [epochs]. *)
-
 val fast_forward_into : epochs:float -> wear:float array -> rate:float array -> unit
-(** In-place variant of {!fast_forward}. *)
+(** [fast_forward_into ~epochs ~wear ~rate] advances [wear] in place by
+    [epochs] more epochs at constant per-cell rates:
+    [wear.(i) <- wear.(i) +. epochs *. rate.(i)].  Equals replaying the
+    same per-epoch deltas [epochs] times (exactly, for integer-valued
+    inputs within the float-exact range).
+    @raise Invalid_argument on length mismatch or negative [epochs]. *)
 
 val epochs_to_threshold : threshold:float -> wear:float array -> rate:float array -> float
 (** Smallest [e >= 0] such that some cell reaches the threshold:

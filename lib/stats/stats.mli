@@ -23,7 +23,7 @@ type summary = {
 }
 
 val summarize : int array -> summary
-(** The empty array summarises to {!zero_summary}.  Quantiles are
+(** The empty array summarises to all-zero fields.  Quantiles are
     nearest-rank, consistent with {!quantile}: the q-quantile of [n]
     sorted samples is element [ceil (q * n) - 1] (clamped to
     [[0, n-1]]).  No interpolation ever happens, so every reported
@@ -31,17 +31,9 @@ val summarize : int array -> summary
     [n < 1 / (1 - q)] (e.g. [n < 100] at q = 0.99) the rank clamps to
     the last element and the quantile silently equals the maximum. *)
 
-val zero_summary : summary
-(** All fields zero — the summary of no cells at all. *)
-
-val mean : float array -> float
-
 val mean_list : float list -> float
 (** Average of a list; 0.0 on [[]] (never nan), so table averages over an
     empty benchmark selection stay finite. *)
-
-val stdev : float array -> float
-(** Population standard deviation; 0 for arrays of length <= 1. *)
 
 val improvement_pct : baseline:float -> float -> float
 (** [improvement_pct ~baseline v] is the paper's "impr." column:

@@ -64,9 +64,6 @@ val value_bounds : int -> int * int
 (** [(low, high)] range of the bucket a value falls in — the guaranteed
     quantization bracket.  [high - low < max 1 (low / 32)]. *)
 
-val buckets : t -> (int * int * int) list
-(** Non-empty buckets as [(low, high, count)], ascending. *)
-
 val to_json : t -> Json.t
 (** One JSON object: count/sum/min/max/mean, p50/p90/p99 and the
     non-empty buckets as [[low, high, count]] triples. *)

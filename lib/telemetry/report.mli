@@ -76,16 +76,6 @@ val compare_files :
     (identical floats never gate).  [Error] carries a parse/IO/schema
     message. *)
 
-val compare_json :
-  ?threshold_pct:float ->
-  ?min_abs:float ->
-  baseline_path:string ->
-  current_path:string ->
-  Json.t ->
-  Json.t ->
-  (comparison, string) result
-(** Same on already-parsed documents (the paths only label the report). *)
-
 val has_regressions : comparison -> bool
 
 val render : ?verbose:bool -> comparison -> string

@@ -53,11 +53,6 @@ let value t = get64 t 0
 
 let hex t = Printf.sprintf "%016Lx" (value t)
 
-let digest_int64 s =
-  let t = create () in
-  add_string t s;
-  value t
-
 let digest_string s =
   let t = create () in
   add_string t s;

@@ -25,14 +25,8 @@ val add_int : t -> int -> unit
 (** Feeds the decimal text of the int, as [string_of_int] writes it;
     allocates nothing for non-negative ints. *)
 
-val value : t -> int64
-(** The hash of every byte fed so far. *)
-
 val hex : t -> string
-(** {!value} as 16 lowercase hex characters. *)
-
-val digest_int64 : string -> int64
-(** Raw FNV-1a 64-bit hash of the byte string. *)
+(** The hash of every byte fed so far, as 16 lowercase hex characters. *)
 
 val digest_string : string -> string
 (** The hash as 16 lowercase hex characters — the canonical textual

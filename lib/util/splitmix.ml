@@ -14,8 +14,6 @@ let create seed =
   set64 t 0 (Int64.of_int seed);
   t
 
-let copy = Bytes.copy
-
 (* splitmix64 from Steele, Lea & Flood, "Fast splittable pseudorandom
    number generators", OOPSLA'14: the output mix of state [z]. *)
 let[@inline] mix z =

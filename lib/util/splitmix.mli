@@ -9,8 +9,6 @@ type t
 val create : int -> t
 (** [create seed] is a fresh generator. *)
 
-val copy : t -> t
-
 val next64 : t -> int64
 (** Next raw 64-bit output. *)
 

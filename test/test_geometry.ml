@@ -22,10 +22,8 @@ let test_make () =
   Alcotest.(check int) "rows" 3 g.G.rows;
   Alcotest.(check int) "cols" 4 g.G.cols;
   Alcotest.(check int) "area" 12 (G.area g);
-  Alcotest.(check bool) "make rejects zero rows" true
-    (Result.is_error (G.make ~rows:0 ~cols:4));
-  Alcotest.(check bool) "make rejects negative cols" true
-    (Result.is_error (G.make ~rows:4 ~cols:(-1)));
+  Alcotest.(check bool) "zero rows rejected" true (Result.is_error (G.of_string "0x4"));
+  Alcotest.(check bool) "negative cols rejected" true (Result.is_error (G.of_string "4x-1"));
   Alcotest.check_raises "make_exn raises"
     (Invalid_argument "geometry: bad grid 0x4 (both sides must be >= 1)")
     (fun () -> ignore (G.make_exn ~rows:0 ~cols:4))

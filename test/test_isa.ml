@@ -99,7 +99,7 @@ let packed_roundtrip =
         Program.make ~instrs ~num_cells:Program.max_cells ~pi_cells:[||] ~po_cells:[||]
       in
       Program.length p = Array.length instrs
-      && Array.for_all Fun.id (Array.mapi (fun i x -> I.equal (Program.instr p i) x) instrs))
+      && Array.for_all Fun.id (Array.mapi (fun i x -> Program.instr p i = x) instrs))
 
 let test_program_cell_limit () =
   check_int "max_cells = 2^21 - 2" ((1 lsl 21) - 2) Program.max_cells;
@@ -293,7 +293,7 @@ let encode_roundtrip =
       in
       let instr = I.rm3 ~a:(operand a) ~b:(operand b) ~z in
       let bits = Encoding.encode ~num_cells:10 instr in
-      I.equal instr (Encoding.decode ~num_cells:10 bits))
+      instr = Encoding.decode ~num_cells:10 bits)
 
 let test_encoding_validation () =
   check_bool "oob cell rejected" true

@@ -1,6 +1,6 @@
 (* Accelerated-time extrapolation and horizon-campaign tests.
 
-   The closed-form layer (Lifetime.fast_forward and friends) is checked
+   The closed-form layer (Lifetime.fast_forward_into and friends) is checked
    against brute-force replay; the Horizon driver is checked for its
    headline properties — half-life monotone non-increasing in the fault
    rate, the combined strategy strictly outliving the unmanaged one, and
@@ -18,6 +18,12 @@ let qc = QCheck_alcotest.to_alcotest
 
 (* --- extrapolation math ------------------------------------------------- *)
 
+(* [Lifetime.fast_forward_into] on a copy of [wear]. *)
+let fast_forward ~epochs ~wear ~rate =
+  let w = Array.copy wear in
+  Lifetime.fast_forward_into ~epochs ~wear:w ~rate;
+  w
+
 (* integer-valued wear/rate arrays: fast_forward over k epochs must equal
    k single-epoch steps exactly (all sums stay in the float-exact range) *)
 let fast_forward_matches_replay =
@@ -27,10 +33,10 @@ let fast_forward_matches_replay =
     (fun (k, cells) ->
       let wear = Array.of_list (List.map (fun (w, _) -> float_of_int w) cells) in
       let rate = Array.of_list (List.map (fun (_, r) -> float_of_int r) cells) in
-      let direct = Lifetime.fast_forward ~epochs:(float_of_int k) ~wear ~rate in
+      let direct = fast_forward ~epochs:(float_of_int k) ~wear ~rate in
       let stepped = ref wear in
       for _ = 1 to k do
-        stepped := Lifetime.fast_forward ~epochs:1.0 ~wear:!stepped ~rate
+        stepped := fast_forward ~epochs:1.0 ~wear:!stepped ~rate
       done;
       direct = !stepped)
 
@@ -54,7 +60,7 @@ let epochs_to_threshold_is_first_crossing =
       else if e = infinity || e = 0.0 then true
       else begin
         (* at the crossing: no cell is past the threshold, some cell is on it *)
-        let advanced = Lifetime.fast_forward ~epochs:e ~wear ~rate in
+        let advanced = fast_forward ~epochs:e ~wear ~rate in
         Array.for_all (fun w -> w < threshold +. 1e-9) advanced
         && Array.exists (fun w -> w >= threshold -. 1e-9) advanced
       end)
@@ -62,17 +68,15 @@ let epochs_to_threshold_is_first_crossing =
 let test_fast_forward_edges () =
   let wear = [| 1.0; 2.0 |] and rate = [| 3.0; 0.0 |] in
   Alcotest.(check (array (float 0.0))) "zero epochs is identity" wear
-    (Lifetime.fast_forward ~epochs:0.0 ~wear ~rate);
-  let w = Array.copy wear in
-  Lifetime.fast_forward_into ~epochs:2.0 ~wear:w ~rate;
-  Alcotest.(check (array (float 0.0))) "in-place agrees"
-    (Lifetime.fast_forward ~epochs:2.0 ~wear ~rate) w;
+    (fast_forward ~epochs:0.0 ~wear ~rate);
+  Alcotest.(check (array (float 0.0))) "two epochs" [| 7.0; 2.0 |]
+    (fast_forward ~epochs:2.0 ~wear ~rate);
   Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Lifetime.fast_forward: wear and rate lengths differ")
-    (fun () -> ignore (Lifetime.fast_forward ~epochs:1.0 ~wear ~rate:[| 1.0 |]));
+    (Invalid_argument "Lifetime.fast_forward_into: wear and rate lengths differ")
+    (fun () -> ignore (fast_forward ~epochs:1.0 ~wear ~rate:[| 1.0 |]));
   Alcotest.check_raises "negative epochs"
-    (Invalid_argument "Lifetime.fast_forward: negative epochs")
-    (fun () -> ignore (Lifetime.fast_forward ~epochs:(-1.0) ~wear ~rate))
+    (Invalid_argument "Lifetime.fast_forward_into: negative epochs")
+    (fun () -> ignore (fast_forward ~epochs:(-1.0) ~wear ~rate))
 
 let test_epochs_to_threshold_edges () =
   let t = Lifetime.epochs_to_threshold ~threshold:10.0 in
@@ -106,13 +110,16 @@ let test_sentinel_epochs () =
     (Horizon.sentinel_epochs (Some Float.nan))
 
 let test_leveled_rate () =
+  let rate ~overhead ~cells ~total =
+    Leveling.cell_rate_bound Leveling.Start_gap ~overhead ~cells ~total ~hottest:0.0
+  in
   Alcotest.(check (float 1e-12)) "uniform split" 25.0
-    (Leveling.leveled_rate ~cells:4 ~total:100.0 ());
+    (rate ~overhead:0.0 ~cells:4 ~total:100.0);
   Alcotest.(check (float 1e-12)) "overhead scales" 27.5
-    (Leveling.leveled_rate ~overhead:0.1 ~cells:4 ~total:100.0 ());
+    (rate ~overhead:0.1 ~cells:4 ~total:100.0);
   Alcotest.check_raises "zero cells refused"
     (Invalid_argument "Leveling.leveled_rate: cells must be positive")
-    (fun () -> ignore (Leveling.leveled_rate ~cells:0 ~total:1.0 ()))
+    (fun () -> ignore (rate ~overhead:0.0 ~cells:0 ~total:1.0))
 
 let test_overhead () =
   (* the composed form, bit for bit: pinned rows depend on its rounding *)

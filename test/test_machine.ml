@@ -99,11 +99,17 @@ let test_input_binding_errors () =
   Alcotest.check_raises "extra" (Invalid_argument "Plim_controller.run: unknown extra inputs")
     (fun () -> ignore (Controller.run p ~inputs:[ ("a", true); ("b", false) ]))
 
-let test_run_vector () =
-  let out = Controller.run_vector (not_program ()) [| true |] in
-  Alcotest.(check (array bool)) "vector api" [| false |] out;
-  Alcotest.check_raises "arity" (Invalid_argument "Plim_controller.run_vector: input arity mismatch")
-    (fun () -> ignore (Controller.run_vector (not_program ()) [||]))
+let test_run_positional () =
+  let p = not_program () in
+  let run values =
+    let outputs, _, _ =
+      Controller.run p ~inputs:(Program.inputs_of_vector p.Program.pi_cells values)
+    in
+    List.map snd outputs
+  in
+  Alcotest.(check (list bool)) "positional inputs" [ false ] (run [| true |]);
+  Alcotest.check_raises "arity" (Invalid_argument "Program.inputs_of_vector: input arity mismatch")
+    (fun () -> ignore (run [||]))
 
 let test_endurance_mid_run () =
   (* a 2-write program against a 1-write budget must fail *)
@@ -343,7 +349,7 @@ let () =
             test_static_cycles_matches_run;
           Alcotest.test_case "trace callback" `Quick test_trace;
           Alcotest.test_case "input binding errors" `Quick test_input_binding_errors;
-          Alcotest.test_case "run_vector" `Quick test_run_vector;
+          Alcotest.test_case "run on positional inputs" `Quick test_run_positional;
           Alcotest.test_case "endurance mid-run" `Quick test_endurance_mid_run ] );
       ( "self-hosted",
         [ Alcotest.test_case "matches direct run" `Quick test_self_hosted_matches_direct;

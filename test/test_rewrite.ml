@@ -8,6 +8,7 @@ module Suite = Plim_benchgen.Suite
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let signal_equal (a : Mig.signal) b = a = b
 
 let functionally_equal g g' =
   Mig.num_inputs g = Mig.num_inputs g'
@@ -310,7 +311,7 @@ module Reference = struct
     | Mig.Const | Mig.Input _ -> None
 
   let pairs = [ (0, 1, 2); (0, 2, 1); (1, 2, 0) ]
-  let seq = Mig.signal_equal
+  let seq = signal_equal
 
   let distributivity_rl g ~below a fa b fb c fc =
     let ops = operands a fa b fb c fc in
@@ -420,7 +421,7 @@ let rules_match_reference g =
         (match (ask rule g1, ask reference g2) with
         | Some commit1, Some commit2 ->
           let s1 = commit1 () and s2 = commit2 () in
-          Mig.signal_equal s1 s2
+          signal_equal s1 s2
           && Mig.num_nodes g1 = Mig.num_nodes g2
           && List.for_all
                (fun id -> Mig.kind g1 id = Mig.kind g2 id)

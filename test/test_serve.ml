@@ -166,8 +166,8 @@ let test_cache_digest_pins () =
       let g = Suite.build_cached spec in
       let name = spec.Suite.name in
       Alcotest.(check string) name (List.assoc name pins) (Cache.digest_of g);
-      Alcotest.(check string) (name ^ " corpus digest") (List.assoc name pins)
-        (Plim_check.Corpus.digest g))
+      Alcotest.(check string) (name ^ " Mig_io digest") (List.assoc name pins)
+        (Plim_mig.Mig_io.digest g))
     Suite.small_suite
 
 (* --- server ---------------------------------------------------------- *)

@@ -269,14 +269,22 @@ let bench_doc ~schema ~max_writes ~extra =
 
 let v2_extra = {|,"skew":{"gini":0.31,"max_mean":2.4}|}
 
-let parse_ok = Helpers.parse_ok
+(* [Report.compare_files] on two documents, each written to a temporary
+   file. *)
+let compare_docs ?threshold_pct baseline current =
+  let file doc =
+    let f = Filename.temp_file "report" ".json" in
+    Out_channel.with_open_text f (fun oc -> output_string oc doc);
+    f
+  in
+  let baseline = file baseline and current = file current in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove baseline; Sys.remove current)
+    (fun () -> Report.compare_files ?threshold_pct ~baseline ~current ())
 
 let test_report_identical () =
   let doc = bench_doc ~schema:"plim-bench/v2" ~max_writes:40 ~extra:v2_extra in
-  match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok doc)
-      (parse_ok doc)
-  with
+  match compare_docs doc doc with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
     check_bool "no regressions on identical docs" false (Report.has_regressions c);
@@ -288,10 +296,7 @@ let test_report_identical () =
 let test_report_regression () =
   let base = bench_doc ~schema:"plim-bench/v2" ~max_writes:40 ~extra:v2_extra in
   let cur = bench_doc ~schema:"plim-bench/v2" ~max_writes:55 ~extra:v2_extra in
-  match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
-      (parse_ok cur)
-  with
+  match compare_docs base cur with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
     check_bool "regression detected" true (Report.has_regressions c);
@@ -302,10 +307,7 @@ let test_report_regression () =
       Alcotest.(check (float 1e-6)) "change pct" 37.5 d.Report.change_pct
     | l -> Alcotest.failf "expected exactly 1 regression, got %d" (List.length l));
     (* the other direction is an improvement, not a regression *)
-    (match
-       Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok cur)
-         (parse_ok base)
-     with
+    (match compare_docs cur base with
     | Ok c' ->
       check_bool "improvement direction never gates" false (Report.has_regressions c');
       check_int "one improvement" 1 (List.length c'.Report.improvements)
@@ -316,10 +318,7 @@ let test_report_v1_migration () =
      are compared, and their absence is not a regression *)
   let v1 = bench_doc ~schema:"plim-bench/v1" ~max_writes:40 ~extra:"" in
   let v2 = bench_doc ~schema:"plim-bench/v2" ~max_writes:40 ~extra:v2_extra in
-  match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok v1)
-      (parse_ok v2)
-  with
+  match compare_docs v1 v2 with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
     check_bool "no regressions across schemas" false (Report.has_regressions c);
@@ -333,10 +332,7 @@ let test_report_threshold () =
   let base = bench_doc ~schema:"plim-bench/v2" ~max_writes:100 ~extra:v2_extra in
   let cur = bench_doc ~schema:"plim-bench/v2" ~max_writes:101 ~extra:v2_extra in
   let compare_at threshold =
-    match
-      Report.compare_json ~threshold_pct:threshold ~baseline_path:"a"
-        ~current_path:"b" (parse_ok base) (parse_ok cur)
-    with
+    match compare_docs ~threshold_pct:threshold base cur with
     | Ok c -> Report.has_regressions c
     | Error e -> Alcotest.failf "compare failed: %s" e
   in
@@ -348,18 +344,12 @@ let test_report_missing_rows () =
   let empty =
     {|{"schema":"plim-bench/v2","generated_at":0,"benchmarks":[],"phases":[]}|}
   in
-  (match
-     Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
-       (parse_ok empty)
-   with
+  (match compare_docs base empty with
   | Ok c ->
     Alcotest.(check (list string)) "vanished rows" [ "b1/naive" ] c.Report.baseline_only;
     check_bool "vanished rows do not gate" false (Report.has_regressions c)
   | Error e -> Alcotest.failf "compare failed: %s" e);
-  match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok "{}")
-      (parse_ok base)
-  with
+  match compare_docs "{}" base with
   | Ok _ -> Alcotest.fail "accepted a non-bench document"
   | Error _ -> ()
 
@@ -368,10 +358,7 @@ let test_report_new_metrics () =
      reported as new — never gated, never silently dropped *)
   let base = bench_doc ~schema:"plim-bench/v2" ~max_writes:40 ~extra:"" in
   let cur = bench_doc ~schema:"plim-bench/v2" ~max_writes:40 ~extra:v2_extra in
-  match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
-      (parse_ok cur)
-  with
+  match compare_docs base cur with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
     check_bool "new metrics never gate" false (Report.has_regressions c);
@@ -384,10 +371,7 @@ let test_report_new_metrics () =
     check_bool "to_json carries new_metrics" true
       (contains ~affix:"new_metrics" (Json.write (Report.to_json c)));
     (* identical docs: nothing is new *)
-    (match
-       Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok cur)
-         (parse_ok cur)
-     with
+    (match compare_docs cur cur with
     | Ok c' -> check_int "identical -> no new metrics" 0 (List.length c'.Report.new_metrics)
     | Error e -> Alcotest.failf "compare failed: %s" e)
 
@@ -407,10 +391,7 @@ let test_report_serve_rows () =
      pseudo-benchmarks; their wall-clock fields are never compared *)
   let base = serve_doc ~p99:60.0 ~misses:4 in
   let cur = serve_doc ~p99:90.0 ~misses:4 in
-  (match
-     Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
-       (parse_ok base)
-   with
+  (match compare_docs base base with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
     check_bool "serve metrics compared" true (List.length c.Report.deltas >= 6);
@@ -425,10 +406,7 @@ let test_report_serve_rows () =
            d.Report.metric <> "wall_s" && d.Report.metric <> "requests_per_sec")
          c.Report.deltas);
     check_bool "identical serve rows -> zero" false (Report.has_regressions c));
-  match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
-      (parse_ok cur)
-  with
+  match compare_docs base cur with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
     check_bool "latency tail growth gates" true (Report.has_regressions c);
@@ -452,10 +430,7 @@ let test_report_from_zero () =
      rendered/serialized without a percentage sentinel *)
   let base = zero_doc ~instructions:100 ~dead_writes:0 in
   let cur = zero_doc ~instructions:150 ~dead_writes:5 in
-  match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
-      (parse_ok cur)
-  with
+  match compare_docs base cur with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
     check_bool "both growths gate" true (Report.has_regressions c);
@@ -494,10 +469,7 @@ let test_report_geometry_rows () =
   (* geometry trade-off rows fold in as geometry:<benchmark>@<grid>
      pseudo-benchmarks and gate on group latency like any cost *)
   let base = geometry_doc ~groups:18 in
-  (match
-     Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
-       (parse_ok base)
-   with
+  (match compare_docs base base with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
     check_bool "geometry metrics compared" true (List.length c.Report.deltas >= 4);
@@ -508,10 +480,7 @@ let test_report_geometry_rows () =
            && d.Report.config = "endurance-full")
          c.Report.deltas);
     check_bool "identical -> zero" false (Report.has_regressions c));
-  match
-    Report.compare_json ~baseline_path:"a" ~current_path:"b" (parse_ok base)
-      (parse_ok (geometry_doc ~groups:25))
-  with
+  match compare_docs base (geometry_doc ~groups:25) with
   | Error e -> Alcotest.failf "compare failed: %s" e
   | Ok c ->
     check_bool "group-latency growth gates" true (Report.has_regressions c);
@@ -540,14 +509,9 @@ let test_report_sections_fold () =
     (fun (section, key, gated, excluded, row) ->
       let compare base cur =
         let doc r =
-          parse_ok
-            (Printf.sprintf {|{"schema":"plim-bench/v2","benchmarks":[],"%s":[%s]}|}
-               section r)
+          Printf.sprintf {|{"schema":"plim-bench/v2","benchmarks":[],"%s":[%s]}|} section r
         in
-        match
-          Report.compare_json ~baseline_path:"a" ~current_path:"b" (doc base)
-            (doc cur)
-        with
+        match compare_docs (doc base) (doc cur) with
         | Ok c -> c
         | Error e -> Alcotest.failf "%s: compare failed: %s" section e
       in
@@ -646,20 +610,16 @@ let test_metrics_histogram () =
   Metrics.reset ();
   let h = Metrics.histogram "test.latency" in
   Metrics.observe h 10;
-  Metrics.observe_array h [| 20; 30 |];
-  check_int "observations recorded" 3 (Hgram.count (Metrics.histogram_value h));
-  let entries = Metrics.snapshot () in
-  (match List.assoc_opt "test.latency" entries with
-  | Some (Metrics.Hist hv) -> check_int "snapshot copy" 3 (Hgram.count hv)
-  | _ -> Alcotest.fail "histogram missing from snapshot");
-  let json = Json.write (Metrics.to_json ()) in
-  check_bool "single exposition schema" true (contains ~affix:"plim-metrics/v1" json);
-  check_bool "histogram in JSON dump" true (contains ~affix:"\"test.latency\":{" json);
-  (match Json.parse json with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "metrics JSON unparsable: %s" e);
+  Metrics.observe h 20;
+  Metrics.observe h 30;
+  let count () =
+    match List.assoc_opt "test.latency" (Metrics.snapshot ()) with
+    | Some (Metrics.Hist hv) -> Hgram.count hv
+    | _ -> Alcotest.fail "histogram missing from snapshot"
+  in
+  check_int "observations recorded" 3 (count ());
   Metrics.reset ();
-  check_int "reset clears" 0 (Hgram.count (Metrics.histogram_value h))
+  check_int "reset clears" 0 (count ())
 
 (* --- campaign wear trajectory ------------------------------------------- *)
 

@@ -58,12 +58,6 @@ let test_splitmix_deterministic () =
     Alcotest.(check int64) "same stream" (Splitmix.next64 a) (Splitmix.next64 b)
   done
 
-let test_splitmix_copy () =
-  let a = Splitmix.create 7 in
-  ignore (Splitmix.next64 a);
-  let b = Splitmix.copy a in
-  Alcotest.(check int64) "copy continues stream" (Splitmix.next64 a) (Splitmix.next64 b)
-
 let splitmix_int_bounds =
   QCheck.Test.make ~count:500 ~name:"splitmix int in bounds"
     QCheck.(pair small_int (int_range 1 1000))
@@ -97,10 +91,6 @@ let test_fnv_distinct () =
     if Hashtbl.mem seen d then Alcotest.failf "collision at %d (%s)" i d;
     Hashtbl.add seen d ()
   done
-
-let test_fnv_int64_consistent () =
-  Alcotest.(check string) "hex of int64" "85944171f73967e8"
-    (Printf.sprintf "%016Lx" (Plim_util.Fnv.digest_int64 "foobar"))
 
 let test_splitmix_bits () =
   let rng = Splitmix.create 4 in
@@ -351,9 +341,10 @@ let test_stats_singleton () =
   Alcotest.(check (float 1e-9)) "all-zero max/mean" 1.0
     (Stats.max_mean_ratio (Stats.summarize [| 0; 0; 0 |]));
   let z = Stats.summarize [||] in
-  Alcotest.(check bool) "empty is zero summary" true (z = Stats.zero_summary);
-  check_int "empty count" 0 z.Stats.count;
-  check_int "empty total" 0 z.Stats.total
+  Alcotest.(check bool) "empty is zero summary" true
+    (z
+    = { Stats.count = 0; min = 0; max = 0; total = 0; mean = 0.0; stdev = 0.0;
+        p50 = 0; p90 = 0; p99 = 0 })
 
 let test_stats_mean_list () =
   Alcotest.(check (float 1e-9)) "mean" 2.0 (Stats.mean_list [ 1.0; 2.0; 3.0 ]);
@@ -455,12 +446,9 @@ let () =
           qc vec_roundtrip ] );
       ( "fnv",
         [ Alcotest.test_case "known vectors" `Quick test_fnv_known_vectors;
-          Alcotest.test_case "distinct digests" `Quick test_fnv_distinct;
-          Alcotest.test_case "int64/string consistency" `Quick
-            test_fnv_int64_consistent ] );
+          Alcotest.test_case "distinct digests" `Quick test_fnv_distinct ] );
       ( "splitmix",
         [ Alcotest.test_case "deterministic" `Quick test_splitmix_deterministic;
-          Alcotest.test_case "copy" `Quick test_splitmix_copy;
           Alcotest.test_case "float range" `Quick test_splitmix_float_range;
           Alcotest.test_case "bits" `Quick test_splitmix_bits;
           Alcotest.test_case "int uniformity" `Quick test_splitmix_int_uniform;
