@@ -1,17 +1,40 @@
 module Mig = Plim_mig.Mig
 
+let and2 g x y = Mig.maj g x y Mig.false_
+let or2 g x y = Mig.not_ (and2 g (Mig.not_ x) (Mig.not_ y))
+
 (* <a b c> = (a & b) | (a & c) | (b & c), all in AND/inverter form.
    Conjunctions keep the [<x y 0>] majority shape; disjunctions are De
    Morgan inversions, so the complement structure matches what an AIG
    reader would produce. *)
+let expand_node g ~old_id:_ a b c =
+  if Mig.is_const a then (if Mig.is_complemented a then or2 g b c else and2 g b c)
+  else if Mig.is_const b then (if Mig.is_complemented b then or2 g a c else and2 g a c)
+  else if Mig.is_const c then (if Mig.is_complemented c then or2 g a b else and2 g a b)
+  else or2 g (and2 g a b) (or2 g (and2 g a c) (and2 g b c))
+
+(* At most the nodes [expand] emits: one per reachable majority with a
+   constant child, five per other one, plus the constant and the inputs.
+   Expansion multiplies a graph's size by about 3.8, so a target sized
+   for the source alone would double its arrays and strash twice. *)
+let expanded_size g reachable =
+  let n = ref (1 + Mig.num_inputs g) in
+  for id = 0 to Mig.num_nodes g - 1 do
+    if reachable.(id) && g.Mig.tag.(id) = Mig.Tag_maj then begin
+      let const_child =
+        Mig.is_const g.Mig.c0.(id) || Mig.is_const g.Mig.c1.(id) || Mig.is_const g.Mig.c2.(id)
+      in
+      n := !n + if const_child then 1 else 5
+    end
+  done;
+  !n
+
 let expand g =
-  Mig.map_rebuild g ~rule:(fun g' ~old_id:_ a b c ->
-      let and2 x y = Mig.maj g' x y Mig.false_ in
-      let or2 x y = Mig.not_ (and2 (Mig.not_ x) (Mig.not_ y)) in
-      if Mig.is_const a then (if Mig.is_complemented a then or2 b c else and2 b c)
-      else if Mig.is_const b then (if Mig.is_complemented b then or2 a c else and2 a c)
-      else if Mig.is_const c then (if Mig.is_complemented c then or2 a b else and2 a b)
-      else or2 (and2 a b) (or2 (and2 a c) (and2 b c)))
+  let reachable = Mig.reachable g in
+  let into = Mig.create_sized ~nodes:(expanded_size g reachable) () in
+  Mig.rebuild_into ~reachable ~map:(Array.make (Mig.num_nodes g) Mig.false_) g ~into
+    ~rule:expand_node;
+  into
 
 let is_aig g =
   let ok = ref true in

@@ -12,13 +12,24 @@ type node_kind =
 type node_tag = Tag_const | Tag_input | Tag_maj
 
 type strash = {
-  mutable slots : int array;
-  (* open-addressed: majority node ids, each keyed on its own (c0, c1,
-     c2); 0 (the constant's id) marks an empty slot.  The length is a
-     power of two, doubled before more than half the slots fill, so probes
-     stay short. *)
+  mutable slots : Bytes.t;
+  (* open-addressed: majority node ids, 4 bytes each (half the table an
+     [int array] would take, so more of it stays in cache), each keyed on
+     its own (c0, c1, c2); 0 (the constant's id) marks an empty slot.  The
+     slot count is a power of two, doubled before more than half the slots
+     fill, so probes stay short. *)
   mutable count : int; (* full slots: the majority node count *)
 }
+
+(* A slot read or written through the 32-bit primitives stays unboxed: the
+   [int32] between the primitive and the conversion is never allocated.
+   Ids fit, as [max_nodes] keeps every id below [2^31 - 1]. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let[@inline] slot_id slots i = Int32.to_int (get32 slots (4 * i))
+let[@inline] set_slot slots i id = set32 slots (4 * i) (Int32.of_int id)
+let num_slots slots = Bytes.length slots / 4
 
 type io = {
   input_names : string Vec.t;
@@ -59,11 +70,17 @@ let is_const s = node_of s = 0
 
 (* {1 Construction} *)
 
-(* The smallest power of two of at least [2 * nodes] slots, and at least
-   256. *)
-let strash_slots nodes =
+let max_nodes = 0x7FFF_FFFF (* 2^31 - 1: ids below it fit a strash slot *)
+
+let check_nodes fn nodes =
+  if nodes > max_nodes then
+    invalid_arg (Printf.sprintf "%s: %d nodes exceed the limit of %d" fn nodes max_nodes)
+
+(* The table's length in bytes for [nodes] nodes: the smallest power of
+   two of at least [2 * nodes] slots, and at least 256. *)
+let strash_bytes nodes =
   let rec pow2 n = if n >= 2 * nodes then n else pow2 (2 * n) in
-  pow2 256
+  4 * pow2 256
 
 (* An empty graph with node arrays for [nodes] nodes and the strash
    [strash]. *)
@@ -87,18 +104,23 @@ let empty ~nodes strash =
 (* [nodes] sizes the node arrays and the strash up front, so a rebuild
    never regrows or rehashes them. *)
 let create_sized ?(nodes = 0) () =
-  empty ~nodes { slots = Array.make (strash_slots nodes) 0; count = 0 }
+  check_nodes "Mig.create_sized" nodes;
+  empty ~nodes { slots = Bytes.make (strash_bytes nodes) '\000'; count = 0 }
 
 let create () = create_sized ()
 
 (* The strash holds ids only, and [probe] reads the children of those ids
    from the graph it is called on, so it serves whichever graph last
    filled it. *)
-let create_twin ~nodes g = empty ~nodes g.strash
+let create_twin ~nodes g =
+  check_nodes "Mig.create_twin" nodes;
+  empty ~nodes g.strash
 
 let grow_nodes g =
+  check_nodes "Mig" (g.len + 1);
+  let capacity = min (2 * Array.length g.tag) max_nodes in
   let grow a =
-    let a' = Array.make (2 * Array.length a) a.(0) in
+    let a' = Array.make capacity a.(0) in
     Array.blit a 0 a' 0 g.len;
     a'
   in
@@ -155,23 +177,22 @@ let hash3 a b c =
 (* Linear probing from the key's home slot: the slot holding the majority
    node <a b c>, or the empty slot where it belongs. *)
 let rec probe g slots mask a b c i =
-  let id = slots.(i) in
+  let id = slot_id slots i in
   if id = 0 || (g.c0.(id) = a && g.c1.(id) = b && g.c2.(id) = c)
   then i
   else probe g slots mask a b c ((i + 1) land mask)
 
 let slot g slots a b c =
-  let mask = Array.length slots - 1 in
+  let mask = num_slots slots - 1 in
   probe g slots mask a b c (hash3 a b c land mask)
 
 let grow_strash g =
   let old = g.strash.slots in
-  let slots = Array.make (2 * Array.length old) 0 in
-  Array.iter
-    (fun id ->
-      if id <> 0 then
-        slots.(slot g slots g.c0.(id) g.c1.(id) g.c2.(id)) <- id)
-    old;
+  let slots = Bytes.make (2 * Bytes.length old) '\000' in
+  for i = 0 to num_slots old - 1 do
+    let id = slot_id old i in
+    if id <> 0 then set_slot slots (slot g slots g.c0.(id) g.c1.(id) g.c2.(id)) id
+  done;
   g.strash.slots <- slots
 
 (* Both sort their operands into (lo, mid, hi) with integer operations, so
@@ -182,14 +203,15 @@ let maj g a b c =
   let r = reduce lo mid hi in
   if r <> no_reduction then r
   else begin
-    let i = slot g g.strash.slots lo mid hi in
-    let id = g.strash.slots.(i) in
+    let st = g.strash in
+    let i = slot g st.slots lo mid hi in
+    let id = slot_id st.slots i in
     if id <> 0 then signal id false
     else begin
       let id = new_node g Tag_maj lo mid hi in
-      g.strash.slots.(i) <- id;
-      g.strash.count <- g.strash.count + 1;
-      if 2 * g.strash.count > Array.length g.strash.slots then grow_strash g;
+      set_slot st.slots i id;
+      st.count <- st.count + 1;
+      if 2 * st.count > num_slots st.slots then grow_strash g;
       signal id false
     end
   end
@@ -200,7 +222,8 @@ let lookup ~below g a b c =
   let r = reduce lo mid hi in
   if r <> no_reduction then Some r
   else begin
-    let id = g.strash.slots.(slot g g.strash.slots lo mid hi) in
+    let slots = g.strash.slots in
+    let id = slot_id slots (slot g slots lo mid hi) in
     if id <> 0 && id < below then Some (signal id false) else None
   end
 
@@ -369,9 +392,9 @@ let fanouts g =
 
 (* {1 Evaluation} *)
 
-let node_values g pi_values =
+let eval g pi_values =
   if Array.length pi_values <> num_inputs g then
-    invalid_arg "Mig.node_values: input arity mismatch";
+    invalid_arg "Mig.eval: input arity mismatch";
   let n = num_nodes g in
   let values = Array.make n false in
   let value_of s = values.(node_of s) <> is_complemented s in
@@ -385,10 +408,6 @@ let node_values g pi_values =
       values.(id) <- (a && b) || (a && c) || (b && c)
     end
   done;
-  values
-
-let eval g pi_values =
-  let values = node_values g pi_values in
   Array.map
     (fun (_, s) -> values.(node_of s) <> is_complemented s)
     (Vec.to_array g.io.outs)
@@ -435,9 +454,9 @@ let reset g ~nodes =
   end;
   g.len <- 1;
   let st = g.strash in
-  if Array.length st.slots < strash_slots nodes then
-    st.slots <- Array.make (strash_slots nodes) 0
-  else if st.count > 0 then Array.fill st.slots 0 (Array.length st.slots) 0;
+  let bytes = strash_bytes nodes in
+  if Bytes.length st.slots < bytes then st.slots <- Bytes.make bytes '\000'
+  else if st.count > 0 then Bytes.fill st.slots 0 (Bytes.length st.slots) '\000';
   st.count <- 0;
   let io = g.io in
   Vec.clear io.input_names;
@@ -463,11 +482,6 @@ let rebuild_into ?reachable:mark ~map g ~into ~rule =
         rule into ~old_id:id (remap g.c0.(id)) (remap g.c1.(id)) (remap g.c2.(id))
   done;
   Vec.iter (fun (name, s) -> add_output into name (remap s)) g.io.outs
-
-let map_rebuild g ~rule =
-  let into = create_sized ~nodes:g.len () in
-  rebuild_into ~map:(Array.make g.len false_) g ~into ~rule;
-  into
 
 let cleanup ?reachable ?map g =
   let mark = mark_of g reachable in

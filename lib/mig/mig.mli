@@ -13,9 +13,13 @@
     Representation: one plain array per node field (a tag and three
     children; an input keeps its PI index in the first), indexed by node
     id and grown by doubling, plus a structural hash: an open-addressed
-    table of node ids keyed on each node's own sorted children.  Neither
-    the arrays' sizes nor the table is observable: a graph built by the
-    same calls gets the same ids whatever their sizes.  Dune's default
+    table of node ids, 4 bytes a slot, keyed on each node's own sorted
+    children.  Neither the arrays' sizes nor the table is observable: a
+    graph built by the same calls gets the same ids whatever their sizes.
+    The slot width bounds a graph at [2^31 - 1] nodes (ids up to
+    [2^31 - 2]): {!create_sized} or {!create_twin} with a larger hint,
+    and [maj] or [add_input] on a graph that holds that many, raise
+    [Invalid_argument].  Dune's default
     profile compiles with [-opaque], so nothing of this module is inlined
     elsewhere: a hot loop outside it pays one call per accessor.  So the
     node-field arrays are readable fields of the [private] record {!t},
@@ -87,7 +91,8 @@ val create_sized : ?nodes:int -> unit -> t
 (** An empty graph whose node arrays and strash are sized for [nodes]
     nodes, so building up to that many never regrows them.  The hint only
     sizes storage: a graph that outgrows it doubles its arrays, and gets
-    the same ids as the same calls on [create ()]. *)
+    the same ids as the same calls on [create ()].
+    @raise Invalid_argument if [nodes] exceeds the limit of [2^31 - 1]. *)
 
 val create_twin : nodes:int -> t -> t
 (** [create_twin ~nodes g] is an empty graph whose node arrays are sized
@@ -100,7 +105,8 @@ val create_twin : nodes:int -> t -> t
     [rebuild_into] builds into it again.  Every other function reads only
     node fields and input/output tables, and stays valid on both twins:
     in particular either may be the source of a [rebuild_into] into the
-    other, or of a [cleanup]. *)
+    other, or of a [cleanup].
+    @raise Invalid_argument if [nodes] exceeds the limit of [2^31 - 1]. *)
 
 val add_input : t -> string -> signal
 (** Declares a fresh primary input.  The duplicate check looks the name
@@ -199,13 +205,16 @@ val iter_reachable_maj : t -> (int -> unit) -> unit
 val is_compact : t -> bool
 (** The inputs occupy ids [1..num_inputs] in PI order and every majority
     node is reachable.  [cleanup] always returns a compact graph, and
-    [map_rebuild] with plain [maj] as its rule reproduces a compact graph
-    node for node, with the same ids; other rules may leave dead nodes. *)
+    {!rebuild_into} with plain [maj] as its rule reproduces a compact
+    graph node for node, with the same ids; other rules may leave dead
+    nodes. *)
 
 (** {1 Evaluation} *)
 
 val eval : t -> bool array -> bool array
-(** [eval t pi_values] returns output values, in output declaration order. *)
+(** [eval t pi_values] returns output values, in output declaration order.
+    @raise Invalid_argument if [pi_values] does not hold one value per
+    input. *)
 
 val output_tables : t -> Plim_logic.Truth_table.t array
 (** Exhaustive truth tables of all outputs;
@@ -215,37 +224,35 @@ val output_tables : t -> Plim_logic.Truth_table.t array
 (** {1 Copying} *)
 
 val cleanup : ?reachable:bool array -> ?map:signal array -> t -> t
-(** Rebuilds the graph keeping only nodes reachable from outputs, into a
-    fresh graph whose storage is sized for exactly those nodes.
-    [reachable], when given, must be {!reachable}[ t] (it saves
-    recomputing the mark), and [map] serves as {!rebuild_into}'s map
-    instead of a fresh one.  Either may be longer than [num_nodes t]. *)
-
-val map_rebuild : t -> rule:(t -> old_id:int -> signal -> signal -> signal -> signal) -> t
-(** [map_rebuild t ~rule] rebuilds [t] bottom-up into a fresh graph.  For
-    every reachable majority node its (already remapped) children are
-    passed to [rule] together with the node's id in the old graph (so that
-    rewriting heuristics can consult old-graph fanout information); [rule]
-    must return the replacement signal in the new graph (typically via
-    [maj] plus algebraic rewriting).  Inputs and output names/polarities
-    are preserved.  The new graph's
-    node arrays and strash are sized for [num_nodes t], and its inputs
-    are copied without [add_input]'s duplicate check (the source's names
-    are unique), so a copy is linear in the graph's size.  It is
-    [rebuild_into] with a fresh target and map. *)
+(** Rebuilds the graph keeping only nodes reachable from outputs: a
+    {!rebuild_into} with plain [maj] as its rule, into a fresh graph whose
+    storage is sized for exactly those nodes.  [reachable], when given,
+    must be {!reachable}[ t] (it saves recomputing the mark), and [map]
+    serves as [rebuild_into]'s map instead of a fresh one.  Either may be
+    longer than [num_nodes t]. *)
 
 val rebuild_into :
   ?reachable:bool array ->
   map:signal array ->
   t -> into:t -> rule:(t -> old_id:int -> signal -> signal -> signal -> signal) -> unit
-(** [rebuild_into t ~map ~into ~rule] is [map_rebuild t ~rule] built in
-    [into] instead of a fresh graph, for a caller that rebuilds many times
-    and keeps its own targets.  [into]'s previous contents are discarded
-    first: its node arrays and strash are kept when large enough for
-    [num_nodes t] and replaced otherwise, and either way the rebuild gets
-    the ids [map_rebuild] would give.  [map] receives each rebuilt node's
-    image: after the call, [map.(id)] is the signal in [into] of every
-    input and reachable majority node [id] of [t].  [reachable] as for
-    {!cleanup}.  [t] is only read.
+(** [rebuild_into t ~map ~into ~rule] rebuilds [t] bottom-up into [into].
+    For every reachable majority node its (already remapped) children are
+    passed to [rule] together with the node's id in [t] (so that
+    rewriting heuristics can consult old-graph fanout information); [rule]
+    must return the replacement signal in [into] (typically via [maj] plus
+    algebraic rewriting).  Inputs and output names/polarities are
+    preserved; the inputs are copied without [add_input]'s duplicate check
+    (the source's names are unique), so a copy is linear in the graph's
+    size.
+
+    [into]'s previous contents are discarded first: its node arrays and
+    strash are kept when large enough for [num_nodes t] and replaced
+    otherwise.  A caller that knows the rule emits more nodes than [t]
+    holds passes an [into] from {!create_sized} sized for them, so the
+    rebuild never regrows it.  Either way the ids are the ones a rebuild
+    into [create ()] gives.  [map] receives each rebuilt node's image:
+    after the call, [map.(id)] is the signal in [into] of every input and
+    reachable majority node [id] of [t].  [reachable] as for {!cleanup}.
+    [t] is only read.
     @raise Invalid_argument if [into == t] or [map] is shorter than
     [num_nodes t]. *)

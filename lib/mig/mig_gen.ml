@@ -16,7 +16,7 @@ let control_profile =
 let random ?(profile = default_profile) ~seed ~num_inputs ~num_nodes ~num_outputs () =
   if num_inputs <= 0 then invalid_arg "Mig_gen.random: need at least one input";
   let rng = Splitmix.create seed in
-  let g = Mig.create () in
+  let g = Mig.create_sized ~nodes:(1 + num_inputs + num_nodes) () in
   let inputs =
     Array.init num_inputs (fun i -> Mig.add_input g (Printf.sprintf "x%d" i))
   in

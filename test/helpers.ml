@@ -69,6 +69,26 @@ let adder4_program () =
   let p, _, _ = Lazy.force adder4 in
   p
 
+(* --- allocation ---------------------------------------------------------- *)
+
+(* [f ()] and the words it allocates, minor plus direct major.  [Gc.minor]
+   before each snapshot counts what is still in the minor heap.  OCaml
+   5.1's [major_words] can also take in words allocated before the first
+   snapshot at a later major slice, one that may fall inside the measured
+   call (a recipe then reads 200-300 words per node, not 26-30); a full
+   major collection before the first snapshot settles them, and the count
+   repeats exactly. *)
+let total_words_of f =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  Gc.full_major ();
+  let before = words () in
+  let r = f () in
+  (r, words () -. before)
+
 (* --- serve-layer fixtures ----------------------------------------------- *)
 
 (* a small, fast program mix: the first four small-suite circuits *)

@@ -6,20 +6,26 @@
    and the program exits 1 if the two digests differ: a call must not
    depend on state an earlier call left behind.
 
-   Usage: recipe_digests.exe [small|all]   (default: small) *)
+   [sources] prints, instead, the source graphs themselves: one line
+   [<circuit> <nodes> <digest>] per circuit of the full and the small
+   suite, with [Mig.num_nodes] and the [Mig_io.digest] of [spec.build ()].
+   It pins the suite build (generators and [Frontend.expand]) byte for
+   byte.
+
+   Usage: recipe_digests.exe [small|all|sources]   (default: small) *)
 
 module Suite = Plim_benchgen.Suite
 module Recipe = Plim_rewrite.Recipe
 
-let () =
-  let suite =
-    match Sys.argv with
-    | [| _ |] | [| _; "small" |] -> Suite.small_suite
-    | [| _; "all" |] -> Suite.all
-    | _ ->
-      prerr_endline "usage: recipe_digests.exe [small|all]";
-      exit 2
-  in
+let sources () =
+  List.iter
+    (fun (spec : Suite.spec) ->
+      let g = spec.build () in
+      Printf.printf "%s %d %s\n%!" spec.name (Plim_mig.Mig.num_nodes g)
+        (Plim_mig.Mig_io.digest g))
+    (Suite.all @ Suite.small_suite)
+
+let recipes suite =
   let digest recipe g = Plim_mig.Mig_io.digest (Recipe.run recipe ~effort:5 g) in
   List.iter
     (fun (spec : Suite.spec) ->
@@ -36,3 +42,12 @@ let () =
           end)
         [ Recipe.Algorithm1; Recipe.Algorithm2 ])
     suite
+
+let () =
+  match Sys.argv with
+  | [| _ |] | [| _; "small" |] -> recipes Suite.small_suite
+  | [| _; "all" |] -> recipes Suite.all
+  | [| _; "sources" |] -> sources ()
+  | _ ->
+    prerr_endline "usage: recipe_digests.exe [small|all|sources]";
+    exit 2

@@ -327,6 +327,24 @@ let test_frontend_shape () =
   check_bool "aig after" true (Frontend.is_aig aig);
   check_bool "expansion grows" true (Mig.size aig > Mig.size fa)
 
+(* Every word [Frontend.expand] allocates, minor plus direct major, per
+   node of the expanded graph.  A target sized for the source alone,
+   which doubles its node arrays and rehashes its 8-byte-slot strash
+   twice on these circuits, reads 15.3 (sin), 21.5 (sqrt) and 21.6
+   (square); a target sized once from a counting walk, with 4-byte slots,
+   reads 5.9-6.5. *)
+let test_expand_words () =
+  List.iter
+    (fun (name, build) ->
+      let src = build () in
+      let g, words = Helpers.total_words_of (fun () -> Frontend.expand src) in
+      let per_node = words /. float_of_int (Mig.num_nodes g) in
+      if per_node >= 8. then
+        Alcotest.failf "%s: expand allocates %.1f words per output node (>= 8)" name per_node)
+    [ ("sin", fun () -> Arith.sin ());
+      ("sqrt", fun () -> Arith.sqrt ~width:64);
+      ("square", fun () -> Arith.square ~width:64) ]
+
 (* --- suite ------------------------------------------------------------------- *)
 
 let test_suite_pi_po () =
@@ -384,7 +402,8 @@ let () =
           Alcotest.test_case "sin vs reference" `Quick test_sin_reference ] );
       ( "frontend",
         [ qc frontend_preserves;
-          Alcotest.test_case "aig shape" `Quick test_frontend_shape ] );
+          Alcotest.test_case "aig shape" `Quick test_frontend_shape;
+          Alcotest.test_case "expand's words per output node" `Quick test_expand_words ] );
       ( "suite",
         [ Alcotest.test_case "paper PI/PO counts" `Quick test_suite_pi_po;
           Alcotest.test_case "small suite PI/PO" `Quick test_small_suite_pi_po;

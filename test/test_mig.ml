@@ -85,8 +85,8 @@ let test_duplicate_input () =
   Alcotest.check_raises "dup" (Invalid_argument "Mig.add_input: duplicate input \"a\"")
     (fun () -> ignore (Mig.add_input g "a"))
 
-(* map_rebuild copies input names without add_input's check; the copy's
-   own add_input must still see them *)
+(* rebuild_into (here under cleanup) copies input names without
+   add_input's check; the copy's own add_input must still see them *)
 let test_duplicate_input_after_copy () =
   let g, a, b, c = fresh3 () in
   Mig.add_output g "y" (Mig.maj g a b c);
@@ -160,6 +160,22 @@ let test_primitives_allocate_nothing () =
     (minor_words_of n (fun _ -> ignore (Mig.lookup ~below:id g xs.(0) xs.(1) xs.(2))));
   check "is_maj" (minor_words_of n (fun i -> ignore (Mig.is_maj g (i mod Mig.num_nodes g))));
   check "child" (minor_words_of n (fun i -> ignore (Mig.child g id (i mod 3))))
+
+(* The 4-byte strash slots bound a graph at 2^31 - 1 nodes: a larger size
+   hint is refused before anything is allocated.  (Growing a graph to the
+   limit would take tens of gigabytes, so only the hint is checked here.) *)
+let test_node_limit () =
+  List.iter
+    (fun nodes ->
+      Alcotest.check_raises (Printf.sprintf "create_sized ~nodes:%d" nodes)
+        (Invalid_argument
+           (Printf.sprintf "Mig.create_sized: %d nodes exceed the limit of 2147483647" nodes))
+        (fun () -> ignore (Mig.create_sized ~nodes ()));
+      Alcotest.check_raises (Printf.sprintf "create_twin ~nodes:%d" nodes)
+        (Invalid_argument
+           (Printf.sprintf "Mig.create_twin: %d nodes exceed the limit of 2147483647" nodes))
+        (fun () -> ignore (Mig.create_twin ~nodes (Mig.create ()))))
+    [ 1 lsl 31; max_int ]
 
 let test_id_range () =
   let g, a, b, c = fresh3 () in
@@ -319,6 +335,12 @@ let agrees_with_model rng g m ~ops =
   in
   go ops
 
+let add_random_outputs rng g m =
+  for i = 0 to 49 do
+    Mig.add_output g (Printf.sprintf "o%d" i)
+      (signal_of_int ((2 * Random.State.int rng m.nodes) + Random.State.int rng 2))
+  done
+
 (* From [Mig.create ()] past 2 000 nodes (several table growths), then on
    a presized [cleanup] copy of the result. *)
 let strash_matches_model =
@@ -330,12 +352,36 @@ let strash_matches_model =
       ignore (Mig.add_input g "y");
       let m = model_of g in
       let grown = agrees_with_model rng g m ~ops:5000 && Mig.num_nodes g > 2000 in
-      for i = 0 to 49 do
-        Mig.add_output g (Printf.sprintf "o%d" i)
-          (signal_of_int ((2 * Random.State.int rng m.nodes) + Random.State.int rng 2))
-      done;
+      add_random_outputs rng g m;
       let copy = Mig.cleanup g in
       grown && agrees_with_model rng copy (model_of copy) ~ops:2000)
+
+(* Twins share one strash: from a graph sized for 16 nodes (a 256-slot
+   table) past 600 nodes (at least two doublings), then a plain-[maj]
+   [rebuild_into] into the other twin and more calls there, three times
+   over.  Every answer must be the reference model's for the graph last
+   built into. *)
+let strash_twins_match_model =
+  QCheck.Test.make ~count:10 ~name:"twins' strash answers like a reference Hashtbl model"
+    QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let a = Mig.create_sized ~nodes:16 () in
+      let b = Mig.create_twin ~nodes:16 a in
+      ignore (Mig.add_input a "x");
+      ignore (Mig.add_input a "y");
+      let m = model_of a in
+      let grown = agrees_with_model rng a m ~ops:1500 && Mig.num_nodes a > 600 in
+      let rec alternate i src m into =
+        i = 0
+        || begin
+          add_random_outputs rng src m;
+          Mig.rebuild_into ~map:(Array.make (Mig.num_nodes src) Mig.false_) src ~into
+            ~rule:(fun g' ~old_id:_ x y z -> Mig.maj g' x y z);
+          let m' = model_of into in
+          agrees_with_model rng into m' ~ops:1500 && alternate (i - 1) into m' src
+        end
+      in
+      grown && alternate 3 a m b)
 
 (* --- inspection -------------------------------------------------------- *)
 
@@ -403,13 +449,29 @@ let eval_matches_tables =
       done;
       !ok)
 
-let map_rebuild_preserves =
+(* cleanup, and the plain-[maj] rebuild into a fresh target it is made
+   of *)
+let cleanup_preserves =
   QCheck.Test.make ~count:60 ~name:"cleanup preserves functionality"
     QCheck.small_int (fun seed ->
       let g = random_mig seed in
-      let g' = Mig.cleanup g in
-      let t = Mig.output_tables g and t' = Mig.output_tables g' in
-      Array.for_all2 Tt.equal t t')
+      let copy = Mig.create () in
+      Mig.rebuild_into ~map:(Array.make (Mig.num_nodes g) Mig.false_) g ~into:copy
+        ~rule:(fun g' ~old_id:_ a b c -> Mig.maj g' a b c);
+      let t = Mig.output_tables g in
+      Array.for_all2 Tt.equal t (Mig.output_tables (Mig.cleanup g))
+      && Array.for_all2 Tt.equal t (Mig.output_tables copy))
+
+let test_eval_arity () =
+  let g, a, b, c = fresh3 () in
+  Mig.add_output g "y" (Mig.maj g a b c);
+  List.iter
+    (fun values ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d values for 3 inputs" (Array.length values))
+        (Invalid_argument "Mig.eval: input arity mismatch")
+        (fun () -> ignore (Mig.eval g values)))
+    [ [||]; [| true; false |]; [| true; false; true; false |] ]
 
 (* cleanup returns a compact graph, and rebuilding a compact graph
    reproduces it node for node *)
@@ -719,10 +781,13 @@ let () =
           Alcotest.test_case "duplicate input after a copy" `Quick
             test_duplicate_input_after_copy;
           Alcotest.test_case "20 000 inputs in linear time" `Quick test_many_inputs_linear;
-          qc strash_matches_model ] );
+          qc strash_matches_model;
+          qc strash_twins_match_model ] );
       ( "primitives",
         [ Alcotest.test_case "allocate nothing" `Quick test_primitives_allocate_nothing;
           Alcotest.test_case "ids out of range raise" `Quick test_id_range;
+          Alcotest.test_case "a size hint past the node limit raises" `Quick
+            test_node_limit;
           Alcotest.test_case "an outgrown size hint changes no id" `Quick
             test_outgrown_hint;
           Alcotest.test_case "a reused rebuild target changes no id" `Quick
@@ -734,7 +799,9 @@ let () =
           Alcotest.test_case "cleanup" `Quick test_cleanup;
           Alcotest.test_case "complemented edges" `Quick test_complemented_edges ] );
       ( "evaluation",
-        [ qc eval_matches_tables; qc map_rebuild_preserves; qc cleanup_is_compact ] );
+        [ qc eval_matches_tables; qc cleanup_preserves; qc cleanup_is_compact;
+          Alcotest.test_case "an input vector of the wrong length raises" `Quick
+            test_eval_arity ] );
       ( "io",
         [ Alcotest.test_case "roundtrip (manual)" `Quick test_io_roundtrip_manual;
           Alcotest.test_case "errors" `Quick test_io_errors;

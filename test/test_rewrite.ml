@@ -182,11 +182,14 @@ let naive_pass g rules =
     let id = Mig.node_of s in
     fanout.(id) + out_refs.(id)
   in
-  Mig.map_rebuild g ~rule:(fun g' ~old_id a b c ->
+  let into = Mig.create () in
+  Mig.rebuild_into ~map:(Array.make (Mig.num_nodes g) Mig.false_) g ~into
+    ~rule:(fun g' ~old_id a b c ->
       match Mig.kind g old_id with
       | Mig.Maj (oa, ob, oc) ->
         Axioms.apply_first rules g' a (old_fanout oa) b (old_fanout ob) c (old_fanout oc)
-      | Mig.Const | Mig.Input _ -> Mig.maj g' a b c)
+      | Mig.Const | Mig.Input _ -> Mig.maj g' a b c);
+  into
 
 let d_rl = [ Axioms.distributivity_rl ]
 let i_rl = [ Axioms.inverter_propagation ]
@@ -607,34 +610,18 @@ let test_recipe_allocation () =
     [ "div8"; "multiplier8"; "sqrt8"; "square8"; "rc_small" ]
 
 (* Every word the recipe allocates, minor plus direct major, per source
-   node.  [Gc.minor] before each snapshot counts what is still in the minor
-   heap.  OCaml 5.1's [major_words] can also take in words allocated before
-   the first snapshot at a later major slice, one that may fall inside the
-   measured call (the same recipe then reads 200-300 words per node); a
-   full major collection before the first snapshot settles them, and the
-   count repeats exactly.
-   A rebuild into fresh arrays, and facts in fresh arrays per rebuilt
-   graph, read 61-99 words per source node on these circuits; rebuilds
-   into two targets the call reuses, with one scratch for the facts and
-   the map, sized for the source graph and with a strash per target, read
-   38-44; the same storage allocated once with a quarter of headroom and
-   one strash for both targets reads 26-30. *)
-let total_words_of f =
-  let words () =
-    Gc.minor ();
-    let s = Gc.quick_stat () in
-    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-  in
-  Gc.full_major ();
-  let before = words () in
-  let r = f () in
-  (r, words () -. before)
-
+   node, counted by [Helpers.total_words_of].  A rebuild into fresh
+   arrays, and facts in fresh arrays per rebuilt graph, read 61-99 words
+   per source node on these circuits; rebuilds into two targets the call
+   reuses, with one scratch for the facts and the map, sized for the
+   source graph and with a strash per target, read 38-44; the same
+   storage allocated once with a quarter of headroom and one strash for
+   both targets reads 26-30. *)
 let test_recipe_total_words () =
   List.iter
     (fun name ->
       let g = (Suite.find name).Suite.build () in
-      let _, words = total_words_of (fun () -> Recipe.run Recipe.Algorithm2 ~effort:5 g) in
+      let _, words = Helpers.total_words_of (fun () -> Recipe.run Recipe.Algorithm2 ~effort:5 g) in
       let per_source_node = words /. float_of_int (Mig.num_nodes g) in
       if per_source_node >= 34. then
         Alcotest.failf "%s: Alg. 2 at effort 5 allocates %.1f words per source node (>= 34)"
