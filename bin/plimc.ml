@@ -1384,7 +1384,7 @@ let horizon_cmd =
       $ max_epochs $ capacity_floor $ epoch_seconds $ project $ seed $ hot_arg
       $ hot_pool_arg $ jobs $ json)
 
-let certify_run wm fault_seed json check_file =
+let certify_run wm json check_file =
   let module H = Plim_serve.Horizon in
   let module C = Plim_certify in
   let module Json = Plim_telemetry.Json in
@@ -1395,7 +1395,7 @@ let certify_run wm fault_seed json check_file =
   in
   let cfg = { wm.wm_config with H.mix } in
   let cells =
-    C.grid ~fault_seed cfg ~strategies:wm.wm_strategies ~fault_rates:wm.wm_rates
+    C.grid cfg ~strategies:wm.wm_strategies ~fault_rates:wm.wm_rates
   in
   (match check_file with
   | None ->
@@ -1446,13 +1446,6 @@ let certify_run wm fault_seed json check_file =
     end)
 
 let certify_cmd =
-  let fault_seed =
-    Arg.(value & opt int 0xFA17
-         & info [ "fault-seed" ] ~docv:"S"
-             ~doc:"Root seed of the fault-spec derivation; must match the \
-                   horizon campaign being checked (default matches \
-                   $(b,plimc horizon)).")
-  in
   let json =
     Arg.(value & flag
          & info [ "json" ]
@@ -1484,7 +1477,7 @@ let certify_cmd =
             " Any positive value makes zero-wear epochs possible, so upper \
              lifetime bounds become unbounded (-1)."
           ()
-      $ fault_seed $ json $ check_file)
+      $ json $ check_file)
 
 let selftest_run () =
   let failures = ref 0 in

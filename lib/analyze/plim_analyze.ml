@@ -218,9 +218,9 @@ let defs a =
    after a child's last read but releases children only at group end, so a
    fresh open up to one group (<= 7 instructions) past a death is normal
    scheduling, not a held device. *)
-let default_leak_grace = 8
+let leak_grace = 8
 
-let analyze ?(leak_grace = default_leak_grace) ?max_writes (p : Program.t) =
+let analyze ?max_writes (p : Program.t) =
   Profile.span "analyze.program" @@ fun () ->
   Metrics.incr m_programs;
   let ch, diags0 = build ~uses:true p in

@@ -42,16 +42,15 @@
       holding its final computed value, i.e. the overwritten def was never
       read; the clobbering instruction is the one reported.
     - {b RRAM leak} (error without a cap, info with one): a cell went
-      dead, yet an instruction more than [leak_grace] slots later
-      first-defines a brand-new cell.  The uncapped allocator only opens
-      fresh devices when the free pool is empty, so this proves the
-      allocator held a dead device past its last use.  The grace window
-      (default 8) covers one RM3 instruction group: the translator
-      requests a group's temporaries after a child's last read but
-      releases children only at group end, so a fresh open within one
-      group of a death is normal scheduling.  Under the maximum write
-      count strategy retired devices legitimately stay unused, hence the
-      downgrade to info.
+      dead, yet an instruction more than 8 slots later first-defines a
+      brand-new cell.  The uncapped allocator only opens fresh devices
+      when the free pool is empty, so this proves the allocator held a
+      dead device past its last use.  The 8-slot grace window covers one
+      RM3 instruction group: the translator requests a group's
+      temporaries after a child's last read but releases children only
+      at group end, so a fresh open within one group of a death is
+      normal scheduling.  Under the maximum write count strategy retired
+      devices legitimately stay unused, hence the downgrade to info.
     - {b cap exceeded} (error, only with [max_writes]): a cell takes more
       static writes than the Table III cap [W]; the first offending
       instruction is reported.
@@ -128,10 +127,9 @@ type analysis = {
   write_counts : int array;       (** per-cell static bound, from the IR *)
 }
 
-val analyze : ?leak_grace:int -> ?max_writes:int -> Program.t -> analysis
+val analyze : ?max_writes:int -> Program.t -> analysis
 (** Build the def-use IR and run every checker.  [max_writes] enables the
-    cap checker and marks the leak checker cap-aware; [leak_grace]
-    (default 8) is the leak checker's scheduling slack (see above). *)
+    cap checker and marks the leak checker cap-aware. *)
 
 val defs : analysis -> def list
 (** Every def of the analysed program in def order (PI loads first, then

@@ -351,10 +351,10 @@ let certify (cfg : Horizon.config) =
     c_expected_ttff = expected_ttff;
     c_programs = programs }
 
-let grid ?fault_seed cfg ~strategies ~fault_rates =
+let grid cfg ~strategies ~fault_rates =
   List.map
     (fun (strategy, rate, c) -> (strategy, rate, certify c))
-    (Horizon.cells ?fault_seed cfg ~strategies ~fault_rates)
+    (Horizon.cells cfg ~strategies ~fault_rates)
 
 (* --- reporting ---------------------------------------------------------- *)
 

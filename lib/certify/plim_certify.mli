@@ -156,7 +156,6 @@ val certify : Horizon.config -> t
     [Horizon.run]. *)
 
 val grid :
-  ?fault_seed:int ->
   Horizon.config ->
   strategies:Horizon.strategy list ->
   fault_rates:float list ->

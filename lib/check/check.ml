@@ -27,7 +27,7 @@ let failure_to_string f = Format.asprintf "%a" pp_failure f
 let fail config invariant fmt =
   Printf.ksprintf (fun message -> { config; invariant; message }) fmt
 
-let default_matrix =
+let matrix =
   [ Pipeline.naive;
     Pipeline.dac16;
     Pipeline.min_write;
@@ -39,7 +39,7 @@ let default_matrix =
     { Pipeline.endurance_full with Pipeline.allocation = Alloc.Fifo };
     { Pipeline.endurance_full with Pipeline.dest_min_write = true } ]
 
-let default_fault_spec = Fault_model.make ~sa0:0.04 ~sa1:0.04 ~seed:0xFA11 ()
+let fault_spec = Fault_model.make ~sa0:0.04 ~sa1:0.04 ~seed:0xFA11 ()
 
 (* --- per-configuration invariants ------------------------------------- *)
 
@@ -418,15 +418,12 @@ let selection_failures g =
 
 (* --- entry point -------------------------------------------------------- *)
 
-let run ?(matrix = default_matrix) ?(fault_specs = [ default_fault_spec ]) g =
+let run g =
   let per_config = List.concat_map (fun config -> check_config config g) matrix in
   let fault =
     List.concat_map
-      (fun spec ->
-        List.concat_map
-          (fun config -> check_config ~fault_spec:spec config g)
-          [ Pipeline.naive; Pipeline.endurance_full ])
-      fault_specs
+      (fun config -> check_config ~fault_spec config g)
+      [ Pipeline.naive; Pipeline.endurance_full ]
   in
   let failures = per_config @ fault @ selection_failures g in
   Metrics.incr ~by:(List.length failures) m_failures;

@@ -35,9 +35,7 @@
       catches heuristic-order bugs no functional test can see. *)
 
 module Mig = Plim_mig.Mig
-module Pipeline = Plim_core.Pipeline
 module Select = Plim_core.Select
-module Fault_model = Plim_fault.Fault_model
 
 type failure = {
   config : string;     (** configuration name, or ["selection:<policy>"] *)
@@ -54,11 +52,7 @@ val reference_order : Select.policy -> Mig.t -> int list
 
 val selection_failures : Mig.t -> failure list
 
-val run :
-  ?matrix:Pipeline.config list ->
-  ?fault_specs:Fault_model.spec list ->
-  Mig.t ->
-  failure list
+val run : Mig.t -> failure list
 (** The full conformance suite: every matrix configuration, the
     fault-aware variants, and the selection differential.  An empty list
     means the MIG compiles correctly everywhere. *)

@@ -31,7 +31,6 @@ type state = {
   fx : Faulty.t;
   rm : Remap.t;
   verify : bool;
-  max_retries : int;
   mutable reads : int;
   mutable detected : int;
   mutable remapped : int;
@@ -43,6 +42,9 @@ type state = {
 let rewrite st ~load pa v =
   if load then Faulty.load st.fx pa v else Faulty.write st.fx pa v
 
+(* In-place rewrites of a mismatching line before it is retired. *)
+let max_retries = 2
+
 (* Read logical line [l] back until it holds [intended]: up to
    [max_retries] in-place rewrites, then retire the line and replay the
    value on a spare, which is verified in turn. *)
@@ -51,7 +53,7 @@ let rec check st l ~load ~intended tries =
   Metrics.incr m_verify_reads;
   let pa = Remap.physical st.rm l in
   if Faulty.read st.fx pa <> intended then
-    if tries < st.max_retries then begin
+    if tries < max_retries then begin
       st.retried <- st.retried + 1;
       rewrite st ~load pa intended;
       check st l ~load ~intended (tries + 1)
@@ -88,15 +90,12 @@ let step st read w =
   end
   else Faulty.rm3 st.fx ~p:a ~q:b (Remap.physical st.rm l)
 
-let run ?(verify = false) ?(max_retries = 2) ?(reset = true) fx rm (p : Program.t)
-    ~inputs =
+let run ?(verify = false) fx rm (p : Program.t) ~inputs =
   if Remap.lines rm < p.Program.num_cells then
     invalid_arg "Exec.run: remap table smaller than the program's cell count";
   if Remap.num_physical rm > Faulty.size fx then
     invalid_arg "Exec.run: crossbar smaller than the remap table's physical space";
-  let st =
-    { fx; rm; verify; max_retries; reads = 0; detected = 0; remapped = 0; retried = 0 }
-  in
+  let st = { fx; rm; verify; reads = 0; detected = 0; remapped = 0; retried = 0 } in
   (* binding is validated before any array operation, so a bad binding
      never consumes spares *)
   let values = Program.bind_inputs ~caller:"Exec.run" p.Program.pi_cells inputs in
@@ -104,10 +103,9 @@ let run ?(verify = false) ?(max_retries = 2) ?(reset = true) fx rm (p : Program.
   let outcome =
     try
       (* power-on reset / scrub: compiled programs assume all-HRS state *)
-      if reset then
-        for l = 0 to p.Program.num_cells - 1 do
-          verified_load st l false
-        done;
+      for l = 0 to p.Program.num_cells - 1 do
+        verified_load st l false
+      done;
       Array.iteri (fun i (_, cell) -> verified_load st cell values.(i)) p.Program.pi_cells;
       for i = 0 to Program.length p - 1 do
         step st read p.Program.code.(i)

@@ -4,16 +4,18 @@
     table, optionally with a {b write-verify} policy: after every
     destructive operation (initialisation load or RM3) the destination is
     read back and compared against the intended value.  A mismatch is
-    retried up to [max_retries] times in place (recovering transient
-    switching failures by rewriting the intended value); a persistent
-    mismatch is a detected permanent fault — the line is retired through
-    the remapper and the value replayed on the spare (re-verified, since
-    spares can be faulty too).
+    retried in place (recovering transient switching failures by
+    rewriting the intended value), at most 2 times; a mismatch that
+    survives both retries is a detected permanent fault — the line is
+    retired through the remapper and the value replayed on the spare
+    (re-verified, since spares can be faulty too).  So a line stuck
+    opposite to the value written to it costs exactly 2 retries, then 1
+    remap.
 
-    With [reset] (default), every logical line is first cleared to HRS —
-    the power-on state compiled programs assume — which doubles as a
-    scrub pass: under write-verify it flushes out stuck-at-LRS cells
-    before they can corrupt a result.
+    Every logical line of the program is first cleared to HRS — the
+    power-on state compiled programs assume — which doubles as a scrub
+    pass: under write-verify it flushes out stuck-at-LRS cells before
+    they can corrupt a result.
 
     With [verify] off and a fault-free wrapper the execution is
     bit-identical to {!Plim_machine.Plim_controller.run}: same outputs,
@@ -40,8 +42,6 @@ type outcome =
 
 val run :
   ?verify:bool ->
-  ?max_retries:int ->
-  ?reset:bool ->
   Faulty.t ->
   Remap.t ->
   Program.t ->
@@ -52,7 +52,7 @@ val run :
     persistent shard serving programs of varying footprint — only the
     program's own lines are scrubbed and addressed) and
     [Remap.num_physical rm] must not exceed the crossbar size.  [verify]
-    defaults to [false], [max_retries] to [2], [reset] to [true].  The
+    defaults to [false].  The
     returned stats cover the run up to and including an [Out_of_spares]
     abandonment.
 

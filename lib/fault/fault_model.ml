@@ -25,9 +25,8 @@ let validate s =
   if s.sa0 +. s.sa1 > 1.0 then invalid_arg "Fault_model: sa0 + sa1 must be <= 1";
   s
 
-let make ?(sa0 = 0.0) ?(sa1 = 0.0) ?(transient = 0.0) ?(transient_growth = 0.0)
-    ?(seed = none.seed) () =
-  validate { sa0; sa1; transient; transient_growth; seed }
+let make ?(sa0 = 0.0) ?(sa1 = 0.0) ?(transient = 0.0) ?(seed = none.seed) () =
+  validate { none with sa0; sa1; transient; seed }
 
 let to_string s =
   let parts = ref [] in

@@ -37,10 +37,9 @@ val none : spec
 (** No faults at all; wrapping a crossbar with [none] is behaviourally
     identical to the bare crossbar. *)
 
-val make :
-  ?sa0:float -> ?sa1:float -> ?transient:float -> ?transient_growth:float ->
-  ?seed:int -> unit -> spec
-(** All fields default to their [none] values (seed 0x5EED).
+val make : ?sa0:float -> ?sa1:float -> ?transient:float -> ?seed:int -> unit -> spec
+(** All fields default to their [none] values (seed 0x5EED); a growing
+    transient rate is set through {!parse}'s [growth] key.
     @raise Invalid_argument on negative rates or [sa0 + sa1 > 1]. *)
 
 val parse : string -> (spec, string) result

@@ -205,8 +205,9 @@ let run p ~inputs =
     p.instrs;
   (Program.read_outputs p.po_cells (Crossbar.read xbar), xbar)
 
-let check_random ?(trials = 16) ?(seed = 0x1103) mig p =
-  let rng = Splitmix.create seed in
+let check_random mig p =
+  let trials = 16 in
+  let rng = Splitmix.create 0x1103 in
   let n = Mig.num_inputs mig in
   let rec go t =
     if t = 0 then Ok ()

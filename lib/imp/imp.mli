@@ -48,5 +48,4 @@ val run : program -> inputs:(string * bool) list -> (string * bool) list * Cross
 (** Execute on the behavioural crossbar ([Imply] maps to the intrinsic
     [RM3(1, p, z)], of which it is the special case). *)
 
-val check_random :
-  ?trials:int -> ?seed:int -> Mig.t -> program -> (unit, string) result
+val check_random : Mig.t -> program -> (unit, string) result

@@ -26,19 +26,7 @@ type outcome = {
   failed : bool;
   write_total : int;
   trajectory : wear_sample list;
-  group_latency : int option;
 }
-
-(* Latency of one execution in row-parallel groups under the requested
-   crossbar geometry; None without one.  A grid too small for the
-   program is a configuration error, not a measurement. *)
-let group_latency_of geometry p =
-  match geometry with
-  | None -> None
-  | Some g -> (
-    match Plim_geometry.schedule g p with
-    | Ok sched -> Some (Plim_geometry.num_groups sched)
-    | Error msg -> invalid_arg ("Campaign: " ^ msg))
 
 (* Wear-trajectory sampling shared by the campaign flavours: a crossbar
    observer supplies the physical-write clock, and skew snapshots taken
@@ -129,30 +117,27 @@ let execute_mapped (p : Program.t) xbar rng ~map ~on_write =
 
 let total_writes xbar = Array.fold_left ( + ) 0 (Crossbar.write_counts xbar)
 
-let run_until_failure ?(seed = 0xCAFE) ?(max_executions = 100_000) ?sample_every
-    ?geometry ?(strategy = Leveling.No_leveling) ?psi ?period ?wolfram_seed ~endurance
-    p =
+let run_until_failure ?(max_executions = 100_000) ?(strategy = Leveling.No_leveling) ?psi
+    ~endurance p =
   Profile.span "campaign" @@ fun () ->
   Metrics.incr m_campaigns;
-  let group_latency = group_latency_of geometry p in
-  let stack = Leveling.stack ?psi ?period ?seed:wolfram_seed strategy p.Program.num_cells in
+  let stack = Leveling.stack ?psi strategy p.Program.num_cells in
   let xbar = Crossbar.create ~endurance (Leveling.num_physical stack) in
   (* levelling copies (gap moves, re-key migrations) are real writes *)
   let on_copy dst = Crossbar.write xbar dst false in
   let sm =
-    make_sampler ~sample_every ~max_executions ~counts:(fun () ->
+    make_sampler ~sample_every:None ~max_executions ~counts:(fun () ->
         Crossbar.write_counts xbar)
   in
   Crossbar.set_observer xbar (sampler_observer sm);
   take_sample sm 0;
-  let rng = Splitmix.create seed in
+  let rng = Splitmix.create 0xCAFE in
   let finish completed failed =
     Crossbar.set_observer xbar None;
     { executions_completed = completed;
       failed;
       write_total = total_writes xbar;
-      trajectory = finish_trajectory sm completed;
-      group_latency }
+      trajectory = finish_trajectory sm completed }
   in
   let rec go completed =
     if completed >= max_executions then finish completed false
@@ -298,7 +283,7 @@ type sweep_cell = {
   outcome : degradation;
 }
 
-let sweep_degraded ?pool ?seed ?max_executions ?endurance ?(verify = true) ?oracle
+let sweep_degraded ?pool ?seed ?max_executions ?(verify = true) ?oracle
     ~fault_spec_of ~rates ~spare_budgets p =
   Profile.span "campaign.sweep" @@ fun () ->
   let grid =
@@ -307,7 +292,7 @@ let sweep_degraded ?pool ?seed ?max_executions ?endurance ?(verify = true) ?orac
   in
   let eval (rate, spares) =
     let outcome =
-      run_degraded ?seed ?max_executions ?endurance ~spares ~verify
+      run_degraded ?seed ?max_executions ~spares ~verify
         ~fault_spec:(fault_spec_of rate) ?oracle p
     in
     { rate; spares; outcome }

@@ -34,38 +34,26 @@ type outcome = {
   trajectory : wear_sample list;
       (** chronological wear-skew curve; first point at execution 0,
           last point at campaign end *)
-  group_latency : int option;
-      (** latency of one execution in row-parallel instruction groups
-          under the campaign's crossbar geometry
-          ({!Plim_controller.static_groups}); [None] without a
-          [?geometry] argument *)
 }
 
 val run_until_failure :
-  ?seed:int ->
   ?max_executions:int ->
-  ?sample_every:int ->
-  ?geometry:Plim_geometry.grid ->
   ?strategy:Plim_rram.Leveling.t ->
   ?psi:int ->
-  ?period:int ->
-  ?wolfram_seed:int ->
   endurance:int ->
   Program.t ->
   outcome
-(** Repeated executions with fresh random inputs per run on one shared
-    crossbar whose cells hard-fail after [endurance] writes.  Stops at the
-    first failure or after [max_executions] (default 100_000).
-    [sample_every] sets the wear-sampling period in executions (default
-    [max_executions / 64], at least 1).
+(** Repeated executions with fresh random inputs per run (seed 0xCAFE)
+    on one shared crossbar whose cells hard-fail after [endurance]
+    writes.  Stops at the first failure or after [max_executions]
+    (default 100_000).  Wear is sampled every [max_executions / 64]
+    executions (at least 1).
 
     [strategy] (default [No_leveling]) places a {!Plim_rram.Leveling.stack}
-    between the program's cells and the crossbar — Start-Gap period [psi],
-    WoLFRaM re-key [period] and permutation [wolfram_seed], with the
-    stack's defaults — so hot logical cells spread across the array over
-    time.  Every levelling copy is charged to the crossbar as a real
-    write, so the wear ledger stays exact.
-    @raise Invalid_argument when [sample_every < 1]. *)
+    between the program's cells and the crossbar — Start-Gap period [psi]
+    and the stack's other defaults — so hot logical cells spread across
+    the array over time.  Every levelling copy is charged to the
+    crossbar as a real write, so the wear ledger stays exact. *)
 
 (** {1 Graceful degradation}
 
@@ -128,7 +116,10 @@ val run_degraded :
     [endurance] cells additionally wear out and hard-fail as stuck-at
     faults.  [oracle] maps an input vector (PI declaration order) to the
     expected outputs (PO order) — typically [Plim_mig.Mig.eval mig] — and
-    feeds the [correct]/[incorrect] tally; without it both stay 0. *)
+    feeds the [correct]/[incorrect] tally; without it both stay 0.
+    [sample_every] sets the wear-sampling period in executions (default
+    [max_executions / 64], at least 1).
+    @raise Invalid_argument when [sample_every < 1]. *)
 
 type sweep_cell = {
   rate : float;
@@ -140,7 +131,6 @@ val sweep_degraded :
   ?pool:Plim_par.t ->
   ?seed:int ->
   ?max_executions:int ->
-  ?endurance:int ->
   ?verify:bool ->
   ?oracle:(bool array -> bool array) ->
   fault_spec_of:(float -> Plim_fault.Fault_model.spec) ->

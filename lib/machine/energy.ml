@@ -16,15 +16,16 @@ type report = {
   per_instruction_pj : float;
 }
 
-let of_run ?(model = default_model) xbar (stats : Plim_controller.run_stats) =
+let of_run xbar (stats : Plim_controller.run_stats) =
   let writes = Array.fold_left ( + ) 0 (Crossbar.write_counts xbar) in
   let transitions = Array.fold_left ( + ) 0 (Crossbar.transition_counts xbar) in
   (* every memory-access cycle that is not a write is an operand read *)
   let reads = stats.Plim_controller.cycles - stats.Plim_controller.instructions in
+  let m = default_model in
   let total_pj =
-    (float_of_int reads *. model.read_pj)
-    +. (float_of_int transitions *. model.switch_write_pj)
-    +. (float_of_int (writes - transitions) *. model.hold_write_pj)
+    (float_of_int reads *. m.read_pj)
+    +. (float_of_int transitions *. m.switch_write_pj)
+    +. (float_of_int (writes - transitions) *. m.hold_write_pj)
   in
   { reads;
     writes;

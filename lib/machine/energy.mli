@@ -24,13 +24,9 @@ type report = {
   per_instruction_pj : float;
 }
 
-val of_run :
-  ?model:model ->
-  Plim_rram.Crossbar.t ->
-  Plim_controller.run_stats ->
-  report
+val of_run : Plim_rram.Crossbar.t -> Plim_controller.run_stats -> report
 (** [of_run xbar stats] accounts the energy of one completed execution
-    from the crossbar's write/transition counters and the controller's
-    cycle statistics. *)
+    under {!default_model} from the crossbar's write/transition counters
+    and the controller's cycle statistics. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -38,11 +38,11 @@ let static_cycles (p : Program.t) =
 (* Power-on shared by the controllers: a fresh [size]-cell array with the
    bound inputs loaded (uncounted), a cycle counter, and the operand read
    that charges it one cycle per access. *)
-let power_on ?endurance ~caller ~size (p : Program.t) inputs =
+let power_on ~caller ~size (p : Program.t) inputs =
   Metrics.incr m_runs;
   Metrics.incr ~by:(Program.length p) m_instructions;
   let values = Program.bind_inputs ~caller p.Program.pi_cells inputs in
-  let xbar = Crossbar.create ?endurance size in
+  let xbar = Crossbar.create size in
   Array.iteri (fun i (_, cell) -> Crossbar.load xbar cell values.(i)) p.Program.pi_cells;
   let cycles = ref 0 in
   let read i =
@@ -54,10 +54,10 @@ let power_on ?endurance ~caller ~size (p : Program.t) inputs =
 (* An operand code's value: a constant as applied, a cell through [read]. *)
 let operand read c = if c < 2 then c = 1 else read (c - 2)
 
-let run ?endurance ?on_step (p : Program.t) ~inputs =
+let run ?on_step (p : Program.t) ~inputs =
   Profile.span "machine.run" @@ fun () ->
   let xbar, cycles, read =
-    power_on ?endurance ~caller:"Plim_controller.run" ~size:p.Program.num_cells p inputs
+    power_on ~caller:"Plim_controller.run" ~size:p.Program.num_cells p inputs
   in
   (* controller on: execute the stream *)
   let code = p.Program.code in
@@ -100,13 +100,13 @@ type grouped_stats = {
 let static_groups ~geometry (p : Program.t) =
   Result.map Plim_geometry.num_groups (Plim_geometry.schedule geometry p)
 
-let run_grouped ?endurance ~geometry (p : Program.t) ~inputs =
+let run_grouped ~geometry (p : Program.t) ~inputs =
   Profile.span "machine.run_grouped" @@ fun () ->
   match Plim_geometry.schedule geometry p with
   | Error msg -> Error msg
   | Ok sched ->
     let xbar, cycles, read =
-      power_on ?endurance ~caller:"Plim_controller.run_grouped" ~size:p.Program.num_cells
+      power_on ~caller:"Plim_controller.run_grouped" ~size:p.Program.num_cells
         p inputs
     in
     let code = p.Program.code in
@@ -138,14 +138,14 @@ let run_grouped ?endurance ~geometry (p : Program.t) ~inputs =
           g_cross_row = sched.Plim_geometry.s_cross_row;
           g_max_group = Plim_geometry.max_group_size sched } )
 
-let run_self_hosted ?endurance (p : Program.t) ~inputs =
+let run_self_hosted (p : Program.t) ~inputs =
   Profile.span "machine.run_self_hosted" @@ fun () ->
   let module Encoding = Plim_isa.Encoding in
   let data_cells = p.Program.num_cells in
   let footprint = Encoding.footprint p in
   let per_instr = Encoding.instruction_bits ~num_cells:data_cells in
   let xbar, cycles, read =
-    power_on ?endurance ~caller:"Plim_controller.run_self_hosted"
+    power_on ~caller:"Plim_controller.run_self_hosted"
       ~size:footprint.Encoding.total_cells p inputs
   in
   (* provision the program into the high region of the array *)

@@ -36,7 +36,6 @@ val static_cycles : Program.t -> int
     [static_cycles p] equals the [cycles] field {!run} reports. *)
 
 val run :
-  ?endurance:int ->
   ?on_step:(trace_entry -> unit) ->
   Program.t ->
   inputs:(string * bool) list ->
@@ -47,9 +46,7 @@ val run :
     the outputs.
 
     @raise Invalid_argument if [inputs] does not bind exactly the
-    program's primary inputs.
-    @raise Crossbar.Cell_failed if a cell hard-fails mid-run (only with
-    [endurance]). *)
+    program's primary inputs. *)
 
 type grouped_stats = {
   g_instructions : int;  (** instructions executed *)
@@ -69,7 +66,6 @@ val static_groups :
     if the program does not fit the grid ({!Plim_geometry.schedule}). *)
 
 val run_grouped :
-  ?endurance:int ->
   geometry:Plim_geometry.grid ->
   Program.t ->
   inputs:(string * bool) list ->
@@ -86,7 +82,6 @@ val run_grouped :
     program's primary inputs. *)
 
 val run_self_hosted :
-  ?endurance:int ->
   Program.t ->
   inputs:(string * bool) list ->
   (string * bool) list * Crossbar.t * run_stats

@@ -170,9 +170,9 @@ let signal_name g s =
   | Mig.Input pi -> Mig.input_name g pi
   | Mig.Maj _ -> node_name id
 
-let to_string ?(model = "mig") g =
+let to_string g =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf ".model %s\n.inputs" model);
+  Buffer.add_string buf ".model mig\n.inputs";
   Array.iter (fun n -> Buffer.add_string buf (" " ^ n)) (Mig.input_names g);
   Buffer.add_string buf "\n.outputs";
   Array.iter (fun (n, _) -> Buffer.add_string buf (" " ^ n)) (Mig.outputs g);

@@ -21,7 +21,7 @@ val of_string : string -> (Mig.t, string) result
     a combinational cycle (at the [.names] of a signal on it) or a dangling
     line continuation. *)
 
-val to_string : ?model:string -> Mig.t -> string
+val to_string : Mig.t -> string
 
 val read_file : string -> (Mig.t, string) result
 (** {!of_string} on the file's contents; [Error] also when the file

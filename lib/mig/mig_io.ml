@@ -116,9 +116,9 @@ let of_string text =
   | exception Parse_error (line, msg) ->
     Error (Printf.sprintf "Mig_io.of_string: line %d: %s" line msg)
 
-let to_dot ?(name = "mig") g =
+let to_dot g =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n  rankdir=BT;\n" name);
+  Buffer.add_string buf "digraph mig {\n  rankdir=BT;\n";
   Buffer.add_string buf "  n0 [label=\"0\", shape=box];\n";
   Array.iteri
     (fun pi input_name ->

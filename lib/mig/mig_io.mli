@@ -29,7 +29,7 @@ val of_string : string -> (Mig.t, string) result
     operand, an operand naming an undefined node, an id defined twice, or
     an input name declared twice. *)
 
-val to_dot : ?name:string -> Mig.t -> string
+val to_dot : Mig.t -> string
 
 val read_file : string -> (Mig.t, string) result
 (** {!of_string} on the file's contents; [Error] also when the file

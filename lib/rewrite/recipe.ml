@@ -96,8 +96,8 @@ let count_pass name g rebuild =
           ("size_after", Int (Mig.size g')) ];
   g'
 
-let run_pass ?(name = "pass") g rules =
-  count_pass name g (fun g ->
+let run_pass g rules =
+  count_pass "pass" g (fun g ->
       let s = scratch ~nodes:(Mig.num_nodes g) in
       sweep s g;
       run_pass_raw g s rules ~target:(fun () -> Mig.create_sized ~nodes:(Mig.num_nodes g) ()))

@@ -12,10 +12,10 @@ module Mig = Plim_mig.Mig
 
 type pass = Axioms.rule list
 
-val run_pass : ?name:string -> Mig.t -> pass -> Mig.t
+val run_pass : Mig.t -> pass -> Mig.t
 (** One bottom-up rebuild applying the first matching rule per node
-    (Ω.M always applies through the hash-consed constructor).  [name]
-    labels the pass in emitted trace events (default ["pass"]).
+    (Ω.M always applies through the hash-consed constructor), labelled
+    ["pass"] in emitted trace events.
 
     [run_pass] never mutates its argument, and it may return it physically:
     when the argument is compact ({!Mig.is_compact}) and no rule would fire

@@ -98,9 +98,9 @@ let write s ~on_copy la =
     (fun w -> Wolfram.write ~on_migrate:(fun dst -> on_copy (rotate s dst)) w la)
     s.wf
 
-let replay ?psi ?period ?seed t ~executions per_exec_writes =
+let replay ?psi ?period t ~executions per_exec_writes =
   let n = Array.length per_exec_writes in
-  let s = stack ?psi ?period ?seed t n in
+  let s = stack ?psi ?period t n in
   let counts = Array.make (num_physical s) 0 in
   let charge p = counts.(p) <- counts.(p) + 1 in
   let remaining = Array.make n 0 in

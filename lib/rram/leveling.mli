@@ -107,11 +107,9 @@ val write : stack -> on_copy:(int -> unit) -> int -> unit
     levelling copy because of it: Start-Gap gap moves first, then WoLFRaM
     re-key migrations, through the current rotation. *)
 
-val replay :
-  ?psi:int -> ?period:int -> ?seed:int -> t -> executions:int -> int array ->
-  int array
+val replay : ?psi:int -> ?period:int -> t -> executions:int -> int array -> int array
 (** [replay t ~executions per_exec_writes] replays [executions] runs of a
     program that writes logical line [i] [per_exec_writes.(i)] times,
     interleaved round-robin (the favourable case for rotation), through a
-    fresh {!stack} and returns per-physical-line write counts including
+    fresh {!stack} (default seed) and returns per-physical-line write counts including
     levelling copies — the empirical counterpart of {!line_rates}. *)

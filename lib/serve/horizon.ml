@@ -406,19 +406,19 @@ let spec_of_rate ?(seed = 0xFA17) rate =
   if rate <= 0.0 then Fault_model.none
   else Fault_model.make ~sa0:(rate *. 2.0 /. 3.0) ~sa1:(rate /. 3.0) ~seed ()
 
-let cells ?fault_seed cfg ~strategies ~fault_rates =
+let cells cfg ~strategies ~fault_rates =
   List.concat_map
     (fun strategy ->
       List.map
         (fun rate ->
-          let fault_spec = spec_of_rate ?seed:fault_seed rate in
+          let fault_spec = spec_of_rate rate in
           (strategy, rate, { cfg with strategy; fault_spec }))
         fault_rates)
     strategies
 
-let grid ?pool ?fault_seed cfg ~strategies ~fault_rates =
+let grid ?pool cfg ~strategies ~fault_rates =
   let one (strategy, rate, c) = (strategy, rate, run ?pool c) in
-  let cells = cells ?fault_seed cfg ~strategies ~fault_rates in
+  let cells = cells cfg ~strategies ~fault_rates in
   match pool with
   | Some p -> Plim_par.map p ~f:one cells
   | None -> List.map one cells

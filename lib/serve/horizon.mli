@@ -124,7 +124,6 @@ val run : ?pool:Plim_par.t -> config -> result
     value. *)
 
 val cells :
-  ?fault_seed:int ->
   config ->
   strategies:strategy list ->
   fault_rates:float list ->
@@ -135,7 +134,6 @@ val cells :
 
 val grid :
   ?pool:Plim_par.t ->
-  ?fault_seed:int ->
   config ->
   strategies:strategy list ->
   fault_rates:float list ->

@@ -60,22 +60,19 @@ let ensure t b =
     t.counts <- counts
   end
 
-let observe ?(n = 1) t v =
+let observe t v =
   if v < 0 then invalid_arg "Histogram.observe: negative value";
-  if n < 0 then invalid_arg "Histogram.observe: negative weight";
-  if n > 0 then begin
-    let b = bucket_of_value v in
-    ensure t b;
-    t.counts.(b) <- t.counts.(b) + n;
-    t.count <- t.count + n;
-    t.sum <- t.sum + (v * n);
-    if v < t.min_v then t.min_v <- v;
-    if v > t.max_v then t.max_v <- v
-  end
+  let b = bucket_of_value v in
+  ensure t b;
+  t.counts.(b) <- t.counts.(b) + 1;
+  t.count <- t.count + 1;
+  t.sum <- t.sum + v;
+  if v < t.min_v then t.min_v <- v;
+  if v > t.max_v then t.max_v <- v
 
 let of_array xs =
   let t = create () in
-  Array.iter (fun v -> observe t v) xs;
+  Array.iter (observe t) xs;
   t
 
 let count t = t.count

@@ -17,9 +17,9 @@ type t
 val create : unit -> t
 (** An empty histogram. *)
 
-val observe : ?n:int -> t -> int -> unit
-(** [observe ?n t v] records [n] (default 1) observations of value [v].
-    @raise Invalid_argument if [v] or [n] is negative. *)
+val observe : t -> int -> unit
+(** [observe t v] records one observation of value [v].
+    @raise Invalid_argument if [v] is negative. *)
 
 val of_array : int array -> t
 (** Histogram of every element (e.g. a crossbar's write counts). *)

@@ -46,18 +46,14 @@ let shade_of ~max_writes c =
   else if max_writes <= 0 then shades.[0]
   else shades.[1 + (c * (String.length shades - 2) / max_writes)]
 
-(* the requested width, else the smallest square that fits, capped at 64 *)
-let width_of ~fn width n =
-  match width with
-  | Some w when w >= 1 -> w
-  | Some _ -> invalid_arg (fn ^ ": width must be >= 1")
-  | None ->
-    let rec isqrt i = if i * i >= n then i else isqrt (i + 1) in
-    if n <= 0 then 1 else min 64 (max 1 (isqrt 1))
+(* the smallest square that fits, capped at 64 *)
+let width_of n =
+  let rec isqrt i = if i * i >= n then i else isqrt (i + 1) in
+  min 64 (isqrt 1)
 
-let heatmap ?width counts =
+let heatmap counts =
   let n = Array.length counts in
-  let width = width_of ~fn:"Wear.heatmap" width n in
+  let width = width_of n in
   let s = skew_of counts in
   let b = Buffer.create (n + (n / width * 8) + 128) in
   let rows = (n + width - 1) / width in
@@ -75,8 +71,8 @@ let heatmap ?width counts =
        (Format.asprintf "%a" pp_skew s));
   Buffer.contents b
 
-let heatmap_json ?width ~label counts =
-  let width = width_of ~fn:"Wear.heatmap_json" width (Array.length counts) in
+let heatmap_json ~label counts =
+  let width = width_of (Array.length counts) in
   Json.Obj
     [ ("label", Str label); ("width", Int width); ("skew", skew_json (skew_of counts));
       ("counts", Arr (Array.to_list (Array.map (fun c -> Json.Int c) counts))) ]

@@ -22,14 +22,13 @@ type skew = {
 
 val skew_of : int array -> skew
 
-val heatmap : ?width:int -> int array -> string
+val heatmap : int array -> string
 (** ASCII heatmap: one shade character per cell ([' '] untouched through
-    ['@'] = most worn), [width] cells per row (default: the smallest
-    square that fits, capped at 64), each row prefixed with its first
-    cell index, followed by a scale/skew legend line.
-    @raise Invalid_argument when [width < 1]. *)
+    ['@'] = most worn), as many cells per row as the side of the smallest
+    square that fits (at most 64), each row prefixed with its first cell
+    index, followed by a scale/skew legend line. *)
 
-val heatmap_json : ?width:int -> label:string -> int array -> Json.t
+val heatmap_json : label:string -> int array -> Json.t
 (** JSON object [{label, width, skew, counts}] of the same snapshot. *)
 
 val skew_json : skew -> Json.t

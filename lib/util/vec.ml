@@ -4,9 +4,7 @@ type 'a t = {
   dummy : 'a;
 }
 
-let create ?(capacity = 16) ~dummy () =
-  let capacity = max capacity 1 in
-  { data = Array.make capacity dummy; len = 0; dummy }
+let create ~dummy () = { data = Array.make 16 dummy; len = 0; dummy }
 
 let length t = t.len
 

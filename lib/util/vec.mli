@@ -3,7 +3,7 @@
 
 type 'a t
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
+val create : dummy:'a -> unit -> 'a t
 (** [create ~dummy ()] is an empty vector.  [dummy] fills unused capacity
     and is never observable through the public API. *)
 

@@ -5,11 +5,18 @@
    [bin/], [bench/], [perfbench/], [examples/] or another [lib/] module
    is a production caller; one from [test/] is a test caller.
 
-   Exits 1 when an export has no production caller and ALLOWLIST does
-   not name it, or when an ALLOWLIST line names anything else (a value
-   production now calls, or one that is gone).  ALLOWLIST holds one
-   export a line, [Library.Module.value reason]; the reason is required,
-   and [#] starts a comment line.
+   It checks the optional parameters of those exports the same way.  An
+   application supplies an option when it passes [~l], [?l] or [~l:v];
+   a reference that is not applied (the function passed as a value)
+   supplies every option.  Calls inside the defining unit count too:
+   they are matched by the top-level name they are bound to.
+
+   Exits 1 when an export or an option has no production caller and
+   ALLOWLIST does not name it, or when an ALLOWLIST line names anything
+   else (one production now uses, or one that is gone).  ALLOWLIST
+   holds one entry a line, [Library.Module.value reason] for an export
+   and [Library.Module.value?label reason] for an option; the reason is
+   required, and [#] starts a comment line.
 
    Usage: exports.exe ROOT ALLOWLIST *)
 
@@ -30,9 +37,24 @@ let rec files dir acc =
 (* [Plim_util__Vec] is module [Vec] of the wrapped library [plim_util]. *)
 let display_name modname = Str.global_replace (Str.regexp_string "__") "." modname
 
-type export = { name : string; loc : Location.t; mutable prod : bool; mutable test : bool }
+(* Who uses an export, or one of its optional parameters. *)
+type use = { mutable prod : bool; mutable test : bool }
+
+type export = {
+  name : string;
+  loc : Location.t;
+  use : use;
+  options : (string * use) list;  (** label, use *)
+}
 
 let exports : (Shape.Uid.t, export) Hashtbl.t = Hashtbl.create 1024
+let by_name : (string, export) Hashtbl.t = Hashtbl.create 1024
+
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (Optional l, _, ret, _) -> l :: optional_labels ret
+  | Tarrow (_, _, ret, _) | Tpoly (ret, _) -> optional_labels ret
+  | _ -> []
 
 let rec add_signature prefix sg =
   List.iter
@@ -40,8 +62,14 @@ let rec add_signature prefix sg =
       match item.sig_desc with
       | Tsig_value vd ->
           let name = prefix ^ "." ^ vd.val_name.txt in
-          Hashtbl.replace exports vd.val_val.val_uid
-            { name; loc = vd.val_loc; prod = false; test = false }
+          let options =
+            List.map
+              (fun l -> (l, { prod = false; test = false }))
+              (optional_labels vd.val_val.val_type)
+          in
+          let e = { name; loc = vd.val_loc; use = { prod = false; test = false }; options } in
+          Hashtbl.replace exports vd.val_val.val_uid e;
+          Hashtbl.replace by_name name e
       | Tsig_module
           { md_name = { txt = Some m; _ }; md_type = { mty_desc = Tmty_signature sg; _ }; _ }
         ->
@@ -49,27 +77,101 @@ let rec add_signature prefix sg =
       | _ -> ())
     sg.sig_items
 
+let mark ~production u = if production then u.prod <- true else u.test <- true
+
+(* The names a unit binds at its top level, and in the structures of its
+   submodules: [run], or [Race.edges]. *)
+let rec bind_structure prefix names str =
+  List.iter
+    (fun item ->
+      match item.str_desc with
+      | Tstr_value (_, vbs) ->
+          List.iter
+            (fun vb ->
+              List.iter
+                (fun id -> Ident.Tbl.replace names id (prefix ^ Ident.name id))
+                (pat_bound_idents vb.vb_pat))
+            vbs
+      | Tstr_module { mb_id = Some id; mb_expr; _ } ->
+          let m = prefix ^ Ident.name id in
+          Ident.Tbl.replace names id m;
+          let rec structure me =
+            match me.mod_desc with
+            | Tmod_structure s -> bind_structure (m ^ ".") names s
+            | Tmod_constraint (me, _, _, _) -> structure me
+            | _ -> ()
+          in
+          structure mb_expr
+      | _ -> ())
+    str.str_items
+
+let rec local_name names = function
+  | Path.Pident id -> Ident.Tbl.find_opt names id
+  | Pdot (p, s) -> Option.map (fun m -> m ^ "." ^ s) (local_name names p)
+  | _ -> None
+
+(* OCaml 5.1 fills an omitted optional parameter of a full application in
+   with a [None] located nowhere; it is no argument the caller wrote. *)
+let filled_in (e : expression) =
+  match e.exp_desc with
+  | Texp_construct (_, { cstr_name = "None"; _ }, []) -> e.exp_loc = Location.none
+  | _ -> false
+
+let supplied args =
+  List.filter_map
+    (fun (label, arg) ->
+      match (label, arg) with
+      | (Asttypes.Labelled l | Optional l), Some e when not (filled_in e) -> Some l
+      | _ -> None)
+    args
+
 (* OCaml 5.1 numbers the uids of a [.ml] and of its [.mli] from the same
    counter, so a unit's references to its own values can collide with its
-   exports; only references from other units count. *)
+   exports: they never count as callers of the export, and for options
+   they are matched by name instead. *)
 let references ~modname ~production annots =
-  let note (vd : Types.value_description) =
-    match vd.val_uid with
-    | Shape.Uid.Item { comp_unit; _ } when comp_unit = modname -> ()
-    | uid -> (
-        match Hashtbl.find_opt exports uid with
-        | Some e -> if production then e.prod <- true else e.test <- true
-        | None -> ())
+  let names = Ident.Tbl.create 64 in
+  (* [labels] is what the reference supplies; [None] for every option. *)
+  let note path (vd : Types.value_description) labels =
+    let e =
+      match vd.val_uid with
+      | Shape.Uid.Item { comp_unit; _ } when comp_unit = modname ->
+          Option.bind (local_name names path) (fun n ->
+              Hashtbl.find_opt by_name (display_name modname ^ "." ^ n))
+      | uid ->
+          let e = Hashtbl.find_opt exports uid in
+          Option.iter (fun e -> mark ~production e.use) e;
+          e
+    in
+    Option.iter
+      (fun e ->
+        List.iter
+          (fun (l, u) ->
+            match labels with
+            | Some ls when not (List.mem l ls) -> ()
+            | _ -> mark ~production u)
+          e.options)
+      e
   in
   let expr sub e =
-    (match e.exp_desc with
-    | Texp_ident (_, _, vd) -> note vd
-    | Texp_letop { let_; ands; _ } -> List.iter (fun b -> note b.bop_op_val) (let_ :: ands)
-    | _ -> ());
-    Tast_iterator.default_iterator.expr sub e
+    match e.exp_desc with
+    | Texp_apply ({ exp_desc = Texp_ident (path, _, vd); _ }, args) ->
+        note path vd (Some (supplied args));
+        List.iter (fun (_, arg) -> Option.iter (sub.Tast_iterator.expr sub) arg) args
+    | _ ->
+        (match e.exp_desc with
+        | Texp_ident (path, _, vd) -> note path vd None
+        | Texp_letop { let_; ands; _ } ->
+            List.iter (fun b -> note b.bop_op_path b.bop_op_val None) (let_ :: ands)
+        | _ -> ());
+        Tast_iterator.default_iterator.expr sub e
   in
   let it = { Tast_iterator.default_iterator with expr } in
-  match annots with Cmt_format.Implementation str -> it.structure it str | _ -> ()
+  match annots with
+  | Cmt_format.Implementation str ->
+      bind_structure "" names str;
+      it.structure it str
+  | _ -> ()
 
 let read_allowlist path =
   let ic = open_in path in
@@ -91,6 +193,10 @@ let read_allowlist path =
           loop (n + 1) ((n, name, reason) :: acc)
   in
   loop 1 []
+
+(* An entry the gate reports: an export ([Faulty.create]) or an option
+   ([Faulty.create?faults]). *)
+type unused = { entry : string; at : Location.t; tests : bool }
 
 let () =
   if Array.length Sys.argv <> 3 then (
@@ -118,11 +224,21 @@ let () =
         let cmt = Cmt_format.read_cmt f in
         references ~modname:cmt.cmt_modname ~production:(d <> "test") cmt.cmt_annots)
     all;
-  let unused =
-    Hashtbl.fold (fun _ e acc -> if e.prod then acc else e :: acc) exports []
-    |> List.sort (fun a b -> compare a.name b.name)
+  let all_exports = Hashtbl.fold (fun _ e acc -> e :: acc) exports [] in
+  let unused_of entry at u = if u.prod then None else Some { entry; at; tests = u.test } in
+  let sorted l = List.sort (fun a b -> compare a.entry b.entry) l in
+  let unused = sorted (List.filter_map (fun e -> unused_of e.name e.loc e.use) all_exports) in
+  let unused_options =
+    sorted
+      (List.concat_map
+         (fun e ->
+           List.filter_map
+             (fun (l, u) -> unused_of (e.name ^ "?" ^ l) e.loc u)
+             e.options)
+         all_exports)
   in
   let allowed = read_allowlist allowlist in
+  let is_option name = String.contains name '?' in
   let failures = ref 0 in
   let fail fmt =
     incr failures;
@@ -130,24 +246,34 @@ let () =
   in
   List.iter
     (fun (n, name, reason) ->
-      if not (List.exists (fun e -> e.name = name) unused) then
-        fail "%s:%d: %s is not an export without production callers; remove the line\n"
-          allowlist n name
+      let kind, pool =
+        if is_option name then ("an option", unused_options) else ("an export", unused)
+      in
+      if not (List.exists (fun u -> u.entry = name) pool) then
+        fail "%s:%d: %s is not %s without production callers; remove the line\n" allowlist n
+          name kind
       else if reason = "" then fail "%s:%d: %s needs a reason\n" allowlist n name)
     allowed;
   List.iter
-    (fun e ->
-      if not (List.exists (fun (_, name, _) -> name = e.name) allowed) then
+    (fun u ->
+      if not (List.exists (fun (_, name, _) -> name = u.entry) allowed) then
         fail "%s:%d: %s has no production caller (%s); delete it or allowlist it with a reason\n"
-          e.loc.loc_start.pos_fname e.loc.loc_start.pos_lnum e.name
-          (if e.test then "tests only" else "no caller at all"))
-    unused;
-  let count p = List.length (List.filter p unused) in
-  Printf.printf
-    "exports: %d values in lib/ interfaces, %d without a production caller (%d tests only, %d \
-     none), %d allowlisted\n"
-    (Hashtbl.length exports) (List.length unused)
-    (count (fun e -> e.test))
-    (count (fun e -> not e.test))
-    (List.length allowed);
+          u.at.loc_start.pos_fname u.at.loc_start.pos_lnum u.entry
+          (if u.tests then "tests only" else "no caller at all"))
+    (unused @ unused_options);
+  let count p l = List.length (List.filter p l) in
+  let summary what unused ~options =
+    let tests = count (fun u -> u.tests) unused in
+    Printf.printf "%s, %d without a production caller (%d tests only, %d none), %d allowlisted\n"
+      what (List.length unused) tests
+      (List.length unused - tests)
+      (count (fun (_, name, _) -> is_option name = options) allowed)
+  in
+  summary
+    (Printf.sprintf "exports: %d values in lib/ interfaces" (List.length all_exports))
+    unused ~options:false;
+  summary
+    (Printf.sprintf "options: %d optional parameters"
+       (List.fold_left (fun n e -> n + List.length e.options) 0 all_exports))
+    unused_options ~options:true;
   if !failures > 0 then exit 1

@@ -130,7 +130,10 @@ let test_remap_preserves_results () =
         (Printf.sprintf "correct with %d faults, %d spares" k k)
         reference outputs;
       check_int "every fault detected" k stats.Exec.detections;
-      check_int "every detection repaired" k stats.Exec.remaps
+      check_int "every detection repaired" k stats.Exec.remaps;
+      (* a line stuck opposite to the value written costs exactly 2
+         in-place retries before it is remapped *)
+      check_int "2 retries per stuck line" (2 * k) stats.Exec.retries
     | Exec.Out_of_spares _, _ -> Alcotest.failf "pool dry with %d spares for %d faults" k k);
     if k > 0 then
       match run_with ~faults ~spares:(k - 1) () with

@@ -7,7 +7,6 @@ module I = Plim_isa.Instruction
 module Program = Plim_isa.Program
 module Pipeline = Plim_core.Pipeline
 module Controller = Plim_machine.Plim_controller
-module Campaign = Plim_machine.Campaign
 module Suite = Plim_benchgen.Suite
 module Splitmix = Plim_util.Splitmix
 
@@ -210,32 +209,6 @@ let test_static_groups () =
   let s = ok_exn (G.schedule grid p) in
   Alcotest.(check int) "static_groups = schedule groups" (G.num_groups s) n
 
-let test_campaign_group_latency () =
-  let _, p = List.hd (Lazy.force suite_programs) in
-  let grid = G.grid_for ~cols:8 ~num_cells:(Program.num_cells p) in
-  let o =
-    Campaign.run_until_failure ~geometry:grid ~endurance:100 ~max_executions:3 p
-  in
-  (match o.Campaign.group_latency with
-  | None -> Alcotest.fail "campaign dropped the geometry latency"
-  | Some gl ->
-    let s = ok_exn (G.schedule grid p) in
-    Alcotest.(check int) "group latency" (G.num_groups s) gl);
-  let o' = Campaign.run_until_failure ~endurance:100 ~max_executions:3 p in
-  Alcotest.(check bool) "no geometry, no latency" true
-    (o'.Campaign.group_latency = None)
-
-let test_campaign_rejects_overflow () =
-  let _, p = List.hd (Lazy.force suite_programs) in
-  let tiny = G.make_exn ~rows:1 ~cols:2 in
-  Alcotest.(check bool) "non-fitting grid is a config error" true
-    (try
-       ignore
-         (Campaign.run_until_failure ~geometry:tiny ~endurance:100
-            ~max_executions:1 p);
-       false
-     with Invalid_argument _ -> true)
-
 (* --- property tests ----------------------------------------------------- *)
 
 (* random straight-line programs over a small cell pool: every operand
@@ -409,11 +382,7 @@ let () =
             test_run_grouped_identity;
           Alcotest.test_case "grouped wear = flat wear" `Quick
             test_run_grouped_wear_identity;
-          Alcotest.test_case "static_groups" `Quick test_static_groups;
-          Alcotest.test_case "campaign group latency" `Quick
-            test_campaign_group_latency;
-          Alcotest.test_case "campaign rejects non-fitting grid" `Quick
-            test_campaign_rejects_overflow ] );
+          Alcotest.test_case "static_groups" `Quick test_static_groups ] );
       ( "properties",
         [ qc prop_schedule_valid; qc prop_grouped_matches_flat;
           qc prop_schedule_reference ] ) ]

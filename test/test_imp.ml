@@ -70,7 +70,7 @@ let imp_correct =
     QCheck.small_int
     (fun seed ->
       let g = Mig_gen.random ~seed ~num_inputs:6 ~num_nodes:50 ~num_outputs:4 () in
-      match Imp.check_random ~trials:6 ~seed g (Imp.compile g) with
+      match Imp.check_random g (Imp.compile g) with
       | Ok () -> true
       | Error e -> QCheck.Test.fail_reportf "%s" e)
 
@@ -80,7 +80,7 @@ let imp_min_write_correct =
     (fun seed ->
       let g = Mig_gen.random ~seed ~num_inputs:5 ~num_nodes:40 ~num_outputs:3 () in
       match
-        Imp.check_random ~trials:6 ~seed g (Imp.compile ~strategy:Alloc.Min_write g)
+        Imp.check_random g (Imp.compile ~strategy:Alloc.Min_write g)
       with
       | Ok () -> true
       | Error e -> QCheck.Test.fail_reportf "%s" e)

@@ -112,12 +112,9 @@ let test_wearout_execution () =
     check_bool "naive concentrates more writes" true (naive_max > bal_max);
     (naive_max + bal_max) / 2
   in
-  let inputs = Array.map (fun (name, _) -> (name, false)) naive.Program.pi_cells in
+  let o = Plim_machine.Campaign.run_until_failure ~endurance:budget ~max_executions:1 naive in
   check_bool "naive wears out mid-run" true
-    (try
-       ignore (Controller.run ~endurance:budget naive ~inputs:(Array.to_list inputs));
-       false
-     with Plim_rram.Crossbar.Cell_failed _ -> true)
+    (o.Plim_machine.Campaign.failed && o.Plim_machine.Campaign.executions_completed = 0)
 
 (* cross-check machine cycle accounting on a compiled program *)
 let test_cycle_accounting () =

@@ -165,7 +165,7 @@ let closed_form_cases =
 let test_replay_matches_closed_form
     (_, strategy, per_exec, psi, period, executions, tolerance, max_mean) () =
   let n = Array.length per_exec in
-  let counts = Leveling.replay ~psi ~period ~seed:7 strategy ~executions per_exec in
+  let counts = Leveling.replay ~psi ~period strategy ~executions per_exec in
   let cells = Leveling.lines strategy n in
   check_int "physical lines" cells (Array.length counts);
   let overhead = Leveling.overhead strategy ~psi ~period ~lines:n in
@@ -207,12 +207,11 @@ let line_rates_within_cell_bound =
 let test_campaign_extends_lifetime strategy () =
   let g = Plim_benchgen.Arith.multiplier ~width:4 in
   let p = (Plim_core.Pipeline.compile Plim_core.Pipeline.naive g).Plim_core.Pipeline.program in
-  let endurance = 2000 in
+  (* long enough a life for WoLFRaM's 50 000-write re-key period to fire
+     before the first cell fails *)
+  let endurance = 20_000 in
   let plain = Campaign.run_until_failure ~endurance ~max_executions:5000 p in
-  let levelled =
-    Campaign.run_until_failure ~strategy ~psi:50 ~period:500 ~endurance
-      ~max_executions:5000 p
-  in
+  let levelled = Campaign.run_until_failure ~strategy ~psi:50 ~endurance ~max_executions:5000 p in
   check_bool
     (Printf.sprintf "%s %d >= plain %d executions" (Leveling.name strategy)
        levelled.Campaign.executions_completed plain.Campaign.executions_completed)

@@ -113,8 +113,11 @@ let test_run_positional () =
 
 let test_endurance_mid_run () =
   (* a 2-write program against a 1-write budget must fail *)
-  Alcotest.check_raises "wear-out" (Plim_rram.Crossbar.Cell_failed 1) (fun () ->
-      ignore (Controller.run ~endurance:1 (not_program ()) ~inputs:[ ("a", true) ]))
+  let o =
+    Plim_machine.Campaign.run_until_failure ~endurance:1 ~max_executions:1 (not_program ())
+  in
+  check_bool "wear-out" true
+    (o.Plim_machine.Campaign.failed && o.Plim_machine.Campaign.executions_completed = 0)
 
 (* --- self-hosted execution -------------------------------------------------- *)
 
@@ -183,12 +186,6 @@ let test_energy_accounting () =
   Alcotest.(check (float 1e-9)) "total" expected r.Energy.total_pj;
   check_bool "per-instruction positive" true (r.Energy.per_instruction_pj > 0.0)
 
-let test_energy_custom_model () =
-  let _, xbar, stats = Controller.run (not_program ()) ~inputs:[ ("a", false) ] in
-  let model = { Energy.read_pj = 0.0; switch_write_pj = 1.0; hold_write_pj = 1.0 } in
-  let r = Energy.of_run ~model xbar stats in
-  Alcotest.(check (float 1e-9)) "writes only" (float_of_int r.Energy.writes) r.Energy.total_pj
-
 (* --- endurance campaigns --------------------------------------------------- *)
 
 module Campaign = Plim_machine.Campaign
@@ -236,10 +233,10 @@ let grid rows cols = Plim_geometry.make_exn ~rows ~cols
 
 (* fault-free [Exec.run] through an identity remap: outputs and the
    per-cell write counts of the program's cells *)
-let exec_fault_free ?(verify = false) ?reset p ~inputs =
+let exec_fault_free ?(verify = false) p ~inputs =
   let n = Program.num_cells p in
   let fx = Faulty.create (Crossbar.create n) in
-  match Exec.run ~verify ?reset fx (Remap.create ~lines:n ()) p ~inputs with
+  match Exec.run ~verify fx (Remap.create ~lines:n ()) p ~inputs with
   | Exec.Completed outputs, _ -> (outputs, Crossbar.write_counts (Faulty.base fx))
   | Exec.Out_of_spares l, _ -> Alcotest.failf "fault-free run out of spares at %d" l
 
@@ -265,7 +262,7 @@ let test_executors_count_alike () =
   let grouped =
     counter_deltas (fun () -> ignore (grouped_exn ~geometry:(grid 64 1) p ~inputs))
   in
-  let exec = counter_deltas (fun () -> ignore (exec_fault_free ~reset:false p ~inputs)) in
+  let exec = counter_deltas (fun () -> ignore (exec_fault_free p ~inputs)) in
   let pair = Alcotest.(pair int int) in
   (* one read per cell operand plus one per output; one write per RM3 *)
   let expected =
@@ -357,8 +354,7 @@ let () =
           Alcotest.test_case "input binding errors" `Quick
             test_self_hosted_input_binding_errors ] );
       ( "energy",
-        [ Alcotest.test_case "accounting" `Quick test_energy_accounting;
-          Alcotest.test_case "custom model" `Quick test_energy_custom_model ] );
+        [ Alcotest.test_case "accounting" `Quick test_energy_accounting ] );
       ( "executors",
         [ Alcotest.test_case "same read and write counts" `Quick
             test_executors_count_alike;

@@ -650,7 +650,7 @@ let blif_roundtrip =
 
 let test_blif_roundtrip_adder () =
   let g = Plim_benchgen.Arith.adder ~width:4 in
-  let g' = blif_of_string (Blif.to_string ~model:"adder4" g) in
+  let g' = blif_of_string (Blif.to_string g) in
   check_bool "adder roundtrip" true
     (Array.for_all2 Tt.equal (Mig.output_tables g) (Mig.output_tables g'))
 

@@ -246,15 +246,14 @@ let test_wolfram_write_accounting () =
   (* migrations depend only on the re-key generations, not on which
      lines were written, so the replay ledger must hold exactly the 40
      logical writes plus the copies a directly driven map reports *)
-  let wf = Wolfram.create ~period:7 ~seed:9 5 in
+  let s = Leveling.stack ~period:7 Leveling.Wolfram_remap 5 in
   let migrations = ref 0 in
   for i = 1 to 40 do
-    Wolfram.write ~on_migrate:(fun _ -> incr migrations) wf (i mod 5)
+    Leveling.write s ~on_copy:(fun _ -> incr migrations) (i mod 5)
   done;
   check_bool "re-keys migrated lines" true (!migrations > 0);
   let counts =
-    Leveling.replay ~period:7 ~seed:9 Leveling.Wolfram_remap ~executions:8
-      [| 1; 1; 1; 1; 1 |]
+    Leveling.replay ~period:7 Leveling.Wolfram_remap ~executions:8 [| 1; 1; 1; 1; 1 |]
   in
   check_int "counts = logical writes + migration copies" (40 + !migrations)
     (Array.fold_left ( + ) 0 counts)
@@ -262,7 +261,7 @@ let test_wolfram_write_accounting () =
 let test_wolfram_replay_levels_hot_line () =
   let per_exec = [| 100; 1; 1; 1 |] in
   let counts =
-    Leveling.replay ~period:50 ~seed:2 Leveling.Wolfram_remap ~executions:50 per_exec
+    Leveling.replay ~period:50 Leveling.Wolfram_remap ~executions:50 per_exec
   in
   let s = Stats.summarize counts in
   let unlevelled = Stats.summarize (Array.map (( * ) 50) per_exec) in

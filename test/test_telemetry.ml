@@ -43,9 +43,9 @@ let test_hist_basic () =
   (* small values live in exact buckets: quantiles are exact *)
   check_int "p50 exact below 32" 3 (Hgram.p50 h);
   check_int "q1.0 = max" 5 (Hgram.quantile h 1.0);
-  Hgram.observe ~n:3 h 7;
-  check_int "weighted count" 8 (Hgram.count h);
-  check_int "weighted sum" 35 (Hgram.sum h);
+  List.iter (Hgram.observe h) [ 7; 7; 7 ];
+  check_int "repeated count" 8 (Hgram.count h);
+  check_int "repeated sum" 35 (Hgram.sum h);
   Alcotest.check_raises "negative value" (Invalid_argument "Histogram.observe: negative value")
     (fun () -> Hgram.observe h (-1));
   Hgram.clear h;
@@ -185,13 +185,13 @@ let test_wear_skew () =
 
 let test_wear_heatmap () =
   let counts = Array.init 40 (fun i -> i) in
-  let text = Wear.heatmap ~width:8 counts in
+  let text = Wear.heatmap counts in
   check_bool "has scale legend" true (contains ~affix:"scale:" text);
   check_bool "max in legend" true (contains ~affix:"max=39" text);
-  (* 40 cells at width 8 = 5 rows + legend *)
-  check_int "row count" 6
+  (* 40 cells at width 7, the smallest square that fits = 6 rows + legend *)
+  check_int "row count" 7
     (List.length (String.split_on_char '\n' (String.trim text)));
-  let j = Json.write (Wear.heatmap_json ~width:8 ~label:"t" counts) in
+  let j = Json.write (Wear.heatmap_json ~label:"t" counts) in
   match Json.parse j with
   | Error e -> Alcotest.failf "heatmap_json unparsable: %s" e
   | Ok doc ->
@@ -672,7 +672,7 @@ let test_campaign_sampler_validation () =
   let p, _ = compiled_dec4 () in
   Alcotest.check_raises "sample_every must be >= 1"
     (Invalid_argument "Campaign: sample_every must be >= 1") (fun () ->
-      ignore (Campaign.run_until_failure ~sample_every:0 ~endurance:1000 p))
+      ignore (Campaign.run_degraded ~sample_every:0 p))
 
 let () =
   Alcotest.run "telemetry"
