@@ -1,12 +1,8 @@
 module Crossbar = Plim_rram.Crossbar
 
-type model = {
-  read_pj : float;
-  switch_write_pj : float;
-  hold_write_pj : float;
-}
-
-let default_model = { read_pj = 1.0; switch_write_pj = 10.0; hold_write_pj = 2.0 }
+let read_pj = 1.0
+let switch_write_pj = 10.0
+let hold_write_pj = 2.0
 
 type report = {
   reads : int;
@@ -21,11 +17,10 @@ let of_run xbar (stats : Plim_controller.run_stats) =
   let transitions = Array.fold_left ( + ) 0 (Crossbar.transition_counts xbar) in
   (* every memory-access cycle that is not a write is an operand read *)
   let reads = stats.Plim_controller.cycles - stats.Plim_controller.instructions in
-  let m = default_model in
   let total_pj =
-    (float_of_int reads *. m.read_pj)
-    +. (float_of_int transitions *. m.switch_write_pj)
-    +. (float_of_int (writes - transitions) *. m.hold_write_pj)
+    (float_of_int reads *. read_pj)
+    +. (float_of_int transitions *. switch_write_pj)
+    +. (float_of_int (writes - transitions) *. hold_write_pj)
   in
   { reads;
     writes;

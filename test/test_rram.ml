@@ -245,11 +245,12 @@ let test_wolfram_rekey_cadence () =
 let test_wolfram_write_accounting () =
   (* migrations depend only on the re-key generations, not on which
      lines were written, so the replay ledger must hold exactly the 40
-     logical writes plus the copies a directly driven map reports *)
-  let s = Leveling.stack ~period:7 Leveling.Wolfram_remap 5 in
+     logical writes plus the copies a directly driven map reports; the
+     map takes the stack's documented default seed, which replay uses *)
+  let wf = Wolfram.create ~period:7 ~seed:0x901F 5 in
   let migrations = ref 0 in
   for i = 1 to 40 do
-    Leveling.write s ~on_copy:(fun _ -> incr migrations) (i mod 5)
+    Wolfram.write ~on_migrate:(fun _ -> incr migrations) wf (i mod 5)
   done;
   check_bool "re-keys migrated lines" true (!migrations > 0);
   let counts =
