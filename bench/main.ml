@@ -541,7 +541,7 @@ let faulttol () =
           Printf.printf "%-10s %6.3f" name rate;
           List.iteri
             (fun si spares ->
-              let d = cell.((ri * nb) + si).Campaign.outcome in
+              let d = cell.((ri * nb) + si) in
               (* coupled-threshold sampling: for a fixed physical array size,
                  a higher rate injects a superset of the faults, so capacity
                  must be non-increasing down each column *)

@@ -33,7 +33,6 @@ type storage = {
   total_span : int;
   max_span : int;
   mean_span : float;
-  per_cell_span : int array;
 }
 
 let m_programs = Metrics.counter "analyze.programs"
@@ -352,7 +351,6 @@ let analyze ?max_writes (p : Program.t) =
   done;
   (* storage-duration report: how long each device is blocked holding a
      live value — the quantity Algorithm 3's node selection minimizes *)
-  let per_cell_span = Array.make n 0 in
   let total = ref 0 and max_span = ref 0 and defs_counted = ref 0 in
   for s = 0 to ch.def_count - 1 do
     if not ch.def_placeholder.(s) then begin
@@ -364,7 +362,6 @@ let analyze ?max_writes (p : Program.t) =
         else start
       in
       let span = stop - start in
-      per_cell_span.(ch.def_cell.(s)) <- per_cell_span.(ch.def_cell.(s)) + span;
       total := !total + span;
       if span > !max_span then max_span := span
     end
@@ -374,8 +371,7 @@ let analyze ?max_writes (p : Program.t) =
       max_span = !max_span;
       mean_span =
         (if !defs_counted = 0 then 0.0
-         else float_of_int !total /. float_of_int !defs_counted);
-      per_cell_span }
+         else float_of_int !total /. float_of_int !defs_counted) }
   in
   let order d =
     (* program-level findings last; stable kind order inside one instruction *)

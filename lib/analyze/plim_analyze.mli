@@ -90,7 +90,6 @@ type storage = {
   total_span : int;      (** sum of liveness spans, in instruction slots *)
   max_span : int;
   mean_span : float;     (** average span per def; 0.0 when there are no defs *)
-  per_cell_span : int array;  (** blocked duration per cell, length [num_cells] *)
 }
 
 (** The def-use chains behind {!analyze}, in flat int arrays.  Defs are

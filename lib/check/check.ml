@@ -228,10 +228,10 @@ let geometry_check name program acc =
               else acc
             in
             let acc =
-              if gstats.Controller.g_cycles <> fstats.Controller.cycles then
+              if gstats.Controller.cycles <> fstats.Controller.cycles then
                 fail name "geometry"
                   "[%s] cycle accounting diverges: grouped %d, flat %d" gname
-                  gstats.Controller.g_cycles fstats.Controller.cycles
+                  gstats.Controller.cycles fstats.Controller.cycles
                 :: acc
               else acc
             in

@@ -57,7 +57,6 @@ type result = {
   program : Program.t;
   rewritten : Mig.t;
   write_summary : Stats.summary;
-  config : config;
 }
 
 let compile_rewritten ?is_faulty config g =
@@ -99,8 +98,7 @@ let compile_rewritten ?is_faulty config g =
      an empty write-count array is the all-zero summary *)
   { program;
     rewritten = g;
-    write_summary = Stats.summarize (Alloc.write_counts alloc);
-    config }
+    write_summary = Stats.summarize (Alloc.write_counts alloc) }
 
 let compile ?is_faulty config mig =
   Profile.span "pipeline.compile" @@ fun () ->

@@ -40,7 +40,6 @@ type result = {
   program : Program.t;
   rewritten : Mig.t;            (** the MIG actually compiled *)
   write_summary : Stats.summary;
-  config : config;
 }
 
 val compile : ?is_faulty:(int -> bool) -> config -> Mig.t -> result

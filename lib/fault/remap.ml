@@ -5,7 +5,6 @@ type t = {
   map : int array;              (* logical -> physical *)
   total : int;                  (* lines + spares *)
   mutable next_spare : int;
-  mutable remaps : int;
 }
 
 let m_remaps = Metrics.counter "fault.remaps"
@@ -15,8 +14,7 @@ let create ?(spares = 0) ~lines () =
   if spares < 0 then invalid_arg "Remap.create: negative spares";
   { map = Array.init lines (fun i -> i);
     total = lines + spares;
-    next_spare = lines;
-    remaps = 0 }
+    next_spare = lines }
 
 let lines t = Array.length t.map
 
@@ -29,8 +27,6 @@ let physical t l =
 
 let spares_left t = t.total - t.next_spare
 
-let remaps t = t.remaps
-
 let retire t l =
   let old = physical t l in
   if t.next_spare >= t.total then None
@@ -38,7 +34,6 @@ let retire t l =
     let fresh = t.next_spare in
     t.next_spare <- t.next_spare + 1;
     t.map.(l) <- fresh;
-    t.remaps <- t.remaps + 1;
     Metrics.incr m_remaps;
     if Trace.enabled () then
       Trace.emit "fault.remap"

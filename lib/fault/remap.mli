@@ -29,9 +29,6 @@ val physical : t -> int -> int
 
 val spares_left : t -> int
 
-val remaps : t -> int
-(** Number of retirements performed. *)
-
 val retire : t -> int -> int option
 (** [retire t l] retires the physical line currently backing logical
     address [l] and remaps [l] to a fresh spare.  [Some p] is the new

@@ -25,10 +25,9 @@ type outcome = {
   executions_completed : int;
   failed : bool;
   write_total : int;
-  trajectory : wear_sample list;
 }
 
-(* Wear-trajectory sampling shared by the campaign flavours: a crossbar
+(* Wear-trajectory sampling of the degraded campaign: a crossbar
    observer supplies the physical-write clock, and skew snapshots taken
    at fixed execution boundaries flow through a decimating series so the
    curve stays bounded on arbitrarily long campaigns.  Everything here is
@@ -125,19 +124,9 @@ let run_until_failure ?(max_executions = 100_000) ?(strategy = Leveling.No_level
   let xbar = Crossbar.create ~endurance (Leveling.num_physical stack) in
   (* levelling copies (gap moves, re-key migrations) are real writes *)
   let on_copy dst = Crossbar.write xbar dst false in
-  let sm =
-    make_sampler ~sample_every:None ~max_executions ~counts:(fun () ->
-        Crossbar.write_counts xbar)
-  in
-  Crossbar.set_observer xbar (sampler_observer sm);
-  take_sample sm 0;
   let rng = Splitmix.create 0xCAFE in
   let finish completed failed =
-    Crossbar.set_observer xbar None;
-    { executions_completed = completed;
-      failed;
-      write_total = total_writes xbar;
-      trajectory = finish_trajectory sm completed }
+    { executions_completed = completed; failed; write_total = total_writes xbar }
   in
   let rec go completed =
     if completed >= max_executions then finish completed false
@@ -148,9 +137,7 @@ let run_until_failure ?(max_executions = 100_000) ?(strategy = Leveling.No_level
       with
       | () ->
         Metrics.incr m_executions;
-        let completed = completed + 1 in
-        if completed < max_executions then sample_boundary sm completed;
-        go completed
+        go (completed + 1)
       | exception Crossbar.Cell_failed _ -> finish completed true
   in
   go 0
@@ -277,12 +264,6 @@ let run_degraded ?(seed = 0xCAFE) ?(max_executions = 100) ?sample_every ?enduran
    what lets the bench faulttol table and its JSON rows stay byte-identical
    between -j 1 and -j N. *)
 
-type sweep_cell = {
-  rate : float;
-  spares : int;
-  outcome : degradation;
-}
-
 let sweep_degraded ?pool ?seed ?max_executions ?(verify = true) ?oracle
     ~fault_spec_of ~rates ~spare_budgets p =
   Profile.span "campaign.sweep" @@ fun () ->
@@ -291,11 +272,8 @@ let sweep_degraded ?pool ?seed ?max_executions ?(verify = true) ?oracle
       rates
   in
   let eval (rate, spares) =
-    let outcome =
-      run_degraded ?seed ?max_executions ~spares ~verify
-        ~fault_spec:(fault_spec_of rate) ?oracle p
-    in
-    { rate; spares; outcome }
+    run_degraded ?seed ?max_executions ~spares ~verify ~fault_spec:(fault_spec_of rate)
+      ?oracle p
   in
   match pool with
   | Some p' -> Plim_par.map p' ~f:eval grid

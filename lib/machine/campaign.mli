@@ -31,9 +31,6 @@ type outcome = {
   executions_completed : int;
   failed : bool;              (** false if [max_executions] was reached *)
   write_total : int;          (** physical writes performed overall *)
-  trajectory : wear_sample list;
-      (** chronological wear-skew curve; first point at execution 0,
-          last point at campaign end *)
 }
 
 val run_until_failure :
@@ -46,8 +43,7 @@ val run_until_failure :
 (** Repeated executions with fresh random inputs per run (seed 0xCAFE)
     on one shared crossbar whose cells hard-fail after [endurance]
     writes.  Stops at the first failure or after [max_executions]
-    (default 100_000).  Wear is sampled every [max_executions / 64]
-    executions (at least 1).
+    (default 100_000).
 
     [strategy] (default [No_leveling]) places a {!Plim_rram.Leveling.stack}
     between the program's cells and the crossbar — Start-Gap period [psi]
@@ -121,12 +117,6 @@ val run_degraded :
     [max_executions / 64], at least 1).
     @raise Invalid_argument when [sample_every < 1]. *)
 
-type sweep_cell = {
-  rate : float;
-  spares : int;
-  outcome : degradation;
-}
-
 val sweep_degraded :
   ?pool:Plim_par.t ->
   ?seed:int ->
@@ -137,10 +127,10 @@ val sweep_degraded :
   rates:float list ->
   spare_budgets:int list ->
   Program.t ->
-  sweep_cell list
+  degradation list
 (** One {!run_degraded} campaign per (rate, spares) grid cell, every cell
     on its own crossbar and fault layer.  [fault_spec_of rate] builds the
-    injection spec of a row.  Cells are returned in grid order — [rates]
-    outer, [spare_budgets] inner — regardless of [pool] width, so sweep
-    reports are byte-identical at every [-j] level.  Without [pool] the
+    injection spec of a row.  The campaigns are returned in grid order —
+    [rates] outer, [spare_budgets] inner — regardless of [pool] width, so
+    sweep reports are byte-identical at every [-j] level.  Without [pool] the
     grid runs sequentially. *)

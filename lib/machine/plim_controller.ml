@@ -14,10 +14,7 @@ type run_stats = {
 
 type trace_entry = {
   pc : int;
-  instr : Instruction.t;
-  a_value : bool;
   b_value : bool;
-  z_before : bool;
   z_after : bool;
 }
 
@@ -70,12 +67,9 @@ let run ?on_step (p : Program.t) ~inputs =
     match on_step with
     | None -> Crossbar.rm3 xbar ~p:a ~q:b z
     | Some f ->
-      (* observation only: the RM3 senses Z itself, so no read is counted *)
-      let z_before = Crossbar.peek xbar z in
       Crossbar.rm3 xbar ~p:a ~q:b z;
-      f
-        { pc; instr = Program.instr p pc; a_value = a; b_value = b; z_before;
-          z_after = Crossbar.peek xbar z }
+      (* observation only: the RM3 senses Z itself, so no read is counted *)
+      f { pc; b_value = b; z_after = Crossbar.peek xbar z }
   done;
   let outputs = Program.read_outputs p.Program.po_cells (Crossbar.read xbar) in
   (outputs, xbar, { instructions = Array.length code; cycles = !cycles })
@@ -86,16 +80,8 @@ let run ?on_step (p : Program.t) ~inputs =
    destination state are read BEFORE any member's write lands — the
    semantics of simultaneously firing several write drivers in one row.
    Group members are mutually hazard-free by construction, so the
-   outputs are identical to [run]; only the latency accounting changes:
-   one group costs one array step regardless of its width. *)
-
-type grouped_stats = {
-  g_instructions : int;
-  g_groups : int;        (* latency in row-parallel groups *)
-  g_cycles : int;        (* flat cycle count, for comparison *)
-  g_cross_row : int;     (* forced-singleton cross-row instructions *)
-  g_max_group : int;
-}
+   outputs are identical to [run]; only the latency changes: one group
+   costs one array step regardless of its width ([static_groups]). *)
 
 let static_groups ~geometry (p : Program.t) =
   Result.map Plim_geometry.num_groups (Plim_geometry.schedule geometry p)
@@ -129,14 +115,7 @@ let run_grouped ~geometry (p : Program.t) ~inputs =
         done)
       sched.Plim_geometry.s_groups;
     let outputs = Program.read_outputs p.Program.po_cells (Crossbar.read xbar) in
-    Ok
-      ( outputs,
-        xbar,
-        { g_instructions = Array.length code;
-          g_groups = Plim_geometry.num_groups sched;
-          g_cycles = !cycles;
-          g_cross_row = sched.Plim_geometry.s_cross_row;
-          g_max_group = Plim_geometry.max_group_size sched } )
+    Ok (outputs, xbar, { instructions = Array.length code; cycles = !cycles })
 
 let run_self_hosted (p : Program.t) ~inputs =
   Profile.span "machine.run_self_hosted" @@ fun () ->

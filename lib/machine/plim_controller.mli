@@ -20,12 +20,9 @@ type run_stats = {
 }
 
 type trace_entry = {
-  pc : int;
-  instr : Plim_isa.Instruction.t;
-  a_value : bool;
-  b_value : bool;
-  z_before : bool;
-  z_after : bool;
+  pc : int;        (** index of the executed instruction *)
+  b_value : bool;  (** operand B as read *)
+  z_after : bool;  (** destination state after the RM3 *)
 }
 
 val static_cycles : Program.t -> int
@@ -48,16 +45,6 @@ val run :
     @raise Invalid_argument if [inputs] does not bind exactly the
     program's primary inputs. *)
 
-type grouped_stats = {
-  g_instructions : int;  (** instructions executed *)
-  g_groups : int;        (** latency in row-parallel groups *)
-  g_cycles : int;        (** flat memory-access cycles, for comparison:
-                             equals {!static_cycles} *)
-  g_cross_row : int;     (** instructions whose cells span rows (forced
-                             singleton groups) *)
-  g_max_group : int;     (** widest group fired *)
-}
-
 val static_groups :
   geometry:Plim_geometry.grid -> Program.t -> (int, string) result
 (** Latency of one execution under the geometry backend, in row-parallel
@@ -69,14 +56,15 @@ val run_grouped :
   geometry:Plim_geometry.grid ->
   Program.t ->
   inputs:(string * bool) list ->
-  ((string * bool) list * Crossbar.t * grouped_stats, string) result
+  ((string * bool) list * Crossbar.t * run_stats, string) result
 (** Execute the program through its row-parallel schedule
     ({!Plim_geometry.schedule}): each group reads all member operands
     before any member's RM3 fires, modelling simultaneous write drivers
     in one crossbar row.  Group members are mutually hazard-free by
     construction, so outputs (and per-cell wear) are identical to
-    {!run}; only the latency metric changes.  [Error] if the program
-    does not fit the grid.
+    {!run}, and so are the stats: every member's operand reads are
+    counted, so [cycles] equals {!static_cycles}.  The latency in groups
+    is {!static_groups}.  [Error] if the program does not fit the grid.
 
     @raise Invalid_argument if [inputs] does not bind exactly the
     program's primary inputs. *)

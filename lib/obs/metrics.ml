@@ -1,11 +1,11 @@
 module Hgram = Plim_telemetry.Histogram
 
-type counter = { c_name : string; count : int Atomic.t }
-type gauge = { g_name : string; mutable level : float }
-type histogram = { h_name : string; hist : Hgram.t }
+type counter = int Atomic.t
+type gauge = float ref
+type histogram = Hgram.t
 
 (* The registry is append-mostly and consulted only at registration and
-   snapshot time; hot paths hold the [counter] record directly.  Counter
+   snapshot time; hot paths hold the [counter] directly.  Counter
    bumps are atomic so tasks running on pool domains (Plim_par) can share
    a counter: the final total is the sum of all increments regardless of
    interleaving, which keeps metric snapshots deterministic under -j N.
@@ -24,30 +24,30 @@ let counter name =
   match Hashtbl.find_opt counters name with
   | Some c -> c
   | None ->
-    let c = { c_name = name; count = Atomic.make 0 } in
+    let c = Atomic.make 0 in
     Hashtbl.replace counters name c;
     c
 
 let incr ?(by = 1) c =
   if by < 0 then invalid_arg "Metrics.incr: negative increment";
-  ignore (Atomic.fetch_and_add c.count by)
+  ignore (Atomic.fetch_and_add c by)
 
 let gauge name =
   with_lock @@ fun () ->
   match Hashtbl.find_opt gauges name with
   | Some g -> g
   | None ->
-    let g = { g_name = name; level = 0.0 } in
+    let g = ref 0.0 in
     Hashtbl.replace gauges name g;
     g
 
-let set_gauge g v = with_lock @@ fun () -> g.level <- v
+let set_gauge g v = with_lock @@ fun () -> g := v
 
-let add_gauge g d = with_lock @@ fun () -> g.level <- g.level +. d
+let add_gauge g d = with_lock @@ fun () -> g := !g +. d
 
 let get name =
   with_lock @@ fun () ->
-  match Hashtbl.find_opt counters name with Some c -> Atomic.get c.count | None -> 0
+  match Hashtbl.find_opt counters name with Some c -> Atomic.get c | None -> 0
 
 (* Histogram observations take the registry lock: unlike counter bumps
    they touch several fields of a shared structure, and their hot paths
@@ -58,34 +58,34 @@ let histogram name =
   match Hashtbl.find_opt histograms name with
   | Some h -> h
   | None ->
-    let h = { h_name = name; hist = Hgram.create () } in
+    let h = Hgram.create () in
     Hashtbl.replace histograms name h;
     h
 
-let observe h v = with_lock @@ fun () -> Hgram.observe h.hist v
+let observe h v = with_lock @@ fun () -> Hgram.observe h v
 
 type value = Counter of int | Gauge of float | Hist of Hgram.t
 
 let snapshot () =
   with_lock @@ fun () ->
   let entries =
-    Hashtbl.fold (fun name c acc -> (name, Counter (Atomic.get c.count)) :: acc)
+    Hashtbl.fold (fun name c acc -> (name, Counter (Atomic.get c)) :: acc)
       counters []
   in
   let entries =
-    Hashtbl.fold (fun name g acc -> (name, Gauge g.level) :: acc) gauges entries
+    Hashtbl.fold (fun name g acc -> (name, Gauge !g) :: acc) gauges entries
   in
   let entries =
-    Hashtbl.fold (fun name h acc -> (name, Hist (Hgram.copy h.hist)) :: acc)
+    Hashtbl.fold (fun name h acc -> (name, Hist (Hgram.copy h)) :: acc)
       histograms entries
   in
   List.sort (fun (a, _) (b, _) -> String.compare a b) entries
 
 let reset () =
   with_lock @@ fun () ->
-  Hashtbl.iter (fun _ c -> Atomic.set c.count 0) counters;
-  Hashtbl.iter (fun _ g -> g.level <- 0.0) gauges;
-  Hashtbl.iter (fun _ h -> Hgram.clear h.hist) histograms
+  Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
+  Hashtbl.iter (fun _ g -> g := 0.0) gauges;
+  Hashtbl.iter (fun _ h -> Hgram.clear h) histograms
 
 let pp_snapshot ppf entries =
   List.iter

@@ -1,4 +1,4 @@
-type arg = Int of int | Float of float | Bool of bool | String of string
+type arg = Int of int | Bool of bool | String of string
 
 type event = {
   ts : float;
@@ -34,7 +34,6 @@ let event_to_json e =
       Buffer.add_string b "\":";
       match v with
       | Int i -> Buffer.add_string b (string_of_int i)
-      | Float f -> add_json_float b f
       | Bool v -> Buffer.add_string b (if v then "true" else "false")
       | String s ->
         Buffer.add_char b '"';

@@ -11,7 +11,7 @@
     - [Memory q]: append to a queue, for tests and in-process analysis;
     - [Jsonl oc]: one JSON object per line on an output channel. *)
 
-type arg = Int of int | Float of float | Bool of bool | String of string
+type arg = Int of int | Bool of bool | String of string
 
 type event = {
   ts : float;                    (** {!Clock.now} at emission *)

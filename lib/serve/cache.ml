@@ -3,10 +3,8 @@ module Mig_io = Plim_mig.Mig_io
 module Pipeline = Plim_core.Pipeline
 module Metrics = Plim_obs.Metrics
 
-type entry = { label : string; source : Mig.t; result : Pipeline.result }
-
 type t = {
-  table : (string, entry) Hashtbl.t;
+  table : (string, Pipeline.result) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
 }
@@ -39,8 +37,8 @@ let record_miss t =
   t.misses <- t.misses + 1;
   Metrics.incr m_misses
 
-let add t ~digest entry =
-  if not (Hashtbl.mem t.table digest) then Hashtbl.replace t.table digest entry
+let add t ~digest result =
+  if not (Hashtbl.mem t.table digest) then Hashtbl.replace t.table digest result
 
 let hits t = t.hits
 let misses t = t.misses

@@ -9,12 +9,6 @@
 module Mig = Plim_mig.Mig
 module Pipeline = Plim_core.Pipeline
 
-type entry = {
-  label : string;            (** client-supplied program name *)
-  source : Mig.t;
-  result : Pipeline.result;  (** compiled program + write summary *)
-}
-
 type t
 
 val digest_of : Mig.t -> string
@@ -25,11 +19,11 @@ val digest_of : Mig.t -> string
 
 val create : unit -> t
 
-val find : t -> string -> entry option
+val find : t -> string -> Pipeline.result option
 (** Silent lookup: no counter movement.  The scheduler uses it to
     classify a batch before compiling. *)
 
-val hit : t -> string -> entry option
+val hit : t -> string -> Pipeline.result option
 (** Counted lookup: bumps the hit counter on [Some], the miss counter
     on [None]. *)
 
@@ -41,13 +35,13 @@ val record_miss : t -> unit
     hit even though {!find} still returns [None], keeping the counters
     independent of the batch size. *)
 
-val add : t -> digest:string -> entry -> unit
+val add : t -> digest:string -> Pipeline.result -> unit
 (** Insert (first writer wins: re-adding an existing digest is a no-op,
     so merge order cannot change an entry). *)
 
 val hits : t -> int
 val misses : t -> int
 
-val entries : t -> (string * entry) list
+val entries : t -> (string * Pipeline.result) list
 (** All entries sorted by digest — a deterministic iteration order for
     fleet sizing and reporting. *)

@@ -63,14 +63,6 @@ let stop_reason_name = function
 
 type sample = { hz_epoch : float; hz_capacity : float; hz_skew : Wear.skew }
 
-type shard_report = {
-  sh_id : int;
-  sh_cells : int;
-  sh_first_death : float option;
-  sh_dead_epoch : float option;
-  sh_retired_cells : int;
-}
-
 type result = {
   r_strategy : strategy;
   r_fault_rate : float;
@@ -85,7 +77,6 @@ type result = {
   r_sampled_epochs : int;
   r_total_writes : float;
   r_skew : Wear.skew;
-  r_shards : shard_report list;
   r_trajectory : sample list;
   r_epoch_seconds : float;
   r_project_factor : float;        (* project_endurance / endurance *)
@@ -108,8 +99,6 @@ type shard_model = {
   sm_inverse : int array;          (* physical -> logical, -1 = unmapped *)
   sm_dead : bool array;            (* worn out or permanently faulty *)
   mutable sm_alive : bool;
-  mutable sm_first_death : float option;
-  mutable sm_dead_epoch : float option;
 }
 
 let refresh_prate sm =
@@ -131,13 +120,10 @@ let rec remap_off_dead rm dead l =
 
 (* Move a worn-out logical line onto a live spare; kills the shard when
    the pool runs dry. *)
-let scrub_line sm ~epoch l =
+let scrub_line sm l =
   if remap_off_dead sm.sm_rm sm.sm_dead l then
     sm.sm_inverse.(Remap.physical sm.sm_rm l) <- l
-  else begin
-    sm.sm_alive <- false;
-    sm.sm_dead_epoch <- Some epoch
-  end
+  else sm.sm_alive <- false
 
 type power_on = { remap : Remap.t; dead : bool array; alive : bool }
 
@@ -171,9 +157,7 @@ let init_model cfg ~id ~meas =
     sm_lrate = Array.make cells 0.0;
     sm_inverse = inverse;
     sm_dead = po.dead;
-    sm_alive = po.alive;
-    sm_first_death = None;
-    sm_dead_epoch = (if po.alive then None else Some 0.0) }
+    sm_alive = po.alive }
 
 let set_rates cfg sm (delta : int array) =
   if sm.sm_alive then begin
@@ -296,7 +280,6 @@ let run ?pool cfg =
                 && w +. eps >= cfg.endurance
               then begin
                 if !ttff = None then ttff := Some !now;
-                if sm.sm_first_death = None then sm.sm_first_death <- Some !now;
                 sm.sm_dead.(p) <- true;
                 sm.sm_wear.(p) <- 0.0;
                 let l = sm.sm_inverse.(p) in
@@ -304,12 +287,8 @@ let run ?pool cfg =
                 (* without wear-time retirement the first wear-out
                    death takes the whole shard; factory defects were
                    still patched at power-on for every strategy *)
-                if Leveling.retires_worn_lines cfg.strategy then
-                  scrub_line sm ~epoch:!now l
-                else begin
-                  sm.sm_alive <- false;
-                  sm.sm_dead_epoch <- Some !now
-                end;
+                if Leveling.retires_worn_lines cfg.strategy then scrub_line sm l
+                else sm.sm_alive <- false;
                 shard_changed := true
               end)
             sm.sm_wear;
@@ -387,15 +366,6 @@ let run ?pool cfg =
     r_sampled_epochs = !sampled;
     r_total_writes = !total_writes;
     r_skew = Wear.skew_of (fleet_wear_snapshot models);
-    r_shards =
-      List.map
-        (fun sm ->
-          { sh_id = sm.sm_id;
-            sh_cells = sm.sm_cells;
-            sh_first_death = sm.sm_first_death;
-            sh_dead_epoch = sm.sm_dead_epoch;
-            sh_retired_cells = Remap.remaps sm.sm_rm })
-        models;
     r_trajectory = trajectory;
     r_epoch_seconds = cfg.epoch_seconds;
     r_project_factor = cfg.project_endurance /. cfg.endurance }

@@ -74,14 +74,6 @@ type stop_reason = Capacity_floor | Fleet_dead | Max_epochs
 
 type sample = { hz_epoch : float; hz_capacity : float; hz_skew : Plim_telemetry.Wear.skew }
 
-type shard_report = {
-  sh_id : int;
-  sh_cells : int;
-  sh_first_death : float option;
-  sh_dead_epoch : float option;
-  sh_retired_cells : int;
-}
-
 type result = {
   r_strategy : strategy;
   r_fault_rate : float;
@@ -97,7 +89,6 @@ type result = {
   r_sampled_epochs : int;      (** really-executed epochs *)
   r_total_writes : float;      (** modelled writes across the fleet *)
   r_skew : Plim_telemetry.Wear.skew;
-  r_shards : shard_report list;
   r_trajectory : sample list;
   r_epoch_seconds : float;
   r_project_factor : float;

@@ -173,7 +173,7 @@ let materialize_fleet t =
   if Array.length t.fleet = 0 then begin
     let cells =
       List.map
-        (fun (_, (e : Cache.entry)) -> Program.num_cells e.Cache.result.Pipeline.program)
+        (fun (_, (r : Pipeline.result)) -> Program.num_cells r.program)
         (Cache.entries t.cache)
     in
     let lines = shard_lines t.cfg ~cells in
@@ -256,7 +256,7 @@ let serve_batch ?pool t reqs =
     Array.iteri
       (fun i req ->
         match req with
-        | Workload.Compile { label; graph } ->
+        | Workload.Compile { graph } ->
           t.compiles <- t.compiles + 1;
           let digest = Cache.digest_of graph in
           if Option.is_some (Cache.find t.cache digest) || Hashtbl.mem miss_seen digest
@@ -271,7 +271,7 @@ let serve_batch ?pool t reqs =
           else begin
             Cache.record_miss t.cache;
             Hashtbl.add miss_seen digest ();
-            misses := (i, digest, label, graph) :: !misses
+            misses := (i, digest, graph) :: !misses
           end
         | Workload.Execute { digest; inputs } ->
           pending_execs := (i, digest, inputs) :: !pending_execs)
@@ -282,12 +282,11 @@ let serve_batch ?pool t reqs =
      cache in submission order (first writer wins, so the merge order
      is fixed by the request stream, not by completion order). *)
   Profile.span "server.compile" (fun () ->
-      pmap pool misses ~f:(fun (_, digest, label, graph) ->
-          let result = Pipeline.compile t.cfg.pipeline graph in
-          (digest, { Cache.label; source = graph; result }))
-      |> List.iter (fun (digest, entry) -> Cache.add t.cache ~digest entry);
+      pmap pool misses ~f:(fun (_, digest, graph) ->
+          (digest, Pipeline.compile t.cfg.pipeline graph))
+      |> List.iter (fun (digest, result) -> Cache.add t.cache ~digest result);
       List.iter
-        (fun (i, digest, _, graph) ->
+        (fun (i, digest, graph) ->
           observe_latency t (Mig.size graph);
           answer i (Compiled { digest; cached = false }))
         misses);
@@ -298,8 +297,7 @@ let serve_batch ?pool t reqs =
       List.filter_map
         (fun (index, digest, inputs) ->
           match Cache.hit t.cache digest with
-          | Some entry ->
-            Some { index; digest; program = entry.Cache.result.Pipeline.program; inputs }
+          | Some (r : Pipeline.result) -> Some { index; digest; program = r.program; inputs }
           | None ->
             reject index digest "unknown program digest";
             None)

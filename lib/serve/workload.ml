@@ -2,7 +2,7 @@ module Mig = Plim_mig.Mig
 module Splitmix = Plim_util.Splitmix
 
 type request =
-  | Compile of { label : string; graph : Mig.t }
+  | Compile of { graph : Mig.t }
   | Execute of { digest : string; inputs : (string * bool) list }
 
 type program = { label : string; graph : Mig.t; digest : string }
@@ -82,7 +82,7 @@ let generate ~seed ~requests mix =
       let rank = sample_rank rng cumulative in
       let p = programs.(rank) in
       if Splitmix.float rng < mix.compile_ratio then
-        Compile { label = p.label; graph = p.graph }
+        Compile { graph = p.graph }
       else
         let inputs =
           if mix.hot_pool > 0 && Splitmix.float rng < mix.hot_fraction then
@@ -94,5 +94,5 @@ let generate ~seed ~requests mix =
   (* the warm-up compiles go in front of the sampled stream, which is not
      copied *)
   List.fold_right
-    (fun p stream -> Compile { label = p.label; graph = p.graph } :: stream)
+    (fun p stream -> Compile { graph = p.graph } :: stream)
     mix.programs sampled

@@ -16,7 +16,7 @@
 module Mig = Plim_mig.Mig
 
 type request =
-  | Compile of { label : string; graph : Mig.t }
+  | Compile of { graph : Mig.t }
       (** compile [graph] (and cache it under its digest) *)
   | Execute of { digest : string; inputs : (string * bool) list }
       (** run the cached program of [digest] on [inputs] *)

@@ -29,7 +29,6 @@ type comparison = {
   baseline_schema : string;
   current_schema : string;
   threshold_pct : float;
-  min_abs : float;
   deltas : delta list;            (* every compared metric, file order *)
   regressions : delta list;       (* worst (by change_pct) first *)
   improvements : delta list;      (* metrics that shrank beyond threshold *)
@@ -248,7 +247,6 @@ let compare_json ?(threshold_pct = 2.0) ?(min_abs = 1e-9) ~baseline_path ~curren
       baseline_schema = schema_of baseline;
       current_schema = schema_of current;
       threshold_pct;
-      min_abs;
       deltas;
       regressions;
       improvements;

@@ -48,7 +48,6 @@ type comparison = {
   baseline_schema : string;
   current_schema : string;
   threshold_pct : float;
-  min_abs : float;
   deltas : delta list;          (** every compared metric, file order *)
   regressions : delta list;     (** finite-percentage regressions first
                                     (worst growth on top), then the

@@ -10,7 +10,7 @@
 
 type 'a t = {
   capacity : int;
-  mutable buf : 'a option array;
+  buf : 'a option array;
   mutable len : int;
   mutable stride : int;   (* keep one sample in [stride] *)
   mutable offered : int;  (* total samples ever offered *)

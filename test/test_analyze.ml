@@ -59,8 +59,7 @@ let test_storage () =
   (* PI %0 spans [0,1]; init y spans [0,1]; final y live-out spans [1,2] *)
   check_int "total" 3 a.A.storage.A.total_span;
   check_int "max" 1 a.A.storage.A.max_span;
-  Alcotest.(check (float 1e-9)) "mean" 1.0 a.A.storage.A.mean_span;
-  Alcotest.(check (array int)) "per-cell" [| 1; 2 |] a.A.storage.A.per_cell_span
+  Alcotest.(check (float 1e-9)) "mean" 1.0 a.A.storage.A.mean_span
 
 (* --- diagnostics, each with its exact instruction index ----------------- *)
 

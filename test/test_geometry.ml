@@ -181,10 +181,10 @@ let test_run_grouped_identity () =
               (ctx ^ " outputs") flat grouped;
             Alcotest.(check int)
               (ctx ^ " cycles")
-              fstats.Controller.cycles gstats.Controller.g_cycles;
+              fstats.Controller.cycles gstats.Controller.cycles;
             Alcotest.(check int)
               (ctx ^ " instructions")
-              fstats.Controller.instructions gstats.Controller.g_instructions
+              fstats.Controller.instructions gstats.Controller.instructions
           done)
         (grids_for p))
     (Lazy.force suite_programs)
@@ -259,7 +259,7 @@ let prop_grouped_matches_flat =
       match Controller.run_grouped ~geometry:grid p ~inputs with
       | Error e -> QCheck.Test.fail_reportf "run_grouped: %s" e
       | Ok (grouped, _, gstats) ->
-        flat = grouped && fstats.Controller.cycles = gstats.Controller.g_cycles)
+        flat = grouped && fstats.Controller.cycles = gstats.Controller.cycles)
 
 (* --- the scheduler against a reference list scheduler -------------------- *)
 

@@ -215,14 +215,8 @@ let test_sweep_degraded_independent_of_jobs () =
       ~rates:[ 0.0; 0.02 ] ~spare_budgets:[ 0; 8 ] p
   in
   let strip =
-    List.map (fun (c : Campaign.sweep_cell) ->
-        ( c.rate,
-          c.spares,
-          c.outcome.Campaign.executions,
-          c.outcome.Campaign.correct,
-          c.outcome.Campaign.injected,
-          c.outcome.Campaign.remaps,
-          c.outcome.Campaign.final_capacity ))
+    List.map (fun (d : Campaign.degradation) ->
+        (d.executions, d.correct, d.injected, d.remaps, d.final_capacity))
   in
   let seq = strip (sweep None) in
   check_int "grid size" 4 (List.length seq);

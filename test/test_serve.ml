@@ -99,8 +99,8 @@ let test_generate_warmup_first () =
   List.iteri
     (fun i (p : Workload.program) ->
       match List.nth stream i with
-      | Workload.Compile { label; _ } ->
-        Alcotest.(check string) "warm-up order" p.Workload.label label
+      | Workload.Compile { graph } ->
+        Alcotest.(check string) "warm-up order" p.Workload.digest (Cache.digest_of graph)
       | Workload.Execute _ -> Alcotest.fail "warm-up must precede sampling")
     programs;
   let digests = List.map (fun p -> p.Workload.digest) programs in
@@ -312,7 +312,7 @@ let test_server_organic_retirement () =
 let test_server_rejection_reasons () =
   let wp = List.hd mix4.Workload.programs in
   let compile =
-    Workload.Compile { label = wp.Workload.label; graph = wp.Workload.graph }
+    Workload.Compile { graph = wp.Workload.graph }
   in
   let execute =
     Workload.Execute
