@@ -16,13 +16,14 @@ let expand_node g ~old_id:_ a b c =
 (* At most the nodes [expand] emits: one per reachable majority with a
    constant child, five per other one, plus the constant and the inputs.
    Expansion multiplies a graph's size by about 3.8, so a target sized
-   for the source alone would double its arrays and strash twice. *)
+   for the source alone would double its node store and strash twice. *)
 let expanded_size g reachable =
   let n = ref (1 + Mig.num_inputs g) in
   for id = 0 to Mig.num_nodes g - 1 do
-    if reachable.(id) && g.Mig.tag.(id) = Mig.Tag_maj then begin
+    if reachable.(id) && Mig.is_maj g id then begin
       let const_child =
-        Mig.is_const g.Mig.c0.(id) || Mig.is_const g.Mig.c1.(id) || Mig.is_const g.Mig.c2.(id)
+        Mig.is_const (Mig.child g id 0) || Mig.is_const (Mig.child g id 1)
+        || Mig.is_const (Mig.child g id 2)
       in
       n := !n + if const_child then 1 else 5
     end

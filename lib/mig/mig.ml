@@ -9,8 +9,6 @@ type node_kind =
   | Input of int
   | Maj of signal * signal * signal
 
-type node_tag = Tag_const | Tag_input | Tag_maj
-
 type strash = {
   mutable slots : Bytes.t;
   (* open-addressed: majority node ids, 4 bytes each (half the table an
@@ -41,22 +39,37 @@ type io = {
   mutable named : int;
 }
 
-(* One plain array per field, indexed by node id, owned here and grown by
-   doubling: a [Vec.t] would cost an out-of-line call per read, since
-   nothing inlines across modules under [-opaque].  Separate arrays rather
-   than one interleaved 4-word-per-node array, which measurably raised
-   peak heap over a recipe's passes.  Slots at [len] and above are spare
-   capacity.  The interface exposes the record [private], so rewriting
-   reads a node's fields with no call. *)
+(* One 12-byte record per node, at byte [12 * id] of [nodes]: the words
+   c0, c1 and c2, read unsigned, so a signal may reach [2^32 - 3].  A
+   majority node keeps its sorted children there, an input its PI index
+   in c0 and zeros, and node 0, the constant, zeros.  No tag is stored:
+   after Ω.M a majority node's children are distinct, so [c1 <> c2] tells
+   it from the constant and the inputs.  The GC does not scan a
+   [Bytes.t].  Records at [len] and above are spare capacity, grown by
+   doubling.  The
+   interface exposes the record [private], so rewriting reads a node's
+   words with no call. *)
 type t = {
-  mutable tag : node_tag array;
-  mutable c0 : signal array; (* maj: sorted child signals / input: PI index *)
-  mutable c1 : signal array;
-  mutable c2 : signal array;
+  mutable nodes : Bytes.t;
   mutable len : int; (* allocated nodes, the constant included *)
   strash : strash;
   io : io;
 }
+
+let record_bytes = 12
+
+(* The interface's unchecked coercion, for readers of [nodes]. *)
+external signal_of_word : int -> signal = "%identity"
+
+let[@inline] word nodes off = Int32.to_int (get32 nodes off) land 0xFFFF_FFFF
+let[@inline] c0 g id = word g.nodes (record_bytes * id)
+let[@inline] c1 g id = word g.nodes ((record_bytes * id) + 4)
+let[@inline] c2 g id = word g.nodes ((record_bytes * id) + 8)
+
+(* Node [id] is a majority node: only there do c1 and c2 differ. *)
+let[@inline] maj_id g id = c1 g id <> c2 g id
+let capacity g = Bytes.length g.nodes / record_bytes
+let node_store nodes = Bytes.make (record_bytes * nodes) '\000'
 
 (* {1 Signals} *)
 
@@ -82,16 +95,11 @@ let strash_bytes nodes =
   let rec pow2 n = if n >= 2 * nodes then n else pow2 (2 * n) in
   4 * pow2 256
 
-(* An empty graph with node arrays for [nodes] nodes and the strash
+(* An empty graph with node records for [nodes] nodes and the strash
    [strash]. *)
 let empty ~nodes strash =
-  let capacity = max 16 nodes in
-  let field () = Array.make capacity 0 in
-  (* node 0, the constant, is Tag_const with zero children *)
-  { tag = Array.make capacity Tag_const;
-    c0 = field ();
-    c1 = field ();
-    c2 = field ();
+  (* node 0, the constant, is the zero record *)
+  { nodes = node_store (max 16 nodes);
     len = 1;
     strash;
     io =
@@ -101,7 +109,7 @@ let empty ~nodes strash =
         names = Hashtbl.create 16;
         named = 0 } }
 
-(* [nodes] sizes the node arrays and the strash up front, so a rebuild
+(* [nodes] sizes the node records and the strash up front, so a rebuild
    never regrows or rehashes them. *)
 let create_sized ?(nodes = 0) () =
   check_nodes "Mig.create_sized" nodes;
@@ -118,31 +126,24 @@ let create_twin ~nodes g =
 
 let grow_nodes g =
   check_nodes "Mig" (g.len + 1);
-  let capacity = min (2 * Array.length g.tag) max_nodes in
-  let grow a =
-    let a' = Array.make capacity a.(0) in
-    Array.blit a 0 a' 0 g.len;
-    a'
-  in
-  g.tag <- grow g.tag;
-  g.c0 <- grow g.c0;
-  g.c1 <- grow g.c1;
-  g.c2 <- grow g.c2
+  let nodes = node_store (min (2 * capacity g) max_nodes) in
+  Bytes.blit g.nodes 0 nodes 0 (record_bytes * g.len);
+  g.nodes <- nodes
 
-let new_node g tag c0 c1 c2 =
-  if g.len = Array.length g.tag then grow_nodes g;
-  let id = g.len in
-  g.tag.(id) <- tag;
-  g.c0.(id) <- c0;
-  g.c1.(id) <- c1;
-  g.c2.(id) <- c2;
+let new_node g a b c =
+  if g.len = capacity g then grow_nodes g;
+  let id = g.len and nodes = g.nodes in
+  let off = record_bytes * id in
+  set32 nodes off (Int32.of_int a);
+  set32 nodes (off + 4) (Int32.of_int b);
+  set32 nodes (off + 8) (Int32.of_int c);
   g.len <- id + 1;
   id
 
 (* Names are not checked: the caller knows they are unique. *)
 let push_input g name =
   let pi = Vec.push g.io.input_names name in
-  let id = new_node g Tag_input pi 0 0 in
+  let id = new_node g pi 0 0 in
   ignore (Vec.push g.io.input_nodes id);
   signal id false
 
@@ -178,7 +179,7 @@ let hash3 a b c =
    node <a b c>, or the empty slot where it belongs. *)
 let rec probe g slots mask a b c i =
   let id = slot_id slots i in
-  if id = 0 || (g.c0.(id) = a && g.c1.(id) = b && g.c2.(id) = c)
+  if id = 0 || (c0 g id = a && c1 g id = b && c2 g id = c)
   then i
   else probe g slots mask a b c ((i + 1) land mask)
 
@@ -191,7 +192,7 @@ let grow_strash g =
   let slots = Bytes.make (2 * Bytes.length old) '\000' in
   for i = 0 to num_slots old - 1 do
     let id = slot_id old i in
-    if id <> 0 then set_slot slots (slot g slots g.c0.(id) g.c1.(id) g.c2.(id)) id
+    if id <> 0 then set_slot slots (slot g slots (c0 g id) (c1 g id) (c2 g id)) id
   done;
   g.strash.slots <- slots
 
@@ -208,7 +209,7 @@ let maj g a b c =
     let id = slot_id st.slots i in
     if id <> 0 then signal id false
     else begin
-      let id = new_node g Tag_maj lo mid hi in
+      let id = new_node g lo mid hi in
       set_slot st.slots i id;
       st.count <- st.count + 1;
       if 2 * st.count > num_slots st.slots then grow_strash g;
@@ -246,22 +247,21 @@ let check_id fn g id =
 
 let kind g id =
   check_id "kind" g id;
-  let tag = g.tag.(id) in
-  if tag = Tag_const then Const
-  else if tag = Tag_input then Input g.c0.(id)
-  else Maj (g.c0.(id), g.c1.(id), g.c2.(id))
+  if id = 0 then Const
+  else if maj_id g id then Maj (c0 g id, c1 g id, c2 g id)
+  else Input (c0 g id)
 
 let is_maj g id =
   check_id "is_maj" g id;
-  g.tag.(id) = Tag_maj
+  maj_id g id
 
 let child g id i =
   check_id "child" g id;
-  if g.tag.(id) <> Tag_maj then invalid_arg "Mig.child: not a majority node";
+  if not (maj_id g id) then invalid_arg "Mig.child: not a majority node";
   match i with
-  | 0 -> g.c0.(id)
-  | 1 -> g.c1.(id)
-  | 2 -> g.c2.(id)
+  | 0 -> c0 g id
+  | 1 -> c1 g id
+  | 2 -> c2 g id
   | _ -> invalid_arg "Mig.child: position not in 0..2"
 
 let input_name g pi = Vec.get g.io.input_names pi
@@ -275,10 +275,10 @@ let reachable g =
   let mark = Array.make n false in
   Vec.iter (fun (_, s) -> mark.(node_of s) <- true) g.io.outs;
   for id = n - 1 downto 0 do
-    if mark.(id) && g.tag.(id) = Tag_maj then begin
-      mark.(node_of g.c0.(id)) <- true;
-      mark.(node_of g.c1.(id)) <- true;
-      mark.(node_of g.c2.(id)) <- true
+    if mark.(id) && maj_id g id then begin
+      mark.(node_of (c0 g id)) <- true;
+      mark.(node_of (c1 g id)) <- true;
+      mark.(node_of (c2 g id)) <- true
     end
   done;
   mark
@@ -287,7 +287,7 @@ let mark_of g = function Some mark -> mark | None -> reachable g
 
 let iter_marked_maj mark g f =
   for id = 0 to num_nodes g - 1 do
-    if mark.(id) && g.tag.(id) = Tag_maj then f id
+    if mark.(id) && maj_id g id then f id
   done
 
 let iter_reachable_maj g f = iter_marked_maj (reachable g) g f
@@ -301,19 +301,19 @@ let num_complemented_edges g =
   let n = ref 0 in
   iter_reachable_maj g (fun id ->
       let count s = if is_complemented s && not (is_const s) then incr n in
-      count g.c0.(id);
-      count g.c1.(id);
-      count g.c2.(id));
+      count (c0 g id);
+      count (c1 g id);
+      count (c2 g id));
   !n
 
 let levels g =
   let n = num_nodes g in
   let lv = Array.make n 0 in
   for id = 0 to n - 1 do
-    if g.tag.(id) = Tag_maj then begin
+    if maj_id g id then begin
       let l s = lv.(node_of s) in
       lv.(id) <-
-        1 + max (l g.c0.(id)) (max (l g.c1.(id)) (l g.c2.(id)))
+        1 + max (l (c0 g id)) (max (l (c1 g id)) (l (c2 g id)))
     end
   done;
   lv
@@ -327,10 +327,10 @@ let fanout_counts g =
   let counts = Array.make g.len 0 in
   let bump s = counts.(node_of s) <- counts.(node_of s) + 1 in
   for id = 0 to g.len - 1 do
-    if mark.(id) && g.tag.(id) = Tag_maj then begin
-      bump g.c0.(id);
-      bump g.c1.(id);
-      bump g.c2.(id)
+    if mark.(id) && maj_id g id then begin
+      bump (c0 g id);
+      bump (c1 g id);
+      bump (c2 g id)
     end
   done;
   counts
@@ -358,10 +358,10 @@ let sweep_into g ~reachable:mark ~refs =
   let live_above_inputs = ref true in
   for id = n - 1 downto 1 do
     if mark.(id) then begin
-      if g.tag.(id) = Tag_maj then begin
-        touch g.c0.(id);
-        touch g.c1.(id);
-        touch g.c2.(id)
+      if maj_id g id then begin
+        touch (c0 g id);
+        touch (c1 g id);
+        touch (c2 g id)
       end
     end
     else if id > k then live_above_inputs := false
@@ -385,9 +385,9 @@ let fanouts g =
         | parent :: _ when parent = id -> () (* children are distinct after Ω.M *)
         | l -> lists.(c) <- id :: l
       in
-      add g.c0.(id);
-      add g.c1.(id);
-      add g.c2.(id));
+      add (c0 g id);
+      add (c1 g id);
+      add (c2 g id));
   Array.map (fun l -> Array.of_list (List.rev l)) lists
 
 (* {1 Evaluation} *)
@@ -399,14 +399,13 @@ let eval g pi_values =
   let values = Array.make n false in
   let value_of s = values.(node_of s) <> is_complemented s in
   for id = 0 to n - 1 do
-    let tag = g.tag.(id) in
-    if tag = Tag_input then values.(id) <- pi_values.(g.c0.(id))
-    else if tag = Tag_maj then begin
-      let a = value_of g.c0.(id)
-      and b = value_of g.c1.(id)
-      and c = value_of g.c2.(id) in
+    if maj_id g id then begin
+      let a = value_of (c0 g id)
+      and b = value_of (c1 g id)
+      and c = value_of (c2 g id) in
       values.(id) <- (a && b) || (a && c) || (b && c)
     end
+    else if id > 0 then values.(id) <- pi_values.(c0 g id)
   done;
   Array.map
     (fun (_, s) -> values.(node_of s) <> is_complemented s)
@@ -421,16 +420,16 @@ let output_tables g =
   let mark = reachable g in
   Vec.iteri (fun pi id -> tables.(id) <- Truth_table.var ni pi) g.io.input_nodes;
   for id = 0 to n - 1 do
-    if mark.(id) && g.tag.(id) = Tag_maj then begin
+    if mark.(id) && maj_id g id then begin
       let table_of s =
         let tt = tables.(node_of s) in
         if is_complemented s then Truth_table.not_ tt else tt
       in
       tables.(id) <-
         Truth_table.maj
-          (table_of g.c0.(id))
-          (table_of g.c1.(id))
-          (table_of g.c2.(id))
+          (table_of (c0 g id))
+          (table_of (c1 g id))
+          (table_of (c2 g id))
     end
   done;
   Array.map
@@ -441,17 +440,12 @@ let output_tables g =
 
 (* {1 Copying} *)
 
-(* Empties [g] for a rebuild of [nodes] nodes: node arrays and strash too
+(* Empties [g] for a rebuild of [nodes] nodes: node records and strash too
    small for them are replaced, larger ones are kept.  The ids a graph
    gets do not depend on either size, so a reset graph numbers its nodes
    as [create ()] would. *)
 let reset g ~nodes =
-  if Array.length g.tag < nodes then begin
-    g.tag <- Array.make nodes Tag_const;
-    g.c0 <- Array.make nodes 0;
-    g.c1 <- Array.make nodes 0;
-    g.c2 <- Array.make nodes 0
-  end;
+  if capacity g < nodes then g.nodes <- node_store nodes;
   g.len <- 1;
   let st = g.strash in
   let bytes = strash_bytes nodes in
@@ -477,9 +471,9 @@ let rebuild_into ?reachable:mark ~map g ~into ~rule =
   (* a signal's image: its node's image, complemented with it *)
   let remap s = map.(node_of s) lxor (s land 1) in
   for id = 0 to g.len - 1 do
-    if mark.(id) && g.tag.(id) = Tag_maj then
+    if mark.(id) && maj_id g id then
       map.(id) <-
-        rule into ~old_id:id (remap g.c0.(id)) (remap g.c1.(id)) (remap g.c2.(id))
+        rule into ~old_id:id (remap (c0 g id)) (remap (c1 g id)) (remap (c2 g id))
   done;
   Vec.iter (fun (name, s) -> add_output into name (remap s)) g.io.outs
 

@@ -10,26 +10,30 @@
     nodes are shared, and the trivial majority axiom Ω.M is applied on
     construction ([maj] never builds <x,x,y> or <x,!x,y>).
 
-    Representation: one plain array per node field (a tag and three
-    children; an input keeps its PI index in the first), indexed by node
-    id and grown by doubling, plus a structural hash: an open-addressed
-    table of node ids, 4 bytes a slot, keyed on each node's own sorted
-    children.  Neither the arrays' sizes nor the table is observable: a
-    graph built by the same calls gets the same ids whatever their sizes.
-    The slot width bounds a graph at [2^31 - 1] nodes (ids up to
-    [2^31 - 2]): {!create_sized} or {!create_twin} with a larger hint,
+    Representation: one 12-byte record per node in a [Bytes.t], which the
+    GC does not scan, grown by doubling: three unsigned 32-bit words, a
+    majority node's sorted children (an input keeps its PI index in the
+    first and zeros in the others).  No tag is stored: a majority node's
+    children are distinct after Ω.M, so its second and third words
+    differ, and they are equal (zero) for the constant and the inputs.
+    Beside it a structural hash: an open-addressed table of node ids, 4
+    bytes a slot, keyed on each node's own sorted children.  Neither the
+    store's size nor the table is observable: a graph built by the same
+    calls gets the same ids whatever their sizes.  The slot width bounds a
+    graph at [2^31 - 1] nodes (ids up to [2^31 - 2], signals up to
+    [2^32 - 3]): {!create_sized} or {!create_twin} with a larger hint,
     and [maj] or [add_input] on a graph that holds that many, raise
     [Invalid_argument].  Dune's default
     profile compiles with [-opaque], so nothing of this module is inlined
     elsewhere: a hot loop outside it pays one call per accessor.  So the
-    node-field arrays are readable fields of the [private] record {!t},
-    and a {!signal} is a [private int]: rewriting decisions read a node's
-    tag and children, and a signal's node, polarity and equality, with no
-    call.
+    node store is a readable field of the [private] record {!t}, a
+    {!signal} is a [private int] and {!signal_of_word} a primitive:
+    rewriting decisions read a node's children, and a signal's node,
+    polarity and equality, with no call.
 
     Allocation: [maj] (hit, miss or Ω.M reduction), a [lookup] miss,
     [is_maj], [child] and a read of {!t}'s fields allocate nothing,
-    except when [maj] outgrows the arrays or the table ([create_sized]
+    except when [maj] outgrows the store or the table ([create_sized]
     sizes both up front); a [lookup] hit allocates its [Some].  [kind]
     allocates its [Maj] or [Input].  [kind], [is_maj] and [child] raise
     [Invalid_argument] on an id outside [0, num_nodes). *)
@@ -40,30 +44,33 @@ type signal = private int
     where a call to {!node_of} or {!is_complemented}
     would cost too much; build one only through this module. *)
 
-type node_tag = Tag_const | Tag_input | Tag_maj
-
 type strash
 type io
 (** The structural hash and the input/output tables: read only through
     the functions below. *)
 
 type t = private {
-  mutable tag : node_tag array;
-  mutable c0 : signal array;
-  mutable c1 : signal array;
-  mutable c2 : signal array;
+  mutable nodes : Bytes.t;
   mutable len : int;
   strash : strash;
   io : io;
 }
-(** A graph.  Node [id]'s tag is [tag.(id)]; a majority node's children
-    are [c0.(id)], [c1.(id)] and [c2.(id)], as {!child} returns them.  The
-    arrays have spare slots past [len] (= {!num_nodes}), and a graph that
-    grows replaces them, so read them through the record each time rather
-    than keep one.  A field read skips {!is_maj}'s and {!child}'s checks,
-    but not OCaml's array bounds check: the reader makes sure [id] is
-    below [len] (and is a majority node, for a child).  Code outside a hot
-    loop calls the checked functions below. *)
+(** A graph.  Node [id]'s record is the 12 bytes of [nodes] from
+    [12 * id]: child [i] of a majority node, as {!child} returns it, is
+    the native-endian 32-bit word at [12 * id + 4 * i], read unsigned
+    ([%caml_bytes_get32], then [land 0xFFFF_FFFF]); node [id] is a
+    majority node iff its words at [+ 4] and [+ 8] differ.  The store has
+    spare records past [len] (= {!num_nodes}), and a graph that grows
+    replaces it, so read it through the record each time rather than keep
+    it.  A word read skips {!is_maj}'s and {!child}'s checks, but not
+    OCaml's bounds check: the reader makes sure [id] is below [len] (and
+    is a majority node, for a child).  Code outside a hot loop calls the
+    checked functions below; nothing writes [nodes] but this module. *)
+
+external signal_of_word : int -> signal = "%identity"
+(** A child word read from {!t}'s [nodes], as a signal, with no call and
+    no check.  Only for words read there: any other int may not be a
+    signal of the graph. *)
 
 type node_kind =
   | Const                              (** node 0; plain signal = false *)
@@ -88,14 +95,14 @@ val is_const : signal -> bool
 val create : unit -> t
 
 val create_sized : ?nodes:int -> unit -> t
-(** An empty graph whose node arrays and strash are sized for [nodes]
+(** An empty graph whose node store and strash are sized for [nodes]
     nodes, so building up to that many never regrows them.  The hint only
-    sizes storage: a graph that outgrows it doubles its arrays, and gets
+    sizes storage: a graph that outgrows it doubles its store, and gets
     the same ids as the same calls on [create ()].
     @raise Invalid_argument if [nodes] exceeds the limit of [2^31 - 1]. *)
 
 val create_twin : nodes:int -> t -> t
-(** [create_twin ~nodes g] is an empty graph whose node arrays are sized
+(** [create_twin ~nodes g] is an empty graph whose node store is sized
     as by [create_sized ~nodes ()] and whose structural hash is [g]'s own,
     not a fresh one: for a caller that alternates {!rebuild_into} between
     two targets and needs only one hash.  The hash answers for whichever
@@ -152,7 +159,7 @@ val child : t -> int -> int -> signal
 (** [child t id i] is child [i] (0, 1 or 2) of majority node [id], as in
     [Maj] of [kind t id] and in the same order: the children sorted by
     signal.  It allocates nothing; a hot loop that has checked [id]
-    itself reads [c0]..[c2] of {!t} instead.
+    itself reads the words of {!t}'s [nodes] instead.
     @raise Invalid_argument if [id] is out of range or not a majority
     node, or [i] is not 0, 1 or 2. *)
 
@@ -245,7 +252,7 @@ val rebuild_into :
     (the source's names are unique), so a copy is linear in the graph's
     size.
 
-    [into]'s previous contents are discarded first: its node arrays and
+    [into]'s previous contents are discarded first: its node store and
     strash are kept when large enough for [num_nodes t] and replaced
     otherwise.  A caller that knows the rule emits more nodes than [t]
     holds passes an [into] from {!create_sized} sized for them, so the

@@ -4,25 +4,29 @@ type rule =
   Mig.t -> below:int -> Mig.signal -> int -> Mig.signal -> int -> Mig.signal -> int ->
   (unit -> Mig.signal) option
 
-(* A signal's node and polarity, read by coercion, and a node's tag and
-   children, read from [Mig.t]'s fields: nothing inlines across modules
-   under [-opaque], so [Mig.node_of], [Mig.is_maj], [Mig.child] and
-   [Mig.not_] would cost an out-of-line call per read. *)
+(* A signal's node and polarity, read by coercion, and a node's
+   children, read from the words of [Mig.t]'s [nodes]: nothing inlines
+   across modules under [-opaque], so [Mig.node_of], [Mig.is_maj],
+   [Mig.child] and [Mig.not_] would cost an out-of-line call per read.
+   [c0], [c1] and [c2] are the byte offsets of a node's three children in
+   its 12-byte record. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+
+let c0 = 0
+let c1 = 4
+let c2 = 8
 let node (s : Mig.signal) = (s :> int) lsr 1
 let polarity (s : Mig.signal) = (s :> int) land 1
-let is_maj_signal (g : Mig.t) s = g.tag.(node s) = Mig.Tag_maj
+let[@inline] word (g : Mig.t) c id = Int32.to_int (get32 g.nodes ((12 * id) + c)) land 0xFFFF_FFFF
+let is_maj_signal g s = word g c1 (node s) <> word g c2 (node s)
 
-(* The child in field [c] of the majority node behind [s], adjusted for
+(* The child at offset [c] of the majority node behind [s], adjusted for
    the polarity of the edge pointing at it (Ω.I view): [!<xyz> =
    <!x!y!z>].  [view] gives it as the int the decisions compare;
-   [view_signal] gives it as a signal to build with, and calls [Mig.not_]
-   on a complemented edge, so only a decision that has matched asks for
-   one.  [c] is [g.c0], [g.c1] or [g.c2] of the graph [s] lives in. *)
-let view (c : Mig.signal array) s = (c.(node s) :> int) lxor polarity s
-
-let view_signal (c : Mig.signal array) s =
-  let x = c.(node s) in
-  if polarity s = 1 then Mig.not_ x else x
+   [view_signal] gives it as a signal to build with.  [g] is the graph
+   [s] lives in. *)
+let[@inline] view g c s = word g c (node s) lxor polarity s
+let view_signal g c s = Mig.signal_of_word (view g c s)
 
 (* The first commit [f] returns on the operand pairs (a, b | c),
    (a, c | b), (b, c | a), in that order.  The decisions read a view's
@@ -40,44 +44,44 @@ let pairs (f : rule) g ~below a fa b fb c fc =
 let mem3 (x : int) y1 y2 y3 = x = y1 || x = y2 || x = y3
 let neither (s : int) x y = s <> x && s <> y
 
-(* Ω.D R->L: <<xyu><xyv>z> = <xy<uvz>>, where x, y, u are a's view (in
-   the fields [cx], [cy], [cu]) and v is the child of b's view that is
+(* Ω.D R->L: <<xyu><xyv>z> = <xy<uvz>>, where x, y, u are a's view (at
+   the offsets [cx], [cy], [cu]) and v is the child of b's view that is
    neither x nor y. *)
-let distributivity_commit (g : Mig.t) ~below a fa b fb z cx cy cu =
-  let x = view cx a and y = view cy a in
+let distributivity_commit g ~below a fa b fb z cx cy cu =
+  let x = view g cx a and y = view g cy a in
   let cv =
-    if neither (view g.c0 b) x y then g.c0
-    else if neither (view g.c1 b) x y then g.c1
-    else g.c2
+    if neither (view g c0 b) x y then c0
+    else if neither (view g c1 b) x y then c1
+    else c2
   in
-  let u = view_signal cu a and v = view_signal cv b in
+  let u = view_signal g cu a and v = view_signal g cv b in
   if (fa <= 1 && fb <= 1) || Option.is_some (Mig.lookup ~below g u v z) then begin
-    let x = view_signal cx a and y = view_signal cy a in
+    let x = view_signal g cx a and y = view_signal g cy a in
     Some (fun () -> Mig.maj g x y (Mig.maj g u v z))
   end
   else None
 
-let distributivity_pair (g : Mig.t) ~below a fa b fb z _ =
+let distributivity_pair g ~below a fa b fb z _ =
   if not (is_maj_signal g a && is_maj_signal g b) then None
   else if node a = node b then None
   else begin
-    let a1 = view g.c0 a and a2 = view g.c1 a and a3 = view g.c2 a in
-    let b1 = view g.c0 b and b2 = view g.c1 b and b3 = view g.c2 b in
+    let a1 = view g c0 a and a2 = view g c1 a and a3 = view g c2 a in
+    let b1 = view g c0 b and b2 = view g c1 b and b3 = view g c2 b in
     (* exactly two children shared *)
     match (mem3 a1 b1 b2 b3, mem3 a2 b1 b2 b3, mem3 a3 b1 b2 b3) with
-    | true, true, false -> distributivity_commit g ~below a fa b fb z g.c0 g.c1 g.c2
-    | true, false, true -> distributivity_commit g ~below a fa b fb z g.c0 g.c2 g.c1
-    | false, true, true -> distributivity_commit g ~below a fa b fb z g.c1 g.c2 g.c0
+    | true, true, false -> distributivity_commit g ~below a fa b fb z c0 c1 c2
+    | true, false, true -> distributivity_commit g ~below a fa b fb z c0 c2 c1
+    | false, true, true -> distributivity_commit g ~below a fa b fb z c1 c2 c0
     | _ -> None
   end
 
 let distributivity_rl g ~below a fa b fb c fc = pairs distributivity_pair g ~below a fa b fb c fc
 
 (* Ω.A: <xu<yuz>> = <zu<yux>>, committed only when the new inner is free.
-   [c1], [c2] hold the inner node [m]'s children other than the shared
+   [ca], [cb] hold the inner node [m]'s children other than the shared
    [u], in order; [x] is the other outer child. *)
-let associativity_swap g ~below m c1 c2 u x =
-  let t1 = view_signal c1 m and t2 = view_signal c2 m in
+let associativity_swap g ~below m ca cb u x =
+  let t1 = view_signal g ca m and t2 = view_signal g cb m in
   (* swap outer x with inner t: inner' = <keep u x> *)
   match Mig.lookup ~below g t2 u x with
   | Some inner' -> Some (fun () -> Mig.maj g t1 u inner')
@@ -86,11 +90,11 @@ let associativity_swap g ~below m c1 c2 u x =
     | Some inner' -> Some (fun () -> Mig.maj g t2 u inner')
     | None -> None)
 
-let associativity_shared (g : Mig.t) ~below m (u : Mig.signal) x =
+let associativity_shared g ~below m (u : Mig.signal) x =
   let u' = (u :> int) in
-  if view g.c0 m = u' then associativity_swap g ~below m g.c1 g.c2 u x
-  else if view g.c1 m = u' then associativity_swap g ~below m g.c0 g.c2 u x
-  else if view g.c2 m = u' then associativity_swap g ~below m g.c0 g.c1 u x
+  if view g c0 m = u' then associativity_swap g ~below m c1 c2 u x
+  else if view g c1 m = u' then associativity_swap g ~below m c0 c2 u x
+  else if view g c2 m = u' then associativity_swap g ~below m c0 c1 u x
   else None
 
 (* [m] plays the inner node M; [w1], [w2] are outer. *)
@@ -104,19 +108,19 @@ let associativity_inner g ~below w1 _ w2 _ m _ =
 let associativity g ~below a fa b fb c fc = pairs associativity_inner g ~below a fa b fb c fc
 
 (* Ψ.C: inner [m] contains the complement of an outer child p; replace
-   that occurrence by the other outer child q.  [c1], [c2] hold the inner
+   that occurrence by the other outer child q.  [ca], [cb] hold the inner
    node's other children, in order. *)
-let complementary_commit g ~below m fm c1 c2 p q =
-  let k1 = view_signal c1 m and k2 = view_signal c2 m in
+let complementary_commit g ~below m fm ca cb p q =
+  let k1 = view_signal g ca m and k2 = view_signal g cb m in
   if fm <= 1 || Option.is_some (Mig.lookup ~below g k1 k2 q) then
     Some (fun () -> Mig.maj g p q (Mig.maj g k1 k2 q))
   else None
 
-let complementary_outer (g : Mig.t) ~below m fm (p : Mig.signal) q =
+let complementary_outer g ~below m fm (p : Mig.signal) q =
   let np = (p :> int) lxor 1 in
-  if view g.c0 m = np then complementary_commit g ~below m fm g.c1 g.c2 p q
-  else if view g.c1 m = np then complementary_commit g ~below m fm g.c0 g.c2 p q
-  else if view g.c2 m = np then complementary_commit g ~below m fm g.c0 g.c1 p q
+  if view g c0 m = np then complementary_commit g ~below m fm c1 c2 p q
+  else if view g c1 m = np then complementary_commit g ~below m fm c0 c2 p q
+  else if view g c2 m = np then complementary_commit g ~below m fm c0 c1 p q
   else None
 
 let complementary_inner g ~below p _ q _ m fm =

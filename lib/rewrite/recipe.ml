@@ -29,8 +29,8 @@ let scratch ~nodes =
 (* Rebuild storage for a graph of [n] nodes, with room for the growth of
    a first Ω.D pass: on the AIG-expanded EPFL circuits it adds 11-18% of
    the nodes (sqrt 11%, mem_ctrl 18%), and storage of the exact size
-   would be outgrown by the first rebuild, whose target doubles its
-   arrays. *)
+   would be outgrown by the first rebuild, whose target doubles its node
+   store. *)
 let headroom n = n + (n / 4)
 
 (* Fills [s] with the facts of [g], first replacing the arrays, with
@@ -48,6 +48,11 @@ let sweep s g =
 (* The old fanout of a signal's node, from [refs] of [scratch]. *)
 let fanout refs (s : Mig.signal) = refs.((s :> int) lsr 1)
 
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+
+(* The child word at byte [off] of [g]'s node store (see [Mig.t]). *)
+let[@inline] word (g : Mig.t) off = Int32.to_int (get32 g.nodes off) land 0xFFFF_FFFF
+
 (* On a compact graph, a rebuild in which no rule fires reproduces the
    graph id for id.  So the pass first walks the graph in id order and asks
    each rule whether it would fire, with the same operands the rebuild
@@ -55,14 +60,19 @@ let fanout refs (s : Mig.signal) = refs.((s :> int) lsr 1)
    mid-rebuild, the new graph holds only that prefix.  Only when some rule
    fires, or the graph is not compact, does the pass pay for the rebuild,
    into [target ()].  [s] must hold the facts of [g].  Both loops read node
-   fields and [refs] directly: under [-opaque] a call into [Mig] per read
+   words and [refs] directly: under [-opaque] a call into [Mig] per read
    would cost more than the read. *)
 let run_pass_raw (g : Mig.t) s rules ~target =
   let refs = s.refs in
   let fires id =
-    g.tag.(id) = Mig.Tag_maj
+    let off = 12 * id in
+    let b = word g (off + 4) and c = word g (off + 8) in
+    (* only a majority node's second and third children differ *)
+    b <> c
     && begin
-      let a = g.c0.(id) and b = g.c1.(id) and c = g.c2.(id) in
+      let a = Mig.signal_of_word (word g off)
+      and b = Mig.signal_of_word b
+      and c = Mig.signal_of_word c in
       Option.is_some
         (Axioms.first rules g ~below:id a (fanout refs a) b (fanout refs b) c
            (fanout refs c))
@@ -74,12 +84,13 @@ let run_pass_raw (g : Mig.t) s rules ~target =
   else begin
     let into = target () in
     Mig.rebuild_into ~reachable:s.reachable ~map:s.map g ~into ~rule:(fun g' ~old_id a b c ->
+        let off = 12 * old_id in
         Axioms.apply_first rules g' a
-          (fanout refs g.c0.(old_id))
+          refs.(word g off lsr 1)
           b
-          (fanout refs g.c1.(old_id))
+          refs.(word g (off + 4) lsr 1)
           c
-          (fanout refs g.c2.(old_id)));
+          refs.(word g (off + 8) lsr 1));
     into
   end
 
@@ -144,7 +155,7 @@ let algorithm2_passes =
    because a rebuild reads only its source's node fields and I/O tables,
    and each dry scan, which looks up the current graph's strash, ends
    before the next rebuild empties it for the other target.  A graph that
-   outgrows the headroom gets larger arrays from [sweep] and
+   outgrows the headroom gets larger storage from [sweep] and
    [Mig.rebuild_into].  The result is a fresh [Mig.cleanup] of the last
    graph, which reads the scratch but keeps nothing of it, so no rebuild
    storage outlives the call.  The targets are made before the scratch:

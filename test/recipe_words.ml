@@ -7,11 +7,12 @@
    One line per circuit:
    [<circuit> <source nodes> <words per source node> (bound <b>)].
 
-   The figures read 25.4 (mem_ctrl) and 22.5 (square) with rebuild
-   storage allocated once per call and a strash of 4-byte slots; the
-   bounds sit below the 26.6 and 25.9 the same storage read with 8-byte
-   slots.  Storage sized for the source and a strash per target read 41.5
-   and 41.9.
+   The figures read 17.1 (mem_ctrl) and 14.4 (square) with rebuild
+   storage allocated once per call, a strash of 4-byte slots and one
+   12-byte record per node in a [Bytes.t]; the bounds sit below the 25.4
+   and 22.5 the same storage read with four word-sized node arrays, and
+   the 26.6 and 25.9 it read with 8-byte strash slots.  Storage sized for
+   the source and a strash per target read 41.5 and 41.9.
 
    Usage: recipe_words.exe *)
 
@@ -42,7 +43,7 @@ let () =
         let per_node = words /. float_of_int (Mig.num_nodes g) in
         Printf.printf "%s %d %.1f (bound %.1f)\n%!" name (Mig.num_nodes g) per_node bound;
         per_node > bound)
-      [ ("mem_ctrl", 26.); ("square", 24.) ]
+      [ ("mem_ctrl", 19.); ("square", 16.5) ]
   in
   if over <> [] then begin
     prerr_endline "recipe_words: words per source node above the bound";

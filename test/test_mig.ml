@@ -233,6 +233,85 @@ let test_outgrown_hint () =
       done)
     [ ("create ()", Mig.create ()); ("hint 100", Mig.create_sized ~nodes:100 ()) ]
 
+(* The tag is not stored: the constant is id 0, an input's record is its
+   PI index and two zeros, and a majority node is the one whose second
+   and third children differ.  Every id answers what the call that made
+   it asked for, including PI index 0 (an all-zero record, like the
+   constant's) and majority nodes whose first child is the constant or
+   its complement. *)
+let kinds_match_construction =
+  QCheck.Test.make ~count:40 ~name:"kind, is_maj and child answer what construction made"
+    QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let g = Mig.create () in
+      let made = Hashtbl.create 256 in
+      let sigs = Vec.create ~dummy:Mig.false_ () in
+      ignore (Vec.push sigs Mig.false_);
+      let add_input () =
+        let pi = Mig.num_inputs g in
+        let s = Mig.add_input g (Printf.sprintf "x%d" pi) in
+        Hashtbl.replace made (Mig.node_of s) (Mig.Input pi);
+        ignore (Vec.push sigs s);
+        s
+      in
+      let maj a b c =
+        let before = Mig.num_nodes g in
+        let s = Mig.maj g a b c in
+        if Mig.num_nodes g > before then begin
+          match List.sort compare [ a; b; c ] with
+          | [ x; y; z ] -> Hashtbl.replace made (Mig.node_of s) (Mig.Maj (x, y, z))
+          | _ -> assert false
+        end;
+        ignore (Vec.push sigs s)
+      in
+      ignore (add_input ());
+      for _ = 1 to 300 do
+        if Random.State.int rng 8 = 0 then ignore (add_input ())
+        else begin
+          let pick () =
+            let s = Vec.get sigs (Random.State.int rng (Vec.length sigs)) in
+            if Random.State.bool rng then Mig.not_ s else s
+          in
+          maj (pick ()) (pick ()) (pick ())
+        end
+      done;
+      (* fresh inputs make these two fresh nodes *)
+      let p = add_input () and q = add_input () in
+      maj Mig.false_ p q;
+      maj Mig.true_ (Mig.not_ p) q;
+      Hashtbl.length made = Mig.num_nodes g - 1
+      && Mig.kind g 0 = Mig.Const
+      && (not (Mig.is_maj g 0))
+      && List.for_all
+           (fun id ->
+             match Hashtbl.find made id with
+             | Mig.Maj (x, y, z) as k ->
+               Mig.kind g id = k && Mig.is_maj g id
+               && Mig.child g id 0 = x && Mig.child g id 1 = y && Mig.child g id 2 = z
+             | k ->
+               Mig.kind g id = k
+               && (not (Mig.is_maj g id))
+               && match Mig.child g id 0 with
+                  | _ -> false
+                  | exception Invalid_argument _ -> true)
+           (List.init (Mig.num_nodes g - 1) succ))
+
+(* Every word a compact suite source graph holds per node: node store,
+   strash and input/output tables.  Four word-sized node arrays read
+   5.4-6.3 words per node on these circuits; one 12-byte record per node
+   in a [Bytes.t] reads 2.8-3.8. *)
+let test_storage_per_node () =
+  List.iter
+    (fun name ->
+      let g = (Plim_benchgen.Suite.find name).Plim_benchgen.Suite.build () in
+      check_bool (name ^ ": compact") true (Mig.is_compact g);
+      let per_node =
+        float_of_int (Obj.reachable_words (Obj.repr g)) /. float_of_int (Mig.num_nodes g)
+      in
+      if per_node >= 4.0 then
+        Alcotest.failf "%s: the graph holds %.2f words per node (>= 4.0)" name per_node)
+    [ "sin"; "sqrt"; "square"; "mem_ctrl" ]
+
 (* --- strash model ------------------------------------------------------- *)
 
 (* The reference strash: the polymorphic table of sorted signal triples
@@ -746,7 +825,7 @@ let test_twins_alternate () =
   let a = Mig.create_sized ~nodes:50 () in
   let b = Mig.create_twin ~nodes:50 a in
   check_bool "one strash" true (a.Mig.strash == b.Mig.strash);
-  check_bool "own node arrays" true (a.Mig.tag != b.Mig.tag && a.Mig.c0 != b.Mig.c0);
+  check_bool "own node store" true (a.Mig.nodes != b.Mig.nodes);
   let rec step i src into other =
     if i < 4 then begin
       let reference = Mig.create () in
@@ -782,7 +861,8 @@ let () =
             test_duplicate_input_after_copy;
           Alcotest.test_case "20 000 inputs in linear time" `Quick test_many_inputs_linear;
           qc strash_matches_model;
-          qc strash_twins_match_model ] );
+          qc strash_twins_match_model;
+          qc kinds_match_construction ] );
       ( "primitives",
         [ Alcotest.test_case "allocate nothing" `Quick test_primitives_allocate_nothing;
           Alcotest.test_case "ids out of range raise" `Quick test_id_range;
@@ -792,7 +872,9 @@ let () =
             test_outgrown_hint;
           Alcotest.test_case "a reused rebuild target changes no id" `Quick
             test_rebuild_into_reused;
-          Alcotest.test_case "twins alternate one strash" `Quick test_twins_alternate ] );
+          Alcotest.test_case "twins alternate one strash" `Quick test_twins_alternate;
+          Alcotest.test_case "a compact source graph holds < 4 words per node" `Quick
+            test_storage_per_node ] );
       ( "inspection",
         [ Alcotest.test_case "levels/depth" `Quick test_levels_depth;
           Alcotest.test_case "fanouts/reachability" `Quick test_fanouts_reachability;
