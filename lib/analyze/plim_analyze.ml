@@ -66,8 +66,8 @@ type chains = {
   def_count : int;
   def_cell : int array;
   def_instr : int array;
-  def_live_out : bool array;
-  def_placeholder : bool array;
+  def_live_out : Bytes.t;
+  def_placeholder : Bytes.t;
   use_start : int array;
   use_instr : int array;
   chain_start : int array;
@@ -82,12 +82,16 @@ type analysis = {
   write_counts : int array;
 }
 
-(* One pass over the stream records the defs and the use events (def,
-   instruction) in order, counting both per bucket; the two CSR layouts
-   follow from the counts.  Returns the chains and the use-before-def
-   reports.  With [~uses:false] it walks the defs alone: it records no use
-   event and builds neither CSR layout, so only [def_count], [def_cell],
-   [def_instr], [def_live_out] and [def_placeholder] of the result hold. *)
+(* Two walks of the stream, no event buffer between them.  The first
+   records the defs, counts the uses of each def and the defs of each
+   cell, and collects the use-before-def reports; after the prefix sums
+   the second replays the same reads and scatters each use's instruction
+   into its def's bucket.  Def numbering is a pure function of the
+   stream, so both walks meet the same def ids.  Returns the chains and
+   the use-before-def reports.  With [~uses:false] the first walk alone
+   runs, counting no use: it builds neither CSR layout, so only
+   [def_count], [def_cell], [def_instr], [def_live_out] and
+   [def_placeholder] of the result hold. *)
 let build ~uses:with_uses (p : Program.t) =
   let n = p.Program.num_cells in
   let code = p.Program.code in
@@ -96,69 +100,72 @@ let build ~uses:with_uses (p : Program.t) =
      cell has no def, and every cell keeps a def from then on *)
   let cap = Array.length p.Program.pi_cells + len + n in
   let cell = Array.make cap 0 and def_at = Array.make cap (-1) in
-  let live_out = Array.make cap false and placeholder = Array.make cap false in
+  let live_out = Bytes.make cap '\000' and placeholder = Bytes.make cap '\000' in
   let chain_start = Array.make (n + 1) 0 in
-  let defs = ref 0 in
-  let push c i =
-    let s = !defs in
-    cell.(s) <- c;
-    def_at.(s) <- i;
-    chain_start.(c + 1) <- chain_start.(c + 1) + 1;
-    incr defs;
-    s
-  in
-  let sized k = if with_uses then k else 0 in
-  let last_use = Array.make (sized cap) (-1) and use_start = Array.make (sized cap + 1) 0 in
-  let ev_def = Array.make (sized (3 * len)) 0 and ev_instr = Array.make (sized (3 * len)) 0 in
-  let events = ref 0 in
-  let record s i =
-    ev_def.(!events) <- s;
-    ev_instr.(!events) <- i;
-    use_start.(s + 1) <- use_start.(s + 1) + 1;
-    incr events;
-    last_use.(s) <- i
-  in
+  let use_start = Array.make (if with_uses then cap + 1 else 1) 0 in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   (* [last.(c)]: the def cell [c] holds, or -1 *)
   let last = Array.make n (-1) in
-  (* PI loads happen before instruction 0, in declaration order: with two
-     PIs bound to one cell (the compiler reuses the device of an unused
-     input) the later load is the one that sticks. *)
-  Array.iter (fun (_, c) -> last.(c) <- push c (-1)) p.Program.pi_cells;
-  let use i c =
-    let s = last.(c) in
-    if s < 0 then begin
-      add
-        { severity = Error; kind = Use_before_def; instr = Some i; cell = c;
-          message =
-            Printf.sprintf
-              "cell %%%d is read but never written before (and is not a \
-               primary input)"
-              c };
-      let s = push c (-1) in
-      placeholder.(s) <- true;
-      last.(c) <- s;
-      if with_uses then record s i
-    end
-    (* one use per instruction per value *)
-    else if with_uses && last_use.(s) <> i then record s i
+  let defs = ref 0 in
+  (* [on_use s i] once per def [s] that instruction [i] reads; only the
+     [first] walk records defs and reports *)
+  let walk ~first on_use =
+    Array.fill last 0 n (-1);
+    defs := 0;
+    let push c i =
+      let s = !defs in
+      if first then begin
+        cell.(s) <- c;
+        def_at.(s) <- i;
+        chain_start.(c + 1) <- chain_start.(c + 1) + 1
+      end;
+      incr defs;
+      s
+    in
+    (* PI loads happen before instruction 0, in declaration order: with
+       two PIs bound to one cell (the compiler reuses the device of an
+       unused input) the later load is the one that sticks. *)
+    Array.iter (fun (_, c) -> last.(c) <- push c (-1)) p.Program.pi_cells;
+    let use i c =
+      let s = last.(c) in
+      if s >= 0 then on_use s i
+      else begin
+        if first then
+          add
+            { severity = Error; kind = Use_before_def; instr = Some i; cell = c;
+              message =
+                Printf.sprintf
+                  "cell %%%d is read but never written before (and is not a \
+                   primary input)"
+                  c };
+        let s = push c (-1) in
+        Bytes.set placeholder s '\001';
+        last.(c) <- s;
+        on_use s i
+      end
+    in
+    let bits = Program.field_bits and mask = Program.field_mask in
+    for i = 0 to len - 1 do
+      let w = code.(i) in
+      let a = (w lsr bits) land mask and b = w lsr (2 * bits) and z = w land mask in
+      (* one use per instruction per value: a cell read twice by one
+         instruction holds one def, read once.  [RM3 a, b, z] computes
+         [z <- <a, !b, z>]; the old value of [z] is read unless both
+         operands are constants with [a <> b] (the two set_const
+         encodings, whose majority the operands alone decide) *)
+      if a >= 2 then use i (a - 2);
+      if b >= 2 && b <> a then use i (b - 2);
+      if (a >= 2 || b >= 2 || a = b) && z + 2 <> a && z + 2 <> b then use i z;
+      last.(z) <- push z i
+    done
   in
-  let bits = Program.field_bits and mask = Program.field_mask in
-  for i = 0 to len - 1 do
-    let w = code.(i) in
-    let a = (w lsr bits) land mask and b = w lsr (2 * bits) and z = w land mask in
-    if a >= 2 then use i (a - 2);
-    if b >= 2 then use i (b - 2);
-    (* [RM3 a, b, z] computes [z <- <a, !b, z>]; the old value of [z] is
-       read unless both operands are constants with [a <> b] (the two
-       set_const encodings, whose majority the operands alone decide) *)
-    if a >= 2 || b >= 2 || a = b then use i z;
-    last.(z) <- push z i
-  done;
+  walk ~first:true
+    (if with_uses then fun s _ -> use_start.(s + 1) <- use_start.(s + 1) + 1
+     else fun _ _ -> ());
   Array.iter
     (fun (name, c) ->
-      if last.(c) >= 0 then live_out.(last.(c)) <- true
+      if last.(c) >= 0 then Bytes.set live_out last.(c) '\001'
       else
         add
           { severity = Error; kind = Use_before_def; instr = None; cell = c;
@@ -166,22 +173,25 @@ let build ~uses:with_uses (p : Program.t) =
               Printf.sprintf "output %S reads cell %%%d which nothing ever writes"
                 name c })
     p.Program.po_cells;
-  let csr start add = if with_uses then Csr.scatter start add else [||] in
-  if with_uses then begin
-    Csr.prefix_sums use_start;
-    Csr.prefix_sums chain_start
-  end;
-  ( { def_count = !defs; def_cell = cell; def_instr = def_at; def_live_out = live_out;
-      def_placeholder = placeholder; use_start;
-      use_instr =
-        csr use_start (fun add ->
-            for k = 0 to !events - 1 do add ev_def.(k) ev_instr.(k) done);
-      chain_start;
-      chain = csr chain_start (fun add -> for s = 0 to !defs - 1 do add cell.(s) s done);
+  let def_count = !defs in
+  let use_instr, chain =
+    if not with_uses then ([||], [||])
+    else begin
+      Csr.prefix_sums use_start;
+      Csr.prefix_sums chain_start;
+      ( Csr.scatter use_start (fun add -> walk ~first:false add),
+        Csr.scatter chain_start (fun add ->
+            for s = 0 to def_count - 1 do add cell.(s) s done) )
+    end
+  in
+  ( { def_count; def_cell = cell; def_instr = def_at; def_live_out = live_out;
+      def_placeholder = placeholder; use_start; use_instr; chain_start; chain;
       has_use_before_def = !diags <> [] },
     !diags )
 
 let chains p = fst (build ~uses:true p)
+
+let flag b s = Bytes.get b s <> '\000'
 
 (* per-cell static write bounds: the instruction defs of each cell *)
 let counts_of ch num_cells =
@@ -198,14 +208,14 @@ let defs a =
   let ch = a.chains in
   let defs = ref [] in
   for s = ch.def_count - 1 downto 0 do
-    if not ch.def_placeholder.(s) then begin
+    if not (flag ch.def_placeholder s) then begin
       let uses = ref [] in
       for k = ch.use_start.(s + 1) - 1 downto ch.use_start.(s) do
         uses := ch.use_instr.(k) :: !uses
       done;
       defs :=
         { cell = ch.def_cell.(s); def_at = ch.def_instr.(s); uses = !uses;
-          live_out = ch.def_live_out.(s) }
+          live_out = flag ch.def_live_out s }
         :: !defs
     end
   done;
@@ -242,7 +252,7 @@ let analyze ?max_writes (p : Program.t) =
     let stop = ch.chain_start.(c + 1) in
     for k = ch.chain_start.(c) to stop - 1 do
       let s = ch.chain.(k) in
-      if ch.def_instr.(s) >= 0 && uses_of s = 0 && not ch.def_live_out.(s) then begin
+      if ch.def_instr.(s) >= 0 && uses_of s = 0 && not (flag ch.def_live_out s) then begin
         add
           { severity = Error; kind = Dead_write; instr = Some ch.def_instr.(s); cell = c;
             message =
@@ -264,9 +274,10 @@ let analyze ?max_writes (p : Program.t) =
      free pool is empty, so a first-def of a brand-new cell after another
      cell went dead proves the dead device was held past its last use.
      Under a write cap, retired devices legitimately stay unused. *)
-  let fresh_at = Array.make len 0 and fresh_cell = Array.make len 0 in
+  (* the first def of every non-PI cell, ascending by instruction: at
+     most one per cell *)
+  let fresh_at = Array.make n 0 and fresh_cell = Array.make n 0 in
   let fresh = ref 0 in
-  (* the first def of every non-PI cell, ascending by instruction *)
   let defined = Array.copy is_pi in
   for i = 0 to len - 1 do
     let z = p.Program.code.(i) land Program.field_mask in
@@ -284,7 +295,7 @@ let analyze ?max_writes (p : Program.t) =
     List.filter
       (fun c ->
         let stop = ch.chain_start.(c + 1) in
-        stop > ch.chain_start.(c) && not ch.def_live_out.(ch.chain.(stop - 1)))
+        stop > ch.chain_start.(c) && not (flag ch.def_live_out ch.chain.(stop - 1)))
       (List.init n Fun.id)
     |> Array.of_list
   in
@@ -353,11 +364,11 @@ let analyze ?max_writes (p : Program.t) =
      live value — the quantity Algorithm 3's node selection minimizes *)
   let total = ref 0 and max_span = ref 0 and defs_counted = ref 0 in
   for s = 0 to ch.def_count - 1 do
-    if not ch.def_placeholder.(s) then begin
+    if not (flag ch.def_placeholder s) then begin
       incr defs_counted;
       let start = max 0 ch.def_instr.(s) in
       let stop =
-        if ch.def_live_out.(s) then len
+        if flag ch.def_live_out s then len
         else if uses_of s > 0 then death s
         else start
       in

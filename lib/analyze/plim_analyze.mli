@@ -101,8 +101,8 @@ type chains = private {
   def_count : int;
   def_cell : int array;          (** per def: the cell it defines *)
   def_instr : int array;         (** per def: [def_at], [-1] for a PI load or a placeholder *)
-  def_live_out : bool array;     (** per def: carried out by a PO *)
-  def_placeholder : bool array;
+  def_live_out : Bytes.t;        (** per def: a nonzero byte when carried out by a PO *)
+  def_placeholder : Bytes.t;     (** per def: a nonzero byte for a placeholder *)
   use_start : int array;
       (** def [d]'s uses are [use_instr.(use_start.(d))] up to
           [use_instr.(use_start.(d + 1) - 1)], ascending *)
@@ -139,10 +139,10 @@ val defs : analysis -> def list
 
 val write_counts : Program.t -> int array
 (** Per-cell write bounds: the instruction defs per cell, counted from the
-    def walk that builds {!chains} (use events and the CSR layouts are
-    skipped).  Always equals {!Plim_isa.Program.static_write_counts};
-    computed through an independent path so the equality is a real
-    cross-check. *)
+    first of the two walks that build {!chains} (uses are not counted and
+    neither CSR layout is built).  Always equals
+    {!Plim_isa.Program.static_write_counts}; computed through an
+    independent path so the equality is a real cross-check. *)
 
 val errors : analysis -> diagnostic list
 (** The diagnostics with [severity = Error]. *)

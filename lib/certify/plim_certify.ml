@@ -42,7 +42,7 @@ module Race = struct
       let stop = chain_start.(cell + 1) in
       for k = chain_start.(cell) to stop - 1 do
         let d = chain.(k) in
-        if not def_placeholder.(d) then begin
+        if Bytes.get def_placeholder d = '\000' then begin
           let def_at = def_instr.(d) in
           if def_at >= 0 then
             for e = use_start.(d) to use_start.(d + 1) - 1 do

@@ -72,7 +72,6 @@ let needs g id i = if Mig.is_maj g (Mig.node_of (Mig.child g id i)) then 1 else 
 let create ~policy g ~pending =
   let n = Mig.num_nodes g in
   let levels = Mig.levels g in
-  let out_refs = Mig.output_refs g in
   let parent_start = Array.make (n + 1) 0 in
   iter_child_edges g ~pending (fun c _ -> parent_start.(c + 1) <- parent_start.(c + 1) + 1);
   Csr.prefix_sums parent_start;
@@ -80,15 +79,18 @@ let create ~policy g ~pending =
   let fanout_level = Array.make n 0 in
   for id = 0 to n - 1 do
     (* level of the nearest consumer: the earliest moment the value can be
-       used (and its device possibly recycled).  A primary output consumes
-       the value as soon as it is produced (level + 1). *)
+       used (and its device possibly recycled) *)
     let from_parents = ref max_int in
     for k = parent_start.(id) to parent_start.(id + 1) - 1 do
       from_parents := min !from_parents levels.(parents.(k))
     done;
-    let from_outputs = if out_refs.(id) > 0 then levels.(id) + 1 else max_int in
-    let fl = min !from_parents from_outputs in
-    fanout_level.(id) <- (if fl = max_int then levels.(id) + 1 else fl)
+    fanout_level.(id) <-
+      (if !from_parents = max_int then levels.(id) + 1 else !from_parents)
+  done;
+  (* a primary output consumes the value as soon as it is produced *)
+  for i = 0 to Mig.num_outputs g - 1 do
+    let id = Mig.node_of (snd (Mig.output g i)) in
+    fanout_level.(id) <- min fanout_level.(id) (levels.(id) + 1)
   done;
   let children_left = Array.make n 0 in
   let t =

@@ -22,15 +22,17 @@ type ctx = {
 
 let make_ctx ?(dest_min_write = false) g alloc =
   let n = Mig.num_nodes g in
-  let fanout = Mig.fanout_counts g in
-  let out_refs = Mig.output_refs g in
-  let pending = Array.init n (fun i -> fanout.(i) + out_refs.(i)) in
+  (* pending uses: fanout among reachable nodes plus output references *)
+  let pending = Array.make n 0 in
+  ignore (Mig.sweep_into g ~reachable:(Array.make n false) ~refs:pending);
   { g;
     alloc;
     cell_of = Array.make n (-1);
     pending;
     pi_cell = Array.make (Mig.num_inputs g) (-1);
-    code = Array.make 16 0;
+    (* two RM3s per node: the EPFL circuits emit 0.9-1.8, so the buffer
+       seldom grows *)
+    code = Array.make (2 * n + 16) 0;
     len = 0;
     dest_min_write;
     on_pending_one = (fun _ -> ()) }

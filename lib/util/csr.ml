@@ -3,10 +3,17 @@ let prefix_sums start =
     start.(b) <- start.(b) + start.(b - 1)
   done
 
+(* [start.(b)] is bucket [b]'s fill cursor; once every bucket is full it
+   holds where bucket [b + 1] begins, so shifting the array one slot up
+   restores the offsets (the total at the last index never moves). *)
 let scatter start iter =
-  let fill = Array.copy start in
-  let out = Array.make start.(Array.length start - 1) 0 in
+  let last = Array.length start - 1 in
+  let out = Array.make start.(last) 0 in
   iter (fun b v ->
-      out.(fill.(b)) <- v;
-      fill.(b) <- fill.(b) + 1);
+      out.(start.(b)) <- v;
+      start.(b) <- start.(b) + 1);
+  for b = last - 1 downto 1 do
+    start.(b) <- start.(b - 1)
+  done;
+  start.(0) <- 0;
   out

@@ -11,4 +11,7 @@ val scatter : int array -> ((int -> int -> unit) -> unit) -> int array
 (** [scatter start iter] calls [iter add], where each [add b v] appends
     [v] to bucket [b], and returns the flat items: inside each bucket in
     [add] order.  [start] holds the offsets from {!prefix_sums}; [iter]
-    must add exactly the counted number of items to every bucket. *)
+    must add exactly the counted number of items to every bucket.
+    [start] itself serves as the fill cursors and is shifted back before
+    the return, so it ends as {!prefix_sums} left it (not if [iter]
+    raises); the result is the only allocation. *)

@@ -198,6 +198,106 @@ let random_programs_lint_clean =
           = [])
         lint_configs)
 
+(* --- chains against a list-based reference ------------------------------- *)
+
+(* Def-use by the book, one record per def in def order: PI loads, then
+   per instruction a placeholder for each never-written cell it reads
+   (in a, b, z order) and its own def.  An instruction reads the cells of
+   its cell operands and its destination, unless both operands are
+   constants that differ (the two set_const encodings); a cell it reads
+   twice is one use. *)
+type ref_def = {
+  r_cell : int;
+  r_at : int;
+  r_placeholder : bool;
+  mutable r_uses : int list;  (* descending *)
+  mutable r_live : bool;
+}
+
+let reference_defs (p : Program.t) =
+  let defs = ref [] and current = Hashtbl.create 8 in
+  let def cell at placeholder =
+    let d = { r_cell = cell; r_at = at; r_placeholder = placeholder; r_uses = []; r_live = false } in
+    defs := d :: !defs;
+    Hashtbl.replace current cell d;
+    d
+  in
+  Array.iter (fun (_, c) -> ignore (def c (-1) false)) p.Program.pi_cells;
+  for i = 0 to Program.length p - 1 do
+    let { I.a; b; z } = Program.instr p i in
+    let cells = function I.Cell c -> [ c ] | I.Const _ -> [] in
+    let reads_z = match (a, b) with I.Const x, I.Const y -> x = y | _ -> true in
+    let reads = cells a @ cells b @ if reads_z then [ z ] else [] in
+    let distinct =
+      List.fold_left (fun acc c -> if List.mem c acc then acc else acc @ [ c ]) [] reads
+    in
+    List.iter
+      (fun c ->
+        let d =
+          match Hashtbl.find_opt current c with Some d -> d | None -> def c (-1) true
+        in
+        d.r_uses <- i :: d.r_uses)
+      distinct;
+    ignore (def z i false)
+  done;
+  Array.iter
+    (fun (_, c) -> Option.iter (fun d -> d.r_live <- true) (Hashtbl.find_opt current c))
+    p.Program.po_cells;
+  Array.of_list (List.rev !defs)
+
+(* Random programs over a few cells: never-written cells get read, PIs
+   may share a cell, and constant operand pairs include both set_const
+   encodings and the identity forms. *)
+let random_program_gen =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun n ->
+    let cell = int_range 0 (n - 1) in
+    let operand = frequency [ (2, map (fun v -> I.Const v) bool); (3, map (fun c -> I.Cell c) cell) ] in
+    let instr =
+      frequency
+        [ (3, map3 (fun a b z -> I.rm3 ~a ~b ~z) operand operand cell);
+          (1, map2 I.set_const bool cell) ]
+    in
+    map3
+      (fun pis pos instrs ->
+        mk ~num_cells:n
+          ~pi:(Array.of_list (List.mapi (fun k c -> (Printf.sprintf "i%d" k, c)) pis))
+          ~po:(Array.of_list (List.mapi (fun k c -> (Printf.sprintf "o%d" k, c)) pos))
+          instrs)
+      (list_size (int_range 0 3) cell) (list_size (int_range 0 2) cell)
+      (list_size (int_range 0 20) instr))
+
+let chains_vs_reference =
+  QCheck.Test.make ~count:500 ~name:"chains = list-based def-use reference"
+    (QCheck.make ~print:Plim_isa.Asm.to_string random_program_gen)
+    (fun p ->
+      let ch = A.chains p and expected = reference_defs p in
+      let flag b s = Bytes.get b s <> '\000' in
+      let slice start items k =
+        List.init (start.(k + 1) - start.(k)) (fun j -> items.(start.(k) + j))
+      in
+      let def_ok s d =
+        ch.A.def_cell.(s) = d.r_cell && ch.A.def_instr.(s) = d.r_at
+        && flag ch.A.def_placeholder s = d.r_placeholder
+        && flag ch.A.def_live_out s = d.r_live
+        && slice ch.A.use_start ch.A.use_instr s = List.rev d.r_uses
+      in
+      let chain_ok c =
+        slice ch.A.chain_start ch.A.chain c
+        = List.filter (fun s -> expected.(s).r_cell = c) (List.init (Array.length expected) Fun.id)
+      in
+      let undefined_po =
+        Array.exists
+          (fun (_, c) -> not (Array.exists (fun d -> d.r_cell = c) expected))
+          p.Program.po_cells
+      in
+      ch.A.def_count = Array.length expected
+      && Array.for_all Fun.id (Array.mapi def_ok expected)
+      && List.for_all chain_ok (List.init p.Program.num_cells Fun.id)
+      && ch.A.has_use_before_def
+         = (Array.exists (fun d -> d.r_placeholder) expected || undefined_po)
+      && A.write_counts p = (A.analyze p).A.write_counts)
+
 (* --- write bounds agree three ways --------------------------------------- *)
 
 let test_write_counts_three_way () =
@@ -224,7 +324,8 @@ let () =
     [ ( "ir",
         [ Alcotest.test_case "def-use chains" `Quick test_defs;
           Alcotest.test_case "destination read model" `Quick test_set_const_does_not_read;
-          Alcotest.test_case "storage durations" `Quick test_storage ] );
+          Alcotest.test_case "storage durations" `Quick test_storage;
+          qc chains_vs_reference ] );
       ( "diagnostics",
         [ Alcotest.test_case "use-before-def" `Quick test_use_before_def;
           Alcotest.test_case "dead write" `Quick test_dead_write;

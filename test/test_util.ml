@@ -1,6 +1,7 @@
 module Vec = Plim_util.Vec
 module Splitmix = Plim_util.Splitmix
 module Lazy_heap = Plim_util.Lazy_heap
+module Csr = Plim_util.Csr
 module Stats = Plim_stats.Stats
 module Lifetime = Plim_stats.Lifetime
 
@@ -290,6 +291,35 @@ let heap_vs_reference =
       in
       ok && Lazy_heap.live_count h = List.length reference)
 
+(* --- Csr --------------------------------------------------------------- *)
+
+(* A table of [nb] buckets (0 included) filled by a random add sequence:
+   many buckets stay empty.  Each bucket must read back its items in add
+   order, and [scatter] must leave [start] as [prefix_sums] did. *)
+let csr_vs_reference =
+  QCheck.Test.make ~count:300 ~name:"csr scatter keeps add order and restores start"
+    QCheck.(
+      make
+        ~print:Print.(pair int (list (pair int int)))
+        Gen.(
+          int_range 0 12 >>= fun nb ->
+          if nb = 0 then return (0, [])
+          else
+            map (fun adds -> (nb, adds))
+              (list_size (int_range 0 40) (pair (int_range 0 (nb - 1)) small_int))))
+    (fun (nb, adds) ->
+      let start = Array.make (nb + 1) 0 in
+      List.iter (fun (b, _) -> start.(b + 1) <- start.(b + 1) + 1) adds;
+      Csr.prefix_sums start;
+      let offsets = Array.copy start in
+      let items = Csr.scatter start (fun add -> List.iter (fun (b, v) -> add b v) adds) in
+      let bucket b = Array.to_list (Array.sub items start.(b) (start.(b + 1) - start.(b))) in
+      start = offsets
+      && Array.length items = List.length adds
+      && List.for_all
+           (fun b -> bucket b = List.filter_map (fun (b', v) -> if b' = b then Some v else None) adds)
+           (List.init nb Fun.id))
+
 (* Minor words [f] allocates over [n] calls, less what the empty loop
    costs (the boxed floats [Gc.minor_words] returns). *)
 let minor_words_of n f =
@@ -463,6 +493,7 @@ let () =
           qc heap_vs_reference;
           Alcotest.test_case "insert allocates nothing" `Quick
             test_heap_insert_allocates_nothing ] );
+      ("csr", [ qc csr_vs_reference ]);
       ( "stats",
         [ Alcotest.test_case "summary" `Quick test_stats_summary;
           Alcotest.test_case "singleton/empty" `Quick test_stats_singleton;
