@@ -952,8 +952,8 @@ let result_json ?cap ~config (res : Pipeline.result) =
         ("storage", Plim_analyze.storage_json a.Plim_analyze.storage);
         ("dead_writes", Int dead_writes) ])
 
-let ensure_dir dir =
-  try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+(* a directory that cannot be made is reported by the write that follows *)
+let ensure_dir dir = try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ()
 
 let write_results_json results path =
   ensure_dir (Filename.dirname path);
@@ -1003,10 +1003,11 @@ let write_results_json results path =
       ("serve", List.rev !serve_rows); ("horizon", !horizon_rows);
       ("cert", !cert_rows); ("geometry", List.rev !geometry_rows) ];
   Buffer.add_string b "\n]}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc b;
-  close_out oc;
-  Printf.eprintf "[bench] wrote %s\n%!" path
+  match Plim_util.File.write path (Buffer.contents b) with
+  | Ok () -> Printf.eprintf "[bench] wrote %s\n%!" path
+  | Error e ->
+    prerr_endline ("bench: " ^ e);
+    exit 2
 
 (* the table phases also run when no phase is named *)
 let table_phases = [ "table1"; "table2"; "table3"; "summary" ]

@@ -51,9 +51,19 @@ let profile_flag_arg =
            ~doc:"Record profiling spans and write them as Chrome trace_event \
                  JSON to $(docv) (open in chrome://tracing or ui.perfetto.dev).")
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
+(* A malformed or unreadable .mig, .blif or .plim file is a usage error:
+   exit 2, never an uncaught exception; so is a source that is neither a
+   file nor a known benchmark, and an output file that cannot be written.
+   A read or write error already names the file (Plim_util.File); a parse
+   error does not. *)
+let or_exit_2 path = function
+  | Ok x -> x
+  | Error e ->
+    if String.starts_with ~prefix:(path ^ ": ") e then Printf.eprintf "plimc: %s\n" e
+    else Printf.eprintf "plimc: %s: %s\n" path e;
+    exit 2
+
+let write_file path contents = or_exit_2 path (Plim_util.File.write path contents)
 
 let write_chrome_trace path =
   write_file path (Profile.to_chrome_json ());
@@ -74,7 +84,7 @@ let obs_term =
     in
     Fun.protect ~finally:finish (fun () ->
         match trace with
-        | Some path -> Trace.with_jsonl path f
+        | Some path -> or_exit_2 path (Trace.with_jsonl path f)
         | None -> f ())
   in
   Term.(const with_obs $ trace_arg $ metrics_arg $ profile_flag_arg)
@@ -114,17 +124,6 @@ let with_jobs jobs f =
       f (if Plim_par.jobs pool > 1 then Some pool else None))
 
 (* ---------------------------------------------------------------- *)
-
-(* A malformed or unreadable .mig, .blif or .plim file is a usage error:
-   exit 2, never an uncaught exception; so is a source that is neither a
-   file nor a known benchmark.  A read error already names the
-   file (Plim_util.File.read); a parse error does not. *)
-let or_exit_2 path = function
-  | Ok x -> x
-  | Error e ->
-    if String.starts_with ~prefix:(path ^ ": ") e then Printf.eprintf "plimc: %s\n" e
-    else Printf.eprintf "plimc: %s: %s\n" path e;
-    exit 2
 
 let load_mig source =
   if Sys.file_exists source then
@@ -325,7 +324,7 @@ let compile_run obs source config geometry output dot verify =
          exit 1));
   match output with
   | Some path ->
-    Asm.write_file path p;
+    write_file path (Asm.to_string p);
     Printf.eprintf "wrote PLiM assembly to %s\n%!" path
   | None -> print_string (Asm.to_string p)
 
@@ -662,10 +661,11 @@ let print_counterexample (cex : Plim_check.Fuzz.counterexample) =
     (fun f -> Printf.printf "  %s\n" (Plim_check.Check.failure_to_string f))
     cex.Plim_check.Fuzz.failures;
   (match cex.Plim_check.Fuzz.path with
-  | Some path ->
+  | Some (Ok path) ->
     Printf.printf "  saved to %s (replayed by dune runtest; rerun with 'plimc fuzz \
                    --replay %s')\n"
       path path
+  | Some (Error e) -> Printf.printf "  not saved: %s\n" e
   | None -> ());
   Printf.printf "  regenerate with 'plimc fuzz --case-seed %d'\n"
     cex.Plim_check.Fuzz.case_seed

@@ -24,19 +24,11 @@ let slice w ~lo ~len =
   if lo < 0 || len < 0 || lo + len > width w then invalid_arg "Word.slice";
   Array.sub w lo len
 
-let concat lo hi = Array.append lo hi
-
 let not_word w = Array.map Mig.not_ w
 
 let check_same_width name a b =
   if width a <> width b then
     invalid_arg (Printf.sprintf "Word.%s: width mismatch (%d vs %d)" name (width a) (width b))
-
-let map2 g f a b = Array.init (width a) (fun i -> f g a.(i) b.(i))
-
-let and_word g a b = check_same_width "and_word" a b; map2 g Mig.and_ a b
-let or_word g a b = check_same_width "or_word" a b; map2 g Mig.or_ a b
-let xor_word g a b = check_same_width "xor_word" a b; map2 g Mig.xor a b
 
 let mux_word g s a b =
   check_same_width "mux_word" a b;
@@ -69,11 +61,6 @@ let sub g a b =
 let less_than g a b =
   let _, no_borrow = sub g a b in
   Mig.not_ no_borrow
-
-let equal_word g a b =
-  check_same_width "equal_word" a b;
-  let diffs = xor_word g a b in
-  Mig.not_ (Array.fold_left (fun acc d -> Mig.or_ g acc d) Mig.false_ diffs)
 
 let shift_left_const g w n =
   ignore g;

@@ -22,12 +22,7 @@ val output : Mig.t -> string -> word -> unit
 
 val zero_extend : word -> int -> word
 val slice : word -> lo:int -> len:int -> word
-val concat : word -> word -> word
-(** [concat lo hi] — [lo] supplies the low bits. *)
 
-val and_word : Mig.t -> word -> word -> word
-val or_word : Mig.t -> word -> word -> word
-val xor_word : Mig.t -> word -> word -> word
 val mux_word : Mig.t -> Mig.signal -> word -> word -> word
 (** [mux_word g s a b] is [a] when [s] else [b] (widths must match). *)
 
@@ -39,8 +34,6 @@ val sub : Mig.t -> word -> word -> word * Mig.signal
 
 val less_than : Mig.t -> word -> word -> Mig.signal
 (** Unsigned [a < b]. *)
-
-val equal_word : Mig.t -> word -> word -> Mig.signal
 
 val barrel_shift_right : Mig.t -> word -> amount:word -> word
 (** Logical right shift by a variable amount (one mux stage per amount

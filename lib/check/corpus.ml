@@ -8,25 +8,23 @@ let rec mkdir_p dir =
   end
 
 let save ~dir ?(meta = []) mig =
-  mkdir_p dir;
   let body = Mig_io.to_string mig in
   let name = Printf.sprintf "cex-%s.mig" (Plim_util.Fnv.digest_string body) in
   let path = Filename.concat dir name in
-  if not (Sys.file_exists path) then begin
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc "# plim-corpus v1\n";
-        List.iter
-          (fun line ->
-            (* keep metadata one-line so the parser's comment filter holds *)
-            let line = String.map (fun c -> if c = '\n' then ' ' else c) line in
-            output_string oc ("# " ^ line ^ "\n"))
-          meta;
-        output_string oc body)
-  end;
-  path
+  match mkdir_p dir with
+  | exception Sys_error msg -> Error msg
+  | () when Sys.file_exists path -> Ok path
+  | () ->
+    let header =
+      List.map
+        (fun line ->
+          (* keep metadata one-line so the parser's comment filter holds *)
+          "# " ^ String.map (fun c -> if c = '\n' then ' ' else c) line ^ "\n")
+        meta
+    in
+    Plim_util.File.write path
+      (String.concat "" (("# plim-corpus v1\n" :: header) @ [ body ]))
+    |> Result.map (fun () -> path)
 
 let load_file path = Mig_io.read_file path
 

@@ -13,9 +13,10 @@
 
 module Mig = Plim_mig.Mig
 
-val save : dir:string -> ?meta:string list -> Mig.t -> string
+val save : dir:string -> ?meta:string list -> Mig.t -> (string, string) result
 (** Write the graph (creating [dir] if needed) with one [# line] per
-    [meta] entry; returns the file path.  Idempotent per digest. *)
+    [meta] entry; returns the file path.  Idempotent per digest.
+    [Error "PATH: REASON"] when [dir] or the file cannot be written. *)
 
 val load_file : string -> (Mig.t, string) result
 (** {!Plim_mig.Mig_io.read_file}. *)

@@ -28,7 +28,7 @@ type counterexample = {
   desc : Gen.desc;
   failures : Check.failure list;
   shrink_steps : int;
-  path : string option;
+  path : (string, string) result option;
 }
 
 type report = {

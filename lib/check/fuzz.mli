@@ -30,7 +30,9 @@ type counterexample = {
   desc : Gen.desc;       (** the shrunk minimal witness *)
   failures : Check.failure list;  (** failures of the shrunk witness *)
   shrink_steps : int;
-  path : string option;  (** corpus file, when persistence is on *)
+  path : (string, string) result option;
+      (** corpus file, when persistence is on; [Error] if it could not be
+          written ({!Corpus.save}) *)
 }
 
 type report = {

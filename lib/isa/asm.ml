@@ -82,10 +82,4 @@ let of_string text =
   | exception Parse_error msg -> Error msg
   | exception Invalid_argument msg -> Error ("Asm.of_string: " ^ msg)
 
-let write_file path p =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string p))
-
 let read_file path = Result.bind (Plim_util.File.read path) of_string

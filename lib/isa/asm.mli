@@ -18,8 +18,6 @@ val of_string : string -> (Program.t, string) result
     missing [.cells] directive, or a program {!Program.make} rejects
     (a cell out of range, a duplicate input or output name). *)
 
-val write_file : string -> Program.t -> unit
-
 val read_file : string -> (Program.t, string) result
 (** {!of_string} on the file's contents; [Error] also when the file
     cannot be read or is a directory ({!Plim_util.File.read}). *)

@@ -163,7 +163,3 @@ let inputs_of_vector pi_cells values =
 
 let read_outputs po_cells read =
   Array.to_list (Array.map (fun (name, cell) -> (name, read cell)) po_cells)
-
-let operand read = function
-  | Instruction.Const v -> v
-  | Instruction.Cell i -> read i

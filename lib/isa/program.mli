@@ -77,7 +77,7 @@ val static_write_counts : t -> int array
     outputs back through these, and keeps only its array, schedule and
     verify policy.  They take the name/cell maps, so the IMP baseline's
     programs share them.  Executors of the packed stream decode operand
-    codes in their own loop; {!operand} serves decoded instructions. *)
+    codes in their own loop. *)
 
 val bind_inputs :
   caller:string -> (string * int) array -> (string * bool) list -> bool array
@@ -95,6 +95,3 @@ val inputs_of_vector : (string * int) array -> bool array -> (string * bool) lis
 
 val read_outputs : (string * int) array -> (int -> bool) -> (string * bool) list
 (** Each output's cell through [read], in [po_cells] order. *)
-
-val operand : (int -> bool) -> Instruction.operand -> bool
-(** A constant as applied, a cell through [read]; allocates nothing. *)

@@ -1,6 +1,5 @@
 module Crossbar = Plim_rram.Crossbar
 module Program = Plim_isa.Program
-module Instruction = Plim_isa.Instruction
 module Profile = Plim_obs.Profile
 module Metrics = Plim_obs.Metrics
 
@@ -32,14 +31,14 @@ let static_cycles (p : Program.t) =
   done;
   !cycles
 
-(* Power-on shared by the controllers: a fresh [size]-cell array with the
-   bound inputs loaded (uncounted), a cycle counter, and the operand read
-   that charges it one cycle per access. *)
-let power_on ~caller ~size (p : Program.t) inputs =
+(* Power-on shared by the controllers: a fresh [num_cells]-cell array with
+   the bound inputs loaded (uncounted), a cycle counter, and the operand
+   read that charges it one cycle per access. *)
+let power_on ~caller (p : Program.t) inputs =
   Metrics.incr m_runs;
   Metrics.incr ~by:(Program.length p) m_instructions;
   let values = Program.bind_inputs ~caller p.Program.pi_cells inputs in
-  let xbar = Crossbar.create size in
+  let xbar = Crossbar.create p.Program.num_cells in
   Array.iteri (fun i (_, cell) -> Crossbar.load xbar cell values.(i)) p.Program.pi_cells;
   let cycles = ref 0 in
   let read i =
@@ -53,9 +52,7 @@ let operand read c = if c < 2 then c = 1 else read (c - 2)
 
 let run ?on_step (p : Program.t) ~inputs =
   Profile.span "machine.run" @@ fun () ->
-  let xbar, cycles, read =
-    power_on ~caller:"Plim_controller.run" ~size:p.Program.num_cells p inputs
-  in
+  let xbar, cycles, read = power_on ~caller:"Plim_controller.run" p inputs in
   (* controller on: execute the stream *)
   let code = p.Program.code in
   for pc = 0 to Array.length code - 1 do
@@ -91,10 +88,7 @@ let run_grouped ~geometry (p : Program.t) ~inputs =
   match Plim_geometry.schedule geometry p with
   | Error msg -> Error msg
   | Ok sched ->
-    let xbar, cycles, read =
-      power_on ~caller:"Plim_controller.run_grouped" ~size:p.Program.num_cells
-        p inputs
-    in
+    let xbar, cycles, read = power_on ~caller:"Plim_controller.run_grouped" p inputs in
     let code = p.Program.code in
     (* one group's operand values, captured before any of its writes *)
     let width = Plim_geometry.max_group_size sched in
@@ -116,30 +110,3 @@ let run_grouped ~geometry (p : Program.t) ~inputs =
       sched.Plim_geometry.s_groups;
     let outputs = Program.read_outputs p.Program.po_cells (Crossbar.read xbar) in
     Ok (outputs, xbar, { instructions = Array.length code; cycles = !cycles })
-
-let run_self_hosted (p : Program.t) ~inputs =
-  Profile.span "machine.run_self_hosted" @@ fun () ->
-  let module Encoding = Plim_isa.Encoding in
-  let data_cells = p.Program.num_cells in
-  let footprint = Encoding.footprint p in
-  let per_instr = Encoding.instruction_bits ~num_cells:data_cells in
-  let xbar, cycles, read =
-    power_on ~caller:"Plim_controller.run_self_hosted"
-      ~size:footprint.Encoding.total_cells p inputs
-  in
-  (* provision the program into the high region of the array *)
-  let program_bits = Encoding.encode_program p in
-  Array.iteri (fun i bit -> Crossbar.load xbar (data_cells + i) bit) program_bits;
-  let num_instrs = Program.length p in
-  for pc = 0 to num_instrs - 1 do
-    (* fetch: read the instruction's bit cells *)
-    let base = data_cells + (pc * per_instr) in
-    let bits = Array.init per_instr (fun k -> read (base + k)) in
-    let instr = Encoding.decode ~num_cells:data_cells bits in
-    let a = Program.operand read instr.Instruction.a in
-    let b = Program.operand read instr.Instruction.b in
-    Crossbar.rm3 xbar ~p:a ~q:b instr.Instruction.z;
-    incr cycles
-  done;
-  let outputs = Program.read_outputs p.Program.po_cells (Crossbar.read xbar) in
-  (outputs, xbar, { instructions = num_instrs; cycles = !cycles })

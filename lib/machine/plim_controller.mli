@@ -68,15 +68,3 @@ val run_grouped :
 
     @raise Invalid_argument if [inputs] does not bind exactly the
     program's primary inputs. *)
-
-val run_self_hosted :
-  Program.t ->
-  inputs:(string * bool) list ->
-  (string * bool) list * Crossbar.t * run_stats
-(** Faithful to the PLiM architecture: "the controller reads the
-    instructions from the memory array".  The crossbar is sized to hold
-    both the working devices and the binary-encoded program
-    ({!Plim_isa.Encoding}); instructions are deposited as provisioning
-    loads, and each fetch reads its bit cells through the array's read
-    peripheral (counted in [cycles]).  Results are identical to {!run};
-    only the cycle count grows by the fetch traffic. *)

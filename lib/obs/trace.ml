@@ -72,6 +72,15 @@ let with_memory f =
   let result = with_sink (Memory q) f in
   (result, List.of_seq (Queue.to_seq q))
 
+(* [f] runs only once the file is open, and the flush runs in the body,
+   so a failed one is an [Error] rather than an exception out of a
+   [finally]. *)
 let with_jsonl path f =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> with_sink (Jsonl oc) f)
+  match open_out_bin path with
+  | exception Sys_error msg -> Error msg
+  | oc -> (
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
+    let v = with_sink (Jsonl oc) f in
+    match flush oc with
+    | () -> Ok v
+    | exception Sys_error msg -> Error (path ^ ": " ^ msg))

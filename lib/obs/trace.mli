@@ -35,6 +35,8 @@ val with_memory : (unit -> 'a) -> 'a * event list
 (** Run with a fresh [Memory] sink installed; restores the previous sink
     (also on exception) and returns the captured events in order. *)
 
-val with_jsonl : string -> (unit -> 'a) -> 'a
+val with_jsonl : string -> (unit -> 'a) -> ('a, string) result
 (** [with_jsonl path f] runs [f] with a [Jsonl] sink writing to [path];
-    closes the file and restores the previous sink afterwards. *)
+    closes the file and restores the previous sink afterwards.
+    [Error "PATH: REASON"] when [path] cannot be opened, before [f] runs,
+    or when closing it fails. *)

@@ -1,6 +1,6 @@
 (* Deterministic multicore execution: a fixed-size OCaml 5 domain pool with
-   a map/map_reduce API whose results are merged in *submission order*
-   regardless of completion order.
+   a map API whose results are merged in *submission order* regardless of
+   completion order.
 
    Determinism contract:
    - [map] returns exactly [List.map f xs] whenever every [f x] is a pure
@@ -10,9 +10,6 @@
      [List.map f xs] — byte-identical to the sequential program, including
      side-effect order.  This is the baseline the [-j N] identity checks
      compare against.
-   - Per-task random streams come from [map_seeded]: task [i] receives
-     [Splitmix.derive seed i], a pure function of the root seed and the
-     submission index, never of the executing domain or completion order.
    - An exception inside a task is captured; after the whole batch joins,
      the exception of the *lowest* failing index is re-raised, so the
      observed failure is the one sequential execution would have hit first.
@@ -24,7 +21,6 @@
    children sit in.  Tasks executed by a worker domain rather than their
    submitter are counted as stolen. *)
 
-module Splitmix = Plim_util.Splitmix
 module Profile = Plim_obs.Profile
 module Metrics = Plim_obs.Metrics
 
@@ -192,14 +188,3 @@ let mapi t ~f xs =
          results)
 
 let map t ~f xs = mapi t ~f:(fun _ x -> f x) xs
-
-(* Task [i] draws from an isolated stream seeded by [Splitmix.derive seed i]:
-   a pure function of the root seed and the submission index, so outputs are
-   identical at every [-j] level and across nesting. *)
-let map_seeded t ~seed ~f xs =
-  mapi t ~f:(fun i x -> f ~seed:(Splitmix.derive seed i) x) xs
-
-(* Fold over results in submission order — associativity of [combine] is
-   not required for determinism. *)
-let map_reduce t ~f ~init ~combine xs =
-  List.fold_left combine init (map t ~f xs)

@@ -2,9 +2,8 @@
 
     The pool trades only wall-clock for parallelism, never output:
     {!map} merges results in submission order regardless of completion
-    order, per-task random streams are derived from the root seed and the
-    submission index ({!map_seeded}), and a pool of [jobs = 1] never
-    spawns a domain — it *is* the sequential program, byte for byte.
+    order, and a pool of [jobs = 1] never spawns a domain — it *is* the
+    sequential program, byte for byte.
     That identity is what the repo's [-j 1] vs [-j N] determinism checks
     pin down.
 
@@ -39,17 +38,6 @@ val map : t -> f:('a -> 'b) -> 'a list -> 'b list
     domain-safe. *)
 
 val mapi : t -> f:(int -> 'a -> 'b) -> 'a list -> 'b list
-
-val map_seeded : t -> seed:int -> f:(seed:int -> 'a -> 'b) -> 'a list -> 'b list
-(** Like {!map} but task [i] receives [Splitmix.derive seed i] — an
-    isolated per-task stream seed that depends only on the root seed and
-    the submission index, never on scheduling. *)
-
-val map_reduce :
-  t -> f:('a -> 'b) -> init:'acc -> combine:('acc -> 'b -> 'acc) -> 'a list -> 'acc
-(** [map_reduce t ~f ~init ~combine xs] folds [combine] over the mapped
-    results in submission order; [combine] need not be associative or
-    commutative for the result to be deterministic. *)
 
 val shutdown : t -> unit
 (** Join the worker domains.  Idempotent.  Outstanding queued tasks are

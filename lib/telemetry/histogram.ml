@@ -1,10 +1,7 @@
 (* Log-bucketed histogram over non-negative integers, HDR-style: exact
    buckets below [sub_count], then [sub_count] linear sub-buckets per
    power of two, bounding the relative quantization error by
-   1/sub_count.  The bucket layout is a pure function of the value, so
-   merging is element-wise integer addition — exactly associative and
-   commutative, which is what lets per-task histograms built on a
-   Plim_par pool fold to the same result at every -j level. *)
+   1/sub_count.  The bucket layout is a pure function of the value. *)
 
 let sub_bits = 5
 let sub_count = 1 lsl sub_bits (* 32: <= 3.2% relative quantization error *)
@@ -88,17 +85,6 @@ let copy t =
     min_v = t.min_v;
     max_v = t.max_v }
 
-let merge a b =
-  let n = max (Array.length a.counts) (Array.length b.counts) in
-  let counts = Array.make n 0 in
-  Array.iteri (fun i c -> counts.(i) <- c) a.counts;
-  Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) b.counts;
-  { counts;
-    count = a.count + b.count;
-    sum = a.sum + b.sum;
-    min_v = min a.min_v b.min_v;
-    max_v = max a.max_v b.max_v }
-
 let buckets t =
   let acc = ref [] in
   for b = Array.length t.counts - 1 downto 0 do
@@ -108,12 +94,6 @@ let buckets t =
     end
   done;
   !acc
-
-let equal a b =
-  a.count = b.count && a.sum = b.sum
-  && min_value a = min_value b
-  && max_value a = max_value b
-  && buckets a = buckets b
 
 (* Nearest-rank quantile over the bucketed distribution: the reported
    value is the upper bound of the bucket holding the rank, clamped to

@@ -1,13 +1,10 @@
-(** Log-bucketed mergeable histograms over non-negative integers
-    (HDR-histogram style).
+(** Log-bucketed histograms over non-negative integers (HDR-histogram
+    style).
 
     Values below 32 get exact buckets; above that, each power of two is
     split into 32 linear sub-buckets, so quantile estimates carry at most
     ~3.2% relative quantization error while the whole structure stays a
-    flat int array.  Merging is element-wise addition — associative and
-    commutative — so histograms built concurrently on a {!Plim_par} pool
-    fold to the same result in any grouping, which keeps telemetry
-    byte-identical between [-j 1] and [-j N].
+    flat int array.
 
     Used for per-cell write-count distributions and per-phase latency
     distributions (in microseconds). *)
@@ -28,13 +25,6 @@ val clear : t -> unit
 (** Drop all observations; the bucket storage is retained. *)
 
 val copy : t -> t
-
-val merge : t -> t -> t
-(** Pure combination of two histograms; inputs are unchanged.
-    [merge] is associative and commutative up to {!equal}. *)
-
-val equal : t -> t -> bool
-(** Same observation counts in every bucket and same count/sum/min/max. *)
 
 val count : t -> int
 val sum : t -> int

@@ -13,3 +13,18 @@ let read path =
           match really_input_string ic (in_channel_length ic) with
           | text -> Ok text
           | exception Sys_error msg -> Error (path ^ ": " ^ msg))
+
+(* [close_out] runs in the body, so a failed flush is an [Error] rather
+   than an exception out of a [finally]. *)
+let write path contents =
+  match open_out_bin path with
+  | exception Sys_error msg -> Error msg
+  | oc -> (
+    match
+      output_string oc contents;
+      close_out oc
+    with
+    | () -> Ok ()
+    | exception Sys_error msg ->
+      close_out_noerr oc;
+      Error (path ^ ": " ^ msg))

@@ -55,16 +55,6 @@ let lt_test =
     (fun g a b -> [| Word.less_than g a b |])
     (fun _ a b -> if a < b then 1 else 0)
 
-let eq_test =
-  word_binop_test "equal_word = ="
-    (fun g a b -> [| Word.equal_word g a b |])
-    (fun _ a b -> if a = b then 1 else 0)
-
-let and_or_xor_test =
-  word_binop_test "bitwise and/or/xor"
-    (fun g a b -> Array.concat [ Word.and_word g a b; Word.or_word g a b; Word.xor_word g a b ])
-    (fun w a b -> (a land b) lor ((a lor b) lsl w) lor ((a lxor b) lsl (2 * w)))
-
 let divmod_test =
   QCheck.Test.make ~count:150 ~name:"divmod = integer division"
     QCheck.(triple (int_range 1 8) (int_range 0 255) (int_range 1 255))
@@ -165,7 +155,7 @@ let test_word_const_slice_concat () =
   check_int "constant value" 0xA5 (to_int (Array.map (fun s -> Mig.is_complemented s) c));
   let lo = Word.slice c ~lo:0 ~len:4 and hi = Word.slice c ~lo:4 ~len:4 in
   check_int "concat restores" 0xA5
-    (to_int (Array.map Mig.is_complemented (Word.concat lo hi)))
+    (to_int (Array.map Mig.is_complemented (Array.append lo hi)))
 
 (* --- full circuits vs reference models ------------------------------------- *)
 
@@ -258,7 +248,7 @@ let test_width_one_words () =
   Mig.add_output g "c" carry;
   Word.output g "q" q;
   Word.output g "r" r;
-  Word.output g "sq" (Word.isqrt g (Word.concat a b));
+  Word.output g "sq" (Word.isqrt g (Array.append a b));
   for m = 0 to 3 do
     let va = m land 1 and vb = (m lsr 1) land 1 in
     let out = Mig.eval g [| va = 1; vb = 1 |] in
@@ -383,8 +373,8 @@ let qc = QCheck_alcotest.to_alcotest
 let () =
   Alcotest.run "benchgen"
     [ ( "word",
-        [ qc add_test; qc sub_test; qc mul_test; qc lt_test; qc eq_test;
-          qc and_or_xor_test; qc divmod_test; qc isqrt_test; qc popcount_test;
+        [ qc add_test; qc sub_test; qc mul_test; qc lt_test; qc divmod_test;
+          qc isqrt_test; qc popcount_test;
           qc barrel_test; qc priority_test; qc decode_test;
           Alcotest.test_case "errors" `Quick test_word_errors;
           Alcotest.test_case "const/slice/concat" `Quick test_word_const_slice_concat ] );

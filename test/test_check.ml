@@ -165,7 +165,9 @@ let test_corpus_roundtrip () =
   with_temp_dir @@ fun dir ->
   let d = Gen.generate (Splitmix.create 7) in
   let g = Gen.to_mig d in
-  let path = Corpus.save ~dir ~meta:[ "failure: synthetic"; "two\nlines" ] g in
+  let path =
+    Result.get_ok (Corpus.save ~dir ~meta:[ "failure: synthetic"; "two\nlines" ] g)
+  in
   Alcotest.(check bool) "file exists" true (Sys.file_exists path);
   let g' =
     match Corpus.load_file path with Ok g' -> g' | Error e -> Alcotest.fail e
@@ -173,7 +175,7 @@ let test_corpus_roundtrip () =
   Alcotest.(check string) "roundtrip is textually exact" (Mig_io.to_string g)
     (Mig_io.to_string g');
   (* idempotent: saving the same graph again reuses the entry *)
-  let path' = Corpus.save ~dir g in
+  let path' = Result.get_ok (Corpus.save ~dir g) in
   Alcotest.(check string) "same digest, same file" path path';
   Alcotest.(check int) "one entry" 1 (List.length (Corpus.entries dir))
 
@@ -210,7 +212,8 @@ let test_fuzz_shrinks_to_minimal () =
         (reject_complements mig <> []);
       match cex.Fuzz.path with
       | None -> Alcotest.fail "counterexample not persisted"
-      | Some path ->
+      | Some (Error e) -> Alcotest.fail e
+      | Some (Ok path) ->
         Alcotest.(check bool) "corpus file exists" true (Sys.file_exists path))
     report.Fuzz.counterexamples;
   Alcotest.(check bool) "corpus populated" true (Corpus.entries dir <> [])

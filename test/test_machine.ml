@@ -119,52 +119,6 @@ let test_endurance_mid_run () =
   check_bool "wear-out" true
     (o.Plim_machine.Campaign.failed && o.Plim_machine.Campaign.executions_completed = 0)
 
-(* --- self-hosted execution -------------------------------------------------- *)
-
-let test_self_hosted_matches_direct () =
-  let p = Helpers.adder4_program () in
-  let rng = Plim_util.Splitmix.create 77 in
-  for _ = 1 to 16 do
-    let inputs =
-      Array.to_list
-        (Array.map
-           (fun (n, _) -> (n, Plim_util.Splitmix.bool rng))
-           p.Plim_isa.Program.pi_cells)
-    in
-    let direct, _, dstats = Controller.run p ~inputs in
-    let hosted, xbar, hstats = Controller.run_self_hosted p ~inputs in
-    Alcotest.(check (list (pair string bool))) "same outputs" direct hosted;
-    check_int "same instruction count" dstats.Controller.instructions
-      hstats.Controller.instructions;
-    check_bool "fetch traffic adds cycles" true
-      (hstats.Controller.cycles > dstats.Controller.cycles);
-    (* instruction cells are never written during execution *)
-    let writes = Crossbar.write_counts xbar in
-    let data = p.Plim_isa.Program.num_cells in
-    for i = data to Array.length writes - 1 do
-      if writes.(i) <> 0 then Alcotest.failf "instruction cell %d written" i
-    done
-  done
-
-let test_self_hosted_cycle_model () =
-  let p = not_program () in
-  let _, _, stats = Controller.run_self_hosted p ~inputs:[ ("a", true) ] in
-  let per = Plim_isa.Encoding.instruction_bits ~num_cells:2 in
-  (* 2 instructions: 2 fetches + 1 operand read (the IMP's cell) + 2 writes *)
-  check_int "cycles" ((2 * per) + 1 + 2) stats.Controller.cycles
-
-let test_self_hosted_input_binding_errors () =
-  let p = not_program () in
-  Alcotest.check_raises "missing"
-    (Invalid_argument "Plim_controller.run_self_hosted: missing input \"a\"") (fun () ->
-      ignore (Controller.run_self_hosted p ~inputs:[]));
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Plim_controller.run_self_hosted: duplicate input \"a\"") (fun () ->
-      ignore (Controller.run_self_hosted p ~inputs:[ ("a", true); ("a", false) ]));
-  Alcotest.check_raises "extra"
-    (Invalid_argument "Plim_controller.run_self_hosted: unknown extra inputs") (fun () ->
-      ignore (Controller.run_self_hosted p ~inputs:[ ("a", true); ("b", false) ]))
-
 (* --- energy model --------------------------------------------------------- *)
 
 module Energy = Plim_machine.Energy
@@ -300,13 +254,8 @@ let executors_agree =
         let outputs, xbar = grouped_exn ~geometry p ~inputs in
         (outputs, Crossbar.write_counts xbar)
       in
-      let hosted =
-        let outputs, xbar, _ = Controller.run_self_hosted p ~inputs in
-        (outputs, Crossbar.write_counts xbar)
-      in
       agrees "run_grouped 64x1" (grouped (grid 64 1))
       && agrees "run_grouped 8x16" (grouped (grid 8 16))
-      && agrees "run_self_hosted" hosted
       && agrees "Exec.run" (exec_fault_free p ~inputs)
       && agrees "Exec.run ~verify" (exec_fault_free ~verify:true p ~inputs))
 
@@ -348,11 +297,6 @@ let () =
           Alcotest.test_case "input binding errors" `Quick test_input_binding_errors;
           Alcotest.test_case "run on positional inputs" `Quick test_run_positional;
           Alcotest.test_case "endurance mid-run" `Quick test_endurance_mid_run ] );
-      ( "self-hosted",
-        [ Alcotest.test_case "matches direct run" `Quick test_self_hosted_matches_direct;
-          Alcotest.test_case "cycle model" `Quick test_self_hosted_cycle_model;
-          Alcotest.test_case "input binding errors" `Quick
-            test_self_hosted_input_binding_errors ] );
       ( "energy",
         [ Alcotest.test_case "accounting" `Quick test_energy_accounting ] );
       ( "executors",

@@ -280,12 +280,13 @@ let test_null_sink_identical () =
 
 let test_jsonl_sink () =
   let path = Filename.temp_file "plim_obs" ".jsonl" in
-  Trace.with_jsonl path (fun () ->
-      Trace.emit "test.event"
-        ~args:
-          [ ("i", Trace.Int 42); ("b", Trace.Bool true);
-            ("s", Trace.String "with \"quotes\" and\nnewline") ];
-      Trace.emit "test.bare");
+  Result.get_ok
+    (Trace.with_jsonl path (fun () ->
+         Trace.emit "test.event"
+           ~args:
+             [ ("i", Trace.Int 42); ("b", Trace.Bool true);
+               ("s", Trace.String "with \"quotes\" and\nnewline") ];
+         Trace.emit "test.bare"));
   let ic = open_in path in
   let lines = ref [] in
   (try

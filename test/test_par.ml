@@ -86,38 +86,7 @@ let test_all_tasks_ran_despite_exception () =
         (Printf.sprintf "tasks run at jobs=%d" (Par.jobs p))
         expected (Atomic.get ran))
 
-(* --- seeding ---------------------------------------------------------- *)
-
-let test_map_seeded_independent_of_jobs () =
-  (* each task draws from its own derived stream; the per-task results
-     must not depend on pool width or scheduling *)
-  let campaign p =
-    Par.map_seeded p ~seed:0xC0FFEE
-      ~f:(fun ~seed _ ->
-        let rng = Splitmix.create seed in
-        List.init 5 (fun _ -> Splitmix.int rng 1000))
-      (List.init 20 Fun.id)
-  in
-  let sequential = Par.with_pool ~jobs:1 campaign in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (list (list int)))
-        (Printf.sprintf "seeded draws identical at jobs=%d" jobs)
-        sequential
-        (Par.with_pool ~jobs campaign))
-    [ 2; 4 ]
-
-let test_map_seeded_streams_distinct () =
-  Par.with_pool ~jobs:2 (fun p ->
-      let draws =
-        Par.map_seeded p ~seed:1
-          ~f:(fun ~seed _ -> Splitmix.int (Splitmix.create seed) max_int)
-          (List.init 16 Fun.id)
-      in
-      let uniq = List.sort_uniq compare draws in
-      check_int "16 tasks, 16 distinct first draws" 16 (List.length uniq))
-
-(* --- nesting and reduction -------------------------------------------- *)
+(* --- nesting ---------------------------------------------------------- *)
 
 let test_nested_map () =
   (* a task that submits its own batch on the same pool: the helping join
@@ -136,19 +105,6 @@ let test_nested_map () =
       Alcotest.(check (list (list int)))
         (Printf.sprintf "nested map at jobs=%d" (Par.jobs p))
         expected result)
-
-let test_map_reduce_order () =
-  (* combine is deliberately non-commutative: submission-order folding is
-     observable *)
-  at_each_level (fun p ->
-      let s =
-        Par.map_reduce p ~f:string_of_int ~init:""
-          ~combine:(fun acc x -> acc ^ "," ^ x)
-          (List.init 10 Fun.id)
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "fold order at jobs=%d" (Par.jobs p))
-        ",0,1,2,3,4,5,6,7,8,9" s)
 
 (* --- lifecycle -------------------------------------------------------- *)
 
@@ -237,14 +193,8 @@ let () =
             test_lowest_index_exception_wins;
           Alcotest.test_case "join not short-circuited" `Quick
             test_all_tasks_ran_despite_exception ] );
-      ( "seeding",
-        [ Alcotest.test_case "independent of jobs" `Quick
-            test_map_seeded_independent_of_jobs;
-          Alcotest.test_case "streams distinct" `Quick
-            test_map_seeded_streams_distinct ] );
       ( "composition",
-        [ Alcotest.test_case "nested map" `Quick test_nested_map;
-          Alcotest.test_case "map_reduce order" `Quick test_map_reduce_order ] );
+        [ Alcotest.test_case "nested map" `Quick test_nested_map ] );
       ( "lifecycle",
         [ Alcotest.test_case "shutdown" `Quick test_shutdown_idempotent_and_fatal;
           Alcotest.test_case "default jobs" `Quick test_default_jobs_positive ] );

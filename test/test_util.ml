@@ -2,6 +2,7 @@ module Vec = Plim_util.Vec
 module Splitmix = Plim_util.Splitmix
 module Lazy_heap = Plim_util.Lazy_heap
 module Csr = Plim_util.Csr
+module File = Plim_util.File
 module Stats = Plim_stats.Stats
 module Lifetime = Plim_stats.Lifetime
 
@@ -444,6 +445,26 @@ let test_lifetime () =
   let t = Lifetime.estimate ~endurance:1e10 [| 0; 0 |] in
   check_bool "no writes = infinite" true (t.Lifetime.executions_to_first_failure = infinity)
 
+(* --- File ------------------------------------------------------------- *)
+
+(* a written file reads back byte for byte; an unwritable path, or one
+   whose flush fails (Linux's /dev/full), is an [Error] naming it, never
+   an exception *)
+let test_file_write () =
+  let path = Filename.temp_file "plim_file" ".bin" in
+  let text = "line\n\000\255" in
+  Alcotest.(check (result unit string)) "write" (Ok ()) (File.write path text);
+  Alcotest.(check (result string string)) "read back" (Ok text) (File.read path);
+  Sys.remove path;
+  let bad = Filename.concat path "x" in
+  Alcotest.(check (result unit string))
+    "missing directory" (Error (bad ^ ": No such file or directory"))
+    (File.write bad text);
+  if Sys.file_exists "/dev/full" then
+    Alcotest.(check (result unit string))
+      "failed flush" (Error "/dev/full: No space left on device")
+      (File.write "/dev/full" text)
+
 (* --- Jsonx ------------------------------------------------------------- *)
 
 let test_jsonx_escape () =
@@ -506,5 +527,6 @@ let () =
           Alcotest.test_case "gini" `Quick test_stats_gini;
           qc stdev_nonneg ] );
       ("lifetime", [ Alcotest.test_case "estimates" `Quick test_lifetime ]);
+      ("file", [ Alcotest.test_case "write" `Quick test_file_write ]);
       ( "jsonx",
         [ Alcotest.test_case "escape vectors" `Quick test_jsonx_escape ] ) ]
