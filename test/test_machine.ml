@@ -175,6 +175,32 @@ let test_campaign_matches_static_estimate () =
     true
     (o.Campaign.failed && abs (o.Campaign.executions_completed - predicted) <= 1)
 
+(* --- graceful degradation ---------------------------------------------------- *)
+
+(* with no faults and no endurance limit the degraded campaign is the
+   flat executor run again and again: every execution matches the MIG
+   oracle, nothing is detected or remapped, the spares stay unused and
+   each cell wears by its static write count per execution *)
+let test_degraded_fault_free () =
+  let g = Plim_benchgen.Arith.adder ~width:4 in
+  let p = Helpers.adder4_program () in
+  let executions = 40 and spares = 2 in
+  let d =
+    Campaign.run_degraded ~max_executions:executions ~spares ~oracle:(Plim_mig.Mig.eval g) p
+  in
+  check_bool "ran to the limit" true (d.Campaign.ended = Campaign.Max_executions);
+  check_int "executions" executions d.Campaign.executions;
+  check_int "correct" executions d.Campaign.correct;
+  check_int "incorrect" 0 d.Campaign.incorrect;
+  check_int "detections" 0 d.Campaign.detections;
+  check_int "remaps" 0 d.Campaign.remaps;
+  check_int "spares left" spares d.Campaign.spares_remaining;
+  Alcotest.(check (float 0.0)) "capacity" 1.0 d.Campaign.final_capacity;
+  let per_run = Program.static_write_counts p in
+  Alcotest.(check (array int)) "wear"
+    (Array.append (Array.map (fun w -> executions * w) per_run) (Array.make spares 0))
+    d.Campaign.final_wear
+
 (* --- one executor interface ------------------------------------------------ *)
 
 module Pipeline = Plim_core.Pipeline
@@ -308,4 +334,6 @@ let () =
         [ Alcotest.test_case "until failure" `Quick test_campaign_until_failure;
           Alcotest.test_case "max executions" `Quick test_campaign_max_executions;
           Alcotest.test_case "matches static estimate" `Quick
-            test_campaign_matches_static_estimate ] ) ]
+            test_campaign_matches_static_estimate ] );
+      ( "degradation",
+        [ Alcotest.test_case "fault-free campaign" `Quick test_degraded_fault_free ] ) ]
