@@ -458,9 +458,7 @@ let lifetime_bench () =
                ~max_executions:100_000 p)
               .Plim_machine.Campaign.executions_completed
           in
-          let inputs =
-            Array.to_list (Array.map (fun (n, _) -> (n, false)) p.Program.pi_cells)
-          in
+          let inputs = Array.make (Array.length p.Program.pi_cells) false in
           let _, xbar, run_stats = Plim_machine.Plim_controller.run p ~inputs in
           let energy = Plim_machine.Energy.of_run xbar run_stats in
           Printf.printf "%-12s %-24s %10d %10d %12d %8.1f pJ\n%!" name

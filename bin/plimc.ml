@@ -250,9 +250,7 @@ let pipeline_term =
     const make $ config_arg $ rewriting_arg $ selection_arg $ allocation_arg
     $ effort_arg $ cap_arg)
 
-let zero_inputs p =
-  Program.inputs_of_vector p.Program.pi_cells
-    (Array.make (Array.length p.Program.pi_cells) false)
+let zero_inputs p = Array.make (Array.length p.Program.pi_cells) false
 
 let source_arg =
   let doc = "Benchmark name (see $(b,plimc list)) or a .mig file." in
@@ -414,8 +412,7 @@ let exec_run path bits =
       (Array.length bits);
     exit 2
   end;
-  let inputs = Program.inputs_of_vector p.Program.pi_cells bits in
-  let outputs, xbar, stats = Controller.run p ~inputs in
+  let outputs, xbar, stats = Controller.run p ~inputs:bits in
   List.iter (fun (name, v) -> Printf.printf "%s = %d\n" name (if v then 1 else 0)) outputs;
   Printf.printf "(%d instructions, %d cycles, max device writes %d)\n"
     stats.Controller.instructions stats.Controller.cycles

@@ -67,7 +67,7 @@ let () =
     (Program.num_cells p);
   Printf.printf "footprint      : %s\n"
     (Format.asprintf "%a" Encoding.pp_footprint (Encoding.footprint p));
-  let inputs = Array.to_list (Array.map (fun (n, _) -> (n, true)) p.Program.pi_cells) in
+  let inputs = Array.make (Array.length p.Program.pi_cells) true in
   let _, xbar, stats = Controller.run p ~inputs in
   Printf.printf "energy / run   : %s\n"
     (Format.asprintf "%a" Energy.pp_report (Energy.of_run xbar stats));

@@ -39,7 +39,8 @@ let () =
 
   (* 4. execute on the behavioural RRAM crossbar *)
   let outputs, xbar, stats =
-    Controller.run program ~inputs:[ ("a", true); ("b", false); ("cin", true) ]
+    (* one value per primary input, in the graph's input order (a, b, cin) *)
+    Controller.run program ~inputs:[| true; false; true |]
   in
   Printf.printf "\nmachine run (a=1 b=0 cin=1): %s  [%d instructions, %d cycles]\n"
     (String.concat ", " (List.map (fun (n, v) -> Printf.sprintf "%s=%b" n v) outputs))

@@ -206,14 +206,11 @@ let geometry_check name program acc =
         else acc
       in
       let rng = Plim_util.Splitmix.create 0x9E0 in
-      let pis = program.Program.pi_cells in
+      let width = Array.length program.Program.pi_cells in
       let rec trials k acc =
         if k = 0 then acc
         else
-          let inputs =
-            Program.inputs_of_vector pis
-              (Plim_util.Splitmix.bits rng ~width:(Array.length pis))
-          in
+          let inputs = Plim_util.Splitmix.bits rng ~width in
           let flat, _, fstats = Controller.run program ~inputs in
           match Controller.run_grouped ~geometry:grid program ~inputs with
           | Error e ->

@@ -7,8 +7,7 @@ module Profile = Plim_obs.Profile
 
 let run_and_compare mig (program : Program.t) vector =
   let expected = Mig.eval mig vector in
-  let inputs = Program.inputs_of_vector program.Program.pi_cells vector in
-  let outputs, xbar, _ = Controller.run program ~inputs in
+  let outputs, xbar, _ = Controller.run program ~inputs:vector in
   let actual = Array.of_list (List.map snd outputs) in
   if Array.length expected <> Array.length actual then
     Error

@@ -96,9 +96,9 @@ let run ?(verify = false) fx rm (p : Program.t) ~inputs =
   if Remap.num_physical rm > Faulty.size fx then
     invalid_arg "Exec.run: crossbar smaller than the remap table's physical space";
   let st = { fx; rm; verify; reads = 0; detected = 0; remapped = 0; retried = 0 } in
-  (* binding is validated before any array operation, so a bad binding
+  (* the vector is checked before any array operation, so a bad one
      never consumes spares *)
-  let values = Program.bind_inputs ~caller:"Exec.run" p.Program.pi_cells inputs in
+  Program.check_inputs ~caller:"Exec.run" p.Program.pi_cells inputs;
   let read = read st in
   let outcome =
     try
@@ -106,7 +106,7 @@ let run ?(verify = false) fx rm (p : Program.t) ~inputs =
       for l = 0 to p.Program.num_cells - 1 do
         verified_load st l false
       done;
-      Array.iteri (fun i (_, cell) -> verified_load st cell values.(i)) p.Program.pi_cells;
+      Array.iteri (fun i (_, cell) -> verified_load st cell inputs.(i)) p.Program.pi_cells;
       for i = 0 to Program.length p - 1 do
         step st read p.Program.code.(i)
       done;

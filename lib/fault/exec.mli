@@ -45,15 +45,18 @@ val run :
   Faulty.t ->
   Remap.t ->
   Program.t ->
-  inputs:(string * bool) list ->
+  inputs:bool array ->
   outcome * stats
 (** [run fx rm p ~inputs] executes [p]; [Remap.lines rm] must cover at
     least [Program.num_cells p] logical lines (a larger table is a
     persistent shard serving programs of varying footprint — only the
     program's own lines are scrubbed and addressed) and
-    [Remap.num_physical rm] must not exceed the crossbar size.  [verify]
-    defaults to [false].  The
+    [Remap.num_physical rm] must not exceed the crossbar size.
+    [inputs.(i)] is the value of input [p.pi_cells.(i)], as
+    {!Plim_machine.Plim_controller.run} takes it.  [verify] defaults to
+    [false].  The
     returned stats cover the run up to and including an [Out_of_spares]
     abandonment.
 
-    @raise Invalid_argument on a geometry or input-binding mismatch. *)
+    @raise Invalid_argument on a geometry mismatch, or when [inputs]
+    does not hold one value per primary input. *)

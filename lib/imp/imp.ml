@@ -192,9 +192,9 @@ let compile ?(strategy = Alloc.Lifo) g =
 (* ------------------------------------------------------------------ *)
 
 let run p ~inputs =
-  let values = Program.bind_inputs ~caller:"Imp.run" p.pi_cells inputs in
+  Program.check_inputs ~caller:"Imp.run" p.pi_cells inputs;
   let xbar = Crossbar.create p.num_cells in
-  Array.iteri (fun i (_, cell) -> Crossbar.load xbar cell values.(i)) p.pi_cells;
+  Array.iteri (fun i (_, cell) -> Crossbar.load xbar cell inputs.(i)) p.pi_cells;
   Array.iter
     (function
       | False z -> Crossbar.write xbar z false
@@ -214,7 +214,7 @@ let check_random mig p =
     else begin
       let vector = Splitmix.bits rng ~width:n in
       let expected = Mig.eval mig vector in
-      let outputs, _ = run p ~inputs:(Program.inputs_of_vector p.pi_cells vector) in
+      let outputs, _ = run p ~inputs:vector in
       let actual = Array.of_list (List.map snd outputs) in
       if actual = expected then go (t - 1)
       else

@@ -44,8 +44,11 @@ val compile : ?strategy:Alloc.strategy -> Mig.t -> program
     conventional two-work-device-style flow; [Min_write] applies the
     paper's minimum write count strategy to IMP for comparison). *)
 
-val run : program -> inputs:(string * bool) list -> (string * bool) list * Crossbar.t
+val run : program -> inputs:bool array -> (string * bool) list * Crossbar.t
 (** Execute on the behavioural crossbar ([Imply] maps to the intrinsic
-    [RM3(1, p, z)], of which it is the special case). *)
+    [RM3(1, p, z)], of which it is the special case).  [inputs.(i)] is
+    the value of input [pi_cells.(i)], the order of [Mig.input_names].
+    @raise Invalid_argument when [inputs] does not hold one value per
+    primary input. *)
 
 val check_random : Mig.t -> program -> (unit, string) result

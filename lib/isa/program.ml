@@ -116,50 +116,11 @@ let static_write_counts t =
   done;
   counts
 
-let bind_by_name ~caller pi_cells inputs =
-  let bound = Hashtbl.create 16 in
-  List.iter
-    (fun (name, v) ->
-      if Hashtbl.mem bound name then
-        invalid_arg (Printf.sprintf "%s: duplicate input %S" caller name);
-      Hashtbl.add bound name v)
-    inputs;
-  let values =
-    Array.map
-      (fun (name, _) ->
-        match Hashtbl.find_opt bound name with
-        | Some v ->
-          Hashtbl.remove bound name;
-          v
-        | None -> invalid_arg (Printf.sprintf "%s: missing input %S" caller name))
-      pi_cells
-  in
-  if Hashtbl.length bound > 0 then invalid_arg (caller ^ ": unknown extra inputs");
-  values
-
-(* Inputs in [pi_cells] order, as [inputs_of_vector] produces them, bind
-   by position with no table.  With distinct input names such a list has
-   no duplicate, missing or extra input, so only the by-name path, which
-   every other list takes, raises. *)
-let bind_inputs ~caller pi_cells inputs =
+let check_inputs ~caller pi_cells values =
   let n = Array.length pi_cells in
-  let values = Array.make n false in
-  let rec in_order i = function
-    | [] -> i = n
-    | (name, v) :: rest ->
-      i < n
-      && String.equal name (fst pi_cells.(i))
-      && begin
-        values.(i) <- v;
-        in_order (i + 1) rest
-      end
-  in
-  if in_order 0 inputs then values else bind_by_name ~caller pi_cells inputs
-
-let inputs_of_vector pi_cells values =
-  if Array.length values <> Array.length pi_cells then
-    invalid_arg "Program.inputs_of_vector: input arity mismatch";
-  Array.to_list (Array.mapi (fun i (name, _) -> (name, values.(i))) pi_cells)
+  if Array.length values <> n then
+    invalid_arg
+      (Printf.sprintf "%s: %d input values for %d inputs" caller (Array.length values) n)
 
 let read_outputs po_cells read =
   Array.to_list (Array.map (fun (name, cell) -> (name, read cell)) po_cells)

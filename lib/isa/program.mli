@@ -73,25 +73,18 @@ val static_write_counts : t -> int array
 
 (** {2 Executor interface}
 
-    How a program meets an array: every executor binds inputs and reads
-    outputs back through these, and keeps only its array, schedule and
-    verify policy.  They take the name/cell maps, so the IMP baseline's
-    programs share them.  Executors of the packed stream decode operand
-    codes in their own loop. *)
+    How a program meets an array: every executor checks its input vector
+    and reads outputs back through these, and keeps only its array,
+    schedule and verify policy.  They take the name/cell maps, so the
+    IMP baseline's programs share them.  Executors of the packed stream
+    decode operand codes in their own loop. *)
 
-val bind_inputs :
-  caller:string -> (string * int) array -> (string * bool) list -> bool array
-(** The value of each input in [pi_cells] order.  The names in
-    [pi_cells] must be distinct, as {!make} ensures.  Inputs listed in
-    [pi_cells] order, as {!inputs_of_vector} lists them, bind by position
-    and allocate only the result; any other order goes through a table.
-    @raise Invalid_argument ["<caller>: duplicate input \"x\""], then
-    ["<caller>: missing input \"x\""], then
-    ["<caller>: unknown extra inputs"]. *)
-
-val inputs_of_vector : (string * int) array -> bool array -> (string * bool) list
-(** Named inputs from a vector in [pi_cells] order.
-    @raise Invalid_argument if the lengths differ. *)
+val check_inputs : caller:string -> (string * int) array -> bool array -> unit
+(** Executors take a primary-input vector by position: value [i] is
+    loaded into the cell of [pi_cells.(i)], the order of
+    [Mig.input_names] for a compiled program.
+    @raise Invalid_argument ["<caller>: N input values for M inputs"]
+    when the vector's length is not the number of inputs. *)
 
 val read_outputs : (string * int) array -> (int -> bool) -> (string * bool) list
 (** Each output's cell through [read], in [po_cells] order. *)

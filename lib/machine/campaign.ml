@@ -217,8 +217,7 @@ let run_degraded ?(seed = 0xCAFE) ?(max_executions = 100) ?sample_every ?enduran
     if completed >= max_executions then (completed, Max_executions)
     else begin
       let vector = Splitmix.bits rng ~width in
-      let inputs = Program.inputs_of_vector p.Program.pi_cells vector in
-      let outcome, s = Exec.run ~verify fx rm p ~inputs in
+      let outcome, s = Exec.run ~verify fx rm p ~inputs:vector in
       stats := Exec.add_stats !stats s;
       match outcome with
       | Exec.Completed outputs ->

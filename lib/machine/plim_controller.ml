@@ -32,14 +32,14 @@ let static_cycles (p : Program.t) =
   !cycles
 
 (* Power-on shared by the controllers: a fresh [num_cells]-cell array with
-   the bound inputs loaded (uncounted), a cycle counter, and the operand
+   the input vector loaded (uncounted), a cycle counter, and the operand
    read that charges it one cycle per access. *)
 let power_on ~caller (p : Program.t) inputs =
+  Program.check_inputs ~caller p.Program.pi_cells inputs;
   Metrics.incr m_runs;
   Metrics.incr ~by:(Program.length p) m_instructions;
-  let values = Program.bind_inputs ~caller p.Program.pi_cells inputs in
   let xbar = Crossbar.create p.Program.num_cells in
-  Array.iteri (fun i (_, cell) -> Crossbar.load xbar cell values.(i)) p.Program.pi_cells;
+  Array.iteri (fun i (_, cell) -> Crossbar.load xbar cell inputs.(i)) p.Program.pi_cells;
   let cycles = ref 0 in
   let read i =
     incr cycles;

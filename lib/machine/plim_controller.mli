@@ -35,15 +35,17 @@ val static_cycles : Program.t -> int
 val run :
   ?on_step:(trace_entry -> unit) ->
   Program.t ->
-  inputs:(string * bool) list ->
+  inputs:bool array ->
   (string * bool) list * Crossbar.t * run_stats
 (** [run p ~inputs] allocates a crossbar of [Program.num_cells p] cells,
     loads the primary inputs (uncounted initialisation writes), turns the
     controller on, executes the whole instruction stream and reads back
-    the outputs.
+    the outputs.  [inputs.(i)] is loaded into the cell of
+    [p.pi_cells.(i)]: the order of [Mig.input_names] of the compiled
+    graph.
 
-    @raise Invalid_argument if [inputs] does not bind exactly the
-    program's primary inputs. *)
+    @raise Invalid_argument if [inputs] does not hold one value per
+    primary input. *)
 
 val static_groups :
   geometry:Plim_geometry.grid -> Program.t -> (int, string) result
@@ -55,7 +57,7 @@ val static_groups :
 val run_grouped :
   geometry:Plim_geometry.grid ->
   Program.t ->
-  inputs:(string * bool) list ->
+  inputs:bool array ->
   ((string * bool) list * Crossbar.t * run_stats, string) result
 (** Execute the program through its row-parallel schedule
     ({!Plim_geometry.schedule}): each group reads all member operands
@@ -66,5 +68,5 @@ val run_grouped :
     counted, so [cycles] equals {!static_cycles}.  The latency in groups
     is {!static_groups}.  [Error] if the program does not fit the grid.
 
-    @raise Invalid_argument if [inputs] does not bind exactly the
-    program's primary inputs. *)
+    @raise Invalid_argument if [inputs] does not hold one value per
+    primary input, as {!run}. *)

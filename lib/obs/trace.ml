@@ -48,19 +48,27 @@ let event_to_json e =
    domain-safe.  Null-sink emits stay lock-free. *)
 let emit_lock = Mutex.create ()
 
+(* The first write error of the current [Jsonl] sink.  The sink is
+   switched off on it, so the run goes on untraced, and [with_jsonl]
+   reports it. *)
+let jsonl_error = ref None
+
 let emit ?(args = []) name =
   match !current with
   | Null -> ()
-  | s ->
+  | _ ->
     let e = { ts = Clock.now (); name; args } in
-    Mutex.lock emit_lock;
-    (match s with
-    | Null -> ()
-    | Memory q -> Queue.add e q
-    | Jsonl oc ->
-      output_string oc (event_to_json e);
-      output_char oc '\n');
-    Mutex.unlock emit_lock
+    Mutex.protect emit_lock (fun () ->
+        match !current with
+        | Null -> ()
+        | Memory q -> Queue.add e q
+        | Jsonl oc -> (
+          try
+            output_string oc (event_to_json e);
+            output_char oc '\n'
+          with Sys_error msg ->
+            current := Null;
+            jsonl_error := Some msg))
 
 let with_sink s f =
   let previous = !current in
@@ -74,13 +82,17 @@ let with_memory f =
 
 (* [f] runs only once the file is open, and the flush runs in the body,
    so a failed one is an [Error] rather than an exception out of a
-   [finally]. *)
+   [finally].  A write that failed during [f] is an [Error] too. *)
 let with_jsonl path f =
   match open_out_bin path with
   | exception Sys_error msg -> Error msg
   | oc -> (
     Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
+    jsonl_error := None;
     let v = with_sink (Jsonl oc) f in
-    match flush oc with
-    | () -> Ok v
-    | exception Sys_error msg -> Error (path ^ ": " ^ msg))
+    match !jsonl_error with
+    | Some msg -> Error (path ^ ": " ^ msg)
+    | None -> (
+      match flush oc with
+      | () -> Ok v
+      | exception Sys_error msg -> Error (path ^ ": " ^ msg)))

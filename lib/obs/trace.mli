@@ -29,7 +29,9 @@ val enabled : unit -> bool
     with this at hot call sites. *)
 
 val emit : ?args:(string * arg) list -> string -> unit
-(** Emit an event to the current sink (a no-op under {!Null}). *)
+(** Emit an event to the current sink (a no-op under {!Null}).  A write
+    error on a [Jsonl] sink raises nothing: it switches the sink off
+    and {!with_jsonl} returns it. *)
 
 val with_memory : (unit -> 'a) -> 'a * event list
 (** Run with a fresh [Memory] sink installed; restores the previous sink
@@ -39,4 +41,5 @@ val with_jsonl : string -> (unit -> 'a) -> ('a, string) result
 (** [with_jsonl path f] runs [f] with a [Jsonl] sink writing to [path];
     closes the file and restores the previous sink afterwards.
     [Error "PATH: REASON"] when [path] cannot be opened, before [f] runs,
+    when an event could not be written (the rest of [f] runs untraced),
     or when closing it fails. *)

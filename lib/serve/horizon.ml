@@ -212,7 +212,7 @@ let run ?pool cfg =
     incr sampled;
     let before = Server.shard_wear server in
     let reqs = Workload.generate ~seed ~requests:cfg.epoch_requests cfg.mix in
-    ignore (Server.run ?pool server reqs);
+    Server.feed ?pool server reqs;
     let after = Server.shard_wear server in
     List.map
       (fun (id, _status, w) ->

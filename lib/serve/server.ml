@@ -189,7 +189,7 @@ type exec_job = {
   index : int;                  (* position within the batch *)
   digest : string;
   program : Program.t;
-  inputs : (string * bool) list;
+  inputs : bool array;          (* unpacked once, shared by every run *)
 }
 
 (* Reference outputs on an ideal (fault-free, unlimited) machine — the
@@ -235,13 +235,12 @@ let pmap pool ~f xs =
 
 (* One batch in five phases, each a Profile span (classify, compile,
    place, execute, settle), so a profiled run attributes all of
-   [Server.run]'s time; there is no span per request. *)
-let serve_batch ?pool t reqs =
+   [Server.run]'s time; there is no span per request.  Each response
+   goes to [answer] with its index in the batch. *)
+let serve_batch ?pool t reqs ~answer =
   let n = Array.length reqs in
   t.requests <- t.requests + n;
   Metrics.incr ~by:n m_requests;
-  let responses = Array.make n None in
-  let answer i r = responses.(i) <- Some r in
   let reject i digest reason =
     t.rejected <- t.rejected + 1;
     Metrics.incr m_rejected;
@@ -297,7 +296,13 @@ let serve_batch ?pool t reqs =
       List.filter_map
         (fun (index, digest, inputs) ->
           match Cache.hit t.cache digest with
-          | Some (r : Pipeline.result) -> Some { index; digest; program = r.program; inputs }
+          | Some (r : Pipeline.result) -> (
+            let width = Array.length r.program.Program.pi_cells in
+            match Workload.unpack ~width inputs with
+            | Ok inputs -> Some { index; digest; program = r.program; inputs }
+            | Error reason ->
+              reject index digest reason;
+              None)
           | None ->
             reject index digest "unknown program digest";
             None)
@@ -380,37 +385,47 @@ let serve_batch ?pool t reqs =
   in
   List.iter
     (List.iter (fun (j, s, attempt, ideal) -> settle j ideal ~cycles:0 s attempt))
-    shard_results;
-  List.init n (fun i ->
-      match responses.(i) with
-      | Some r -> r
-      | None -> failwith (Printf.sprintf "Server.run: batch index %d has no response" i))
+    shard_results
 
-let run ?pool ?(batch = 32) t requests =
+(* The one batch loop: [answer i r] gets the response to request [i] of
+   [requests]. *)
+let serve ?pool ~batch t requests ~answer =
   if batch <= 0 then invalid_arg "Server.run: batch size must be positive";
   let writes_before = fleet_total_writes t in
   let reqs = Array.of_list requests in
-  let rec go start acc =
-    if start >= Array.length reqs then List.concat (List.rev acc)
-    else
+  let rec go start =
+    if start < Array.length reqs then begin
       let len = min batch (Array.length reqs - start) in
-      go (start + batch) (serve_batch ?pool t (Array.sub reqs start len) :: acc)
+      serve_batch ?pool t (Array.sub reqs start len) ~answer:(fun i r ->
+          answer (start + i) r);
+      go (start + len)
+    end
   in
-  let out = go 0 [] in
+  go 0;
   Metrics.add_gauge g_fleet_writes
-    (float_of_int (fleet_total_writes t - writes_before));
-  out
+    (float_of_int (fleet_total_writes t - writes_before))
+
+let run ?pool ?(batch = 32) t requests =
+  let responses = Array.make (List.length requests) None in
+  serve ?pool ~batch t requests ~answer:(fun i r -> responses.(i) <- Some r);
+  List.init (Array.length responses) (fun i ->
+      match responses.(i) with
+      | Some r -> r
+      | None -> failwith (Printf.sprintf "Server.run: request %d has no response" i))
+
+let feed ?pool ?(batch = 32) t requests =
+  serve ?pool ~batch t requests ~answer:(fun _ _ -> ())
 
 let retire_drill ?pool ?batch t requests ~retire =
   match retire with
   | [] ->
-    ignore (run ?pool ?batch t requests);
+    feed ?pool ?batch t requests;
     []
   | ids ->
     let half = List.length requests / 2 in
-    ignore (run ?pool ?batch t (List.filteri (fun i _ -> i < half) requests));
+    feed ?pool ?batch t (List.filteri (fun i _ -> i < half) requests);
     let refused = List.filter (fun id -> not (force_retire t id)) ids in
-    ignore (run ?pool ?batch t (List.filteri (fun i _ -> i >= half) requests));
+    feed ?pool ?batch t (List.filteri (fun i _ -> i >= half) requests);
     refused
 
 let summary t =

@@ -22,9 +22,12 @@
       fleet is out of shards.
 
     Every request gets exactly one response.  An execution is rejected
-    for one of four reasons: an unknown program digest, a program with
-    more cells than a shard has lines, no active shard at placement, or
-    a fleet that runs out of shards while replaying it.
+    for one of five reasons: an unknown program digest, an input vector
+    whose length does not fit the program ({!Workload.unpack}), a
+    program with more cells than a shard has lines, no active shard at
+    placement, or a fleet that runs out of shards while replaying it.
+    An accepted execution's vector is unpacked once at placement and
+    shared by its shard runs and its reference run.
 
     Phases 1, 3 and 5 are sequential and phases 2 and 4 partition
     their mutable state per task, so the response stream, every counter
@@ -120,16 +123,21 @@ val run : ?pool:Plim_par.t -> ?batch:int -> t -> Workload.request list ->
 (** Serve the requests (batch size defaults to 32 and never affects
     results' values, only scheduling granularity); responses are in
     request order.  Without [pool] every phase runs sequentially —
-    identical output, no parallelism. *)
+    identical output, no parallelism.  The only function that returns
+    responses. *)
+
+val feed : ?pool:Plim_par.t -> ?batch:int -> t -> Workload.request list -> unit
+(** {!run} for a caller that only wants the fleet state: the same
+    batches, counters, wear and histograms, but no response is kept. *)
 
 val retire_drill :
   ?pool:Plim_par.t -> ?batch:int -> t -> Workload.request list ->
   retire:int list -> int list
-(** The forced-retirement drill: {!run} the first half of the requests,
-    {!force_retire} each of [retire] in order, then {!run} the rest, so
+(** The forced-retirement drill: {!feed} the first half of the requests,
+    {!force_retire} each of [retire] in order, then {!feed} the rest, so
     the surviving and spare shards absorb it.  With [retire = []] this
-    is one {!run} over all the requests.  Responses are dropped; the
-    result is the ids {!force_retire} refused, in order. *)
+    is one {!feed} over all the requests.  The result is the ids
+    {!force_retire} refused, in order. *)
 
 val summary : t -> summary
 

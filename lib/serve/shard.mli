@@ -48,12 +48,12 @@ val set_status : t -> status -> unit
 val status_name : status -> string
 
 val execute :
-  verify:bool -> t -> Program.t -> inputs:(string * bool) list ->
+  verify:bool -> t -> Program.t -> inputs:bool array ->
   Exec.outcome * Exec.stats
 (** One write-verified execution on the shard's persistent crossbar;
     bumps the shard's execution counter and accumulates the stats.
     @raise Invalid_argument when the program needs more than [lines]
-    cells. *)
+    cells, or as {!Exec.run} on an input vector of the wrong length. *)
 
 val stats : t -> Exec.stats
 

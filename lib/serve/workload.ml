@@ -3,7 +3,7 @@ module Splitmix = Plim_util.Splitmix
 
 type request =
   | Compile of { graph : Mig.t }
-  | Execute of { digest : string; inputs : (string * bool) list }
+  | Execute of { digest : string; inputs : string }
 
 type program = { label : string; graph : Mig.t; digest : string }
 
@@ -43,14 +43,29 @@ let sample_rank rng cumulative =
   let rec find i = if i >= n - 1 || u < cumulative.(i) then i else find (i + 1) in
   find 0
 
-(* One [(name, false)] and one [(name, true)] binding per input, built once
-   per program: a vector shares them and allocates only its list. *)
-let bindings graph =
-  Array.map (fun name -> ((name, false), (name, true))) (Mig.input_names graph)
+(* Input [i] is bit [i mod 8] of byte [i / 8]; the padding bits of the
+   last byte are zero, so equal vectors are equal strings. *)
+let packed_bytes width = (width + 7) / 8
 
-let input_vector rng bindings =
-  Array.to_list
-    (Array.map (fun (off, on) -> if Splitmix.bool rng then on else off) bindings)
+let unpack ~width inputs =
+  let bytes = packed_bytes width in
+  if String.length inputs <> bytes then
+    Error
+      (Printf.sprintf "input vector has %d bytes, program has %d inputs (%d bytes)"
+         (String.length inputs) width bytes)
+  else
+    Ok
+      (Array.init width (fun i ->
+           String.get_uint8 inputs (i lsr 3) land (1 lsl (i land 7)) <> 0))
+
+(* One [Splitmix.bool] per input, in input order. *)
+let input_vector rng width =
+  let b = Bytes.make (packed_bytes width) '\000' in
+  for i = 0 to width - 1 do
+    if Splitmix.bool rng then
+      Bytes.set_uint8 b (i lsr 3) (Bytes.get_uint8 b (i lsr 3) lor (1 lsl (i land 7)))
+  done;
+  Bytes.unsafe_to_string b
 
 let generate ~seed ~requests mix =
   if requests < 0 then invalid_arg "Workload.generate: negative request count";
@@ -58,7 +73,7 @@ let generate ~seed ~requests mix =
   if mix.hot_pool < 0 then invalid_arg "Workload.generate: negative hot pool";
   let programs = Array.of_list mix.programs in
   let n = Array.length programs in
-  let bindings = Array.map (fun p -> bindings p.graph) programs in
+  let widths = Array.map (fun p -> Mig.num_inputs p.graph) programs in
   let mass = zipf_mass mix.zipf n in
   let cumulative = Array.make n 0.0 in
   let acc = ref 0.0 in
@@ -74,7 +89,7 @@ let generate ~seed ~requests mix =
     Array.init n (fun rank ->
         Array.init mix.hot_pool (fun slot ->
             let vseed = Splitmix.derive (Splitmix.derive seed (1 + rank)) slot in
-            input_vector (Splitmix.create vseed) bindings.(rank)))
+            input_vector (Splitmix.create vseed) widths.(rank)))
   in
   let rng = Splitmix.create (Splitmix.derive seed 0) in
   let sampled =
@@ -87,7 +102,7 @@ let generate ~seed ~requests mix =
         let inputs =
           if mix.hot_pool > 0 && Splitmix.float rng < mix.hot_fraction then
             hot_vectors.(rank).(Splitmix.int rng mix.hot_pool)
-          else input_vector rng bindings.(rank)
+          else input_vector rng widths.(rank)
         in
         Execute { digest = p.digest; inputs })
   in

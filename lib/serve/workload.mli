@@ -18,8 +18,9 @@ module Mig = Plim_mig.Mig
 type request =
   | Compile of { graph : Mig.t }
       (** compile [graph] (and cache it under its digest) *)
-  | Execute of { digest : string; inputs : (string * bool) list }
-      (** run the cached program of [digest] on [inputs] *)
+  | Execute of { digest : string; inputs : string }
+      (** run the cached program of [digest] on [inputs], a packed bit
+          vector (see {!unpack}) *)
 
 type program = {
   label : string;
@@ -52,6 +53,15 @@ val zipf_mass : float -> int -> float array
     Exposed for the chi-square sanity tests.
     @raise Invalid_argument when [n <= 0]. *)
 
+val unpack : width:int -> string -> (bool array, string) result
+(** [unpack ~width inputs] reads a packed input vector of [width]
+    inputs.  Bit [i] is input [i] of the program, in the order of
+    [Mig.input_names] and of the compiled program's [pi_cells]: bit
+    [i mod 8] (least significant first) of byte [i / 8].  The vector
+    holds exactly [(width + 7) / 8] bytes and the padding bits of its
+    last byte are zero, so equal vectors are equal strings.  [Error]
+    names both lengths when the byte count is wrong. *)
+
 val generate : seed:int -> requests:int -> mix -> request list
 (** [generate ~seed ~requests mix] is the deterministic request
     sequence: one warm-up [Compile] per program (in popularity order)
@@ -59,5 +69,7 @@ val generate : seed:int -> requests:int -> mix -> request list
     program Zipfian-by-rank, then is a redundant [Compile] with
     probability [compile_ratio], else an [Execute] whose inputs come
     from the program's hot pool with probability [hot_fraction] and are
-    drawn fresh otherwise.  Hot-pool vectors are derived from [seed]
-    alone, so the same hot vector recurs across the run. *)
+    drawn fresh otherwise, one [Splitmix.bool] per input in input order.
+    Hot-pool vectors are derived from [seed] alone, so the same hot
+    vector recurs across the run, and a recurring vector is one shared
+    string. *)

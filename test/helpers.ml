@@ -59,9 +59,7 @@ let adder4 =
   lazy
     (let g = Plim_benchgen.Arith.adder ~width:4 in
      let p = (Pipeline.compile Pipeline.endurance_full g).Pipeline.program in
-     let inputs =
-       Array.to_list (Array.mapi (fun i (n, _) -> (n, i mod 3 <> 1)) p.Program.pi_cells)
-     in
+     let inputs = Array.init (Array.length p.Program.pi_cells) (fun i -> i mod 3 <> 1) in
      let reference, _, _ = Controller.run p ~inputs in
      (p, inputs, reference))
 

@@ -309,7 +309,7 @@ let test_write_counts_three_way () =
       Alcotest.(check (array int))
         (name ^ ": analyzer = static") static (A.write_counts p);
       let inputs =
-        Array.to_list (Array.map (fun (n, _) -> (n, false)) p.Program.pi_cells)
+        Array.make (Array.length p.Program.pi_cells) false
       in
       let _, xbar, _ = Controller.run p ~inputs in
       Alcotest.(check (array int))

@@ -655,10 +655,7 @@ let test_backend_allocation () =
       if words /. n >= 11.5 then
         Alcotest.failf "%s: compile_rewritten allocates %.1f minor words per instruction (>= 11.5)"
           name (words /. n);
-      let inputs =
-        Program.inputs_of_vector p.Program.pi_cells
-          (Array.init (Array.length p.Program.pi_cells) (fun i -> i mod 2 = 0))
-      in
+      let inputs = Array.init (Array.length p.Program.pi_cells) (fun i -> i mod 2 = 0) in
       let _, words = minor_words_of (fun () -> Controller.run p ~inputs) in
       if words /. n >= 1. then
         Alcotest.failf "%s: Plim_controller.run allocates %.2f minor words per instruction (>= 1)"

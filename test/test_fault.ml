@@ -192,10 +192,7 @@ let test_exec_allocation () =
   let spec = Fault_model.make ~transient:1e-4 ~seed:7 () in
   let fx = Faulty.create ~spec (Crossbar.create (Program.num_cells p + 8)) in
   let rm = Remap.create ~spares:8 ~lines:(Program.num_cells p) () in
-  let inputs =
-    Program.inputs_of_vector p.Program.pi_cells
-      (Array.init (Array.length p.Program.pi_cells) (fun i -> i mod 3 = 0))
-  in
+  let inputs = Array.init (Array.length p.Program.pi_cells) (fun i -> i mod 3 = 0) in
   let runs = 200 in
   let retries = ref 0 in
   let before = Gc.minor_words () in

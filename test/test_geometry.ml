@@ -160,9 +160,7 @@ let test_schedule_deterministic () =
 
 (* --- grouped execution vs the flat controller --------------------------- *)
 
-let random_inputs rng p =
-  Array.to_list
-    (Array.map (fun (n, _) -> (n, Splitmix.bool rng)) p.Program.pi_cells)
+let random_inputs rng p = Splitmix.bits rng ~width:(Array.length p.Program.pi_cells)
 
 let test_run_grouped_identity () =
   let rng = Splitmix.create 0xC0DE in
@@ -193,7 +191,7 @@ let test_run_grouped_wear_identity () =
   (* grouping must not change which cells get written how often *)
   let _, p = List.hd (Lazy.force suite_programs) in
   let inputs =
-    Array.to_list (Array.map (fun (n, _) -> (n, true)) p.Program.pi_cells)
+    Array.make (Array.length p.Program.pi_cells) true
   in
   let _, xb_flat, _ = Controller.run p ~inputs in
   let grid = G.grid_for ~cols:8 ~num_cells:(Program.num_cells p) in
@@ -254,7 +252,7 @@ let prop_grouped_matches_flat =
     QCheck.(triple program_arb (int_range 1 10) (pair bool bool))
     (fun (p, cols, (va, vb)) ->
       let grid = G.grid_for ~cols ~num_cells:(Program.num_cells p) in
-      let inputs = [ ("a", va); ("b", vb) ] in
+      let inputs = [| va; vb |] in
       let flat, _, fstats = Controller.run p ~inputs in
       match Controller.run_grouped ~geometry:grid p ~inputs with
       | Error e -> QCheck.Test.fail_reportf "run_grouped: %s" e

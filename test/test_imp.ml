@@ -22,7 +22,7 @@ let test_imp_gates () =
   let p = Imp.compile g in
   for m = 0 to 7 do
     let va = m land 1 = 1 and vb = m land 2 = 2 and vc = m land 4 = 4 in
-    let outputs, _ = Imp.run p ~inputs:[ ("a", va); ("b", vb); ("c", vc) ] in
+    let outputs, _ = Imp.run p ~inputs:[| va; vb; vc |] in
     check_bool "and" (va && vb) (List.assoc "and" outputs);
     check_bool "or" (va || vb) (List.assoc "or" outputs);
     check_bool "not" (not va) (List.assoc "not" outputs);
@@ -48,22 +48,21 @@ let test_imp_const_outputs () =
   Mig.add_output g "zero" Mig.false_;
   Mig.add_output g "one" Mig.true_;
   let p = Imp.compile g in
-  let outputs, _ = Imp.run p ~inputs:[ ("a", true) ] in
+  let outputs, _ = Imp.run p ~inputs:[| true |] in
   check_bool "const 0" false (List.assoc "zero" outputs);
   check_bool "const 1" true (List.assoc "one" outputs)
 
-(* Imp.run binds like every RM3 executor: exactly the program's inputs *)
+(* Imp.run takes its vector like every RM3 executor: one value per
+   input, by position *)
 let test_imp_binding_errors () =
   let g = Mig.create () in
   let a = Mig.add_input g "a" in
   Mig.add_output g "y" (Mig.not_ a);
   let p = Imp.compile g in
-  Alcotest.check_raises "missing" (Invalid_argument "Imp.run: missing input \"a\"")
-    (fun () -> ignore (Imp.run p ~inputs:[]));
-  Alcotest.check_raises "duplicate" (Invalid_argument "Imp.run: duplicate input \"a\"")
-    (fun () -> ignore (Imp.run p ~inputs:[ ("a", true); ("a", false) ]));
-  Alcotest.check_raises "extra" (Invalid_argument "Imp.run: unknown extra inputs")
-    (fun () -> ignore (Imp.run p ~inputs:[ ("a", true); ("b", false) ]))
+  Alcotest.check_raises "empty" (Invalid_argument "Imp.run: 0 input values for 1 inputs")
+    (fun () -> ignore (Imp.run p ~inputs:[||]));
+  Alcotest.check_raises "long" (Invalid_argument "Imp.run: 2 input values for 1 inputs")
+    (fun () -> ignore (Imp.run p ~inputs:[| true; false |]))
 
 let imp_correct =
   QCheck.Test.make ~count:40 ~name:"IMP compilation is functionally correct"
@@ -104,7 +103,7 @@ let test_imp_write_accounting () =
   let g = Plim_benchgen.Arith.adder ~width:4 in
   let p = Imp.compile g in
   let inputs =
-    Array.to_list (Array.map (fun (n, _) -> (n, true)) p.Imp.pi_cells)
+    Array.make (Array.length p.Imp.pi_cells) true
   in
   let _, xbar = Imp.run p ~inputs in
   Alcotest.(check (array int)) "dynamic = static" (Imp.static_write_counts p)

@@ -121,7 +121,7 @@ let test_cycle_accounting () =
   let g = Plim_benchgen.Arith.adder ~width:4 in
   let r = Pipeline.compile Pipeline.endurance_full g in
   let p = r.Pipeline.program in
-  let inputs = Array.to_list (Array.map (fun (n, _) -> (n, true)) p.Program.pi_cells) in
+  let inputs = Array.make (Array.length p.Program.pi_cells) true in
   let _, xbar, stats = Controller.run p ~inputs in
   check_int "instructions executed" (Program.length p) stats.Controller.instructions;
   let reads =

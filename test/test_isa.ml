@@ -160,29 +160,18 @@ let test_program_validation_edges () =
   in
   check_int "shared cells accepted" 1 (Program.num_cells q)
 
-(* Inputs in pi_cells order bind by position, any other order by name;
-   each error reads the same whichever path the list starts on. *)
-let test_bind_inputs () =
+(* An input vector binds by position: only its length can be wrong. *)
+let test_check_inputs () =
   let pi_cells = [| ("a", 0); ("b", 1); ("c", 2) |] in
-  let bind inputs = Program.bind_inputs ~caller:"T" pi_cells inputs in
-  let values = Alcotest.(check (array bool)) in
-  values "in order" [| true; false; true |] (bind [ ("a", true); ("b", false); ("c", true) ]);
-  values "out of order" [| true; false; true |]
-    (bind [ ("c", true); ("a", true); ("b", false) ]);
-  values "from a vector" [| false; true; true |]
-    (bind (Program.inputs_of_vector pi_cells [| false; true; true |]));
-  values "no inputs" [||] (Program.bind_inputs ~caller:"T" [||] []);
-  let raises what msg inputs =
+  Program.check_inputs ~caller:"T" pi_cells [| true; false; true |];
+  Program.check_inputs ~caller:"T" [||] [||];
+  let raises what msg values =
     Alcotest.check_raises what (Invalid_argument ("T: " ^ msg)) (fun () ->
-        ignore (bind (List.map (fun name -> (name, true)) inputs)))
+        Program.check_inputs ~caller:"T" pi_cells values)
   in
-  raises "duplicate, in order" "duplicate input \"c\"" [ "a"; "b"; "c"; "c" ];
-  raises "duplicate, out of order" "duplicate input \"c\"" [ "c"; "a"; "c"; "b" ];
-  raises "duplicate before missing" "duplicate input \"a\"" [ "a"; "a" ];
-  raises "missing, in order" "missing input \"c\"" [ "a"; "b" ];
-  raises "missing, out of order" "missing input \"a\"" [ "c"; "b" ];
-  raises "extra, in order" "unknown extra inputs" [ "a"; "b"; "c"; "d" ];
-  raises "extra, out of order" "unknown extra inputs" [ "d"; "c"; "b"; "a" ]
+  raises "short" "2 input values for 3 inputs" [| true; false |];
+  raises "long" "4 input values for 3 inputs" [| true; false; true; true |];
+  raises "empty" "0 input values for 3 inputs" [||]
 
 (* --- assembly ------------------------------------------------------------- *)
 
@@ -314,7 +303,7 @@ let () =
           Alcotest.test_case "validation edges" `Quick test_program_validation_edges;
           Alcotest.test_case "cell limit" `Quick test_program_cell_limit;
           qc packed_roundtrip;
-          Alcotest.test_case "input binding" `Quick test_bind_inputs ] );
+          Alcotest.test_case "input vector length" `Quick test_check_inputs ] );
       ( "assembly",
         [ Alcotest.test_case "roundtrip" `Quick test_asm_roundtrip;
           Alcotest.test_case "parsing" `Quick test_asm_parsing;

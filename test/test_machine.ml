@@ -15,14 +15,14 @@ let maj_program = Helpers.maj_program
 let test_not () =
   List.iter
     (fun v ->
-      let outputs, _, _ = Controller.run (not_program ()) ~inputs:[ ("a", v) ] in
+      let outputs, _, _ = Controller.run (not_program ()) ~inputs:[| v |] in
       check_bool "not" (not v) (List.assoc "y" outputs))
     [ false; true ]
 
 let test_copy () =
   List.iter
     (fun v ->
-      let outputs, _, _ = Controller.run (copy_program ()) ~inputs:[ ("a", v) ] in
+      let outputs, _, _ = Controller.run (copy_program ()) ~inputs:[| v |] in
       check_bool "copy" v (List.assoc "y" outputs))
     [ false; true ]
 
@@ -30,7 +30,7 @@ let test_maj () =
   for m = 0 to 7 do
     let a = m land 1 = 1 and b = m land 2 = 2 and c = m land 4 = 4 in
     let outputs, _, _ =
-      Controller.run (maj_program ()) ~inputs:[ ("a", a); ("b", b); ("c", c) ]
+      Controller.run (maj_program ()) ~inputs:[| a; b; c |]
     in
     check_bool
       (Printf.sprintf "maj %b %b %b" a b c)
@@ -39,7 +39,7 @@ let test_maj () =
   done
 
 let test_stats () =
-  let _, xbar, stats = Controller.run (maj_program ()) ~inputs:[ ("a", true); ("b", false); ("c", true) ] in
+  let _, xbar, stats = Controller.run (maj_program ()) ~inputs:[| true; false; true |] in
   check_int "instructions" 3 stats.Controller.instructions;
   (* cycles: set_const (1 write), not (1 read + 1 write), rm3 (2 reads + 1 write) *)
   check_int "cycles" 6 stats.Controller.cycles;
@@ -52,13 +52,9 @@ let test_stats () =
    inputs (the cycle count is input-independent). *)
 let test_static_cycles_matches_run () =
   let progs =
-    [ ("not", not_program (), [ [ ("a", false) ]; [ ("a", true) ] ]);
-      ("copy", copy_program (), [ [ ("a", false) ]; [ ("a", true) ] ]);
-      ( "maj",
-        maj_program (),
-        [ [ ("a", false); ("b", true); ("c", true) ];
-          [ ("a", true); ("b", true); ("c", false) ] ] )
-    ]
+    [ ("not", not_program (), [ [| false |]; [| true |] ]);
+      ("copy", copy_program (), [ [| false |]; [| true |] ]);
+      ("maj", maj_program (), [ [| false; true; true |]; [| true; true; false |] ]) ]
   in
   List.iter
     (fun (name, p, input_sets) ->
@@ -76,7 +72,7 @@ let test_trace () =
   let entries = ref [] in
   let _ =
     Controller.run (not_program ()) ~on_step:(fun e -> entries := e :: !entries)
-      ~inputs:[ ("a", true) ]
+      ~inputs:[| true |]
   in
   let entries = List.rev !entries in
   check_int "two steps" 2 (List.length entries);
@@ -90,26 +86,27 @@ let test_trace () =
 
 let test_input_binding_errors () =
   let p = not_program () in
-  Alcotest.check_raises "missing"
-    (Invalid_argument "Plim_controller.run: missing input \"a\"") (fun () ->
-      ignore (Controller.run p ~inputs:[]));
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Plim_controller.run: duplicate input \"a\"") (fun () ->
-      ignore (Controller.run p ~inputs:[ ("a", true); ("a", false) ]));
-  Alcotest.check_raises "extra" (Invalid_argument "Plim_controller.run: unknown extra inputs")
-    (fun () -> ignore (Controller.run p ~inputs:[ ("a", true); ("b", false) ]))
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Plim_controller.run: 0 input values for 1 inputs") (fun () ->
+      ignore (Controller.run p ~inputs:[||]));
+  Alcotest.check_raises "long"
+    (Invalid_argument "Plim_controller.run: 2 input values for 1 inputs") (fun () ->
+      ignore (Controller.run p ~inputs:[| true; false |]))
 
+(* value [i] goes to the cell of [pi_cells.(i)], whatever the cell order *)
 let test_run_positional () =
-  let p = not_program () in
-  let run values =
-    let outputs, _, _ =
-      Controller.run p ~inputs:(Program.inputs_of_vector p.Program.pi_cells values)
-    in
-    List.map snd outputs
+  let p =
+    Program.make ~instrs:[||] ~num_cells:2 ~pi_cells:[| ("x", 1); ("y", 0) |]
+      ~po_cells:[| ("ox", 1); ("oy", 0) |]
   in
-  Alcotest.(check (list bool)) "positional inputs" [ false ] (run [| true |]);
-  Alcotest.check_raises "arity" (Invalid_argument "Program.inputs_of_vector: input arity mismatch")
-    (fun () -> ignore (run [||]))
+  let run values =
+    let outputs, _, _ = Controller.run p ~inputs:values in
+    outputs
+  in
+  Alcotest.(check (list (pair string bool)))
+    "x then y" [ ("ox", true); ("oy", false) ] (run [| true; false |]);
+  Alcotest.(check (list (pair string bool)))
+    "swapped" [ ("ox", false); ("oy", true) ] (run [| false; true |])
 
 let test_endurance_mid_run () =
   (* a 2-write program against a 1-write budget must fail *)
@@ -125,7 +122,7 @@ module Energy = Plim_machine.Energy
 
 let test_energy_accounting () =
   let _, xbar, stats =
-    Controller.run (maj_program ()) ~inputs:[ ("a", true); ("b", false); ("c", true) ]
+    Controller.run (maj_program ()) ~inputs:[| true; false; true |]
   in
   let r = Energy.of_run xbar stats in
   check_int "reads" (stats.Controller.cycles - stats.Controller.instructions) r.Energy.reads;
@@ -234,10 +231,7 @@ let counter_deltas f =
 let test_executors_count_alike () =
   let g = Plim_benchgen.Suite.(build_cached (find "adder8")) in
   let p = (Pipeline.compile Pipeline.endurance_full g).Pipeline.program in
-  let inputs =
-    Program.inputs_of_vector p.Program.pi_cells
-      (Array.make (Array.length p.Program.pi_cells) true)
-  in
+  let inputs = Array.make (Array.length p.Program.pi_cells) true in
   let flat = counter_deltas (fun () -> ignore (Controller.run p ~inputs)) in
   let grouped =
     counter_deltas (fun () -> ignore (grouped_exn ~geometry:(grid 64 1) p ~inputs))
@@ -263,9 +257,8 @@ let executors_agree =
       let p = (Pipeline.compile Pipeline.endurance_full g).Pipeline.program in
       let n = Program.num_cells p in
       let inputs =
-        Program.inputs_of_vector p.Program.pi_cells
-          (Plim_util.Splitmix.bits (Plim_util.Splitmix.create seed)
-             ~width:(Array.length p.Program.pi_cells))
+        Plim_util.Splitmix.bits (Plim_util.Splitmix.create seed)
+          ~width:(Array.length p.Program.pi_cells)
       in
       let data xbar = Array.sub (Crossbar.write_counts xbar) 0 n in
       let reference, xbar, _ = Controller.run p ~inputs in
@@ -285,15 +278,15 @@ let executors_agree =
       && agrees "Exec.run" (exec_fault_free p ~inputs)
       && agrees "Exec.run ~verify" (exec_fault_free ~verify:true p ~inputs))
 
-(* the binding errors of the grouped controller and of fault-tolerant
-   execution.  A failed Exec.run binding touches no cell and no spare:
-   cell 0 is stuck at 1, so a scrub under write-verify would retire it. *)
+(* the wrong-length vectors of the grouped controller, of fault-tolerant
+   execution and of a serve shard.  A failed Exec.run check touches no
+   cell and no spare: cell 0 is stuck at 1, so a scrub under
+   write-verify would retire it. *)
 let test_binding_error_table () =
   let p = not_program () in
   let cases =
-    [ ("missing", [], "missing input \"a\"");
-      ("duplicate", [ ("a", true); ("a", false) ], "duplicate input \"a\"");
-      ("extra", [ ("a", true); ("b", false) ], "unknown extra inputs") ]
+    [ ("empty", [||], "0 input values for 1 inputs");
+      ("long", [| true; false |], "2 input values for 1 inputs") ]
   in
   List.iter
     (fun (what, inputs, msg) ->
@@ -307,7 +300,12 @@ let test_binding_error_table () =
         (fun () -> ignore (Exec.run ~verify:true fx rm p ~inputs));
       Alcotest.(check (array int)) (what ^ ": no wear") [| 0; 0; 0; 0 |]
         (Crossbar.write_counts xbar);
-      check_int (what ^ ": spares untouched") 2 (Remap.spares_left rm))
+      check_int (what ^ ": spares untouched") 2 (Remap.spares_left rm);
+      let shard = Plim_serve.Shard.create ~id:0 ~lines:2 ~spares:2 () in
+      Alcotest.check_raises ("Shard.execute " ^ what)
+        (Invalid_argument ("Exec.run: " ^ msg))
+        (fun () -> ignore (Plim_serve.Shard.execute ~verify:true shard p ~inputs));
+      check_int (what ^ ": shard wear") 0 (Plim_serve.Shard.total_writes shard))
     cases
 
 let () =

@@ -202,7 +202,7 @@ let test_compile_counters () =
   let before_writes = Metrics.get "crossbar.writes" in
   check_int "no crossbar writes during compilation" 0 before_writes;
   let inputs =
-    Array.to_list (Array.map (fun (n, _) -> (n, false)) p.Program.pi_cells)
+    Array.make (Array.length p.Program.pi_cells) false
   in
   let _, _, _ = Controller.run p ~inputs in
   check_int "crossbar.writes after one run = write_summary.total" s.Stats.total
@@ -277,6 +277,27 @@ let test_null_sink_identical () =
   check_bool "programs identical" true (r0.Pipeline.program = r1.Pipeline.program);
   check_bool "summaries identical" true
     (r0.Pipeline.write_summary = r1.Pipeline.write_summary)
+
+(* A write that fails mid-run (here once the channel buffer fills) raises
+   nothing: the sink goes off, the run finishes untraced, the lock is
+   free for the next sink and [with_jsonl] returns the error. *)
+let test_jsonl_write_error () =
+  let still_on = ref true and finished = ref false in
+  let r =
+    Trace.with_jsonl "/dev/full" (fun () ->
+        for i = 1 to 20_000 do
+          Trace.emit "test.event" ~args:[ ("i", Trace.Int i) ]
+        done;
+        still_on := Trace.enabled ();
+        finished := true)
+  in
+  Alcotest.(check (result unit string)) "error names the file"
+    (Error "/dev/full: No space left on device") r;
+  check_bool "the run finished" true !finished;
+  check_bool "sink switched off" false !still_on;
+  check_bool "previous sink restored" false (Trace.enabled ());
+  let (), events = Trace.with_memory (fun () -> Trace.emit "after") in
+  check_int "next sink records" 1 (List.length events)
 
 let test_jsonl_sink () =
   let path = Filename.temp_file "plim_obs" ".jsonl" in
@@ -417,7 +438,8 @@ let () =
       ( "trace",
         [ Alcotest.test_case "memory sink order" `Quick test_memory_sink_event_order;
           Alcotest.test_case "null sink identical" `Quick test_null_sink_identical;
-          Alcotest.test_case "jsonl sink" `Quick test_jsonl_sink ] );
+          Alcotest.test_case "jsonl sink" `Quick test_jsonl_sink;
+          Alcotest.test_case "jsonl write error" `Quick test_jsonl_write_error ] );
       ( "profile",
         [ Alcotest.test_case "nesting + chrome json" `Quick
             test_span_nesting_and_chrome_json;

@@ -74,24 +74,91 @@ let test_generate_deterministic () =
   check_int "warm-up + sampled" (List.length mix4.Workload.programs + 300)
     (List.length a)
 
-(* A generated stream stays resident for a whole replay, so a program's
-   vectors share one [(name, value)] binding per input value instead of
-   allocating a pair per input per request. *)
-let test_generate_shares_bindings () =
-  let stream = Workload.generate ~seed:7 ~requests:400 mix4 in
+(* A generated stream stays resident for a whole replay, so a recurring
+   hot vector is one shared string, not a copy per request. *)
+let test_generate_shares_hot_vectors () =
+  let stream =
+    Workload.generate ~seed:7 ~requests:400
+      { mix4 with Workload.hot_fraction = 1.0; compile_ratio = 0.0 }
+  in
   let first = Hashtbl.create 64 in
   List.iter
     (function
       | Workload.Compile _ -> ()
-      | Workload.Execute { digest; inputs } ->
-        List.iter
-          (fun b ->
-            match Hashtbl.find_opt first (digest, b) with
-            | None -> Hashtbl.add first (digest, b) b
-            | Some b0 -> check_bool "binding shared" true (b == b0))
-          inputs)
+      | Workload.Execute { digest; inputs } -> (
+        match Hashtbl.find_opt first (digest, inputs) with
+        | None -> Hashtbl.add first (digest, inputs) inputs
+        | Some v0 -> check_bool "hot vector shared" true (inputs == v0)))
     stream;
-  check_bool "both values of some input seen" true (Hashtbl.length first > 2)
+  check_bool "several hot vectors seen" true (Hashtbl.length first > 4)
+
+(* The source graph of the program [digest] of [mix]. *)
+let graph_of (mix : Workload.mix) digest =
+  (List.find
+     (fun (p : Workload.program) -> p.Workload.digest = digest)
+     mix.Workload.programs)
+    .Workload.graph
+
+let unpack_exn ~width inputs =
+  match Workload.unpack ~width inputs with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "Workload.unpack: %s" e
+
+let small_mix = lazy (Workload.mix_of_suite Suite.small_suite)
+
+(* Each request of the small-suite stream at seed 1 as one line: its
+   kind, its digest and, for an execution, its input bits in input
+   order.  The stream must stay the same function of the seed whatever
+   the vector representation. *)
+let test_generate_pinned () =
+  let mix = Lazy.force small_mix in
+  let line = function
+    | Workload.Compile { graph } -> "C " ^ Cache.digest_of graph
+    | Workload.Execute { digest; inputs } ->
+      let width = Plim_mig.Mig.num_inputs (graph_of mix digest) in
+      let bits = unpack_exn ~width inputs in
+      "E " ^ digest ^ " "
+      ^ String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") bits))
+  in
+  let got = List.map line (Workload.generate ~seed:1 ~requests:2000 mix) in
+  let expected =
+    In_channel.with_open_bin "expected/workload-small-seed1.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  check_int "pinned request count" (List.length expected) (List.length got);
+  List.iteri
+    (fun i (e, g) -> Alcotest.(check string) (Printf.sprintf "request %d" i) e g)
+    (List.combine expected got)
+
+let test_unpack () =
+  let bits = Alcotest.(check (array bool)) in
+  bits "LSB first" [| true; false; false; false; false; false; false; false; true |]
+    (unpack_exn ~width:9 "\001\001");
+  bits "no inputs" [||] (unpack_exn ~width:0 "");
+  let error what ~width s msg =
+    Alcotest.(check (result (array bool) string))
+      what (Error msg) (Workload.unpack ~width s)
+  in
+  error "short" ~width:9 "\001"
+    "input vector has 1 bytes, program has 9 inputs (2 bytes)";
+  error "long" ~width:8 "\001\000"
+    "input vector has 2 bytes, program has 8 inputs (1 bytes)"
+
+(* The stream a serve replay keeps resident: words per sampled request
+   beyond the mix it is drawn from.  A request is a list cell and an
+   Execute block; a cold vector adds a short string, a hot one nothing.
+   A (name, bool) list per vector read 14.9; packed vectors read 6.3. *)
+let test_stream_words () =
+  let mix = Lazy.force small_mix in
+  let requests = 32_000 in
+  let stream = Workload.generate ~seed:1 ~requests mix in
+  let words =
+    Obj.reachable_words (Obj.repr (stream, mix)) - Obj.reachable_words (Obj.repr mix)
+  in
+  let per_request = float_of_int words /. float_of_int requests in
+  if per_request > 8.0 then
+    Alcotest.failf "%.2f words per sampled request (bound 8)" per_request
 
 let test_generate_warmup_first () =
   let stream = Workload.generate ~seed:3 ~requests:50 mix4 in
@@ -209,7 +276,7 @@ let test_server_warmup_then_hits () =
 
 let test_server_unknown_digest_rejected () =
   let server = Server.create quiet_config in
-  match Server.run server [ Workload.Execute { digest = "deadbeef"; inputs = [] } ] with
+  match Server.run server [ Workload.Execute { digest = "deadbeef"; inputs = "" } ] with
   | [ Server.Rejected { digest = "deadbeef"; _ } ] -> ()
   | _ -> Alcotest.fail "expected a rejection for an unknown digest"
 
@@ -315,12 +382,10 @@ let test_server_rejection_reasons () =
   let compile =
     Workload.Compile { graph = wp.Workload.graph }
   in
+  let width = Plim_mig.Mig.num_inputs wp.Workload.graph in
+  let bytes = (width + 7) / 8 in
   let execute =
-    Workload.Execute
-      { digest = wp.Workload.digest;
-        inputs =
-          Array.to_list (Plim_mig.Mig.input_names wp.Workload.graph)
-          |> List.map (fun n -> (n, false)) }
+    Workload.Execute { digest = wp.Workload.digest; inputs = String.make bytes '\000' }
   in
   let expect_rejected what server requests ~index ~reason =
     let before = (Server.summary server).Server.rejected in
@@ -342,6 +407,16 @@ let test_server_rejection_reasons () =
     check_int (what ^ ": serve.rejected delta") 1
       (Plim_obs.Metrics.get "serve.rejected" - metric_before)
   in
+  (* an input vector one byte too long for the program *)
+  let server = Server.create quiet_config in
+  let long =
+    Workload.Execute
+      { digest = wp.Workload.digest; inputs = String.make (bytes + 1) '\000' }
+  in
+  expect_rejected "wrong input width" server [ compile; long ] ~index:1
+    ~reason:
+      (Printf.sprintf "input vector has %d bytes, program has %d inputs (%d bytes)"
+         (bytes + 1) width bytes);
   (* a program larger than the configured shard lines *)
   let cells =
     Plim_isa.Program.num_cells
@@ -377,6 +452,31 @@ let test_server_rejection_reasons () =
   check_int "every shard retired" 3 s.Server.retired_shards;
   check_int "the spare was woken" 1 s.Server.spare_activations;
   check_int "nothing executed" 0 s.Server.executes
+
+(* The right bits reach the machine: crossbar wear does not depend on
+   the data and [check] compares with a reference run fed the same
+   vector, so each answer is compared with the source graph itself. *)
+let served_outputs_match_mig =
+  let server = lazy (Server.create quiet_config) in
+  QCheck.Test.make ~count:6 ~name:"outputs = Mig.eval of the source"
+    QCheck.small_nat
+    (fun seed ->
+      let mix = Lazy.force small_mix in
+      let stream = Workload.generate ~seed ~requests:150 mix in
+      let responses = Server.run (Lazy.force server) stream in
+      List.iter2
+        (fun req resp ->
+          match (req, resp) with
+          | Workload.Execute { digest; inputs }, Server.Executed { outputs; _ } ->
+            let g = graph_of mix digest in
+            let bits = unpack_exn ~width:(Plim_mig.Mig.num_inputs g) inputs in
+            if Array.of_list (List.map snd outputs) <> Plim_mig.Mig.eval g bits then
+              QCheck.Test.fail_reportf "%s: outputs differ from Mig.eval" digest
+          | Workload.Execute { digest; _ }, _ ->
+            QCheck.Test.fail_reportf "%s: execution not served" digest
+          | Workload.Compile _, _ -> ())
+        stream responses;
+      true)
 
 let test_row_json_shape () =
   let stream = Workload.generate ~seed:5 ~requests:30 mix4 in
@@ -417,8 +517,11 @@ let () =
           Alcotest.test_case "seed determinism" `Quick test_generate_deterministic;
           Alcotest.test_case "warm-up compiles first" `Quick test_generate_warmup_first;
           Alcotest.test_case "hot/cold input skew" `Quick test_hot_cold_skew;
-          Alcotest.test_case "vectors share their bindings" `Quick
-            test_generate_shares_bindings ] );
+          Alcotest.test_case "hot vectors are shared strings" `Quick
+            test_generate_shares_hot_vectors;
+          Alcotest.test_case "stream pinned at seed 1" `Quick test_generate_pinned;
+          Alcotest.test_case "unpack layout" `Quick test_unpack;
+          Alcotest.test_case "stream words per request" `Quick test_stream_words ] );
       ( "cache",
         [ Alcotest.test_case "digest stability" `Quick test_cache_digest_stability;
           Alcotest.test_case "small-suite digest pins" `Quick test_cache_digest_pins ] );
@@ -432,5 +535,6 @@ let () =
           Alcotest.test_case "forced retirement" `Quick test_server_forced_retirement;
           Alcotest.test_case "organic retirement" `Quick test_server_organic_retirement;
           Alcotest.test_case "rejection reasons" `Quick test_server_rejection_reasons;
+          QCheck_alcotest.to_alcotest served_outputs_match_mig;
           Alcotest.test_case "row json" `Quick test_row_json_shape;
           Alcotest.test_case "fleet heatmaps" `Quick test_fleet_heatmap_json ] ) ]
