@@ -35,6 +35,7 @@ let expand g =
   let into = Mig.create_sized ~nodes:(expanded_size g reachable) () in
   Mig.rebuild_into ~reachable ~map:(Array.make (Mig.num_nodes g) Mig.false_) g ~into
     ~rule:expand_node;
+  Mig.drop_strash into;
   into
 
 let is_aig g =

@@ -13,7 +13,9 @@ module Mig = Plim_mig.Mig
 
 val expand : Mig.t -> Mig.t
 (** Functionally equivalent graph in AND-inverter form: the only majority
-    nodes are [<x y 0>]-shaped (possibly with complemented edges). *)
+    nodes are [<x y 0>]-shaped (possibly with complemented edges).  It is
+    built by hash-consing, and returned without its structural hash
+    ({!Mig.drop_strash}). *)
 
 val is_aig : Mig.t -> bool
 (** True when every reachable majority node has a constant child. *)

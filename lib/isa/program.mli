@@ -2,7 +2,14 @@
     binding primary inputs and outputs to cells.
 
     [num_cells] is the paper's #R metric (number of RRAM devices used);
-    [length] is #I (number of RM3 instructions). *)
+    [length] is #I (number of RM3 instructions).
+
+    Sharing: a program is only ever read once made.  [code] is a mutable
+    array that the record exposes for reading, and no consumer writes it:
+    [Server]'s compile cache hands one program to every request for it,
+    and a batch's shard jobs run on a domain pool, as do the cells of a
+    horizon grid, so a write would change what other runs execute, on
+    other domains too.  Every function below only reads its program. *)
 
 type t = private {
   code : int array;  (** one packed RM3 per instruction, in program order *)

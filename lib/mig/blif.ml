@@ -148,6 +148,7 @@ let parse text =
   List.iter
     (fun (lineno, name) -> Mig.add_output g name (signal_of lineno name))
     !outputs;
+  Mig.drop_strash g;
   g
 
 let of_string text =

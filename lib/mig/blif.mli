@@ -19,7 +19,8 @@ val of_string : string -> (Mig.t, string) result
     not match its [.names], a cube output other than [0]/[1], an input
     declared twice, an undriven signal (at the line that references it),
     a combinational cycle (at the [.names] of a signal on it) or a dangling
-    line continuation. *)
+    line continuation.  The graph is returned without its structural
+    hash ({!Mig.drop_strash}). *)
 
 val to_string : Mig.t -> string
 

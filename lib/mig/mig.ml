@@ -15,7 +15,8 @@ type strash = {
      [int array] would take, so more of it stays in cache), each keyed on
      its own (c0, c1, c2); 0 (the constant's id) marks an empty slot.  The
      slot count is a power of two, doubled before more than half the slots
-     fill, so probes stay short. *)
+     fill, so probes stay short.  Empty (no slot at all) while the graph
+     has no table: one is built at the first [maj] that needs it. *)
   mutable count : int; (* full slots: the majority node count *)
 }
 
@@ -48,12 +49,14 @@ type io = {
    [Bytes.t].  Records at [len] and above are spare capacity, grown by
    doubling.  The
    interface exposes the record [private], so rewriting reads a node's
-   words with no call. *)
+   words with no call.  A [view] (see [index]) shares another graph's
+   [nodes] and [io], so nothing may write it. *)
 type t = {
   mutable nodes : Bytes.t;
   mutable len : int; (* allocated nodes, the constant included *)
   strash : strash;
   io : io;
+  view : bool;
 }
 
 let record_bytes = 12
@@ -107,13 +110,15 @@ let empty ~nodes strash =
         input_nodes = Vec.create ~dummy:0 ();
         outs = Vec.create ~dummy:("", 0) ();
         names = Hashtbl.create 16;
-        named = 0 } }
+        named = 0 };
+    view = false }
 
-(* [nodes] sizes the node records and the strash up front, so a rebuild
-   never regrows or rehashes them. *)
+(* [nodes] sizes the node records up front, and with them the strash the
+   first [maj] builds, so a build of that many nodes never regrows or
+   rehashes them. *)
 let create_sized ?(nodes = 0) () =
   check_nodes "Mig.create_sized" nodes;
-  empty ~nodes { slots = Bytes.make (strash_bytes nodes) '\000'; count = 0 }
+  empty ~nodes { slots = Bytes.empty; count = 0 }
 
 let create () = create_sized ()
 
@@ -124,6 +129,8 @@ let create_twin ~nodes g =
   check_nodes "Mig.create_twin" nodes;
   empty ~nodes g.strash
 
+let check_writable fn g = if g.view then invalid_arg (fn ^ ": the graph is a read-only view")
+
 let grow_nodes g =
   check_nodes "Mig" (g.len + 1);
   let nodes = node_store (min (2 * capacity g) max_nodes) in
@@ -131,6 +138,7 @@ let grow_nodes g =
   g.nodes <- nodes
 
 let new_node g a b c =
+  check_writable "Mig" g;
   if g.len = capacity g then grow_nodes g;
   let id = g.len and nodes = g.nodes in
   let off = record_bytes * id in
@@ -148,6 +156,7 @@ let push_input g name =
   signal id false
 
 let add_input g name =
+  check_writable "Mig.add_input" g;
   let io = g.io in
   for pi = io.named to Vec.length io.input_names - 1 do
     Hashtbl.replace io.names (Vec.get io.input_names pi) ()
@@ -196,6 +205,26 @@ let grow_strash g =
   done;
   g.strash.slots <- slots
 
+(* Empties [st] into a table of at least [strash_bytes nodes] bytes: one
+   too small is replaced, a larger one kept. *)
+let clear_strash st ~nodes =
+  let bytes = strash_bytes nodes in
+  if Bytes.length st.slots < bytes then st.slots <- Bytes.make bytes '\000'
+  else if st.count > 0 then Bytes.fill st.slots 0 (Bytes.length st.slots) '\000';
+  st.count <- 0
+
+(* Fills [g]'s strash, sized for [nodes] nodes (at least [g]'s), with
+   [g]'s majority nodes.  A graph holds no two majority nodes on one
+   child triple, so each insert finds an empty slot. *)
+let index_nodes g ~nodes =
+  let st = g.strash in
+  clear_strash st ~nodes:(max nodes g.len);
+  let slots = st.slots in
+  for id = 1 to g.len - 1 do
+    if maj_id g id then set_slot slots (slot g slots (c0 g id) (c1 g id) (c2 g id)) id
+  done;
+  st.count <- g.len - 1 - Vec.length g.io.input_names
+
 (* Both sort their operands into (lo, mid, hi) with integer operations, so
    neither allocates unless [lookup] returns [Some]. *)
 let maj g a b c =
@@ -205,6 +234,7 @@ let maj g a b c =
   if r <> no_reduction then r
   else begin
     let st = g.strash in
+    if Bytes.length st.slots = 0 then index_nodes g ~nodes:(capacity g);
     let i = slot g st.slots lo mid hi in
     let id = slot_id st.slots i in
     if id <> 0 then signal id false
@@ -224,8 +254,12 @@ let lookup ~below g a b c =
   if r <> no_reduction then Some r
   else begin
     let slots = g.strash.slots in
-    let id = slot_id slots (slot g slots lo mid hi) in
-    if id <> 0 && id < below then Some (signal id false) else None
+    if Bytes.length slots > 0 then begin
+      let id = slot_id slots (slot g slots lo mid hi) in
+      if id <> 0 && id < below then Some (signal id false) else None
+    end
+    else if g.len = 1 + Vec.length g.io.input_names then None (* no majority node *)
+    else invalid_arg "Mig.lookup: the graph has no structural hash"
   end
 
 let and_ g a b = maj g a b false_
@@ -233,7 +267,18 @@ let or_ g a b = maj g a b true_
 let xor g a b = or_ g (and_ g a (not_ b)) (and_ g (not_ a) b)
 let mux g s a b = or_ g (and_ g s a) (and_ g (not_ s) b)
 
-let add_output g name s = ignore (Vec.push g.io.outs (name, s))
+let add_output g name s =
+  check_writable "Mig.add_output" g;
+  ignore (Vec.push g.io.outs (name, s))
+
+let drop_strash g =
+  g.strash.slots <- Bytes.empty;
+  g.strash.count <- 0
+
+let index g ~twin =
+  let view = { g with strash = twin.strash; view = true } in
+  index_nodes view ~nodes:(capacity twin);
+  view
 
 (* {1 Inspection} *)
 
@@ -440,18 +485,16 @@ let output_tables g =
 
 (* {1 Copying} *)
 
-(* Empties [g] for a rebuild of [nodes] nodes: node records and strash too
-   small for them are replaced, larger ones are kept.  The ids a graph
+(* Empties [g] for a rebuild of [nodes] nodes: node records too small for
+   them are replaced, larger ones kept, and the strash is emptied into a
+   table sized for the records (kept when large enough).  The ids a graph
    gets do not depend on either size, so a reset graph numbers its nodes
    as [create ()] would. *)
 let reset g ~nodes =
+  check_writable "Mig.rebuild_into" g;
   if capacity g < nodes then g.nodes <- node_store nodes;
   g.len <- 1;
-  let st = g.strash in
-  let bytes = strash_bytes nodes in
-  if Bytes.length st.slots < bytes then st.slots <- Bytes.make bytes '\000'
-  else if st.count > 0 then Bytes.fill st.slots 0 (Bytes.length st.slots) '\000';
-  st.count <- 0;
+  clear_strash g.strash ~nodes:(capacity g);
   let io = g.io in
   Vec.clear io.input_names;
   Vec.clear io.input_nodes;
@@ -459,11 +502,9 @@ let reset g ~nodes =
   if io.named > 0 then Hashtbl.reset io.names;
   io.named <- 0
 
-let rebuild_into ?reachable:mark ~map g ~into ~rule =
-  if into == g then invalid_arg "Mig.rebuild_into: target is the source";
-  if Array.length map < g.len then invalid_arg "Mig.rebuild_into: map too short";
-  let mark = mark_of g mark in
-  reset into ~nodes:g.len;
+(* Copies the inputs, the reachable majority nodes (as [rule] rebuilds
+   them) and the outputs of [g] into the empty graph [into]. *)
+let copy_into mark ~map g ~into ~rule =
   map.(0) <- false_;
   Vec.iteri
     (fun pi id -> map.(id) <- push_input into (Vec.get g.io.input_names pi))
@@ -477,11 +518,28 @@ let rebuild_into ?reachable:mark ~map g ~into ~rule =
   done;
   Vec.iter (fun (name, s) -> add_output into name (remap s)) g.io.outs
 
+let rebuild_into ?reachable:mark ~map g ~into ~rule =
+  if into == g then invalid_arg "Mig.rebuild_into: target is the source";
+  if Array.length map < g.len then invalid_arg "Mig.rebuild_into: map too short";
+  let mark = mark_of g mark in
+  reset into ~nodes:g.len;
+  copy_into mark ~map g ~into ~rule
+
+(* [maj] without the strash, for [cleanup]: the map sends live nodes to
+   distinct nodes and never complements, so the images of a node's three
+   distinct children are three distinct nodes, and no two live nodes share
+   a child triple.  So no Ω.M reduction and no existing node can answer;
+   only the order of the children may change, where the map is not
+   monotone (an input declared after a majority node moves below it). *)
+let append g ~old_id:_ a b c =
+  let lo = min_signal a (min_signal b c) and hi = max_signal a (max_signal b c) in
+  signal (new_node g lo (a + b + c - lo - hi) hi) false
+
 let cleanup ?reachable ?map g =
   let mark = mark_of g reachable in
   let live = ref (1 + num_inputs g) in
   iter_marked_maj mark g (fun _ -> incr live);
   let into = create_sized ~nodes:!live () in
   let map = match map with Some m -> m | None -> Array.make g.len false_ in
-  rebuild_into ~reachable:mark ~map g ~into ~rule:(fun g' ~old_id:_ a b c -> maj g' a b c);
+  copy_into mark ~map g ~into ~rule:append;
   into

@@ -16,10 +16,16 @@
     first and zeros in the others).  No tag is stored: a majority node's
     children are distinct after Ω.M, so its second and third words
     differ, and they are equal (zero) for the constant and the inputs.
-    Beside it a structural hash: an open-addressed table of node ids, 4
-    bytes a slot, keyed on each node's own sorted children.  Neither the
-    store's size nor the table is observable: a graph built by the same
-    calls gets the same ids whatever their sizes.  The slot width bounds a
+    Beside it, only while nodes are being built, a structural hash (the
+    strash): an open-addressed table of node ids, 4 bytes a slot, keyed
+    on each node's own sorted children.  A graph gets its table at its
+    first [maj] that needs one, which indexes the nodes it already holds;
+    the producers of finished graphs ({!cleanup}, and the readers,
+    generators and front end built on [maj]) return them without one, as
+    the table is about as large as the node store and a finished graph
+    is only read.  Neither the store's size nor the table, nor whether
+    the graph has one, is observable: a graph built by the same calls gets
+    the same ids whatever their sizes.  The slot width bounds a
     graph at [2^31 - 1] nodes (ids up to [2^31 - 2], signals up to
     [2^32 - 3]): {!create_sized} or {!create_twin} with a larger hint,
     and [maj] or [add_input] on a graph that holds that many, raise
@@ -33,10 +39,19 @@
 
     Allocation: [maj] (hit, miss or Ω.M reduction), a [lookup] miss,
     [is_maj], [child] and a read of {!t}'s fields allocate nothing,
-    except when [maj] outgrows the store or the table ([create_sized]
-    sizes both up front); a [lookup] hit allocates its [Some].  [kind]
-    allocates its [Maj] or [Input].  [kind], [is_maj] and [child] raise
-    [Invalid_argument] on an id outside [0, num_nodes). *)
+    except when [maj] builds the table or outgrows the store or the
+    table ([create_sized] sizes both up front); a [lookup] hit allocates
+    its [Some].  [kind] allocates its [Maj] or [Input].  [kind], [is_maj]
+    and [child] raise [Invalid_argument] on an id outside
+    [0, num_nodes).
+
+    Sharing: a graph is written only by [maj] (and the gates built on
+    it), [add_input], [add_output], {!drop_strash}, and {!rebuild_into}
+    into it; {!create_twin} and {!index} graphs also share a table.  Every
+    other function, {!cleanup} and {!index} included, only reads its
+    argument.  A graph shared between domains must only be read: so the
+    finished graphs above, which have no table to build, can be compiled
+    from several domains at once. *)
 
 type signal = private int
 (** A node reference with a polarity (complemented-edge) flag, packed as
@@ -54,6 +69,7 @@ type t = private {
   mutable len : int;
   strash : strash;
   io : io;
+  view : bool;
 }
 (** A graph.  Node [id]'s record is the 12 bytes of [nodes] from
     [12 * id]: child [i] of a majority node, as {!child} returns it, is
@@ -65,7 +81,8 @@ type t = private {
     it.  A word read skips {!is_maj}'s and {!child}'s checks, but not
     OCaml's bounds check: the reader makes sure [id] is below [len] (and
     is a majority node, for a child).  Code outside a hot loop calls the
-    checked functions below; nothing writes [nodes] but this module. *)
+    checked functions below; nothing writes [nodes] but this module.
+    [view] is true on the read-only graphs {!index} returns. *)
 
 external signal_of_word : int -> signal = "%identity"
 (** A child word read from {!t}'s [nodes], as a signal, with no call and
@@ -95,10 +112,11 @@ val is_const : signal -> bool
 val create : unit -> t
 
 val create_sized : ?nodes:int -> unit -> t
-(** An empty graph whose node store and strash are sized for [nodes]
-    nodes, so building up to that many never regrows them.  The hint only
-    sizes storage: a graph that outgrows it doubles its store, and gets
-    the same ids as the same calls on [create ()].
+(** An empty graph whose node store is sized for [nodes] nodes, and with
+    it the strash its first [maj] builds, so building up to that many
+    never regrows either.  The hint only sizes storage: a graph that
+    outgrows it doubles its store, and gets the same ids as the same
+    calls on [create ()].
     @raise Invalid_argument if [nodes] exceeds the limit of [2^31 - 1]. *)
 
 val create_twin : nodes:int -> t -> t
@@ -107,13 +125,31 @@ val create_twin : nodes:int -> t -> t
     not a fresh one: for a caller that alternates {!rebuild_into} between
     two targets and needs only one hash.  The hash answers for whichever
     of the twins was built into last, by [maj] or as the [into] of
-    [rebuild_into], which empties it first.  On the other twin, [maj],
-    [lookup] and the gates built on [maj] must not be called until a
-    [rebuild_into] builds into it again.  Every other function reads only
-    node fields and input/output tables, and stays valid on both twins:
-    in particular either may be the source of a [rebuild_into] into the
-    other, or of a [cleanup].
+    [rebuild_into], which empties it first, or was made by {!index}.  On
+    the other twins, [maj], [lookup] and the gates built on [maj] must not
+    be called until a [rebuild_into] builds into them again.  Every other
+    function reads only node fields and input/output tables, and stays
+    valid on all twins: in particular any may be the source of a
+    [rebuild_into] into another, or of a [cleanup].
     @raise Invalid_argument if [nodes] exceeds the limit of [2^31 - 1]. *)
+
+val index : t -> twin:t -> t
+(** [index g ~twin] is a read-only view of [g] that {!lookup} can ask:
+    a graph that reads [g]'s node store and input/output tables, and
+    whose structural hash is [twin]'s (see {!create_twin}), emptied and
+    filled with [g]'s majority nodes.  For a caller that owns a table and
+    must ask [lookup] of a graph without one, [g] shared or not: [g] is
+    only read.  The view answers like [g] with a table of its own until a
+    twin is built into.  It is only read too: [maj] on a node it lacks,
+    [add_input], [add_output] and [rebuild_into] into it raise
+    [Invalid_argument].  It costs one record and the inserts: [twin]'s
+    table is kept if large enough for [g]. *)
+
+val drop_strash : t -> unit
+(** Frees [t]'s structural hash, in constant time, once [t] is built.
+    Nothing observable changes: a later [maj] builds a new one from [t]'s
+    nodes and gets the ids the old one gave, and [lookup] raises until
+    then.  On a twin it drops the table of every twin. *)
 
 val add_input : t -> string -> signal
 (** Declares a fresh primary input.  The duplicate check looks the name
@@ -130,7 +166,11 @@ val lookup : below:int -> t -> signal -> signal -> signal -> signal option
     node), else [None].  Used by rewriting heuristics to test whether a
     transformation is free.  A strashed node at an id [>= below] counts
     as a miss: the answer is the one the graph's prefix of nodes below
-    [below] would give.  [~below:max_int] asks the whole graph. *)
+    [below] would give.  [~below:max_int] asks the whole graph.  It never
+    builds or writes a table, so it reads a shared graph safely; ask it
+    of a graph without one through {!index}.
+    @raise Invalid_argument if the graph has majority nodes but no
+    structural hash, and the answer is not an Ω.M reduction. *)
 
 val and_ : t -> signal -> signal -> signal
 val or_ : t -> signal -> signal -> signal
@@ -231,9 +271,12 @@ val output_tables : t -> Plim_logic.Truth_table.t array
 (** {1 Copying} *)
 
 val cleanup : ?reachable:bool array -> ?map:signal array -> t -> t
-(** Rebuilds the graph keeping only nodes reachable from outputs: a
-    {!rebuild_into} with plain [maj] as its rule, into a fresh graph whose
-    storage is sized for exactly those nodes.  [reachable], when given,
+(** Rebuilds the graph keeping only nodes reachable from outputs: the
+    graph, ids and all, of a {!rebuild_into} with plain [maj] as its rule,
+    into a fresh graph whose node store is sized for exactly those nodes
+    and which has no structural hash.  It needs none: the live nodes'
+    images are distinct, so it appends each node's record with its
+    children re-sorted, and probes no table.  [reachable], when given,
     must be {!reachable}[ t] (it saves recomputing the mark), and [map]
     serves as [rebuild_into]'s map instead of a fresh one.  Either may be
     longer than [num_nodes t]. *)
@@ -261,5 +304,5 @@ val rebuild_into :
     after the call, [map.(id)] is the signal in [into] of every input and
     reachable majority node [id] of [t].  [reachable] as for {!cleanup}.
     [t] is only read.
-    @raise Invalid_argument if [into == t] or [map] is shorter than
-    [num_nodes t]. *)
+    @raise Invalid_argument if [into == t], [into] is a view from
+    {!index}, or [map] is shorter than [num_nodes t]. *)

@@ -65,4 +65,5 @@ let random ?(profile = default_profile) ~seed ~num_inputs ~num_nodes ~num_output
     let s = if Splitmix.float rng < profile.compl_prob then Mig.not_ s else s in
     Mig.add_output g (Printf.sprintf "y%d" o) s
   done;
+  Mig.drop_strash g;
   g

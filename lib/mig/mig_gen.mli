@@ -33,4 +33,5 @@ val random :
     generation retries with fresh children (the result has exactly
     [num_nodes] majority nodes unless the space is exhausted).  Outputs are
     chosen from the most recently created nodes so (almost) the whole graph
-    is reachable. *)
+    is reachable.  The graph is returned without its structural hash
+    ({!Mig.drop_strash}). *)

@@ -108,6 +108,7 @@ let parse text =
         | _ -> fail !lineno "unrecognised line")
     lines;
   if not !header_seen then fail !lineno "no 'mig' header before the end of the input";
+  Mig.drop_strash g;
   g
 
 let of_string text =

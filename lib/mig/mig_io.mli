@@ -27,7 +27,8 @@ val of_string : string -> (Mig.t, string) result
 (** Parse the [.mig] format.  [Error] on malformed input, always with a
     line number: a missing header, an unrecognised line, a bad id or
     operand, an operand naming an undefined node, an id defined twice, or
-    an input name declared twice. *)
+    an input name declared twice.  The graph is returned without its
+    structural hash ({!Mig.drop_strash}). *)
 
 val to_dot : Mig.t -> string
 

@@ -107,11 +107,18 @@ let count_pass name g rebuild =
           ("size_after", Int (Mig.size g')) ];
   g'
 
+(* [g] may have no strash, and is never written: the dry scan reads a
+   view of it indexed into the target's table. *)
 let run_pass g rules =
-  count_pass "pass" g (fun g ->
-      let s = scratch ~nodes:(Mig.num_nodes g) in
-      sweep s g;
-      run_pass_raw g s rules ~target:(fun () -> Mig.create_sized ~nodes:(Mig.num_nodes g) ()))
+  let into = Mig.create_sized ~nodes:(Mig.num_nodes g) () in
+  let view = Mig.index g ~twin:into in
+  let g' =
+    count_pass "pass" view (fun view ->
+        let s = scratch ~nodes:(Mig.num_nodes view) in
+        sweep s view;
+        run_pass_raw view s rules ~target:(fun () -> into))
+  in
+  if g' == view then g else g'
 
 type recipe = No_rewriting | Algorithm1 | Algorithm2
 
@@ -149,21 +156,26 @@ let algorithm2_passes =
    start, sized from [input] with [headroom]: two target graphs that
    rebuilds alternate between and that hold one strash
    ([Mig.create_twin]), and a scratch for the facts and the old -> new
-   map.  A rebuild writes into the target that does not hold the current
-   graph, so it never writes the graph it reads, and never [input]: the
-   caller's graph is only ever a source.  One strash serves both targets
-   because a rebuild reads only its source's node fields and I/O tables,
-   and each dry scan, which looks up the current graph's strash, ends
-   before the next rebuild empties it for the other target.  A graph that
-   outgrows the headroom gets larger storage from [sweep] and
+   map.  [input] needs no strash of its own: the first dry scan reads a
+   view of it ([Mig.index]) whose strash is the targets' one, filled with
+   [input]'s nodes.  A rebuild writes into the target that does not hold
+   the current graph, so it never writes the graph it reads, and never
+   [input]: the caller's graph is only ever read, so one graph may be
+   rewritten from several domains at once.  One strash serves the view
+   and both targets because a rebuild reads only its source's node fields
+   and I/O tables, and each dry scan, which looks up the current graph's
+   strash, ends before the next rebuild empties it for another target.  A
+   graph that outgrows the headroom gets larger storage from [sweep] and
    [Mig.rebuild_into].  The result is a fresh [Mig.cleanup] of the last
    graph, which reads the scratch but keeps nothing of it, so no rebuild
-   storage outlives the call.  The targets are made before the scratch:
-   with the same words allocated, that order left design-sweep's heap
-   peak 5.6 MB lower than the scratch first (EXPERIMENTS.md). *)
+   storage outlives the call.  The targets and the strash are made
+   before the scratch: with the same words allocated, that order left
+   design-sweep's heap peak 5.6 MB lower than the scratch first
+   (EXPERIMENTS.md). *)
 let cycles passes ~effort input =
   let nodes = headroom (Mig.num_nodes input) in
   let a = Mig.create_sized ~nodes () in
+  let view = Mig.index input ~twin:a in
   let b = Mig.create_twin ~nodes a in
   let s = scratch ~nodes in
   let target g () = if g == a then b else a in
@@ -182,7 +194,7 @@ let cycles passes ~effort input =
       go (n - 1) (List.fold_left step state passes)
     end
   in
-  let g, swept, _ = go (max 0 effort) (input, false, []) in
+  let g, swept, _ = go (max 0 effort) (view, false, []) in
   if not swept then sweep s g;
   Mig.cleanup ~reachable:s.reachable ~map:s.map g
 

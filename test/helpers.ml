@@ -87,6 +87,16 @@ let total_words_of f =
   let r = f () in
   (r, words () -. before)
 
+(* [Mig.cleanup g] as the hash-consing rebuild builds it, with its map: a
+   [rebuild_into] [create ()] with plain [maj] as its rule.  Unlike
+   [cleanup]'s result it keeps a strash, so [Mig.lookup] can ask it. *)
+let hashed_cleanup g =
+  let into = Plim_mig.Mig.create () in
+  let map = Array.make (Plim_mig.Mig.num_nodes g) Plim_mig.Mig.false_ in
+  Plim_mig.Mig.rebuild_into ~map g ~into ~rule:(fun g' ~old_id:_ a b c ->
+      Plim_mig.Mig.maj g' a b c);
+  (into, map)
+
 (* --- serve-layer fixtures ----------------------------------------------- *)
 
 (* a small, fast program mix: the first four small-suite circuits *)

@@ -296,21 +296,34 @@ let kinds_match_construction =
                   | exception Invalid_argument _ -> true)
            (List.init (Mig.num_nodes g - 1) succ))
 
-(* Every word a compact suite source graph holds per node: node store,
-   strash and input/output tables.  Four word-sized node arrays read
-   5.4-6.3 words per node on these circuits; one 12-byte record per node
-   in a [Bytes.t] reads 2.8-3.8. *)
+(* Every word a stored graph holds per node: node store, strash (if any)
+   and input/output tables.  Four word-sized node arrays read 5.4-6.3
+   words per node on these circuits; one 12-byte record per node in a
+   [Bytes.t] read 2.8-3.8 for sources and 3.1-3.5 for recipe results
+   while each kept its strash, and reads 1.6-1.9 and 1.5-2.0 without. *)
+let words_per_node what g =
+  let per_node =
+    float_of_int (Obj.reachable_words (Obj.repr g)) /. float_of_int (Mig.num_nodes g)
+  in
+  if per_node >= 2.5 then Alcotest.failf "%s holds %.2f words per node (>= 2.5)" what per_node
+
+let storage_circuits = [ "sin"; "sqrt"; "square"; "mem_ctrl" ]
+
 let test_storage_per_node () =
   List.iter
     (fun name ->
       let g = (Plim_benchgen.Suite.find name).Plim_benchgen.Suite.build () in
       check_bool (name ^ ": compact") true (Mig.is_compact g);
-      let per_node =
-        float_of_int (Obj.reachable_words (Obj.repr g)) /. float_of_int (Mig.num_nodes g)
-      in
-      if per_node >= 4.0 then
-        Alcotest.failf "%s: the graph holds %.2f words per node (>= 4.0)" name per_node)
-    [ "sin"; "sqrt"; "square"; "mem_ctrl" ]
+      words_per_node (name ^ "'s source graph") g)
+    storage_circuits
+
+let test_recipe_storage_per_node () =
+  List.iter
+    (fun name ->
+      let g = Plim_benchgen.Suite.build_cached (Plim_benchgen.Suite.find name) in
+      words_per_node (name ^ "'s recipe result")
+        (Plim_rewrite.Recipe.run Plim_rewrite.Recipe.Algorithm2 ~effort:5 g))
+    storage_circuits
 
 (* --- strash model ------------------------------------------------------- *)
 
@@ -371,9 +384,10 @@ let model_lookup m ~below a b c =
   | `Node id when id < below -> Some (2 * id)
   | `Node _ | `Absent _ -> None
 
-(* [ops] random maj / lookup ~below / add_input calls on [g] and [m];
-   false at the first answer or node count that differs. *)
-let agrees_with_model rng g m ~ops =
+(* [ops] random maj / lookup ~below / add_input calls on [g] and [m], the
+   first a [maj] when [maj_first]; false at the first answer or node count
+   that differs. *)
+let agrees_with_model ?(maj_first = false) rng g m ~ops =
   let int n = Random.State.int rng n in
   let operands () =
     let id = int m.nodes in
@@ -391,7 +405,7 @@ let agrees_with_model rng g m ~ops =
     k = 0
     || begin
       let same =
-        match int 10 with
+        match if maj_first && k = ops then 9 else int 10 with
         | 0 ->
           let name = Printf.sprintf "in%d" (Mig.num_inputs g) in
           let s = int_of_signal (Mig.add_input g name) in
@@ -414,6 +428,15 @@ let agrees_with_model rng g m ~ops =
   in
   go ops
 
+(* [lookup] raises on a graph that has majority nodes but no strash. *)
+let lookup_refused g m =
+  Hashtbl.length m.children = 0
+  ||
+  let a, b, c = Hashtbl.fold (fun _ key _ -> key) m.children (0, 0, 0) in
+  match Mig.lookup ~below:max_int g (signal_of_int a) (signal_of_int b) (signal_of_int c) with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
 let add_random_outputs rng g m =
   for i = 0 to 49 do
     Mig.add_output g (Printf.sprintf "o%d" i)
@@ -421,7 +444,8 @@ let add_random_outputs rng g m =
   done
 
 (* From [Mig.create ()] past 2 000 nodes (several table growths), then on
-   a presized [cleanup] copy of the result. *)
+   a presized [cleanup] copy of the result.  The copy has no strash:
+   [lookup] refuses it until a first [maj] builds one from its nodes. *)
 let strash_matches_model =
   QCheck.Test.make ~count:20 ~name:"strash answers like a reference Hashtbl model"
     QCheck.small_int (fun seed ->
@@ -433,7 +457,8 @@ let strash_matches_model =
       let grown = agrees_with_model rng g m ~ops:5000 && Mig.num_nodes g > 2000 in
       add_random_outputs rng g m;
       let copy = Mig.cleanup g in
-      grown && agrees_with_model rng copy (model_of copy) ~ops:2000)
+      let m' = model_of copy in
+      grown && lookup_refused copy m' && agrees_with_model ~maj_first:true rng copy m' ~ops:2000)
 
 (* Twins share one strash: from a graph sized for 16 nodes (a 256-slot
    table) past 600 nodes (at least two doublings), then a plain-[maj]
@@ -461,6 +486,131 @@ let strash_twins_match_model =
         end
       in
       grown && alternate 3 a m b)
+
+(* [ops] random [maj] calls on [g] and [m], and nothing else; false at
+   the first id that differs. *)
+let maj_agrees_with_model rng g m ~ops =
+  let rec go k = k = 0 || (agrees_with_model ~maj_first:true rng g m ~ops:1 && go (k - 1)) in
+  go ops
+
+(* A graph whose strash was dropped builds a new one at its next [maj]:
+   two graphs built by the same calls, one of which then drops its table,
+   give the same ids through the same 2 500 random [maj] calls, which take
+   the rebuilt table past two doublings.  [lookup] refuses the dropped
+   graph until its next [maj]. *)
+let dropped_strash_matches_kept =
+  QCheck.Test.make ~count:10 ~name:"a dropped strash gives the ids of a kept one"
+    QCheck.small_int (fun seed ->
+      let build () =
+        let rng = Random.State.make [| seed |] in
+        let g = Mig.create_sized ~nodes:16 () in
+        ignore (Mig.add_input g "x");
+        ignore (Mig.add_input g "y");
+        let m = model_of g in
+        let ok = agrees_with_model rng g m ~ops:150 in
+        (g, m, ok)
+      in
+      let kept, kept_m, kept_ok = build () and dropped, dropped_m, dropped_ok = build () in
+      Mig.drop_strash dropped;
+      let refused = Hashtbl.length dropped_m.children > 0 && lookup_refused dropped dropped_m in
+      (* the table the next [maj] builds has at most [max 256 (4 * capacity)]
+         slots; a majority count above it doubled the table twice *)
+      let slots = max 256 (4 * (Bytes.length dropped.Mig.nodes / 12)) in
+      let run g m = maj_agrees_with_model (Random.State.make [| seed; 1 |]) g m ~ops:2500 in
+      let same = run kept kept_m && run dropped dropped_m in
+      let majority = Mig.num_nodes dropped - 1 - Mig.num_inputs dropped in
+      kept_ok && dropped_ok && refused && same
+      && Mig.num_nodes kept = Mig.num_nodes dropped
+      && String.equal (Mig_io.digest kept) (Mig_io.digest dropped)
+      && majority > slots)
+
+(* A view from [index] answers [lookup] as its graph would with a table,
+   through its twin's table, and refuses every write; the graph it reads
+   keeps its words. *)
+let test_index_view () =
+  let g = Mig_gen.random ~seed:3 ~num_inputs:6 ~num_nodes:200 ~num_outputs:4 () in
+  let words = Obj.reachable_words (Obj.repr g) in
+  let twin = Mig.create () in
+  let v = Mig.index g ~twin in
+  check_bool "a view" true v.Mig.view;
+  check_bool "g's node store" true (v.Mig.nodes == g.Mig.nodes);
+  check_bool "the twin's strash" true (v.Mig.strash == twin.Mig.strash);
+  for id = 0 to Mig.num_nodes g - 1 do
+    if Mig.is_maj g id then begin
+      let a = Mig.child g id 0 and b = Mig.child g id 1 and c = Mig.child g id 2 in
+      check_bool (Printf.sprintf "finds node %d" id) true
+        (Mig.lookup ~below:max_int v c a b = Some (Mig.signal id false));
+      check_bool (Printf.sprintf "not below node %d" id) true
+        (Mig.lookup ~below:id v a b c = None);
+      check_bool (Printf.sprintf "maj hits node %d" id) true
+        (signal_equal (Mig.maj v b c a) (Mig.signal id false))
+    end
+  done;
+  let x = Mig.input_signal g 0 and y = Mig.input_signal g 1 in
+  (* no node has the last one as a child: <x y !top> is absent *)
+  let top = Mig.signal (Mig.num_nodes g - 1) false in
+  let refuses what f =
+    match f () with
+    | () -> Alcotest.failf "%s on a view: no exception" what
+    | exception Invalid_argument _ -> ()
+  in
+  refuses "maj" (fun () -> ignore (Mig.maj v x y (Mig.not_ top)));
+  refuses "add_input" (fun () -> ignore (Mig.add_input v "fresh"));
+  refuses "add_output" (fun () -> Mig.add_output v "fresh" x);
+  refuses "rebuild_into" (fun () ->
+      Mig.rebuild_into ~map:(Array.make (Mig.num_nodes g) Mig.false_) g ~into:v
+        ~rule:(fun g' ~old_id:_ a b c -> Mig.maj g' a b c));
+  check_int "g's words" words (Obj.reachable_words (Obj.repr g));
+  check_int "g's node count" (Mig.num_nodes v) (Mig.num_nodes g)
+
+(* [cleanup] appends each live node's record without a strash: it must
+   give the graph (ids, children in order, .mig digest) and the map of the
+   hash-consing rebuild.  [reordered] counts the nodes whose remapped
+   children changed order, which happens only where the map is not
+   monotone: an input declared after a majority node. *)
+let cleanup_matches_rebuild g =
+  let map = Array.make (Mig.num_nodes g) Mig.true_ in
+  let c = Mig.cleanup ~map g in
+  let h, hmap = Helpers.hashed_cleanup g in
+  let live = Mig.reachable g in
+  let reordered = ref 0 in
+  Mig.iter_reachable_maj g (fun id ->
+      let image i = Mig.node_of map.(Mig.node_of (Mig.child g id i)) in
+      if not (image 0 < image 1 && image 1 < image 2) then incr reordered);
+  let same =
+    Mig.num_nodes c = Mig.num_nodes h
+    && String.equal (Mig_io.digest c) (Mig_io.digest h)
+    && List.for_all (fun id -> Mig.kind c id = Mig.kind h id) (List.init (Mig.num_nodes c) Fun.id)
+    && List.for_all
+         (fun id -> (not live.(id)) || signal_equal map.(id) hmap.(id))
+         (List.init (Mig.num_nodes g) Fun.id)
+  in
+  (same, !reordered)
+
+let cleanup_matches_rebuild_gen =
+  QCheck.Test.make ~count:200 ~name:"cleanup = hash-consing rebuild (Gen graphs)"
+    (Plim_check.Gen.arbitrary ())
+    (fun d -> fst (cleanup_matches_rebuild (Plim_check.Gen.to_mig d)))
+
+(* Mig_gen graphs, and graphs of random calls that declare an input every
+   ten calls or so, after majority nodes: the second kind must reorder
+   some node's children, or the test would not reach the re-sort. *)
+let cleanup_matches_rebuild_random =
+  QCheck.Test.make ~count:40 ~name:"cleanup = hash-consing rebuild (Mig_gen, late inputs)"
+    QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let late = Mig.create () in
+      ignore (Mig.add_input late "x");
+      let m = model_of late in
+      let built = agrees_with_model rng late m ~ops:400 in
+      add_random_outputs rng late m;
+      let late_same, reordered = cleanup_matches_rebuild late in
+      let gen ?profile () =
+        fst
+          (cleanup_matches_rebuild
+             (Mig_gen.random ?profile ~seed ~num_inputs:6 ~num_nodes:300 ~num_outputs:5 ()))
+      in
+      built && late_same && reordered > 0 && gen () && gen ~profile:Mig_gen.control_profile ())
 
 (* --- inspection -------------------------------------------------------- *)
 
@@ -862,6 +1012,9 @@ let () =
           Alcotest.test_case "20 000 inputs in linear time" `Quick test_many_inputs_linear;
           qc strash_matches_model;
           qc strash_twins_match_model;
+          qc dropped_strash_matches_kept;
+          qc cleanup_matches_rebuild_gen;
+          qc cleanup_matches_rebuild_random;
           qc kinds_match_construction ] );
       ( "primitives",
         [ Alcotest.test_case "allocate nothing" `Quick test_primitives_allocate_nothing;
@@ -873,8 +1026,12 @@ let () =
           Alcotest.test_case "a reused rebuild target changes no id" `Quick
             test_rebuild_into_reused;
           Alcotest.test_case "twins alternate one strash" `Quick test_twins_alternate;
-          Alcotest.test_case "a compact source graph holds < 4 words per node" `Quick
-            test_storage_per_node ] );
+          Alcotest.test_case "a compact source graph holds < 2.5 words per node" `Quick
+            test_storage_per_node;
+          Alcotest.test_case "a recipe result holds < 2.5 words per node" `Quick
+            test_recipe_storage_per_node;
+          Alcotest.test_case "an index view reads its graph, writes nothing" `Quick
+            test_index_view ] );
       ( "inspection",
         [ Alcotest.test_case "levels/depth" `Quick test_levels_depth;
           Alcotest.test_case "fanouts/reachability" `Quick test_fanouts_reachability;

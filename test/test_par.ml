@@ -180,6 +180,34 @@ let test_sweep_degraded_independent_of_jobs () =
       check_bool "sweep grid identical at jobs=4" true
         (strip (sweep (Some pool)) = seq))
 
+(* Two domains rewrite one shared source graph at once, as lifetime-grid's
+   cells do.  The source has no strash ([Frontend.expand] drops it) and
+   [Recipe.run] only reads it, indexing it into a table of its own: both
+   results are the sequential one, and the source holds the same words
+   before and after, so no table was built into it. *)
+let test_shared_source_recipe () =
+  let module Mig = Plim_mig.Mig in
+  let module Recipe = Plim_rewrite.Recipe in
+  let g = (Plim_benchgen.Suite.find "cavlc").Plim_benchgen.Suite.build () in
+  let top = Mig.num_nodes g - 1 in
+  Alcotest.check_raises "the source has no strash"
+    (Invalid_argument "Mig.lookup: the graph has no structural hash") (fun () ->
+      ignore
+        (Mig.lookup ~below:max_int g (Mig.child g top 0) (Mig.child g top 1)
+           (Mig.child g top 2)));
+  let words () = Obj.reachable_words (Obj.repr g) in
+  let before = words () and digest = Plim_mig.Mig_io.digest g in
+  let rewrite _ = Plim_mig.Mig_io.digest (Recipe.run Recipe.Algorithm2 ~effort:5 g) in
+  let seq = rewrite () in
+  (match Par.with_pool ~jobs:2 (fun pool -> Par.map pool ~f:rewrite [ 0; 1 ]) with
+  | [ d0; d1 ] ->
+    check_bool "the two domains agree" true (String.equal d0 d1);
+    check_bool "and equal the sequential run" true (String.equal d0 seq)
+  | _ -> Alcotest.fail "two results expected");
+  check_int "the source holds the same words" before (words ());
+  check_bool "the source is unchanged" true
+    (String.equal digest (Plim_mig.Mig_io.digest g))
+
 let () =
   Alcotest.run "par"
     [ ( "ordering",
@@ -202,4 +230,6 @@ let () =
         [ Alcotest.test_case "fuzz report vs -j" `Quick
             test_fuzz_report_independent_of_jobs;
           Alcotest.test_case "campaign sweep vs -j" `Quick
-            test_sweep_degraded_independent_of_jobs ] ) ]
+            test_sweep_degraded_independent_of_jobs;
+          Alcotest.test_case "one table-less source rewritten from two domains" `Quick
+            test_shared_source_recipe ] ) ]

@@ -397,12 +397,16 @@ let rule_pairs : (string * Axioms.rule * Axioms.rule) list =
     ("associativity", Axioms.associativity, Reference.associativity);
     ("psi.C", Axioms.complementary_associativity, Reference.complementary_associativity) ]
 
+(* [Mig.cleanup g] built by hash-consing (test_mig checks that the ids
+   agree), so it keeps a strash for the rules' [Mig.lookup]. *)
+let strashed_cleanup g = fst (Helpers.hashed_cleanup g)
+
 (* At every majority node of a compact graph, with the dry scan's operands,
    each rule fires exactly when its reference does; when both fire, their
    commits, each run on its own fresh copy (same ids: the graph is
    compact), build the same signal and the same nodes. *)
 let rules_match_reference g =
-  let g = Mig.cleanup g in
+  let g = strashed_cleanup g in
   let fanout = Mig.fanout_counts g and out_refs = Mig.output_refs g in
   let old_fanout s =
     let id = Mig.node_of s in
@@ -420,7 +424,7 @@ let rules_match_reference g =
       | None, None -> true
       | Some _, None | None, Some _ -> false
       | Some _, Some _ ->
-        let g1 = Mig.cleanup g and g2 = Mig.cleanup g in
+        let g1 = strashed_cleanup g and g2 = strashed_cleanup g in
         (match (ask rule g1, ask reference g2) with
         | Some commit1, Some commit2 ->
           let s1 = commit1 () and s2 = commit2 () in
@@ -617,15 +621,17 @@ let test_recipe_allocation () =
    source graph and with a strash per target, read 38-44; the same
    storage allocated once with a quarter of headroom and one strash for
    both targets reads 23.7-26.5 with four word-sized arrays per node
-   field, and 15.6-18.2 with one 12-byte record per node in a [Bytes.t]. *)
+   field, and 15.6-18.2 with one 12-byte record per node in a [Bytes.t];
+   a result without a strash, built by appending records, reads
+   14.3-17.4. *)
 let test_recipe_total_words () =
   List.iter
     (fun name ->
       let g = (Suite.find name).Suite.build () in
       let _, words = Helpers.total_words_of (fun () -> Recipe.run Recipe.Algorithm2 ~effort:5 g) in
       let per_source_node = words /. float_of_int (Mig.num_nodes g) in
-      if per_source_node >= 21. then
-        Alcotest.failf "%s: Alg. 2 at effort 5 allocates %.1f words per source node (>= 21)"
+      if per_source_node >= 20. then
+        Alcotest.failf "%s: Alg. 2 at effort 5 allocates %.1f words per source node (>= 20)"
           name per_source_node)
     [ "div8"; "multiplier8"; "sqrt8"; "square8"; "rc_small" ]
 
@@ -745,7 +751,7 @@ let () =
       ( "allocation",
         [ Alcotest.test_case "recipe and quiet pass allocate next to nothing" `Quick
             test_recipe_allocation;
-          Alcotest.test_case "recipe allocates < 21 words per source node" `Quick
+          Alcotest.test_case "recipe allocates < 20 words per source node" `Quick
             test_recipe_total_words;
           qc recipe_owns_its_storage;
           Alcotest.test_case "storage outgrown by a first Ω.D pass" `Quick test_regrowth ] );
