@@ -3,9 +3,9 @@
    its invariants.
 
    The scheduler is a list scheduler over the hazard DAG of the flat
-   instruction stream, kept in flat int arrays: the DAG in CSR form, one
-   precomputed home row per instruction, and the ready set as an int
-   min-heap plus one bucket per row.  Correctness leans on one
+   instruction stream, kept in 32-bit words of unscanned byte tables: the
+   DAG in CSR form, one precomputed home row per instruction, and the
+   ready set as a min-heap plus one bucket per row.  Correctness leans on one
    structural fact: every hazard (RAW, WAW, WAR) between two
    instructions becomes an edge, so any two instructions that are
    simultaneously ready are hazard-free and may execute in the same
@@ -72,111 +72,143 @@ let home_row g w =
   let a = cell_a w and b = cell_b w in
   if (a < 0 || row_of g a = r) && (b < 0 || row_of g b = r) then r else -1
 
+(* Per-instruction scheduler state is signed 32-bit words in unscanned
+   [Bytes.t] tables (entry [i] at byte [4 * i]), half the words of an int
+   array; [schedule]'s bound check keeps every index and offset in range. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let[@inline] get t i = Int32.to_int (get32 t (4 * i))
+let[@inline] set t i v = set32 t (4 * i) (Int32.of_int v)
+
+(* Three RAW edges (destination, a, b) and two WAR edges (a, b) at most
+   per instruction, so this many instructions keep the edge count, and
+   with it every CSR offset, in a signed 32-bit word. *)
+let max_instructions = Int32.(to_int max_int) / 5
+
 (* The hazard DAG of the flat stream in CSR form: [u]'s successors are
-   [succ.(start.(u)) .. succ.(start.(u+1) - 1)], and [indeg] counts
-   every edge into each instruction.  Each touched cell is read — the
-   destination too, so RAW on it subsumes WAW — and a write orders after
-   every read of the cell since its previous write (WAR).  "Readers since
-   the last write" is an int-linked list per cell over a node pool (one
-   node per read; a write drops the cell's list).  The stream is scanned
-   twice, once to count out-degrees and once to fill [succ].  Repeated
-   edges are kept: each is counted and later decremented exactly once. *)
+   entries [start.(u) .. start.(u+1) - 1] of [succ], and [indeg] counts
+   every edge into each instruction.  Each touched cell is read, the
+   destination too, so RAW on it subsumes WAW.  RAW comes from a forward
+   scan: the last writer of each cell read -> the reader, one edge per
+   read occurrence.  WAR comes from a backward scan: each operand read of
+   a cell the reader does not write -> the cell's next writer (a read of
+   the reader's own destination is ordered by RAW and WAW already).
+   Repeated edges are kept: each is counted and later decremented exactly
+   once, and readiness depends only on the counts.  The two scans run
+   twice, once to count out- and in-degrees and once to fill [succ]. *)
 let hazard_dag (p : Program.t) =
   let code = p.Program.code in
   let n = Array.length code in
   let cells = Program.num_cells p in
-  let last_write = Array.make cells (-1) and head = Array.make cells (-1) in
-  let node_instr = Array.make (3 * n) 0 and node_next = Array.make (3 * n) 0 in
-  let nodes = ref 0 in
+  let writer = Array.make cells (-1) in
   let scan edge =
-    Array.fill last_write 0 cells (-1);
-    Array.fill head 0 cells (-1);
-    nodes := 0;
-    let read i c =
-      if c >= 0 then begin
-        if last_write.(c) >= 0 then edge last_write.(c) i;
-        node_instr.(!nodes) <- i;
-        node_next.(!nodes) <- head.(c);
-        head.(c) <- !nodes;
-        incr nodes
-      end
-    in
+    Array.fill writer 0 cells (-1);
     for i = 0 to n - 1 do
       let w = code.(i) in
-      let z = dest w in
-      read i z;
-      read i (cell_a w);
-      read i (cell_b w);
-      let k = ref head.(z) in
-      while !k >= 0 do
-        if node_instr.(!k) <> i then edge node_instr.(!k) i;
-        k := node_next.(!k)
-      done;
-      last_write.(z) <- i;
-      head.(z) <- -1
+      let z = dest w and a = cell_a w and b = cell_b w in
+      if writer.(z) >= 0 then edge writer.(z) i;
+      if a >= 0 && writer.(a) >= 0 then edge writer.(a) i;
+      if b >= 0 && writer.(b) >= 0 then edge writer.(b) i;
+      writer.(z) <- i
+    done;
+    Array.fill writer 0 cells (-1);
+    for i = n - 1 downto 0 do
+      let w = code.(i) in
+      let z = dest w and a = cell_a w and b = cell_b w in
+      if a >= 0 && a <> z && writer.(a) >= 0 then edge i writer.(a);
+      if b >= 0 && b <> z && writer.(b) >= 0 then edge i writer.(b);
+      writer.(z) <- i
     done
   in
-  let start = Array.make (n + 1) 0 and indeg = Array.make n 0 in
+  let start = Bytes.make (4 * (n + 1)) '\000' and indeg = Bytes.make (4 * n) '\000' in
   scan (fun u v ->
-      start.(u + 1) <- start.(u + 1) + 1;
-      indeg.(v) <- indeg.(v) + 1);
-  Csr.prefix_sums start;
-  (start, Csr.scatter start scan, indeg)
+      set start (u + 1) (get start (u + 1) + 1);
+      set indeg v (get indeg v + 1));
+  Csr.prefix_sums32 start;
+  (start, Csr.scatter32 start scan, indeg)
 
-(* Binary min-heap of ints with a fixed capacity. *)
+(* Binary min-heap over the first [!len] entries of [heap]. *)
 let heap_push heap len x =
   let i = ref !len in
   incr len;
-  while !i > 0 && heap.((!i - 1) / 2) > x do
-    heap.(!i) <- heap.((!i - 1) / 2);
+  while !i > 0 && get heap ((!i - 1) / 2) > x do
+    set heap !i (get heap ((!i - 1) / 2));
     i := (!i - 1) / 2
   done;
-  heap.(!i) <- x
+  set heap !i x
 
 let heap_pop heap len =
-  let top = heap.(0) in
+  let top = get heap 0 in
   decr len;
-  let x = heap.(!len) in
+  let x = get heap !len in
   let i = ref 0 and continue = ref true in
   while !continue do
     let l = (2 * !i) + 1 in
-    let c = if l + 1 < !len && heap.(l + 1) < heap.(l) then l + 1 else l in
-    if c < !len && heap.(c) < x then begin
-      heap.(!i) <- heap.(c);
+    let c = if l + 1 < !len && get heap (l + 1) < get heap l then l + 1 else l in
+    if c < !len && get heap c < x then begin
+      set heap !i (get heap c);
       i := c
     end
     else continue := false
   done;
-  heap.(!i) <- x;
+  set heap !i x;
   top
 
+(* Ascending order.  A row's ready instructions write distinct cells of
+   the row, so a group holds at most [cols] members; insertion sort
+   allocates nothing ([Array.sort] makes its closures on every call),
+   and wide rows fall back to it. *)
+let sort_members a =
+  let len = Array.length a in
+  if len > 64 then Array.sort Int.compare a
+  else
+    for i = 1 to len - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
 let schedule g (p : Program.t) =
+  let n = Program.length p in
   if not (fits g ~num_cells:(Program.num_cells p)) then
     Error
       (Printf.sprintf "geometry: program needs %d cells but grid %s has area %d"
          (Program.num_cells p) (to_string g) (area g))
+  else if n > max_instructions then
+    Error
+      (Printf.sprintf
+         "geometry: %d instructions exceed the scheduler's 32-bit bound of %d \
+          (5 hazard edges per instruction)"
+         n max_instructions)
   else begin
-    let n = Program.length p in
     let start, succ, indeg = hazard_dag p in
-    let home = Array.map (home_row g) p.Program.code in
+    let home = Bytes.create (4 * n) in
+    for i = 0 to n - 1 do
+      set home i (home_row g p.Program.code.(i))
+    done;
     (* The ready set, held twice: a min-heap of every ready instruction
        (scheduled ones are dropped lazily when they surface, marked by
-       [indeg = -1]) and an int-linked bucket per row of the ready
-       instructions confined to it. *)
-    let heap = Array.make n 0 and heap_len = ref 0 in
-    let bucket = Array.make g.rows (-1) and bucket_next = Array.make n (-1) in
+       [indeg = -1]) and a bucket per row of the ready instructions
+       confined to it, linked through [bucket_next]. *)
+    let heap = Bytes.create (4 * n) and heap_len = ref 0 in
+    let bucket = Array.make g.rows (-1) and bucket_next = Bytes.create (4 * n) in
     let bucket_len = Array.make g.rows 0 in
     let make_ready i =
       heap_push heap heap_len i;
-      let r = home.(i) in
+      let r = get home i in
       if r >= 0 then begin
-        bucket_next.(i) <- bucket.(r);
+        set bucket_next i bucket.(r);
         bucket.(r) <- i;
         bucket_len.(r) <- bucket_len.(r) + 1
       end
     in
     for i = 0 to n - 1 do
-      if indeg.(i) = 0 then make_ready i
+      if get indeg i = 0 then make_ready i
     done;
     let groups = Array.make n [||] and num_groups = ref 0 in
     let cross_row = ref 0 in
@@ -184,8 +216,8 @@ let schedule g (p : Program.t) =
        of its row in ascending order — or it alone if it is cross-row *)
     while !heap_len > 0 do
       let first = heap_pop heap heap_len in
-      if indeg.(first) = 0 then begin
-        let r = home.(first) in
+      if get indeg first = 0 then begin
+        let r = get home first in
         let group =
           if r < 0 then begin
             incr cross_row;
@@ -196,30 +228,35 @@ let schedule g (p : Program.t) =
             let k = ref bucket.(r) in
             for j = 0 to bucket_len.(r) - 1 do
               members.(j) <- !k;
-              k := bucket_next.(!k)
+              k := get bucket_next !k
             done;
-            Array.sort Int.compare members;
+            sort_members members;
             bucket.(r) <- -1;
             bucket_len.(r) <- 0;
             members
           end
         in
-        Array.iter (fun u -> indeg.(u) <- -1) group;
-        Array.iter
-          (fun u ->
-            for e = start.(u) to start.(u + 1) - 1 do
-              let v = succ.(e) in
-              indeg.(v) <- indeg.(v) - 1;
-              if indeg.(v) = 0 then make_ready v
-            done)
-          group;
+        for j = 0 to Array.length group - 1 do
+          set indeg group.(j) (-1)
+        done;
+        for j = 0 to Array.length group - 1 do
+          let u = group.(j) in
+          for e = get start u to get start (u + 1) - 1 do
+            let v = get succ e in
+            let d = get indeg v - 1 in
+            set indeg v d;
+            if d = 0 then make_ready v
+          done
+        done;
         groups.(!num_groups) <- group;
         incr num_groups
       end
     done;
     (* all hazard edges point forward in the flat stream, so the DAG is
        acyclic and list scheduling always drains it *)
-    assert (Array.for_all (fun d -> d = -1) indeg);
+    for i = 0 to n - 1 do
+      assert (get indeg i = -1)
+    done;
     Ok { s_grid = g; s_groups = Array.sub groups 0 !num_groups; s_cross_row = !cross_row }
   end
 

@@ -68,7 +68,16 @@ val schedule : grid -> Plim_isa.Program.t -> (schedule, string) result
     DAG.  Deterministic: ready instructions are considered in ascending
     index order, so the same program and grid always produce the same
     schedule.  [Error] if the program's [num_cells] exceeds the grid
-    area. *)
+    area.
+
+    The scheduler keeps its per-instruction state (the hazard DAG's CSR
+    offsets and successors, in-degrees, home rows, the ready heap and the
+    row-bucket links) in signed 32-bit words, so a program may hold at
+    most [(2{^31} - 1) / 5] = 429 496 729 instructions: each has at most
+    five hazard edges (three RAW, two WAR), and every edge offset must
+    fit a word — the same 32-bit bound as [Plim_mig.Mig]'s 2{^31} - 1
+    nodes.  A longer program gets an [Error] naming the bound, from a
+    check made before anything is allocated. *)
 
 val of_groups : grid -> Plim_isa.Program.t -> int array array -> schedule
 (** Wrap an {e arbitrary} grouping claim as a schedule, {b without any

@@ -15,3 +15,20 @@ val scatter : int array -> ((int -> int -> unit) -> unit) -> int array
     [start] itself serves as the fill cursors and is shifted back before
     the return, so it ends as {!prefix_sums} left it (not if [iter]
     raises); the result is the only allocation. *)
+
+(** {2 Packed form}
+
+    The same tables with every offset and item a signed 32-bit word in an
+    unscanned [Bytes.t]: entry [i] is the native-endian [int32] at byte
+    [4 * i], so a table of [k] entries is [4 * k] bytes, half the words of
+    an int array, and the GC never scans it.  Offsets, items and the
+    total must lie in [\[-2{^31}, 2{^31})]; a caller bounds its counts
+    before it builds.  Readers decode entries in place with their own
+    [%caml_bytes_get32] external, as [Plim_geometry] does. *)
+
+val prefix_sums32 : Bytes.t -> unit
+(** {!prefix_sums} on a packed offset table. *)
+
+val scatter32 : Bytes.t -> ((int -> int -> unit) -> unit) -> Bytes.t
+(** {!scatter} on a packed offset table: same contract, and the packed
+    items are the only allocation. *)

@@ -76,16 +76,22 @@ let adder4_program () =
    call (a recipe then reads 200-300 words per node, not 26-30); a full
    major collection before the first snapshot settles them, and the count
    repeats exactly. *)
-let total_words_of f =
+let words_of count f =
   let words () =
     Gc.minor ();
-    let s = Gc.quick_stat () in
-    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+    count (Gc.quick_stat ())
   in
   Gc.full_major ();
   let before = words () in
   let r = f () in
   (r, words () -. before)
+
+let total_words_of f =
+  words_of (fun s -> s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words) f
+
+(* The direct-major part alone: what a major collection pays for, and
+   what sets the heap top. *)
+let direct_major_words_of f = words_of (fun s -> s.Gc.major_words -. s.Gc.promoted_words) f
 
 (* [Mig.cleanup g] as the hash-consing rebuild builds it, with its map: a
    [rebuild_into] [create ()] with plain [maj] as its rule.  Unlike

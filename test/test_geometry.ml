@@ -9,6 +9,7 @@ module Pipeline = Plim_core.Pipeline
 module Controller = Plim_machine.Plim_controller
 module Suite = Plim_benchgen.Suite
 module Splitmix = Plim_util.Splitmix
+module Race = Plim_certify.Race
 
 let ok_exn = function
   | Ok v -> v
@@ -338,20 +339,78 @@ let prop_schedule_reference =
     QCheck.(pair program_arb (int_range 1 10))
     (fun (p, cols) -> same_as_reference (G.grid_for ~cols ~num_cells:(Program.num_cells p)) p)
 
-let test_suite_reference () =
+(* [f name p cols] on every small-suite circuit, compiled endurance-full,
+   at 1, 4, 16 and 64 columns *)
+let iter_suite_widths f =
   List.iter
     (fun spec ->
       let p =
         (Pipeline.compile Pipeline.endurance_full (Suite.build_cached spec)).Pipeline.program
       in
+      List.iter (f spec.Suite.name p) [ 1; 4; 16; 64 ])
+    Suite.small_suite
+
+let test_suite_reference () =
+  iter_suite_widths (fun name p cols ->
+      let g = G.grid_for ~cols ~num_cells:(Program.num_cells p) in
+      if not (same_as_reference g p) then
+        Alcotest.failf "%s@%s: schedule differs from the reference" name (G.to_string g))
+
+(* --- allocation ----------------------------------------------------------- *)
+
+(* The scheduler's per-instruction tables are 32-bit words in byte
+   tables, and the reader pool is gone: 4.7-5.8 direct-major words per
+   instruction on these programs (14.3-15.6 with word arrays and the
+   pool).  Much below ~1 k instructions the tables are small enough for
+   the minor heap. *)
+let test_schedule_words () =
+  List.iter
+    (fun name ->
+      let p =
+        (Pipeline.compile Pipeline.endurance_full
+           (Suite.build_cached (Suite.find name))).Pipeline.program
+      in
       List.iter
         (fun cols ->
           let g = G.grid_for ~cols ~num_cells:(Program.num_cells p) in
-          if not (same_as_reference g p) then
-            Alcotest.failf "%s@%s: schedule differs from the reference"
-              spec.Suite.name (G.to_string g))
-        [ 1; 4; 16; 64 ])
-    Suite.small_suite
+          let _, words = Helpers.direct_major_words_of (fun () -> ok_exn (G.schedule g p)) in
+          let per = words /. float (Program.length p) in
+          if per >= 7.0 then
+            Alcotest.failf
+              "%s@%s: schedule allocates %.2f direct-major words per instruction \
+               (bound 7.0)"
+              name (G.to_string g) per)
+        [ 1; 16; 64 ])
+    [ "div8"; "multiplier8" ]
+
+(* --- consumers leave the stream as it was --------------------------------- *)
+
+(* A program is shared across domains on the promise that nothing that
+   reads it writes its [code] (program.mli).  The scheduler scans the
+   words in place, and so do both hazard checkers and grouped
+   execution: each must leave every word unchanged. *)
+let code_untouched p cols =
+  let before = Array.copy p.Program.code in
+  let grid = G.grid_for ~cols ~num_cells:(Program.num_cells p) in
+  (match G.schedule grid p with
+  | Ok s ->
+    ignore (G.validate p s);
+    ignore (Race.check_schedule p s)
+  | Error e -> Alcotest.failf "schedule: %s" e);
+  let inputs = Array.make (Array.length p.Program.pi_cells) true in
+  ignore (Controller.run_grouped ~geometry:grid p ~inputs);
+  p.Program.code = before
+
+let test_suite_code_untouched () =
+  iter_suite_widths (fun name p cols ->
+      if not (code_untouched p cols) then
+        Alcotest.failf "%s at %d columns: a consumer wrote the program's code" name cols)
+
+let prop_code_untouched =
+  QCheck.Test.make ~count:200
+    ~name:"schedule, validate, race and run_grouped leave the code as it was"
+    QCheck.(pair program_arb (int_range 1 10))
+    (fun (p, cols) -> code_untouched p cols)
 
 let qc = QCheck_alcotest.to_alcotest
 
@@ -374,7 +433,11 @@ let () =
             test_suite_invariants;
           Alcotest.test_case "deterministic" `Quick test_schedule_deterministic;
           Alcotest.test_case "small suite = reference scheduler" `Quick
-            test_suite_reference ] );
+            test_suite_reference;
+          Alcotest.test_case "direct-major words per instruction" `Quick
+            test_schedule_words;
+          Alcotest.test_case "small suite code untouched" `Quick
+            test_suite_code_untouched ] );
       ( "execution",
         [ Alcotest.test_case "grouped run = flat run (suite)" `Quick
             test_run_grouped_identity;
@@ -383,4 +446,4 @@ let () =
           Alcotest.test_case "static_groups" `Quick test_static_groups ] );
       ( "properties",
         [ qc prop_schedule_valid; qc prop_grouped_matches_flat;
-          qc prop_schedule_reference ] ) ]
+          qc prop_schedule_reference; qc prop_code_untouched ] ) ]

@@ -296,7 +296,8 @@ let heap_vs_reference =
 
 (* A table of [nb] buckets (0 included) filled by a random add sequence:
    many buckets stay empty.  Each bucket must read back its items in add
-   order, and [scatter] must leave [start] as [prefix_sums] did. *)
+   order, and [scatter] must leave [start] as [prefix_sums] did.  The
+   packed form built from the same adds must hold the same words. *)
 let csr_vs_reference =
   QCheck.Test.make ~count:300 ~name:"csr scatter keeps add order and restores start"
     QCheck.(
@@ -315,7 +316,17 @@ let csr_vs_reference =
       let offsets = Array.copy start in
       let items = Csr.scatter start (fun add -> List.iter (fun (b, v) -> add b v) adds) in
       let bucket b = Array.to_list (Array.sub items start.(b) (start.(b + 1) - start.(b))) in
+      let get t i = Int32.to_int (Bytes.get_int32_ne t (4 * i)) in
+      let start32 = Bytes.make (4 * (nb + 1)) '\000' in
+      List.iter
+        (fun (b, _) -> Bytes.set_int32_ne start32 (4 * (b + 1)) (Int32.of_int (get start32 (b + 1) + 1)))
+        adds;
+      Csr.prefix_sums32 start32;
+      let items32 = Csr.scatter32 start32 (fun add -> List.iter (fun (b, v) -> add b v) adds) in
+      let words t = List.init (Bytes.length t / 4) (get t) in
       start = offsets
+      && words start32 = Array.to_list start
+      && words items32 = Array.to_list items
       && Array.length items = List.length adds
       && List.for_all
            (fun b -> bucket b = List.filter_map (fun (b', v) -> if b' = b then Some v else None) adds)
