@@ -156,22 +156,20 @@ let heap_pop heap len =
   top
 
 (* Ascending order.  A row's ready instructions write distinct cells of
-   the row, so a group holds at most [cols] members; insertion sort
-   allocates nothing ([Array.sort] makes its closures on every call),
-   and wide rows fall back to it. *)
+   the row, so a group holds at most [cols] members and insertion sort
+   costs at most [cols] steps per instruction over a whole schedule; it
+   allocates nothing, where [Array.sort] makes its closures on every
+   call. *)
 let sort_members a =
-  let len = Array.length a in
-  if len > 64 then Array.sort Int.compare a
-  else
-    for i = 1 to len - 1 do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
+  for i = 1 to Array.length a - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
 
 let schedule g (p : Program.t) =
   let n = Program.length p in
